@@ -382,7 +382,7 @@ func TestDependabilityAggregatorLoss(t *testing.T) {
 	if got := c.Global.NumChildren(); got != 3 {
 		t.Errorf("children after aggregator loss = %d, want 3 (quarantined, not evicted)", got)
 	}
-	if got := c.Global.NumQuarantined(); got != 1 {
+	if got := c.Global.Stats().Quarantined; got != 1 {
 		t.Errorf("quarantined after aggregator loss = %d, want 1", got)
 	}
 	for i, v := range c.Stages {
@@ -430,10 +430,10 @@ func TestDependabilityNetworkPartition(t *testing.T) {
 	if got := c.Global.NumChildren(); got != 3 {
 		t.Errorf("children after partition = %d, want 3 (quarantined, not evicted)", got)
 	}
-	if got := c.Global.NumQuarantined(); got != 1 {
+	if got := c.Global.Stats().Quarantined; got != 1 {
 		t.Errorf("quarantined after partition = %d, want 1", got)
 	}
-	if c.Global.CallErrors() == 0 {
+	if c.Global.Stats().CallErrors == 0 {
 		t.Error("no call errors recorded despite partition")
 	}
 	// Reachable stages keep being managed.

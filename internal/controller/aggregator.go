@@ -9,12 +9,10 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/controlalg"
-	"github.com/dsrhaslab/sdscale/internal/cyclemem"
 	"github.com/dsrhaslab/sdscale/internal/metrics"
 	"github.com/dsrhaslab/sdscale/internal/monitor"
 	"github.com/dsrhaslab/sdscale/internal/rpc"
 	"github.com/dsrhaslab/sdscale/internal/stage"
-	"github.com/dsrhaslab/sdscale/internal/telemetry"
 	"github.com/dsrhaslab/sdscale/internal/trace"
 	"github.com/dsrhaslab/sdscale/internal/transport"
 	"github.com/dsrhaslab/sdscale/internal/wire"
@@ -128,29 +126,15 @@ func (c AggregatorConfig) withDefaults() AggregatorConfig {
 // set of stages, pre-aggregates their metrics per job, and fans enforcement
 // rules back out.
 type Aggregator struct {
-	cfg        AggregatorConfig
-	breaker    breakerConfig
-	server     *rpc.Server
-	members    *memberSet
-	faults     *telemetry.FaultCounters
-	pipe       *telemetry.PipelineStats
-	callErrors atomic.Uint64
-
-	// scratch backs the per-collect membership split and collect set. The
-	// upstream handlers that use it are serialized in practice — one parent
-	// drives the cycle, and a deposed parent's calls are fenced by
-	// checkEpoch before they reach the scatter — matching the cycle-serial
-	// contract of cycleScratch.
-	scratch cycleScratch
-	// arena and cyc back the per-handler transient buffers under the same
-	// serialization contract as scratch. collect begins a generation; the
-	// enforce (or delegate) that follows it in the parent's cycle draws
-	// disjoint regions from the same generation.
-	arena cyclemem.Arena
-	cyc   cycleMem
-
-	// statsScr backs Stats() snapshots (guarded by its own mutex).
-	statsScr statsScratch
+	// stageCore is the stage-facing half (see core.go). Its cycle-serial
+	// state is driven by the upstream handlers, which are serialized in
+	// practice — one parent drives the cycle, and a deposed parent's calls
+	// are fenced by checkEpoch before they reach the scatter. collect begins
+	// an arena generation; the enforce (or delegate) that follows it in the
+	// parent's cycle draws disjoint regions from the same generation.
+	stageCore
+	cfg    AggregatorConfig
+	server *rpc.Server
 
 	// Re-homing loop lifecycle (Parents configured).
 	rehomeStop chan struct{}
@@ -171,19 +155,15 @@ type Aggregator struct {
 // afterwards with AddStage.
 func StartAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	cfg = cfg.withDefaults()
-	a := &Aggregator{
-		cfg: cfg,
-		breaker: breakerConfig{
-			MaxFailures:      cfg.MaxFailures,
-			ProbeInterval:    cfg.ProbeInterval,
-			MaxProbeInterval: cfg.MaxProbeInterval,
-			StaleAfter:       cfg.StaleAfter,
-			EvictAfter:       cfg.EvictAfter,
-		}.withDefaults(),
-		members: newMemberSet(),
-		faults:  &telemetry.FaultCounters{},
-		pipe:    &telemetry.PipelineStats{},
-	}
+	a := &Aggregator{cfg: cfg}
+	a.init(stageOpts{
+		who: fmt.Sprintf("aggregator %d", cfg.ID), network: cfg.Network,
+		fanMode: cfg.FanOutMode, par: cfg.FanOut, callTimeout: cfg.CallTimeout, maxCodec: cfg.MaxCodec,
+		breaker: breakerConfig{MaxFailures: cfg.MaxFailures, ProbeInterval: cfg.ProbeInterval,
+			MaxProbeInterval: cfg.MaxProbeInterval, StaleAfter: cfg.StaleAfter, EvictAfter: cfg.EvictAfter},
+		incremental: cfg.Incremental, floor: cfg.IncrementalFloor,
+		meter: cfg.Meter, cpu: cfg.CPU, tracer: cfg.Tracer, logFn: cfg.Logf,
+	})
 	// The server deliberately gets no CPU meter: its handler blocks on the
 	// stage fan-out, so handler wall time is not aggregator CPU. Busy time
 	// is charged explicitly around aggregation and via the stage clients'
@@ -221,24 +201,6 @@ func (a *Aggregator) Addr() string { return a.server.Addr().String() }
 // NumStages returns the number of stages the aggregator manages.
 func (a *Aggregator) NumStages() int { return a.members.size() }
 
-// Faults returns the aggregator's fault-tolerance counters.
-func (a *Aggregator) Faults() *telemetry.FaultCounters { return a.faults }
-
-// NumQuarantined returns how many managed stages currently sit behind a
-// tripped circuit breaker.
-//
-// Deprecated: use Stats().Quarantined.
-func (a *Aggregator) NumQuarantined() int {
-	_, quarantined := splitQuarantined(a.members.snapshot())
-	return len(quarantined)
-}
-
-func (a *Aggregator) logf(format string, args ...any) {
-	if a.cfg.Logf != nil {
-		a.cfg.Logf(format, args...)
-	}
-}
-
 // Stages returns the managed stages' identities.
 func (a *Aggregator) Stages() []stage.Info {
 	children := a.members.snapshot()
@@ -251,20 +213,8 @@ func (a *Aggregator) Stages() []stage.Info {
 
 // AddStage connects the aggregator to a stage it will manage.
 func (a *Aggregator) AddStage(ctx context.Context, info stage.Info) error {
-	cli, err := rpc.DialReconnecting(ctx, a.cfg.Network, info.Addr,
-		rpc.DialOptions{Meter: a.cfg.Meter, CPU: a.cfg.CPU, Tracer: a.cfg.Tracer, SpanTag: info.ID,
-			MaxCodec: a.cfg.MaxCodec, ReuseReplies: true, ReuseHits: a.pipe.ReuseCounter(),
-			OnPush: a.onPush},
-		a.breaker.reconnectPolicy())
-	if err != nil {
-		return fmt.Errorf("aggregator %d: dial stage %d at %s: %w", a.cfg.ID, info.ID, info.Addr, err)
-	}
-	c := &child{info: info, role: wire.RoleStage, cli: cli}
-	if !a.members.add(c) {
-		cli.Close()
-		return fmt.Errorf("aggregator %d: duplicate stage ID %d", a.cfg.ID, info.ID)
-	}
-	return nil
+	_, err := a.addChild(ctx, wire.RoleStage, info, nil)
+	return err
 }
 
 // serve handles requests from the global controller (and dynamic stage
@@ -289,12 +239,7 @@ func (a *Aggregator) serve(peer *rpc.Peer, req wire.Message) (wire.Message, erro
 		return &wire.HeartbeatAck{EchoUnixMicros: m.SentUnixMicros}, nil
 	case *wire.StageList:
 		a.touch()
-		children := a.members.snapshot()
-		reply := &wire.StageListReply{Stages: make([]wire.StageEntry, len(children))}
-		for i, c := range children {
-			reply.Stages[i] = wire.StageEntry{ID: c.info.ID, JobID: c.info.JobID, Weight: c.info.Weight, Addr: c.info.Addr}
-		}
-		return reply, nil
+		return &wire.StageListReply{Stages: a.stageEntries()}, nil
 	case *wire.Register:
 		return a.handleRegister(m)
 	}
@@ -311,17 +256,9 @@ func (a *Aggregator) handleRegister(m *wire.Register) (wire.Message, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.CallTimeout)
 	defer cancel()
 	if c := a.members.get(m.ID); c != nil {
-		cli, err := rpc.DialReconnecting(ctx, a.cfg.Network, m.Addr,
-			rpc.DialOptions{Meter: a.cfg.Meter, CPU: a.cfg.CPU, Tracer: a.cfg.Tracer, SpanTag: m.ID,
-				MaxCodec: a.cfg.MaxCodec, ReuseReplies: true, ReuseHits: a.pipe.ReuseCounter(),
-				OnPush: a.onPush},
-			a.breaker.reconnectPolicy())
-		if err != nil {
-			return nil, fmt.Errorf("aggregator %d: redial stage %d at %s: %w", a.cfg.ID, m.ID, m.Addr, err)
+		if err := a.reRegister(ctx, c, m.Addr); err != nil {
+			return nil, err
 		}
-		c.replaceClient(cli)
-		a.faults.ReRegistration()
-		a.logf("aggregator %d: stage %d re-registered from %s", a.cfg.ID, m.ID, m.Addr)
 		return &wire.RegisterAck{ID: m.ID, Epoch: a.Epoch()}, nil
 	}
 	if err := a.AddStage(ctx, stage.Info{ID: m.ID, JobID: m.JobID, Weight: m.Weight, Addr: m.Addr}); err != nil {
@@ -357,25 +294,6 @@ func (a *Aggregator) Epoch() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.epoch
-}
-
-// FencedCalls returns how many stale-epoch calls the aggregator rejected.
-//
-// Deprecated: use Stats().FencedCalls.
-func (a *Aggregator) FencedCalls() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.fencedCalls
-}
-
-// ReHomes returns how many times the aggregator re-registered with a parent
-// after losing contact.
-//
-// Deprecated: use Stats().ReHomes.
-func (a *Aggregator) ReHomes() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rehomes
 }
 
 func (a *Aggregator) touch() {
@@ -437,190 +355,31 @@ func (a *Aggregator) registerParents(ctx context.Context) {
 	a.mu.Unlock()
 }
 
-// callStage performs one stage RPC with timeout and circuit-breaker
-// accounting. Caller-context cancellation is not counted against the stage.
-func (a *Aggregator) callStage(ctx context.Context, c *child, req wire.Message) (wire.Message, error) {
-	cctx, cancel := context.WithTimeout(ctx, a.cfg.CallTimeout)
-	resp, err := c.client().Call(cctx, req)
-	cancel()
-	a.accountCall(ctx, c, err)
-	return resp, err
-}
-
-// accountCall applies a call outcome to the error counter and circuit
-// breaker; errors the caller's own ctx caused are excluded. Shared between
-// callStage and the pipelined fan-out path.
-func (a *Aggregator) accountCall(ctx context.Context, c *child, err error) {
-	if err != nil && ctx.Err() == nil {
-		a.callErrors.Add(1)
-	}
-	recordCall(ctx, c, err, a.breaker, a.faults, a.logf, fmt.Sprintf("aggregator %d", a.cfg.ID))
-}
-
-// fanOut dispatches one phase over the managed stages using the configured
-// FanOutMode, charging every outcome to the breaker and error accounting.
-func (a *Aggregator) fanOut(ctx context.Context, gauge *telemetry.Gauge, children []*child,
-	reqFor func(i int) wire.Message,
-	onReply func(i int, resp wire.Message)) {
-	fanOutCalls(ctx, fanOutOpts{
-		mode:    a.cfg.FanOutMode,
-		par:     a.cfg.FanOut,
-		timeout: a.cfg.CallTimeout,
-		gauge:   gauge,
-		arena:   &a.arena,
-		calls:   &a.cyc.calls,
-	}, children, reqFor, func(i int, resp wire.Message, err error) {
-		a.accountCall(ctx, children[i], err)
-		if err == nil && onReply != nil {
-			onReply(i, resp)
-		}
-	})
-}
-
-// fanOutBroadcast dispatches one marshal-once broadcast phase over the
-// given stages, charging outcomes to the breaker and error accounting and
-// the frame's send/encode counts to the pipeline stats.
-func (a *Aggregator) fanOutBroadcast(ctx context.Context, gauge *telemetry.Gauge, children []*child,
-	f *rpc.SharedFrame, onReply func(i int, resp wire.Message)) {
-	fanOutShared(ctx, fanOutOpts{
-		mode:    a.cfg.FanOutMode,
-		par:     a.cfg.FanOut,
-		timeout: a.cfg.CallTimeout,
-		gauge:   gauge,
-		arena:   &a.arena,
-		calls:   &a.cyc.calls,
-	}, children, f, nil, func(i int, resp wire.Message, err error) {
-		a.accountCall(ctx, children[i], err)
-		if err == nil && onReply != nil {
-			onReply(i, resp)
-		}
-	})
-	a.pipe.AddSharedSends(uint64(len(children)))
-	a.pipe.AddSharedEncodes(f.Encodes())
-}
-
-// onPush folds a stage's unsolicited ReportDelta into its dirty-set entry.
-// It runs on the connection's read loop, so it stays cheap: one membership
-// lookup plus a capacity-reusing cache write, no blocking calls.
-func (a *Aggregator) onPush(m wire.Message) {
-	rd, ok := m.(*wire.ReportDelta)
-	if !ok {
-		return
-	}
-	if c := a.members.get(rd.Report.StageID); c != nil {
-		c.notePush(rd, time.Now())
-	}
-}
-
-// incrementalActive reports whether the incremental collect/enforce paths
-// apply: configured on, and the fan-out pipelined (see
-// Global.incrementalActive for why blocking mode keeps the full cycle).
-func (a *Aggregator) incrementalActive() bool {
-	return a.cfg.Incremental && a.cfg.FanOutMode == FanOutPipelined
-}
-
-// prepareScatter probes quarantined stages (readmitting responders),
-// applies EvictAfter, and returns the active/quarantined split. The
-// returned slices are the aggregator's scratch, valid until the next
-// prepareScatter.
-func (a *Aggregator) prepareScatter(ctx context.Context) (active, quarantined []*child) {
-	_, q := a.scratch.split(a.members)
-	if len(q) > 0 {
-		who := fmt.Sprintf("aggregator %d", a.cfg.ID)
-		evictable := sweepProbes(ctx, q, a.breaker, a.cfg.FanOut, a.cfg.CallTimeout, a.faults, a.logf, who)
-		for _, c := range evictable {
-			if a.members.remove(c.info.ID) != nil {
-				c.client().Close()
-				a.faults.Evict()
-				a.logf("%s: evicted stage %d after %v in quarantine", who, c.info.ID, a.breaker.EvictAfter)
-			}
-		}
-	}
-	return a.scratch.split(a.members)
-}
-
 // collect fans the request out to all stages and returns per-job
 // aggregates (or, with ForwardRaw, the concatenated raw reports).
 // Aggregation is the CPU-heavy step the paper observes moving from the
 // global controller to the aggregators (Table IV).
 func (a *Aggregator) collect(m *wire.Collect) (wire.Message, error) {
 	ctx := context.Background()
-	a.cfg.Tracer.SetContext(m.Cycle, a.Epoch(), uint8(a.cfg.FanOutMode), trace.PhaseProbe)
+	epoch := a.Epoch()
+	a.setPhase(trace.PhaseProbe, m.Cycle, epoch)
 	// One arena generation per parent-driven cycle: the enforce/delegate that
 	// follows this collect appends to the same generation. The previous
 	// cycle's reply was fully encoded before this handler ran, so its
 	// slab-backed reports are dead here.
 	a.arena.Begin()
-	children, quarantined := a.prepareScatter(ctx)
+	children, quarantined := a.prepareCycle(ctx)
 	if len(quarantined) > 0 {
 		a.faults.DegradedCycle()
 	}
-	n := len(children)
-	incremental := a.incrementalActive()
-	targets := children
-	if incremental {
-		// Claim the dirty set and shrink the stage-facing scatter to the
-		// edge cases; everyone else's cached push is already current.
-		now := time.Now()
-		floor := a.cfg.IncrementalFloor
-		if floor <= 0 {
-			floor = a.breaker.StaleAfter
-		}
-		dirty := 0
-		set := a.scratch.collect[:0]
-		for _, c := range children {
-			wasDirty, collect := c.incrementalState(now, floor)
-			if !collect && c.client().CodecVersion() < wire.CodecV2 {
-				// A v1 stage cannot push deltas: keep its per-cycle collect.
-				collect = true
-			}
-			if wasDirty {
-				dirty++
-			}
-			if collect {
-				set = append(set, c)
-			}
-		}
-		a.scratch.collect = set
-		targets = set
-		a.pipe.RecordDirty(dirty)
-		a.pipe.AddSuppressedCollects(uint64(n - len(set)))
-	}
-	replies := a.cyc.replies.Take(&a.arena, len(targets))
-	a.cfg.Tracer.SetContext(m.Cycle, a.Epoch(), uint8(a.cfg.FanOutMode), trace.PhaseCollect)
-	// The inbound request is re-broadcast verbatim to every stage, so it is
-	// marshaled once into a shared frame. All fan-out completes before this
-	// handler returns, which keeps both the frame lifecycle and the server's
-	// request recycling sound.
-	req := rpc.NewSharedFrame(m)
-	a.fanOutBroadcast(ctx, &a.pipe.CollectInFlight, targets, req,
-		func(i int, resp wire.Message) {
-			if r, ok := resp.(*wire.CollectReply); ok {
-				replies[i] = r
-				targets[i].noteReport(r, time.Now())
-			}
-		})
+	// The inbound request is re-broadcast verbatim. All fan-out completes
+	// before this handler returns, which keeps the server's request
+	// recycling sound.
+	a.setPhase(trace.PhaseCollect, m.Cycle, epoch)
+	reports, _ := a.gatherReports(ctx, *m, children, quarantined, false)
 
-	var untrack func()
-	if a.cfg.CPU != nil {
-		untrack = a.cfg.CPU.Track()
-	}
-	reports := a.cyc.reports.Take(&a.arena, n)[:0]
-	if incremental {
-		// The upstream reply reads the whole cache: pushed deltas, the
-		// collects just made, and untouched-but-fresh reports all look alike.
-		now := time.Now()
-		for _, c := range children {
-			reports, _, _ = c.appendCachedReports(reports, now, a.breaker.StaleAfter)
-		}
-	} else {
-		for _, r := range replies {
-			if r != nil {
-				reports = append(reports, r.Reports...)
-			}
-		}
-	}
-	reports = appendStaleReports(reports, quarantined, a.breaker.StaleAfter, a.faults)
+	start := time.Now()
+	defer a.busy(start)
 	if a.cfg.LocalControl {
 		// delegate reads lastReports after this handler returns, beyond the
 		// slab's generation — it needs a stable snapshot, not the arena slice
@@ -630,16 +389,9 @@ func (a *Aggregator) collect(m *wire.Collect) (wire.Message, error) {
 		a.mu.Unlock()
 	}
 	if a.cfg.ForwardRaw {
-		if untrack != nil {
-			untrack()
-		}
 		return &wire.CollectReply{Cycle: m.Cycle, Reports: reports}, nil
 	}
-	jobs := metrics.AggregateByJob(reports)
-	if untrack != nil {
-		untrack()
-	}
-	return &wire.CollectAggReply{Cycle: m.Cycle, AggregatorID: a.cfg.ID, Jobs: jobs}, nil
+	return &wire.CollectAggReply{Cycle: m.Cycle, AggregatorID: a.cfg.ID, Jobs: metrics.AggregateByJob(reports)}, nil
 }
 
 // enforce routes each rule in the batch to its stage. Quarantined stages
@@ -647,63 +399,20 @@ func (a *Aggregator) collect(m *wire.Collect) (wire.Message, error) {
 func (a *Aggregator) enforce(m *wire.Enforce) (*wire.EnforceAck, error) {
 	children, _ := splitQuarantined(a.members.snapshot())
 
-	var untrack func()
-	if a.cfg.CPU != nil {
-		untrack = a.cfg.CPU.Track()
-	}
 	// Group rules by stage without a per-call map: copy the batch into an
 	// arena slab (the inbound request is recycled after the reply, so the
 	// rules must not alias it anyway) and stable-sort by stage, leaving each
 	// stage's rules a contiguous run in arrival order.
+	start := time.Now()
 	rules := a.cyc.ruleBuf.Take(&a.arena, len(m.Rules))
 	copy(rules, m.Rules)
 	sort.SliceStable(rules, func(i, j int) bool { return rules[i].StageID < rules[j].StageID })
-	batchFor := func(stageID uint64) []wire.Rule {
-		lo := sort.Search(len(rules), func(i int) bool { return rules[i].StageID >= stageID })
-		hi := lo
-		for hi < len(rules) && rules[hi].StageID == stageID {
-			hi++
-		}
-		return rules[lo:hi:hi]
-	}
-	if untrack != nil {
-		untrack()
-	}
+	a.busy(start)
 
 	var applied atomic.Uint32
-	ctx := context.Background()
 	epoch := a.Epoch()
-	incremental := a.incrementalActive()
-	var suppressed uint64 // reqFor runs sequentially in pipelined mode
-	a.cfg.Tracer.SetContext(m.Cycle, epoch, uint8(a.cfg.FanOutMode), trace.PhaseEnforce)
-	// Request structs come from the arena too (index-disjoint, so safe from
-	// blocking mode's concurrent reqFor) instead of allocated per call.
-	enfBuf := a.cyc.enfBuf.Take(&a.arena, len(children))
-	a.fanOut(ctx, &a.pipe.EnforceInFlight, children,
-		func(i int) wire.Message {
-			batch := batchFor(children[i].info.ID)
-			if len(batch) == 0 {
-				return nil
-			}
-			if incremental {
-				// Incremental mode implies delta enforcement toward the
-				// stages: unchanged rules are not re-sent.
-				if batch = children[i].filterChanged(batch); len(batch) == 0 {
-					suppressed++
-					return nil
-				}
-			}
-			enfBuf[i] = wire.Enforce{Cycle: m.Cycle, Rules: batch, Epoch: epoch}
-			return &enfBuf[i]
-		},
-		func(i int, resp wire.Message) {
-			if ack, ok := resp.(*wire.EnforceAck); ok {
-				applied.Add(ack.Applied)
-			}
-		})
-	if incremental {
-		a.pipe.AddSuppressedEnforces(suppressed)
-	}
+	a.setPhase(trace.PhaseEnforce, m.Cycle, epoch)
+	a.enforceStageRules(context.Background(), m.Cycle, epoch, children, rules, sumApplied(&applied))
 	return &wire.EnforceAck{Cycle: m.Cycle, Applied: applied.Load()}, nil
 }
 
@@ -719,10 +428,7 @@ func (a *Aggregator) delegate(m *wire.Delegate) (*wire.EnforceAck, error) {
 	reports := a.lastReports
 	a.mu.Unlock()
 
-	var untrack func()
-	if a.cfg.CPU != nil {
-		untrack = a.cfg.CPU.Track()
-	}
+	start := time.Now()
 	byJob := make(map[uint64][]int, len(m.Budgets))
 	for i := range reports {
 		byJob[reports[i].JobID] = append(byJob[reports[i].JobID], i)
@@ -791,23 +497,15 @@ func (a *Aggregator) delegate(m *wire.Delegate) (*wire.EnforceAck, error) {
 			})
 		}
 	}
-	if untrack != nil {
-		untrack()
-	}
+	a.busy(start)
 
 	var applied atomic.Uint32
 	if len(casts) > 0 {
-		ctx := context.Background()
 		epoch := a.Epoch()
-		a.cfg.Tracer.SetContext(m.Cycle, epoch, uint8(a.cfg.FanOutMode), trace.PhaseEnforce)
+		a.setPhase(trace.PhaseEnforce, m.Cycle, epoch)
 		for _, w := range casts {
 			f := rpc.NewSharedFrame(&wire.Enforce{Cycle: m.Cycle, Rules: []wire.Rule{w.rule}, Epoch: epoch})
-			a.fanOutBroadcast(ctx, &a.pipe.EnforceInFlight, w.targets, f,
-				func(i int, resp wire.Message) {
-					if ack, ok := resp.(*wire.EnforceAck); ok {
-						applied.Add(ack.Applied)
-					}
-				})
+			a.fanOutBroadcast(context.Background(), a.cycleFan(&a.pipe.EnforceInFlight), w.targets, f, sumApplied(&applied))
 		}
 	}
 	ack, err := a.enforce(&wire.Enforce{Cycle: m.Cycle, Rules: rules})
@@ -816,23 +514,6 @@ func (a *Aggregator) delegate(m *wire.Delegate) (*wire.EnforceAck, error) {
 	}
 	ack.Applied += applied.Load()
 	return ack, nil
-}
-
-// HealthCheck heartbeats every managed stage and reports liveness and RTT
-// statistics without affecting membership.
-func (a *Aggregator) HealthCheck(ctx context.Context) Health {
-	return sweepHealth(ctx, a.members.snapshot(), a.cfg.FanOut, a.cfg.CallTimeout)
-}
-
-// MemoryFootprint estimates the aggregator's state size in bytes. It
-// implements monitor.MemoryReporter.
-func (a *Aggregator) MemoryFootprint() uint64 {
-	const perChild = 24 << 10 // see Global.MemoryFootprint
-	var total uint64
-	for _, c := range a.members.snapshot() {
-		total += perChild + uint64(len(c.info.Addr))
-	}
-	return total
 }
 
 // Close stops the re-homing loop, severs stage connections, and stops the

@@ -10,7 +10,6 @@ import (
 
 	"github.com/dsrhaslab/sdscale/internal/controlalg"
 	"github.com/dsrhaslab/sdscale/internal/metrics"
-	"github.com/dsrhaslab/sdscale/internal/telemetry"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
@@ -121,14 +120,13 @@ func randomFleet(rng *rand.Rand, nStages, nJobs int) ([]wire.StageReport, map[ui
 
 // testGlobal builds the minimal Global the compute kernel needs; no network.
 func testGlobal(weights map[uint64]float64, capacity wire.Rates) *Global {
-	return &Global{
+	g := &Global{
 		cfg:        GlobalConfig{Algorithm: controlalg.PSFA{}},
-		members:    newMemberSet(),
-		faults:     &telemetry.FaultCounters{},
-		pipe:       &telemetry.PipelineStats{},
 		jobWeights: weights,
 		capacity:   capacity,
 	}
+	g.init(stageOpts{})
+	return g
 }
 
 // sameRule compares two rules bit-for-bit (limits via Float64bits, so -0 vs
@@ -237,12 +235,14 @@ func TestComputePeerRulesEquivalence(t *testing.T) {
 		ref := referencePeerRules(allocs, merged, reports)
 
 		label := fmt.Sprintf("trial %d (stages=%d jobs=%d)", trial, nStages, nJobs)
-		serial := &Peer{cfg: PeerConfig{}, pipe: &telemetry.PipelineStats{}}
+		serial := &Peer{}
+		serial.init(stageOpts{})
 		serial.arena.Begin()
 		st := serial.computePeerRules(reports, ownJobs, merged, allocs, false)
 		checkAgainst(t, label+" serial", st, ref, reports)
 
-		par := &Peer{cfg: PeerConfig{}, pipe: &telemetry.PipelineStats{}}
+		par := &Peer{}
+		par.init(stageOpts{})
 		par.arena.Begin()
 		pt := par.computePeerRules(reports, ownJobs, merged, allocs, true)
 		checkAgainst(t, label+" parallel", pt, ref, reports)

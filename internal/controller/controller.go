@@ -29,7 +29,6 @@ import (
 
 	"github.com/dsrhaslab/sdscale/internal/rpc"
 	"github.com/dsrhaslab/sdscale/internal/stage"
-	"github.com/dsrhaslab/sdscale/internal/telemetry"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
@@ -420,13 +419,11 @@ func (c *child) client() *rpc.ReconnectingClient {
 // recordCall applies one call's outcome to the child's breaker. Errors
 // caused by the caller's own context (shutdown or cycle-deadline expiry
 // mid-scatter) are not the child's fault and leave the breaker untouched.
-// faults and logf must be non-nil.
-func recordCall(ctx context.Context, c *child, err error, bc breakerConfig,
-	faults *telemetry.FaultCounters, logf func(format string, args ...any), who string) {
+func (k *stageCore) recordCall(ctx context.Context, c *child, err error) {
 	if err == nil {
 		if c.recordSuccess() {
-			faults.Readmit()
-			logf("%s: readmitted child %d", who, c.info.ID)
+			k.faults.Readmit()
+			k.logf("%s: readmitted child %d", k.who, c.info.ID)
 		}
 		return
 	}
@@ -438,9 +435,9 @@ func recordCall(ctx context.Context, c *child, err error, bc breakerConfig,
 	if ctx.Err() != nil {
 		return // caller-side cancellation, not a child failure
 	}
-	if c.recordFailure(bc, time.Now()) {
-		faults.Quarantine()
-		logf("%s: quarantined child %d after %d consecutive failures", who, c.info.ID, bc.MaxFailures)
+	if c.recordFailure(k.breaker, time.Now()) {
+		k.faults.Quarantine()
+		k.logf("%s: quarantined child %d after %d consecutive failures", k.who, c.info.ID, k.breaker.MaxFailures)
 	}
 }
 
@@ -486,9 +483,8 @@ func (s *cycleScratch) split(m *memberSet) (active, quarantined []*child) {
 // sweepProbes sends half-open heartbeats to the quarantined children whose
 // probe is due, readmitting those that answer. It returns the children
 // whose quarantine outlived EvictAfter; the caller owns their removal.
-// faults and logf must be non-nil.
-func sweepProbes(ctx context.Context, quarantined []*child, bc breakerConfig, fanOut int,
-	timeout time.Duration, faults *telemetry.FaultCounters, logf func(format string, args ...any), who string) (evictable []*child) {
+func (k *stageCore) sweepProbes(ctx context.Context, quarantined []*child) (evictable []*child) {
+	bc := k.breaker
 	now := time.Now()
 	var due []*child
 	for _, c := range quarantined {
@@ -507,9 +503,9 @@ func sweepProbes(ctx context.Context, quarantined []*child, bc breakerConfig, fa
 	// unused (readmission only checks for an ack), so sharing it is exact.
 	hb := rpc.NewSharedFrame(&wire.Heartbeat{SentUnixMicros: now.UnixMicro()})
 	defer hb.Release()
-	rpc.Scatter(ctx, len(due), fanOut, func(i int) {
+	rpc.Scatter(ctx, len(due), k.par, func(i int) {
 		c := due[i]
-		cctx, cancel := context.WithTimeout(ctx, timeout)
+		cctx, cancel := context.WithTimeout(ctx, k.callTimeout)
 		resp, err := c.client().GoShared(cctx, hb).Wait(cctx)
 		cancel()
 		if err != nil && ctx.Err() != nil {
@@ -522,15 +518,15 @@ func sweepProbes(ctx context.Context, quarantined []*child, bc breakerConfig, fa
 		if ok {
 			_, ok = resp.(*wire.HeartbeatAck)
 		}
-		faults.Probe(ok)
+		k.faults.Probe(ok)
 		if !ok {
 			c.failProbe(bc, time.Now())
 			return
 		}
 		age := c.quarantineAge(time.Now())
 		if c.recordSuccess() {
-			faults.Readmit()
-			logf("%s: readmitted child %d after %v in quarantine", who, c.info.ID, age.Round(time.Millisecond))
+			k.faults.Readmit()
+			k.logf("%s: readmitted child %d after %v in quarantine", k.who, c.info.ID, age.Round(time.Millisecond))
 		}
 	})
 	return evictable

@@ -305,10 +305,10 @@ func TestEvictionAfterStageDeath(t *testing.T) {
 	if got := g.Faults().Quarantines(); got != 1 {
 		t.Errorf("Quarantines = %d, want 1", got)
 	}
-	if g.Evictions() != 1 {
-		t.Errorf("Evictions = %d, want 1", g.Evictions())
+	if g.Stats().Evictions != 1 {
+		t.Errorf("Evictions = %d, want 1", g.Stats().Evictions)
 	}
-	if g.CallErrors() == 0 {
+	if g.Stats().CallErrors == 0 {
 		t.Error("CallErrors = 0, want > 0")
 	}
 	// Survivors still receive rules.

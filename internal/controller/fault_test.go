@@ -31,13 +31,13 @@ func TestQuarantineHealReadmission(t *testing.T) {
 
 	n.Host("stage-2").SetPartitioned(true)
 	deadline := time.Now().Add(5 * time.Second)
-	for g.NumQuarantined() != 1 && time.Now().Before(deadline) {
+	for g.Stats().Quarantined != 1 && time.Now().Before(deadline) {
 		if _, err := g.RunCycle(ctx); err != nil {
 			t.Fatalf("cycle during partition: %v", err)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := g.QuarantinedIDs(); len(got) != 1 || got[0] != 2 {
+	if got := g.Stats().QuarantinedIDs; len(got) != 1 || got[0] != 2 {
 		t.Fatalf("QuarantinedIDs = %v, want [2]", got)
 	}
 	if got := g.NumChildren(); got != 3 {
@@ -59,14 +59,14 @@ func TestQuarantineHealReadmission(t *testing.T) {
 
 	n.Host("stage-2").SetPartitioned(false)
 	deadline = time.Now().Add(5 * time.Second)
-	for g.NumQuarantined() != 0 && time.Now().Before(deadline) {
+	for g.Stats().Quarantined != 0 && time.Now().Before(deadline) {
 		if _, err := g.RunCycle(ctx); err != nil {
 			t.Fatalf("cycle after heal: %v", err)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := g.NumQuarantined(); got != 0 {
-		t.Fatalf("NumQuarantined = %d after heal, want 0", got)
+	if got := g.Stats().Quarantined; got != 0 {
+		t.Fatalf("Quarantined = %d after heal, want 0", got)
 	}
 	if f.Readmissions() == 0 {
 		t.Error("Readmissions = 0, want >= 1")
@@ -96,8 +96,8 @@ func TestCancelMidCycleNoStrikes(t *testing.T) {
 	if _, err := g.RunCycle(ctx); err != nil {
 		t.Fatalf("warmup cycle: %v", err)
 	}
-	if g.CallErrors() != 0 {
-		t.Fatalf("CallErrors = %d before cancellation, want 0", g.CallErrors())
+	if g.Stats().CallErrors != 0 {
+		t.Fatalf("CallErrors = %d before cancellation, want 0", g.Stats().CallErrors)
 	}
 
 	// Already-canceled context: every call fails instantly.
@@ -110,7 +110,7 @@ func TestCancelMidCycleNoStrikes(t *testing.T) {
 	defer cancel2()
 	g.RunCycle(expiring)
 
-	if got := g.CallErrors(); got != 0 {
+	if got := g.Stats().CallErrors; got != 0 {
 		t.Errorf("CallErrors = %d after canceled cycles, want 0", got)
 	}
 	f := g.Faults()
@@ -118,8 +118,8 @@ func TestCancelMidCycleNoStrikes(t *testing.T) {
 		t.Errorf("quarantines=%d evictions=%d after canceled cycles, want 0/0",
 			f.Quarantines(), f.Evictions())
 	}
-	if got := g.NumQuarantined(); got != 0 {
-		t.Errorf("NumQuarantined = %d, want 0", got)
+	if got := g.Stats().Quarantined; got != 0 {
+		t.Errorf("Quarantined = %d, want 0", got)
 	}
 
 	// The children are untouched: a normal cycle still succeeds.

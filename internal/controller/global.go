@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/controlalg"
-	"github.com/dsrhaslab/sdscale/internal/cyclemem"
 	"github.com/dsrhaslab/sdscale/internal/metrics"
 	"github.com/dsrhaslab/sdscale/internal/monitor"
 	"github.com/dsrhaslab/sdscale/internal/rpc"
@@ -201,44 +200,30 @@ func (c GlobalConfig) withDefaults() GlobalConfig {
 // Global is the top-level controller. Its children are either stages (flat
 // design) or aggregators (hierarchical design); mixing is rejected.
 type Global struct {
+	// stageCore is the child-facing half of the controller: membership,
+	// breaker, fan-outs, the cycle frame and arena (see core.go).
+	stageCore
 	cfg      GlobalConfig
-	breaker  breakerConfig
-	members  *memberSet
 	recorder *telemetry.CycleRecorder
-	faults   *telemetry.FaultCounters
-	pipe     *telemetry.PipelineStats
 	regSrv   *rpc.Server
 
 	// Primary-side state-sync loop (StandbyAddr set).
 	syncCancel context.CancelFunc
 	syncDone   chan struct{}
 
-	// Cycle-serial state, owned by the goroutine running RunCycle: the
-	// prepare-phase scratch slices and the incremental-mode progress marks
-	// (incrReady is set once a full compute+enforce pass completed, and
-	// incrMembers is the membership epoch that pass covered — the fast path
-	// requires both, so a membership change always forces a recompute).
-	scratch     cycleScratch
+	// Incremental-mode progress marks, owned by the goroutine running
+	// RunCycle: incrReady is set once a full compute+enforce pass completed,
+	// and incrMembers is the membership epoch that pass covered — the
+	// quiesced short-circuit requires both, so a membership change always
+	// forces a recompute.
 	incrReady   bool
 	incrMembers uint64
-
-	// arena is the per-cycle allocator: RunCycle begins a generation, and
-	// every cycle-lifetime buffer — reply slots, harvested reports, rule
-	// batches, enforce messages, call handles, the rule table — is drawn
-	// from these slabs, which reset (retaining capacity) instead of
-	// freeing. Cycle-serial, like scratch.
-	arena cyclemem.Arena
-	cyc   cycleMem
-
-	// statsScr backs Stats() snapshots (guarded by its own mutex).
-	statsScr statsScratch
 
 	mu         sync.Mutex
 	cycle      uint64
 	jobWeights map[uint64]float64
 	lastJobs   []JobStatus
 	mode       wire.Role // RoleStage or RoleAggregator once first child added
-	callErrors uint64
 	// capacity is the live copy of cfg.Capacity; SetCapacity retunes it on
 	// a running controller (shard resizes re-split the global budget), so
 	// compute phases read it under mu rather than from cfg.
@@ -293,22 +278,25 @@ func NewGlobal(cfg GlobalConfig) (*Global, error) {
 		return nil, errors.New("controller: a standby needs a ListenAddr to receive StateSync")
 	}
 	g := &Global{
-		cfg: cfg,
-		breaker: breakerConfig{
-			MaxFailures:      cfg.MaxFailures,
-			ProbeInterval:    cfg.ProbeInterval,
-			MaxProbeInterval: cfg.MaxProbeInterval,
-			StaleAfter:       cfg.StaleAfter,
-			EvictAfter:       cfg.EvictAfter,
-		}.withDefaults(),
-		members:    newMemberSet(),
+		cfg:        cfg,
 		recorder:   telemetry.NewCycleRecorder(),
-		faults:     &telemetry.FaultCounters{},
-		pipe:       &telemetry.PipelineStats{},
 		jobWeights: make(map[uint64]float64),
 		epoch:      cfg.Epoch,
 		capacity:   cfg.Capacity,
 	}
+	opts := stageOpts{
+		who: "controller", network: cfg.Network,
+		fanMode: cfg.FanOutMode, par: cfg.FanOut, callTimeout: cfg.CallTimeout, maxCodec: cfg.MaxCodec,
+		breaker: breakerConfig{MaxFailures: cfg.MaxFailures, ProbeInterval: cfg.ProbeInterval,
+			MaxProbeInterval: cfg.MaxProbeInterval, StaleAfter: cfg.StaleAfter, EvictAfter: cfg.EvictAfter},
+		incremental: cfg.Incremental, floor: cfg.IncrementalFloor, delta: cfg.DeltaEnforcement,
+		meter: cfg.Meter, cpu: cfg.CPU, tracer: cfg.Tracer, logFn: cfg.Logf,
+		onCallError: g.noteCallError,
+	}
+	if cfg.Store != nil {
+		opts.walRules, opts.walEvict = g.logRules, g.logEvict
+	}
+	g.init(opts)
 	if cfg.Store != nil {
 		// The store's recovered epochs are a floor: this controller must
 		// never lead with — or vote for — an epoch the disk has already
@@ -435,48 +423,6 @@ func (g *Global) NumStages() int {
 	return n
 }
 
-// Faults returns the controller's fault-tolerance counters (quarantines,
-// readmissions, degraded cycles, probes, stale-report ages).
-func (g *Global) Faults() *telemetry.FaultCounters { return g.faults }
-
-// NumQuarantined returns how many children currently sit behind a tripped
-// circuit breaker.
-//
-// Deprecated: use Stats().Quarantined.
-func (g *Global) NumQuarantined() int {
-	_, quarantined := splitQuarantined(g.members.snapshot())
-	return len(quarantined)
-}
-
-// QuarantinedIDs returns the IDs of the currently quarantined children.
-//
-// Deprecated: use Stats().QuarantinedIDs.
-func (g *Global) QuarantinedIDs() []uint64 {
-	return g.Stats().QuarantinedIDs
-}
-
-// Evictions returns how many quarantined children were permanently removed
-// under the EvictAfter bound. With EvictAfter unset it stays zero: failing
-// children are quarantined and readmitted, never evicted.
-//
-// Deprecated: use Stats().Evictions.
-func (g *Global) Evictions() uint64 { return g.faults.Evictions() }
-
-// CallErrors returns the cumulative count of failed child calls.
-//
-// Deprecated: use Stats().CallErrors.
-func (g *Global) CallErrors() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.callErrors
-}
-
-func (g *Global) logf(format string, args ...any) {
-	if g.cfg.Logf != nil {
-		g.cfg.Logf(format, args...)
-	}
-}
-
 // setMode fixes the topology kind on first use and rejects mixing.
 func (g *Global) setMode(role wire.Role) error {
 	g.mu.Lock()
@@ -522,18 +468,9 @@ func (g *Global) AddStage(ctx context.Context, info stage.Info) error {
 	if err := g.setMode(wire.RoleStage); err != nil {
 		return err
 	}
-	cli, err := rpc.DialReconnecting(ctx, g.cfg.Network, info.Addr,
-		rpc.DialOptions{Meter: g.cfg.Meter, CPU: g.cfg.CPU, Tracer: g.cfg.Tracer, SpanTag: info.ID,
-			MaxCodec: g.cfg.MaxCodec, ReuseReplies: true, ReuseHits: g.pipe.ReuseCounter(),
-			OnPush: g.onPush},
-		g.breaker.reconnectPolicy())
+	c, err := g.addChild(ctx, wire.RoleStage, info, nil)
 	if err != nil {
-		return fmt.Errorf("controller: dial stage %d at %s: %w", info.ID, info.Addr, err)
-	}
-	c := &child{info: info, role: wire.RoleStage, cli: cli}
-	if !g.members.add(c) {
-		cli.Close()
-		return fmt.Errorf("controller: duplicate stage ID %d", info.ID)
+		return err
 	}
 	g.logRegister(c)
 	g.noteJob(info.JobID, info.Weight)
@@ -548,22 +485,9 @@ func (g *Global) AddAggregator(ctx context.Context, id uint64, addr string, stag
 	if err := g.setMode(wire.RoleAggregator); err != nil {
 		return err
 	}
-	cli, err := rpc.DialReconnecting(ctx, g.cfg.Network, addr,
-		rpc.DialOptions{Meter: g.cfg.Meter, CPU: g.cfg.CPU, Tracer: g.cfg.Tracer, SpanTag: id,
-			MaxCodec: g.cfg.MaxCodec, ReuseReplies: true, ReuseHits: g.pipe.ReuseCounter()},
-		g.breaker.reconnectPolicy())
+	c, err := g.addChild(ctx, wire.RoleAggregator, stage.Info{ID: id, Addr: addr}, stages)
 	if err != nil {
-		return fmt.Errorf("controller: dial aggregator %d at %s: %w", id, addr, err)
-	}
-	c := &child{
-		info:   stage.Info{ID: id, Addr: addr},
-		role:   wire.RoleAggregator,
-		cli:    cli,
-		stages: append([]stage.Info(nil), stages...),
-	}
-	if !g.members.add(c) {
-		cli.Close()
-		return fmt.Errorf("controller: duplicate aggregator ID %d", id)
+		return err
 	}
 	g.logRegister(c)
 	for _, s := range stages {
@@ -647,17 +571,9 @@ func (g *Global) handleRegister(m *wire.Register) (wire.Message, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.CallTimeout)
 	defer cancel()
 	if c := g.members.get(m.ID); c != nil && c.role == m.Role {
-		cli, err := rpc.DialReconnecting(ctx, g.cfg.Network, m.Addr,
-			rpc.DialOptions{Meter: g.cfg.Meter, CPU: g.cfg.CPU, Tracer: g.cfg.Tracer, SpanTag: m.ID,
-				MaxCodec: g.cfg.MaxCodec, ReuseReplies: true, ReuseHits: g.pipe.ReuseCounter(),
-				OnPush: g.onPush},
-			g.breaker.reconnectPolicy())
-		if err != nil {
-			return nil, fmt.Errorf("controller: redial %s %d at %s: %w", m.Role, m.ID, m.Addr, err)
+		if err := g.reRegister(ctx, c, m.Addr); err != nil {
+			return nil, err
 		}
-		c.replaceClient(cli)
-		g.faults.ReRegistration()
-		g.logf("controller: %s %d re-registered from %s", m.Role, m.ID, m.Addr)
 		return &wire.RegisterAck{ID: m.ID, Epoch: g.Epoch()}, nil
 	}
 	switch m.Role {
@@ -693,114 +609,13 @@ func (g *Global) handleRegister(m *wire.Register) (wire.Message, error) {
 	return &wire.RegisterAck{ID: m.ID, Epoch: g.Epoch()}, nil
 }
 
-// callChild performs one child RPC with the configured timeout and
-// circuit-breaker accounting. Errors caused by the caller's own ctx (a
-// shutdown or cycle deadline mid-scatter) are excluded from both the error
-// counter and the breaker, so healthy children collect no strikes.
-func (g *Global) callChild(ctx context.Context, c *child, req wire.Message) (wire.Message, error) {
-	cctx, cancel := context.WithTimeout(ctx, g.cfg.CallTimeout)
-	resp, err := c.client().Call(cctx, req)
-	cancel()
-	g.accountCall(ctx, c, err)
-	return resp, err
-}
-
-// accountCall applies a call outcome to the error counter, epoch fencing,
-// and the circuit breaker. ctx is the caller's own context (not the per-call
-// or phase deadline): errors it caused are excluded, so a shutdown
-// mid-scatter charges no child a strike. It is the accounting half of
-// callChild, shared with the pipelined fan-out path where the call itself
-// happens elsewhere.
-func (g *Global) accountCall(ctx context.Context, c *child, err error) {
-	if err != nil && ctx.Err() == nil {
-		g.mu.Lock()
-		g.callErrors++
-		g.mu.Unlock()
-		if cur, ok := rpc.StaleEpochError(err); ok {
-			// The child fenced us: a newer leader owns it. Stop leading.
-			g.faults.FencedCall()
-			g.stepDown(fmt.Sprintf("child %d fenced a call, current epoch is %d", c.info.ID, cur))
-		}
+// noteCallError is the core's failed-call hook: a child that fenced the call
+// proves a newer leader owns it, so this controller stops leading.
+func (g *Global) noteCallError(c *child, err error) {
+	if cur, ok := rpc.StaleEpochError(err); ok {
+		g.faults.FencedCall()
+		g.stepDown(fmt.Sprintf("child %d fenced a call, current epoch is %d", c.info.ID, cur))
 	}
-	recordCall(ctx, c, err, g.breaker, g.faults, g.logf, "controller")
-}
-
-// fanOut dispatches one cycle phase over the children using the configured
-// FanOutMode, charging every outcome to the breaker and error accounting.
-func (g *Global) fanOut(ctx context.Context, gauge *telemetry.Gauge, children []*child,
-	reqFor func(i int) wire.Message,
-	onReply func(i int, resp wire.Message)) {
-	fanOutCalls(ctx, fanOutOpts{
-		mode:    g.cfg.FanOutMode,
-		par:     g.cfg.FanOut,
-		timeout: g.cfg.CallTimeout,
-		gauge:   gauge,
-		arena:   &g.arena,
-		calls:   &g.cyc.calls,
-	}, children, reqFor, func(i int, resp wire.Message, err error) {
-		g.accountCall(ctx, children[i], err)
-		if err == nil && onReply != nil {
-			onReply(i, resp)
-		}
-	})
-}
-
-// fanOutBroadcast dispatches one identical request to every child as a
-// marshal-once shared frame, with fanOut's accounting. It takes ownership of
-// f (released by the time it returns) and attributes the sends and actual
-// encodes to the pipeline stats, whose ratio is the per-cycle marshal
-// fan-in.
-func (g *Global) fanOutBroadcast(ctx context.Context, gauge *telemetry.Gauge, children []*child,
-	f *rpc.SharedFrame, onReply func(i int, resp wire.Message)) {
-	fanOutShared(ctx, fanOutOpts{
-		mode:    g.cfg.FanOutMode,
-		par:     g.cfg.FanOut,
-		timeout: g.cfg.CallTimeout,
-		gauge:   gauge,
-		arena:   &g.arena,
-		calls:   &g.cyc.calls,
-	}, children, f, nil, func(i int, resp wire.Message, err error) {
-		g.accountCall(ctx, children[i], err)
-		if err == nil && onReply != nil {
-			onReply(i, resp)
-		}
-	})
-	g.pipe.AddSharedSends(uint64(len(children)))
-	g.pipe.AddSharedEncodes(f.Encodes())
-}
-
-// onPush folds a stage's unsolicited ReportDelta into its dirty-set entry.
-// It runs on the connection's read loop, so it stays cheap: one membership
-// lookup plus a capacity-reusing cache write, no blocking calls.
-func (g *Global) onPush(m wire.Message) {
-	rd, ok := m.(*wire.ReportDelta)
-	if !ok {
-		return
-	}
-	if c := g.members.get(rd.Report.StageID); c != nil && c.role == wire.RoleStage {
-		c.notePush(rd, time.Now())
-	}
-}
-
-// prepareCycle runs the pre-cycle breaker maintenance: half-open probes for
-// quarantined children (readmitting responders), eviction of children whose
-// quarantine outlived EvictAfter, and the active/quarantined split the
-// cycle's scatter phases work from. The returned slices are the controller's
-// cycle scratch, valid until the next prepareCycle.
-func (g *Global) prepareCycle(ctx context.Context) (active, quarantined []*child) {
-	_, q := g.scratch.split(g.members)
-	if len(q) > 0 {
-		evictable := sweepProbes(ctx, q, g.breaker, g.cfg.FanOut, g.cfg.CallTimeout, g.faults, g.logf, "controller")
-		for _, c := range evictable {
-			if g.members.remove(c.info.ID) != nil {
-				c.client().Close()
-				g.logEvict(c.info.ID)
-				g.faults.Evict()
-				g.logf("controller: evicted child %d after %v in quarantine", c.info.ID, g.breaker.EvictAfter)
-			}
-		}
-	}
-	return g.scratch.split(g.members)
 }
 
 // JobStatus is one job's state as of the controller's most recent cycle.
@@ -854,14 +669,6 @@ type Health struct {
 	// MinRTT, MeanRTT and MaxRTT summarize responsive children's
 	// round-trip times.
 	MinRTT, MeanRTT, MaxRTT time.Duration
-}
-
-// HealthCheck heartbeats every child concurrently and reports liveness and
-// round-trip statistics. It does not evict: operators use it to inspect the
-// control plane between cycles without affecting membership.
-func (g *Global) HealthCheck(ctx context.Context) Health {
-	children := g.members.snapshot()
-	return sweepHealth(ctx, children, g.cfg.FanOut, g.cfg.CallTimeout)
 }
 
 // sweepHealth heartbeats the given children with bounded parallelism. One
@@ -931,318 +738,70 @@ func (g *Global) RunCycle(ctx context.Context) (telemetry.Breakdown, error) {
 		g.mu.Unlock()
 		return telemetry.Breakdown{}, fmt.Errorf("%w (passive mirror at epoch %d)", ErrStandby, epoch)
 	}
-	probeEpoch := g.epoch
-	probeCycle := g.cycle + 1
+	probeCycle, probeEpoch := g.cycle+1, g.epoch
 	g.mu.Unlock()
-	// Half-open probe RPCs run before the phases; attribute their spans to
-	// the cycle they gate. Quarantined children receive no in-phase traffic,
-	// so PhaseProbe is the only phase their calls ever carry.
-	g.cfg.Tracer.SetContext(probeCycle, probeEpoch, uint8(g.cfg.FanOutMode), trace.PhaseProbe)
-	active, quarantined := g.prepareCycle(ctx)
-	if len(active)+len(quarantined) == 0 {
-		return telemetry.Breakdown{}, ErrNoChildren
-	}
-	g.mu.Lock()
-	g.cycle++
-	cycle := g.cycle
-	mode := g.mode
-	epoch := g.epoch
-	g.mu.Unlock()
-	if len(quarantined) > 0 {
-		g.faults.DegradedCycle()
-	}
-
-	start := time.Now()
-	allocsBefore := telemetry.AllocsNow()
-	// New arena generation: every slab draw below reuses last cycle's
-	// capacity, and last cycle's rule table is invalidated.
-	g.arena.Begin()
-	var b telemetry.Breakdown
-	var err error
-	if mode == wire.RoleAggregator {
-		b, err = g.runHierarchicalCycle(ctx, cycle, epoch, active, quarantined)
-	} else if g.incrementalActive() {
-		b, err = g.runIncrementalFlatCycle(ctx, cycle, epoch, active, quarantined)
-	} else {
-		b, err = g.runFlatCycle(ctx, cycle, epoch, active, quarantined)
-	}
-	g.pipe.RecordCycleAllocs(telemetry.AllocsNow() - allocsBefore)
-	g.pipe.RecordArena(arenaSnapshot(g.arena.Stats()))
+	var mode wire.Role
+	b, err := g.runCycle(ctx, probeCycle, probeEpoch,
+		func() (cycle, epoch uint64) {
+			g.mu.Lock()
+			defer g.mu.Unlock()
+			g.cycle++
+			mode = g.mode
+			return g.cycle, g.epoch
+		},
+		func(ctx context.Context, cycle, epoch uint64, active, quarantined []*child) (telemetry.Breakdown, error) {
+			if mode == wire.RoleAggregator {
+				return g.runHierarchicalCycle(ctx, cycle, epoch, active, quarantined)
+			}
+			return g.runFlatCycle(ctx, cycle, epoch, active, quarantined)
+		})
 	if err != nil {
-		g.cfg.Tracer.RecordCycle(cycle, epoch, uint8(g.cfg.FanOutMode), start, time.Since(start), true)
 		return b, err
 	}
-	b.Total = time.Since(start)
-	g.cfg.Tracer.RecordCycle(cycle, epoch, uint8(g.cfg.FanOutMode), start, b.Total, false)
 	g.recorder.Record(b)
 	g.mu.Lock()
-	if !g.gapStart.IsZero() {
-		gap := time.Since(g.gapStart)
-		g.gapStart = time.Time{}
-		g.mu.Unlock()
-		g.faults.RecordControlGap(gap)
-	} else {
-		g.mu.Unlock()
+	gapStart := g.gapStart
+	g.gapStart = time.Time{}
+	g.mu.Unlock()
+	if !gapStart.IsZero() {
+		g.faults.RecordControlGap(time.Since(gapStart))
 	}
 	return b, nil
 }
 
-// appendStaleReports folds the quarantined children's still-in-bound cached
-// stage reports into dst, charging the fault telemetry. The rows are copied
-// out under each child's lock (appendCachedReports): a quarantined stage
-// can still push deltas, and those land in the same in-place-reused cache a
-// by-reference read would tear.
-func appendStaleReports(dst []wire.StageReport, quarantined []*child, staleAfter time.Duration, faults *telemetry.FaultCounters) []wire.StageReport {
-	now := time.Now()
-	for _, c := range quarantined {
-		var age time.Duration
-		var ok bool
-		if dst, age, ok = c.appendCachedReports(dst, now, staleAfter); ok {
-			faults.UseStaleReport(age)
-		} else if age > 0 {
-			// A cached report exists but aged out: account the drop so
-			// operators can see degraded cycles running partially blind.
-			faults.DropStaleReport(age)
-		}
-	}
-	return dst
-}
-
-// staleReports gathers the quarantined children's cached collect responses
-// that are still within the staleness bound, charging the fault telemetry.
-// The messages are returned by reference, which is safe only for caches
-// with no concurrent writer (aggregator children, which never push);
-// stage-child caches must go through appendStaleReports instead.
-func staleReports(quarantined []*child, staleAfter time.Duration, faults *telemetry.FaultCounters) []wire.Message {
-	now := time.Now()
-	out := make([]wire.Message, 0, len(quarantined))
-	for _, c := range quarantined {
-		if m, age, ok := c.staleReport(now, staleAfter); ok {
-			faults.UseStaleReport(age)
-			out = append(out, m)
-		} else if age > 0 {
-			// A cached report exists but aged out: account the drop so
-			// operators can see degraded cycles running partially blind.
-			faults.DropStaleReport(age)
-		}
-	}
-	return out
-}
-
-// runFlatCycle: collect from every active stage, compute, enforce per
-// stage. Quarantined stages contribute their last-known report (degraded
-// mode) but receive no traffic.
+// runFlatCycle: gather the stages' reports, compute, enforce one rule per
+// stage that reported (see DESIGN.md §6 for what Incremental,
+// DeltaEnforcement and FanOutMode select inside the two shared halves). In
+// incremental mode, when nothing is dirty, membership has not changed, and a
+// full compute+enforce pass already ran, the cycle short-circuits entirely:
+// the rules the stages hold are still exactly the rules this cycle would
+// compute.
 func (g *Global) runFlatCycle(ctx context.Context, cycle, epoch uint64, children, quarantined []*child) (telemetry.Breakdown, error) {
 	var b telemetry.Breakdown
-	n := len(children)
-	mode8 := uint8(g.cfg.FanOutMode)
-
-	// Phase 1: collect.
-	g.cfg.Tracer.SetContext(cycle, epoch, mode8, trace.PhaseCollect)
-	collectStart := time.Now()
-	// The collect request is identical for every stage, so it is marshaled
-	// once into a shared frame; each child call writes a header plus a
-	// memcopy. Replies land in index-disjoint slots so blocking mode's
-	// concurrent harvest keeps a deterministic report order. The slots alias
-	// per-connection reuse caches when reply reuse is on, which is safe
-	// exactly until the connection's next CollectReply — next cycle, after
-	// compute has consumed them.
-	replies := g.cyc.replies.Take(&g.arena, n)
-	req := rpc.NewSharedFrame(&wire.Collect{Cycle: cycle, WindowMicros: 1_000_000, Epoch: epoch})
-	g.fanOutBroadcast(ctx, &g.pipe.CollectInFlight, children, req,
-		func(i int, resp wire.Message) {
-			if r, ok := resp.(*wire.CollectReply); ok {
-				replies[i] = r
-				children[i].noteReport(r, time.Now())
-			}
-		})
-	b.Collect = time.Since(collectStart)
-	g.cfg.Tracer.RecordPhase(trace.PhaseCollect, cycle, epoch, mode8, collectStart, b.Collect)
-	if ctx.Err() != nil {
-		return b, ctx.Err()
-	}
-
-	// Phase 2: compute.
-	g.cfg.Tracer.SetContext(cycle, epoch, mode8, trace.PhaseCompute)
-	computeStart := time.Now()
-	var untrack func()
-	if g.cfg.CPU != nil {
-		untrack = g.cfg.CPU.Track()
-	}
-	reports := g.cyc.reports.Take(&g.arena, n)[:0]
-	for _, r := range replies {
-		if r != nil {
-			reports = append(reports, r.Reports...)
-		}
-	}
-	reports = appendStaleReports(reports, quarantined, g.breaker.StaleAfter, g.faults)
-	rules := g.computeFlatRules(reports, g.cfg.FanOutMode == FanOutPipelined)
-	if untrack != nil {
-		untrack()
-	}
-	b.Compute = time.Since(computeStart)
-	g.cfg.Tracer.RecordPhase(trace.PhaseCompute, cycle, epoch, mode8, computeStart, b.Compute)
-
-	// Phase 3: enforce, one rule per responsive stage.
-	g.cfg.Tracer.SetContext(cycle, epoch, mode8, trace.PhaseEnforce)
-	enforceStart := time.Now()
-	ruleBuf := g.cyc.ruleBuf.Take(&g.arena, n) // index-disjoint one-rule batches
-	enfBuf := g.cyc.enfBuf.Take(&g.arena, n)   // index-disjoint request messages
-	g.fanOut(ctx, &g.pipe.EnforceInFlight, children,
-		func(i int) wire.Message {
-			rule, ok := rules.Lookup(children[i].info.ID)
-			if !ok {
-				return nil // stage did not report this cycle
-			}
-			batch := ruleBuf[i : i+1 : i+1]
-			batch[0] = rule
-			if g.cfg.DeltaEnforcement {
-				if batch = children[i].filterChanged(batch); len(batch) == 0 {
-					return nil
-				}
-				g.logRules(cycle, children[i].info.ID, batch)
-			} else if g.cfg.Store != nil {
-				// Without delta enforcement the full batch is sent every
-				// cycle, but only changes are worth a log record: the diff
-				// keeps the WAL O(changed rules), and logging before the
-				// send keeps the store a superset of what the fleet holds.
-				g.logRules(cycle, children[i].info.ID, children[i].filterChanged(batch))
-			}
-			enfBuf[i] = wire.Enforce{Cycle: cycle, Rules: batch, Epoch: epoch}
-			return &enfBuf[i]
-		}, nil)
-	b.Enforce = time.Since(enforceStart)
-	g.cfg.Tracer.RecordPhase(trace.PhaseEnforce, cycle, epoch, mode8, enforceStart, b.Enforce)
-	return b, ctx.Err()
-}
-
-// incrementalActive reports whether the incremental flat cycle applies:
-// configured on, and the fan-out pipelined. FanOutBlocking keeps the
-// paper-faithful full cycle — the reproduction presets measure the bounded
-// blocking pool, and layering incremental skips on top of it would measure
-// neither design.
-func (g *Global) incrementalActive() bool {
-	return g.cfg.Incremental && g.cfg.FanOutMode == FanOutPipelined
-}
-
-// runIncrementalFlatCycle is the event-driven flat cycle. Stages push report
-// deltas as their rates move, so the controller already holds a current
-// report for every live, quiet child; the collect scatter shrinks to the
-// edge cases (never reported, forced after re-registration or readmission,
-// cache past the heartbeat floor, v1 codec). When on top of that nothing is
-// dirty, membership has not changed, and a full compute+enforce pass already
-// ran, the cycle short-circuits entirely: the rules the stages hold are
-// still exactly the rules this cycle would compute.
-func (g *Global) runIncrementalFlatCycle(ctx context.Context, cycle, epoch uint64, children, quarantined []*child) (telemetry.Breakdown, error) {
-	var b telemetry.Breakdown
-	n := len(children)
-	mode8 := uint8(g.cfg.FanOutMode)
-	floor := g.cfg.IncrementalFloor
-	if floor <= 0 {
-		floor = g.breaker.StaleAfter
-	}
-
-	// Phase 1: claim the dirty set, then collect only the edge cases.
-	g.cfg.Tracer.SetContext(cycle, epoch, mode8, trace.PhaseCollect)
-	collectStart := time.Now()
-	dirty := 0
-	collectSet := g.scratch.collect[:0]
-	for _, c := range children {
-		wasDirty, collect := c.incrementalState(collectStart, floor)
-		if !collect && c.client().CodecVersion() < wire.CodecV2 {
-			// A v1 child cannot push deltas: keep its per-cycle collect.
-			collect = true
-		}
-		if wasDirty {
-			dirty++
-		}
-		if collect {
-			collectSet = append(collectSet, c)
-		}
-	}
-	g.scratch.collect = collectSet
-	g.pipe.RecordDirty(dirty)
-	g.pipe.AddSuppressedCollects(uint64(n - len(collectSet)))
-
 	memberEpoch := g.members.currentEpoch()
-	if dirty == 0 && len(collectSet) == 0 && len(quarantined) == 0 &&
-		g.incrReady && g.incrMembers == memberEpoch {
-		// Quiesced fast path: every cache is fresh and nothing moved since
-		// the last computed rules were enforced. Skip all three phases.
-		g.pipe.AddSuppressedEnforces(uint64(n))
-		b.Collect = time.Since(collectStart)
-		g.cfg.Tracer.RecordPhase(trace.PhaseCollect, cycle, epoch, mode8, collectStart, b.Collect)
+
+	ph := g.beginPhase(trace.PhaseCollect, cycle, epoch)
+	reports, idle := g.gatherReports(ctx, wire.Collect{Cycle: cycle, WindowMicros: 1_000_000, Epoch: epoch},
+		children, quarantined, g.incrReady && g.incrMembers == memberEpoch)
+	b.Collect = g.endPhase(ph)
+	if idle {
+		g.pipe.AddSuppressedEnforces(uint64(len(children)))
+	}
+	if idle || ctx.Err() != nil {
 		return b, ctx.Err()
 	}
 
-	if len(collectSet) > 0 {
-		req := rpc.NewSharedFrame(&wire.Collect{Cycle: cycle, WindowMicros: 1_000_000, Epoch: epoch})
-		g.fanOutBroadcast(ctx, &g.pipe.CollectInFlight, collectSet, req,
-			func(i int, resp wire.Message) {
-				if r, ok := resp.(*wire.CollectReply); ok {
-					collectSet[i].noteReport(r, time.Now())
-				}
-			})
-	}
-	b.Collect = time.Since(collectStart)
-	g.cfg.Tracer.RecordPhase(trace.PhaseCollect, cycle, epoch, mode8, collectStart, b.Collect)
-	if ctx.Err() != nil {
-		return b, ctx.Err()
-	}
+	// The blocking fan-out pins the single-threaded kernel the paper's
+	// prototype implies.
+	ph = g.beginPhase(trace.PhaseCompute, cycle, epoch)
+	rules := g.computeFlatRules(reports, g.cfg.FanOutMode == FanOutPipelined)
+	g.busy(ph.start)
+	b.Compute = g.endPhase(ph)
 
-	// Phase 2: compute from the report cache. Pushed deltas, the collects
-	// just made, and quarantined children's bounded-stale reports all read
-	// back the same way, so the compute half is exactly the full cycle's.
-	g.cfg.Tracer.SetContext(cycle, epoch, mode8, trace.PhaseCompute)
-	computeStart := time.Now()
-	var untrack func()
-	if g.cfg.CPU != nil {
-		untrack = g.cfg.CPU.Track()
-	}
-	now := time.Now()
-	reports := g.cyc.reports.Take(&g.arena, n)[:0]
-	for _, c := range children {
-		reports, _, _ = c.appendCachedReports(reports, now, g.breaker.StaleAfter)
-	}
-	reports = appendStaleReports(reports, quarantined, g.breaker.StaleAfter, g.faults)
-	// Incremental mode implies the pipelined fan-out, so the parallel
-	// kernel is always eligible here.
-	rules := g.computeFlatRules(reports, true)
-	if untrack != nil {
-		untrack()
-	}
-	b.Compute = time.Since(computeStart)
-	g.cfg.Tracer.RecordPhase(trace.PhaseCompute, cycle, epoch, mode8, computeStart, b.Compute)
-
-	// Phase 3: enforce only the changed rules. Incremental mode implies
-	// delta enforcement — recomputing over a mostly-unchanged cache yields
-	// mostly-unchanged rules, and re-sending those would undo the savings.
-	g.cfg.Tracer.SetContext(cycle, epoch, mode8, trace.PhaseEnforce)
-	enforceStart := time.Now()
-	ruleBuf := g.cyc.ruleBuf.Take(&g.arena, n)
-	enfBuf := g.cyc.enfBuf.Take(&g.arena, n)
-	var suppressed uint64 // reqFor runs sequentially in pipelined mode
-	g.fanOut(ctx, &g.pipe.EnforceInFlight, children,
-		func(i int) wire.Message {
-			rule, ok := rules.Lookup(children[i].info.ID)
-			if !ok {
-				return nil // no report in the cache this cycle
-			}
-			batch := ruleBuf[i : i+1 : i+1]
-			batch[0] = rule
-			if batch = children[i].filterChanged(batch); len(batch) == 0 {
-				suppressed++
-				return nil
-			}
-			g.logRules(cycle, children[i].info.ID, batch)
-			enfBuf[i] = wire.Enforce{Cycle: cycle, Rules: batch, Epoch: epoch}
-			return &enfBuf[i]
-		}, nil)
-	g.pipe.AddSuppressedEnforces(suppressed)
-	b.Enforce = time.Since(enforceStart)
-	g.cfg.Tracer.RecordPhase(trace.PhaseEnforce, cycle, epoch, mode8, enforceStart, b.Enforce)
-	g.incrReady = true
-	g.incrMembers = memberEpoch
+	ph = g.beginPhase(trace.PhaseEnforce, cycle, epoch)
+	g.enforceStageRules(ctx, cycle, epoch, children, rules.Rules(), nil)
+	b.Enforce = g.endPhase(ph)
+	g.incrReady, g.incrMembers = true, memberEpoch
 	return b, ctx.Err()
 }
 
@@ -1253,14 +812,12 @@ func (g *Global) runIncrementalFlatCycle(ctx context.Context, cycle, epoch uint6
 func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, children, quarantined []*child) (telemetry.Breakdown, error) {
 	var b telemetry.Breakdown
 	n := len(children)
-	mode8 := uint8(g.cfg.FanOutMode)
 
 	// Phase 1: collect.
-	g.cfg.Tracer.SetContext(cycle, epoch, mode8, trace.PhaseCollect)
-	collectStart := time.Now()
+	ph := g.beginPhase(trace.PhaseCollect, cycle, epoch)
 	replies := g.cyc.aggReplies.Take(&g.arena, n)
 	req := rpc.NewSharedFrame(&wire.Collect{Cycle: cycle, WindowMicros: 1_000_000, Epoch: epoch})
-	g.fanOutBroadcast(ctx, &g.pipe.CollectInFlight, children, req,
+	g.fanOutBroadcast(ctx, g.cycleFan(&g.pipe.CollectInFlight), children, req,
 		func(i int, resp wire.Message) {
 			switch resp.(type) {
 			case *wire.CollectAggReply, *wire.CollectReply:
@@ -1268,8 +825,7 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 				children[i].noteReport(resp, time.Now())
 			}
 		})
-	b.Collect = time.Since(collectStart)
-	g.cfg.Tracer.RecordPhase(trace.PhaseCollect, cycle, epoch, mode8, collectStart, b.Collect)
+	b.Collect = g.endPhase(ph)
 	if ctx.Err() != nil {
 		return b, ctx.Err()
 	}
@@ -1279,12 +835,7 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 	// job's stages; the per-aggregator rule batches cover every stage.
 	// Raw per-stage replies (aggregators in ForwardRaw ablation mode) are
 	// aggregated here instead, charging this controller's CPU.
-	g.cfg.Tracer.SetContext(cycle, epoch, mode8, trace.PhaseCompute)
-	computeStart := time.Now()
-	var untrack func()
-	if g.cfg.CPU != nil {
-		untrack = g.cfg.CPU.Track()
-	}
+	ph = g.beginPhase(trace.PhaseCompute, cycle, epoch)
 	groups := make([][]wire.JobReport, 0, n)
 	responded := g.cyc.responded.Take(&g.arena, n)
 	for i, r := range replies {
@@ -1297,7 +848,8 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 			responded[i] = true
 		}
 	}
-	for _, m := range staleReports(quarantined, g.breaker.StaleAfter, g.faults) {
+	_, stale := g.appendStale(nil, nil, quarantined)
+	for _, m := range stale {
 		switch r := m.(type) {
 		case *wire.CollectAggReply:
 			groups = append(groups, r.Jobs)
@@ -1370,16 +922,13 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 		}
 		batches[i] = batch
 	}
-	if untrack != nil {
-		untrack()
-	}
-	b.Compute = time.Since(computeStart)
-	g.cfg.Tracer.RecordPhase(trace.PhaseCompute, cycle, epoch, mode8, computeStart, b.Compute)
+	g.busy(ph.start)
+	b.Compute = g.endPhase(ph)
 
-	// Phase 3: enforce via aggregators.
-	g.cfg.Tracer.SetContext(cycle, epoch, mode8, trace.PhaseEnforce)
-	enforceStart := time.Now()
-	g.fanOut(ctx, &g.pipe.EnforceInFlight, children,
+	// Phase 3: enforce via aggregators. The incremental regime lives in the
+	// aggregators here, so only the configured DeltaEnforcement diffs.
+	ph = g.beginPhase(trace.PhaseEnforce, cycle, epoch)
+	g.fanOut(ctx, g.cycleFan(&g.pipe.EnforceInFlight), children,
 		func(i int) wire.Message {
 			if g.cfg.Delegated {
 				if len(budgets[i]) == 0 {
@@ -1387,25 +936,13 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 				}
 				return &wire.Delegate{Cycle: cycle, Budgets: budgets[i]}
 			}
-			batch := batches[i]
-			if g.cfg.DeltaEnforcement {
-				batch = children[i].filterChanged(batch)
-				if len(batch) == 0 {
-					return nil
-				}
-				g.logRules(cycle, children[i].info.ID, batch)
-			} else {
-				if len(batch) == 0 {
-					return nil
-				}
-				if g.cfg.Store != nil {
-					g.logRules(cycle, children[i].info.ID, children[i].filterChanged(batch))
-				}
+			batch := g.sendable(cycle, children[i], batches[i], g.cfg.DeltaEnforcement)
+			if len(batch) == 0 {
+				return nil
 			}
 			return &wire.Enforce{Cycle: cycle, Rules: batch, Epoch: epoch}
 		}, nil)
-	b.Enforce = time.Since(enforceStart)
-	g.cfg.Tracer.RecordPhase(trace.PhaseEnforce, cycle, epoch, mode8, enforceStart, b.Enforce)
+	b.Enforce = g.endPhase(ph)
 	return b, ctx.Err()
 }
 
@@ -1420,59 +957,15 @@ func (g *Global) Run(ctx context.Context, interval time.Duration) error {
 			return err
 		}
 	}
-	for {
-		cycleStart := time.Now()
-		if _, err := g.RunCycle(ctx); err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if errors.Is(err, ErrNoChildren) {
-				// An empty control plane idles rather than spinning.
-				select {
-				case <-time.After(10 * time.Millisecond):
-					continue
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			return err
-		}
-		if interval > 0 {
-			sleep := interval - time.Since(cycleStart)
-			if sleep > 0 {
-				select {
-				case <-time.After(sleep):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-	}
+	return runLoop(ctx, interval, g.RunCycle)
 }
 
 // MemoryFootprint estimates the controller's state size in bytes: the
-// membership table, per-child connection buffers, job table, and rule
-// scratch space. It implements monitor.MemoryReporter for per-role memory
-// attribution in single-process simulations.
+// child-facing state plus the per-child rule scratch and the job table.
 func (g *Global) MemoryFootprint() uint64 {
-	// perChild reflects the measured in-process heap cost of one managed
-	// connection (RPC client, pending map, frame buffers, simulated-conn
-	// queues): ~24 KiB of the ~39 KiB a stage+connection pair costs.
-	const (
-		perChild = 24 << 10
-		perStage = 160 // stage.Info + rule scratch
-		perJob   = 96  // weights and aggregation entries
-	)
-	var total uint64
-	for _, c := range g.members.snapshot() {
-		total += perChild + uint64(len(c.info.Addr))
-		total += uint64(c.numStages()+1) * perStage
-	}
+	total := g.stageCore.MemoryFootprint() + uint64(g.members.size())*footprintPerStage
 	g.mu.Lock()
-	total += uint64(len(g.jobWeights)) * perJob
+	total += uint64(len(g.jobWeights)) * footprintPerJob
 	g.mu.Unlock()
 	return total
 }

@@ -13,10 +13,12 @@ import (
 	"github.com/dsrhaslab/sdscale/internal/workload"
 )
 
-// Dirty-set edge cases for the event-driven incremental cycle: push sequence
-// ordering, the quiesced fast path, heartbeat-floor expiry, pushes racing
-// quarantine and readmission, re-registration invalidation, and a -race
-// stress of concurrent pushes against in-flight cycles.
+// Dirty-set edge cases for the event-driven incremental cycle, end to end
+// through Global: push sequence ordering, the quiesced fast path, pushes
+// racing quarantine and readmission, re-registration invalidation, and a
+// -race stress of concurrent pushes against in-flight cycles. The collect-set
+// and report-source cases shared by all three roles (heartbeat-floor expiry
+// among them) are in core_test.go.
 
 // startPushStages is startStages with the event-driven push pipeline turned
 // on: tight sampling so threshold crossings and heartbeat floors both fire
@@ -163,51 +165,6 @@ func TestIncrementalQuiescedFastPath(t *testing.T) {
 	}
 }
 
-// TestIncrementalHeartbeatFloorMarksSilentChild: a child whose cache ages
-// past IncrementalFloor must be collected again even though it never pushed
-// — the floor is what distinguishes a silent child from an unchanged one.
-func TestIncrementalHeartbeatFloorMarksSilentChild(t *testing.T) {
-	n := fastNet()
-	stages := startStages(t, n, 3, 1, wire.Rates{100, 10})
-	g := buildFlat(t, n, stages, GlobalConfig{
-		Capacity:         wire.Rates{300, 30},
-		DeltaEnforcement: true,
-		Incremental:      true,
-		IncrementalFloor: 200 * time.Millisecond,
-	})
-	ctx := context.Background()
-
-	if _, err := g.RunCycle(ctx); err != nil {
-		t.Fatal(err)
-	}
-	var collects [3]uint64
-	for i, v := range stages {
-		collects[i], _ = v.Counters()
-	}
-
-	// Immediately after the priming cycle every cache is fresh: quiesced.
-	if _, err := g.RunCycle(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range stages {
-		if c, _ := v.Counters(); c != collects[i] {
-			t.Fatalf("stage %d collected while its cache was fresh", i)
-		}
-	}
-
-	// Let every cache age past the floor: the next cycle must re-collect
-	// all three silent children.
-	time.Sleep(250 * time.Millisecond)
-	if _, err := g.RunCycle(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range stages {
-		if c, _ := v.Counters(); c != collects[i]+1 {
-			t.Errorf("stage %d collects = %d after floor expiry, want %d", i, c, collects[i]+1)
-		}
-	}
-}
-
 // TestIncrementalQuarantinedWhileDirtySurvivesReadmission: a push that
 // arrives while its child is quarantined must still land in the report
 // cache and keep the child dirty, so the cycle after readmission refreshes
@@ -238,14 +195,14 @@ func TestIncrementalQuarantinedWhileDirtySurvivesReadmission(t *testing.T) {
 	n.Host("stage-2").SetPartitioned(true)
 	seq := uint64(1)
 	deadline := time.Now().Add(5 * time.Second)
-	for g.NumQuarantined() != 1 && time.Now().Before(deadline) {
+	for g.Stats().Quarantined != 1 && time.Now().Before(deadline) {
 		push(g, 2, 1, seq, wire.Rates{100 + float64(seq)*50, 10})
 		seq++
 		if _, err := g.RunCycle(ctx); err != nil {
 			t.Fatalf("cycle during partition: %v", err)
 		}
 	}
-	if got := g.QuarantinedIDs(); len(got) != 1 || got[0] != 2 {
+	if got := g.Stats().QuarantinedIDs; len(got) != 1 || got[0] != 2 {
 		t.Fatalf("QuarantinedIDs = %v, want [2]", got)
 	}
 
@@ -265,13 +222,13 @@ func TestIncrementalQuarantinedWhileDirtySurvivesReadmission(t *testing.T) {
 	before, _ := stages[1].Counters()
 	n.Host("stage-2").SetPartitioned(false)
 	deadline = time.Now().Add(5 * time.Second)
-	for g.NumQuarantined() != 0 && time.Now().Before(deadline) {
+	for g.Stats().Quarantined != 0 && time.Now().Before(deadline) {
 		if _, err := g.RunCycle(ctx); err != nil {
 			t.Fatalf("cycle after heal: %v", err)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if g.NumQuarantined() != 0 {
+	if g.Stats().Quarantined != 0 {
 		t.Fatal("child never readmitted after heal")
 	}
 	if f := g.Faults(); f.Readmissions() == 0 {

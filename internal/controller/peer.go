@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/controlalg"
-	"github.com/dsrhaslab/sdscale/internal/cyclemem"
 	"github.com/dsrhaslab/sdscale/internal/metrics"
 	"github.com/dsrhaslab/sdscale/internal/monitor"
 	"github.com/dsrhaslab/sdscale/internal/rpc"
@@ -131,53 +130,38 @@ type remoteView struct {
 // managed keep enforcing their last rules — availability degrades softly,
 // exactly the dependability behavior §VI describes.
 type Peer struct {
+	// stageCore is the stage-facing half, over this peer's own partition
+	// (see core.go).
+	stageCore
 	cfg      PeerConfig
-	breaker  breakerConfig
 	server   *rpc.Server
-	members  *memberSet // own stages
 	recorder *telemetry.CycleRecorder
-	faults   *telemetry.FaultCounters
-	pipe     *telemetry.PipelineStats
-
-	// scratch backs the per-cycle membership split and collect set; it is
-	// owned by the goroutine running RunCycle (cycles are serial).
-	scratch cycleScratch
-	// arena and cyc back the cycle's transient buffers; like scratch they
-	// are owned by the serial RunCycle goroutine.
-	arena cyclemem.Arena
-	cyc   cycleMem
-
-	// statsScr backs Stats() snapshots (guarded by its own mutex).
-	statsScr statsScratch
 
 	mu         sync.Mutex
 	peers      map[uint64]*child // fellow controllers
 	remote     map[uint64]remoteView
 	jobWeights map[uint64]float64
 	cycle      uint64
-	callErrors uint64
 }
 
 // StartPeer launches a coordinated-flat peer controller.
 func StartPeer(cfg PeerConfig) (*Peer, error) {
 	cfg = cfg.withDefaults()
 	p := &Peer{
-		cfg: cfg,
-		breaker: breakerConfig{
-			MaxFailures:      cfg.MaxFailures,
-			ProbeInterval:    cfg.ProbeInterval,
-			MaxProbeInterval: cfg.MaxProbeInterval,
-			StaleAfter:       cfg.StaleAfter,
-			EvictAfter:       cfg.EvictAfter,
-		}.withDefaults(),
-		members:    newMemberSet(),
+		cfg:        cfg,
 		recorder:   telemetry.NewCycleRecorder(),
-		faults:     &telemetry.FaultCounters{},
-		pipe:       &telemetry.PipelineStats{},
 		peers:      make(map[uint64]*child),
 		remote:     make(map[uint64]remoteView),
 		jobWeights: make(map[uint64]float64),
 	}
+	p.init(stageOpts{
+		who: fmt.Sprintf("peer %d", cfg.ID), network: cfg.Network,
+		fanMode: cfg.FanOutMode, par: cfg.FanOut, callTimeout: cfg.CallTimeout, maxCodec: cfg.MaxCodec,
+		breaker: breakerConfig{MaxFailures: cfg.MaxFailures, ProbeInterval: cfg.ProbeInterval,
+			MaxProbeInterval: cfg.MaxProbeInterval, StaleAfter: cfg.StaleAfter, EvictAfter: cfg.EvictAfter},
+		incremental: cfg.Incremental, floor: cfg.IncrementalFloor,
+		meter: cfg.Meter, cpu: cfg.CPU, tracer: cfg.Tracer, logFn: cfg.Logf,
+	})
 	srv, err := rpc.Serve(cfg.Network, cfg.ListenAddr, rpc.HandlerFunc(p.serve), rpc.ServerOptions{
 		Meter:    cfg.Meter,
 		Logf:     cfg.Logf,
@@ -211,38 +195,10 @@ func (p *Peer) NumPeers() int {
 	return len(p.peers)
 }
 
-// Faults returns the peer's fault-tolerance counters.
-func (p *Peer) Faults() *telemetry.FaultCounters { return p.faults }
-
-// NumQuarantined returns how many of this peer's stages currently sit
-// behind a tripped circuit breaker.
-//
-// Deprecated: use Stats().Quarantined.
-func (p *Peer) NumQuarantined() int {
-	_, quarantined := splitQuarantined(p.members.snapshot())
-	return len(quarantined)
-}
-
-func (p *Peer) logf(format string, args ...any) {
-	if p.cfg.Logf != nil {
-		p.cfg.Logf(format, args...)
-	}
-}
-
 // AddStage connects the peer to a stage in its partition.
 func (p *Peer) AddStage(ctx context.Context, info stage.Info) error {
-	cli, err := rpc.DialReconnecting(ctx, p.cfg.Network, info.Addr,
-		rpc.DialOptions{Meter: p.cfg.Meter, CPU: p.cfg.CPU, Tracer: p.cfg.Tracer, SpanTag: info.ID,
-			MaxCodec: p.cfg.MaxCodec, ReuseReplies: true, ReuseHits: p.pipe.ReuseCounter(),
-			OnPush: p.onPush},
-		p.breaker.reconnectPolicy())
-	if err != nil {
-		return fmt.Errorf("peer %d: dial stage %d: %w", p.cfg.ID, info.ID, err)
-	}
-	c := &child{info: info, role: wire.RoleStage, cli: cli}
-	if !p.members.add(c) {
-		cli.Close()
-		return fmt.Errorf("peer %d: duplicate stage ID %d", p.cfg.ID, info.ID)
+	if _, err := p.addChild(ctx, wire.RoleStage, info, nil); err != nil {
+		return err
 	}
 	w := info.Weight
 	if w <= 0 {
@@ -259,10 +215,7 @@ func (p *Peer) AddPeer(ctx context.Context, id uint64, addr string) error {
 	if id == p.cfg.ID {
 		return fmt.Errorf("peer %d: cannot peer with itself", id)
 	}
-	cli, err := rpc.DialReconnecting(ctx, p.cfg.Network, addr,
-		rpc.DialOptions{Meter: p.cfg.Meter, CPU: p.cfg.CPU, Tracer: p.cfg.Tracer, SpanTag: id,
-			MaxCodec: p.cfg.MaxCodec, ReuseReplies: true, ReuseHits: p.pipe.ReuseCounter()},
-		p.breaker.reconnectPolicy())
+	cli, err := p.dial(ctx, addr, id)
 	if err != nil {
 		return fmt.Errorf("peer %d: dial peer %d at %s: %w", p.cfg.ID, id, addr, err)
 	}
@@ -306,19 +259,9 @@ func (p *Peer) serve(peer *rpc.Peer, req wire.Message) (wire.Message, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), p.cfg.CallTimeout)
 		defer cancel()
 		if c := p.members.get(m.ID); c != nil {
-			// Duplicate registration from a known stage is a reconnect:
-			// replace the stale connection, keep breaker state.
-			cli, err := rpc.DialReconnecting(ctx, p.cfg.Network, m.Addr,
-				rpc.DialOptions{Meter: p.cfg.Meter, CPU: p.cfg.CPU, Tracer: p.cfg.Tracer, SpanTag: m.ID,
-					MaxCodec: p.cfg.MaxCodec, ReuseReplies: true, ReuseHits: p.pipe.ReuseCounter(),
-					OnPush: p.onPush},
-				p.breaker.reconnectPolicy())
-			if err != nil {
-				return nil, fmt.Errorf("peer %d: redial stage %d at %s: %w", p.cfg.ID, m.ID, m.Addr, err)
+			if err := p.reRegister(ctx, c, m.Addr); err != nil {
+				return nil, err
 			}
-			c.replaceClient(cli)
-			p.faults.ReRegistration()
-			p.logf("peer %d: stage %d re-registered from %s", p.cfg.ID, m.ID, m.Addr)
 			return &wire.RegisterAck{ID: m.ID}, nil
 		}
 		if err := p.AddStage(ctx, stage.Info{ID: m.ID, JobID: m.JobID, Weight: m.Weight, Addr: m.Addr}); err != nil {
@@ -326,263 +269,56 @@ func (p *Peer) serve(peer *rpc.Peer, req wire.Message) (wire.Message, error) {
 		}
 		return &wire.RegisterAck{ID: m.ID}, nil
 	case *wire.StageList:
-		children := p.members.snapshot()
-		reply := &wire.StageListReply{Stages: make([]wire.StageEntry, len(children))}
-		for i, c := range children {
-			reply.Stages[i] = wire.StageEntry{ID: c.info.ID, JobID: c.info.JobID, Weight: c.info.Weight, Addr: c.info.Addr}
-		}
-		return reply, nil
+		return &wire.StageListReply{Stages: p.stageEntries()}, nil
 	case *wire.Heartbeat:
 		return &wire.HeartbeatAck{EchoUnixMicros: m.SentUnixMicros}, nil
 	}
 	return nil, fmt.Errorf("peer %d: unexpected %s", p.cfg.ID, req.Type())
 }
 
-// callChild performs one stage RPC with circuit-breaker accounting.
-// Caller-context cancellation is not counted against the stage.
-func (p *Peer) callChild(ctx context.Context, c *child, req wire.Message) (wire.Message, error) {
-	cctx, cancel := context.WithTimeout(ctx, p.cfg.CallTimeout)
-	resp, err := c.client().Call(cctx, req)
-	cancel()
-	p.accountCall(ctx, c, err)
-	return resp, err
-}
-
-// accountCall applies a call outcome to the error counter and circuit
-// breaker; errors the caller's own ctx caused are excluded. Shared between
-// callChild and the pipelined fan-out path.
-func (p *Peer) accountCall(ctx context.Context, c *child, err error) {
-	if err != nil && ctx.Err() == nil {
-		p.mu.Lock()
-		p.callErrors++
-		p.mu.Unlock()
-	}
-	recordCall(ctx, c, err, p.breaker, p.faults, p.logf, fmt.Sprintf("peer %d", p.cfg.ID))
-}
-
-// fanOut dispatches one phase over the peer's own stages using the
-// configured FanOutMode, charging every outcome to the breaker and error
-// accounting.
-func (p *Peer) fanOut(ctx context.Context, gauge *telemetry.Gauge, children []*child,
-	reqFor func(i int) wire.Message,
-	onReply func(i int, resp wire.Message)) {
-	fanOutCalls(ctx, fanOutOpts{
-		mode:    p.cfg.FanOutMode,
-		par:     p.cfg.FanOut,
-		timeout: p.cfg.CallTimeout,
-		gauge:   gauge,
-		arena:   &p.arena,
-		calls:   &p.cyc.calls,
-	}, children, reqFor, func(i int, resp wire.Message, err error) {
-		p.accountCall(ctx, children[i], err)
-		if err == nil && onReply != nil {
-			onReply(i, resp)
-		}
-	})
-}
-
-// fanOutBroadcast dispatches one marshal-once broadcast phase over the
-// peer's own stages, charging outcomes to the breaker and error accounting
-// and the frame's send/encode counts to the pipeline stats.
-func (p *Peer) fanOutBroadcast(ctx context.Context, gauge *telemetry.Gauge, children []*child,
-	f *rpc.SharedFrame, onReply func(i int, resp wire.Message)) {
-	fanOutShared(ctx, fanOutOpts{
-		mode:    p.cfg.FanOutMode,
-		par:     p.cfg.FanOut,
-		timeout: p.cfg.CallTimeout,
-		gauge:   gauge,
-		arena:   &p.arena,
-		calls:   &p.cyc.calls,
-	}, children, f, nil, func(i int, resp wire.Message, err error) {
-		p.accountCall(ctx, children[i], err)
-		if err == nil && onReply != nil {
-			onReply(i, resp)
-		}
-	})
-	p.pipe.AddSharedSends(uint64(len(children)))
-	p.pipe.AddSharedEncodes(f.Encodes())
-}
-
-// onPush folds a stage's unsolicited ReportDelta into its dirty-set entry.
-// It runs on the connection's read loop, so it stays cheap: one membership
-// lookup plus a capacity-reusing cache write, no blocking calls.
-func (p *Peer) onPush(m wire.Message) {
-	rd, ok := m.(*wire.ReportDelta)
-	if !ok {
-		return
-	}
-	if c := p.members.get(rd.Report.StageID); c != nil {
-		c.notePush(rd, time.Now())
-	}
-}
-
-// incrementalActive reports whether the incremental collect/enforce paths
-// apply: configured on, and the fan-out pipelined (see
-// Global.incrementalActive for why blocking mode keeps the full cycle).
-func (p *Peer) incrementalActive() bool {
-	return p.cfg.Incremental && p.cfg.FanOutMode == FanOutPipelined
-}
-
-// prepareCycle probes quarantined stages (readmitting responders), applies
-// EvictAfter, and returns the active/quarantined split. The returned slices
-// are the peer's cycle scratch, valid until the next prepareCycle.
-func (p *Peer) prepareCycle(ctx context.Context) (active, quarantined []*child) {
-	_, q := p.scratch.split(p.members)
-	if len(q) > 0 {
-		who := fmt.Sprintf("peer %d", p.cfg.ID)
-		evictable := sweepProbes(ctx, q, p.breaker, p.cfg.FanOut, p.cfg.CallTimeout, p.faults, p.logf, who)
-		for _, c := range evictable {
-			if p.members.remove(c.info.ID) != nil {
-				c.client().Close()
-				p.faults.Evict()
-				p.logf("%s: evicted stage %d after %v in quarantine", who, c.info.ID, p.breaker.EvictAfter)
-			}
-		}
-	}
-	return p.scratch.split(p.members)
-}
-
 // RunCycle executes one coordinated control cycle: collect own partition,
 // exchange aggregates with peers, compute over the merged global view,
-// enforce own partition.
+// enforce own partition. Peers have no leadership epochs; their spans and
+// messages carry epoch 0.
 func (p *Peer) RunCycle(ctx context.Context) (telemetry.Breakdown, error) {
-	mode8 := uint8(p.cfg.FanOutMode)
 	p.mu.Lock()
 	probeCycle := p.cycle + 1
 	p.mu.Unlock()
-	// Peers have no leadership epochs; their spans carry epoch 0.
-	p.cfg.Tracer.SetContext(probeCycle, 0, mode8, trace.PhaseProbe)
-	children, quarantined := p.prepareCycle(ctx)
-	if len(children)+len(quarantined) == 0 {
-		return telemetry.Breakdown{}, ErrNoChildren
+	b, err := p.runCycle(ctx, probeCycle, 0,
+		func() (cycle, epoch uint64) {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			p.cycle++
+			return p.cycle, 0
+		}, p.runPhases)
+	if err == nil {
+		p.recorder.Record(b)
 	}
-	p.mu.Lock()
-	p.cycle++
-	cycle := p.cycle
-	p.mu.Unlock()
-	if len(quarantined) > 0 {
-		p.faults.DegradedCycle()
-	}
+	return b, err
+}
 
-	start := time.Now()
-	allocsBefore := telemetry.AllocsNow()
-	p.arena.Begin()
+func (p *Peer) runPhases(ctx context.Context, cycle, _ uint64, children, quarantined []*child) (telemetry.Breakdown, error) {
 	var b telemetry.Breakdown
 
-	// Phase 1: collect own active stages, aggregate, and exchange with
-	// peers. Quarantined stages contribute their last-known reports
-	// (degraded mode) but receive no traffic.
-	p.cfg.Tracer.SetContext(cycle, 0, mode8, trace.PhaseCollect)
-	collectStart := time.Now()
-	n := len(children)
-	incremental := p.incrementalActive()
-	targets := children
-	if incremental {
-		// Claim the dirty set and shrink the collect scatter to the edge
-		// cases; everyone else's cached push is already current.
-		now := time.Now()
-		floor := p.cfg.IncrementalFloor
-		if floor <= 0 {
-			floor = p.breaker.StaleAfter
-		}
-		dirty := 0
-		set := p.scratch.collect[:0]
-		for _, c := range children {
-			wasDirty, collect := c.incrementalState(now, floor)
-			if !collect && c.client().CodecVersion() < wire.CodecV2 {
-				// A v1 stage cannot push deltas: keep its per-cycle collect.
-				collect = true
-			}
-			if wasDirty {
-				dirty++
-			}
-			if collect {
-				set = append(set, c)
-			}
-		}
-		p.scratch.collect = set
-		targets = set
-		p.pipe.RecordDirty(dirty)
-		p.pipe.AddSuppressedCollects(uint64(n - len(set)))
-	}
-	// Index-disjoint reply slots keep blocking-mode harvest writes race-free
-	// and the compute phase's summation order deterministic; the broadcast
-	// request is marshaled once into a shared frame.
-	replies := p.cyc.replies.Take(&p.arena, len(targets))
-	req := rpc.NewSharedFrame(&wire.Collect{Cycle: cycle, WindowMicros: 1_000_000})
-	p.fanOutBroadcast(ctx, &p.pipe.CollectInFlight, targets,
-		req,
-		func(i int, resp wire.Message) {
-			if r, ok := resp.(*wire.CollectReply); ok {
-				replies[i] = r
-				targets[i].noteReport(r, time.Now())
-			}
-		})
-
-	var untrack func()
-	if p.cfg.CPU != nil {
-		untrack = p.cfg.CPU.Track()
-	}
-	reports := p.cyc.reports.Take(&p.arena, n)[:0]
-	if incremental {
-		// The aggregates read the whole cache: pushed deltas, the collects
-		// just made, and untouched-but-fresh reports all look alike.
-		now := time.Now()
-		for _, c := range children {
-			reports, _, _ = c.appendCachedReports(reports, now, p.breaker.StaleAfter)
-		}
-	} else {
-		for _, r := range replies {
-			if r != nil {
-				reports = append(reports, r.Reports...)
-			}
-		}
-	}
-	reports = appendStaleReports(reports, quarantined, p.breaker.StaleAfter, p.faults)
+	// Phase 1: gather own partition's reports, aggregate, and exchange with
+	// peers.
+	ph := p.beginPhase(trace.PhaseCollect, cycle, 0)
+	reports, _ := p.gatherReports(ctx, wire.Collect{Cycle: cycle, WindowMicros: 1_000_000}, children, quarantined, false)
+	start := time.Now()
 	ownJobs := metrics.AggregateByJob(reports)
-	if untrack != nil {
-		untrack()
-	}
-
-	// Push fresh aggregates to every peer; their cycles will pick them up.
-	p.mu.Lock()
-	fellows := make([]*child, 0, len(p.peers))
-	for _, c := range p.peers {
-		fellows = append(fellows, c)
-	}
-	p.mu.Unlock()
-	// Every fellow receives the same aggregates, so the exchange is
-	// marshaled once into a shared frame. It stays fire-and-forget: a failed
-	// push just leaves the fellow computing on aggregates one cycle staler
-	// (NoteError still kicks the reconnect loop for the dead fellow).
-	exchange := rpc.NewSharedFrame(&wire.PeerExchange{Cycle: cycle, PeerID: p.cfg.ID, Addr: p.Addr(), Jobs: ownJobs})
-	rpc.Scatter(ctx, len(fellows), p.cfg.FanOut, func(i int) {
-		cctx, cancel := context.WithTimeout(ctx, p.cfg.CallTimeout)
-		if _, err := fellows[i].client().GoShared(cctx, exchange).Wait(cctx); err != nil {
-			fellows[i].client().NoteError(ctx, err)
-		}
-		cancel()
-	})
-	exchange.Release()
-	p.pipe.AddSharedSends(uint64(len(fellows)))
-	p.pipe.AddSharedEncodes(exchange.Encodes())
-	b.Collect = time.Since(collectStart)
-	p.cfg.Tracer.RecordPhase(trace.PhaseCollect, cycle, 0, mode8, collectStart, b.Collect)
+	p.busy(start)
+	p.exchange(ctx, cycle, ownJobs)
+	b.Collect = p.endPhase(ph)
 	if ctx.Err() != nil {
 		return b, ctx.Err()
 	}
 
 	// Phase 2: compute over the merged global view.
-	p.cfg.Tracer.SetContext(cycle, 0, mode8, trace.PhaseCompute)
-	computeStart := time.Now()
-	if p.cfg.CPU != nil {
-		untrack = p.cfg.CPU.Track()
-	}
+	ph = p.beginPhase(trace.PhaseCompute, cycle, 0)
 	groups := [][]wire.JobReport{ownJobs}
-	now := time.Now()
 	p.mu.Lock()
 	for id, v := range p.remote {
-		if now.Sub(v.when) > p.cfg.StaleAfter {
+		if ph.start.Sub(v.when) > p.cfg.StaleAfter {
 			delete(p.remote, id) // dead peer: let its demand age out
 			continue
 		}
@@ -601,97 +337,54 @@ func (p *Peer) RunCycle(ctx context.Context) (telemetry.Breakdown, error) {
 	// stage population; this peer enforces the slice covering its own
 	// stages, weighted by their observed demand (see computePeerRules).
 	rules := p.computePeerRules(reports, ownJobs, merged, allocs, p.cfg.FanOutMode == FanOutPipelined)
-	if untrack != nil {
-		untrack()
-	}
-	b.Compute = time.Since(computeStart)
-	p.cfg.Tracer.RecordPhase(trace.PhaseCompute, cycle, 0, mode8, computeStart, b.Compute)
+	p.busy(ph.start)
+	b.Compute = p.endPhase(ph)
 
 	// Phase 3: enforce own partition.
-	p.cfg.Tracer.SetContext(cycle, 0, mode8, trace.PhaseEnforce)
-	enforceStart := time.Now()
-	// Request buffers are preallocated per child (index-disjoint, so safe
-	// from blocking mode's concurrent reqFor) instead of allocated per call.
-	enfBuf := p.cyc.enfBuf.Take(&p.arena, n)
-	ruleBuf := p.cyc.ruleBuf.Take(&p.arena, n)
-	var suppressed uint64 // reqFor runs sequentially in pipelined mode
-	p.fanOut(ctx, &p.pipe.EnforceInFlight, children,
-		func(i int) wire.Message {
-			rule, ok := rules.Lookup(children[i].info.ID)
-			if !ok {
-				return nil
-			}
-			batch := ruleBuf[i : i+1 : i+1]
-			batch[0] = rule
-			if incremental {
-				// Incremental mode implies delta enforcement: unchanged
-				// rules are not re-sent.
-				if batch = children[i].filterChanged(batch); len(batch) == 0 {
-					suppressed++
-					return nil
-				}
-			}
-			enfBuf[i] = wire.Enforce{Cycle: cycle, Rules: batch}
-			return &enfBuf[i]
-		}, nil)
-	if incremental {
-		p.pipe.AddSuppressedEnforces(suppressed)
-	}
-	b.Enforce = time.Since(enforceStart)
-	p.cfg.Tracer.RecordPhase(trace.PhaseEnforce, cycle, 0, mode8, enforceStart, b.Enforce)
-
-	b.Total = time.Since(start)
-	p.cfg.Tracer.RecordCycle(cycle, 0, mode8, start, b.Total, ctx.Err() != nil)
-	p.pipe.RecordCycleAllocs(telemetry.AllocsNow() - allocsBefore)
-	p.pipe.RecordArena(arenaSnapshot(p.arena.Stats()))
-	p.recorder.Record(b)
+	ph = p.beginPhase(trace.PhaseEnforce, cycle, 0)
+	p.enforceStageRules(ctx, cycle, 0, children, rules.Rules(), nil)
+	b.Enforce = p.endPhase(ph)
 	return b, ctx.Err()
 }
 
-// Run executes control cycles until ctx ends, like Global.Run.
-func (p *Peer) Run(ctx context.Context, interval time.Duration) error {
-	for {
-		cycleStart := time.Now()
-		if _, err := p.RunCycle(ctx); err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if err == ErrNoChildren {
-				select {
-				case <-time.After(10 * time.Millisecond):
-					continue
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			return err
-		}
-		if interval > 0 {
-			if sleep := interval - time.Since(cycleStart); sleep > 0 {
-				select {
-				case <-time.After(sleep):
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
+// exchange pushes this cycle's aggregates to every fellow; their cycles pick
+// them up. Every fellow receives the same aggregates, so the exchange is
+// marshaled once into a shared frame. It stays fire-and-forget: a failed
+// push just leaves the fellow computing on aggregates one cycle staler
+// (NoteError still kicks the reconnect loop for the dead fellow).
+func (p *Peer) exchange(ctx context.Context, cycle uint64, ownJobs []wire.JobReport) {
+	p.mu.Lock()
+	fellows := make([]*child, 0, len(p.peers))
+	for _, c := range p.peers {
+		fellows = append(fellows, c)
 	}
+	p.mu.Unlock()
+	f := rpc.NewSharedFrame(&wire.PeerExchange{Cycle: cycle, PeerID: p.cfg.ID, Addr: p.Addr(), Jobs: ownJobs})
+	rpc.Scatter(ctx, len(fellows), p.cfg.FanOut, func(i int) {
+		cctx, cancel := context.WithTimeout(ctx, p.cfg.CallTimeout)
+		if _, err := fellows[i].client().GoShared(cctx, f).Wait(cctx); err != nil {
+			fellows[i].client().NoteError(ctx, err)
+		}
+		cancel()
+	})
+	f.Release()
+	p.pipe.AddSharedSends(uint64(len(fellows)))
+	p.pipe.AddSharedEncodes(f.Encodes())
+}
+
+// Run executes control cycles until ctx ends (see runLoop for the interval
+// semantics).
+func (p *Peer) Run(ctx context.Context, interval time.Duration) error {
+	return runLoop(ctx, interval, p.RunCycle)
 }
 
 // MemoryFootprint implements monitor.MemoryReporter.
 func (p *Peer) MemoryFootprint() uint64 {
-	const perChild = 24 << 10 // see Global.MemoryFootprint
-	var total uint64
-	for _, c := range p.members.snapshot() {
-		total += perChild + uint64(len(c.info.Addr))
-	}
+	total := p.stageCore.MemoryFootprint()
 	p.mu.Lock()
-	total += uint64(len(p.peers)) * perChild
+	total += uint64(len(p.peers)) * footprintPerChild
 	for _, v := range p.remote {
-		total += uint64(len(v.jobs)) * 96
+		total += uint64(len(v.jobs)) * footprintPerJob
 	}
 	p.mu.Unlock()
 	return total

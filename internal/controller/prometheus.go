@@ -4,18 +4,7 @@ import (
 	"io"
 
 	"github.com/dsrhaslab/sdscale/internal/telemetry"
-	"github.com/dsrhaslab/sdscale/internal/trace"
 )
-
-// Tracer returns the tracer the controller records cycle, phase, and
-// per-call spans into; nil when tracing is off.
-func (g *Global) Tracer() *trace.Tracer { return g.cfg.Tracer }
-
-// Tracer returns the aggregator's tracer; nil when tracing is off.
-func (a *Aggregator) Tracer() *trace.Tracer { return a.cfg.Tracer }
-
-// Tracer returns the peer's tracer; nil when tracing is off.
-func (p *Peer) Tracer() *trace.Tracer { return p.cfg.Tracer }
 
 // WritePrometheus renders the controller's operational counters, fault
 // telemetry, and cycle-phase latency histograms in the Prometheus text

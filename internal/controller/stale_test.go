@@ -41,7 +41,7 @@ func TestStaleReportExactBoundary(t *testing.T) {
 	}
 }
 
-// staleReports must serve in-bound reports, drop aged-out ones, and record
+// appendStale must serve in-bound reports, drop aged-out ones, and record
 // the ages of both in the stale-age histogram — the drop also bumping the
 // drop counter, so FaultSummary can split used from dropped.
 func TestStaleReportsHistogramRecordsServedAndDropped(t *testing.T) {
@@ -55,9 +55,11 @@ func TestStaleReportsHistogramRecordsServedAndDropped(t *testing.T) {
 	}
 
 	var faults telemetry.FaultCounters
-	out := staleReports(quarantined, staleAfter, &faults)
+	k := &stageCore{faults: &faults}
+	k.breaker.StaleAfter = staleAfter
+	_, out := k.appendStale(nil, nil, quarantined)
 	if len(out) != 1 || out[0] != served {
-		t.Fatalf("staleReports served %d messages, want just the fresh one", len(out))
+		t.Fatalf("appendStale served %d messages, want just the fresh one", len(out))
 	}
 	if got := faults.StaleDrops(); got != 1 {
 		t.Errorf("StaleDrops = %d, want 1", got)

@@ -37,8 +37,7 @@ func (s *statsScratch) quarantined(m *memberSet) []uint64 {
 // ControllerStats is a point-in-time snapshot of a controller's operational
 // state: membership, breaker health, leadership, and fan-out pipeline
 // telemetry. It is the one-call observability surface shared by Global,
-// Aggregator, and Peer; the older per-counter accessors remain as deprecated
-// wrappers around it.
+// Aggregator, and Peer.
 //
 // Consistency: Stats is safe to call at any time, including from another
 // goroutine while a control cycle is running, but the snapshot is only
@@ -89,22 +88,10 @@ type ControllerStats struct {
 
 // Stats snapshots the controller's operational state.
 func (g *Global) Stats() ControllerStats {
-	ids := g.statsScr.quarantined(g.members)
-	g.mu.Lock()
-	callErrors := g.callErrors
-	g.mu.Unlock()
-	st := ControllerStats{
-		Children:       g.members.size(),
-		Stages:         g.NumStages(),
-		Quarantined:    len(ids),
-		QuarantinedIDs: ids,
-		CallErrors:     callErrors,
-		Evictions:      g.faults.Evictions(),
-		Epoch:          g.Epoch(),
-		FencedCalls:    g.faults.FencedCalls(),
-		Faults:         g.faults.Summarize(),
-		Pipeline:       g.pipe.Snapshot(),
-	}
+	st := g.snapshot()
+	st.Stages = g.NumStages()
+	st.Epoch = g.Epoch()
+	st.FencedCalls = g.faults.FencedCalls()
 	if g.cfg.Store != nil {
 		ss := g.cfg.Store.Stats()
 		st.Store = &ss
@@ -114,54 +101,16 @@ func (g *Global) Stats() ControllerStats {
 
 // Stats snapshots the aggregator's operational state.
 func (a *Aggregator) Stats() ControllerStats {
-	ids := a.statsScr.quarantined(a.members)
+	st := a.snapshot()
 	a.mu.Lock()
-	epoch := a.epoch
-	fenced := a.fencedCalls
-	rehomes := a.rehomes
+	st.Epoch, st.FencedCalls, st.ReHomes = a.epoch, a.fencedCalls, a.rehomes
 	a.mu.Unlock()
-	return ControllerStats{
-		Children:       a.members.size(),
-		Stages:         a.members.size(),
-		Quarantined:    len(ids),
-		QuarantinedIDs: ids,
-		CallErrors:     a.callErrors.Load(),
-		Evictions:      a.faults.Evictions(),
-		Epoch:          epoch,
-		FencedCalls:    fenced,
-		ReHomes:        rehomes,
-		Faults:         a.faults.Summarize(),
-		Pipeline:       a.pipe.Snapshot(),
-	}
+	return st
 }
 
 // Stats snapshots the peer's operational state.
 func (p *Peer) Stats() ControllerStats {
-	ids := p.statsScr.quarantined(p.members)
-	p.mu.Lock()
-	callErrors := p.callErrors
-	peers := len(p.peers)
-	p.mu.Unlock()
-	return ControllerStats{
-		Children:       p.members.size(),
-		Stages:         p.members.size(),
-		Peers:          peers,
-		Quarantined:    len(ids),
-		QuarantinedIDs: ids,
-		CallErrors:     callErrors,
-		Evictions:      p.faults.Evictions(),
-		Faults:         p.faults.Summarize(),
-		Pipeline:       p.pipe.Snapshot(),
-	}
+	st := p.snapshot()
+	st.Peers = p.NumPeers()
+	return st
 }
-
-// Pipeline returns the controller's live fan-out telemetry (per-phase
-// in-flight gauges and per-cycle allocation counters). Stats().Pipeline is
-// the snapshot form.
-func (g *Global) Pipeline() *telemetry.PipelineStats { return g.pipe }
-
-// Pipeline returns the aggregator's live fan-out telemetry.
-func (a *Aggregator) Pipeline() *telemetry.PipelineStats { return a.pipe }
-
-// Pipeline returns the peer's live fan-out telemetry.
-func (p *Peer) Pipeline() *telemetry.PipelineStats { return p.pipe }

@@ -1,0 +1,47 @@
+package controller
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"github.com/dsrhaslab/sdscale/internal/wire"
+)
+
+// TestEnforceUniformDuringRun runs back-to-back pipelined cycles while
+// another goroutine loops EnforceUniform, the way shard.Router and
+// Deployment.EnforceUniform call it: with no lock against Run. The cycle's
+// call-handle slab is cycle-serial, so an off-cycle fan-out drawing from it
+// is a data race with the cycle's own Take (and the arena reset at the next
+// cycle start clears handles the off-cycle harvest still reads). Run under
+// -race (the CI race shard covers this package).
+func TestEnforceUniformDuringRun(t *testing.T) {
+	n := fastNet()
+	stages := startStages(t, n, 64, 4, wire.Rates{1000, 100})
+	g := buildFlat(t, n, stages, GlobalConfig{
+		Capacity:   wire.Rates{64000, 6400},
+		FanOutMode: FanOutPipelined,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := g.Run(ctx, 0); err != context.Canceled {
+			t.Errorf("Run = %v, want context.Canceled", err)
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		applied, err := g.EnforceUniform(ctx, 1, wire.ActionSetLimit, wire.Rates{float64(100 + i), 10})
+		if err != nil {
+			t.Fatalf("EnforceUniform %d: %v", i, err)
+		}
+		if applied != 16 {
+			t.Fatalf("EnforceUniform %d applied to %d stages, want the 16 of job 1", i, applied)
+		}
+	}
+	cancel()
+	wg.Wait()
+}

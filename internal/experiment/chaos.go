@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/cluster"
+	"github.com/dsrhaslab/sdscale/internal/controller"
 	"github.com/dsrhaslab/sdscale/internal/telemetry"
 	"github.com/dsrhaslab/sdscale/internal/transport/simnet"
 )
@@ -169,12 +170,9 @@ faultLoop:
 }
 
 // readFaults samples the counters a canceled-context cycle must not move.
-func (ChaosResult) readFaults(g interface {
-	CallErrors() uint64
-	Faults() *telemetry.FaultCounters
-}) uint64 {
-	f := g.Faults()
-	return g.CallErrors() + f.Quarantines() + f.Evictions()
+func (ChaosResult) readFaults(g *controller.Global) uint64 {
+	st := g.Stats()
+	return st.CallErrors + st.Faults.Quarantines + st.Evictions
 }
 
 // PrintChaos renders the scenario's outcome.

@@ -180,8 +180,7 @@ type Deployment struct {
 
 // DeploymentStats is the unified operational snapshot of a deployment: the
 // fleet-wide counters summed over every shard, plus each shard leader's
-// full per-controller snapshot. It supersedes walking the per-role
-// accessors (Global.NumQuarantined, Aggregator.ReHomes, ...) by hand.
+// full per-controller snapshot.
 type DeploymentStats struct {
 	// Shards is the number of concurrently active shard leaders (one for
 	// unsharded deployments).
