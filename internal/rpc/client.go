@@ -357,22 +357,16 @@ func (c *Client) readLoop() {
 			if dec == nil {
 				dec = &wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory()}
 				if c.reuseReplies {
-					cache := make(map[wire.MsgType]wire.Message)
+					var cache msgTable
 					dec.Reuse = func(t wire.MsgType) wire.Message {
 						if !reusableReply(t) {
 							return nil
 						}
-						if cached, ok := cache[t]; ok {
-							if c.reuseHits != nil {
-								c.reuseHits.Add(1)
-							}
-							return cached
+						m, hit := cache.cached(t)
+						if hit && c.reuseHits != nil {
+							c.reuseHits.Add(1)
 						}
-						fresh := wire.New(t)
-						if fresh != nil {
-							cache[t] = fresh
-						}
-						return fresh
+						return m
 					}
 				}
 			}
@@ -393,16 +387,10 @@ func (c *Client) readLoop() {
 			if pushDec == nil {
 				// Pushes decode into one cached instance per type: OnPush
 				// must not retain the message, so the next push may reuse it.
-				pushCache := make(map[wire.MsgType]wire.Message)
+				var pushCache msgTable
 				pushDec = &wire.DecodeOpts{Version: wire.CodecV2, Reuse: func(t wire.MsgType) wire.Message {
-					if cached, ok := pushCache[t]; ok {
-						return cached
-					}
-					fresh := wire.New(t)
-					if fresh != nil {
-						pushCache[t] = fresh
-					}
-					return fresh
+					m, _ := pushCache.cached(t)
+					return m
 				}}
 			}
 			m, err = wire.DecodeWith(body, pushDec)

@@ -2,6 +2,9 @@ package rpc
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -166,5 +169,93 @@ func TestRequestReuseFreelist(t *testing.T) {
 	}
 	if hits.Load() == 0 {
 		t.Fatal("no request freelist hits counted")
+	}
+}
+
+// TestReuseTablesGrowOnFirstUse: the per-connection reuse tables are slices
+// indexed by message type and grown on first use. The first exchange on a
+// fresh connection using the highest reusable request and reply types, and a
+// frame whose type byte names no message, must neither panic nor change what
+// is decoded.
+func TestReuseTablesGrowOnFirstUse(t *testing.T) {
+	ctx := context.Background()
+	n := simnet.New(simnet.Config{PropDelay: -1})
+	srv, err := Serve(n.Host("server"), ":0", HandlerFunc(func(_ *Peer, req wire.Message) (wire.Message, error) {
+		switch m := req.(type) {
+		case *wire.Delegate: // the highest reusable request; answered with the highest reusable reply
+			return &wire.PeerExchangeAck{Cycle: m.Cycle, PeerID: uint64(len(m.Budgets))}, nil
+		case *wire.Collect:
+			return &wire.CollectReply{Cycle: m.Cycle}, nil
+		}
+		return nil, fmt.Errorf("unexpected %s", req.Type())
+	}), ServerOptions{ReuseRequests: true})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	cli, err := Dial(ctx, n.Host("client"), srv.Addr().String(), DialOptions{ReuseReplies: true})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cli.Close()
+	waitFor(t, "codec upgrade to v2", func() bool { return cli.CodecVersion() == wire.CodecV2 })
+	exchange := func(i uint64) {
+		t.Helper()
+		resp, err := cli.Call(ctx, &wire.Delegate{Cycle: i, Budgets: make([]wire.JobBudget, i)})
+		if ack, ok := resp.(*wire.PeerExchangeAck); err != nil || !ok || ack.Cycle != i || ack.PeerID != i {
+			t.Fatalf("delegate %d: got %+v, %v", i, resp, err)
+		}
+		resp, err = cli.Call(ctx, &wire.Collect{Cycle: i})
+		if r, ok := resp.(*wire.CollectReply); err != nil || !ok || r.Cycle != i {
+			t.Fatalf("collect %d: got %+v, %v", i, resp, err)
+		}
+	}
+	exchange(1)
+	exchange(2)
+
+	// A request whose type byte names no message is protocol corruption: the
+	// server drops that connection, and only that one.
+	raw, err := n.Host("intruder").Dial(ctx, srv.Addr().String())
+	if err != nil {
+		t.Fatalf("raw dial: %v", err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write(appendSharedFrame(nil, frameHeader{id: 1, kind: kindRequestV2}, []byte{0xFF})); err != nil {
+		t.Fatalf("raw write: %v", err)
+	}
+	if b, err := io.ReadAll(raw); err != nil || len(b) != 0 {
+		t.Fatalf("server answered an unknown request type with %d bytes, %v; want the connection closed", len(b), err)
+	}
+	exchange(3)
+
+	// The same byte in a response or a push kills the client's connection
+	// with the decode error it always did.
+	for _, kind := range []byte{kindResponseV2, kindPush} {
+		l, err := n.Host("rogue").Listen(":0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			// Speak only after the client's hello, as a server does.
+			if _, _, _, err := readFrame(c, nil); err != nil {
+				return
+			}
+			_, _ = c.Write(appendSharedFrame(nil, frameHeader{id: 1, kind: kind}, []byte{0xFF}))
+		}()
+		victim, err := Dial(ctx, n.Host("victim"), l.Addr().String(),
+			DialOptions{ReuseReplies: true, OnPush: func(wire.Message) {}})
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		_, err = victim.Call(ctx, &wire.Heartbeat{})
+		if err == nil || !strings.Contains(err.Error(), "unknown message type 255") {
+			t.Errorf("frame kind %d with an unknown type: call failed with %v, want the decode error", kind, err)
+		}
+		victim.Close()
+		l.Close()
 	}
 }

@@ -219,6 +219,30 @@ func readFrame(r io.Reader, buf []byte) (frameHeader, []byte, []byte, error) {
 	return h, buf[sz+1:], buf, nil
 }
 
+// msgTable holds one message per type for a connection's reuse paths. It is
+// indexed by the type byte and grown on first use — a map here costs a hash
+// per decoded frame — and a type is one byte, so it never exceeds 256 slots.
+type msgTable []wire.Message
+
+// slot returns the table's entry for t.
+func (tb *msgTable) slot(t wire.MsgType) *wire.Message {
+	if int(t) >= len(*tb) {
+		*tb = append(*tb, make([]wire.Message, int(t)+1-len(*tb))...)
+	}
+	return &(*tb)[t]
+}
+
+// cached returns the table's message of type t, creating it on first use
+// (nil for an unknown type). hit reports that it was already there.
+func (tb *msgTable) cached(t wire.MsgType) (m wire.Message, hit bool) {
+	slot := tb.slot(t)
+	if *slot != nil {
+		return *slot, true
+	}
+	*slot = wire.New(t)
+	return *slot, false
+}
+
 // reusableReply lists the response types eligible for the client-side reuse
 // cache: high-frequency, slice-bearing or hot replies that controllers
 // consume within the cycle that received them and never retain by pointer.

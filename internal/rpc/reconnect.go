@@ -88,8 +88,10 @@ type ReconnectingClient struct {
 	addr    string
 	opts    DialOptions
 	policy  ReconnectPolicy
-	// rng is this reconnector's private jitter source; only the redial loop
-	// draws from it, and at most one redial loop runs at a time.
+	// rng is this reconnector's private jitter source, built by the first
+	// redial that has to back off (a math/rand source is ~5 KB, and most of a
+	// fleet's connections never redial). Only the redial loop touches it, and
+	// at most one redial loop runs at a time.
 	rng *rand.Rand
 
 	mu         sync.Mutex
@@ -110,21 +112,26 @@ func DialReconnecting(ctx context.Context, network transport.Network, addr strin
 	if err != nil {
 		return nil, err
 	}
-	// Seed the private jitter source from the address so simultaneous
-	// reconnectors start decorrelated even when their clocks agree.
-	seed := time.Now().UnixNano()
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(addr))
-	seed ^= int64(h.Sum64())
 	return &ReconnectingClient{
 		network: network,
 		addr:    addr,
 		opts:    opts,
 		policy:  policy.withDefaults(),
-		rng:     rand.New(rand.NewSource(seed)),
 		cur:     cli,
 		done:    make(chan struct{}),
 	}, nil
+}
+
+// jitterSource returns the private jitter source, seeding it on first use
+// from the clock and the address, so simultaneous reconnectors start
+// decorrelated even when their clocks agree.
+func (r *ReconnectingClient) jitterSource() *rand.Rand {
+	if r.rng == nil {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(r.addr))
+		r.rng = rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(h.Sum64())))
+	}
+	return r.rng
 }
 
 // Addr returns the remote address the client (re)dials.
@@ -309,7 +316,7 @@ func (r *ReconnectingClient) redialLoop() {
 			return
 		}
 		var wait time.Duration
-		wait, delay = r.policy.next(r.rng, delay)
+		wait, delay = r.policy.next(r.jitterSource(), delay)
 		timer.Reset(wait)
 		select {
 		case <-timer.C:

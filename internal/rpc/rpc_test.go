@@ -377,8 +377,7 @@ func TestScatterStopsOnCancel(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	var visited2 atomic.Int64
 	Scatter(ctx2, 1000, 4, func(i int) {
-		visited2.Add(1)
-		if visited2.Load() == 8 {
+		if visited2.Add(1) == 8 { // Add's own result: a separate Load can skip past 8
 			cancel2()
 		}
 	})

@@ -250,12 +250,8 @@ type queuedReq struct {
 // decode and response. The mutex covers the reader/handler handoff.
 type reqFreelist struct {
 	mu     sync.Mutex
-	byType map[wire.MsgType]wire.Message
+	byType msgTable
 	hits   *atomic.Uint64
-}
-
-func newReqFreelist(hits *atomic.Uint64) *reqFreelist {
-	return &reqFreelist{byType: make(map[wire.MsgType]wire.Message), hits: hits}
 }
 
 // take removes and returns the recycled instance for t, or nil when none is
@@ -265,10 +261,9 @@ func (fl *reqFreelist) take(t wire.MsgType) wire.Message {
 		return nil
 	}
 	fl.mu.Lock()
-	m := fl.byType[t]
-	if m != nil {
-		fl.byType[t] = nil
-	}
+	slot := fl.byType.slot(t)
+	m := *slot
+	*slot = nil
 	fl.mu.Unlock()
 	if m != nil && fl.hits != nil {
 		fl.hits.Add(1)
@@ -284,8 +279,8 @@ func (fl *reqFreelist) put(m wire.Message) {
 		return
 	}
 	fl.mu.Lock()
-	if fl.byType[t] == nil {
-		fl.byType[t] = m
+	if slot := fl.byType.slot(t); *slot == nil {
+		*slot = m
 	}
 	fl.mu.Unlock()
 }
@@ -408,7 +403,7 @@ func (s *Server) serveConn(peer *Peer) {
 	}
 	var fl *reqFreelist
 	if s.opts.ReuseRequests {
-		fl = newReqFreelist(s.opts.ReuseHits)
+		fl = &reqFreelist{hits: s.opts.ReuseHits}
 	}
 
 	q := newReqQueue()

@@ -10,121 +10,74 @@ import (
 	"time"
 )
 
-// stream is one direction of a connection: an unbounded queue of payloads
-// from writer to reader. Latency modeling happens at write time — each
-// payload gets an arrival deadline from the hosts' processors and the
-// network config — and the Net's central scheduler moves due payloads into
-// the readable queue. A single scheduler goroutine serves the whole
-// network, so timer-granularity overshoot is amortized across every
-// in-flight message instead of being paid per message.
+// stream is one direction of a connection: a byte buffer the writer appends
+// to and the reader consumes, with a watermark that says how much of it has
+// arrived. Latency modeling happens at write time. On a timed network each
+// write gets an arrival time from the hosts' processors and the network
+// config, and the Net's central scheduler advances the watermark by the
+// write's length when that time comes; on an unmodelled network the write
+// advances it itself. Bytes therefore always leave in the order they were
+// written — a delivery only says how many more of them are readable, so
+// jittered arrival times cannot reorder a connection. A single scheduler
+// goroutine serves the whole network, so timer-granularity overshoot is
+// amortized across every in-flight message instead of being paid per message.
+//
+// A blocked reader waits on ready and on nothing else. Every event it can be
+// woken for — bytes arriving, the writer closing, its own side closing, its
+// deadline expiring — is a field below that is set under mu BEFORE wake is
+// called, and read re-checks all of them after every wake. Set the flag, then
+// wake: an event signalled the other way round can be slept through.
 type stream struct {
 	net    *Net
 	txHost *Host // the writing host (meter and processor charged)
 	rxHost *Host // the reading host (meter and processor charged)
 
 	mu          sync.Mutex
-	queue       payloadQueue // delivered, readable payloads
-	pending     *payload     // partially consumed head payload
-	pendingOff  int          // bytes of pending already handed to the reader
-	inflight    int          // scheduled but not yet delivered payloads
-	wclosed     bool
+	buf         []byte      // unread bytes in write order, from off
+	off         int         // buf[:off] has been handed to the reader
+	arrived     int         // watermark: buf[off:arrived] is readable, the rest in flight
+	wclosed     bool        // the writing side closed: EOF once everything arrived and was read
+	rclosed     bool        // the reading side closed: reads fail, the peer's writes fail fast
+	rexpired    bool        // the read deadline has passed
+	rtimer      *time.Timer // the pending read deadline, if any
+	wdeadline   time.Time   // the write deadline; zero for none
 	lastSendEnd time.Time
 
 	ready chan struct{} // 1-buffered wakeup for the reader
-	wdone chan struct{} // closed when the writer side is closed
-	rdone chan struct{} // closed when the reader side is gone
-	wonce sync.Once
-	ronce sync.Once
 }
 
-// payload is one write's in-flight copy. The box and its buffer are pooled
-// together: write must copy (callers reuse their frame buffers immediately),
-// which at control-plane scale is two copies per RPC, so read recycles each
-// payload once the reader has fully consumed it. Buffers above
-// maxPooledPayload are dropped rather than pinned in the pool.
-type payload struct{ b []byte }
-
-// payloadQueue is a FIFO of delivered payloads that recycles its backing
-// array. Popping by re-slicing (`q = q[1:]`) strands the array's free space
-// behind the slice pointer, so every subsequent push reallocates — at
-// control-plane scale that is one allocation per delivered frame. Instead
-// pop advances a head index, and the moment the queue drains (the steady
-// state between cycles) both head and length reset, so pushes reuse the
-// same backing array indefinitely.
-type payloadQueue struct {
-	buf  []*payload
-	head int
-}
-
-func (q *payloadQueue) push(pl *payload) { q.buf = append(q.buf, pl) }
-
-func (q *payloadQueue) pop() *payload {
-	pl := q.buf[q.head]
-	q.buf[q.head] = nil // drop the reference; the payload is pooled separately
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return pl
-}
-
-func (q *payloadQueue) len() int { return len(q.buf) - q.head }
-
-const maxPooledPayload = 1 << 16
-
-var payloadPool = sync.Pool{New: func() any { return new(payload) }}
-
-// newPayload returns a pooled payload holding a copy of p.
-func newPayload(p []byte) *payload {
-	pl := payloadPool.Get().(*payload)
-	if cap(pl.b) < len(p) {
-		pl.b = make([]byte, len(p))
-	} else {
-		pl.b = pl.b[:len(p)]
-	}
-	copy(pl.b, p)
-	return pl
-}
-
-// releasePayload returns a fully consumed payload to the pool.
-func releasePayload(pl *payload) {
-	if cap(pl.b) > maxPooledPayload {
-		pl.b = nil
-	}
-	payloadPool.Put(pl)
-}
+// maxIdleBuf bounds the buffer a drained stream keeps for its next write:
+// the occasional giant frame is dropped rather than pinned by an idle
+// connection.
+const maxIdleBuf = 1 << 16
 
 func newStream(n *Net, tx, rx *Host) *stream {
-	return &stream{
-		net:    n,
-		txHost: tx,
-		rxHost: rx,
-		ready:  make(chan struct{}, 1),
-		wdone:  make(chan struct{}),
-		rdone:  make(chan struct{}),
-	}
+	return &stream{net: n, txHost: tx, rxHost: rx, ready: make(chan struct{}, 1)}
 }
 
-// closeWrite signals EOF to the reader once in-flight payloads drain.
+// closeWrite signals EOF to the reader once in-flight bytes drain, and fails
+// further writes.
 func (s *stream) closeWrite() {
-	s.wonce.Do(func() {
-		s.mu.Lock()
-		s.wclosed = true
-		s.mu.Unlock()
-		close(s.wdone)
-		s.wake()
-	})
+	s.mu.Lock()
+	s.wclosed = true
+	s.mu.Unlock()
+	wake(s.ready)
 }
 
-// closeRead tells the writer its peer is gone; pending writes fail.
+// closeRead fails the local reader and tells the writer its peer is gone.
 func (s *stream) closeRead() {
-	s.ronce.Do(func() { close(s.rdone) })
+	s.mu.Lock()
+	s.rclosed = true
+	s.mu.Unlock()
+	wake(s.ready)
 }
 
-// wake nudges a blocked reader.
-func (s *stream) wake() {
+// wake nudges the goroutine sleeping on a 1-buffered ready channel, if any.
+// Callers have already published, under the owner's mu, whatever the sleeper
+// is to find.
+func wake(ready chan struct{}) {
 	select {
-	case s.ready <- struct{}{}:
+	case ready <- struct{}{}:
 	default:
 	}
 }
@@ -146,114 +99,150 @@ func (s *stream) arrival(n int, now time.Time) time.Time {
 	return s.rxHost.proc.schedule(arrive, n, cfg)
 }
 
-// deliver moves a payload into the readable queue (scheduler callback).
-func (s *stream) deliver(pl *payload, scheduled bool) {
+// deliver makes n more written bytes readable (scheduler callback).
+func (s *stream) deliver(n int) {
 	s.mu.Lock()
-	s.queue.push(pl)
-	if scheduled {
-		s.inflight--
-	}
+	s.arrived += n
 	s.mu.Unlock()
-	s.wake()
+	wake(s.ready)
 }
 
-// write enqueues a copy of p with its computed arrival time. It never
-// blocks on queue capacity; backpressure in the control plane comes from
-// the request/response protocol above, not the pipe.
-func (s *stream) write(p []byte, deadline, cancel <-chan struct{}) (int, error) {
-	select {
-	case <-deadline:
-		return 0, os.ErrDeadlineExceeded
-	case <-s.rdone:
-		return 0, io.ErrClosedPipe
-	case <-cancel:
-		return 0, net.ErrClosed
-	default:
+// write appends a copy of p (callers reuse their frame buffers immediately)
+// and makes it readable at its computed arrival time. It never blocks on
+// buffer capacity; backpressure in the control plane comes from the
+// request/response protocol above, not the pipe.
+func (s *stream) write(p []byte) (int, error) {
+	var now time.Time
+	if s.net.timed {
+		now = time.Now()
 	}
-
-	data := newPayload(p)
-	now := time.Now()
 	s.mu.Lock()
-	if s.wclosed {
-		s.mu.Unlock()
-		releasePayload(data)
-		return 0, io.ErrClosedPipe
+	var err error
+	switch {
+	case s.wclosed:
+		err = net.ErrClosed
+	case s.rclosed:
+		err = io.ErrClosedPipe
+	case !s.wdeadline.IsZero() && !time.Now().Before(s.wdeadline):
+		err = os.ErrDeadlineExceeded
 	}
-	due := s.arrival(len(p), now)
+	if err != nil {
+		s.mu.Unlock()
+		return 0, err
+	}
+	if s.off > 0 && len(s.buf)+len(p) > cap(s.buf) {
+		// Reclaim the consumed prefix before growing, so a reader that
+		// never quite catches up does not make the buffer grow forever.
+		s.buf = s.buf[:copy(s.buf, s.buf[s.off:])]
+		s.arrived -= s.off
+		s.off = 0
+	}
+	s.buf = append(s.buf, p...)
+	due := now // an unmodelled network: readable at once
+	if s.net.timed {
+		due = s.arrival(len(p), now)
+	}
 	if !due.After(now) {
-		s.queue.push(data)
+		s.arrived += len(p)
 		s.mu.Unlock()
-		s.wake()
+		wake(s.ready)
 	} else {
-		s.inflight++
 		s.mu.Unlock()
-		s.net.sched.add(delivery{due: due, s: s, data: data})
+		s.net.sched.add(delivery{due: due, s: s, n: len(p)})
 	}
 	s.txHost.meter.AddTx(len(p))
 	s.rxHost.meter.AddRx(len(p))
 	return len(p), nil
 }
 
-// read copies readable bytes into p. cancel aborts the read (connection
-// closed locally); deadline is the reader's deadline channel.
-func (s *stream) read(p []byte, deadline, cancel <-chan struct{}) (int, error) {
+// read copies arrived bytes into p, blocking until there are some or the
+// stream fails. One read may return the bytes of several writes.
+func (s *stream) read(p []byte) (int, error) {
 	for {
 		s.mu.Lock()
-		for s.pending == nil && s.queue.len() > 0 {
-			pl := s.queue.pop()
-			if len(pl.b) == 0 {
-				releasePayload(pl) // zero-length write: nothing to read
-				continue
-			}
-			s.pending, s.pendingOff = pl, 0
-		}
-		if s.pending != nil {
-			n := copy(p, s.pending.b[s.pendingOff:])
-			s.pendingOff += n
-			if s.pendingOff == len(s.pending.b) {
-				releasePayload(s.pending)
-				s.pending = nil
+		if s.arrived > s.off {
+			n := copy(p, s.buf[s.off:s.arrived])
+			s.off += n
+			if s.off == len(s.buf) {
+				// Drained: the next write starts at the front again.
+				if cap(s.buf) > maxIdleBuf {
+					s.buf = nil
+				}
+				s.buf, s.off, s.arrived = s.buf[:0], 0, 0
 			}
 			s.mu.Unlock()
 			return n, nil
 		}
-		drained := s.wclosed && s.inflight == 0 && s.queue.len() == 0
+		var err error
+		switch {
+		case s.rclosed:
+			err = net.ErrClosed
+		case s.rexpired:
+			err = os.ErrDeadlineExceeded
+		case s.wclosed && s.arrived == len(s.buf):
+			err = io.EOF
+		}
 		s.mu.Unlock()
-		if drained {
-			return 0, io.EOF
+		if err != nil {
+			// These conditions persist: pass the wakeup on, in case another
+			// Read is blocked on this connection too.
+			wake(s.ready)
+			return 0, err
 		}
-
-		select {
-		case <-s.ready:
-		case <-s.wdone:
-			// Re-check: in-flight payloads may still be delivering.
-			s.mu.Lock()
-			drained := s.inflight == 0 && s.queue.len() == 0 && s.pending == nil
-			s.mu.Unlock()
-			if drained {
-				return 0, io.EOF
-			}
-			// Wait for the scheduler to deliver the rest.
-			select {
-			case <-s.ready:
-			case <-cancel:
-				return 0, net.ErrClosed
-			case <-deadline:
-				return 0, os.ErrDeadlineExceeded
-			}
-		case <-cancel:
-			return 0, net.ErrClosed
-		case <-deadline:
-			return 0, os.ErrDeadlineExceeded
-		}
+		<-s.ready
 	}
 }
 
-// delivery is one scheduled payload hand-off.
+// setReadDeadline implements net.Conn deadline semantics for the reader:
+// a deadline that passes wakes a blocked Read, and clearing or moving it
+// re-arms reads. The zero time means no deadline.
+func (s *stream) setReadDeadline(t time.Time) {
+	s.mu.Lock()
+	if s.rtimer != nil {
+		// If it has fired already, its callback finds itself replaced.
+		s.rtimer.Stop()
+		s.rtimer = nil
+	}
+	var left time.Duration
+	if !t.IsZero() {
+		left = time.Until(t)
+	}
+	expired := !t.IsZero() && left <= 0
+	s.rexpired = expired
+	if left > 0 {
+		var timer *time.Timer
+		timer = time.AfterFunc(left, func() {
+			s.mu.Lock()
+			current := s.rtimer == timer
+			if current {
+				s.rexpired = true
+			}
+			s.mu.Unlock()
+			if current {
+				wake(s.ready)
+			}
+		})
+		s.rtimer = timer
+	}
+	s.mu.Unlock()
+	if expired {
+		wake(s.ready)
+	}
+}
+
+// setWriteDeadline records the writer's deadline. Writes never block, so
+// there is nothing to wake: write compares the clock when one is set.
+func (s *stream) setWriteDeadline(t time.Time) {
+	s.mu.Lock()
+	s.wdeadline = t
+	s.mu.Unlock()
+}
+
+// delivery is one scheduled arrival: at due, n more bytes of s are readable.
 type delivery struct {
-	due  time.Time
-	s    *stream
-	data *payload
+	due time.Time
+	s   *stream
+	n   int
 }
 
 // deliveryHeap is a min-heap of deliveries by due time.
@@ -266,7 +255,7 @@ func (h *deliveryHeap) Push(x any)        { *h = append(*h, x.(delivery)) }
 func (h *deliveryHeap) Pop() any          { old := *h; n := len(old); d := old[n-1]; *h = old[:n-1]; return d }
 func (h deliveryHeap) peek() delivery     { return h[0] }
 
-// scheduler delivers scheduled payloads when they come due. One goroutine
+// scheduler delivers scheduled arrivals when they come due. One goroutine
 // serves the whole simulated network; it parks itself when idle.
 type scheduler struct {
 	mu      sync.Mutex
@@ -306,7 +295,7 @@ func (sc *scheduler) add(d delivery) {
 // keeps delivery precise while still ceding the CPU to runnable work.
 const spinThreshold = 2 * time.Millisecond
 
-// loop delivers due payloads in batches and exits when the heap drains.
+// loop delivers due arrivals in batches and exits when the heap drains.
 func (sc *scheduler) loop() {
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
@@ -329,7 +318,7 @@ func (sc *scheduler) loop() {
 		sc.mu.Unlock()
 
 		for _, d := range batch {
-			d.s.deliver(d.data, true)
+			d.s.deliver(d.n)
 		}
 		switch {
 		case wait <= 0:
@@ -352,70 +341,6 @@ func (sc *scheduler) loop() {
 	}
 }
 
-// connDeadline implements net.Conn deadline semantics: setting a deadline
-// wakes blocked operations when it expires, and clearing it re-arms them.
-// It follows the same pattern as net.Pipe's internal pipeDeadline.
-type connDeadline struct {
-	mu     sync.Mutex
-	timer  *time.Timer
-	cancel chan struct{}
-}
-
-func makeConnDeadline() connDeadline {
-	return connDeadline{cancel: make(chan struct{})}
-}
-
-// set arms the deadline at t; the zero time disarms it.
-func (d *connDeadline) set(t time.Time) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	if d.timer != nil && !d.timer.Stop() {
-		<-d.cancel // the timer fired; drain is safe because we re-make below
-	}
-	d.timer = nil
-
-	// Determine state: closed channel means "expired".
-	closed := isClosedChan(d.cancel)
-
-	if t.IsZero() {
-		if closed {
-			d.cancel = make(chan struct{})
-		}
-		return
-	}
-
-	if dur := time.Until(t); dur > 0 {
-		if closed {
-			d.cancel = make(chan struct{})
-		}
-		cancel := d.cancel
-		d.timer = time.AfterFunc(dur, func() { close(cancel) })
-		return
-	}
-
-	// Deadline already passed.
-	if !closed {
-		close(d.cancel)
-	}
-}
-
-// wait returns a channel that is closed while the deadline is expired.
-func (d *connDeadline) wait() chan struct{} {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cancel
-}
-
-func isClosedChan(c <-chan struct{}) bool {
-	select {
-	case <-c:
-		return true
-	default:
-		return false
-	}
-}
-
 // conn is one endpoint of a simulated connection.
 type conn struct {
 	localHost  *Host
@@ -428,36 +353,16 @@ type conn struct {
 
 	peer      *conn
 	initiator bool // true on the dialing side (counts toward the limit)
-
-	readDeadline  connDeadline
-	writeDeadline connDeadline
-
-	done chan struct{}
-	once sync.Once
 }
 
 var _ net.Conn = (*conn)(nil)
-
-func newConn(local, remote *Host, laddr, raddr Addr, rd, wr *stream) *conn {
-	return &conn{
-		localHost:     local,
-		remoteHost:    remote,
-		localAddr:     laddr,
-		remoteAddr:    raddr,
-		rd:            rd,
-		wr:            wr,
-		readDeadline:  makeConnDeadline(),
-		writeDeadline: makeConnDeadline(),
-		done:          make(chan struct{}),
-	}
-}
 
 // Read implements net.Conn.
 func (c *conn) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	n, err := c.rd.read(p, c.readDeadline.wait(), c.done)
+	n, err := c.rd.read(p)
 	if err != nil && err != io.EOF && err != os.ErrDeadlineExceeded {
 		err = &net.OpError{Op: "read", Net: "sim", Addr: c.remoteAddr, Err: err}
 	}
@@ -466,7 +371,7 @@ func (c *conn) Read(p []byte) (int, error) {
 
 // Write implements net.Conn.
 func (c *conn) Write(p []byte) (int, error) {
-	n, err := c.wr.write(p, c.writeDeadline.wait(), c.done)
+	n, err := c.wr.write(p)
 	if err != nil && err != os.ErrDeadlineExceeded {
 		err = &net.OpError{Op: "write", Net: "sim", Addr: c.remoteAddr, Err: err}
 	}
@@ -474,16 +379,13 @@ func (c *conn) Write(p []byte) (int, error) {
 }
 
 // Close implements net.Conn. Data already written remains readable by the
-// peer (followed by EOF), as with a TCP FIN.
+// peer (followed by EOF), as with a TCP FIN. Closing twice is harmless.
 func (c *conn) Close() error {
-	c.once.Do(func() {
-		close(c.done)
-		c.wr.closeWrite() // peer sees EOF after draining buffered data
-		c.rd.closeRead()  // peer writes fail fast
-		// Either side closing frees the connection slot on both hosts.
-		c.localHost.dropConn(c)
-		c.remoteHost.dropConn(c.peer)
-	})
+	c.wr.closeWrite() // peer sees EOF after draining buffered data
+	c.rd.closeRead()  // local reads fail; peer writes fail fast
+	// Either side closing frees the connection slot on both hosts.
+	c.localHost.dropConn(c)
+	c.remoteHost.dropConn(c.peer)
 	return nil
 }
 
@@ -495,19 +397,19 @@ func (c *conn) RemoteAddr() net.Addr { return c.remoteAddr }
 
 // SetDeadline implements net.Conn.
 func (c *conn) SetDeadline(t time.Time) error {
-	c.readDeadline.set(t)
-	c.writeDeadline.set(t)
+	c.rd.setReadDeadline(t)
+	c.wr.setWriteDeadline(t)
 	return nil
 }
 
 // SetReadDeadline implements net.Conn.
 func (c *conn) SetReadDeadline(t time.Time) error {
-	c.readDeadline.set(t)
+	c.rd.setReadDeadline(t)
 	return nil
 }
 
 // SetWriteDeadline implements net.Conn.
 func (c *conn) SetWriteDeadline(t time.Time) error {
-	c.writeDeadline.set(t)
+	c.wr.setWriteDeadline(t)
 	return nil
 }

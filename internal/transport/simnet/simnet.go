@@ -14,9 +14,11 @@
 //   - a latency model: one-way propagation delay, optional jitter, and
 //     per-connection serialization bandwidth.
 //
-// Connections are goroutine-free: latency is applied on the receive path by
-// stamping every chunk with an arrival time, so a 10,000-stage cluster costs
-// no scheduler overhead beyond the stages themselves.
+// Connections are goroutine-free: a connection is two mutex-guarded byte
+// buffers, and latency is applied by stamping every write with an arrival
+// time that one network-wide scheduler goroutine honours, so a 10,000-stage
+// cluster costs no scheduler overhead beyond the stages themselves. A network
+// with no latency model configured never reads the clock on a write.
 package simnet
 
 import (
@@ -33,16 +35,14 @@ import (
 	"github.com/dsrhaslab/sdscale/internal/transport"
 )
 
-// Default configuration values.
-const (
-	// DefaultMaxConns mirrors the per-node connection limit the paper
-	// observed on Frontera (§IV-A). It applies to connections a host
-	// initiates: the pool a controller maintains toward its children.
-	DefaultMaxConns = 2500
-	// DefaultQueue is the per-direction in-flight chunk budget before
-	// writers block (backpressure).
-	DefaultQueue = 64
-)
+// DefaultMaxConns mirrors the per-node connection limit the paper observed
+// on Frontera (§IV-A). It applies to connections a host initiates: the pool a
+// controller maintains toward its children.
+const DefaultMaxConns = 2500
+
+// maxBacklog is how many dialed connections a listener holds for Accept
+// before Dial fails with ErrBacklogFull.
+const maxBacklog = 4096
 
 // Errors returned by simnet operations.
 var (
@@ -83,11 +83,6 @@ type Config struct {
 	// MaxConnsPerHost limits concurrent connections per host. Zero selects
 	// DefaultMaxConns; negative disables the limit.
 	MaxConnsPerHost int
-	// Queue is retained for configuration compatibility. Streams now use
-	// unbounded queues with central scheduled delivery, so it has no
-	// effect; control-plane backpressure comes from the request/response
-	// protocol above the transport.
-	Queue int
 	// Seed seeds the jitter generator; zero selects a fixed seed so runs
 	// are reproducible by default.
 	Seed int64
@@ -100,9 +95,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxConnsPerHost == 0 {
 		c.MaxConnsPerHost = DefaultMaxConns
 	}
-	if c.Queue <= 0 {
-		c.Queue = DefaultQueue
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -113,6 +105,10 @@ func (c Config) withDefaults() Config {
 // latency model.
 type Net struct {
 	cfg Config
+	// timed is whether any part of the latency model is configured. Without
+	// one every write is readable at once, so writes skip the clock, the
+	// processors and the scheduler altogether.
+	timed bool
 
 	sched *scheduler
 
@@ -126,6 +122,7 @@ func New(cfg Config) *Net {
 	cfg = cfg.withDefaults()
 	return &Net{
 		cfg:   cfg,
+		timed: cfg.PropDelay > 0 || cfg.Jitter > 0 || cfg.Bandwidth > 0 || cfg.ProcTime > 0 || cfg.ProcPerByte > 0,
 		sched: newScheduler(),
 		hosts: make(map[string]*Host),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
@@ -340,10 +337,9 @@ func (h *Host) Listen(addr string) (net.Listener, error) {
 		return nil, fmt.Errorf("simnet: %s:%d already in use", h.name, port)
 	}
 	l := &listener{
-		host:    h,
-		addr:    Addr{Host: h.name, Port: port},
-		backlog: make(chan *conn, 4096),
-		done:    make(chan struct{}),
+		host:  h,
+		addr:  Addr{Host: h.name, Port: port},
+		ready: make(chan struct{}, 1),
 	}
 	h.listeners[port] = l
 	return l, nil
@@ -414,9 +410,14 @@ func (h *Host) connect(remote *Host, port int) (local, peer *conn, err error) {
 	up := newStream(h.net, h, remote)   // local writes -> remote reads
 	down := newStream(h.net, remote, h) // remote writes -> local reads
 
-	local = newConn(h, remote, localAddr, remoteAddr, down, up)
-	local.initiator = true
-	peer = newConn(remote, h, remoteAddr, localAddr, up, down)
+	local = &conn{
+		localHost: h, remoteHost: remote, localAddr: localAddr, remoteAddr: remoteAddr,
+		rd: down, wr: up, initiator: true,
+	}
+	peer = &conn{
+		localHost: remote, remoteHost: h, localAddr: remoteAddr, remoteAddr: localAddr,
+		rd: up, wr: down,
+	}
 	local.peer, peer.peer = peer, local
 
 	h.conns[local] = struct{}{}
@@ -456,16 +457,18 @@ func (a Addr) String() string {
 	return a.Host + ":" + strconv.Itoa(a.Port)
 }
 
-// listener implements net.Listener for a simulated host port.
+// listener implements net.Listener for a simulated host port. Like a
+// stream's reader, Accept waits on ready alone: deliver and Close publish
+// their change under mu and then wake.
 type listener struct {
-	host    *Host
-	addr    Addr
-	backlog chan *conn
-	done    chan struct{}
-	once    sync.Once
+	host *Host
+	addr Addr
 
-	mu     sync.Mutex // guards closed and the deliver/drain handoff
-	closed bool
+	mu      sync.Mutex
+	backlog []*conn // dialed, not yet accepted
+	closed  bool
+
+	ready chan struct{} // 1-buffered wakeup for Accept
 }
 
 // deliver hands a dialed connection to the accept queue. The lock makes
@@ -473,25 +476,45 @@ type listener struct {
 // stranded (and silently open) in the backlog of a closed listener.
 func (l *listener) deliver(c *conn) error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	switch {
+	case l.closed:
+		l.mu.Unlock()
 		return ErrConnRefused
-	}
-	select {
-	case l.backlog <- c:
-		return nil
-	default:
+	case len(l.backlog) >= maxBacklog:
+		l.mu.Unlock()
 		return ErrBacklogFull
 	}
+	l.backlog = append(l.backlog, c)
+	l.mu.Unlock()
+	wake(l.ready)
+	return nil
 }
 
 // Accept implements net.Listener.
 func (l *listener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.backlog:
-		return c, nil
-	case <-l.done:
-		return nil, net.ErrClosed
+	for {
+		l.mu.Lock()
+		if len(l.backlog) > 0 {
+			c := l.backlog[0]
+			l.backlog[0] = nil
+			l.backlog = l.backlog[1:]
+			more := len(l.backlog) > 0
+			if !more {
+				l.backlog = nil // an idle listener holds no queue
+			}
+			l.mu.Unlock()
+			if more {
+				wake(l.ready) // in case another Accept is blocked too
+			}
+			return c, nil
+		}
+		closed := l.closed
+		l.mu.Unlock()
+		if closed {
+			wake(l.ready) // closed stays closed: pass the wakeup on
+			return nil, net.ErrClosed
+		}
+		<-l.ready
 	}
 }
 
@@ -499,23 +522,22 @@ func (l *listener) Accept() (net.Conn, error) {
 // are severed: their dialers would otherwise hang on a peer no one will
 // ever accept.
 func (l *listener) Close() error {
-	l.once.Do(func() {
-		l.mu.Lock()
-		l.closed = true
+	l.mu.Lock()
+	if l.closed {
 		l.mu.Unlock()
-		close(l.done)
-		l.host.mu.Lock()
-		delete(l.host.listeners, l.addr.Port)
-		l.host.mu.Unlock()
-		for {
-			select {
-			case c := <-l.backlog:
-				c.Close()
-			default:
-				return
-			}
-		}
-	})
+		return nil
+	}
+	l.closed = true
+	stranded := l.backlog
+	l.backlog = nil
+	l.mu.Unlock()
+	wake(l.ready)
+	l.host.mu.Lock()
+	delete(l.host.listeners, l.addr.Port)
+	l.host.mu.Unlock()
+	for _, c := range stranded {
+		c.Close()
+	}
 	return nil
 }
 

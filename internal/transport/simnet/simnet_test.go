@@ -333,7 +333,7 @@ func TestProcPerByteChargesLargeMessages(t *testing.T) {
 
 func TestBandwidthSerialization(t *testing.T) {
 	// 1 MB at 10 MB/s should take >= 100ms to arrive.
-	n := New(Config{PropDelay: -1, Bandwidth: 10e6, Queue: 1024})
+	n := New(Config{PropDelay: -1, Bandwidth: 10e6})
 	c, s := pair(t, n)
 
 	go func() {
@@ -561,6 +561,74 @@ func TestListenerClose(t *testing.T) {
 	}
 }
 
+// The accept queue is bounded: a full one refuses the dial (and leaves no
+// half-open connection behind), and Accept frees a slot.
+func TestListenerBacklogLimit(t *testing.T) {
+	n := New(Config{PropDelay: -1, MaxConnsPerHost: -1})
+	l, err := n.Host("server").Listen(":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cli := n.Host("client")
+	ctx := context.Background()
+	for i := 0; i < maxBacklog; i++ {
+		if _, err := cli.Dial(ctx, l.Addr().String()); err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+	}
+	if _, err := cli.Dial(ctx, l.Addr().String()); !errors.Is(err, ErrBacklogFull) {
+		t.Fatalf("dial into a full backlog = %v, want ErrBacklogFull", err)
+	}
+	if got := cli.ConnCount(); got != maxBacklog {
+		t.Fatalf("client holds %d conns after a refused dial, want %d", got, maxBacklog)
+	}
+	if _, err := l.Accept(); err != nil {
+		t.Fatalf("Accept: %v", err)
+	}
+	if _, err := cli.Dial(ctx, l.Addr().String()); err != nil {
+		t.Fatalf("dial after Accept freed a slot: %v", err)
+	}
+}
+
+// Accept waits on a 1-buffered channel, so one Close (or one burst of dials)
+// must still reach every goroutine blocked in Accept.
+func TestListenerWakesEveryAccept(t *testing.T) {
+	n := New(fastCfg())
+	l, err := n.Host("server").Listen(":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const accepters = 4
+	results := make(chan error, accepters)
+	accept := func() {
+		_, err := l.Accept()
+		results <- err
+	}
+	for i := 0; i < accepters; i++ {
+		go accept()
+	}
+	for i := 0; i < accepters; i++ {
+		if _, err := n.Host("client").Dial(context.Background(), l.Addr().String()); err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+	}
+	for i := 0; i < accepters; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("Accept %d: %v", i, err)
+		}
+	}
+	for i := 0; i < accepters; i++ {
+		go accept()
+	}
+	l.Close()
+	for i := 0; i < accepters; i++ {
+		if err := <-results; !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("Accept after Close = %v, want net.ErrClosed", err)
+		}
+	}
+}
+
 func TestListenErrors(t *testing.T) {
 	n := New(fastCfg())
 	h := n.Host("h")
@@ -695,6 +763,191 @@ func TestStreamOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// blockedRead starts a Read of one byte on c and returns the channel its
+// error arrives on. The pause is not needed for correctness — every case
+// below must hold whether or not the Read has parked yet, and -count=10
+// under the race detector sees both orders — it only makes the parked
+// reader, the case the set-flag-then-wake rule exists for, the common one.
+func blockedRead(c net.Conn) <-chan error {
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 1))
+		errc <- err
+	}()
+	time.Sleep(2 * time.Millisecond)
+	return errc
+}
+
+// wantReadErr waits for a blocked Read to fail with want.
+func wantReadErr(t *testing.T, errc <-chan error, want error) {
+	t.Helper()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, want) {
+			t.Fatalf("Read = %v, want %v", err, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("blocked Read was never woken (want %v)", want)
+	}
+}
+
+// TestStreamContract pins what a simnet connection promises as a net.Conn.
+// A blocked reader waits on one channel, and each event below reaches it as
+// a flag set before that channel is signalled; a case that hangs here is a
+// flag set after its wake, or not re-checked.
+func TestStreamContract(t *testing.T) {
+	timed := Config{PropDelay: 3 * time.Millisecond}
+	cases := []struct {
+		name string
+		cfg  Config
+		run  func(t *testing.T, c, s net.Conn)
+	}{
+		{"blocked read woken by a deadline in the past", fastCfg(), func(t *testing.T, c, _ net.Conn) {
+			errc := blockedRead(c)
+			c.SetReadDeadline(time.Now().Add(-time.Second))
+			wantReadErr(t, errc, os.ErrDeadlineExceeded)
+		}},
+		{"blocked read woken by a future deadline expiring", fastCfg(), func(t *testing.T, c, _ net.Conn) {
+			errc := blockedRead(c)
+			c.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
+			wantReadErr(t, errc, os.ErrDeadlineExceeded)
+		}},
+		{"moving a deadline disarms the old one", fastCfg(), func(t *testing.T, c, s net.Conn) {
+			c.SetReadDeadline(time.Now().Add(5 * time.Millisecond))
+			c.SetReadDeadline(time.Now().Add(time.Hour))
+			errc := blockedRead(c)
+			time.Sleep(10 * time.Millisecond) // past the first deadline
+			s.Write([]byte("k"))
+			if err := <-errc; err != nil {
+				t.Fatalf("Read = %v after its deadline was moved out", err)
+			}
+		}},
+		{"blocked read woken by local close", fastCfg(), func(t *testing.T, c, _ net.Conn) {
+			errc := blockedRead(c)
+			c.Close()
+			wantReadErr(t, errc, net.ErrClosed)
+		}},
+		{"blocked read woken by peer close", fastCfg(), func(t *testing.T, c, s net.Conn) {
+			errc := blockedRead(c)
+			s.Close()
+			wantReadErr(t, errc, io.EOF)
+		}},
+		{"peer close is EOF only after scheduled deliveries are read", timed, func(t *testing.T, c, s net.Conn) {
+			got := make(chan []byte, 1)
+			go func() {
+				b, err := io.ReadAll(c)
+				if err != nil {
+					t.Errorf("ReadAll: %v", err)
+				}
+				got <- b
+			}()
+			time.Sleep(2 * time.Millisecond) // as in blockedRead
+			for _, chunk := range []string{"still ", "in ", "flight"} {
+				if _, err := s.Write([]byte(chunk)); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+			}
+			s.Close() // all three writes are still scheduled
+			if b := <-got; string(b) != "still in flight" {
+				t.Fatalf("read %q before EOF, want every byte written before the close", b)
+			}
+		}},
+		{"clearing an expired deadline re-arms read", fastCfg(), func(t *testing.T, c, s net.Conn) {
+			c.SetReadDeadline(time.Now().Add(-time.Second))
+			if _, err := c.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("Read = %v, want deadline exceeded", err)
+			}
+			c.SetReadDeadline(time.Time{})
+			errc := blockedRead(c)
+			s.Write([]byte("k"))
+			if err := <-errc; err != nil {
+				t.Fatalf("Read after clearing the deadline: %v", err)
+			}
+		}},
+		{"write after peer close fails", fastCfg(), func(t *testing.T, c, s net.Conn) {
+			s.Close()
+			if _, err := c.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("Write to a closed peer = %v, want io.ErrClosedPipe", err)
+			}
+		}},
+		{"write past its deadline fails until the deadline is cleared", fastCfg(), func(t *testing.T, c, _ net.Conn) {
+			c.SetWriteDeadline(time.Now().Add(-time.Second))
+			if _, err := c.Write([]byte("x")); !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("Write = %v, want deadline exceeded", err)
+			}
+			c.SetWriteDeadline(time.Time{})
+			if _, err := c.Write([]byte("x")); err != nil {
+				t.Fatalf("Write after clearing the deadline: %v", err)
+			}
+		}},
+		{"one read may return two writes and ReadFull reassembles", fastCfg(), func(t *testing.T, c, s net.Conn) {
+			c.Write([]byte("abc"))
+			c.Write([]byte("def"))
+			buf := make([]byte, 16)
+			if n, err := s.Read(buf); err != nil || string(buf[:n]) != "abcdef" {
+				t.Fatalf("Read = %q, %v; want both writes at once", buf[:n], err)
+			}
+			c.Write([]byte("gh"))
+			c.Write([]byte("ijk"))
+			// A frame reader's pattern: fixed-size reads that straddle writes.
+			for _, want := range []string{"ghi", "jk"} {
+				part := make([]byte, len(want))
+				if _, err := io.ReadFull(s, part); err != nil || string(part) != want {
+					t.Fatalf("ReadFull = %q, %v; want %q", part, err, want)
+				}
+			}
+		}},
+		{"a large write is not pinned once drained", fastCfg(), func(t *testing.T, c, s net.Conn) {
+			big := make([]byte, maxIdleBuf+1)
+			go c.Write(big)
+			if _, err := io.ReadFull(s, big); err != nil {
+				t.Fatalf("ReadFull: %v", err)
+			}
+			rd := s.(*conn).rd
+			rd.mu.Lock()
+			kept := cap(rd.buf)
+			rd.mu.Unlock()
+			if kept > maxIdleBuf {
+				t.Fatalf("drained stream keeps a %d-byte buffer, want <= %d", kept, maxIdleBuf)
+			}
+			go c.Write([]byte("after"))
+			if _, err := io.ReadFull(s, big[:5]); err != nil || string(big[:5]) != "after" {
+				t.Fatalf("read after the large write = %q, %v", big[:5], err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, s := pair(t, New(tc.cfg))
+			tc.run(t, c, s)
+		})
+	}
+}
+
+// TestJitterKeepsByteOrder: jitter makes arrival times non-monotonic, and a
+// connection must deliver its bytes in write order all the same — on an rpc
+// connection a swapped pair is two swapped frames and a desynchronised
+// float history.
+func TestJitterKeepsByteOrder(t *testing.T) {
+	n := New(Config{PropDelay: time.Millisecond, Jitter: 2 * time.Millisecond})
+	c, s := pair(t, n)
+	const writes = 200
+	for i := 0; i < writes; i++ {
+		if _, err := c.Write([]byte{byte(i)}); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	got := make([]byte, writes)
+	if _, err := io.ReadFull(s, got); err != nil {
+		t.Fatalf("ReadFull: %v", err)
+	}
+	for i, b := range got {
+		if b != byte(i) {
+			t.Fatalf("byte %d read back is byte %d of the stream: jitter reordered the connection", i, b)
+		}
 	}
 }
 

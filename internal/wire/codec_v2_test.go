@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -75,6 +76,34 @@ func TestFloat64V2History(t *testing.T) {
 	}
 	// Message 4 follows an empty message, so its history is empty again and
 	// it must still round-trip (checked above) at the stateless size.
+}
+
+// TestFloatHistoryGrowsByType: a history's per-type table is grown on first
+// use, so the first message on a fresh pair of histories being the
+// highest-numbered type, or a corrupt type byte reaching the decoder's
+// history, must neither panic nor change what is decoded afterwards.
+func TestFloatHistoryGrowsByType(t *testing.T) {
+	eh, dh := NewFloatHistory(), NewFloatHistory()
+	opts := &DecodeOpts{Version: CodecV2, Hist: dh}
+	msgs := []Message{
+		&ShardMap{Epoch: 3, Entries: []ShardEntry{{Index: 1, Epoch: 3, Children: 10, Addr: "s1:1"}}},
+		&CollectReply{Cycle: 1, Reports: []StageReport{{StageID: 7, JobID: 1, Demand: Rates{100, 3.5}, Usage: Rates{90, 3.5}}}},
+		&CollectReply{Cycle: 2, Reports: []StageReport{{StageID: 7, JobID: 1, Demand: Rates{101, 3.5}, Usage: Rates{90, 3.5}}}},
+	}
+	for i, m := range msgs {
+		got, err := DecodeWith(EncodeWith(nil, m, CodecV2, eh), opts)
+		if err != nil || !reflect.DeepEqual(got, m) {
+			t.Fatalf("msg %d: got %+v, %v; want %+v", i, got, err, m)
+		}
+		// Between real messages, frames whose type byte names no message:
+		// refused as before, and the history of the real types is untouched
+		// (message 2 above delta-codes against message 1 across them).
+		for _, unknown := range []byte{0, byte(TShardMap) + 1, 0xFF} {
+			if m, err := DecodeWith([]byte{unknown}, opts); err == nil {
+				t.Fatalf("type byte %d decoded as %T", unknown, m)
+			}
+		}
+	}
 }
 
 // TestFloat64V2StatelessRejectsHistoryTags: a history tag arriving on a

@@ -85,7 +85,9 @@ const maxIntFloat = 1 << 53
 //
 // A FloatHistory is not safe for concurrent use.
 type FloatHistory struct {
-	types map[MsgType]*typeHist
+	// types is indexed by message type and grown on first use: a type is one
+	// byte, so even a corrupt one grows it to 256 entries at most.
+	types []*typeHist
 }
 
 // typeHist is one message type's history: the float sequence of the previous
@@ -95,11 +97,12 @@ type typeHist struct {
 }
 
 // NewFloatHistory returns an empty history.
-func NewFloatHistory() *FloatHistory {
-	return &FloatHistory{types: make(map[MsgType]*typeHist)}
-}
+func NewFloatHistory() *FloatHistory { return &FloatHistory{} }
 
 func (h *FloatHistory) get(t MsgType) *typeHist {
+	if int(t) >= len(h.types) {
+		h.types = append(h.types, make([]*typeHist, int(t)+1-len(h.types))...)
+	}
 	th := h.types[t]
 	if th == nil {
 		th = &typeHist{}
