@@ -39,7 +39,9 @@ type TraceBreakRow struct {
 	// server). Sums across calls — Wait exceeds Wall when calls overlap.
 	Marshal, Dispatch, Wait time.Duration
 	// ServerCalls, ServerQueue, and ServerHandler are the stage-side view:
-	// request count, summed queue wait, and summed handler time.
+	// request count, summed queue wait, and summed handler time. Stage
+	// servers answer on the goroutine that read the request, so the queue
+	// wait is 0 by construction.
 	ServerCalls                uint64
 	ServerQueue, ServerHandler time.Duration
 	// SharedSends and SharedEncodes come from the controllers'

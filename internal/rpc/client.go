@@ -250,15 +250,7 @@ func Dial(ctx context.Context, network transport.Network, addr string, opts Dial
 	if err != nil {
 		return nil, err
 	}
-	c := NewClient(transport.WithMeter(conn, opts.Meter))
-	c.cpu = opts.CPU
-	c.tracer, c.spanTag = opts.Tracer, opts.SpanTag
-	if opts.MaxCodec != 0 {
-		c.maxCodec = opts.MaxCodec
-	}
-	c.reuseReplies = opts.ReuseReplies
-	c.reuseHits = opts.ReuseHits
-	c.onPush = opts.OnPush
+	c := newClient(transport.WithMeter(conn, opts.Meter), opts)
 	if c.maxCodec >= wire.CodecV2 {
 		c.sendHello()
 	}
@@ -268,12 +260,25 @@ func Dial(ctx context.Context, network transport.Network, addr string, opts Dial
 // NewClient wraps an established connection as an RPC client and starts its
 // read loop. The client takes ownership of conn. Clients built directly
 // (rather than via Dial) stay on the v1 codec.
-func NewClient(conn net.Conn) *Client {
+func NewClient(conn net.Conn) *Client { return newClient(conn, DialOptions{}) }
+
+// newClient builds the client completely and only then starts its read loop,
+// which reads every field set from opts.
+func newClient(conn net.Conn, opts DialOptions) *Client {
 	c := &Client{
-		conn:     conn,
-		pending:  make(map[uint64]*Call),
-		maxCodec: wire.MaxCodec,
-		done:     make(chan struct{}),
+		conn:         conn,
+		cpu:          opts.CPU,
+		tracer:       opts.Tracer,
+		spanTag:      opts.SpanTag,
+		pending:      make(map[uint64]*Call),
+		maxCodec:     wire.MaxCodec,
+		reuseReplies: opts.ReuseReplies,
+		reuseHits:    opts.ReuseHits,
+		onPush:       opts.OnPush,
+		done:         make(chan struct{}),
+	}
+	if opts.MaxCodec != 0 {
+		c.maxCodec = opts.MaxCodec
 	}
 	c.codec.Store(wire.CodecV1)
 	go c.readLoop()

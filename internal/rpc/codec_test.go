@@ -4,10 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/dsrhaslab/sdscale/internal/trace"
+	"github.com/dsrhaslab/sdscale/internal/transport"
 	"github.com/dsrhaslab/sdscale/internal/transport/simnet"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
@@ -34,49 +38,56 @@ func codecSetup(t *testing.T, h Handler, sopts ServerOptions, dopts DialOptions)
 // the v2 codec, and calls keep round-tripping before, across, and after the
 // upgrade (the hello ack can race the first request).
 func TestCodecNegotiationUpgrades(t *testing.T) {
-	_, cli := codecSetup(t, &echoHandler{}, ServerOptions{}, DialOptions{})
-	for i := uint64(1); i <= 5; i++ {
-		resp, err := cli.Call(context.Background(), &wire.Collect{Cycle: i})
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+		for i := uint64(1); i <= 5; i++ {
+			resp, err := cli.Call(context.Background(), &wire.Collect{Cycle: i})
+			if err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+			if r := resp.(*wire.CollectReply); r.Cycle != i {
+				t.Fatalf("call %d: cycle %d", i, r.Cycle)
+			}
 		}
-		if r := resp.(*wire.CollectReply); r.Cycle != i {
-			t.Fatalf("call %d: cycle %d", i, r.Cycle)
+		waitFor(t, "codec upgrade to v2", func() bool {
+			return cli.CodecVersion() == wire.CodecV2
+		})
+		if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: 99}); err != nil {
+			t.Fatalf("post-upgrade call: %v", err)
 		}
-	}
-	waitFor(t, "codec upgrade to v2", func() bool {
-		return cli.CodecVersion() == wire.CodecV2
 	})
-	if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: 99}); err != nil {
-		t.Fatalf("post-upgrade call: %v", err)
-	}
 }
 
 // TestCodecNegotiationV1Client: a client pinned to v1 sends no hello and
 // stays on v1 against a v2 server.
 func TestCodecNegotiationV1Client(t *testing.T) {
-	_, cli := codecSetup(t, &echoHandler{}, ServerOptions{}, DialOptions{MaxCodec: 1})
-	if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
-		t.Fatal(err)
-	}
-	if v := cli.CodecVersion(); v != wire.CodecV1 {
-		t.Fatalf("pinned client negotiated v%d", v)
-	}
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{MaxCodec: 1})
+		if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
+			t.Fatal(err)
+		}
+		if v := cli.CodecVersion(); v != wire.CodecV1 {
+			t.Fatalf("pinned client negotiated v%d", v)
+		}
+	})
 }
 
 // TestCodecNegotiationV1Server: a server pinned to v1 ignores the client's
 // hello — exactly what a pre-v2 server does with an unknown frame kind — so
 // the client never upgrades, and calls still work.
 func TestCodecNegotiationV1Server(t *testing.T) {
-	_, cli := codecSetup(t, &echoHandler{}, ServerOptions{MaxCodec: 1}, DialOptions{})
-	for i := uint64(1); i <= 3; i++ {
-		if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: i}); err != nil {
-			t.Fatalf("call %d: %v", i, err)
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		sopts.MaxCodec = 1
+		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+		for i := uint64(1); i <= 3; i++ {
+			if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: i}); err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
 		}
-	}
-	if v := cli.CodecVersion(); v != wire.CodecV1 {
-		t.Fatalf("client negotiated v%d against a v1 server", v)
-	}
+		if v := cli.CodecVersion(); v != wire.CodecV1 {
+			t.Fatalf("client negotiated v%d against a v1 server", v)
+		}
+	})
 }
 
 // floatHandler returns replies with float-heavy payloads so the v2 response
@@ -96,31 +107,33 @@ func (floatHandler) Serve(_ *Peer, req wire.Message) (wire.Message, error) {
 // upgraded connection: the delta-coded response history must reconstruct
 // every value exactly, including across repeated and changing payloads.
 func TestCodecV2FloatDataCorrectness(t *testing.T) {
-	_, cli := codecSetup(t, floatHandler{}, ServerOptions{}, DialOptions{})
-	waitFor(t, "codec upgrade to v2", func() bool {
-		return cli.CodecVersion() == wire.CodecV2
-	})
-	for i := 0; i < 50; i++ {
-		cycle := uint64(i/10 + 1) // repeats make the history hit f2Same runs
-		resp, err := cli.Call(context.Background(), &wire.Collect{Cycle: cycle})
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		r := resp.(*wire.CollectReply)
-		f := float64(cycle)
-		want := []wire.StageReport{
-			{StageID: 1, JobID: 1, Demand: wire.Rates{f * 1.5, 100}, Usage: wire.Rates{f, 99.25}},
-			{StageID: 2, JobID: 1, Demand: wire.Rates{f * 1.5, 100}, Usage: wire.Rates{f, 0}},
-		}
-		if len(r.Reports) != len(want) {
-			t.Fatalf("call %d: %d reports", i, len(r.Reports))
-		}
-		for j := range want {
-			if r.Reports[j] != want[j] {
-				t.Fatalf("call %d report %d: got %+v, want %+v", i, j, r.Reports[j], want[j])
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		_, cli := codecSetup(t, floatHandler{}, sopts, DialOptions{})
+		waitFor(t, "codec upgrade to v2", func() bool {
+			return cli.CodecVersion() == wire.CodecV2
+		})
+		for i := 0; i < 50; i++ {
+			cycle := uint64(i/10 + 1) // repeats make the history hit f2Same runs
+			resp, err := cli.Call(context.Background(), &wire.Collect{Cycle: cycle})
+			if err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+			r := resp.(*wire.CollectReply)
+			f := float64(cycle)
+			want := []wire.StageReport{
+				{StageID: 1, JobID: 1, Demand: wire.Rates{f * 1.5, 100}, Usage: wire.Rates{f, 99.25}},
+				{StageID: 2, JobID: 1, Demand: wire.Rates{f * 1.5, 100}, Usage: wire.Rates{f, 0}},
+			}
+			if len(r.Reports) != len(want) {
+				t.Fatalf("call %d: %d reports", i, len(r.Reports))
+			}
+			for j := range want {
+				if r.Reports[j] != want[j] {
+					t.Fatalf("call %d report %d: got %+v, want %+v", i, j, r.Reports[j], want[j])
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestReplyReuseContract: with ReuseReplies on, successive replies of the
@@ -156,20 +169,22 @@ func TestReplyReuseContract(t *testing.T) {
 // TestRequestReuseFreelist: with ReuseRequests on, the server decodes
 // successive requests of one type into a recycled message.
 func TestRequestReuseFreelist(t *testing.T) {
-	var hits atomic.Uint64
-	_, cli := codecSetup(t, &echoHandler{},
-		ServerOptions{ReuseRequests: true, ReuseHits: &hits}, DialOptions{})
-	waitFor(t, "codec upgrade to v2", func() bool {
-		return cli.CodecVersion() == wire.CodecV2
-	})
-	for i := uint64(1); i <= 10; i++ {
-		if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: i}); err != nil {
-			t.Fatalf("call %d: %v", i, err)
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		var hits atomic.Uint64
+		sopts.ReuseRequests, sopts.ReuseHits = true, &hits
+		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+		waitFor(t, "codec upgrade to v2", func() bool {
+			return cli.CodecVersion() == wire.CodecV2
+		})
+		for i := uint64(1); i <= 10; i++ {
+			if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: i}); err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
 		}
-	}
-	if hits.Load() == 0 {
-		t.Fatal("no request freelist hits counted")
-	}
+		if hits.Load() == 0 {
+			t.Fatal("no request freelist hits counted")
+		}
+	})
 }
 
 // TestReuseTablesGrowOnFirstUse: the per-connection reuse tables are slices
@@ -240,10 +255,6 @@ func TestReuseTablesGrowOnFirstUse(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// Speak only after the client's hello, as a server does.
-			if _, _, _, err := readFrame(c, nil); err != nil {
-				return
-			}
 			_, _ = c.Write(appendSharedFrame(nil, frameHeader{id: 1, kind: kind}, []byte{0xFF}))
 		}()
 		victim, err := Dial(ctx, n.Host("victim"), l.Addr().String(),
@@ -257,5 +268,90 @@ func TestReuseTablesGrowOnFirstUse(t *testing.T) {
 		}
 		victim.Close()
 		l.Close()
+	}
+}
+
+// gatedNet dials connections that hold back every client write — Dial's hello
+// is the first — until the client's read loop has consumed the first `eager`
+// bytes the server sent and come back for more.
+type gatedNet struct {
+	transport.Network
+	eager int
+}
+
+func (g gatedNet) Dial(ctx context.Context, addr string) (net.Conn, error) {
+	c, err := g.Network.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, left: g.eager, consumed: make(chan struct{})}, nil
+}
+
+type gatedConn struct {
+	net.Conn
+	left     int // read loop only
+	consumed chan struct{}
+}
+
+func (c *gatedConn) Read(p []byte) (int, error) {
+	if c.left == 0 {
+		close(c.consumed)
+		c.left = -1
+	}
+	n, err := c.Conn.Read(p)
+	if c.left > 0 {
+		c.left -= n
+	}
+	return n, err
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	select {
+	case <-c.consumed:
+	case <-time.After(5 * time.Second): // the test then fails on what it waits for
+	}
+	return c.Conn.Write(p)
+}
+
+// TestDialBuildsClientBeforeReading: a server that speaks before it reads —
+// here a push frame and a v2 response written the moment the connection is
+// accepted — reaches the client's read loop while Dial is still running. The
+// loop reads the push callback, the reply-reuse settings and the tracer, so
+// Dial must have set them all before it starts the loop. The gate makes the
+// loop process both frames before Dial gets as far as its hello, so that
+// under -race a Dial that sets a field after starting the loop is always
+// reported, not only when the scheduler happens to run the loop first.
+func TestDialBuildsClientBeforeReading(t *testing.T) {
+	n := simnet.New(simnet.Config{PropDelay: -1})
+	l, err := n.Host("eager").Listen(":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	eager := appendFrameWith(nil, frameHeader{kind: kindPush}, &wire.ReportDelta{Seq: 1}, wire.CodecV2, nil)
+	eager = appendFrameWith(eager, frameHeader{id: 99, kind: kindResponseV2}, &wire.CollectReply{Cycle: 1}, wire.CodecV2, wire.NewFloatHistory())
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			_, _ = c.Write(eager)
+		}
+	}()
+	var (
+		hits   atomic.Uint64
+		pushes atomic.Int64
+	)
+	cli, err := Dial(context.Background(), gatedNet{n.Host("client"), len(eager)}, l.Addr().String(), DialOptions{
+		Tracer:       trace.New(16),
+		ReuseReplies: true,
+		ReuseHits:    &hits,
+		OnPush:       func(wire.Message) { pushes.Add(1) },
+	})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cli.Close()
+	// The gate opened, so both frames were read before Dial returned.
+	if pushes.Load() != 1 || cli.LateResponses() != 1 {
+		t.Errorf("read loop saw %d pushes and %d unmatched responses before the hello, want 1 and 1",
+			pushes.Load(), cli.LateResponses())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,52 +55,107 @@ func testSetup(t *testing.T, h Handler) (*simnet.Net, *Server, *Client) {
 	return n, srv, cli
 }
 
+// eachDiscipline runs fn against both serving disciplines. Tests of server
+// behaviour that must not depend on the discipline go through it: an inline
+// server is the same server, observably different only in what a cancel
+// frame can still reach.
+func eachDiscipline(t *testing.T, fn func(t *testing.T, sopts ServerOptions)) {
+	t.Run("queued", func(t *testing.T) { fn(t, ServerOptions{}) })
+	t.Run("inline", func(t *testing.T) { fn(t, ServerOptions{Inline: true}) })
+}
+
 func TestCallRoundTrip(t *testing.T) {
-	_, _, cli := testSetup(t, &echoHandler{})
-	resp, err := cli.Call(context.Background(), &wire.Heartbeat{SentUnixMicros: 77})
-	if err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	ack, ok := resp.(*wire.HeartbeatAck)
-	if !ok {
-		t.Fatalf("response type = %T", resp)
-	}
-	if ack.EchoUnixMicros != 77 {
-		t.Errorf("echo = %d, want 77", ack.EchoUnixMicros)
-	}
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+		resp, err := cli.Call(context.Background(), &wire.Heartbeat{SentUnixMicros: 77})
+		if err != nil {
+			t.Fatalf("Call: %v", err)
+		}
+		ack, ok := resp.(*wire.HeartbeatAck)
+		if !ok {
+			t.Fatalf("response type = %T", resp)
+		}
+		if ack.EchoUnixMicros != 77 {
+			t.Errorf("echo = %d, want 77", ack.EchoUnixMicros)
+		}
+	})
 }
 
 func TestCallRemoteError(t *testing.T) {
-	_, _, cli := testSetup(t, &echoHandler{})
-	_, err := cli.Call(context.Background(), &wire.Enforce{Cycle: 1})
-	var er *wire.ErrorReply
-	if !errors.As(err, &er) {
-		t.Fatalf("Call error = %v, want *wire.ErrorReply", err)
-	}
-	if er.Text != "enforce rejected" {
-		t.Errorf("error text = %q", er.Text)
-	}
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+		_, err := cli.Call(context.Background(), &wire.Enforce{Cycle: 1})
+		var er *wire.ErrorReply
+		if !errors.As(err, &er) {
+			t.Fatalf("Call error = %v, want *wire.ErrorReply", err)
+		}
+		if er.Text != "enforce rejected" {
+			t.Errorf("error text = %q", er.Text)
+		}
+	})
 }
 
 func TestConcurrentCallsMultiplexed(t *testing.T) {
-	_, _, cli := testSetup(t, &echoHandler{})
-	const calls = 100
-	var wg sync.WaitGroup
-	for i := 0; i < calls; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := cli.Call(context.Background(), &wire.Heartbeat{SentUnixMicros: int64(i)})
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+		const calls = 100
+		var wg sync.WaitGroup
+		for i := 0; i < calls; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, err := cli.Call(context.Background(), &wire.Heartbeat{SentUnixMicros: int64(i)})
+				if err != nil {
+					t.Errorf("call %d: %v", i, err)
+					return
+				}
+				if got := resp.(*wire.HeartbeatAck).EchoUnixMicros; got != int64(i) {
+					t.Errorf("call %d echoed %d", i, got)
+				}
+			}(i)
+		}
+		wg.Wait()
+	})
+}
+
+// TestPipelinedBurstOrdered: 1,000 requests pipelined on one connection are
+// dispatched in issue order and each handle gets its own reply, across the
+// hello upgrade that lands somewhere inside the burst.
+func TestPipelinedBurstOrdered(t *testing.T) {
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		const calls = 1000
+		var seen []uint64 // per-connection dispatch is serial, so no lock
+		h := HandlerFunc(func(_ *Peer, req wire.Message) (wire.Message, error) {
+			c := req.(*wire.Collect)
+			seen = append(seen, c.Cycle)
+			return floatHandler{}.Serve(nil, c)
+		})
+		_, cli := codecSetup(t, h, sopts, DialOptions{})
+		ctx := context.Background()
+		handles := make([]*Call, calls)
+		for i := range handles {
+			handles[i] = cli.Go(ctx, &wire.Collect{Cycle: uint64(i + 1)})
+		}
+		for i, call := range handles {
+			resp, err := call.Wait(ctx)
 			if err != nil {
-				t.Errorf("call %d: %v", i, err)
-				return
+				t.Fatalf("call %d: %v", i, err)
 			}
-			if got := resp.(*wire.HeartbeatAck).EchoUnixMicros; got != int64(i) {
-				t.Errorf("call %d echoed %d", i, got)
+			r := resp.(*wire.CollectReply)
+			if r.Cycle != uint64(i+1) || r.Reports[0].Usage[0] != float64(i+1) {
+				t.Fatalf("call %d got cycle %d usage %v", i, r.Cycle, r.Reports[0].Usage[0])
 			}
-		}(i)
-	}
-	wg.Wait()
+		}
+		// The last Wait returned after the last handler ran: seen is quiescent.
+		if len(seen) != calls {
+			t.Fatalf("handler ran %d times, want %d", len(seen), calls)
+		}
+		for i, c := range seen {
+			if c != uint64(i+1) {
+				t.Fatalf("dispatch %d was request %d: out of order", i, c)
+			}
+		}
+	})
 }
 
 func TestCallContextTimeout(t *testing.T) {
@@ -155,28 +211,30 @@ func TestCallsAfterClientClose(t *testing.T) {
 }
 
 func TestPeerAttachment(t *testing.T) {
-	var got atomic.Value
-	h := HandlerFunc(func(peer *Peer, req wire.Message) (wire.Message, error) {
-		switch m := req.(type) {
-		case *wire.Register:
-			peer.SetAttachment(m.ID)
-			return &wire.RegisterAck{ID: m.ID}, nil
-		case *wire.Heartbeat:
-			got.Store(peer.Attachment())
-			return &wire.HeartbeatAck{}, nil
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		var got atomic.Value
+		h := HandlerFunc(func(peer *Peer, req wire.Message) (wire.Message, error) {
+			switch m := req.(type) {
+			case *wire.Register:
+				peer.SetAttachment(m.ID)
+				return &wire.RegisterAck{ID: m.ID}, nil
+			case *wire.Heartbeat:
+				got.Store(peer.Attachment())
+				return &wire.HeartbeatAck{}, nil
+			}
+			return nil, errors.New("bad")
+		})
+		_, cli := codecSetup(t, h, sopts, DialOptions{})
+		if _, err := cli.Call(context.Background(), &wire.Register{ID: 42}); err != nil {
+			t.Fatal(err)
 		}
-		return nil, errors.New("bad")
+		if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := got.Load().(uint64); v != 42 {
+			t.Errorf("attachment seen by second request = %v, want 42", got.Load())
+		}
 	})
-	_, _, cli := testSetup(t, h)
-	if _, err := cli.Call(context.Background(), &wire.Register{ID: 42}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := got.Load().(uint64); v != 42 {
-		t.Errorf("attachment seen by second request = %v, want 42", got.Load())
-	}
 }
 
 func TestHandlerPanicIsolated(t *testing.T) {
@@ -186,57 +244,94 @@ func TestHandlerPanicIsolated(t *testing.T) {
 		}
 		return &wire.HeartbeatAck{}, nil
 	})
-	_, _, cli := testSetup(t, h)
-	_, err := cli.Call(context.Background(), &wire.Collect{})
-	var er *wire.ErrorReply
-	if !errors.As(err, &er) || er.Code != wire.CodeInternal {
-		t.Fatalf("panicking handler returned %v", err)
-	}
-	// The connection must survive the panic.
-	if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
-		t.Fatalf("call after panic: %v", err)
-	}
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		_, cli := codecSetup(t, h, sopts, DialOptions{})
+		_, err := cli.Call(context.Background(), &wire.Collect{})
+		var er *wire.ErrorReply
+		if !errors.As(err, &er) || er.Code != wire.CodeInternal {
+			t.Fatalf("panicking handler returned %v", err)
+		}
+		// The connection must survive the panic.
+		if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
+			t.Fatalf("call after panic: %v", err)
+		}
+	})
 }
 
 func TestNilResponseBecomesError(t *testing.T) {
 	h := HandlerFunc(func(peer *Peer, req wire.Message) (wire.Message, error) {
 		return nil, nil
 	})
-	_, _, cli := testSetup(t, h)
-	_, err := cli.Call(context.Background(), &wire.Heartbeat{})
-	var er *wire.ErrorReply
-	if !errors.As(err, &er) {
-		t.Fatalf("nil handler response returned %v", err)
-	}
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		_, cli := codecSetup(t, h, sopts, DialOptions{})
+		_, err := cli.Call(context.Background(), &wire.Heartbeat{})
+		var er *wire.ErrorReply
+		if !errors.As(err, &er) {
+			t.Fatalf("nil handler response returned %v", err)
+		}
+	})
 }
 
 func TestServerNumPeersAndOnDisconnect(t *testing.T) {
-	n := simnet.New(simnet.Config{PropDelay: -1})
-	disconnected := make(chan *Peer, 1)
-	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{
-		OnDisconnect: func(p *Peer) { disconnected <- p },
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		var disconnects atomic.Int64
+		sopts.OnDisconnect = func(*Peer) { disconnects.Add(1) }
+		srv, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+		if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.NumPeers(); got != 1 {
+			t.Errorf("NumPeers = %d, want 1", got)
+		}
+		cli.Close()
+		waitFor(t, "OnDisconnect", func() bool { return disconnects.Load() == 1 })
+		// Close and Wait return once every connection goroutine is gone, so a
+		// second OnDisconnect for the same peer would have run by now.
+		srv.Close()
+		srv.Wait()
+		if got := disconnects.Load(); got != 1 {
+			t.Errorf("OnDisconnect ran %d times for one peer", got)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+}
 
-	cli, err := Dial(context.Background(), n.Host("client"), srv.Addr().String(), DialOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.NumPeers(); got != 1 {
-		t.Errorf("NumPeers = %d, want 1", got)
-	}
-	cli.Close()
-	select {
-	case <-disconnected:
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnDisconnect not invoked")
-	}
+// TestCloseWaitDrainsOpenConnections: Close severs connections that are
+// still open and Wait returns once their goroutines have exited, leaving
+// none behind.
+func TestCloseWaitDrainsOpenConnections(t *testing.T) {
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		before := runtime.NumGoroutine()
+		n := simnet.New(simnet.Config{PropDelay: -1})
+		var disconnects atomic.Int64
+		sopts.OnDisconnect = func(*Peer) { disconnects.Add(1) }
+		srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const conns = 8
+		clients := make([]*Client, conns)
+		for i := range clients {
+			if clients[i], err = Dial(context.Background(), n.Host("client"), srv.Addr().String(), DialOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := clients[i].Call(context.Background(), &wire.Heartbeat{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Close()
+		srv.Wait()
+		if got := disconnects.Load(); got != conns {
+			t.Errorf("OnDisconnect ran %d times after Close+Wait, want %d", got, conns)
+		}
+		for _, cli := range clients {
+			cli.Close()
+		}
+		// The server's goroutines are gone when Wait returns; the clients'
+		// read loops exit on their own once they see the closed connection.
+		waitFor(t, "goroutines to return to the baseline", func() bool {
+			return runtime.NumGoroutine() <= before
+		})
+	})
 }
 
 func TestMetersChargedBothSides(t *testing.T) {

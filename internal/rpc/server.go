@@ -34,9 +34,9 @@ func (f HandlerFunc) Serve(peer *Peer, req wire.Message) (wire.Message, error) {
 type Peer struct {
 	conn net.Conn
 
-	// wmu serializes every write to conn: the handler loop's responses and
+	// wmu serializes every write to conn: the connection's responses and
 	// hello acks, and unsolicited Push frames (which may originate on any
-	// goroutine). The loop encodes outside the lock and holds it only for
+	// goroutine). respond encodes outside the lock and holds it only for
 	// the write itself.
 	wmu sync.Mutex
 	// pushVer is the negotiated codec version, published when the hello ack
@@ -82,8 +82,8 @@ func (p *Peer) CanPush() bool { return p.pushVer.Load() >= int32(wire.CodecV2) }
 // The body is encoded statelessly at wire.CodecV2 — never against the
 // connection's response history, so responses stay in lockstep regardless of
 // interleaving. Returns ErrPushUnsupported when the connection has not
-// negotiated v2 (see CanPush). Safe for concurrent use with the handler
-// loop and other pushers.
+// negotiated v2 (see CanPush). Safe for concurrent use with the connection's
+// responses and other pushers.
 func (p *Peer) Push(m wire.Message) error {
 	if !p.CanPush() {
 		return ErrPushUnsupported
@@ -132,9 +132,16 @@ type ServerOptions struct {
 	// server is finished with it: the response bytes are already encoded
 	// and written (or suppressed by a cancel), so the receiver owns the
 	// message exclusively and may reuse it for a later response. Called
-	// from the connection's handler loop. Handlers that return shared or
+	// on the goroutine that ran the handler. Handlers that return shared or
 	// retained messages must not set this.
 	RecycleReply func(wire.Message)
+	// Inline declares that the handler never blocks: its Serve waits on no
+	// I/O, channel, timer, or lock held across one of those. Each connection
+	// is then served by a single goroutine that answers a request before it
+	// reads the next frame, so a cancel frame always finds its request
+	// already answered and has no effect (DESIGN.md §7). A handler that can
+	// block must leave it unset.
+	Inline bool
 }
 
 // Server accepts RPC connections and dispatches requests to a Handler.
@@ -235,9 +242,9 @@ type queuedReq struct {
 	// frame ID is on the tracer's sample grid; queue wait is pop time minus
 	// arrival. Zero means "count this request, don't time it".
 	arrivedNs int64
-	// hello marks a codec-negotiation frame. It rides the request queue so
-	// the handler loop — the connection's single writer — acks it and flips
-	// the response codec at a well-defined point in the response stream.
+	// hello marks a codec-negotiation frame. It takes a request's path so
+	// respond — the connection's single writer — acks it and flips the
+	// response codec at a well-defined point in the response stream.
 	hello    bool
 	helloVer int
 }
@@ -382,9 +389,32 @@ func (q *reqQueue) close() {
 	q.cond.Broadcast()
 }
 
-// serveConn handles one connection's requests in order until it dies. A
-// separate reader goroutine keeps consuming frames while a handler runs, so
-// cancel frames for queued requests take effect before dispatch.
+// srvConn is one connection's serving state. Everything below q belongs to
+// whichever goroutine calls respond — the handler loop on a queued
+// connection, the reader itself on an inline one — and makes that goroutine
+// the connection's only response writer.
+type srvConn struct {
+	s         *Server
+	peer      *Peer
+	serverMax int
+	fl        *reqFreelist // nil unless ServerOptions.ReuseRequests
+	q         *reqQueue    // nil on an inline connection
+
+	peerTag uint64
+	wbp     *[]byte
+	// The response codec starts at v1 and flips when a hello is acked; the
+	// response history (shared by all response types on this connection) is
+	// kept in lockstep with the client's read loop because respond has a
+	// single caller.
+	txVer  int
+	txHist *wire.FloatHistory
+}
+
+// serveConn handles one connection's requests in order until it dies. On a
+// queued connection a separate reader goroutine keeps consuming frames while
+// a handler runs, so cancel frames for queued requests take effect before
+// dispatch; on an inline connection (ServerOptions.Inline) the reader answers
+// each request itself before it reads the next frame.
 func (s *Server) serveConn(peer *Peer) {
 	defer s.connWG.Done()
 	defer func() {
@@ -397,162 +427,181 @@ func (s *Server) serveConn(peer *Peer) {
 		}
 	}()
 
-	serverMax := s.opts.MaxCodec
-	if serverMax == 0 {
-		serverMax = wire.MaxCodec
+	c := &srvConn{s: s, peer: peer, serverMax: s.opts.MaxCodec, txVer: wire.CodecV1, wbp: getFrameBuf()}
+	defer putFrameBuf(c.wbp)
+	if c.serverMax == 0 {
+		c.serverMax = wire.MaxCodec
 	}
-	var fl *reqFreelist
 	if s.opts.ReuseRequests {
-		fl = &reqFreelist{hits: s.opts.ReuseHits}
+		c.fl = &reqFreelist{hits: s.opts.ReuseHits}
+	}
+	if s.opts.Tracer != nil {
+		c.peerTag = trace.AddrTag(peer.conn.RemoteAddr().String())
+	}
+	if s.opts.Inline {
+		c.read()
+		return
 	}
 
-	q := newReqQueue()
+	c.q = newReqQueue()
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		defer q.close()
-		// The decode buffer is pooled across connections; decoded messages
-		// never alias it (see readFrame), so returning it is safe even while
-		// requests it carried are still queued or executing.
-		rbp := getFrameBuf()
-		defer putFrameBuf(rbp)
-		var dec *wire.DecodeOpts // built lazily on the first v2 request
-		for {
-			var (
-				h    frameHeader
-				body []byte
-				err  error
-			)
-			h, body, *rbp, err = readFrame(peer.conn, *rbp)
-			if err != nil {
-				return // EOF or broken conn
-			}
-			switch h.kind {
-			case kindRequest, kindRequestV2:
-				var req wire.Message
-				if h.kind == kindRequest {
-					req, err = wire.Decode(body)
-				} else {
-					if dec == nil {
-						// Requests are encoded statelessly (concurrent client
-						// senders cannot share a float history), so no Hist.
-						dec = &wire.DecodeOpts{Version: wire.CodecV2}
-						if fl != nil {
-							dec.Reuse = fl.take
-						}
-					}
-					req, err = wire.DecodeWith(body, dec)
-				}
-				if err != nil {
-					return // protocol corruption; drop the connection
-				}
-				item := queuedReq{id: h.id, req: req}
-				if s.opts.Tracer.Sampled(h.id) {
-					item.arrivedNs = time.Now().UnixNano()
-				}
-				q.push(item)
-			case kindCancel:
-				if q.cancel(h.id) {
-					s.canceled.Add(1)
-				}
-			case kindHello:
-				// A v1-pinned server ignores hellos outright, exactly like a
-				// pre-v2 server that drops unknown frame kinds; the client
-				// then never upgrades.
-				if ver, ok := parseHello(body); ok && serverMax >= wire.CodecV2 {
-					q.push(queuedReq{hello: true, helloVer: ver})
-				}
-			}
-		}
+		defer c.q.close()
+		c.read()
 	}()
-
-	var peerTag uint64
-	if s.opts.Tracer != nil {
-		peerTag = trace.AddrTag(peer.conn.RemoteAddr().String())
-	}
-	wbp := getFrameBuf()
-	defer putFrameBuf(wbp)
-	// The response codec starts at v1 and flips when a hello is acked; the
-	// response history (shared by all response types on this connection) is
-	// kept in lockstep with the client's read loop because this handler loop
-	// is the connection's only writer.
-	txVer := wire.CodecV1
-	var txHist *wire.FloatHistory
 	for {
-		item, ok := q.pop()
-		if !ok {
-			break
-		}
-		if item.hello {
-			ver := negotiate(item.helloVer, serverMax)
-			*wbp = appendHelloFrame((*wbp)[:0], ver)
-			peer.wmu.Lock()
-			_, err := peer.conn.Write(*wbp)
-			peer.wmu.Unlock()
-			if ver >= wire.CodecV2 {
-				txVer = ver
-				txHist = wire.NewFloatHistory()
-			}
-			// Publish after the ack write: a push must never precede the
-			// hello ack in the client's frame stream.
-			peer.pushVer.Store(int32(ver))
-			q.finish()
-			if err != nil {
-				break
-			}
-			continue
-		}
-		traced := item.arrivedNs != 0
-		var popNs int64
-		if traced {
-			popNs = time.Now().UnixNano()
-		}
-		var untrack func()
-		if s.opts.CPU != nil {
-			untrack = s.opts.CPU.Track()
-		}
-		resp := s.dispatch(peer, item.req)
-		var handlerDoneNs int64
-		if traced {
-			handlerDoneNs = time.Now().UnixNano()
-		}
-		var err error
-		if !q.finish() {
-			// A cancel-suppressed response is never encoded, so it leaves the
-			// response history untouched — the client, which decodes every
-			// arriving frame, stays in lockstep.
-			if txVer >= wire.CodecV2 {
-				*wbp = appendFrameWith((*wbp)[:0], frameHeader{id: item.id, kind: kindResponseV2}, resp, txVer, txHist)
-			} else {
-				*wbp = appendFrame((*wbp)[:0], frameHeader{id: item.id, kind: kindResponse}, resp)
-			}
-			peer.wmu.Lock()
-			_, err = peer.conn.Write(*wbp)
-			peer.wmu.Unlock()
-		}
-		if fl != nil && item.req != nil {
-			fl.put(item.req)
-		}
-		if s.opts.RecycleReply != nil && resp != nil {
-			s.opts.RecycleReply(resp)
-		}
-		if untrack != nil {
-			untrack()
-		}
-		if traced {
-			endNs := time.Now().UnixNano()
-			s.opts.Tracer.RecordServerCall(peerTag, item.id, item.arrivedNs,
-				endNs-item.arrivedNs, popNs-item.arrivedNs, handlerDoneNs-popNs,
-				endNs-handlerDoneNs)
-		} else if s.opts.Tracer != nil {
-			s.opts.Tracer.CountServerCall()
-		}
-		if err != nil {
+		item, ok := c.q.pop()
+		if !ok || c.respond(item) != nil {
 			break
 		}
 	}
 	peer.conn.Close() // unblock the reader if the write side failed first
 	<-readerDone
+}
+
+// read consumes the connection's frames until it dies, handing each decoded
+// request and hello to deliver and applying cancel frames to the queue.
+func (c *srvConn) read() {
+	// The decode buffer is pooled across connections; decoded messages
+	// never alias it (see readFrame), so returning it is safe even while
+	// requests it carried are still queued or executing.
+	rbp := getFrameBuf()
+	defer putFrameBuf(rbp)
+	var dec *wire.DecodeOpts // built lazily on the first v2 request
+	for {
+		var (
+			h    frameHeader
+			body []byte
+			err  error
+		)
+		h, body, *rbp, err = readFrame(c.peer.conn, *rbp)
+		if err != nil {
+			return // EOF or broken conn
+		}
+		switch h.kind {
+		case kindRequest, kindRequestV2:
+			var req wire.Message
+			if h.kind == kindRequest {
+				req, err = wire.Decode(body)
+			} else {
+				if dec == nil {
+					// Requests are encoded statelessly (concurrent client
+					// senders cannot share a float history), so no Hist.
+					dec = &wire.DecodeOpts{Version: wire.CodecV2}
+					if c.fl != nil {
+						dec.Reuse = c.fl.take
+					}
+				}
+				req, err = wire.DecodeWith(body, dec)
+			}
+			if err != nil {
+				return // protocol corruption; drop the connection
+			}
+			item := queuedReq{id: h.id, req: req}
+			if c.s.opts.Tracer.Sampled(h.id) {
+				item.arrivedNs = time.Now().UnixNano()
+			}
+			err = c.deliver(item)
+		case kindCancel:
+			// An inline connection has answered every request it has read, so
+			// a cancel frame there always names a completed request.
+			if c.q != nil && c.q.cancel(h.id) {
+				c.s.canceled.Add(1)
+			}
+		case kindHello:
+			// A v1-pinned server ignores hellos outright, exactly like a
+			// pre-v2 server that drops unknown frame kinds; the client
+			// then never upgrades.
+			if ver, ok := parseHello(body); ok && c.serverMax >= wire.CodecV2 {
+				err = c.deliver(queuedReq{hello: true, helloVer: ver})
+			}
+		}
+		if err != nil {
+			return // the response write failed
+		}
+	}
+}
+
+// deliver is the one fork between the serving disciplines: a queued
+// connection's reader hands the item to the handler loop, an inline
+// connection's reader answers it on the spot.
+func (c *srvConn) deliver(item queuedReq) error {
+	if c.q == nil {
+		return c.respond(item)
+	}
+	c.q.push(item)
+	return nil
+}
+
+// respond acks a hello or dispatches a request and writes its response. It
+// returns the connection's write error, if any.
+func (c *srvConn) respond(item queuedReq) error {
+	s, peer, wbp := c.s, c.peer, c.wbp
+	if item.hello {
+		ver := negotiate(item.helloVer, c.serverMax)
+		*wbp = appendHelloFrame((*wbp)[:0], ver)
+		peer.wmu.Lock()
+		_, err := peer.conn.Write(*wbp)
+		peer.wmu.Unlock()
+		if ver >= wire.CodecV2 {
+			c.txVer = ver
+			c.txHist = wire.NewFloatHistory()
+		}
+		// Publish after the ack write: a push must never precede the
+		// hello ack in the client's frame stream.
+		peer.pushVer.Store(int32(ver))
+		if c.q != nil {
+			c.q.finish()
+		}
+		return err
+	}
+	traced := item.arrivedNs != 0
+	popNs := item.arrivedNs // no queue, no wait
+	if traced && c.q != nil {
+		popNs = time.Now().UnixNano()
+	}
+	var untrack func()
+	if s.opts.CPU != nil {
+		untrack = s.opts.CPU.Track()
+	}
+	resp := s.dispatch(peer, item.req)
+	var handlerDoneNs int64
+	if traced {
+		handlerDoneNs = time.Now().UnixNano()
+	}
+	var err error
+	if c.q == nil || !c.q.finish() {
+		// A cancel-suppressed response is never encoded, so it leaves the
+		// response history untouched — the client, which decodes every
+		// arriving frame, stays in lockstep.
+		if c.txVer >= wire.CodecV2 {
+			*wbp = appendFrameWith((*wbp)[:0], frameHeader{id: item.id, kind: kindResponseV2}, resp, c.txVer, c.txHist)
+		} else {
+			*wbp = appendFrame((*wbp)[:0], frameHeader{id: item.id, kind: kindResponse}, resp)
+		}
+		peer.wmu.Lock()
+		_, err = peer.conn.Write(*wbp)
+		peer.wmu.Unlock()
+	}
+	if c.fl != nil && item.req != nil {
+		c.fl.put(item.req)
+	}
+	if s.opts.RecycleReply != nil && resp != nil {
+		s.opts.RecycleReply(resp)
+	}
+	if untrack != nil {
+		untrack()
+	}
+	if traced {
+		endNs := time.Now().UnixNano()
+		s.opts.Tracer.RecordServerCall(c.peerTag, item.id, item.arrivedNs,
+			endNs-item.arrivedNs, popNs-item.arrivedNs, handlerDoneNs-popNs,
+			endNs-handlerDoneNs)
+	} else if s.opts.Tracer != nil {
+		s.opts.Tracer.CountServerCall()
+	}
+	return err
 }
 
 // dispatch runs the handler, converting errors and panics to ErrorReply so

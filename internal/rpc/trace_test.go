@@ -10,14 +10,15 @@ import (
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
-// tracedSetup builds a simnet with the given config, a traced server, and a
-// traced client with span tag childTag.
-func tracedSetup(t *testing.T, cfg simnet.Config, childTag uint64) (*trace.Tracer, *trace.Tracer, *Client) {
+// tracedSetup builds a simnet with the given config, a traced server of the
+// given discipline, and a traced client with span tag childTag.
+func tracedSetup(t *testing.T, cfg simnet.Config, sopts ServerOptions, childTag uint64) (*trace.Tracer, *trace.Tracer, *Client) {
 	t.Helper()
 	clientTr := trace.New(1024)
 	serverTr := trace.New(1024)
 	n := simnet.New(cfg)
-	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{Tracer: serverTr})
+	sopts.Tracer = serverTr
+	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, sopts)
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -54,36 +55,38 @@ func waitSpans(t *testing.T, tr *trace.Tracer, kind trace.Kind, n int) []trace.S
 }
 
 func TestTracedCallSpans(t *testing.T) {
-	clientTr, serverTr, cli := tracedSetup(t, simnet.Config{PropDelay: -1}, 42)
-	clientTr.SetContext(7, 3, 1, trace.PhaseCollect)
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		clientTr, serverTr, cli := tracedSetup(t, simnet.Config{PropDelay: -1}, sopts, 42)
+		clientTr.SetContext(7, 3, 1, trace.PhaseCollect)
 
-	if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: 7}); err != nil {
-		t.Fatalf("Call: %v", err)
-	}
+		if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: 7}); err != nil {
+			t.Fatalf("Call: %v", err)
+		}
 
-	cs := waitSpans(t, clientTr, trace.KindCall, 1)[0]
-	if cs.Tag != 42 || cs.Cycle != 7 || cs.Epoch != 3 || cs.Mode != 1 || cs.Phase != trace.PhaseCollect {
-		t.Fatalf("client span context: %+v", cs)
-	}
-	if cs.Err() || cs.Abandoned() {
-		t.Fatalf("client span flagged: %+v", cs)
-	}
-	if cs.Dur <= 0 || cs.Dur < cs.PartA+cs.PartB {
-		t.Fatalf("client span timings inconsistent: %+v", cs)
-	}
+		cs := waitSpans(t, clientTr, trace.KindCall, 1)[0]
+		if cs.Tag != 42 || cs.Cycle != 7 || cs.Epoch != 3 || cs.Mode != 1 || cs.Phase != trace.PhaseCollect {
+			t.Fatalf("client span context: %+v", cs)
+		}
+		if cs.Err() || cs.Abandoned() {
+			t.Fatalf("client span flagged: %+v", cs)
+		}
+		if cs.Dur <= 0 || cs.Dur < cs.PartA+cs.PartB {
+			t.Fatalf("client span timings inconsistent: %+v", cs)
+		}
 
-	ss := waitSpans(t, serverTr, trace.KindServer, 1)[0]
-	// The server tags the peer's remote address; the client's local address
-	// is the same endpoint, correlating the two spans.
-	if want := trace.AddrTag(cli.LocalAddr().String()); ss.Tag != want {
-		t.Fatalf("server span tag %d, want %d", ss.Tag, want)
-	}
-	if ss.Call != cs.Call {
-		t.Fatalf("frame id mismatch: client %d, server %d", cs.Call, ss.Call)
-	}
-	if ss.Dur < ss.PartA+ss.PartB {
-		t.Fatalf("server span timings inconsistent: %+v", ss)
-	}
+		ss := waitSpans(t, serverTr, trace.KindServer, 1)[0]
+		// The server tags the peer's remote address; the client's local address
+		// is the same endpoint, correlating the two spans.
+		if want := trace.AddrTag(cli.LocalAddr().String()); ss.Tag != want {
+			t.Fatalf("server span tag %d, want %d", ss.Tag, want)
+		}
+		if ss.Call != cs.Call {
+			t.Fatalf("frame id mismatch: client %d, server %d", cs.Call, ss.Call)
+		}
+		if ss.Dur < ss.PartA+ss.PartB {
+			t.Fatalf("server span timings inconsistent: %+v", ss)
+		}
+	})
 }
 
 // TestTracedWireSplit checks that simnet's deterministic latency shows up as
@@ -93,7 +96,7 @@ func TestTracedCallSpans(t *testing.T) {
 // hops while the server's queue wait stays far below one hop.
 func TestTracedWireSplit(t *testing.T) {
 	const hop = 20 * time.Millisecond
-	clientTr, serverTr, cli := tracedSetup(t, simnet.Config{PropDelay: hop}, 1)
+	clientTr, serverTr, cli := tracedSetup(t, simnet.Config{PropDelay: hop}, ServerOptions{}, 1)
 
 	if _, err := cli.Call(context.Background(), &wire.Heartbeat{SentUnixMicros: 1}); err != nil {
 		t.Fatalf("Call: %v", err)
@@ -230,68 +233,66 @@ func TestTracedReconnectingClient(t *testing.T) {
 
 // TestSampledClientAndServer checks frame-ID sampling end to end: every call
 // is counted on both sides, but only the 1-in-N on the sample grid are timed
-// and recorded as spans — and both sides pick the same calls.
+// and recorded as spans — and both sides pick the same calls. An inline
+// server's spans have no queue to wait in: their queue share is exactly 0
+// while handler and write time are still measured.
 func TestSampledClientAndServer(t *testing.T) {
-	clientTr, serverTr := trace.New(1024), trace.New(1024)
-	clientTr.SetSampleEvery(4)
-	serverTr.SetSampleEvery(4)
-	n := simnet.New(simnet.Config{PropDelay: -1})
-	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{Tracer: serverTr})
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	defer srv.Close()
-	cli, err := Dial(context.Background(), n.Host("client"), srv.Addr().String(),
-		DialOptions{Tracer: clientTr, SpanTag: 7})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer cli.Close()
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		clientTr, serverTr := trace.New(1024), trace.New(1024)
+		clientTr.SetSampleEvery(4)
+		serverTr.SetSampleEvery(4)
+		sopts.Tracer = serverTr
+		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{Tracer: clientTr, SpanTag: 7})
 
-	const calls = 8 // frame IDs 1..8: IDs 4 and 8 are on the grid
-	for i := 0; i < calls; i++ {
-		if _, err := cli.Call(context.Background(), &wire.Heartbeat{SentUnixMicros: 1}); err != nil {
-			t.Fatalf("Call %d: %v", i, err)
+		const calls = 8 // frame IDs 1..8: IDs 4 and 8 are on the grid
+		for i := 0; i < calls; i++ {
+			if _, err := cli.Call(context.Background(), &wire.Heartbeat{SentUnixMicros: 1}); err != nil {
+				t.Fatalf("Call %d: %v", i, err)
+			}
 		}
-	}
 
-	spans := waitSpans(t, clientTr, trace.KindCall, 2)
-	if len(spans) != 2 {
-		t.Fatalf("client spans = %d, want 2", len(spans))
-	}
-	for _, s := range spans {
-		if s.Call%4 != 0 {
-			t.Fatalf("client sampled off-grid frame ID: %+v", s)
+		spans := waitSpans(t, clientTr, trace.KindCall, 2)
+		if len(spans) != 2 {
+			t.Fatalf("client spans = %d, want 2", len(spans))
 		}
-		if s.Dur <= 0 {
-			t.Fatalf("sampled client span not timed: %+v", s)
+		for _, s := range spans {
+			if s.Call%4 != 0 {
+				t.Fatalf("client sampled off-grid frame ID: %+v", s)
+			}
+			if s.Dur <= 0 {
+				t.Fatalf("sampled client span not timed: %+v", s)
+			}
 		}
-	}
-	srvSpans := waitSpans(t, serverTr, trace.KindServer, 2)
-	if len(srvSpans) != 2 {
-		t.Fatalf("server spans = %d, want 2", len(srvSpans))
-	}
-	for _, s := range srvSpans {
-		if s.Call%4 != 0 {
-			t.Fatalf("server sampled off-grid frame ID: %+v", s)
+		srvSpans := waitSpans(t, serverTr, trace.KindServer, 2)
+		if len(srvSpans) != 2 {
+			t.Fatalf("server spans = %d, want 2", len(srvSpans))
 		}
-	}
+		for _, s := range srvSpans {
+			if s.Call%4 != 0 {
+				t.Fatalf("server sampled off-grid frame ID: %+v", s)
+			}
+			if sopts.Inline && (s.PartA != 0 || s.PartB <= 0 || s.Dur <= s.PartB) {
+				t.Fatalf("inline server span: queue %v handler %v write %v, want 0, > 0, > 0",
+					s.PartA, s.PartB, s.Dur-s.PartA-s.PartB)
+			}
+		}
 
-	ct := clientTr.Totals()
-	if ct.ClientCalls != calls || ct.ClientSampled != 2 {
-		t.Fatalf("client totals: %+v", ct)
-	}
-	// Server counts drain on the handler loop; totals may trail the last
-	// response briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := serverTr.Totals()
-		if st.ServerCalls == calls && st.ServerSampled == 2 {
-			break
+		ct := clientTr.Totals()
+		if ct.ClientCalls != calls || ct.ClientSampled != 2 {
+			t.Fatalf("client totals: %+v", ct)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server totals: %+v", st)
+		// Server counts drain after the response is written; totals may trail
+		// the last response briefly.
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			st := serverTr.Totals()
+			if st.ServerCalls == calls && st.ServerSampled == 2 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("server totals: %+v", st)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
-	}
+	})
 }

@@ -19,6 +19,11 @@ import (
 // CodeStaleEpoch, so a deposed primary can never read metrics from or push
 // rules to a stage the new leader already controls.
 type fence struct {
+	// watched is set once at construction, before the stage serves, when
+	// something reads contact() — a Virtual stage's rehome loop. Without a
+	// watcher the per-request clock read is skipped.
+	watched bool
+
 	mu          sync.Mutex
 	epoch       uint64
 	fenced      uint64
@@ -41,12 +46,17 @@ func (f *fence) check(who string, senderEpoch uint64) *wire.ErrorReply {
 	if senderEpoch > f.epoch {
 		f.epoch = senderEpoch
 	}
-	f.lastContact = time.Now()
+	if f.watched {
+		f.lastContact = time.Now()
+	}
 	return nil
 }
 
 // touch records control-plane contact that carries no epoch (heartbeats).
 func (f *fence) touch() {
+	if !f.watched {
+		return
+	}
 	f.mu.Lock()
 	f.lastContact = time.Now()
 	f.mu.Unlock()

@@ -3,6 +3,7 @@ package stage
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -306,5 +307,117 @@ func TestRegisterHelperErrors(t *testing.T) {
 	defer parent.Close()
 	if err := Register(context.Background(), n.Host("s"), parent.Addr().String(), Info{ID: 1}); err == nil {
 		t.Error("Register accepted despite rejection")
+	}
+}
+
+// TestVirtualStagePushesWhileAnswering: a stage's server answers each
+// request on the goroutine that read it, while pushes — the push loop's and
+// PushDelta's — are written from other goroutines onto the same connection.
+// Every frame must arrive whole and every reply must decode to the stage's
+// report (the replies are delta-coded against a history a push never
+// advances). Run under -race -count=10 in CI.
+func TestVirtualStagePushesWhileAnswering(t *testing.T) {
+	n := fastNet()
+	v, err := StartVirtual(Config{
+		ID: 7, JobID: 3,
+		Generator:     workload.Constant{Rates: wire.Rates{500, 50}},
+		Network:       n.Host("stage-7"),
+		PushThreshold: 0.01,
+		PushInterval:  time.Millisecond,
+		PushFloor:     time.Millisecond, // every tick pushes
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	var pushed atomic.Int64
+	cli, err := rpc.Dial(context.Background(), n.Host("controller"), v.Info().Addr, rpc.DialOptions{
+		OnPush: func(m wire.Message) {
+			if d, ok := m.(*wire.ReportDelta); !ok || d.Report.StageID != 7 {
+				t.Errorf("push decoded as %+v", m)
+			}
+			pushed.Add(1)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				v.PushDelta(2)
+			}
+		}
+	}()
+
+	ctx := context.Background()
+	const bursts, perBurst = 50, 20
+	var calls [2 * perBurst]*rpc.Call
+	for b := 0; b < bursts; b++ {
+		for i := 0; i < perBurst; i++ {
+			cycle := uint64(b*perBurst + i + 1)
+			calls[2*i] = cli.Go(ctx, &wire.Collect{Cycle: cycle})
+			calls[2*i+1] = cli.Go(ctx, &wire.Enforce{Cycle: cycle, Rules: []wire.Rule{{StageID: 7, Action: wire.ActionNoLimit}}})
+		}
+		for i, call := range calls {
+			cycle := uint64(b*perBurst + i/2 + 1)
+			resp, err := call.Wait(ctx)
+			if err != nil {
+				t.Fatalf("burst %d call %d: %v", b, i, err)
+			}
+			switch r := resp.(type) {
+			case *wire.CollectReply:
+				if i%2 != 0 || r.Cycle != cycle || len(r.Reports) != 1 || r.Reports[0].Demand != (wire.Rates{500, 50}) {
+					t.Fatalf("burst %d call %d: collect reply %+v", b, i, r)
+				}
+			case *wire.EnforceAck:
+				if i%2 != 1 || r.Cycle != cycle || r.Applied != 1 {
+					t.Fatalf("burst %d call %d: enforce ack %+v", b, i, r)
+				}
+			default:
+				t.Fatalf("burst %d call %d: reply %T", b, i, resp)
+			}
+		}
+	}
+	close(stop)
+	<-done
+	if pushed.Load() == 0 || v.Pushes() == 0 {
+		t.Errorf("client saw %d pushes, stage counted %d, want both > 0", pushed.Load(), v.Pushes())
+	}
+}
+
+// TestStageWithoutParentsStillFences: a stage the control plane adopted
+// explicitly has no re-homing loop, so it does not track when it was last
+// contacted — but it fences by epoch exactly like one that does.
+func TestStageWithoutParentsStillFences(t *testing.T) {
+	n := fastNet()
+	v, err := StartVirtual(Config{ID: 1, Network: n.Host("s")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	cli := dialStage(t, n, v.Info().Addr)
+	ctx := context.Background()
+	if _, err := cli.Call(ctx, &wire.Collect{Cycle: 1, Epoch: 5}); err != nil {
+		t.Fatalf("collect at epoch 5: %v", err)
+	}
+	if _, err := cli.Call(ctx, &wire.Heartbeat{}); err != nil {
+		t.Fatalf("heartbeat: %v", err)
+	}
+	_, err = cli.Call(ctx, &wire.Enforce{Cycle: 1, Epoch: 3})
+	var er *wire.ErrorReply
+	if !errors.As(err, &er) || er.Code != wire.CodeStaleEpoch || er.Epoch != 5 {
+		t.Fatalf("enforce at deposed epoch 3 = %v, want CodeStaleEpoch carrying epoch 5", err)
+	}
+	if v.Epoch() != 5 || v.FencedCalls() != 1 {
+		t.Errorf("epoch %d fenced %d, want 5 and 1", v.Epoch(), v.FencedCalls())
 	}
 }
