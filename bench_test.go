@@ -36,16 +36,6 @@ func benchScale() float64 {
 	return 0.05
 }
 
-// benchCodec returns the cluster-wide codec cap for benchmarks:
-// SDSCALE_BENCH_CODEC=v1 pins the legacy v1 wire codec, so an A/B pair of
-// runs isolates what the varint/delta v2 codec contributes.
-func benchCodec() int {
-	if os.Getenv("SDSCALE_BENCH_CODEC") == "v1" {
-		return 1
-	}
-	return 0
-}
-
 // scaled applies the benchmark scale to a paper node count.
 func scaled(n int) int {
 	s := int(float64(n) * benchScale())
@@ -324,7 +314,6 @@ func BenchmarkFlatCycle(b *testing.B) {
 					Topology:   cluster.Flat,
 					Stages:     nodes,
 					FanOutMode: mode,
-					MaxCodec:   benchCodec(),
 					// Raw transport: disable the propagation/processing
 					// model and the per-host connection limit (a flat
 					// controller at 5k/10k exceeds the default 2,500).
@@ -355,7 +344,6 @@ func BenchmarkFlatCycle(b *testing.B) {
 			FanOutMode:       sdscale.FanOutPipelined,
 			DeltaEnforcement: true,
 			Workload:         sdscale.ConstantWorkload{Rates: sdscale.Rates{1000, 100}},
-			MaxCodec:         benchCodec(),
 			Net:              simnet.Config{PropDelay: -1, MaxConnsPerHost: -1},
 		})
 		ctx := context.Background()
@@ -381,9 +369,7 @@ func BenchmarkFlatCycle(b *testing.B) {
 	// The liveness floors are pinned far out: they are wall-clock timers
 	// sized for seconds-long production cycle periods, and this loop runs
 	// thousands of cycles per second, so a 1s heartbeat wave would land in
-	// some measured windows and not others (under the v1 codec cap the
-	// floors are moot — v1 children are force-collected every cycle, so the
-	// variant degrades to the full paper-faithful cycle by design).
+	// some measured windows and not others.
 	b.Run("10k/quiesced-incremental", func(b *testing.B) {
 		c := cachedBenchCluster(b, "flat-10k-quiesced", cluster.Config{
 			Topology:         cluster.Flat,
@@ -394,7 +380,6 @@ func BenchmarkFlatCycle(b *testing.B) {
 			IncrementalFloor: time.Hour,
 			PushFloor:        time.Hour,
 			Workload:         sdscale.ConstantWorkload{Rates: sdscale.Rates{1000, 100}},
-			MaxCodec:         benchCodec(),
 			Net:              simnet.Config{PropDelay: -1, MaxConnsPerHost: -1},
 		})
 		ctx := context.Background()
@@ -429,9 +414,7 @@ func BenchmarkFlatCycle(b *testing.B) {
 	// controller reacts — K-sized ingest, full-fleet compute from the arena,
 	// K-sized delta enforce. This is the "effort proportional to
 	// disturbance" row: bytes/op must track the 1,000-child dirty set, not
-	// the 10,000-child fleet (under the v1 codec cap pushes are unsupported
-	// and every child is force-collected, so the variant degrades to the
-	// full paper-faithful cycle by design).
+	// the 10,000-child fleet.
 	b.Run("10k/bursty-10pct", func(b *testing.B) {
 		c := cachedBenchCluster(b, "flat-10k-bursty", cluster.Config{
 			Topology:         cluster.Flat,
@@ -442,7 +425,6 @@ func BenchmarkFlatCycle(b *testing.B) {
 			IncrementalFloor: time.Hour,
 			PushFloor:        time.Hour,
 			Workload:         sdscale.ConstantWorkload{Rates: sdscale.Rates{1000, 100}},
-			MaxCodec:         benchCodec(),
 			Net:              simnet.Config{PropDelay: -1, MaxConnsPerHost: -1},
 		})
 		ctx := context.Background()
@@ -485,7 +467,6 @@ func BenchmarkFlatCycle(b *testing.B) {
 			IncrementalFloor: time.Hour,
 			PushFloor:        time.Hour,
 			Workload:         sdscale.ConstantWorkload{Rates: sdscale.Rates{1000, 100}},
-			MaxCodec:         benchCodec(),
 			DataDir:          benchDataDir(b),
 			Net:              simnet.Config{PropDelay: -1, MaxConnsPerHost: -1},
 		})
@@ -569,7 +550,6 @@ func BenchmarkShardedCycle(b *testing.B) {
 			Stages:     10000,
 			Shards:     4,
 			FanOutMode: sdscale.FanOutPipelined,
-			MaxCodec:   benchCodec(),
 			Net:        simnet.Config{PropDelay: -1, MaxConnsPerHost: -1},
 		})
 		ctx := context.Background()
@@ -604,7 +584,6 @@ func BenchmarkShardedCycle(b *testing.B) {
 			// constant, so the samplers would push nothing either way).
 			PushInterval: time.Hour,
 			Workload:     sdscale.ConstantWorkload{Rates: sdscale.Rates{1000, 100}},
-			MaxCodec:     benchCodec(),
 			Net:          simnet.Config{PropDelay: -1, MaxConnsPerHost: -1},
 		})
 		ctx := context.Background()
@@ -673,7 +652,7 @@ func BenchmarkRegistrationChurn(b *testing.B) {
 	// lift its connection limit so b.N can exceed 2,500 registrations
 	// (this bench measures registration cost, not the §IV-A limit).
 	net.Host("global").SetMaxConns(-1)
-	g, err := sdscale.NewGlobal(sdscale.GlobalConfig{
+	g, err := sdscale.StartGlobal(sdscale.GlobalConfig{
 		Network:    net.Host("global"),
 		ListenAddr: ":0",
 		Capacity:   sdscale.Rates{1e6, 1e5},

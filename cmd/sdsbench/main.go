@@ -69,19 +69,8 @@ func main() {
 		warmup      = flag.Int("warmup", 2, "warmup cycles discarded before measuring")
 		csvPath     = flag.String("csv", "", "also write machine-readable results to this CSV file")
 		debugAddr   = flag.String("debug", "", "serve /metrics, /debug/pprof and /debug/trace on this loopback address during tracebreak (e.g. 127.0.0.1:8080)")
-		codec       = flag.String("codec", "", "pin the wire codec: v1 for the legacy codec (A/B baseline), empty for newest")
 	)
 	flag.Parse()
-
-	maxCodec := 0
-	switch strings.ToLower(*codec) {
-	case "", "v2":
-	case "v1":
-		maxCodec = 1
-	default:
-		fmt.Fprintf(os.Stderr, "sdsbench: unknown -codec %q (want v1 or v2)\n", *codec)
-		os.Exit(1)
-	}
 
 	opts := experiment.Options{
 		Scale:       *scale,
@@ -92,7 +81,6 @@ func main() {
 		Jobs:        *jobs,
 		Out:         os.Stdout,
 		Debug:       *debugAddr,
-		MaxCodec:    maxCodec,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -172,7 +172,7 @@ func runGlobal(ctx context.Context, args []string) error {
 
 	var meter transport.Meter
 	var cpu monitor.CPUMeter
-	g, err := controller.NewGlobal(controller.GlobalConfig{
+	g, err := controller.StartGlobal(controller.GlobalConfig{
 		Network:    tcpnet.New(),
 		ListenAddr: *listen,
 		Algorithm:  alg,

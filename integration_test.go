@@ -22,7 +22,7 @@ func TestTCPFlatControlPlane(t *testing.T) {
 	net := sdscale.NewTCPNet()
 	ctx := context.Background()
 
-	g, err := sdscale.NewGlobal(sdscale.GlobalConfig{
+	g, err := sdscale.StartGlobal(sdscale.GlobalConfig{
 		Network:    net,
 		ListenAddr: "127.0.0.1:0",
 		Capacity:   sdscale.Rates{1000, 100},
@@ -107,7 +107,7 @@ func TestTCPHierarchy(t *testing.T) {
 		}
 	}
 
-	g, err := sdscale.NewGlobal(sdscale.GlobalConfig{
+	g, err := sdscale.StartGlobal(sdscale.GlobalConfig{
 		Network:  net,
 		Capacity: sdscale.Rates{400, 40},
 	})
@@ -237,7 +237,7 @@ func TestEndToEndAllocationInvariants(t *testing.T) {
 				stages = append(stages, st)
 			}
 
-			g, err := controller.NewGlobal(controller.GlobalConfig{
+			g, err := controller.StartGlobal(controller.GlobalConfig{
 				Network:   net.Host("global"),
 				Algorithm: controlalg.PSFA{},
 				Capacity:  capacity,

@@ -135,10 +135,6 @@ type Config struct {
 	PushThreshold float64
 	PushInterval  time.Duration
 	PushFloor     time.Duration
-	// MaxCodec caps the wire codec version every component negotiates.
-	// Zero selects the newest supported version; 1 pins the legacy v1
-	// codec, which the codec ablation benchmarks use as their baseline.
-	MaxCodec int
 	// Net parameterizes the simulated network.
 	Net simnet.Config
 	// CallTimeout bounds child RPCs. Zero selects the controller default.
@@ -423,7 +419,6 @@ func (c *Cluster) build() error {
 			Generator:     cfg.Workload,
 			Network:       c.Net.Host(fmt.Sprintf("stage-%d", i+1)),
 			Tracer:        c.stageTracer(),
-			MaxCodec:      cfg.MaxCodec,
 			PushThreshold: cfg.PushThreshold,
 			PushInterval:  cfg.PushInterval,
 			PushFloor:     cfg.PushFloor,
@@ -446,7 +441,6 @@ func (c *Cluster) build() error {
 		FanOut:           cfg.FanOut,
 		FanOutMode:       cfg.FanOutMode,
 		CallTimeout:      cfg.CallTimeout,
-		MaxCodec:         cfg.MaxCodec,
 		Delegated:        cfg.Delegated,
 		DeltaEnforcement: cfg.DeltaEnforcement,
 		Incremental:      cfg.Incremental,
@@ -469,7 +463,7 @@ func (c *Cluster) build() error {
 	}
 	gcfg.Store = gst
 	gcfg.ID = 1
-	g, err := controller.NewGlobal(gcfg)
+	g, err := controller.StartGlobal(gcfg)
 	if err != nil {
 		if gst != nil {
 			gst.Close()
@@ -502,7 +496,6 @@ func (c *Cluster) build() error {
 				FanOut:           cfg.FanOut,
 				FanOutMode:       cfg.FanOutMode,
 				CallTimeout:      cfg.CallTimeout,
-				MaxCodec:         cfg.MaxCodec,
 				ForwardRaw:       cfg.ForwardRaw,
 				LocalControl:     cfg.Delegated,
 				Incremental:      cfg.Incremental,
@@ -590,7 +583,6 @@ func (c *Cluster) buildFlatStandby() error {
 		FanOut:           cfg.FanOut,
 		FanOutMode:       cfg.FanOutMode,
 		CallTimeout:      cfg.CallTimeout,
-		MaxCodec:         cfg.MaxCodec,
 		DeltaEnforcement: cfg.DeltaEnforcement,
 		Incremental:      cfg.Incremental,
 		IncrementalFloor: cfg.IncrementalFloor,
@@ -639,7 +631,7 @@ func (c *Cluster) buildFlatStandby() error {
 			c.Trace.Standby = c.newTracer()
 			scfg.Tracer = c.Trace.Standby
 		}
-		sb, err := controller.NewGlobal(scfg)
+		sb, err := controller.StartGlobal(scfg)
 		if err != nil {
 			if st != nil {
 				st.Close()
@@ -670,7 +662,7 @@ func (c *Cluster) buildFlatStandby() error {
 		c.Trace.Global = c.newTracer()
 		gcfg.Tracer = c.Trace.Global
 	}
-	g, err := controller.NewGlobal(gcfg)
+	g, err := controller.StartGlobal(gcfg)
 	if err != nil {
 		if gst != nil {
 			gst.Close()
@@ -694,7 +686,6 @@ func (c *Cluster) buildFlatStandby() error {
 			Parents:       parents,
 			ParentTimeout: cfg.ParentTimeout,
 			Tracer:        c.stageTracer(),
-			MaxCodec:      cfg.MaxCodec,
 			PushThreshold: cfg.PushThreshold,
 			PushInterval:  cfg.PushInterval,
 			PushFloor:     cfg.PushFloor,
@@ -736,7 +727,6 @@ func (c *Cluster) buildCoordinated(ctx context.Context) error {
 			FanOut:           cfg.FanOut,
 			FanOutMode:       cfg.FanOutMode,
 			CallTimeout:      cfg.CallTimeout,
-			MaxCodec:         cfg.MaxCodec,
 			Incremental:      cfg.Incremental,
 			IncrementalFloor: cfg.IncrementalFloor,
 			MaxFailures:      cfg.MaxFailures,

@@ -328,7 +328,7 @@ func TestDependabilityControllerRestart(t *testing.T) {
 	}
 
 	// A replacement controller adopts the same stages and resumes control.
-	replacement, err := controller.NewGlobal(controller.GlobalConfig{
+	replacement, err := controller.StartGlobal(controller.GlobalConfig{
 		Network:  c.Net.Host("global-2"),
 		Capacity: wire.Rates{1200, 120}, // different capacity: rules must change
 	})

@@ -35,7 +35,6 @@ func (c *Cluster) aggregatorConfig(seq int, role Roles) controller.AggregatorCon
 		FanOut:           cfg.FanOut,
 		FanOutMode:       cfg.FanOutMode,
 		CallTimeout:      cfg.CallTimeout,
-		MaxCodec:         cfg.MaxCodec,
 		ForwardRaw:       cfg.ForwardRaw,
 		LocalControl:     cfg.Delegated,
 		Incremental:      cfg.Incremental,
@@ -194,7 +193,6 @@ func (c *Cluster) SetStages(ctx context.Context, target int) error {
 			Generator:     cfg.Workload,
 			Network:       c.Net.Host(fmt.Sprintf("stage-%d", i+1)),
 			Tracer:        c.stageTracer(),
-			MaxCodec:      cfg.MaxCodec,
 			PushThreshold: cfg.PushThreshold,
 			PushInterval:  cfg.PushInterval,
 			PushFloor:     cfg.PushFloor,
@@ -263,7 +261,6 @@ func (c *Cluster) shardLeaderConfig(s int, role Roles) controller.GlobalConfig {
 		FanOut:           cfg.FanOut,
 		FanOutMode:       cfg.FanOutMode,
 		CallTimeout:      cfg.CallTimeout,
-		MaxCodec:         cfg.MaxCodec,
 		DeltaEnforcement: cfg.DeltaEnforcement,
 		Incremental:      cfg.Incremental,
 		IncrementalFloor: cfg.IncrementalFloor,
@@ -317,7 +314,7 @@ func (c *Cluster) ResizeShards(ctx context.Context, target int) error {
 				return err
 			}
 			gcfg.Store = st
-			g, err := controller.NewGlobal(gcfg)
+			g, err := controller.StartGlobal(gcfg)
 			if err != nil {
 				if st != nil {
 					st.Close()

@@ -82,7 +82,6 @@ func (c *Cluster) buildSharded() error {
 		FanOut:           cfg.FanOut,
 		FanOutMode:       cfg.FanOutMode,
 		CallTimeout:      cfg.CallTimeout,
-		MaxCodec:         cfg.MaxCodec,
 		DeltaEnforcement: cfg.DeltaEnforcement,
 		Incremental:      cfg.Incremental,
 		IncrementalFloor: cfg.IncrementalFloor,
@@ -127,7 +126,7 @@ func (c *Cluster) buildSharded() error {
 				return err
 			}
 			scfg.Store = st
-			sb, err := controller.NewGlobal(scfg)
+			sb, err := controller.StartGlobal(scfg)
 			if err != nil {
 				if st != nil {
 					st.Close()
@@ -152,7 +151,7 @@ func (c *Cluster) buildSharded() error {
 			return err
 		}
 		gcfg.Store = st
-		g, err := controller.NewGlobal(gcfg)
+		g, err := controller.StartGlobal(gcfg)
 		if err != nil {
 			if st != nil {
 				st.Close()
@@ -174,7 +173,6 @@ func (c *Cluster) buildSharded() error {
 			Generator:     cfg.Workload,
 			Network:       c.Net.Host(fmt.Sprintf("stage-%d", i+1)),
 			Tracer:        c.stageTracer(),
-			MaxCodec:      cfg.MaxCodec,
 			PushThreshold: cfg.PushThreshold,
 			PushInterval:  cfg.PushInterval,
 			PushFloor:     cfg.PushFloor,

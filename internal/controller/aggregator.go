@@ -37,10 +37,6 @@ type AggregatorConfig struct {
 	FanOutMode FanOutMode
 	// CallTimeout bounds each stage RPC. Zero selects 10 seconds.
 	CallTimeout time.Duration
-	// MaxCodec caps the wire codec version the aggregator negotiates, on
-	// both its upstream server and its stage connections. Zero selects the
-	// newest supported version; 1 pins the legacy v1 codec.
-	MaxCodec int
 	// MaxFailures is the consecutive-failure threshold that trips a
 	// stage's circuit breaker into quarantine. Zero selects
 	// DefaultMaxFailures.
@@ -69,10 +65,10 @@ type AggregatorConfig struct {
 	// push-maintained report cache: stages push deltas as their rates move,
 	// and the stage-facing collect scatter shrinks to the edge cases
 	// (never reported, forced after re-registration or readmission, cache
-	// past IncrementalFloor, v1 codec). Enforce sends are also diffed per
-	// stage, skipping unchanged rules. Requires FanOutPipelined; with
-	// FanOutBlocking the full fan-out runs unchanged. The upstream reply is
-	// built the same way either way, so the global controller needs no
+	// past IncrementalFloor, hello not yet acked). Enforce sends are also
+	// diffed per stage, skipping unchanged rules. Requires FanOutPipelined;
+	// with FanOutBlocking the full fan-out runs unchanged. The upstream reply
+	// is built the same way either way, so the global controller needs no
 	// matching configuration.
 	Incremental bool
 	// IncrementalFloor bounds how old a stage's cached report may grow
@@ -158,7 +154,7 @@ func StartAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	a := &Aggregator{cfg: cfg}
 	a.init(stageOpts{
 		who: fmt.Sprintf("aggregator %d", cfg.ID), network: cfg.Network,
-		fanMode: cfg.FanOutMode, par: cfg.FanOut, callTimeout: cfg.CallTimeout, maxCodec: cfg.MaxCodec,
+		fanMode: cfg.FanOutMode, par: cfg.FanOut, callTimeout: cfg.CallTimeout,
 		breaker: breakerConfig{MaxFailures: cfg.MaxFailures, ProbeInterval: cfg.ProbeInterval,
 			MaxProbeInterval: cfg.MaxProbeInterval, StaleAfter: cfg.StaleAfter, EvictAfter: cfg.EvictAfter},
 		incremental: cfg.Incremental, floor: cfg.IncrementalFloor,
@@ -175,7 +171,6 @@ func StartAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		Meter:         cfg.Meter,
 		Logf:          cfg.Logf,
 		Tracer:        cfg.Tracer,
-		MaxCodec:      cfg.MaxCodec,
 		ReuseRequests: true,
 		ReuseHits:     a.pipe.ReuseCounter(),
 	})
@@ -436,9 +431,8 @@ func (a *Aggregator) delegate(m *wire.Delegate) (*wire.EnforceAck, error) {
 	// When a job's proportional split degenerates to identical per-stage
 	// shares (the steady state of a converged workload), the job's rules
 	// collapse into one wildcard rule (StageID 0) that is marshaled once
-	// and broadcast from a shared frame to the job's codec-v2 stages.
-	// Stages on the legacy v1 codec — which predates the wildcard — and
-	// unequal splits fall back to per-stage unicast rules.
+	// and broadcast from a shared frame to the job's active stages. Unequal
+	// splits fall back to per-stage unicast rules.
 	type wildcast struct {
 		rule    wire.Rule
 		targets []*child
@@ -471,17 +465,10 @@ func (a *Aggregator) delegate(m *wire.Delegate) (*wire.EnforceAck, error) {
 				Action:  wire.ActionSetLimit,
 				Limit:   split[0],
 			}}
-			for k, i := range idxs {
-				if c := byStageChild[reports[i].StageID]; c != nil && c.client().CodecVersion() >= wire.CodecV2 {
+			for _, i := range idxs {
+				if c := byStageChild[reports[i].StageID]; c != nil {
 					w.targets = append(w.targets, c)
-					continue
 				}
-				rules = append(rules, wire.Rule{
-					StageID: reports[i].StageID,
-					JobID:   budget.JobID,
-					Action:  wire.ActionSetLimit,
-					Limit:   split[k],
-				})
 			}
 			if len(w.targets) > 0 {
 				casts = append(casts, w)

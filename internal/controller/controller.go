@@ -142,7 +142,8 @@ type child struct {
 
 // filterChanged returns only the rules that differ from what was last sent
 // to this child, updating the cache. With deterministic demand (the stress
-// workload) allocations repeat bit-for-bit, so exact comparison suffices.
+// workload) allocations repeat bit-for-bit, so exact comparison suffices. The
+// cache is updated ahead of the send; forgetRules undoes it if the send fails.
 func (c *child) filterChanged(rules []wire.Rule) []wire.Rule {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -157,6 +158,18 @@ func (c *child) filterChanged(rules []wire.Rule) []wire.Rule {
 		}
 	}
 	return changed
+}
+
+// forgetRules withdraws rules from the delta-enforcement cache after the
+// call that carried them failed, and marks the child dirty so an incremental
+// cycle recomputes, and so re-sends them, instead of short-circuiting.
+func (c *child) forgetRules(rules []wire.Rule) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, r := range rules {
+		delete(c.lastRules, r.StageID)
+	}
+	c.dirty = true
 }
 
 // recordFailure counts one failed call and reports whether it tripped the

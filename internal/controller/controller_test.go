@@ -50,7 +50,7 @@ func startStages(t *testing.T, n *simnet.Net, count, nJobs int, demand wire.Rate
 func buildFlat(t *testing.T, n *simnet.Net, stages []*stage.Virtual, cfg GlobalConfig) *Global {
 	t.Helper()
 	cfg.Network = n.Host("global")
-	g, err := NewGlobal(cfg)
+	g, err := StartGlobal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func buildHierarchy(t *testing.T, n *simnet.Net, stages []*stage.Virtual, nAggs 
 	}
 
 	cfg.Network = n.Host("global")
-	g, err := NewGlobal(cfg)
+	g, err := StartGlobal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestDuplicateChildRejected(t *testing.T) {
 
 func TestRunCycleNoChildren(t *testing.T) {
 	n := fastNet()
-	g, err := NewGlobal(GlobalConfig{Network: n.Host("global"), Capacity: wire.Rates{1, 1}})
+	g, err := StartGlobal(GlobalConfig{Network: n.Host("global"), Capacity: wire.Rates{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestEvictionAfterStageDeath(t *testing.T) {
 
 func TestDynamicRegistration(t *testing.T) {
 	n := fastNet()
-	g, err := NewGlobal(GlobalConfig{
+	g, err := StartGlobal(GlobalConfig{
 		Network:    n.Host("global"),
 		ListenAddr: ":0",
 		Capacity:   wire.Rates{1000, 100},
@@ -358,7 +358,7 @@ func TestDynamicRegistration(t *testing.T) {
 
 func TestRegistrationRejectsAggregators(t *testing.T) {
 	n := fastNet()
-	g, err := NewGlobal(GlobalConfig{Network: n.Host("global"), ListenAddr: ":0", Capacity: wire.Rates{1, 1}})
+	g, err := StartGlobal(GlobalConfig{Network: n.Host("global"), ListenAddr: ":0", Capacity: wire.Rates{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,6 +535,66 @@ func TestDeltaEnforcementSkipsUnchangedRules(t *testing.T) {
 	}
 }
 
+// TestHierarchicalDeltaResendsBatchWhoseEnforceFailed: the hierarchical
+// enforce diffs against the same per-child rule cache as the stage-facing
+// one, so it owes the same correction — a batch whose Enforce failed is not
+// something the aggregator holds, and the next cycle sends it again even
+// though the rules it computes have not changed.
+func TestHierarchicalDeltaResendsBatchWhoseEnforceFailed(t *testing.T) {
+	n := fastNet()
+	ctx := context.Background()
+	// A stand-in aggregator: constant per-job aggregates, and an enforce
+	// handler that fails the first request and records every later one. Its
+	// connection is served in order, so the plain variables are safe to read
+	// between cycles.
+	var enforces, delivered int
+	agg, err := rpc.Serve(n.Host("agg"), ":0", rpc.HandlerFunc(func(_ *rpc.Peer, req wire.Message) (wire.Message, error) {
+		switch m := req.(type) {
+		case *wire.Collect:
+			return &wire.CollectAggReply{Cycle: m.Cycle, AggregatorID: 1000,
+				Jobs: []wire.JobReport{{JobID: 1, Stages: 2, Demand: wire.Rates{1000, 100}}}}, nil
+		case *wire.Enforce:
+			if enforces++; enforces == 1 {
+				return nil, errors.New("synthetic enforce failure")
+			}
+			delivered += len(m.Rules)
+			return &wire.EnforceAck{Cycle: m.Cycle, Applied: uint32(len(m.Rules))}, nil
+		}
+		return nil, fmt.Errorf("unexpected %s", req.Type())
+	}), rpc.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+
+	g, err := StartGlobal(GlobalConfig{
+		Network:          n.Host("global"),
+		Capacity:         wire.Rates{500, 50},
+		DeltaEnforcement: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	behind := []stage.Info{{ID: 1, JobID: 1, Weight: 1}, {ID: 2, JobID: 1, Weight: 1}}
+	if err := g.AddAggregator(ctx, 1000, agg.Addr().String(), behind); err != nil {
+		t.Fatal(err)
+	}
+	for cycle, want := range []struct{ enforces, delivered int }{
+		{1, 0}, // the batch is sent and refused
+		{2, 2}, // unchanged rules, sent again: the aggregator does not hold them
+		{2, 2}, // delivered: now the diff is empty
+	} {
+		if _, err := g.RunCycle(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if enforces != want.enforces || delivered != want.delivered {
+			t.Fatalf("cycle %d: aggregator saw %d enforces delivering %d rules, want %d and %d",
+				cycle+1, enforces, delivered, want.enforces, want.delivered)
+		}
+	}
+}
+
 // TestReRegistrationGetsFullRules: under delta enforcement, a child that
 // re-registers (restarted or re-homed to a promoted standby) may have lost
 // its rules, so its delta cache must be invalidated and the next cycle must
@@ -705,7 +765,7 @@ func TestAttachAggregatorDiscoversStages(t *testing.T) {
 		}
 	}
 
-	g, err := NewGlobal(GlobalConfig{Network: n.Host("global"), Capacity: wire.Rates{250, 25}})
+	g, err := StartGlobal(GlobalConfig{Network: n.Host("global"), Capacity: wire.Rates{250, 25}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -728,7 +788,7 @@ func TestAttachAggregatorDiscoversStages(t *testing.T) {
 
 func TestAttachAggregatorErrors(t *testing.T) {
 	n := fastNet()
-	g, err := NewGlobal(GlobalConfig{Network: n.Host("global"), Capacity: wire.Rates{1, 1}})
+	g, err := StartGlobal(GlobalConfig{Network: n.Host("global"), Capacity: wire.Rates{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -770,7 +830,7 @@ func TestForwardRawAblation(t *testing.T) {
 		}
 	}
 
-	g, err := NewGlobal(GlobalConfig{Network: n.Host("global"), Capacity: wire.Rates{1800, 180}})
+	g, err := StartGlobal(GlobalConfig{Network: n.Host("global"), Capacity: wire.Rates{1800, 180}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -816,7 +876,7 @@ func TestDelegatedHierarchyMatchesPlainAllocations(t *testing.T) {
 		}
 	}
 
-	g, err := NewGlobal(GlobalConfig{
+	g, err := StartGlobal(GlobalConfig{
 		Network:   n.Host("global"),
 		Capacity:  wire.Rates{1800, 180},
 		Delegated: true,
@@ -831,11 +891,20 @@ func TestDelegatedHierarchyMatchesPlainAllocations(t *testing.T) {
 	if _, err := g.RunCycle(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Demand 5400 > cap 1800; 2 jobs × 3 stages; per-stage 300 data.
+	// Demand 5400 > cap 1800; 2 jobs × 3 stages; per-stage 300 data. Each
+	// job's split comes out uniform, so the aggregator addresses it to the
+	// job as one wildcard rule — which must reach every one of the job's
+	// stages, once, and none of the other job's.
 	for i, v := range stages {
 		rule, ok := v.LastRule()
 		if !ok {
 			t.Fatalf("stage %d got no rule via delegation", i)
+		}
+		if rule.StageID != wire.WildcardStage || rule.JobID != v.Info().JobID {
+			t.Errorf("stage %d holds rule %+v, want job %d's wildcard", i, rule, v.Info().JobID)
+		}
+		if _, enforces := v.Counters(); enforces != 1 {
+			t.Errorf("stage %d applied %d rules, want 1", i, enforces)
 		}
 		if math.Abs(rule.Limit[wire.ClassData]-300) > 1e-6 {
 			t.Errorf("stage %d limit = %g, want 300", i, rule.Limit[wire.ClassData])
@@ -875,7 +944,7 @@ func TestDelegatedSplitsProportionallyToLocalDemand(t *testing.T) {
 	a.AddStage(ctx, heavy.Info())
 	a.AddStage(ctx, light.Info())
 
-	g, err := NewGlobal(GlobalConfig{Network: n.Host("global"), Capacity: wire.Rates{2000, 0}, Delegated: true})
+	g, err := StartGlobal(GlobalConfig{Network: n.Host("global"), Capacity: wire.Rates{2000, 0}, Delegated: true})
 	if err != nil {
 		t.Fatal(err)
 	}

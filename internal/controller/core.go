@@ -27,7 +27,6 @@ type stageOpts struct {
 	fanMode     FanOutMode
 	par         int
 	callTimeout time.Duration
-	maxCodec    int
 	breaker     breakerConfig
 	// incremental and floor are the role's Incremental/IncrementalFloor;
 	// delta is its DeltaEnforcement. init resolves all three.
@@ -168,7 +167,7 @@ func (k *stageCore) snapshot() ControllerStats {
 func (k *stageCore) dial(ctx context.Context, addr string, id uint64) (*rpc.ReconnectingClient, error) {
 	return rpc.DialReconnecting(ctx, k.network, addr,
 		rpc.DialOptions{Meter: k.meter, CPU: k.cpu, Tracer: k.tracer, SpanTag: id,
-			MaxCodec: k.maxCodec, ReuseReplies: true, ReuseHits: k.pipe.ReuseCounter(),
+			ReuseReplies: true, ReuseHits: k.pipe.ReuseCounter(),
 			OnPush: k.onPush},
 		k.breaker.reconnectPolicy())
 }
@@ -258,32 +257,18 @@ func (k *stageCore) offCycle(gauge *telemetry.Gauge) fanOutOpts {
 	return fanOutOpts{mode: k.fanMode, par: k.par, timeout: k.callTimeout, gauge: gauge}
 }
 
-// fanOut dispatches one request per child (reqFor returning nil skips the
-// child), charging every outcome to the breaker and error accounting and
-// handing successful replies to onReply, which may be nil.
-func (k *stageCore) fanOut(ctx context.Context, o fanOutOpts, children []*child,
-	reqFor func(i int) wire.Message, onReply func(i int, resp wire.Message)) {
-	fanOutCalls(ctx, o, children, reqFor, func(i int, resp wire.Message, err error) {
-		k.accountCall(ctx, children[i], err)
-		if err == nil && onReply != nil {
-			onReply(i, resp)
-		}
-	})
-}
-
 // fanOutBroadcast dispatches one identical request to every child as a
-// marshal-once shared frame, with fanOut's accounting. It takes ownership of
-// f (released by the time it returns) and attributes the sends and actual
-// encodes to the pipeline stats, whose ratio is the per-cycle marshal
-// fan-in.
+// marshal-once shared frame: the body is encoded once (per codec version in
+// use) and each call writes just a header plus a memcopy. It takes ownership
+// of f — the producer reference is released once every call holds its own —
+// and attributes the sends and actual encodes to the pipeline stats, whose
+// ratio is the per-cycle marshal fan-in. onDone follows fanOutCalls' contract.
 func (k *stageCore) fanOutBroadcast(ctx context.Context, o fanOutOpts, children []*child,
-	f *rpc.SharedFrame, onReply func(i int, resp wire.Message)) {
-	fanOutShared(ctx, o, children, f, nil, func(i int, resp wire.Message, err error) {
-		k.accountCall(ctx, children[i], err)
-		if err == nil && onReply != nil {
-			onReply(i, resp)
-		}
-	})
+	f *rpc.SharedFrame, onDone func(i int, resp wire.Message, err error)) {
+	k.fanOutCalls(ctx, o, children, func(ctx context.Context, i int) *rpc.Call {
+		return children[i].client().GoShared(ctx, f)
+	}, onDone)
+	f.Release()
 	k.pipe.AddSharedSends(uint64(len(children)))
 	k.pipe.AddSharedEncodes(f.Encodes())
 }
@@ -423,11 +408,18 @@ func runLoop(ctx context.Context, interval time.Duration, cycle func(context.Con
 // the per-child cache already holds a current report for every live, quiet
 // child. The dirty set is claimed, the collect shrinks to the edge cases —
 // never reported, forced after re-registration or readmission, cache past
-// the heartbeat floor, v1 codec (which cannot carry pushes) — and the set is
+// the heartbeat floor, no upgraded connection attached — and the set is
 // assembled from the cache: pushed deltas, the collects just made, and
 // untouched-but-fresh reports all read back alike. With mayIdle set, a cycle
 // with nothing dirty, nothing to collect and nobody quarantined sends and
 // assembles nothing and reports idle.
+//
+// The connection test is not about codecs. CodecVersion answers the baseline
+// exactly when no push can arrive: the child's client is detached after a
+// failed call and redialing, or freshly (re)dialed with its hello not yet
+// acked. Collecting such a child every cycle is what lets its consecutive
+// failures reach MaxFailures, so the breaker — not the floor timer — decides
+// about a child that went silent behind a fresh cache.
 //
 // The returned rows live in the cycle arena.
 func (k *stageCore) gatherReports(ctx context.Context, m wire.Collect, active, quarantined []*child,
@@ -458,7 +450,7 @@ func (k *stageCore) gatherReports(ctx context.Context, m wire.Collect, active, q
 		replies = k.cyc.replies.Take(&k.arena, len(targets))
 		req := m // copied here so that only a cycle that sends pays for the frame
 		k.fanOutBroadcast(ctx, k.cycleFan(&k.pipe.CollectInFlight), targets, rpc.NewSharedFrame(&req),
-			func(i int, resp wire.Message) {
+			func(i int, resp wire.Message, _ error) {
 				if r, ok := resp.(*wire.CollectReply); ok {
 					replies[i] = r
 					targets[i].noteReport(r, time.Now())
@@ -542,13 +534,19 @@ func (k *stageCore) sendable(cycle uint64, c *child, batch []wire.Rule, delta bo
 // StageID-sorted rules, subject to sendable (incremental mode implies
 // delta). A child with no rule — it had no report this cycle — is sent
 // nothing. The request messages are index-disjoint arena slots, safe from
-// blocking mode's concurrent reqFor. onReply, which may be nil, sees the
-// acks.
+// blocking mode's concurrent issue. onDone, which may be nil, sees every
+// outcome.
+//
+// sendable commits a batch to the child's rule cache when it takes the diff,
+// before the call is issued. A call that then fails — the caller's own
+// cancellation included: delivery is unknown — has its batch withdrawn, so
+// the cache says what the child holds, not what was attempted, and the next
+// cycle recomputes and re-sends.
 func (k *stageCore) enforceStageRules(ctx context.Context, cycle, epoch uint64, children []*child,
-	rules []wire.Rule, onReply func(i int, resp wire.Message)) {
+	rules []wire.Rule, onDone func(i int, resp wire.Message, err error)) {
 	enfBuf := k.cyc.enfBuf.Take(&k.arena, len(children))
-	k.fanOut(ctx, k.cycleFan(&k.pipe.EnforceInFlight), children,
-		func(i int) wire.Message {
+	k.fanOutCalls(ctx, k.cycleFan(&k.pipe.EnforceInFlight), children,
+		func(ctx context.Context, i int) *rpc.Call {
 			c := children[i]
 			batch := stageRun(rules, c.info.ID)
 			if len(batch) == 0 {
@@ -561,8 +559,16 @@ func (k *stageCore) enforceStageRules(ctx context.Context, cycle, epoch uint64, 
 				return nil
 			}
 			enfBuf[i] = wire.Enforce{Cycle: cycle, Rules: batch, Epoch: epoch}
-			return &enfBuf[i]
-		}, onReply)
+			return c.client().Go(ctx, &enfBuf[i])
+		},
+		func(i int, resp wire.Message, err error) {
+			if err != nil {
+				children[i].forgetRules(enfBuf[i].Rules)
+			}
+			if onDone != nil {
+				onDone(i, resp, err)
+			}
+		})
 }
 
 // stageRun returns the contiguous run of rules addressed to stageID in a
@@ -576,10 +582,10 @@ func stageRun(rules []wire.Rule, stageID uint64) []wire.Rule {
 	return rules[lo:hi:hi]
 }
 
-// sumApplied returns an onReply that adds every EnforceAck's applied-rule
+// sumApplied returns an onDone that adds every EnforceAck's applied-rule
 // count to total (atomically: blocking mode harvests concurrently).
-func sumApplied(total *atomic.Uint32) func(i int, resp wire.Message) {
-	return func(_ int, resp wire.Message) {
+func sumApplied(total *atomic.Uint32) func(i int, resp wire.Message, err error) {
+	return func(_ int, resp wire.Message, _ error) {
 		if ack, ok := resp.(*wire.EnforceAck); ok {
 			total.Add(ack.Applied)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dsrhaslab/sdscale/internal/rpc"
 	"github.com/dsrhaslab/sdscale/internal/stage"
 	"github.com/dsrhaslab/sdscale/internal/transport/simnet"
 	"github.com/dsrhaslab/sdscale/internal/wire"
@@ -20,8 +21,9 @@ import (
 // edge cases are checked once, through each role's core, in both regimes.
 
 const (
-	coreFloor      = time.Second      // IncrementalFloor
-	coreStaleAfter = 10 * time.Second // StaleAfter
+	coreFloor       = time.Second      // IncrementalFloor
+	coreStaleAfter  = 10 * time.Second // StaleAfter
+	coreMaxFailures = 2                // MaxFailures
 )
 
 // coreFixture is one role's stageCore over a fresh five-stage fleet. The
@@ -41,9 +43,9 @@ var coreRoles = []struct {
 	start func(t *testing.T, n *simnet.Net, incremental bool) *stageCore
 }{
 	{"global", func(t *testing.T, n *simnet.Net, incremental bool) *stageCore {
-		g, err := NewGlobal(GlobalConfig{
+		g, err := StartGlobal(GlobalConfig{
 			Network: n.Host("ctl"), Incremental: incremental, IncrementalFloor: coreFloor,
-			StaleAfter: coreStaleAfter, CallTimeout: 200 * time.Millisecond, MaxFailures: 2,
+			StaleAfter: coreStaleAfter, CallTimeout: 200 * time.Millisecond, MaxFailures: coreMaxFailures,
 			ProbeInterval: 2 * time.Millisecond, MaxProbeInterval: 10 * time.Millisecond,
 		})
 		if err != nil {
@@ -55,7 +57,7 @@ var coreRoles = []struct {
 	{"aggregator", func(t *testing.T, n *simnet.Net, incremental bool) *stageCore {
 		a, err := StartAggregator(AggregatorConfig{
 			ID: 100, Network: n.Host("ctl"), Incremental: incremental, IncrementalFloor: coreFloor,
-			StaleAfter: coreStaleAfter, CallTimeout: 200 * time.Millisecond, MaxFailures: 2,
+			StaleAfter: coreStaleAfter, CallTimeout: 200 * time.Millisecond, MaxFailures: coreMaxFailures,
 			ProbeInterval: 2 * time.Millisecond, MaxProbeInterval: 10 * time.Millisecond,
 		})
 		if err != nil {
@@ -67,7 +69,7 @@ var coreRoles = []struct {
 	{"peer", func(t *testing.T, n *simnet.Net, incremental bool) *stageCore {
 		p, err := StartPeer(PeerConfig{
 			ID: 100, Network: n.Host("ctl"), Incremental: incremental, IncrementalFloor: coreFloor,
-			StaleAfter: coreStaleAfter, CallTimeout: 200 * time.Millisecond, MaxFailures: 2,
+			StaleAfter: coreStaleAfter, CallTimeout: 200 * time.Millisecond, MaxFailures: coreMaxFailures,
 			ProbeInterval: 2 * time.Millisecond, MaxProbeInterval: 10 * time.Millisecond,
 		})
 		if err != nil {
@@ -176,6 +178,22 @@ func (f *coreFixture) age(id uint64, by time.Duration) {
 }
 
 func ids(v ...uint64) []uint64 { return v }
+
+// detachClient makes calls outside the cycle, charged to no breaker, until
+// one has failed on the severed connection of a child whose host is
+// partitioned: the client is then detached and redialing, and every further
+// call to the child fails fast.
+func detachClient(t *testing.T, c *child) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); c.client().Connected(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("child %d's client never detached after the partition", c.info.ID)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		c.client().Call(ctx, &wire.Heartbeat{})
+		cancel()
+	}
+}
 
 func (f *coreFixture) expect(step string, got outcome, collected, covered, enforced []uint64) {
 	f.t.Helper()
@@ -308,6 +326,43 @@ func TestStageCoreGatherAndEnforce(t *testing.T) {
 				f.expect("new member", got, pick(six, ids(6)), six, pick(six, ids(6)))
 				if got = f.run(true); got.idle != incremental {
 					t.Errorf("after new member: idle = %v, want %v", got.idle, incremental)
+				}
+				if !incremental {
+					return
+				}
+
+				// A detached client: stage 6 is cut off behind a fresh cache
+				// with no rule change pending, so nothing the cycle computes
+				// would contact it — and one call outside the cycle has
+				// failed, which detached its client to redial. No push can
+				// arrive on a connection that is not there, so the child is
+				// in the collect set of every following cycle; each attempt
+				// fails fast and the breaker quarantines it after MaxFailures
+				// of them, instead of the cycle idling until IncrementalFloor.
+				n.Host("stage-6").SetPartitioned(true)
+				c6 := f.k.members.get(6)
+				detachClient(t, c6)
+				var callErrs []error
+				hook := f.k.onCallError
+				f.k.onCallError = func(c *child, err error) {
+					callErrs = append(callErrs, err)
+					if hook != nil {
+						hook(c, err)
+					}
+				}
+				for i := 1; i <= coreMaxFailures; i++ {
+					step := fmt.Sprintf("detached client, cycle %d", i)
+					got = f.run(true)
+					if got.idle {
+						t.Fatalf("%s: cycle reported idle, the detached child went uncontacted", step)
+					}
+					f.expect(step, got, nil, six, nil)
+					if len(callErrs) != i || !errors.Is(callErrs[i-1], rpc.ErrDisconnected) {
+						t.Fatalf("%s: failed calls %v, want one more ErrDisconnected", step, callErrs)
+					}
+					if q := c6.isQuarantined(); q != (i == coreMaxFailures) {
+						t.Errorf("%s: quarantined = %v", step, q)
+					}
 				}
 			})
 		}

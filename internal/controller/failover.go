@@ -259,7 +259,7 @@ func (g *Global) runElection(ctx context.Context) (bool, error) {
 	rpc.Scatter(ctx, len(peers), len(peers), func(i int) {
 		cctx, cancel := context.WithTimeout(ctx, g.cfg.CallTimeout)
 		defer cancel()
-		cli, err := rpc.Dial(cctx, g.cfg.Network, peers[i], rpc.DialOptions{Meter: g.cfg.Meter, MaxCodec: g.cfg.MaxCodec})
+		cli, err := rpc.Dial(cctx, g.cfg.Network, peers[i], rpc.DialOptions{Meter: g.cfg.Meter})
 		if err != nil {
 			return // dead peer: counts as a missing vote
 		}
@@ -530,7 +530,7 @@ func (g *Global) syncLoop(ctx context.Context) {
 		f := rpc.NewSharedFrame(msg)
 		rpc.Scatter(ctx, len(targets), len(targets), func(i int) {
 			if clients[i] == nil {
-				c, err := rpc.Dial(ctx, g.cfg.Network, targets[i], rpc.DialOptions{Meter: g.cfg.Meter, MaxCodec: g.cfg.MaxCodec})
+				c, err := rpc.Dial(ctx, g.cfg.Network, targets[i], rpc.DialOptions{Meter: g.cfg.Meter})
 				if err != nil {
 					return // standby not up yet: retry next tick
 				}

@@ -63,14 +63,18 @@ func (o *fanOutOpts) takeCalls(n int) []*rpc.Call {
 	return make([]*rpc.Call, n)
 }
 
-// fanOutCalls issues one request per child and hands every outcome to
-// onDone. reqFor returning nil skips that child. In blocking mode onDone
-// runs concurrently from up to par scatter workers; in pipelined mode it
-// runs sequentially on the calling goroutine, in issue order. Callers must
-// keep onDone safe for the blocking case (index-disjoint writes or their own
-// locking). Once ctx is cancelled no further requests are issued.
-func fanOutCalls(ctx context.Context, o fanOutOpts, children []*child,
-	reqFor func(i int) wire.Message,
+// fanOutCalls is the one dispatch engine behind every fan-out. It issues one
+// call per child, waits for it under the mode's deadline, charges the outcome
+// to the breaker and error accounting, and then hands it to onDone, which may
+// be nil. issue starts child i's call under ctx (Go or GoShared on its client:
+// issuing never blocks, the deadline applies to the wait) and returns the
+// handle; a nil handle skips the child. In blocking mode issue and onDone run
+// concurrently from up to par scatter workers; in pipelined mode they run
+// sequentially on the calling goroutine, in child order. Callers must keep
+// both safe for the blocking case (index-disjoint writes or their own
+// locking). Once ctx is cancelled no further calls are issued.
+func (k *stageCore) fanOutCalls(ctx context.Context, o fanOutOpts, children []*child,
+	issue func(ctx context.Context, i int) *rpc.Call,
 	onDone func(i int, resp wire.Message, err error)) {
 	n := len(children)
 	if n == 0 {
@@ -78,8 +82,8 @@ func fanOutCalls(ctx context.Context, o fanOutOpts, children []*child,
 	}
 	if o.mode == FanOutBlocking {
 		rpc.Scatter(ctx, n, o.par, func(i int) {
-			req := reqFor(i)
-			if req == nil {
+			call := issue(ctx, i)
+			if call == nil {
 				return
 			}
 			if o.gauge != nil {
@@ -87,17 +91,20 @@ func fanOutCalls(ctx context.Context, o fanOutOpts, children []*child,
 				defer o.gauge.Exit()
 			}
 			cctx, cancel := context.WithTimeout(ctx, o.timeout)
-			resp, err := children[i].client().Call(cctx, req)
+			resp, err := call.Wait(cctx)
 			cancel()
-			onDone(i, resp, err)
+			k.accountCall(ctx, children[i], err)
+			if onDone != nil {
+				onDone(i, resp, err)
+			}
 		})
 		return
 	}
 
-	// Pipelined: issue every request back-to-back, then harvest the
-	// completion handles in issue order — phase latency is the slowest
-	// child, not the sum over a bounded pool. One deadline covers the whole
-	// phase in place of a context per call.
+	// Pipelined: issue every call back-to-back, then harvest the completion
+	// handles in issue order — phase latency is the slowest child, not the
+	// sum over a bounded pool. One deadline covers the whole phase in place
+	// of a context per call.
 	pctx, cancel := context.WithTimeout(ctx, o.timeout)
 	defer cancel()
 	calls := o.takeCalls(n)
@@ -105,14 +112,9 @@ func fanOutCalls(ctx context.Context, o fanOutOpts, children []*child,
 		if ctx.Err() != nil {
 			break // cancelled mid-fan-out: stop issuing
 		}
-		req := reqFor(i)
-		if req == nil {
-			continue
-		}
-		if o.gauge != nil {
+		if calls[i] = issue(ctx, i); calls[i] != nil && o.gauge != nil {
 			o.gauge.Enter()
 		}
-		calls[i] = children[i].client().Go(pctx, req)
 	}
 	for i, call := range calls {
 		if call == nil {
@@ -122,67 +124,9 @@ func fanOutCalls(ctx context.Context, o fanOutOpts, children []*child,
 		if o.gauge != nil {
 			o.gauge.Exit()
 		}
-		onDone(i, resp, err)
-	}
-}
-
-// fanOutShared is fanOutCalls for broadcasts: every child receives the same
-// request, so the body is marshaled once into a SharedFrame and each call
-// writes just a header plus a memcopy. The producer reference on f is
-// released before harvesting, so after the last outcome is handed to onDone
-// the frame's pooled buffers are back in the pool. onDone follows the same
-// concurrency contract as fanOutCalls. skip, if non-nil, exempts children
-// from the broadcast.
-func fanOutShared(ctx context.Context, o fanOutOpts, children []*child,
-	f *rpc.SharedFrame, skip func(i int) bool,
-	onDone func(i int, resp wire.Message, err error)) {
-	n := len(children)
-	if n == 0 {
-		f.Release()
-		return
-	}
-	if o.mode == FanOutBlocking {
-		rpc.Scatter(ctx, n, o.par, func(i int) {
-			if skip != nil && skip(i) {
-				return
-			}
-			if o.gauge != nil {
-				o.gauge.Enter()
-				defer o.gauge.Exit()
-			}
-			cctx, cancel := context.WithTimeout(ctx, o.timeout)
-			resp, err := children[i].client().GoShared(cctx, f).Wait(cctx)
-			cancel()
+		k.accountCall(ctx, children[i], err)
+		if onDone != nil {
 			onDone(i, resp, err)
-		})
-		f.Release()
-		return
-	}
-
-	pctx, cancel := context.WithTimeout(ctx, o.timeout)
-	defer cancel()
-	calls := o.takeCalls(n)
-	for i := range children {
-		if ctx.Err() != nil {
-			break // cancelled mid-fan-out: stop issuing
 		}
-		if skip != nil && skip(i) {
-			continue
-		}
-		if o.gauge != nil {
-			o.gauge.Enter()
-		}
-		calls[i] = children[i].client().GoShared(pctx, f)
-	}
-	f.Release()
-	for i, call := range calls {
-		if call == nil {
-			continue
-		}
-		resp, err := call.Wait(pctx)
-		if o.gauge != nil {
-			o.gauge.Exit()
-		}
-		onDone(i, resp, err)
 	}
 }

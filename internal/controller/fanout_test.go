@@ -58,7 +58,7 @@ func TestCancelledCollectStopsFanOut(t *testing.T) {
 	const stages = 8
 	infos := startStuckStagesOn(t, n, stages, gate, &calls)
 
-	g, err := NewGlobal(GlobalConfig{
+	g, err := StartGlobal(GlobalConfig{
 		Network:     n.Host("global"),
 		FanOut:      2,
 		FanOutMode:  FanOutBlocking,
@@ -119,7 +119,7 @@ func TestCancelledPipelinedCollectReturnsPromptly(t *testing.T) {
 
 	infos := startStuckStagesOn(t, n, 4, gate, &calls)
 
-	g, err := NewGlobal(GlobalConfig{
+	g, err := StartGlobal(GlobalConfig{
 		Network:     n.Host("global"),
 		FanOutMode:  FanOutPipelined,
 		CallTimeout: 30 * time.Second,

@@ -25,11 +25,12 @@ var ErrNoChildren = errors.New("controller: no children to manage")
 
 // GlobalConfig configures a global controller.
 type GlobalConfig struct {
-	// Network is the transport used to dial children (and to listen for
-	// registrations when ListenAddr is set).
+	// Network is the transport used to dial children and to listen for
+	// registrations.
 	Network transport.Network
-	// ListenAddr, if non-empty, starts a registration endpoint where
-	// stages announce themselves for dynamic membership (flat design).
+	// ListenAddr is the registration endpoint where stages announce
+	// themselves for dynamic membership (flat design). Empty selects ":0",
+	// an auto-assigned port.
 	ListenAddr string
 	// Algorithm is the control algorithm run in the compute phase. Nil
 	// selects PSFA.
@@ -51,10 +52,6 @@ type GlobalConfig struct {
 	FanOutMode FanOutMode
 	// CallTimeout bounds each child RPC. Zero selects 10 seconds.
 	CallTimeout time.Duration
-	// MaxCodec caps the wire codec version the controller negotiates, on
-	// both its registration endpoint and its child connections. Zero selects
-	// the newest supported version; 1 pins the legacy v1 codec.
-	MaxCodec int
 	// MaxFailures is the consecutive-failure threshold that trips a
 	// child's circuit breaker into quarantine. Zero selects
 	// DefaultMaxFailures.
@@ -85,9 +82,9 @@ type GlobalConfig struct {
 	// per-child report cache and dirty set, and each cycle explicitly
 	// collects only the edge cases — children that never reported, whose
 	// cache aged past IncrementalFloor, that re-registered or were
-	// readmitted from quarantine, or that negotiated the v1 codec (which
-	// cannot carry pushes and so keeps the paper-faithful per-cycle
-	// collect). When nothing is dirty the whole cycle short-circuits.
+	// readmitted from quarantine, or whose connection is detached or has
+	// its hello not yet acked (no push can arrive on it, so it is collected
+	// explicitly). When nothing is dirty the whole cycle short-circuits.
 	// Incremental mode implies delta enforcement and requires
 	// FanOutPipelined; with FanOutBlocking — the paper-reproduction
 	// configuration — the full cycle runs unchanged. Hierarchical
@@ -151,8 +148,7 @@ type GlobalConfig struct {
 	// Standby makes this controller a passive warm standby: it accepts
 	// StateSync from the primary (mirroring membership, last rules, and
 	// job weights), rejects registrations with CodeNotLeader, and
-	// promotes itself with a bumped epoch when the lease expires. Requires
-	// ListenAddr.
+	// promotes itself with a bumped epoch when the lease expires.
 	Standby bool
 	// LeaseTimeout is how long a standby waits without a StateSync before
 	// promoting itself (and the lease duration a primary grants with each
@@ -164,6 +160,9 @@ type GlobalConfig struct {
 }
 
 func (c GlobalConfig) withDefaults() GlobalConfig {
+	if c.ListenAddr == "" {
+		c.ListenAddr = ":0"
+	}
 	if c.Algorithm == nil {
 		c.Algorithm = controlalg.PSFA{}
 	}
@@ -258,25 +257,10 @@ type Global struct {
 }
 
 // StartGlobal launches a global controller with its registration endpoint
-// listening. It is the primary entry point: cfg.ListenAddr defaults to ":0"
-// (auto-assigned), so children can always register dynamically. Use
-// NewGlobal directly only when the controller must not listen at all.
+// listening: cfg.ListenAddr defaults to ":0" (auto-assigned), so children can
+// always register dynamically and a standby can always receive StateSync.
 func StartGlobal(cfg GlobalConfig) (*Global, error) {
-	if cfg.ListenAddr == "" {
-		cfg.ListenAddr = ":0"
-	}
-	return NewGlobal(cfg)
-}
-
-// NewGlobal creates a global controller. If cfg.ListenAddr is set, a
-// registration endpoint is started immediately; if it is empty the
-// controller runs without one and children must be attached explicitly.
-// Most callers want StartGlobal, which defaults the listener on.
-func NewGlobal(cfg GlobalConfig) (*Global, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Standby && cfg.ListenAddr == "" {
-		return nil, errors.New("controller: a standby needs a ListenAddr to receive StateSync")
-	}
 	g := &Global{
 		cfg:        cfg,
 		recorder:   telemetry.NewCycleRecorder(),
@@ -286,7 +270,7 @@ func NewGlobal(cfg GlobalConfig) (*Global, error) {
 	}
 	opts := stageOpts{
 		who: "controller", network: cfg.Network,
-		fanMode: cfg.FanOutMode, par: cfg.FanOut, callTimeout: cfg.CallTimeout, maxCodec: cfg.MaxCodec,
+		fanMode: cfg.FanOutMode, par: cfg.FanOut, callTimeout: cfg.CallTimeout,
 		breaker: breakerConfig{MaxFailures: cfg.MaxFailures, ProbeInterval: cfg.ProbeInterval,
 			MaxProbeInterval: cfg.MaxProbeInterval, StaleAfter: cfg.StaleAfter, EvictAfter: cfg.EvictAfter},
 		incremental: cfg.Incremental, floor: cfg.IncrementalFloor, delta: cfg.DeltaEnforcement,
@@ -320,18 +304,15 @@ func NewGlobal(cfg GlobalConfig) (*Global, error) {
 		// once the initial lease runs out.
 		g.leaseUntil = time.Now().Add(cfg.LeaseTimeout)
 	}
-	if cfg.ListenAddr != "" {
-		srv, err := rpc.Serve(cfg.Network, cfg.ListenAddr, rpc.HandlerFunc(g.serveRegistration), rpc.ServerOptions{
-			Meter:    cfg.Meter,
-			Logf:     cfg.Logf,
-			Tracer:   cfg.Tracer,
-			MaxCodec: cfg.MaxCodec,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("controller: registration endpoint: %w", err)
-		}
-		g.regSrv = srv
+	srv, err := rpc.Serve(cfg.Network, cfg.ListenAddr, rpc.HandlerFunc(g.serveRegistration), rpc.ServerOptions{
+		Meter:  cfg.Meter,
+		Logf:   cfg.Logf,
+		Tracer: cfg.Tracer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("controller: registration endpoint: %w", err)
 	}
+	g.regSrv = srv
 	if len(cfg.StandbyAddrs) > 0 && !cfg.Standby {
 		g.startSync()
 	}
@@ -395,13 +376,8 @@ func (g *Global) logEvict(id uint64) {
 	}
 }
 
-// Addr returns the registration endpoint address, or "" if none.
-func (g *Global) Addr() string {
-	if g.regSrv == nil {
-		return ""
-	}
-	return g.regSrv.Addr().String()
-}
+// Addr returns the registration endpoint address.
+func (g *Global) Addr() string { return g.regSrv.Addr().String() }
 
 // Recorder returns the controller's cycle-latency recorder.
 func (g *Global) Recorder() *telemetry.CycleRecorder { return g.recorder }
@@ -501,7 +477,7 @@ func (g *Global) AddAggregator(ctx context.Context, id uint64, addr string, stag
 // the multi-host (sdsctl) counterpart of AddAggregator, which requires the
 // stage list up front.
 func (g *Global) AttachAggregator(ctx context.Context, id uint64, addr string) error {
-	cli, err := rpc.Dial(ctx, g.cfg.Network, addr, rpc.DialOptions{Meter: g.cfg.Meter, MaxCodec: g.cfg.MaxCodec})
+	cli, err := rpc.Dial(ctx, g.cfg.Network, addr, rpc.DialOptions{Meter: g.cfg.Meter})
 	if err != nil {
 		return fmt.Errorf("controller: probe aggregator at %s: %w", addr, err)
 	}
@@ -818,7 +794,7 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 	replies := g.cyc.aggReplies.Take(&g.arena, n)
 	req := rpc.NewSharedFrame(&wire.Collect{Cycle: cycle, WindowMicros: 1_000_000, Epoch: epoch})
 	g.fanOutBroadcast(ctx, g.cycleFan(&g.pipe.CollectInFlight), children, req,
-		func(i int, resp wire.Message) {
+		func(i int, resp wire.Message, _ error) {
 			switch resp.(type) {
 			case *wire.CollectAggReply, *wire.CollectReply:
 				replies[i] = resp
@@ -928,20 +904,27 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 	// Phase 3: enforce via aggregators. The incremental regime lives in the
 	// aggregators here, so only the configured DeltaEnforcement diffs.
 	ph = g.beginPhase(trace.PhaseEnforce, cycle, epoch)
-	g.fanOut(ctx, g.cycleFan(&g.pipe.EnforceInFlight), children,
-		func(i int) wire.Message {
+	g.fanOutCalls(ctx, g.cycleFan(&g.pipe.EnforceInFlight), children,
+		func(ctx context.Context, i int) *rpc.Call {
 			if g.cfg.Delegated {
 				if len(budgets[i]) == 0 {
 					return nil
 				}
-				return &wire.Delegate{Cycle: cycle, Budgets: budgets[i]}
+				return children[i].client().Go(ctx, &wire.Delegate{Cycle: cycle, Budgets: budgets[i]})
 			}
-			batch := g.sendable(cycle, children[i], batches[i], g.cfg.DeltaEnforcement)
-			if len(batch) == 0 {
+			batches[i] = g.sendable(cycle, children[i], batches[i], g.cfg.DeltaEnforcement)
+			if len(batches[i]) == 0 {
 				return nil
 			}
-			return &wire.Enforce{Cycle: cycle, Rules: batch, Epoch: epoch}
-		}, nil)
+			return children[i].client().Go(ctx, &wire.Enforce{Cycle: cycle, Rules: batches[i], Epoch: epoch})
+		},
+		func(i int, _ wire.Message, err error) {
+			if err != nil {
+				// As in enforceStageRules: the cache must not keep rules
+				// whose delivery is unknown.
+				children[i].forgetRules(batches[i])
+			}
+		})
 	b.Enforce = g.endPhase(ph)
 	return b, ctx.Err()
 }
@@ -981,10 +964,7 @@ func (g *Global) Close() error {
 		<-syncDone
 	}
 	g.members.closeAll()
-	var err error
-	if g.regSrv != nil {
-		err = g.regSrv.Close()
-	}
+	err := g.regSrv.Close()
 	if g.cfg.Store != nil {
 		if serr := g.cfg.Store.Close(); err == nil {
 			err = serr

@@ -384,3 +384,75 @@ func TestIncrementalConcurrentPushStress(t *testing.T) {
 		t.Error("no enforces suppressed across 100 incremental cycles")
 	}
 }
+
+// TestIncrementalResendsRuleWhoseEnforceFailed: the delta-enforcement cache
+// records what a child holds, not what was attempted. A rule change is
+// computed while stage 2 is unreachable, so its Enforce fails; once the
+// stage is back nothing else changes — no push, no membership change, a
+// fresh cache — and the controller must still deliver the rule, or the fleet
+// holds limits summing past capacity for good ("zero rule loss").
+func TestIncrementalResendsRuleWhoseEnforceFailed(t *testing.T) {
+	n := fastNet()
+	stages := startStages(t, n, 2, 1, wire.Rates{100, 10})
+	g := buildFlat(t, n, stages, GlobalConfig{
+		Capacity:         wire.Rates{100, 10},
+		Incremental:      true,
+		IncrementalFloor: time.Hour,
+		MaxFailures:      100, // the breaker stays out of it
+	})
+	ctx := context.Background()
+	cycle := func() {
+		t.Helper()
+		if _, err := g.RunCycle(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func(i int) wire.Rates {
+		rule, _ := stages[i].LastRule()
+		return rule.Limit
+	}
+
+	cycle()
+	if held(0) != (wire.Rates{50, 5}) || held(1) != (wire.Rates{50, 5}) {
+		t.Fatalf("even demand: stages hold %v and %v, want {50 5} each", held(0), held(1))
+	}
+
+	// Cut stage 2 off and detach its client, so every call to it fails fast.
+	n.Host("stage-2").SetPartitioned(true)
+	c2 := g.members.get(2)
+	detachClient(t, c2)
+	// Stage 1's demand triples: the split moves to 75/25, and stage 2's half
+	// of that change cannot be delivered (its collect fails too).
+	push(g, 1, 1, 1, wire.Rates{300, 30})
+	cycle()
+	if held(0) != (wire.Rates{75, 7.5}) || held(1) != (wire.Rates{50, 5}) {
+		t.Fatalf("during the partition: stages hold %v and %v, want {75 7.5} and the old {50 5}", held(0), held(1))
+	}
+	if got := g.Stats().CallErrors; got != 2 {
+		t.Fatalf("during the partition: %d failed calls, want 2 (stage 2's collect and enforce)", got)
+	}
+
+	n.Host("stage-2").SetPartitioned(false)
+	for deadline := time.Now().Add(5 * time.Second); c2.client().CodecVersion() < wire.CodecV2; {
+		if time.Now().After(deadline) {
+			t.Fatal("stage 2's client never redialed after the heal")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for i := 0; i < 200; i++ {
+		cycle()
+	}
+	if held(0) != (wire.Rates{75, 7.5}) || held(1) != (wire.Rates{25, 2.5}) {
+		t.Errorf("after 200 healthy cycles: stages hold %v and %v (sum %v), want {75 7.5} and {25 2.5}: capacity is {100 10}",
+			held(0), held(1), held(0).Add(held(1)))
+	}
+	for i, v := range stages {
+		if _, enforces := v.Counters(); enforces != 2 {
+			t.Errorf("stage %d served %d enforces, want 2 (each rule delivered once)", i+1, enforces)
+		}
+	}
+	st := g.Stats()
+	if st.CallErrors != 2 || st.Quarantined != 0 {
+		t.Errorf("CallErrors = %d, Quarantined = %d, want 2 and 0", st.CallErrors, st.Quarantined)
+	}
+}

@@ -40,10 +40,6 @@ type PeerConfig struct {
 	FanOutMode FanOutMode
 	// CallTimeout bounds each RPC. Zero selects 10 seconds.
 	CallTimeout time.Duration
-	// MaxCodec caps the wire codec version the peer negotiates, on its
-	// server and on stage/fellow connections. Zero selects the newest
-	// supported version; 1 pins the legacy v1 codec.
-	MaxCodec int
 	// MaxFailures is the consecutive-failure threshold that trips a
 	// stage's circuit breaker into quarantine. Zero selects
 	// DefaultMaxFailures.
@@ -64,10 +60,10 @@ type PeerConfig struct {
 	// push-maintained report cache: stages push deltas as their rates move,
 	// and the collect scatter shrinks to the edge cases (never reported,
 	// forced after re-registration or readmission, cache past
-	// IncrementalFloor, v1 codec). Enforce sends are diffed per stage,
-	// skipping unchanged rules. The peer exchange is unaffected — fellows
-	// always receive the cycle's full aggregates. Requires FanOutPipelined;
-	// with FanOutBlocking the full fan-out runs unchanged.
+	// IncrementalFloor, hello not yet acked). Enforce sends are diffed per
+	// stage, skipping unchanged rules. The peer exchange is unaffected —
+	// fellows always receive the cycle's full aggregates. Requires
+	// FanOutPipelined; with FanOutBlocking the full fan-out runs unchanged.
 	Incremental bool
 	// IncrementalFloor bounds how old a stage's cached report may grow
 	// before an incremental collect refreshes it explicitly. It must exceed
@@ -156,17 +152,16 @@ func StartPeer(cfg PeerConfig) (*Peer, error) {
 	}
 	p.init(stageOpts{
 		who: fmt.Sprintf("peer %d", cfg.ID), network: cfg.Network,
-		fanMode: cfg.FanOutMode, par: cfg.FanOut, callTimeout: cfg.CallTimeout, maxCodec: cfg.MaxCodec,
+		fanMode: cfg.FanOutMode, par: cfg.FanOut, callTimeout: cfg.CallTimeout,
 		breaker: breakerConfig{MaxFailures: cfg.MaxFailures, ProbeInterval: cfg.ProbeInterval,
 			MaxProbeInterval: cfg.MaxProbeInterval, StaleAfter: cfg.StaleAfter, EvictAfter: cfg.EvictAfter},
 		incremental: cfg.Incremental, floor: cfg.IncrementalFloor,
 		meter: cfg.Meter, cpu: cfg.CPU, tracer: cfg.Tracer, logFn: cfg.Logf,
 	})
 	srv, err := rpc.Serve(cfg.Network, cfg.ListenAddr, rpc.HandlerFunc(p.serve), rpc.ServerOptions{
-		Meter:    cfg.Meter,
-		Logf:     cfg.Logf,
-		Tracer:   cfg.Tracer,
-		MaxCodec: cfg.MaxCodec,
+		Meter:  cfg.Meter,
+		Logf:   cfg.Logf,
+		Tracer: cfg.Tracer,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("peer %d: %w", cfg.ID, err)

@@ -37,7 +37,7 @@ func TestQuorumFailover(t *testing.T) {
 	scfg2.ID = 2
 	scfg2.Standby = true
 	scfg2.StandbyAddrs = []string{a1, a3}
-	sb2, err := NewGlobal(scfg2)
+	sb2, err := StartGlobal(scfg2)
 	if err != nil {
 		t.Fatalf("standby 2: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestQuorumFailover(t *testing.T) {
 	scfg3.ID = 3
 	scfg3.Standby = true
 	scfg3.StandbyAddrs = []string{a1, a2}
-	sb3, err := NewGlobal(scfg3)
+	sb3, err := StartGlobal(scfg3)
 	if err != nil {
 		t.Fatalf("standby 3: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestQuorumFailover(t *testing.T) {
 	gcfg.ID = 1
 	gcfg.Epoch = 1
 	gcfg.StandbyAddrs = []string{a2, a3}
-	g, err := NewGlobal(gcfg)
+	g, err := StartGlobal(gcfg)
 	if err != nil {
 		t.Fatalf("primary: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestVoteGrantRules(t *testing.T) {
 		StandbyAddrs: []string{"peer-a:1", "peer-b:1"},
 		LeaseTimeout: 30 * time.Millisecond,
 	}
-	sb, err := NewGlobal(cfg)
+	sb, err := StartGlobal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestVoteGrantRules(t *testing.T) {
 // actually leading refutes every candidacy, whatever the proposed epoch.
 func TestActiveLeaderDeniesVotes(t *testing.T) {
 	n := fastNet()
-	g, err := NewGlobal(GlobalConfig{Network: n.Host("leader"), ID: 1, Epoch: 1})
+	g, err := StartGlobal(GlobalConfig{Network: n.Host("leader"), ID: 1, Epoch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestVotePersistedDurably(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := fastNet()
-	sb, err := NewGlobal(GlobalConfig{
+	sb, err := StartGlobal(GlobalConfig{
 		Network:      n.Host("voter"),
 		ListenAddr:   ":0",
 		ID:           7,
@@ -301,7 +301,7 @@ func TestRecoverFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := NewGlobal(GlobalConfig{
+	g, err := StartGlobal(GlobalConfig{
 		Network:  n.Host("global"),
 		ID:       1,
 		Epoch:    1,
@@ -331,7 +331,7 @@ func TestRecoverFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := NewGlobal(GlobalConfig{
+	g2, err := StartGlobal(GlobalConfig{
 		Network:  n.Host("global-restart"),
 		ID:       1,
 		Capacity: wire.Rates{4000, 400},
@@ -365,7 +365,7 @@ func TestRecoverFromStore(t *testing.T) {
 // misconfiguration is counted.
 func TestDefaultedLeaseCounted(t *testing.T) {
 	n := fastNet()
-	sb, err := NewGlobal(GlobalConfig{
+	sb, err := StartGlobal(GlobalConfig{
 		Network:      n.Host("standby"),
 		ListenAddr:   ":0",
 		Standby:      true,
@@ -390,7 +390,7 @@ func TestDefaultedLeaseCounted(t *testing.T) {
 // matchable with errors.Is.
 func TestRoleErrorsCarryContext(t *testing.T) {
 	n := fastNet()
-	sb, err := NewGlobal(GlobalConfig{
+	sb, err := StartGlobal(GlobalConfig{
 		Network:    n.Host("standby"),
 		ListenAddr: ":0",
 		Standby:    true,
@@ -407,7 +407,7 @@ func TestRoleErrorsCarryContext(t *testing.T) {
 		t.Fatalf("ErrStandby lost its context: %q", err)
 	}
 
-	g, err := NewGlobal(GlobalConfig{Network: n.Host("primary"), Epoch: 3})
+	g, err := StartGlobal(GlobalConfig{Network: n.Host("primary"), Epoch: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

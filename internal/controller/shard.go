@@ -102,12 +102,11 @@ func (g *Global) AdoptStage(ctx context.Context, info stage.Info, rules []wire.R
 
 // EnforceUniform broadcasts one per-job wildcard rule to every active stage
 // child outside the cycle schedule, using the marshal-once shared-frame
-// path: the Enforce body is encoded once and every v2 child receives the
-// same bytes. Children still negotiating (or pinned to) codec v1 predate
-// wildcard rules, so the job's v1 children get an equivalent per-stage rule
-// each; v1 children of other jobs are skipped. It returns the number of the
-// job's stages that acknowledged the rule (v2 stages serving other jobs
-// ignore the wildcard).
+// path: the Enforce body is encoded once and every child receives the same
+// bytes (a child whose hello ack is still in flight gets the baseline
+// encoding of the same rule, and applies it alike). It returns the number of
+// the job's stages that acknowledged the rule; stages serving other jobs
+// ignore the wildcard.
 //
 // The sharding layer fans this out across all shard leaders to apply a
 // deployment-wide QoS decision — a job cap, a pause — in one round without
@@ -131,40 +130,17 @@ func (g *Global) EnforceUniform(ctx context.Context, jobID uint64, action wire.R
 	}
 
 	active, _ := splitQuarantined(g.members.snapshot())
-	var v2, v1 []*child
-	for _, c := range active {
-		if c.client().CodecVersion() >= wire.CodecV2 {
-			v2 = append(v2, c)
-		} else if c.info.JobID == jobID {
-			v1 = append(v1, c)
-		}
-	}
 	// This runs beside the cycle, so it fans out through offCycle and, under
 	// its rule, counts an ack by its type alone: a stage applies the rule
 	// exactly when it serves the job, which the registration already says.
 	var applied atomic.Uint32
-	countAcks := func(list []*child) func(i int, resp wire.Message) {
-		return func(i int, resp wire.Message) {
-			if _, ok := resp.(*wire.EnforceAck); ok && list[i].info.JobID == jobID {
-				applied.Add(1)
-			}
+	rule := wire.Rule{StageID: wire.WildcardStage, JobID: jobID, Action: action, Limit: limit}
+	f := rpc.NewSharedFrame(&wire.Enforce{Cycle: cycle, Epoch: epoch, Rules: []wire.Rule{rule}})
+	g.fanOutBroadcast(ctx, g.offCycle(&g.pipe.EnforceInFlight), active, f, func(i int, resp wire.Message, _ error) {
+		if _, ok := resp.(*wire.EnforceAck); ok && active[i].info.JobID == jobID {
+			applied.Add(1)
 		}
-	}
-	fan := g.offCycle(&g.pipe.EnforceInFlight)
-	if len(v2) > 0 {
-		rule := wire.Rule{StageID: wire.WildcardStage, JobID: jobID, Action: action, Limit: limit}
-		f := rpc.NewSharedFrame(&wire.Enforce{Cycle: cycle, Epoch: epoch, Rules: []wire.Rule{rule}})
-		g.fanOutBroadcast(ctx, fan, v2, f, countAcks(v2))
-	}
-	if len(v1) > 0 {
-		ruleBuf := make([]wire.Rule, len(v1))
-		enfBuf := make([]wire.Enforce, len(v1))
-		g.fanOut(ctx, fan, v1, func(i int) wire.Message {
-			ruleBuf[i] = wire.Rule{StageID: v1[i].info.ID, JobID: jobID, Action: action, Limit: limit}
-			enfBuf[i] = wire.Enforce{Cycle: cycle, Epoch: epoch, Rules: ruleBuf[i : i+1 : i+1]}
-			return &enfBuf[i]
-		}, countAcks(v1))
-	}
+	})
 	return int(applied.Load()), ctx.Err()
 }
 

@@ -163,7 +163,7 @@ func TestTracedFailoverSpanLifecycle(t *testing.T) {
 
 	// A promoted standby leads with a bumped epoch; its spans must carry it.
 	standbyTr := trace.New(4096)
-	sb, err := NewGlobal(GlobalConfig{
+	sb, err := StartGlobal(GlobalConfig{
 		Network:    n.Host("standby"),
 		ListenAddr: ":0",
 		Standby:    true,
@@ -172,7 +172,7 @@ func TestTracedFailoverSpanLifecycle(t *testing.T) {
 		Tracer:     standbyTr,
 	})
 	if err != nil {
-		t.Fatalf("NewGlobal standby: %v", err)
+		t.Fatalf("StartGlobal standby: %v", err)
 	}
 	defer sb.Close()
 	if _, err := sb.RunCycle(ctx); !errors.Is(err, ErrStandby) {

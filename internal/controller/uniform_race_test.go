@@ -45,3 +45,33 @@ func TestEnforceUniformDuringRun(t *testing.T) {
 	cancel()
 	wg.Wait()
 }
+
+// TestEnforceUniformStraightAfterAddStage: a wildcard rule is matched on the
+// decoded rule, so it needs nothing from the connection that carries it.
+// EnforceUniform called the moment the fleet is attached — hello acks
+// possibly still in flight, so some children may be sent the baseline
+// encoding of the frame — reaches every stage of the job and no other, and
+// encodes the frame at most once per encoding.
+func TestEnforceUniformStraightAfterAddStage(t *testing.T) {
+	n := fastNet()
+	stages := startStages(t, n, 64, 4, wire.Rates{1000, 100})
+	g := buildFlat(t, n, stages, GlobalConfig{Capacity: wire.Rates{64000, 6400}})
+	limit := wire.Rates{123, 45}
+	applied, err := g.EnforceUniform(context.Background(), 1, wire.ActionSetLimit, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied != 16 {
+		t.Errorf("applied to %d stages, want the 16 of job 1", applied)
+	}
+	for _, v := range stages {
+		rule, ok := v.LastRule()
+		if mine := v.Info().JobID == 1; ok != mine || (mine && rule.Limit != limit) {
+			t.Errorf("stage %d (job %d): rule %+v, held = %v", v.Info().ID, v.Info().JobID, rule, ok)
+		}
+	}
+	p := g.Pipeline()
+	if sends, encodes := p.SharedSends(), p.SharedEncodes(); sends != 64 || encodes < 1 || encodes > 2 {
+		t.Errorf("%d shared sends from %d encodes, want 64 from 1 or 2", sends, encodes)
+	}
+}

@@ -136,7 +136,6 @@ func Delta(ctx context.Context, o Options) (DeltaResult, error) {
 			Net:         *o.Net,
 			FanOutMode:  controller.FanOutPipelined,
 			Workload:    gen,
-			MaxCodec:    o.MaxCodec,
 			Incremental: incremental,
 			// Sample pushes an order of magnitude faster than the burst
 			// edges so the event-driven path lags a collect-driven one by

@@ -110,7 +110,6 @@ func Elastic(ctx context.Context, o Options) (ElasticResult, error) {
 		Jobs:        o.Jobs,
 		Aggregators: ElasticInitialAggs,
 		Net:         *o.Net,
-		MaxCodec:    o.MaxCodec,
 	})
 	if err != nil {
 		return ElasticResult{}, fmt.Errorf("experiment elastic: %w", err)

@@ -64,9 +64,6 @@ type Options struct {
 	// on this address for the run's duration (tracebreak only). Must be a
 	// loopback address; see trace.DebugOptions.
 	Debug string
-	// MaxCodec caps the wire codec every component negotiates. Zero means
-	// newest; 1 pins the legacy v1 codec for codec A/B comparisons.
-	MaxCodec int
 }
 
 func (o Options) withDefaults() Options {

@@ -307,9 +307,8 @@ func Failover(ctx context.Context, o Options) (FailoverResult, error) {
 	// The restarted controller runs on a host no stage has in its parent
 	// list: every child it ends up with was recovered from disk and
 	// re-adopted by dialing, never re-registered.
-	g2, err := controller.NewGlobal(controller.GlobalConfig{
+	g2, err := controller.StartGlobal(controller.GlobalConfig{
 		Network:       c.Net.Host("global-restart"),
-		ListenAddr:    ":0",
 		ID:            9,
 		Capacity:      c.Config().Capacity,
 		CallTimeout:   failoverCallTimeout,

@@ -116,7 +116,6 @@ func Shard(ctx context.Context, o Options) (ShardResult, error) {
 		Shards:        ShardCount,
 		Standbys:      ShardStandbys,
 		Net:           *o.Net,
-		MaxCodec:      o.MaxCodec,
 		CallTimeout:   failoverCallTimeout,
 		MaxFailures:   failoverMaxFailures,
 		ProbeInterval: failoverProbeInterval,

@@ -178,7 +178,6 @@ func (o Options) runTraceBreak(ctx context.Context, topo cluster.Topology, nodes
 		Jobs:        o.Jobs,
 		Net:         net,
 		FanOutMode:  mode,
-		MaxCodec:    o.MaxCodec,
 		Incremental: incremental,
 		Tracing:     true,
 		// Full-fidelity sampling: the decomposition should be an exact sum

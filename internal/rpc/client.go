@@ -43,12 +43,10 @@ type Client struct {
 
 	late atomic.Uint64 // responses that arrived after their call was abandoned
 
-	// Codec negotiation: maxCodec is what this client is willing to speak
-	// (wire.MaxCodec unless pinned by DialOptions); codec is the negotiated
-	// request codec, 1 until the server's hello reply upgrades it. Atomic
-	// because senders read it while the read loop writes it.
-	maxCodec int
-	codec    atomic.Int32
+	// codec is the negotiated request codec: the baseline (wire.CodecV1)
+	// until the server's hello reply upgrades it. Atomic because senders
+	// read it while the read loop writes it.
+	codec atomic.Int32
 
 	// reuseReplies enables the read loop's per-type reply cache (see
 	// DialOptions.ReuseReplies); reuseHits counts decodes into it.
@@ -219,11 +217,6 @@ type DialOptions struct {
 	// (controllers set their child's ID).
 	Tracer  *trace.Tracer
 	SpanTag uint64
-	// MaxCodec caps the wire codec version this connection negotiates. Zero
-	// selects the newest supported version (wire.MaxCodec); 1 pins the
-	// connection to the v1 codec and suppresses the hello exchange
-	// entirely, emulating a pre-v2 peer.
-	MaxCodec int
 	// ReuseReplies opts into the zero-alloc decode path on v2 connections:
 	// responses decode into one cached message per type, reusing its
 	// backing arrays. The aliasing contract moves to the caller — a decoded
@@ -243,23 +236,21 @@ type DialOptions struct {
 	OnPush func(m wire.Message)
 }
 
-// Dial connects to an RPC server at addr over network and, unless the codec
-// is pinned to v1, opens with a hello frame offering the v2 codec.
+// Dial connects to an RPC server at addr over network and opens with a hello
+// frame offering wire.MaxCodec.
 func Dial(ctx context.Context, network transport.Network, addr string, opts DialOptions) (*Client, error) {
 	conn, err := network.Dial(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
 	c := newClient(transport.WithMeter(conn, opts.Meter), opts)
-	if c.maxCodec >= wire.CodecV2 {
-		c.sendHello()
-	}
+	c.sendHello()
 	return c, nil
 }
 
 // NewClient wraps an established connection as an RPC client and starts its
 // read loop. The client takes ownership of conn. Clients built directly
-// (rather than via Dial) stay on the v1 codec.
+// (rather than via Dial) send no hello and so stay on the baseline codec.
 func NewClient(conn net.Conn) *Client { return newClient(conn, DialOptions{}) }
 
 // newClient builds the client completely and only then starts its read loop,
@@ -271,14 +262,10 @@ func newClient(conn net.Conn, opts DialOptions) *Client {
 		tracer:       opts.Tracer,
 		spanTag:      opts.SpanTag,
 		pending:      make(map[uint64]*Call),
-		maxCodec:     wire.MaxCodec,
 		reuseReplies: opts.ReuseReplies,
 		reuseHits:    opts.ReuseHits,
 		onPush:       opts.OnPush,
 		done:         make(chan struct{}),
-	}
-	if opts.MaxCodec != 0 {
-		c.maxCodec = opts.MaxCodec
 	}
 	c.codec.Store(wire.CodecV1)
 	go c.readLoop()
@@ -293,7 +280,7 @@ func (c *Client) CodecVersion() int { return int(c.codec.Load()) }
 // write fails the connection is dying and calls will surface it.
 func (c *Client) sendHello() {
 	bp := getFrameBuf()
-	*bp = appendHelloFrame((*bp)[:0], c.maxCodec)
+	*bp = appendHelloFrame((*bp)[:0], wire.MaxCodec)
 	c.wmu.Lock()
 	_, _ = c.conn.Write(*bp)
 	c.wmu.Unlock()
@@ -379,9 +366,9 @@ func (c *Client) readLoop() {
 		case kindHello:
 			// The server's hello reply carries the agreed codec; from here on
 			// requests are encoded with it. Absent (or malformed) the client
-			// stays on v1, which every server speaks.
-			if ver, ok := parseHello(body); ok && c.maxCodec >= wire.CodecV2 {
-				c.codec.Store(int32(negotiate(ver, c.maxCodec)))
+			// stays on the baseline encoding, which every server speaks.
+			if ver, ok := parseHello(body); ok {
+				c.codec.Store(int32(negotiate(ver)))
 			}
 			continue
 		case kindPush:

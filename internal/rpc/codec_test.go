@@ -16,7 +16,7 @@ import (
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
-// codecSetup dials a fresh server with the given codec caps and returns the
+// codecSetup dials a fresh server with the given options and returns the
 // client. Both ends use the in-memory simnet.
 func codecSetup(t *testing.T, h Handler, sopts ServerOptions, dopts DialOptions) (*Server, *Client) {
 	t.Helper()
@@ -58,34 +58,110 @@ func TestCodecNegotiationUpgrades(t *testing.T) {
 	})
 }
 
-// TestCodecNegotiationV1Client: a client pinned to v1 sends no hello and
-// stays on v1 against a v2 server.
+// TestCodecNegotiationV1Client: a client that sends no hello (NewClient over
+// a raw connection) stays on the baseline codec against a server that would
+// have upgraded it.
 func TestCodecNegotiationV1Client(t *testing.T) {
 	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{MaxCodec: 1})
-		if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
-			t.Fatal(err)
+		n := simnet.New(simnet.Config{PropDelay: -1})
+		srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, sopts)
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
 		}
-		if v := cli.CodecVersion(); v != wire.CodecV1 {
-			t.Fatalf("pinned client negotiated v%d", v)
+		defer srv.Close()
+		conn, err := n.Host("client").Dial(context.Background(), srv.Addr().String())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
 		}
-	})
-}
-
-// TestCodecNegotiationV1Server: a server pinned to v1 ignores the client's
-// hello — exactly what a pre-v2 server does with an unknown frame kind — so
-// the client never upgrades, and calls still work.
-func TestCodecNegotiationV1Server(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		sopts.MaxCodec = 1
-		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+		cli := NewClient(conn)
+		defer cli.Close()
 		for i := uint64(1); i <= 3; i++ {
 			if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: i}); err != nil {
 				t.Fatalf("call %d: %v", i, err)
 			}
 		}
 		if v := cli.CodecVersion(); v != wire.CodecV1 {
-			t.Fatalf("client negotiated v%d against a v1 server", v)
+			t.Fatalf("hello-less client negotiated v%d", v)
+		}
+		srv.ForEachPeer(func(p *Peer) {
+			if p.CanPush() {
+				t.Error("CanPush on a connection that never sent a hello")
+			}
+		})
+	})
+}
+
+// dropHellos listens on a fresh address and relays every frame between the
+// connections it accepts and the server at backend, except hello frames,
+// which it drops in both directions: to a dialing client the pair is a peer
+// that does not upgrade — it ignores the frame kind it does not know and
+// answers baseline requests with baseline responses.
+func dropHellos(t *testing.T, n *simnet.Net, backend string) string {
+	t.Helper()
+	host := n.Host("relay")
+	l, err := host.Listen(":0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	t.Cleanup(func() { l.Close() })
+	relay := func(dst, src net.Conn) {
+		defer dst.Close()
+		defer src.Close()
+		var buf []byte
+		for {
+			h, body, b, err := readFrame(src, buf)
+			if buf = b; err != nil {
+				return
+			}
+			if h.kind == kindHello {
+				continue
+			}
+			if _, err := dst.Write(appendSharedFrame(nil, h, body)); err != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			down, err := l.Accept()
+			if err != nil {
+				return
+			}
+			up, err := host.Dial(context.Background(), backend)
+			if err != nil {
+				down.Close()
+				return
+			}
+			go relay(up, down)
+			go relay(down, up)
+		}
+	}()
+	return l.Addr().String()
+}
+
+// TestCodecNegotiationV1Server: a peer that never acks the client's hello —
+// exactly what a pre-v2 server does with an unknown frame kind — leaves the
+// client on the baseline codec, and calls still work.
+func TestCodecNegotiationV1Server(t *testing.T) {
+	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+		n := simnet.New(simnet.Config{PropDelay: -1})
+		srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, sopts)
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		defer srv.Close()
+		cli, err := Dial(context.Background(), n.Host("client"), dropHellos(t, n, srv.Addr().String()), DialOptions{})
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer cli.Close()
+		for i := uint64(1); i <= 3; i++ {
+			if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: i}); err != nil {
+				t.Fatalf("call %d: %v", i, err)
+			}
+		}
+		if v := cli.CodecVersion(); v != wire.CodecV1 {
+			t.Fatalf("client negotiated v%d against a peer that never acked its hello", v)
 		}
 	})
 }

@@ -157,12 +157,13 @@ func parseHello(body []byte) (int, bool) {
 	return int(hb.SentUnixMicros), true
 }
 
-// negotiate clamps the peer's announced version to ours.
-func negotiate(theirs, ours int) int {
-	if theirs < ours {
+// negotiate clamps the peer's announced version to the newest this build
+// speaks.
+func negotiate(theirs int) int {
+	if theirs < wire.MaxCodec {
 		return theirs
 	}
-	return ours
+	return wire.MaxCodec
 }
 
 // appendCancelFrame encodes a body-less cancel frame for request id into buf

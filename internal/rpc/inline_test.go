@@ -69,7 +69,7 @@ func TestInlineCancelFindsRequestAnswered(t *testing.T) {
 // frames never interleave, and a push (stateless) never advances the
 // response history the replies are delta-coded against.
 func TestInlinePushInterleavesWithResponses(t *testing.T) {
-	var pushed atomic.Int64
+	var sent, pushed atomic.Int64
 	onPush := func(m wire.Message) {
 		d, ok := m.(*wire.ReportDelta)
 		if !ok || d.Report.StageID != 7 || d.Report.Demand[0] != float64(d.Seq)*0.5 {
@@ -97,8 +97,12 @@ func TestInlinePushInterleavesWithResponses(t *testing.T) {
 					t.Errorf("Push: %v", err)
 				}
 			})
+			sent.Add(1)
 		}
 	}()
+	// The calls below take a few milliseconds in all: without this wait they
+	// can finish before the pusher is first scheduled, and nothing interleaves.
+	waitFor(t, "the first push to reach the client", func() bool { return pushed.Load() > 0 })
 
 	ctx := context.Background()
 	const bursts, perBurst = 50, 40
@@ -122,7 +126,5 @@ func TestInlinePushInterleavesWithResponses(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if pushed.Load() == 0 {
-		t.Error("no push reached the client while responses streamed")
-	}
+	waitFor(t, "every push written to reach the client", func() bool { return pushed.Load() == sent.Load() })
 }

@@ -41,7 +41,7 @@ type Peer struct {
 	wmu sync.Mutex
 	// pushVer is the negotiated codec version, published when the hello ack
 	// is written. Push reads it to decide whether the peer understands
-	// server-initiated frames; zero means v1 (no hello acked yet).
+	// server-initiated frames; zero means no hello has been acked yet.
 	pushVer atomic.Int32
 
 	mu         sync.Mutex
@@ -73,9 +73,10 @@ func (p *Peer) Close() error { return p.conn.Close() }
 var ErrPushUnsupported = errors.New("rpc: peer connection predates push frames")
 
 // CanPush reports whether the peer's connection negotiated codec v2, the
-// first version whose clients dispatch unsolicited push frames. A v1 client
-// would silently drop them, so callers use CanPush to fall back to the
-// polled path instead of pushing into the void.
+// first version whose clients dispatch unsolicited push frames. It is false
+// while the connection's hello is not yet acked (and stays false for a client
+// that never sent one): a push must not precede the ack in the frame stream,
+// so callers use CanPush to fall back to the polled path.
 func (p *Peer) CanPush() bool { return p.pushVer.Load() >= int32(wire.CodecV2) }
 
 // Push writes an unsolicited server-initiated frame carrying m to the peer.
@@ -114,11 +115,6 @@ type ServerOptions struct {
 	// tracer never carries cycle context, so one tracer may be shared by
 	// many servers (e.g. all stages of a simulated cluster).
 	Tracer *trace.Tracer
-	// MaxCodec caps the wire codec version this server negotiates. Zero
-	// selects the newest supported version (wire.MaxCodec); 1 pins the
-	// server to v1 — hello frames are then ignored outright, exactly as a
-	// pre-v2 server would, and clients stay on v1.
-	MaxCodec int
 	// ReuseRequests opts into the per-connection request freelist: requests
 	// decode into recycled messages whose backing arrays are returned to the
 	// connection once the response is written. Safe only when handlers never
@@ -394,11 +390,10 @@ func (q *reqQueue) close() {
 // connection, the reader itself on an inline one — and makes that goroutine
 // the connection's only response writer.
 type srvConn struct {
-	s         *Server
-	peer      *Peer
-	serverMax int
-	fl        *reqFreelist // nil unless ServerOptions.ReuseRequests
-	q         *reqQueue    // nil on an inline connection
+	s    *Server
+	peer *Peer
+	fl   *reqFreelist // nil unless ServerOptions.ReuseRequests
+	q    *reqQueue    // nil on an inline connection
 
 	peerTag uint64
 	wbp     *[]byte
@@ -427,11 +422,8 @@ func (s *Server) serveConn(peer *Peer) {
 		}
 	}()
 
-	c := &srvConn{s: s, peer: peer, serverMax: s.opts.MaxCodec, txVer: wire.CodecV1, wbp: getFrameBuf()}
+	c := &srvConn{s: s, peer: peer, txVer: wire.CodecV1, wbp: getFrameBuf()}
 	defer putFrameBuf(c.wbp)
-	if c.serverMax == 0 {
-		c.serverMax = wire.MaxCodec
-	}
 	if s.opts.ReuseRequests {
 		c.fl = &reqFreelist{hits: s.opts.ReuseHits}
 	}
@@ -510,10 +502,7 @@ func (c *srvConn) read() {
 				c.s.canceled.Add(1)
 			}
 		case kindHello:
-			// A v1-pinned server ignores hellos outright, exactly like a
-			// pre-v2 server that drops unknown frame kinds; the client
-			// then never upgrades.
-			if ver, ok := parseHello(body); ok && c.serverMax >= wire.CodecV2 {
+			if ver, ok := parseHello(body); ok {
 				err = c.deliver(queuedReq{hello: true, helloVer: ver})
 			}
 		}
@@ -539,7 +528,7 @@ func (c *srvConn) deliver(item queuedReq) error {
 func (c *srvConn) respond(item queuedReq) error {
 	s, peer, wbp := c.s, c.peer, c.wbp
 	if item.hello {
-		ver := negotiate(item.helloVer, c.serverMax)
+		ver := negotiate(item.helloVer)
 		*wbp = appendHelloFrame((*wbp)[:0], ver)
 		peer.wmu.Lock()
 		_, err := peer.conn.Write(*wbp)

@@ -44,8 +44,9 @@ type SharedFrame struct {
 }
 
 // NewSharedFrame wraps m for broadcast. The message must not be mutated
-// until the frame is released by all holders: encoding is lazy, so a late
-// v1 connection may still marshal m mid-fan-out.
+// until the frame is released by all holders: encoding is lazy, so a
+// connection whose hello is not yet acked may still marshal m, in the
+// baseline encoding, mid-fan-out.
 func NewSharedFrame(m wire.Message) *SharedFrame {
 	f := &SharedFrame{msg: m}
 	f.refs.Store(1)

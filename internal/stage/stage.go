@@ -79,9 +79,6 @@ type Config struct {
 	// (queue vs. handler vs. write time). Stage servers never write cycle
 	// context, so one tracer may be shared by many stages.
 	Tracer *trace.Tracer
-	// MaxCodec caps the wire codec version the stage's server negotiates.
-	// Zero selects the newest supported version; 1 pins the legacy v1 codec.
-	MaxCodec int
 	// PushThreshold enables event-driven report pushes: the stage samples
 	// its demand/usage every PushInterval and, when any class moved by more
 	// than this fraction relative to the last pushed value (or appeared from
@@ -165,7 +162,6 @@ func StartVirtual(cfg Config) (*Virtual, error) {
 	// server runs them inline on each connection's reader.
 	srv, err := rpc.Serve(cfg.Network, cfg.ListenAddr, rpc.HandlerFunc(v.serve), rpc.ServerOptions{
 		Tracer:        cfg.Tracer,
-		MaxCodec:      cfg.MaxCodec,
 		ReuseRequests: true,
 		RecycleReply:  v.replies.recycle,
 		Inline:        true,
@@ -457,8 +453,8 @@ func (v *Virtual) pushLoop() {
 // bypassing the push loop's ticker. Full deltas are accepted regardless of
 // the loop's sequence counter (the same rule that covers stage restarts), so
 // this composes with a running push loop. Benchmarks use it to dirty a
-// chosen fraction of the fleet deterministically per cycle; on a v1-capped
-// connection pushes are unsupported and it reports false.
+// chosen fraction of the fleet deterministically per cycle. It reports false
+// when no parent could be pushed to: none connected, or hello not yet acked.
 func (v *Virtual) PushDelta(f float64) bool {
 	r := v.sample()
 	r.Demand = r.Demand.Scale(f)
@@ -529,9 +525,6 @@ type EnforcingConfig struct {
 	// Tracer, when set, records a server span per control-plane request.
 	// Safe to share across stages (see Config.Tracer).
 	Tracer *trace.Tracer
-	// MaxCodec caps the wire codec version the stage's server negotiates.
-	// Zero selects the newest supported version; 1 pins the legacy v1 codec.
-	MaxCodec int
 }
 
 // Enforcing is a functional stage: it rate limits application operations
@@ -565,7 +558,6 @@ func StartEnforcing(cfg EnforcingConfig) (*Enforcing, error) {
 	// it never blocks, so it runs inline (see StartVirtual).
 	srv, err := rpc.Serve(cfg.Network, cfg.ListenAddr, rpc.HandlerFunc(e.serve), rpc.ServerOptions{
 		Tracer:        cfg.Tracer,
-		MaxCodec:      cfg.MaxCodec,
 		ReuseRequests: true,
 		Inline:        true,
 	})

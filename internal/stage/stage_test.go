@@ -16,6 +16,18 @@ import (
 
 func fastNet() *simnet.Net { return simnet.New(simnet.Config{PropDelay: -1}) }
 
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // dialStage connects a test client to a stage's RPC server.
 func dialStage(t *testing.T, n *simnet.Net, addr string) *rpc.Client {
 	t.Helper()
@@ -357,6 +369,9 @@ func TestVirtualStagePushesWhileAnswering(t *testing.T) {
 			}
 		}
 	}()
+	// Pushes need the hello acked, and the bursts below take milliseconds:
+	// wait for the first push so pushes and replies provably interleave.
+	waitFor(t, "the first push to reach the client", func() bool { return pushed.Load() > 0 })
 
 	ctx := context.Background()
 	const bursts, perBurst = 50, 20
@@ -389,9 +404,9 @@ func TestVirtualStagePushesWhileAnswering(t *testing.T) {
 	}
 	close(stop)
 	<-done
-	if pushed.Load() == 0 || v.Pushes() == 0 {
-		t.Errorf("client saw %d pushes, stage counted %d, want both > 0", pushed.Load(), v.Pushes())
-	}
+	// A push written after the last reply may not have been read yet.
+	written := int64(v.Pushes())
+	waitFor(t, "every push the stage counted to reach the client", func() bool { return pushed.Load() >= written })
 }
 
 // TestStageWithoutParentsStillFences: a stage the control plane adopted

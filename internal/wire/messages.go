@@ -500,8 +500,8 @@ func (a RuleAction) String() string {
 // its own. Stage IDs are 1-based, so 0 is free for this. Wildcards let a
 // controller broadcast one marshal-once rule to a whole job when every
 // stage's share is identical (delegated local control on a converged
-// workload); senders must not address wildcard rules to stages on the v1
-// codec, which predates them.
+// workload). The match is on the decoded rule, so it holds whichever
+// encoding carried the frame.
 const WildcardStage uint64 = 0
 
 // Rule is one stage's enforcement directive for a control cycle.

@@ -156,12 +156,6 @@ var (
 // Global over the fleet).
 func StartGlobal(cfg GlobalConfig) (*Global, error) { return controller.StartGlobal(cfg) }
 
-// NewGlobal creates a global controller without defaulting a listener: with
-// an empty ListenAddr the controller runs no registration endpoint and
-// children must be attached explicitly. It is a thin alias kept for callers
-// that need that; most programs want StartGlobal.
-func NewGlobal(cfg GlobalConfig) (*Global, error) { return controller.NewGlobal(cfg) }
-
 // StartAggregator launches an aggregator controller (manual assembly; a
 // Topology with AggregatorFanIn set deploys the whole tier declaratively).
 func StartAggregator(cfg AggregatorConfig) (*Aggregator, error) {

@@ -33,7 +33,7 @@ func TestFacadeFlatControlPlane(t *testing.T) {
 		stages = append(stages, st)
 	}
 
-	g, err := sdscale.NewGlobal(sdscale.GlobalConfig{
+	g, err := sdscale.StartGlobal(sdscale.GlobalConfig{
 		Network:   net.Host("controller"),
 		Algorithm: sdscale.PSFA(),
 		Capacity:  sdscale.Rates{2000, 200},
