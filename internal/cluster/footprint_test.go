@@ -35,7 +35,7 @@ func TestFleetFootprintPerStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// One cycle, so every connection has negotiated its codec and holds the
+	// One cycle, so every connection has carried a call and holds the
 	// buffers it will keep.
 	if _, err := c.Global.RunCycle(context.Background()); err != nil {
 		t.Fatalf("cycle: %v", err)

@@ -8,10 +8,12 @@ import (
 	"time"
 )
 
-// Watcher polls a configuration file for changes without fsnotify: a stat
+// Watcher polls a configuration file for changes without fsnotify: a read
 // per tick (a transiently missing file — an editor's rename-in-place
-// window — is not a change) and a content hash, so editors that rewrite
-// the file with the same bytes do not trigger spurious reloads. The hash,
+// window — is not a change, and neither is an empty one — a truncating
+// rewrite caught between its truncate and its write) and a content hash, so
+// editors that rewrite the file with the same bytes do not trigger spurious
+// reloads. The hash,
 // not mtime, is the change signal: two same-size writes can land within
 // the filesystem timestamp granularity, and a config file is small enough
 // that hashing every poll costs nothing. A change is announced on C; the
@@ -74,7 +76,7 @@ func (w *Watcher) SetInterval(d time.Duration) {
 	}
 }
 
-// Polls returns how many times the watcher has statted the file.
+// Polls returns how many times the watcher has read the file.
 func (w *Watcher) Polls() uint64 { return w.polls.Load() }
 
 // Changes returns how many content changes the watcher has observed.
@@ -103,13 +105,11 @@ type fingerprint struct {
 // snapshot hashes the file's content. It returns the new fingerprint and
 // whether the content changed from prev.
 func snapshot(path string, prev fingerprint) (fingerprint, bool) {
-	if _, err := os.Stat(path); err != nil {
-		// A transiently missing file (editor rename-in-place window) is
-		// not a change; the next poll sees the new file.
-		return prev, false
-	}
 	data, err := os.ReadFile(path)
-	if err != nil {
+	if err != nil || len(data) == 0 {
+		// A transiently missing file (editor rename-in-place window) or an
+		// empty one (os.WriteFile and a shell '>' truncate before they
+		// write) is not a change; the next poll sees the new content.
 		return prev, false
 	}
 	next := fingerprint{hash: sha256.Sum256(data)}

@@ -59,6 +59,25 @@ func TestWatcherIgnoresSameContentRewrite(t *testing.T) {
 	}
 }
 
+// TestWatcherIgnoresTruncatingRewriteStorm: os.WriteFile truncates the file
+// before it writes, so a poll can read it empty. A storm of same-content
+// rewrites against a fast poll lands polls in that window; none of them is a
+// change.
+func TestWatcherIgnoresTruncatingRewriteStorm(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sdscale.json")
+	const body = `{"stages": 4}`
+	writeFile(t, path, body)
+	w := NewWatcher(path, 100*time.Microsecond)
+	defer w.Close()
+
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
+		writeFile(t, path, body)
+	}
+	if got := w.Changes(); got != 0 {
+		t.Fatalf("Changes = %d after %d polls of same-content rewrites, want 0", got, w.Polls())
+	}
+}
+
 func TestWatcherCoalesces(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sdscale.json")
 	writeFile(t, path, `{"stages": 1}`)

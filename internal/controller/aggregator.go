@@ -65,7 +65,7 @@ type AggregatorConfig struct {
 	// push-maintained report cache: stages push deltas as their rates move,
 	// and the stage-facing collect scatter shrinks to the edge cases
 	// (never reported, forced after re-registration or readmission, cache
-	// past IncrementalFloor, hello not yet acked). Enforce sends are also
+	// past IncrementalFloor, no connection attached). Enforce sends are also
 	// diffed per stage, skipping unchanged rules. Requires FanOutPipelined;
 	// with FanOutBlocking the full fan-out runs unchanged. The upstream reply
 	// is built the same way either way, so the global controller needs no

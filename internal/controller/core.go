@@ -408,16 +408,14 @@ func runLoop(ctx context.Context, interval time.Duration, cycle func(context.Con
 // the per-child cache already holds a current report for every live, quiet
 // child. The dirty set is claimed, the collect shrinks to the edge cases —
 // never reported, forced after re-registration or readmission, cache past
-// the heartbeat floor, no upgraded connection attached — and the set is
-// assembled from the cache: pushed deltas, the collects just made, and
+// the heartbeat floor, no connection attached — and the set is assembled
+// from the cache: pushed deltas, the collects just made, and
 // untouched-but-fresh reports all read back alike. With mayIdle set, a cycle
 // with nothing dirty, nothing to collect and nobody quarantined sends and
 // assembles nothing and reports idle.
 //
-// The connection test is not about codecs. CodecVersion answers the baseline
-// exactly when no push can arrive: the child's client is detached after a
-// failed call and redialing, or freshly (re)dialed with its hello not yet
-// acked. Collecting such a child every cycle is what lets its consecutive
+// A child whose client is detached after a failed call and redialing can
+// push nothing. Collecting it every cycle is what lets its consecutive
 // failures reach MaxFailures, so the breaker — not the floor timer — decides
 // about a child that went silent behind a fresh cache.
 //
@@ -434,7 +432,7 @@ func (k *stageCore) gatherReports(ctx context.Context, m wire.Collect, active, q
 			if wasDirty {
 				dirty++
 			}
-			if collect || c.client().CodecVersion() < wire.CodecV2 {
+			if collect || !c.client().Connected() {
 				targets = append(targets, c)
 			}
 		}

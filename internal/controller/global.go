@@ -82,9 +82,9 @@ type GlobalConfig struct {
 	// per-child report cache and dirty set, and each cycle explicitly
 	// collects only the edge cases — children that never reported, whose
 	// cache aged past IncrementalFloor, that re-registered or were
-	// readmitted from quarantine, or whose connection is detached or has
-	// its hello not yet acked (no push can arrive on it, so it is collected
-	// explicitly). When nothing is dirty the whole cycle short-circuits.
+	// readmitted from quarantine, or whose connection is detached (no push
+	// can arrive on it, so it is collected explicitly). When nothing is
+	// dirty the whole cycle short-circuits.
 	// Incremental mode implies delta enforcement and requires
 	// FanOutPipelined; with FanOutBlocking — the paper-reproduction
 	// configuration — the full cycle runs unchanged. Hierarchical

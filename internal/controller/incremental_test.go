@@ -433,7 +433,7 @@ func TestIncrementalResendsRuleWhoseEnforceFailed(t *testing.T) {
 	}
 
 	n.Host("stage-2").SetPartitioned(false)
-	for deadline := time.Now().Add(5 * time.Second); c2.client().CodecVersion() < wire.CodecV2; {
+	for deadline := time.Now().Add(5 * time.Second); !c2.client().Connected(); {
 		if time.Now().After(deadline) {
 			t.Fatal("stage 2's client never redialed after the heal")
 		}

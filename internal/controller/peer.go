@@ -60,7 +60,7 @@ type PeerConfig struct {
 	// push-maintained report cache: stages push deltas as their rates move,
 	// and the collect scatter shrinks to the edge cases (never reported,
 	// forced after re-registration or readmission, cache past
-	// IncrementalFloor, hello not yet acked). Enforce sends are diffed per
+	// IncrementalFloor, no connection attached). Enforce sends are diffed per
 	// stage, skipping unchanged rules. The peer exchange is unaffected —
 	// fellows always receive the cycle's full aggregates. Requires
 	// FanOutPipelined; with FanOutBlocking the full fan-out runs unchanged.

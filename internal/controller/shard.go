@@ -103,10 +103,8 @@ func (g *Global) AdoptStage(ctx context.Context, info stage.Info, rules []wire.R
 // EnforceUniform broadcasts one per-job wildcard rule to every active stage
 // child outside the cycle schedule, using the marshal-once shared-frame
 // path: the Enforce body is encoded once and every child receives the same
-// bytes (a child whose hello ack is still in flight gets the baseline
-// encoding of the same rule, and applies it alike). It returns the number of
-// the job's stages that acknowledged the rule; stages serving other jobs
-// ignore the wildcard.
+// bytes. It returns the number of the job's stages that acknowledged the
+// rule; stages serving other jobs ignore the wildcard.
 //
 // The sharding layer fans this out across all shard leaders to apply a
 // deployment-wide QoS decision — a job cap, a pause — in one round without

@@ -48,10 +48,9 @@ func TestEnforceUniformDuringRun(t *testing.T) {
 
 // TestEnforceUniformStraightAfterAddStage: a wildcard rule is matched on the
 // decoded rule, so it needs nothing from the connection that carries it.
-// EnforceUniform called the moment the fleet is attached — hello acks
-// possibly still in flight, so some children may be sent the baseline
-// encoding of the frame — reaches every stage of the job and no other, and
-// encodes the frame at most once per encoding.
+// EnforceUniform called the moment the fleet is attached reaches every stage
+// of the job and no other, and encodes the frame exactly once: every
+// connection speaks one encoding from its first frame.
 func TestEnforceUniformStraightAfterAddStage(t *testing.T) {
 	n := fastNet()
 	stages := startStages(t, n, 64, 4, wire.Rates{1000, 100})
@@ -71,7 +70,7 @@ func TestEnforceUniformStraightAfterAddStage(t *testing.T) {
 		}
 	}
 	p := g.Pipeline()
-	if sends, encodes := p.SharedSends(), p.SharedEncodes(); sends != 64 || encodes < 1 || encodes > 2 {
-		t.Errorf("%d shared sends from %d encodes, want 64 from 1 or 2", sends, encodes)
+	if sends, encodes := p.SharedSends(), p.SharedEncodes(); sends != 64 || encodes != 1 {
+		t.Errorf("%d shared sends from %d encodes, want 64 from 1", sends, encodes)
 	}
 }

@@ -43,11 +43,6 @@ type Client struct {
 
 	late atomic.Uint64 // responses that arrived after their call was abandoned
 
-	// codec is the negotiated request codec: the baseline (wire.CodecV1)
-	// until the server's hello reply upgrades it. Atomic because senders
-	// read it while the read loop writes it.
-	codec atomic.Int32
-
 	// reuseReplies enables the read loop's per-type reply cache (see
 	// DialOptions.ReuseReplies); reuseHits counts decodes into it.
 	reuseReplies bool
@@ -217,13 +212,12 @@ type DialOptions struct {
 	// (controllers set their child's ID).
 	Tracer  *trace.Tracer
 	SpanTag uint64
-	// ReuseReplies opts into the zero-alloc decode path on v2 connections:
-	// responses decode into one cached message per type, reusing its
-	// backing arrays. The aliasing contract moves to the caller — a decoded
-	// reply is valid only until the next response of the same type arrives
-	// on this connection, so enable it only where replies are consumed
-	// within the cycle and never retained by pointer (the controllers
-	// deep-copy what they keep).
+	// ReuseReplies opts into the zero-alloc decode path: responses decode
+	// into one cached message per type, reusing its backing arrays. The
+	// aliasing contract moves to the caller — a decoded reply is valid only
+	// until the next response of the same type arrives on this connection,
+	// so enable it only where replies are consumed within the cycle and
+	// never retained by pointer (the controllers deep-copy what they keep).
 	ReuseReplies bool
 	// ReuseHits, if non-nil, is incremented once per reply decoded into a
 	// reused message.
@@ -232,25 +226,21 @@ type DialOptions struct {
 	// (kindPush frames) arriving on this connection. It runs on the read
 	// loop, so it must not block and must not retain the message past
 	// returning — the next push of the same shape may reuse its memory.
-	// Nil clients drop push frames on the floor (the pre-push behavior).
+	// Nil clients drop push frames on the floor.
 	OnPush func(m wire.Message)
 }
 
-// Dial connects to an RPC server at addr over network and opens with a hello
-// frame offering wire.MaxCodec.
+// Dial connects to an RPC server at addr over network.
 func Dial(ctx context.Context, network transport.Network, addr string, opts DialOptions) (*Client, error) {
 	conn, err := network.Dial(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
-	c := newClient(transport.WithMeter(conn, opts.Meter), opts)
-	c.sendHello()
-	return c, nil
+	return newClient(transport.WithMeter(conn, opts.Meter), opts), nil
 }
 
 // NewClient wraps an established connection as an RPC client and starts its
-// read loop. The client takes ownership of conn. Clients built directly
-// (rather than via Dial) send no hello and so stay on the baseline codec.
+// read loop. The client takes ownership of conn.
 func NewClient(conn net.Conn) *Client { return newClient(conn, DialOptions{}) }
 
 // newClient builds the client completely and only then starts its read loop,
@@ -267,25 +257,13 @@ func newClient(conn net.Conn, opts DialOptions) *Client {
 		onPush:       opts.OnPush,
 		done:         make(chan struct{}),
 	}
-	c.codec.Store(wire.CodecV1)
 	go c.readLoop()
 	return c
 }
 
-// CodecVersion returns the codec the client currently encodes requests with:
-// wire.CodecV1 until the server's hello reply upgrades the connection.
-func (c *Client) CodecVersion() int { return int(c.codec.Load()) }
-
-// sendHello writes the opening codec-negotiation frame. Best effort: if the
-// write fails the connection is dying and calls will surface it.
-func (c *Client) sendHello() {
-	bp := getFrameBuf()
-	*bp = appendHelloFrame((*bp)[:0], wire.MaxCodec)
-	c.wmu.Lock()
-	_, _ = c.conn.Write(*bp)
-	c.wmu.Unlock()
-	putFrameBuf(bp)
-}
+// CodecVersion returns the codec every frame is encoded with. Its one caller
+// is the benchmark module's probe (bench/layers.go).
+func (c *Client) CodecVersion() int { return wire.CodecV2 }
 
 // RemoteAddr returns the server's address.
 func (c *Client) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
@@ -322,12 +300,12 @@ func (c *Client) LateResponses() uint64 { return c.late.Load() }
 
 // readLoop dispatches responses to pending calls until the connection dies.
 // It is the connection's single reader, so it owns the response-side float
-// history (which must see every v2 response, in order, to stay in lockstep
+// history (which must see every response, in order, to stay in lockstep
 // with the server's writer) and the per-type reply-reuse cache.
 func (c *Client) readLoop() {
 	var (
 		buf     []byte
-		dec     *wire.DecodeOpts // built lazily on the first v2 response
+		dec     *wire.DecodeOpts // built lazily on the first response
 		pushDec *wire.DecodeOpts // built lazily on the first push frame
 	)
 	for {
@@ -344,8 +322,6 @@ func (c *Client) readLoop() {
 		var m wire.Message
 		switch h.kind {
 		case kindResponse:
-			m, err = wire.Decode(body)
-		case kindResponseV2:
 			if dec == nil {
 				dec = &wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory()}
 				if c.reuseReplies {
@@ -363,16 +339,8 @@ func (c *Client) readLoop() {
 				}
 			}
 			m, err = wire.DecodeWith(body, dec)
-		case kindHello:
-			// The server's hello reply carries the agreed codec; from here on
-			// requests are encoded with it. Absent (or malformed) the client
-			// stays on the baseline encoding, which every server speaks.
-			if ver, ok := parseHello(body); ok {
-				c.codec.Store(int32(negotiate(ver)))
-			}
-			continue
 		case kindPush:
-			// Server-initiated pushes are always stateless v2 bodies — they
+			// Server-initiated pushes are always stateless bodies — they
 			// never advance the response history, so decoding them between
 			// responses cannot desynchronize it. A decode failure is stream
 			// corruption like any other and kills the connection.
@@ -395,7 +363,9 @@ func (c *Client) readLoop() {
 			}
 			continue
 		default:
-			continue // clients only issue requests; ignore anything else
+			// A retired or unknown kind: the peer is not this build.
+			c.fail(fmt.Errorf("rpc: connection lost: frame kind %d", h.kind))
+			return
 		}
 		if err != nil {
 			// A frame we cannot decode desynchronizes the stream (and any
@@ -469,8 +439,7 @@ func (c *Client) Go(ctx context.Context, req wire.Message) *Call {
 	c.pending[call.id] = call
 	c.mu.Unlock()
 
-	ver, kind := c.requestCodec()
-	if err := c.send(frameHeader{id: call.id, kind: kind}, req, nil, ver, call); err != nil {
+	if err := c.send(frameHeader{id: call.id, kind: kindRequest}, req, nil, call); err != nil {
 		if c.deregister(call) {
 			call.finish(nil, err)
 		}
@@ -481,7 +450,7 @@ func (c *Client) Go(ctx context.Context, req wire.Message) *Call {
 }
 
 // GoShared issues a request whose body is the broadcast frame f, already
-// encoded (or encoded once, lazily, per codec version): the per-call cost is
+// encoded (or encoded once, lazily, by the first caller): the per-call cost is
 // a header plus one memcopy instead of a marshal. It is otherwise identical
 // to Go. The call takes its own reference on f, released when the handle is
 // recycled by Wait, so the shared body cannot be pooled out from under a
@@ -506,23 +475,13 @@ func (c *Client) GoShared(ctx context.Context, f *SharedFrame) *Call {
 	c.pending[call.id] = call
 	c.mu.Unlock()
 
-	ver, kind := c.requestCodec()
-	if err := c.send(frameHeader{id: call.id, kind: kind}, nil, f.body(ver), ver, call); err != nil {
+	if err := c.send(frameHeader{id: call.id, kind: kindRequest}, nil, f.body(), call); err != nil {
 		if c.deregister(call) {
 			call.finish(nil, err)
 		}
 	}
 	_ = ctx // the deadline is enforced at Wait; issuing is non-blocking
 	return call
-}
-
-// requestCodec returns the negotiated request codec version and the matching
-// request frame kind.
-func (c *Client) requestCodec() (int, byte) {
-	if ver := int(c.codec.Load()); ver >= wire.CodecV2 {
-		return ver, kindRequestV2
-	}
-	return wire.CodecV1, kindRequest
 }
 
 // Call sends req and waits for the matching response, honoring ctx. A
@@ -545,16 +504,16 @@ func (c *Client) sendCancel(id uint64) {
 // send writes one frame, serialized against other senders. The frame is
 // encoded into a pooled buffer outside the write lock, so concurrent senders
 // marshal in parallel and only the write itself serializes; request bodies
-// are therefore always stateless, whatever the codec. A non-nil body is a
-// SharedFrame's pre-encoded bytes — the "marshal" then degenerates to a
-// header append plus memcopy, and is timed as such so the tracer's marshal
-// share reflects the win. When the client has a CPU meter or a tracer the
+// are therefore always stateless. A non-nil body is a SharedFrame's
+// pre-encoded bytes — the "marshal" then degenerates to a header append plus
+// memcopy, and is timed as such so the tracer's marshal share reflects the
+// win. When the client has a CPU meter or a tracer the
 // marshal and write are timed once and the measurements shared: the meter
 // gets charged and the call (if any) carries them for its span, so tracing
 // on top of an already-metered connection adds no extra clock reads on this
 // path. A call off the tracer's sample grid takes no timestamps at all
 // (unless metered) — it is merely counted at completion.
-func (c *Client) send(h frameHeader, m wire.Message, body []byte, ver int, call *Call) error {
+func (c *Client) send(h frameHeader, m wire.Message, body []byte, call *Call) error {
 	traced := c.tracer != nil && call != nil && c.tracer.Sampled(call.id)
 	timed := c.cpu != nil || traced
 	bp := getFrameBuf()
@@ -568,7 +527,7 @@ func (c *Client) send(h frameHeader, m wire.Message, body []byte, ver int, call 
 	if body != nil {
 		*bp = appendSharedFrame((*bp)[:0], h, body)
 	} else {
-		*bp = appendFrameWith((*bp)[:0], h, m, ver, nil)
+		*bp = appendFrame((*bp)[:0], h, m, nil)
 	}
 	if timed {
 		el := time.Since(start)

@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/trace"
-	"github.com/dsrhaslab/sdscale/internal/transport"
 	"github.com/dsrhaslab/sdscale/internal/transport/simnet"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
@@ -34,138 +31,6 @@ func codecSetup(t *testing.T, h Handler, sopts ServerOptions, dopts DialOptions)
 	return srv, cli
 }
 
-// TestCodecNegotiationUpgrades: a v2 client against a v2 server upgrades to
-// the v2 codec, and calls keep round-tripping before, across, and after the
-// upgrade (the hello ack can race the first request).
-func TestCodecNegotiationUpgrades(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
-		for i := uint64(1); i <= 5; i++ {
-			resp, err := cli.Call(context.Background(), &wire.Collect{Cycle: i})
-			if err != nil {
-				t.Fatalf("call %d: %v", i, err)
-			}
-			if r := resp.(*wire.CollectReply); r.Cycle != i {
-				t.Fatalf("call %d: cycle %d", i, r.Cycle)
-			}
-		}
-		waitFor(t, "codec upgrade to v2", func() bool {
-			return cli.CodecVersion() == wire.CodecV2
-		})
-		if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: 99}); err != nil {
-			t.Fatalf("post-upgrade call: %v", err)
-		}
-	})
-}
-
-// TestCodecNegotiationV1Client: a client that sends no hello (NewClient over
-// a raw connection) stays on the baseline codec against a server that would
-// have upgraded it.
-func TestCodecNegotiationV1Client(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		n := simnet.New(simnet.Config{PropDelay: -1})
-		srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, sopts)
-		if err != nil {
-			t.Fatalf("Serve: %v", err)
-		}
-		defer srv.Close()
-		conn, err := n.Host("client").Dial(context.Background(), srv.Addr().String())
-		if err != nil {
-			t.Fatalf("Dial: %v", err)
-		}
-		cli := NewClient(conn)
-		defer cli.Close()
-		for i := uint64(1); i <= 3; i++ {
-			if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: i}); err != nil {
-				t.Fatalf("call %d: %v", i, err)
-			}
-		}
-		if v := cli.CodecVersion(); v != wire.CodecV1 {
-			t.Fatalf("hello-less client negotiated v%d", v)
-		}
-		srv.ForEachPeer(func(p *Peer) {
-			if p.CanPush() {
-				t.Error("CanPush on a connection that never sent a hello")
-			}
-		})
-	})
-}
-
-// dropHellos listens on a fresh address and relays every frame between the
-// connections it accepts and the server at backend, except hello frames,
-// which it drops in both directions: to a dialing client the pair is a peer
-// that does not upgrade — it ignores the frame kind it does not know and
-// answers baseline requests with baseline responses.
-func dropHellos(t *testing.T, n *simnet.Net, backend string) string {
-	t.Helper()
-	host := n.Host("relay")
-	l, err := host.Listen(":0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	t.Cleanup(func() { l.Close() })
-	relay := func(dst, src net.Conn) {
-		defer dst.Close()
-		defer src.Close()
-		var buf []byte
-		for {
-			h, body, b, err := readFrame(src, buf)
-			if buf = b; err != nil {
-				return
-			}
-			if h.kind == kindHello {
-				continue
-			}
-			if _, err := dst.Write(appendSharedFrame(nil, h, body)); err != nil {
-				return
-			}
-		}
-	}
-	go func() {
-		for {
-			down, err := l.Accept()
-			if err != nil {
-				return
-			}
-			up, err := host.Dial(context.Background(), backend)
-			if err != nil {
-				down.Close()
-				return
-			}
-			go relay(up, down)
-			go relay(down, up)
-		}
-	}()
-	return l.Addr().String()
-}
-
-// TestCodecNegotiationV1Server: a peer that never acks the client's hello —
-// exactly what a pre-v2 server does with an unknown frame kind — leaves the
-// client on the baseline codec, and calls still work.
-func TestCodecNegotiationV1Server(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		n := simnet.New(simnet.Config{PropDelay: -1})
-		srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, sopts)
-		if err != nil {
-			t.Fatalf("Serve: %v", err)
-		}
-		defer srv.Close()
-		cli, err := Dial(context.Background(), n.Host("client"), dropHellos(t, n, srv.Addr().String()), DialOptions{})
-		if err != nil {
-			t.Fatalf("Dial: %v", err)
-		}
-		defer cli.Close()
-		for i := uint64(1); i <= 3; i++ {
-			if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: i}); err != nil {
-				t.Fatalf("call %d: %v", i, err)
-			}
-		}
-		if v := cli.CodecVersion(); v != wire.CodecV1 {
-			t.Fatalf("client negotiated v%d against a peer that never acked its hello", v)
-		}
-	})
-}
-
 // floatHandler returns replies with float-heavy payloads so the v2 response
 // history is exercised across many messages.
 type floatHandler struct{}
@@ -179,15 +44,12 @@ func (floatHandler) Serve(_ *Peer, req wire.Message) (wire.Message, error) {
 	}}, nil
 }
 
-// TestCodecV2FloatDataCorrectness streams many float-bearing replies over an
-// upgraded connection: the delta-coded response history must reconstruct
+// TestCodecV2FloatDataCorrectness streams many float-bearing replies over one
+// connection: the delta-coded response history must reconstruct
 // every value exactly, including across repeated and changing payloads.
 func TestCodecV2FloatDataCorrectness(t *testing.T) {
 	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
 		_, cli := codecSetup(t, floatHandler{}, sopts, DialOptions{})
-		waitFor(t, "codec upgrade to v2", func() bool {
-			return cli.CodecVersion() == wire.CodecV2
-		})
 		for i := 0; i < 50; i++ {
 			cycle := uint64(i/10 + 1) // repeats make the history hit f2Same runs
 			resp, err := cli.Call(context.Background(), &wire.Collect{Cycle: cycle})
@@ -220,9 +82,6 @@ func TestReplyReuseContract(t *testing.T) {
 	var hits atomic.Uint64
 	_, cli := codecSetup(t, floatHandler{}, ServerOptions{},
 		DialOptions{ReuseReplies: true, ReuseHits: &hits})
-	waitFor(t, "codec upgrade to v2", func() bool {
-		return cli.CodecVersion() == wire.CodecV2
-	})
 	r1, err := cli.Call(context.Background(), &wire.Collect{Cycle: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -249,9 +108,6 @@ func TestRequestReuseFreelist(t *testing.T) {
 		var hits atomic.Uint64
 		sopts.ReuseRequests, sopts.ReuseHits = true, &hits
 		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
-		waitFor(t, "codec upgrade to v2", func() bool {
-			return cli.CodecVersion() == wire.CodecV2
-		})
 		for i := uint64(1); i <= 10; i++ {
 			if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: i}); err != nil {
 				t.Fatalf("call %d: %v", i, err)
@@ -289,7 +145,6 @@ func TestReuseTablesGrowOnFirstUse(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer cli.Close()
-	waitFor(t, "codec upgrade to v2", func() bool { return cli.CodecVersion() == wire.CodecV2 })
 	exchange := func(i uint64) {
 		t.Helper()
 		resp, err := cli.Call(ctx, &wire.Delegate{Cycle: i, Budgets: make([]wire.JobBudget, i)})
@@ -311,7 +166,7 @@ func TestReuseTablesGrowOnFirstUse(t *testing.T) {
 		t.Fatalf("raw dial: %v", err)
 	}
 	defer raw.Close()
-	if _, err := raw.Write(appendSharedFrame(nil, frameHeader{id: 1, kind: kindRequestV2}, []byte{0xFF})); err != nil {
+	if _, err := raw.Write(appendSharedFrame(nil, frameHeader{id: 1, kind: kindRequest}, []byte{0xFF})); err != nil {
 		t.Fatalf("raw write: %v", err)
 	}
 	if b, err := io.ReadAll(raw); err != nil || len(b) != 0 {
@@ -321,7 +176,7 @@ func TestReuseTablesGrowOnFirstUse(t *testing.T) {
 
 	// The same byte in a response or a push kills the client's connection
 	// with the decode error it always did.
-	for _, kind := range []byte{kindResponseV2, kindPush} {
+	for _, kind := range []byte{kindResponse, kindPush} {
 		l, err := n.Host("rogue").Listen(":0")
 		if err != nil {
 			t.Fatal(err)
@@ -347,56 +202,12 @@ func TestReuseTablesGrowOnFirstUse(t *testing.T) {
 	}
 }
 
-// gatedNet dials connections that hold back every client write — Dial's hello
-// is the first — until the client's read loop has consumed the first `eager`
-// bytes the server sent and come back for more.
-type gatedNet struct {
-	transport.Network
-	eager int
-}
-
-func (g gatedNet) Dial(ctx context.Context, addr string) (net.Conn, error) {
-	c, err := g.Network.Dial(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	return &gatedConn{Conn: c, left: g.eager, consumed: make(chan struct{})}, nil
-}
-
-type gatedConn struct {
-	net.Conn
-	left     int // read loop only
-	consumed chan struct{}
-}
-
-func (c *gatedConn) Read(p []byte) (int, error) {
-	if c.left == 0 {
-		close(c.consumed)
-		c.left = -1
-	}
-	n, err := c.Conn.Read(p)
-	if c.left > 0 {
-		c.left -= n
-	}
-	return n, err
-}
-
-func (c *gatedConn) Write(p []byte) (int, error) {
-	select {
-	case <-c.consumed:
-	case <-time.After(5 * time.Second): // the test then fails on what it waits for
-	}
-	return c.Conn.Write(p)
-}
-
 // TestDialBuildsClientBeforeReading: a server that speaks before it reads —
-// here a push frame and a v2 response written the moment the connection is
+// here a push frame and a response written the moment the connection is
 // accepted — reaches the client's read loop while Dial is still running. The
 // loop reads the push callback, the reply-reuse settings and the tracer, so
-// Dial must have set them all before it starts the loop. The gate makes the
-// loop process both frames before Dial gets as far as its hello, so that
-// under -race a Dial that sets a field after starting the loop is always
-// reported, not only when the scheduler happens to run the loop first.
+// Dial must have set them all before it starts the loop; under -race a Dial
+// that sets a field after starting the loop is reported.
 func TestDialBuildsClientBeforeReading(t *testing.T) {
 	n := simnet.New(simnet.Config{PropDelay: -1})
 	l, err := n.Host("eager").Listen(":0")
@@ -404,8 +215,8 @@ func TestDialBuildsClientBeforeReading(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	eager := appendFrameWith(nil, frameHeader{kind: kindPush}, &wire.ReportDelta{Seq: 1}, wire.CodecV2, nil)
-	eager = appendFrameWith(eager, frameHeader{id: 99, kind: kindResponseV2}, &wire.CollectReply{Cycle: 1}, wire.CodecV2, wire.NewFloatHistory())
+	eager := appendFrame(nil, frameHeader{kind: kindPush}, &wire.ReportDelta{Seq: 1}, nil)
+	eager = appendFrame(eager, frameHeader{id: 99, kind: kindResponse}, &wire.CollectReply{Cycle: 1}, wire.NewFloatHistory())
 	go func() {
 		if c, err := l.Accept(); err == nil {
 			_, _ = c.Write(eager)
@@ -415,7 +226,7 @@ func TestDialBuildsClientBeforeReading(t *testing.T) {
 		hits   atomic.Uint64
 		pushes atomic.Int64
 	)
-	cli, err := Dial(context.Background(), gatedNet{n.Host("client"), len(eager)}, l.Addr().String(), DialOptions{
+	cli, err := Dial(context.Background(), n.Host("client"), l.Addr().String(), DialOptions{
 		Tracer:       trace.New(16),
 		ReuseReplies: true,
 		ReuseHits:    &hits,
@@ -425,9 +236,7 @@ func TestDialBuildsClientBeforeReading(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer cli.Close()
-	// The gate opened, so both frames were read before Dial returned.
-	if pushes.Load() != 1 || cli.LateResponses() != 1 {
-		t.Errorf("read loop saw %d pushes and %d unmatched responses before the hello, want 1 and 1",
-			pushes.Load(), cli.LateResponses())
-	}
+	waitFor(t, "the eager push and the unmatched response", func() bool {
+		return pushes.Load() == 1 && cli.LateResponses() == 1
+	})
 }

@@ -61,38 +61,29 @@ func putFrameBuf(bp *[]byte) {
 // 10,000-stage cluster.
 const MaxFrameSize = 64 << 20
 
-// frame kinds. A frame's kind also names the codec version of its body, so
-// codec upgrades are self-describing mid-stream and never ambiguous.
+// frame kinds. Every body is wire.CodecV2 from a connection's first frame.
+// Kinds 0, 1 and 3 are retired (the fixed-width request/response pair and the
+// codec hello of older builds) and are not reused: either end drops a
+// connection on a kind it does not know, so an older build is refused at its
+// first frame rather than misparsed.
 const (
-	kindRequest  = 0
-	kindResponse = 1
 	// kindCancel withdraws an earlier request by ID. It carries no message
 	// body. The server drops the request if it is still queued (or, when it
 	// is currently executing, suppresses the response); no reply is ever
 	// sent for a cancel frame. Because frames are delivered in order, a
 	// cancel always trails the request it refers to.
 	kindCancel = 2
-	// kindHello negotiates the wire codec. Its body is a v1-encoded
-	// wire.Heartbeat whose SentUnixMicros field carries the sender's maximum
-	// codec version — chosen so a pre-v2 peer decodes the frame cleanly and
-	// then drops the unknown kind on the floor, which downgrades both sides
-	// to v1 without any round trip. The client sends a hello (id 0) as its
-	// first frame; a v2-capable server replies in kind with the agreed
-	// version and switches its responses to that codec from then on.
-	kindHello = 3
-	// kindRequestV2 and kindResponseV2 carry wire.CodecV2 bodies. Requests
-	// are encoded statelessly (concurrent senders cannot share a float
-	// history); responses carry the connection's response history, which the
-	// single-reader/single-writer pairing keeps in lockstep.
-	kindRequestV2  = 4
-	kindResponseV2 = 5
+	// kindRequest bodies are encoded statelessly (concurrent senders cannot
+	// share a float history); kindResponse bodies carry the connection's
+	// response history, which the single-reader/single-writer pairing keeps
+	// in lockstep.
+	kindRequest  = 4
+	kindResponse = 5
 	// kindPush is a server-initiated frame: an unsolicited message the
 	// serving side writes on an established connection (id 0, no reply
-	// expected). Its body is always encoded statelessly at wire.CodecV2 —
-	// it must not touch the connection's response history, which stays in
-	// lockstep with solicited responses. Pushes are only written on
-	// connections that negotiated v2; a pre-push client's readLoop drops
-	// the unknown kind on the floor, so interop needs no handshake change.
+	// expected). Its body is always encoded statelessly — it must not touch
+	// the connection's response history, which stays in lockstep with
+	// solicited responses.
 	kindPush = 6
 )
 
@@ -105,21 +96,15 @@ type frameHeader struct {
 	kind byte   // kindRequest or kindResponse
 }
 
-// appendFrame encodes a complete v1 frame (length prefix, header, message)
-// into buf and returns the extended slice.
-func appendFrame(buf []byte, h frameHeader, m wire.Message) []byte {
-	return appendFrameWith(buf, h, m, wire.CodecV1, nil)
-}
-
-// appendFrameWith encodes a complete frame with the body in codec version
-// ver, optionally delta-coded against hist. The caller must pick h.kind to
-// match ver (kindRequestV2/kindResponseV2 for v2 bodies).
-func appendFrameWith(buf []byte, h frameHeader, m wire.Message, ver int, hist *wire.FloatHistory) []byte {
+// appendFrame encodes a complete frame (length prefix, header, message) into
+// buf and returns the extended slice. The body is delta-coded against hist
+// when it is non-nil, and stateless otherwise.
+func appendFrame(buf []byte, h frameHeader, m wire.Message, hist *wire.FloatHistory) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length placeholder
 	buf = binary.AppendUvarint(buf, h.id)
 	buf = append(buf, h.kind)
-	buf = wire.EncodeWith(buf, m, ver, hist)
+	buf = wire.EncodeWith(buf, m, wire.CodecV2, hist)
 	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	return buf
 }
@@ -135,35 +120,6 @@ func appendSharedFrame(buf []byte, h frameHeader, body []byte) []byte {
 	buf = append(buf, body...)
 	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	return buf
-}
-
-// appendHelloFrame encodes a codec-negotiation hello (or hello reply)
-// announcing version. The body is a v1 Heartbeat so pre-v2 peers parse it
-// and ignore it (see kindHello).
-func appendHelloFrame(buf []byte, version int) []byte {
-	return appendFrame(buf, frameHeader{id: 0, kind: kindHello}, &wire.Heartbeat{SentUnixMicros: int64(version)})
-}
-
-// parseHello extracts the announced codec version from a hello body.
-func parseHello(body []byte) (int, bool) {
-	m, err := wire.Decode(body)
-	if err != nil {
-		return 0, false
-	}
-	hb, ok := m.(*wire.Heartbeat)
-	if !ok || hb.SentUnixMicros < 1 || hb.SentUnixMicros > 1<<16 {
-		return 0, false
-	}
-	return int(hb.SentUnixMicros), true
-}
-
-// negotiate clamps the peer's announced version to the newest this build
-// speaks.
-func negotiate(theirs int) int {
-	if theirs < wire.MaxCodec {
-		return theirs
-	}
-	return wire.MaxCodec
 }
 
 // appendCancelFrame encodes a body-less cancel frame for request id into buf

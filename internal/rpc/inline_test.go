@@ -78,7 +78,9 @@ func TestInlinePushInterleavesWithResponses(t *testing.T) {
 		pushed.Add(1)
 	}
 	srv, cli := codecSetup(t, floatHandler{}, ServerOptions{Inline: true}, DialOptions{OnPush: onPush})
-	waitFor(t, "codec upgrade to v2", func() bool { return cli.CodecVersion() == wire.CodecV2 })
+	// Dial returns before the server has registered the peer; a pusher
+	// started earlier would count pushes to nobody.
+	waitFor(t, "the server to register the peer", func() bool { return srv.NumPeers() == 1 })
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

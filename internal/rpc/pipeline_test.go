@@ -223,12 +223,12 @@ func TestPipelinedSendsShareBuffers(t *testing.T) {
 func TestDecodedMessageDoesNotAliasFrameBuffer(t *testing.T) {
 	const text = "partition tolerated; degraded collect"
 	frame := appendFrame(nil, frameHeader{id: 7, kind: kindResponse},
-		&wire.ErrorReply{Code: wire.CodeInternal, Text: text})
+		&wire.ErrorReply{Code: wire.CodeInternal, Text: text}, nil)
 	_, body, buf, err := readFrame(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := wire.Decode(body)
+	m, err := wire.DecodeWith(body, &wire.DecodeOpts{Version: wire.CodecV2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,19 +230,6 @@ func (r *ReconnectingClient) GoShared(ctx context.Context, f *SharedFrame) *Call
 	return cli.GoShared(ctx, f)
 }
 
-// CodecVersion returns the negotiated request codec of the current
-// connection, or wire.CodecV1 while disconnected (a fresh connection always
-// starts at v1 until its hello reply arrives).
-func (r *ReconnectingClient) CodecVersion() int {
-	r.mu.Lock()
-	cli := r.cur
-	r.mu.Unlock()
-	if cli == nil {
-		return wire.CodecV1
-	}
-	return cli.CodecVersion()
-}
-
 // NoteError is the harvest-side counterpart of Go: given the error of a
 // completed asynchronous call, it checks whether the underlying connection
 // died and, if so, detaches it and starts the background redial — exactly

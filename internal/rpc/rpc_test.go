@@ -119,8 +119,7 @@ func TestConcurrentCallsMultiplexed(t *testing.T) {
 }
 
 // TestPipelinedBurstOrdered: 1,000 requests pipelined on one connection are
-// dispatched in issue order and each handle gets its own reply, across the
-// hello upgrade that lands somewhere inside the burst.
+// dispatched in issue order and each handle gets its own reply.
 func TestPipelinedBurstOrdered(t *testing.T) {
 	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
 		const calls = 1000
@@ -365,16 +364,17 @@ func TestMetersChargedBothSides(t *testing.T) {
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(id uint64, cycle uint64, text string) bool {
 		var buf bytes.Buffer
-		frame := appendFrame(nil, frameHeader{id: id, kind: kindRequest}, &wire.Collect{Cycle: cycle})
+		frame := appendFrame(nil, frameHeader{id: id, kind: kindRequest}, &wire.Collect{Cycle: cycle}, nil)
 		buf.Write(frame)
-		frame2 := appendFrame(nil, frameHeader{id: id + 1, kind: kindResponse}, &wire.ErrorReply{Code: 1, Text: text})
+		frame2 := appendFrame(nil, frameHeader{id: id + 1, kind: kindResponse}, &wire.ErrorReply{Code: 1, Text: text}, nil)
 		buf.Write(frame2)
 
+		dec := &wire.DecodeOpts{Version: wire.CodecV2}
 		h1, b1, rb, err := readFrame(&buf, nil)
 		if err != nil || h1.id != id || h1.kind != kindRequest {
 			return false
 		}
-		m1, err := wire.Decode(b1)
+		m1, err := wire.DecodeWith(b1, dec)
 		if err != nil {
 			return false
 		}
@@ -385,7 +385,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err != nil || h2.id != id+1 || h2.kind != kindResponse {
 			return false
 		}
-		m2, err := wire.Decode(b2)
+		m2, err := wire.DecodeWith(b2, dec)
 		if err != nil {
 			return false
 		}
@@ -406,7 +406,7 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 }
 
 func TestReadFrameTruncated(t *testing.T) {
-	full := appendFrame(nil, frameHeader{id: 1, kind: kindRequest}, &wire.Heartbeat{SentUnixMicros: 5})
+	full := appendFrame(nil, frameHeader{id: 1, kind: kindRequest}, &wire.Heartbeat{SentUnixMicros: 5}, nil)
 	for i := 1; i < len(full); i++ {
 		buf := bytes.NewReader(full[:i])
 		if _, _, _, err := readFrame(buf, nil); err == nil {

@@ -35,14 +35,10 @@ type Peer struct {
 	conn net.Conn
 
 	// wmu serializes every write to conn: the connection's responses and
-	// hello acks, and unsolicited Push frames (which may originate on any
-	// goroutine). respond encodes outside the lock and holds it only for
-	// the write itself.
+	// unsolicited Push frames (which may originate on any goroutine).
+	// respond encodes outside the lock and holds it only for the write
+	// itself.
 	wmu sync.Mutex
-	// pushVer is the negotiated codec version, published when the hello ack
-	// is written. Push reads it to decide whether the peer understands
-	// server-initiated frames; zero means no hello has been acked yet.
-	pushVer atomic.Int32
 
 	mu         sync.Mutex
 	attachment any
@@ -68,29 +64,14 @@ func (p *Peer) Attachment() any {
 // Close severs the peer's connection. Used by servers to evict members.
 func (p *Peer) Close() error { return p.conn.Close() }
 
-// ErrPushUnsupported reports that a peer's connection has not negotiated a
-// codec that understands server-initiated push frames.
-var ErrPushUnsupported = errors.New("rpc: peer connection predates push frames")
-
-// CanPush reports whether the peer's connection negotiated codec v2, the
-// first version whose clients dispatch unsolicited push frames. It is false
-// while the connection's hello is not yet acked (and stays false for a client
-// that never sent one): a push must not precede the ack in the frame stream,
-// so callers use CanPush to fall back to the polled path.
-func (p *Peer) CanPush() bool { return p.pushVer.Load() >= int32(wire.CodecV2) }
-
 // Push writes an unsolicited server-initiated frame carrying m to the peer.
-// The body is encoded statelessly at wire.CodecV2 — never against the
-// connection's response history, so responses stay in lockstep regardless of
-// interleaving. Returns ErrPushUnsupported when the connection has not
-// negotiated v2 (see CanPush). Safe for concurrent use with the connection's
-// responses and other pushers.
+// It is legal from the connection's first frame. The body is encoded
+// statelessly — never against the connection's response history, so
+// responses stay in lockstep regardless of interleaving. Safe for concurrent
+// use with the connection's responses and other pushers.
 func (p *Peer) Push(m wire.Message) error {
-	if !p.CanPush() {
-		return ErrPushUnsupported
-	}
 	bp := getFrameBuf()
-	*bp = appendFrameWith((*bp)[:0], frameHeader{id: 0, kind: kindPush}, m, wire.CodecV2, nil)
+	*bp = appendFrame((*bp)[:0], frameHeader{id: 0, kind: kindPush}, m, nil)
 	p.wmu.Lock()
 	_, err := p.conn.Write(*bp)
 	p.wmu.Unlock()
@@ -238,11 +219,6 @@ type queuedReq struct {
 	// frame ID is on the tracer's sample grid; queue wait is pop time minus
 	// arrival. Zero means "count this request, don't time it".
 	arrivedNs int64
-	// hello marks a codec-negotiation frame. It takes a request's path so
-	// respond — the connection's single writer — acks it and flips the
-	// response codec at a well-defined point in the response stream.
-	hello    bool
-	helloVer int
 }
 
 // reqFreelist recycles decoded request messages within one connection: the
@@ -397,11 +373,9 @@ type srvConn struct {
 
 	peerTag uint64
 	wbp     *[]byte
-	// The response codec starts at v1 and flips when a hello is acked; the
-	// response history (shared by all response types on this connection) is
-	// kept in lockstep with the client's read loop because respond has a
-	// single caller.
-	txVer  int
+	// The response history (shared by all response types on this
+	// connection) is kept in lockstep with the client's read loop because
+	// respond has a single caller.
 	txHist *wire.FloatHistory
 }
 
@@ -422,7 +396,7 @@ func (s *Server) serveConn(peer *Peer) {
 		}
 	}()
 
-	c := &srvConn{s: s, peer: peer, txVer: wire.CodecV1, wbp: getFrameBuf()}
+	c := &srvConn{s: s, peer: peer, wbp: getFrameBuf(), txHist: wire.NewFloatHistory()}
 	defer putFrameBuf(c.wbp)
 	if s.opts.ReuseRequests {
 		c.fl = &reqFreelist{hits: s.opts.ReuseHits}
@@ -453,14 +427,19 @@ func (s *Server) serveConn(peer *Peer) {
 }
 
 // read consumes the connection's frames until it dies, handing each decoded
-// request and hello to deliver and applying cancel frames to the queue.
+// request to deliver and applying cancel frames to the queue.
 func (c *srvConn) read() {
 	// The decode buffer is pooled across connections; decoded messages
 	// never alias it (see readFrame), so returning it is safe even while
 	// requests it carried are still queued or executing.
 	rbp := getFrameBuf()
 	defer putFrameBuf(rbp)
-	var dec *wire.DecodeOpts // built lazily on the first v2 request
+	// Requests are encoded statelessly (concurrent client senders cannot
+	// share a float history), so no Hist.
+	dec := &wire.DecodeOpts{Version: wire.CodecV2}
+	if c.fl != nil {
+		dec.Reuse = c.fl.take
+	}
 	for {
 		var (
 			h    frameHeader
@@ -472,21 +451,8 @@ func (c *srvConn) read() {
 			return // EOF or broken conn
 		}
 		switch h.kind {
-		case kindRequest, kindRequestV2:
-			var req wire.Message
-			if h.kind == kindRequest {
-				req, err = wire.Decode(body)
-			} else {
-				if dec == nil {
-					// Requests are encoded statelessly (concurrent client
-					// senders cannot share a float history), so no Hist.
-					dec = &wire.DecodeOpts{Version: wire.CodecV2}
-					if c.fl != nil {
-						dec.Reuse = c.fl.take
-					}
-				}
-				req, err = wire.DecodeWith(body, dec)
-			}
+		case kindRequest:
+			req, err := wire.DecodeWith(body, dec)
 			if err != nil {
 				return // protocol corruption; drop the connection
 			}
@@ -494,20 +460,17 @@ func (c *srvConn) read() {
 			if c.s.opts.Tracer.Sampled(h.id) {
 				item.arrivedNs = time.Now().UnixNano()
 			}
-			err = c.deliver(item)
+			if c.deliver(item) != nil {
+				return // the response write failed
+			}
 		case kindCancel:
 			// An inline connection has answered every request it has read, so
 			// a cancel frame there always names a completed request.
 			if c.q != nil && c.q.cancel(h.id) {
 				c.s.canceled.Add(1)
 			}
-		case kindHello:
-			if ver, ok := parseHello(body); ok {
-				err = c.deliver(queuedReq{hello: true, helloVer: ver})
-			}
-		}
-		if err != nil {
-			return // the response write failed
+		default:
+			return // a retired or unknown kind: the peer is not this build
 		}
 	}
 }
@@ -523,28 +486,10 @@ func (c *srvConn) deliver(item queuedReq) error {
 	return nil
 }
 
-// respond acks a hello or dispatches a request and writes its response. It
-// returns the connection's write error, if any.
+// respond dispatches a request and writes its response. It returns the
+// connection's write error, if any.
 func (c *srvConn) respond(item queuedReq) error {
 	s, peer, wbp := c.s, c.peer, c.wbp
-	if item.hello {
-		ver := negotiate(item.helloVer)
-		*wbp = appendHelloFrame((*wbp)[:0], ver)
-		peer.wmu.Lock()
-		_, err := peer.conn.Write(*wbp)
-		peer.wmu.Unlock()
-		if ver >= wire.CodecV2 {
-			c.txVer = ver
-			c.txHist = wire.NewFloatHistory()
-		}
-		// Publish after the ack write: a push must never precede the
-		// hello ack in the client's frame stream.
-		peer.pushVer.Store(int32(ver))
-		if c.q != nil {
-			c.q.finish()
-		}
-		return err
-	}
 	traced := item.arrivedNs != 0
 	popNs := item.arrivedNs // no queue, no wait
 	if traced && c.q != nil {
@@ -564,11 +509,7 @@ func (c *srvConn) respond(item queuedReq) error {
 		// A cancel-suppressed response is never encoded, so it leaves the
 		// response history untouched — the client, which decodes every
 		// arriving frame, stays in lockstep.
-		if c.txVer >= wire.CodecV2 {
-			*wbp = appendFrameWith((*wbp)[:0], frameHeader{id: item.id, kind: kindResponseV2}, resp, c.txVer, c.txHist)
-		} else {
-			*wbp = appendFrame((*wbp)[:0], frameHeader{id: item.id, kind: kindResponse}, resp)
-		}
+		*wbp = appendFrame((*wbp)[:0], frameHeader{id: item.id, kind: kindResponse}, resp, c.txHist)
 		peer.wmu.Lock()
 		_, err = peer.conn.Write(*wbp)
 		peer.wmu.Unlock()

@@ -51,10 +51,9 @@ func TestGoSharedRoundTrip(t *testing.T) {
 	if got := f.refs.Load(); got != 0 {
 		t.Fatalf("refs = %d after full harvest, want 0", got)
 	}
-	// All clients are fresh v1 connections here (the hello ack may not have
-	// landed yet), so exactly one encode serves the whole fan-out.
-	if enc := f.Encodes(); enc < 1 || enc > 2 {
-		t.Fatalf("Encodes = %d, want 1 or 2 (one per codec version in use)", enc)
+	// Exactly one encode serves the whole fan-out.
+	if enc := f.Encodes(); enc != 1 {
+		t.Fatalf("Encodes = %d, want 1", enc)
 	}
 }
 

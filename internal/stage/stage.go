@@ -82,11 +82,11 @@ type Config struct {
 	// PushThreshold enables event-driven report pushes: the stage samples
 	// its demand/usage every PushInterval and, when any class moved by more
 	// than this fraction relative to the last pushed value (or appeared from
-	// zero), pushes a wire.ReportDelta to every connected parent that
-	// negotiated codec v2. Zero disables pushing (the paper-faithful
-	// poll-only stage). A pushed report also refreshes on a heartbeat floor
-	// (PushFloor) so parents can tell a silent stage from an unchanged one,
-	// and an epoch change forces a Full baseline resend.
+	// zero), pushes a wire.ReportDelta to every connected parent. Zero
+	// disables pushing (the paper-faithful poll-only stage). A pushed report
+	// also refreshes on a heartbeat floor (PushFloor) so parents can tell a
+	// silent stage from an unchanged one, and an epoch change forces a Full
+	// baseline resend.
 	PushThreshold float64
 	// PushInterval is the local sampling period for push decisions. Zero
 	// selects DefaultPushInterval. Only meaningful with PushThreshold set.
@@ -400,7 +400,7 @@ func ratesMoved(o, n wire.Rates, thr float64) bool {
 
 // pushLoop is the event-driven reporting side of the incremental control
 // mode: it samples the stage's metrics every PushInterval and pushes a
-// ReportDelta to all connected v2 parents when they moved past
+// ReportDelta to all connected parents when they moved past
 // PushThreshold, when the leadership epoch changed (Full baseline, so a
 // re-homed parent never computes from a pre-fencing report), or when
 // PushFloor elapsed since the last push (Full refresh — the liveness signal
@@ -441,7 +441,7 @@ func (v *Virtual) pushLoop() {
 		if sent {
 			v.pushes.Add(1)
 		}
-		// The baseline advances even with no v2 parent connected, so a
+		// The baseline advances even with no parent connected, so a
 		// late-attaching parent starts from the next floor refresh rather
 		// than a burst of stale deltas.
 		last, lastAt, lastEpoch, haveBase = r, time.Now(), epoch, true
@@ -454,7 +454,7 @@ func (v *Virtual) pushLoop() {
 // the loop's sequence counter (the same rule that covers stage restarts), so
 // this composes with a running push loop. Benchmarks use it to dirty a
 // chosen fraction of the fleet deterministically per cycle. It reports false
-// when no parent could be pushed to: none connected, or hello not yet acked.
+// when no parent could be pushed to: none connected, or every write failed.
 func (v *Virtual) PushDelta(f float64) bool {
 	r := v.sample()
 	r.Demand = r.Demand.Scale(f)

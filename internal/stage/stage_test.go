@@ -369,8 +369,9 @@ func TestVirtualStagePushesWhileAnswering(t *testing.T) {
 			}
 		}
 	}()
-	// Pushes need the hello acked, and the bursts below take milliseconds:
-	// wait for the first push so pushes and replies provably interleave.
+	// Pushes need the peer registered, and the bursts below take
+	// milliseconds: wait for the first push so pushes and replies provably
+	// interleave.
 	waitFor(t, "the first push to reach the client", func() bool { return pushed.Load() > 0 })
 
 	ctx := context.Background()

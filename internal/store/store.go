@@ -29,12 +29,13 @@
 // On-disk layout in Dir (see docs/PROTOCOL.md for the byte-level format):
 //
 //	snapshot.snap — one framed record: uvarint watermark LSN, uvarint voted
-//	                epoch, then a v1-codec wire.StateSync of the state.
+//	                epoch, then a wire.StateSync of the state in the
+//	                fixed-width encoding (wire.Encode).
 //	wal.log       — framed mutation records, LSNs strictly increasing.
 //
 // Record frame: uint32 LE payload length, uint32 LE CRC-32 (IEEE) of the
 // payload, payload. Payload: uvarint LSN, one kind byte, kind-specific body
-// in the v1 wire codec's primitive encodings.
+// in the wire package's fixed-width primitive encodings.
 package store
 
 import (
@@ -848,9 +849,9 @@ func readFrame(buf []byte) (payload []byte, n int, err error) {
 	return payload, frameHeaderLen + int(plen), nil
 }
 
-// Byte-level append helpers matching the v1 wire codec's primitive
-// encodings (uvarint integers, fixed 8-byte LE floats, length-prefixed
-// strings), so wire.Decoder parses them back.
+// Byte-level append helpers matching the wire package's fixed-width
+// primitive encodings (uvarint integers, fixed 8-byte LE floats,
+// length-prefixed strings), so wire.Decoder parses them back.
 func appendUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
 
 func appendFloat(buf []byte, v float64) []byte {
@@ -968,7 +969,8 @@ func parseRecord(payload []byte) (record, error) {
 }
 
 // encodeSnapshot appends the snapshot payload: the watermark LSN, the
-// voted epoch, then the state as a v1-codec StateSync message.
+// voted epoch, then the state as a StateSync message in the fixed-width
+// encoding.
 func encodeSnapshot(buf []byte, watermark uint64, st memState) []byte {
 	buf = appendUvarint(buf, watermark)
 	buf = appendUvarint(buf, st.voted)

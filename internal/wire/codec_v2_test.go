@@ -118,8 +118,8 @@ func TestFloat64V2StatelessRejectsHistoryTags(t *testing.T) {
 	}
 }
 
-// TestV1EncodingUnchanged pins the v1 float layout: fixed 8-byte IEEE 754,
-// so pre-v2 peers see byte-identical frames.
+// TestV1EncodingUnchanged pins the fixed-width float layout: 8-byte IEEE 754,
+// so snapshots written by earlier builds read back byte for byte.
 func TestV1EncodingUnchanged(t *testing.T) {
 	m := &CollectReply{Cycle: 9, Reports: []StageReport{{StageID: 1, JobID: 2, Demand: Rates{3.5, 0}, Usage: Rates{1, 2}}}}
 	buf := Encode(nil, m)

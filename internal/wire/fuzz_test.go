@@ -93,9 +93,7 @@ func FuzzDecoderPrimitives(f *testing.F) {
 
 // FuzzDecodeV2 feeds arbitrary bytes to the stateless v2 decoder. Like
 // FuzzDecode it must never panic, and accepted inputs must re-encode
-// canonically. The corpus seeds every message type in both codecs plus the
-// negotiation hello bodies (v1-encoded Heartbeats carrying a codec version),
-// so the fuzzer starts from exactly the frames a v1↔v2 handshake exchanges.
+// canonically. The corpus seeds every message type in both codecs.
 func FuzzDecodeV2(f *testing.F) {
 	seeds := []Message{
 		&Register{Role: RoleStage, ID: 1, JobID: 2, Weight: 1.5, Addr: "a:1"},
@@ -124,9 +122,6 @@ func FuzzDecodeV2(f *testing.F) {
 		f.Add(EncodeWith(nil, m, CodecV2, nil))
 		f.Add(Encode(nil, m))
 	}
-	// Negotiation hello bodies: Heartbeat{version}, always encoded v1.
-	f.Add(Encode(nil, &Heartbeat{SentUnixMicros: CodecV1}))
-	f.Add(Encode(nil, &Heartbeat{SentUnixMicros: CodecV2}))
 	f.Add([]byte{byte(TCollectReply), 1, 1, 1, 1, f2Same})
 	f.Add([]byte{})
 

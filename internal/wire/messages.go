@@ -59,8 +59,8 @@ const (
 	// current metric report. Children emit it when demand/usage moves past a
 	// configured threshold (and at a heartbeat floor, so a silent child is
 	// distinguishable from an unchanged one); parents fold it into their
-	// report cache and mark the child dirty. Codec v2 only: v1 predates
-	// server-initiated frames and never sees this type.
+	// report cache and mark the child dirty. It only ever travels in a push
+	// frame.
 	TReportDelta
 	// TVoteRequest is sent by a standby whose leadership lease expired to
 	// every other controller it knows, proposing itself as primary at a
@@ -1296,8 +1296,9 @@ var (
 	decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
 )
 
-// Encode appends t's tag and m's body to buf in the v1 codec and returns the
-// extended slice.
+// Encode appends t's tag and m's body to buf in the fixed-width encoding
+// (CodecV1) and returns the extended slice. It is the on-disk format of
+// internal/store; RPC frames use EncodeWith at CodecV2.
 func Encode(buf []byte, m Message) []byte {
 	return EncodeWith(buf, m, CodecV1, nil)
 }

@@ -39,18 +39,17 @@ var (
 // malformed frame from OOMing a controller.
 const MaxSliceLen = 1 << 24
 
-// Wire codec versions. V1 is the original fixed-width-float encoding; V2
-// encodes floats as tagged varints with optional positional history (see
-// Encoder.Float64). Frames carry their codec version out of band (the RPC
-// layer's frame kind), so the two never need to be distinguished in-band.
+// Wire codec versions. V1 is the fixed-width-float encoding, the on-disk
+// format of internal/store; V2 encodes floats as tagged varints with optional
+// positional history (see Encoder.Float64) and is what every RPC frame
+// carries. A reader always knows which one it holds, so the two never need
+// to be distinguished in-band.
 const (
-	// CodecV1 is the original codec: fixed 8-byte IEEE 754 floats.
+	// CodecV1 is the fixed-width codec: 8-byte IEEE 754 floats.
 	CodecV1 = 1
 	// CodecV2 tags each float and varint-encodes the common cases, with
 	// optional delta coding against the previous message of the same type.
 	CodecV2 = 2
-	// MaxCodec is the newest codec version this build speaks.
-	MaxCodec = CodecV2
 )
 
 // V2 float tags. Order of preference when several apply: f2Same, f2Zero,
