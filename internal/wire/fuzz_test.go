@@ -122,6 +122,10 @@ func FuzzDecodeV2(f *testing.F) {
 		f.Add(EncodeWith(nil, m, CodecV2, nil))
 		f.Add(Encode(nil, m))
 	}
+	// Fixed-width Heartbeats whose 8-byte timestamp is a small integer: the
+	// v2 decoder reads those bytes as varints and float tags instead.
+	f.Add(Encode(nil, &Heartbeat{SentUnixMicros: CodecV1}))
+	f.Add(Encode(nil, &Heartbeat{SentUnixMicros: CodecV2}))
 	f.Add([]byte{byte(TCollectReply), 1, 1, 1, 1, f2Same})
 	f.Add([]byte{})
 
