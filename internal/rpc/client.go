@@ -33,7 +33,10 @@ type Client struct {
 	tracer  *trace.Tracer
 	spanTag uint64
 
-	wmu sync.Mutex // serializes frame writes
+	// wmu serializes frame writes, and guards txHist: the request history
+	// kind-7 bodies are encoded against, which advances in write order.
+	wmu    sync.Mutex
+	txHist *wire.FloatHistory
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -251,6 +254,7 @@ func newClient(conn net.Conn, opts DialOptions) *Client {
 		cpu:          opts.CPU,
 		tracer:       opts.Tracer,
 		spanTag:      opts.SpanTag,
+		txHist:       wire.NewFloatHistory(),
 		pending:      make(map[uint64]*Call),
 		reuseReplies: opts.ReuseReplies,
 		reuseHits:    opts.ReuseHits,
@@ -304,17 +308,12 @@ func (c *Client) LateResponses() uint64 { return c.late.Load() }
 // with the server's writer) and the per-type reply-reuse cache.
 func (c *Client) readLoop() {
 	var (
-		buf     []byte
-		dec     *wire.DecodeOpts // built lazily on the first response
-		pushDec *wire.DecodeOpts // built lazily on the first push frame
+		fr      = frameReader{r: c.conn} // its buffer is allocated by the first read
+		dec     *wire.DecodeOpts         // built lazily on the first response
+		pushDec *wire.DecodeOpts         // built lazily on the first push frame
 	)
 	for {
-		var (
-			h    frameHeader
-			body []byte
-			err  error
-		)
-		h, body, buf, err = readFrame(c.conn, buf)
+		h, body, err := fr.next()
 		if err != nil {
 			c.fail(fmt.Errorf("rpc: connection lost: %w", err))
 			return
@@ -402,8 +401,8 @@ func (c *Client) fail(err error) {
 }
 
 // deregister removes call from the pending map, returning true if the caller
-// now exclusively owns the handle. False means a completer (read loop, fail,
-// or a send-error path) got there first and a completion is in flight.
+// now exclusively owns the handle. False means a completer (the read loop or
+// fail) got there first and a completion is in flight.
 func (c *Client) deregister(call *Call) bool {
 	c.mu.Lock()
 	cur, ok := c.pending[call.id]
@@ -439,12 +438,7 @@ func (c *Client) Go(ctx context.Context, req wire.Message) *Call {
 	c.pending[call.id] = call
 	c.mu.Unlock()
 
-	if err := c.send(frameHeader{id: call.id, kind: kindRequest}, req, nil, call); err != nil {
-		if c.deregister(call) {
-			call.finish(nil, err)
-		}
-		// Otherwise fail() already owns the call and delivers its error.
-	}
+	c.send(call, req, nil)
 	_ = ctx // the deadline is enforced at Wait; issuing is non-blocking
 	return call
 }
@@ -475,11 +469,7 @@ func (c *Client) GoShared(ctx context.Context, f *SharedFrame) *Call {
 	c.pending[call.id] = call
 	c.mu.Unlock()
 
-	if err := c.send(frameHeader{id: call.id, kind: kindRequest}, nil, f.body(), call); err != nil {
-		if c.deregister(call) {
-			call.finish(nil, err)
-		}
-	}
+	c.send(call, nil, f.body())
 	_ = ctx // the deadline is enforced at Wait; issuing is non-blocking
 	return call
 }
@@ -501,22 +491,30 @@ func (c *Client) sendCancel(id uint64) {
 	putFrameBuf(bp)
 }
 
-// send writes one frame, serialized against other senders. The frame is
-// encoded into a pooled buffer outside the write lock, so concurrent senders
-// marshal in parallel and only the write itself serializes; request bodies
-// are therefore always stateless. A non-nil body is a SharedFrame's
-// pre-encoded bytes — the "marshal" then degenerates to a header append plus
-// memcopy, and is timed as such so the tracer's marshal share reflects the
-// win. When the client has a CPU meter or a tracer the
-// marshal and write are timed once and the measurements shared: the meter
-// gets charged and the call (if any) carries them for its span, so tracing
-// on top of an already-metered connection adds no extra clock reads on this
-// path. A call off the tracer's sample grid takes no timestamps at all
-// (unless metered) — it is merely counted at completion.
-func (c *Client) send(h frameHeader, m wire.Message, body []byte, call *Call) error {
-	traced := c.tracer != nil && call != nil && c.tracer.Sampled(call.id)
+// send encodes and writes call's request frame under the write lock. A nil
+// body marshals m as a kind-7 frame against the client's request history:
+// encoding under the lock advances the history in the order the frames reach
+// the wire, which is the order the server's single reader decodes them in. A
+// non-nil body is a SharedFrame's stateless pre-encoded bytes, sent as kind
+// 4 — the "marshal" then degenerates to a header append plus memcopy, and is
+// timed as such so the tracer's marshal share reflects the win.
+//
+// A failed write fails the client with every call pending on it, this one
+// included: the frame may be partly on the wire, and a kind-7 body has
+// advanced the history past what the server will ever decode, so the
+// connection cannot carry another request.
+//
+// When the client has a CPU meter or a tracer the marshal and write are
+// timed once and the measurements shared: the meter gets charged and the
+// call carries them for its span, so tracing on top of an already-metered
+// connection adds no extra clock reads on this path. A call off the tracer's
+// sample grid takes no timestamps at all (unless metered) — it is merely
+// counted at completion.
+func (c *Client) send(call *Call, m wire.Message, body []byte) {
+	traced := c.tracer != nil && c.tracer.Sampled(call.id)
 	timed := c.cpu != nil || traced
 	bp := getFrameBuf()
+	c.wmu.Lock()
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -525,22 +523,20 @@ func (c *Client) send(h frameHeader, m wire.Message, body []byte, call *Call) er
 		call.issuedNs.Store(start.UnixNano())
 	}
 	if body != nil {
-		*bp = appendSharedFrame((*bp)[:0], h, body)
+		*bp = appendSharedFrame((*bp)[:0], frameHeader{id: call.id, kind: kindRequest}, body)
 	} else {
-		*bp = appendFrame((*bp)[:0], h, m, nil)
+		*bp = appendFrame((*bp)[:0], frameHeader{id: call.id, kind: kindHistRequest}, m, c.txHist)
 	}
 	if timed {
-		el := time.Since(start)
+		now := time.Now()
+		el := now.Sub(start)
+		start = now
 		if c.cpu != nil {
 			c.cpu.Add(el)
 		}
 		if traced {
 			call.marshalNs.Store(int64(el))
 		}
-	}
-	c.wmu.Lock()
-	if timed {
-		start = time.Now()
 	}
 	_, err := c.conn.Write(*bp)
 	if timed {
@@ -554,7 +550,9 @@ func (c *Client) send(h frameHeader, m wire.Message, body []byte, call *Call) er
 	}
 	c.wmu.Unlock()
 	putFrameBuf(bp)
-	return err
+	if err != nil {
+		c.fail(fmt.Errorf("rpc: connection lost: %w", err))
+	}
 }
 
 // Close tears down the connection; pending calls fail.

@@ -137,7 +137,8 @@ func TestLateResponseCounted(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		h, _, _, err := readFrame(conn, nil)
+		fr := frameReader{r: conn}
+		h, _, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -145,7 +146,7 @@ func TestLateResponseCounted(t *testing.T) {
 		buf := appendFrame(nil, frameHeader{id: h.id, kind: kindResponse}, &wire.HeartbeatAck{}, hist)
 		buf = appendFrame(buf, frameHeader{id: h.id, kind: kindResponse}, &wire.HeartbeatAck{}, hist)
 		conn.Write(buf)
-		readFrame(conn, nil) // hold the conn open until the client closes
+		fr.next() // hold the conn open until the client closes
 	}()
 
 	cli, err := Dial(context.Background(), n.Host("client"), l.Addr().String(), DialOptions{})

@@ -37,7 +37,7 @@ import (
 // frameBufs recycles frame encode buffers across clients, servers, and
 // connections: a controller fanning out to thousands of children would
 // otherwise regrow an encode buffer per call per cycle. Decoded messages
-// never alias these buffers (see readFrame), so recycling is safe.
+// never alias these buffers (see frameReader), so recycling is safe.
 var frameBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b
@@ -58,8 +58,12 @@ func putFrameBuf(bp *[]byte) {
 
 // MaxFrameSize bounds a single frame; larger announcements are treated as
 // protocol corruption. 64 MiB comfortably fits an Enforce batch for a full
-// 10,000-stage cluster.
-const MaxFrameSize = 64 << 20
+// 10,000-stage cluster, and its length prefix fits in maxLenPrefix bytes.
+const MaxFrameSize = 1 << 26
+
+// maxLenPrefix is the longest length prefix a frame may carry: the uvarint
+// width of MaxFrameSize.
+const maxLenPrefix = 4
 
 // frame kinds. Every body is wire.CodecV2 from a connection's first frame.
 // Kinds 0, 1 and 3 are retired (the fixed-width request/response pair and the
@@ -73,10 +77,10 @@ const (
 	// sent for a cancel frame. Because frames are delivered in order, a
 	// cancel always trails the request it refers to.
 	kindCancel = 2
-	// kindRequest bodies are encoded statelessly (concurrent senders cannot
-	// share a float history); kindResponse bodies carry the connection's
-	// response history, which the single-reader/single-writer pairing keeps
-	// in lockstep.
+	// kindRequest bodies are encoded statelessly, so one encoding can be
+	// broadcast to many connections (SharedFrame). kindResponse bodies carry
+	// the connection's response history, which the single-reader/
+	// single-writer pairing keeps in lockstep.
 	kindRequest  = 4
 	kindResponse = 5
 	// kindPush is a server-initiated frame: an unsolicited message the
@@ -85,15 +89,47 @@ const (
 	// the connection's response history, which stays in lockstep with
 	// solicited responses.
 	kindPush = 6
+	// kindHistRequest bodies carry the connection's request history. The
+	// client encodes them under its write lock, so the history advances in
+	// exactly the order the server reads the frames.
+	kindHistRequest = 7
 )
 
 // ErrFrameTooLarge reports an oversized frame announcement.
 var ErrFrameTooLarge = errors.New("rpc: frame exceeds maximum size")
 
+// errBadLength reports a length prefix that is not the canonical uvarint
+// encoding of a length in [1, MaxFrameSize].
+var errBadLength = errors.New("rpc: bad frame length")
+
 // frameHeader is the fixed metadata carried by every frame.
 type frameHeader struct {
 	id   uint64 // request correlation ID
-	kind byte   // kindRequest or kindResponse
+	kind byte   // kindRequest, kindResponse, ...
+}
+
+// beginFrame appends a one-byte length placeholder and the header. endFrame
+// fills the placeholder in once the body is appended.
+func beginFrame(buf []byte, h frameHeader) []byte {
+	buf = append(buf, 0)
+	buf = binary.AppendUvarint(buf, h.id)
+	return append(buf, h.kind)
+}
+
+// endFrame writes the uvarint length of the frame that beginFrame started at
+// start. A frame of 128 bytes or more needs a wider prefix than the one byte
+// reserved, so its contents shift right to make room; control-cycle frames
+// are shorter and never move.
+func endFrame(buf []byte, start int) []byte {
+	n := len(buf) - start - 1
+	var prefix [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(prefix[:], uint64(n))
+	if w > 1 {
+		buf = append(buf, prefix[1:w]...) // room for the wider prefix
+		copy(buf[start+w:], buf[start+1:start+1+n])
+	}
+	copy(buf[start:], prefix[:w])
+	return buf
 }
 
 // appendFrame encodes a complete frame (length prefix, header, message) into
@@ -101,12 +137,9 @@ type frameHeader struct {
 // when it is non-nil, and stateless otherwise.
 func appendFrame(buf []byte, h frameHeader, m wire.Message, hist *wire.FloatHistory) []byte {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0) // length placeholder
-	buf = binary.AppendUvarint(buf, h.id)
-	buf = append(buf, h.kind)
+	buf = beginFrame(buf, h)
 	buf = wire.EncodeWith(buf, m, wire.CodecV2, hist)
-	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
-	return buf
+	return endFrame(buf, start)
 }
 
 // appendSharedFrame encodes a frame whose body is already encoded (a
@@ -114,66 +147,123 @@ func appendFrame(buf []byte, h frameHeader, m wire.Message, hist *wire.FloatHist
 // which is what makes broadcast fan-outs marshal-once.
 func appendSharedFrame(buf []byte, h frameHeader, body []byte) []byte {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0) // length placeholder
-	buf = binary.AppendUvarint(buf, h.id)
-	buf = append(buf, h.kind)
+	buf = beginFrame(buf, h)
 	buf = append(buf, body...)
-	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
-	return buf
+	return endFrame(buf, start)
 }
 
 // appendCancelFrame encodes a body-less cancel frame for request id into buf
 // and returns the extended slice.
 func appendCancelFrame(buf []byte, id uint64) []byte {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0) // length placeholder
-	buf = binary.AppendUvarint(buf, id)
-	buf = append(buf, kindCancel)
-	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
-	return buf
+	buf = beginFrame(buf, frameHeader{id: id, kind: kindCancel})
+	return endFrame(buf, start)
 }
 
-// readFrame reads one frame from r into buf (which is grown as needed) and
-// returns its header and raw body. The body aliases buf, so it is valid only
-// until the next readFrame on the same buffer; callers decode it according
-// to the frame kind before reading on. Cancel frames carry no body.
-func readFrame(r io.Reader, buf []byte) (frameHeader, []byte, []byte, error) {
-	// The length prefix is read into the reusable buffer rather than a
-	// local array: passing a stack array's slice through the io.Reader
-	// interface makes it escape, which costs one heap allocation per frame.
-	if cap(buf) < 4 {
-		buf = make([]byte, 4, 512)
-	}
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return frameHeader{}, nil, buf, err
-	}
-	n := binary.BigEndian.Uint32(buf[:4])
-	if n > MaxFrameSize {
-		return frameHeader{}, nil, buf, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+// frameLen parses the length prefix at the front of b. It returns the frame
+// length and the prefix width, or a zero width while the prefix is still
+// incomplete. A prefix wider than maxLenPrefix, a non-canonical one (a
+// trailing zero byte), a zero length and a length over MaxFrameSize are
+// errors.
+func frameLen(b []byte) (n, w int, err error) {
+	var x int
+	for i, c := range b {
+		if i == maxLenPrefix {
+			return 0, 0, errBadLength
 		}
-		return frameHeader{}, nil, buf, err
+		x |= int(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			switch {
+			case x == 0 || (i > 0 && c == 0):
+				return 0, 0, errBadLength
+			case x > MaxFrameSize:
+				return 0, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, x)
+			}
+			return x, i + 1, nil
+		}
 	}
+	if len(b) >= maxLenPrefix {
+		return 0, 0, errBadLength
+	}
+	return 0, 0, nil
+}
 
-	id, sz := binary.Uvarint(buf)
+// frameReader reads one connection's frames. Each Read takes whatever has
+// arrived into the connection's buffer, and next parses whole frames out of
+// it, so a burst of frames costs one Read rather than two per frame. A frame
+// that outgrows the buffer grows it.
+type frameReader struct {
+	r   io.Reader
+	buf []byte // bytes read so far; buf[off:] is not yet parsed
+	off int
+	err error // the Read error that follows buf's last byte
+}
+
+// frameBufSize is the buffer a frameReader allocates when it has none.
+const frameBufSize = 512
+
+// next returns the next frame's header and raw body. The body aliases the
+// reader's buffer, so it is valid only until the following call; callers
+// decode it according to the frame kind before reading on. Cancel frames
+// carry no body. EOF between frames is io.EOF, and inside a frame
+// io.ErrUnexpectedEOF.
+func (fr *frameReader) next() (frameHeader, []byte, error) {
+	for {
+		n, w, err := frameLen(fr.buf[fr.off:])
+		if err != nil {
+			return frameHeader{}, nil, err
+		}
+		need := w + n
+		if w > 0 && len(fr.buf)-fr.off >= need {
+			frame := fr.buf[fr.off+w : fr.off+need]
+			fr.off += need
+			return parseHeader(frame)
+		}
+		if fr.err != nil {
+			if fr.err == io.EOF && len(fr.buf) > fr.off {
+				return frameHeader{}, nil, io.ErrUnexpectedEOF
+			}
+			return frameHeader{}, nil, fr.err
+		}
+		fr.fill(need)
+	}
+}
+
+// fill moves the unparsed bytes to the front of the buffer, grows it when
+// the frame being read (need bytes, or unknown while need is 0) cannot fit,
+// and reads once into the free space.
+func (fr *frameReader) fill(need int) {
+	if fr.off > 0 {
+		n := copy(fr.buf, fr.buf[fr.off:])
+		fr.buf, fr.off = fr.buf[:n], 0
+	}
+	have := len(fr.buf)
+	if need <= have {
+		need = have + 1
+	}
+	if need > cap(fr.buf) {
+		grown := make([]byte, have, max(need, frameBufSize))
+		copy(grown, fr.buf)
+		fr.buf = grown
+	}
+	n, err := fr.r.Read(fr.buf[have:cap(fr.buf)])
+	fr.buf, fr.err = fr.buf[:have+n], err
+}
+
+// parseHeader splits a frame into its header and body.
+func parseHeader(frame []byte) (frameHeader, []byte, error) {
+	id, sz := binary.Uvarint(frame)
 	if sz <= 0 {
-		return frameHeader{}, nil, buf, errors.New("rpc: bad frame header")
+		return frameHeader{}, nil, errors.New("rpc: bad frame header")
 	}
-	if sz >= len(buf) {
-		return frameHeader{}, nil, buf, errors.New("rpc: truncated frame header")
+	if sz >= len(frame) {
+		return frameHeader{}, nil, errors.New("rpc: truncated frame header")
 	}
-	h := frameHeader{id: id, kind: buf[sz]}
+	h := frameHeader{id: id, kind: frame[sz]}
 	if h.kind == kindCancel {
-		return h, nil, buf, nil
+		return h, nil, nil
 	}
-	return h, buf[sz+1:], buf, nil
+	return h, frame[sz+1:], nil
 }
 
 // msgTable holds one message per type for a connection's reuse paths. It is

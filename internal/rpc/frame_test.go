@@ -16,10 +16,12 @@ import (
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
-// legacyFrame returns a well-formed frame of the given kind whose body is a
-// fixed-width Heartbeat announcing codec 2 — what an older build's hello
-// (kind 3) carried, and a valid request (kind 0) or response (kind 1) body in
-// that build's encoding.
+// legacyFrame returns a frame of the given kind, with this build's uvarint
+// length prefix, whose body is a fixed-width Heartbeat announcing codec 2 —
+// what an older build's hello (kind 3) carried, and a valid request (kind 0)
+// or response (kind 1) body in that build's encoding. (That build's own
+// 4-byte length prefix is refused before its kind is read; see
+// TestReadFrameRejectsOversize.)
 func legacyFrame(id uint64, kind byte) []byte {
 	body := wire.EncodeWith(nil, &wire.Heartbeat{SentUnixMicros: wire.CodecV2}, wire.CodecV1, nil)
 	return appendSharedFrame(nil, frameHeader{id: id, kind: kind}, body)
@@ -37,7 +39,7 @@ func TestRetiredFrameKindsDropTheConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		for _, kind := range []byte{0, 1, 3, 7} {
+		for _, kind := range []byte{0, 1, 3, 8} {
 			raw, err := n.Host("legacy").Dial(context.Background(), srv.Addr().String())
 			if err != nil {
 				t.Fatal(err)
@@ -54,7 +56,7 @@ func TestRetiredFrameKindsDropTheConnection(t *testing.T) {
 	})
 
 	n := simnet.New(simnet.Config{PropDelay: -1})
-	for _, kind := range []byte{1, 3, 7} {
+	for _, kind := range []byte{1, 3, 8} {
 		l, err := n.Host("legacy").Listen(":0")
 		if err != nil {
 			t.Fatal(err)
@@ -65,9 +67,10 @@ func TestRetiredFrameKindsDropTheConnection(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			if h, _, _, err := readFrame(c, nil); err == nil {
+			fr := frameReader{r: c}
+			if h, _, err := fr.next(); err == nil {
 				_, _ = c.Write(legacyFrame(h.id, kind))
-				_, _, _, _ = readFrame(c, nil) // hold the connection until the client drops it
+				_, _, _ = fr.next() // hold the connection until the client drops it
 			}
 		}()
 		cli, err := Dial(context.Background(), n.Host("client"), l.Addr().String(), DialOptions{})
@@ -154,10 +157,11 @@ func (n fuzzNet) Accept() (net.Conn, error) {
 // FuzzServeConn writes arbitrary bytes into a live server connection, under
 // either discipline. The server must not panic, must be done with the
 // connection within a deadline of its input running out, and must write only
-// responses, each answering a distinct well-formed request (kind 4) that
-// precedes the first frame it cannot accept.
+// responses, each answering a distinct well-formed request (kind 4, or kind 7
+// decoded against the connection's request history) that precedes the first
+// frame it cannot accept.
 func FuzzServeConn(f *testing.F) {
-	for kind := byte(0); kind <= 7; kind++ {
+	for kind := byte(0); kind <= 8; kind++ {
 		var frame []byte
 		switch kind {
 		case kindCancel:
@@ -168,6 +172,8 @@ func FuzzServeConn(f *testing.F) {
 			frame = appendFrame(nil, frameHeader{id: 1, kind: kind}, &wire.HeartbeatAck{EchoUnixMicros: 5}, wire.NewFloatHistory())
 		case kindPush:
 			frame = appendFrame(nil, frameHeader{kind: kind}, &wire.ReportDelta{Seq: 1}, nil)
+		case kindHistRequest:
+			frame = appendFrame(nil, frameHeader{id: 1, kind: kind}, testEnforce(1, 1), wire.NewFloatHistory())
 		default: // the retired kinds 0, 1 and 3, and an unknown one
 			frame = legacyFrame(1, kind)
 		}
@@ -178,8 +184,23 @@ func FuzzServeConn(f *testing.F) {
 	burst = appendFrame(burst, frameHeader{id: 2, kind: kindRequest}, &wire.Collect{Cycle: 2}, nil)
 	burst = appendCancelFrame(burst, 2)
 	burst = appendFrame(burst, frameHeader{id: 3, kind: kindRequest}, &wire.Collect{Cycle: 3}, nil)
-	f.Add(burst, false)
-	f.Add(burst, true)
+	// A kind-7 burst: same and delta tags against the history, with a
+	// stateless broadcast and a cancel between them.
+	hist := wire.NewFloatHistory()
+	histBurst := appendFrame(nil, frameHeader{id: 1, kind: kindHistRequest}, testEnforce(1, 1), hist)
+	histBurst = appendFrame(histBurst, frameHeader{id: 2, kind: kindHistRequest}, testEnforce(2, 1), hist)
+	histBurst = appendFrame(histBurst, frameHeader{id: 3, kind: kindRequest}, testEnforce(3, 1), nil)
+	histBurst = appendCancelFrame(histBurst, 3)
+	histBurst = appendFrame(histBurst, frameHeader{id: 4, kind: kindHistRequest}, testEnforce(4, 1), hist)
+	// A same tag at a position the server has no history for: the
+	// connection drops unanswered.
+	orphan := appendFrame(nil, frameHeader{id: 5, kind: kindHistRequest}, testEnforce(5, 1), hist)
+	// A frame of 128 bytes or more: a two-byte length prefix.
+	long := appendFrame(nil, frameHeader{id: 1, kind: kindHistRequest}, &wire.Register{ID: 9, Addr: strings.Repeat("a", 200)}, wire.NewFloatHistory())
+	for _, seed := range [][]byte{burst, histBurst, orphan, long} {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
 
 	handler := HandlerFunc(func(_ *Peer, req wire.Message) (wire.Message, error) {
 		if c, ok := req.(*wire.Collect); ok {
@@ -191,14 +212,20 @@ func FuzzServeConn(f *testing.F) {
 		// The requests the server may answer: those read before the first
 		// frame it cannot accept.
 		may := make(map[uint64]int)
-		in, dec := bytes.NewReader(data), &wire.DecodeOpts{Version: wire.CodecV2}
+		in := frameReader{r: bytes.NewReader(data)}
+		dec := &wire.DecodeOpts{Version: wire.CodecV2}
+		histDec := &wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory()}
 		for {
-			h, body, _, err := readFrame(in, nil)
-			if err != nil || (h.kind != kindRequest && h.kind != kindCancel) {
+			h, body, err := in.next()
+			if err != nil || (h.kind != kindRequest && h.kind != kindHistRequest && h.kind != kindCancel) {
 				break
 			}
-			if h.kind == kindRequest {
-				if _, err := wire.DecodeWith(body, dec); err != nil {
+			if h.kind != kindCancel {
+				d := dec
+				if h.kind == kindHistRequest {
+					d = histDec
+				}
+				if _, err := wire.DecodeWith(body, d); err != nil {
 					break
 				}
 				may[h.id]++
@@ -225,9 +252,12 @@ func FuzzServeConn(f *testing.F) {
 		srv.Close()
 		srv.Wait()
 
-		out, hist := bytes.NewReader(conn.written()), wire.NewFloatHistory()
-		for out.Len() > 0 {
-			h, body, _, err := readFrame(out, nil)
+		out, hist := frameReader{r: bytes.NewReader(conn.written())}, wire.NewFloatHistory()
+		for {
+			h, body, err := out.next()
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				t.Fatalf("server wrote a malformed frame: %v", err)
 			}
@@ -237,6 +267,72 @@ func FuzzServeConn(f *testing.F) {
 			may[h.id]--
 			if _, err := wire.DecodeWith(body, &wire.DecodeOpts{Version: wire.CodecV2, Hist: hist}); err != nil {
 				t.Fatalf("server wrote an undecodable response: %v", err)
+			}
+		}
+	})
+}
+
+// chunkedConn is a client-side fuzzConn whose reads wait for start and then
+// return at most chunk bytes each.
+type chunkedConn struct {
+	*fuzzConn
+	start <-chan struct{}
+	chunk int
+}
+
+func (c chunkedConn) Read(p []byte) (int, error) {
+	<-c.start
+	if len(p) > c.chunk {
+		p = p[:c.chunk]
+	}
+	return c.fuzzConn.Read(p)
+}
+
+// FuzzClientConn feeds arbitrary server bytes, in reads of a fuzzed size, to
+// a client with three calls pending (request IDs 1 to 3). The client must
+// not panic, and every call must complete with a reply or an error within a
+// deadline of the bytes running out.
+func FuzzClientConn(f *testing.F) {
+	hist := wire.NewFloatHistory()
+	collect := &wire.CollectReply{Cycle: 1, Reports: []wire.StageReport{
+		{StageID: 1, JobID: 1, Demand: wire.Rates{150.5, 100}, Usage: wire.Rates{99.25, 0}},
+	}}
+	replies := appendFrame(nil, frameHeader{id: 1, kind: kindResponse}, &wire.HeartbeatAck{EchoUnixMicros: 1}, hist)
+	replies = appendFrame(replies, frameHeader{kind: kindPush}, &wire.ReportDelta{Seq: 1, Report: collect.Reports[0]}, nil)
+	replies = appendFrame(replies, frameHeader{id: 2, kind: kindResponse}, collect, hist)
+	same := appendFrame(nil, frameHeader{id: 3, kind: kindResponse}, collect, hist) // all same tags
+	replies = append(replies, same...)
+	seeds := [][]byte{
+		replies,
+		replies[:len(replies)-3], // the last response cut short
+		same,                     // same tags with no history behind them
+		// A two-byte length prefix.
+		appendFrame(nil, frameHeader{id: 1, kind: kindResponse}, &wire.ErrorReply{Text: strings.Repeat("z", 200)}, nil),
+		// A response nobody waits for, then a request kind a client never reads.
+		append(appendFrame(nil, frameHeader{id: 9, kind: kindResponse}, &wire.HeartbeatAck{}, nil), legacyFrame(1, kindHistRequest)...),
+		{0x80, 0x80, 0x80, 0x80, 0x01},
+	}
+	for _, seed := range seeds {
+		f.Add(seed, byte(0))
+		f.Add(seed, byte(255))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, chunk byte) {
+		start := make(chan struct{})
+		conn := chunkedConn{fuzzConn: &fuzzConn{r: bytes.NewReader(data)}, start: start, chunk: int(chunk) + 1}
+		cli := newClient(conn, DialOptions{ReuseReplies: true, OnPush: func(wire.Message) {}})
+		defer cli.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		calls := []*Call{
+			cli.Go(ctx, &wire.Heartbeat{SentUnixMicros: 1}),
+			cli.Go(ctx, &wire.Collect{Cycle: 1}),
+			cli.Go(ctx, testEnforce(1, 1)),
+		}
+		close(start)
+		for i, call := range calls {
+			if _, err := call.Wait(ctx); errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("call %d still pending 5s after the server's bytes ran out", i+1)
 			}
 		}
 	})

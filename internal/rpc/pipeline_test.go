@@ -217,14 +217,15 @@ func TestPipelinedSendsShareBuffers(t *testing.T) {
 
 // TestDecodedMessageDoesNotAliasFrameBuffer pins the invariant buffer
 // recycling depends on: wire.Decoder.Bytes16 aliases its input, so message
-// decoders must copy (e.g. via String conversion) before readFrame's buffer
-// is reused. Scribbling over the buffer after decode must not change the
-// message.
+// decoders must copy (e.g. via String conversion) before the frame reader's
+// buffer is reused. Scribbling over the buffer after decode must not change
+// the message.
 func TestDecodedMessageDoesNotAliasFrameBuffer(t *testing.T) {
 	const text = "partition tolerated; degraded collect"
 	frame := appendFrame(nil, frameHeader{id: 7, kind: kindResponse},
 		&wire.ErrorReply{Code: wire.CodeInternal, Text: text}, nil)
-	_, body, buf, err := readFrame(bytes.NewReader(frame), nil)
+	fr := frameReader{r: bytes.NewReader(frame)}
+	_, body, err := fr.next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +233,8 @@ func TestDecodedMessageDoesNotAliasFrameBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range buf {
-		buf[i] = 0xFF // simulate the pooled buffer being reused
+	for i := range fr.buf {
+		fr.buf[i] = 0xFF // simulate the pooled buffer being reused
 	}
 	er, ok := m.(*wire.ErrorReply)
 	if !ok {

@@ -3,12 +3,18 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"time"
 
@@ -361,56 +367,156 @@ func TestMetersChargedBothSides(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTripProperty(t *testing.T) {
-	f := func(id uint64, cycle uint64, text string) bool {
-		var buf bytes.Buffer
-		frame := appendFrame(nil, frameHeader{id: id, kind: kindRequest}, &wire.Collect{Cycle: cycle}, nil)
-		buf.Write(frame)
-		frame2 := appendFrame(nil, frameHeader{id: id + 1, kind: kindResponse}, &wire.ErrorReply{Code: 1, Text: text}, nil)
-		buf.Write(frame2)
+// countingReader counts the Reads made of it.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
 
-		dec := &wire.DecodeOpts{Version: wire.CodecV2}
-		h1, b1, rb, err := readFrame(&buf, nil)
-		if err != nil || h1.id != id || h1.kind != kindRequest {
-			return false
-		}
-		m1, err := wire.DecodeWith(b1, dec)
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// readAllFrames reads frames from fr until an error, returning copies of
+// their headers and bodies and the error that ended the stream.
+func readAllFrames(fr *frameReader) ([]frameHeader, [][]byte, error) {
+	var (
+		hs     []frameHeader
+		bodies [][]byte
+	)
+	for {
+		h, body, err := fr.next()
 		if err != nil {
+			return hs, bodies, err
+		}
+		hs = append(hs, h)
+		bodies = append(bodies, append([]byte(nil), body...))
+	}
+}
+
+// TestFrameRoundTripProperty: a stream of every frame kind, whose last frame
+// is up to 64 KiB long (one-, two- and three-byte length prefixes), yields
+// the same frames whether it arrives one byte per Read or all in one Read.
+// Read the first way, a long frame outgrows the reader's default buffer and
+// must still be read whole; the second way takes the stream in a single Read
+// into a buffer that holds it.
+func TestFrameRoundTripProperty(t *testing.T) {
+	f := func(id, cycle uint64, limit float64, pad uint16) bool {
+		text := strings.Repeat("x", int(pad))
+		hist := wire.NewFloatHistory()
+		enforce := &wire.Enforce{Cycle: cycle, Rules: []wire.Rule{{StageID: 1, Limit: wire.Rates{limit, limit / 3}}}}
+		var stream []byte
+		stream = appendFrame(stream, frameHeader{id: id, kind: kindRequest}, &wire.Collect{Cycle: cycle}, nil)
+		stream = appendFrame(stream, frameHeader{id: id + 1, kind: kindHistRequest}, enforce, hist)
+		stream = appendFrame(stream, frameHeader{id: id + 2, kind: kindHistRequest}, enforce, hist)
+		stream = appendCancelFrame(stream, id+1)
+		stream = appendFrame(stream, frameHeader{kind: kindPush}, &wire.ReportDelta{Seq: cycle}, nil)
+		stream = appendFrame(stream, frameHeader{id: id + 3, kind: kindResponse}, &wire.ErrorReply{Code: 1, Text: text}, nil)
+
+		slow := frameReader{r: iotest.OneByteReader(bytes.NewReader(stream))}
+		hs, bodies, err := readAllFrames(&slow)
+		if err != io.EOF {
 			return false
 		}
-		if c, ok := m1.(*wire.Collect); !ok || c.Cycle != cycle {
+		burst := &countingReader{r: bytes.NewReader(stream)}
+		fast := frameReader{r: burst, buf: make([]byte, 0, len(stream))}
+		fastHs, fastBodies, err := readAllFrames(&fast)
+		// One Read takes the whole stream; the second returns EOF.
+		if err != io.EOF || burst.reads != 2 || !reflect.DeepEqual(hs, fastHs) || !reflect.DeepEqual(bodies, fastBodies) {
 			return false
 		}
-		h2, b2, _, err := readFrame(&buf, rb)
-		if err != nil || h2.id != id+1 || h2.kind != kindResponse {
+
+		want := []frameHeader{{id, kindRequest}, {id + 1, kindHistRequest}, {id + 2, kindHistRequest},
+			{id + 1, kindCancel}, {0, kindPush}, {id + 3, kindResponse}}
+		if !reflect.DeepEqual(hs, want) || bodies[3] != nil {
 			return false
 		}
-		m2, err := wire.DecodeWith(b2, dec)
-		if err != nil {
-			return false
+		stateless, rxHist := &wire.DecodeOpts{Version: wire.CodecV2}, &wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory()}
+		msgs := make([]wire.Message, len(bodies))
+		for i, body := range bodies {
+			d := stateless
+			if hs[i].kind == kindHistRequest {
+				d = rxHist
+			}
+			if body != nil {
+				if msgs[i], err = wire.DecodeWith(body, d); err != nil {
+					return false
+				}
+			}
 		}
-		er, ok := m2.(*wire.ErrorReply)
-		return ok && er.Text == text
+		for _, m := range msgs[1:3] {
+			got := m.(*wire.Enforce).Rules[0].Limit
+			if math.Float64bits(got[0]) != math.Float64bits(limit) || math.Float64bits(got[1]) != math.Float64bits(limit/3) {
+				return false
+			}
+		}
+		return msgs[0].(*wire.Collect).Cycle == cycle && msgs[4].(*wire.ReportDelta).Seq == cycle &&
+			msgs[5].(*wire.ErrorReply).Text == text
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestReadFrameRejectsOversize: a length prefix must be the canonical
+// uvarint of a length in [1, MaxFrameSize], at most four bytes. Anything
+// else is an error before any body byte is read.
 func TestReadFrameRejectsOversize(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, _, _, err := readFrame(&buf, nil); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("readFrame = %v, want ErrFrameTooLarge", err)
+	for _, tc := range []struct {
+		name   string
+		prefix []byte
+		want   error
+	}{
+		{"above MaxFrameSize", binary.AppendUvarint(nil, MaxFrameSize+1), ErrFrameTooLarge},
+		{"five bytes", []byte{0x80, 0x80, 0x80, 0x80, 0x01}, errBadLength},
+		{"five bytes, non-canonical", []byte{0x81, 0x80, 0x80, 0x80, 0x00}, errBadLength},
+		{"four continuation bytes", []byte{0xFF, 0xFF, 0xFF, 0xFF}, errBadLength},
+		{"non-canonical", []byte{0x85, 0x00}, errBadLength},
+		{"zero length", []byte{0x00}, errBadLength},
+		// An older build's fixed 4-byte big-endian length starts with a zero
+		// byte for any frame under 16 MiB.
+		{"older build's prefix", []byte{0, 0, 0, 10}, errBadLength},
+	} {
+		fr := frameReader{r: bytes.NewReader(tc.prefix)}
+		if _, _, err := fr.next(); !errors.Is(err, tc.want) {
+			t.Errorf("%s (% x): %v, want %v", tc.name, tc.prefix, err, tc.want)
+		}
+	}
+	// The largest frame is announced legally; its missing body is then a
+	// truncation.
+	fr := frameReader{r: bytes.NewReader(binary.AppendUvarint(nil, MaxFrameSize))}
+	if _, _, err := fr.next(); err != io.ErrUnexpectedEOF {
+		t.Errorf("MaxFrameSize announcement: %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
+// TestReadFrameTruncated: a stream that ends between frames ends with
+// io.EOF; one that ends inside a length prefix or a body ends with
+// io.ErrUnexpectedEOF, after every whole frame before the cut was returned.
 func TestReadFrameTruncated(t *testing.T) {
-	full := appendFrame(nil, frameHeader{id: 1, kind: kindRequest}, &wire.Heartbeat{SentUnixMicros: 5}, nil)
-	for i := 1; i < len(full); i++ {
-		buf := bytes.NewReader(full[:i])
-		if _, _, _, err := readFrame(buf, nil); err == nil {
-			t.Errorf("readFrame accepted %d/%d byte prefix", i, len(full))
+	first := appendFrame(nil, frameHeader{id: 1, kind: kindRequest}, &wire.Heartbeat{SentUnixMicros: 5}, nil)
+	// 300 bytes of text make a two-byte length prefix, so a cut can fall
+	// inside it.
+	second := appendFrame(nil, frameHeader{id: 2, kind: kindResponse}, &wire.ErrorReply{Text: strings.Repeat("y", 300)}, nil)
+	full := append(append([]byte(nil), first...), second...)
+	for cut := 0; cut <= len(full); cut++ {
+		wantFrames, wantErr := 0, io.ErrUnexpectedEOF
+		switch {
+		case cut == 0:
+			wantErr = io.EOF
+		case cut == len(first):
+			wantFrames, wantErr = 1, io.EOF
+		case cut == len(full):
+			wantFrames, wantErr = 2, io.EOF
+		case cut > len(first):
+			wantFrames = 1
+		}
+		for _, r := range []io.Reader{bytes.NewReader(full[:cut]), iotest.OneByteReader(bytes.NewReader(full[:cut]))} {
+			hs, _, err := readAllFrames(&frameReader{r: r})
+			if len(hs) != wantFrames || err != wantErr {
+				t.Errorf("cut at %d/%d: %d frames then %v, want %d then %v", cut, len(full), len(hs), err, wantFrames, wantErr)
+			}
 		}
 	}
 }

@@ -372,7 +372,6 @@ type srvConn struct {
 	q    *reqQueue    // nil on an inline connection
 
 	peerTag uint64
-	wbp     *[]byte
 	// The response history (shared by all response types on this
 	// connection) is kept in lockstep with the client's read loop because
 	// respond has a single caller.
@@ -396,8 +395,7 @@ func (s *Server) serveConn(peer *Peer) {
 		}
 	}()
 
-	c := &srvConn{s: s, peer: peer, wbp: getFrameBuf(), txHist: wire.NewFloatHistory()}
-	defer putFrameBuf(c.wbp)
+	c := &srvConn{s: s, peer: peer, txHist: wire.NewFloatHistory()}
 	if s.opts.ReuseRequests {
 		c.fl = &reqFreelist{hits: s.opts.ReuseHits}
 	}
@@ -429,30 +427,35 @@ func (s *Server) serveConn(peer *Peer) {
 // read consumes the connection's frames until it dies, handing each decoded
 // request to deliver and applying cancel frames to the queue.
 func (c *srvConn) read() {
-	// The decode buffer is pooled across connections; decoded messages
-	// never alias it (see readFrame), so returning it is safe even while
+	// The read buffer is pooled across connections; decoded messages never
+	// alias it (see frameReader), so returning it is safe even while
 	// requests it carried are still queued or executing.
 	rbp := getFrameBuf()
-	defer putFrameBuf(rbp)
-	// Requests are encoded statelessly (concurrent client senders cannot
-	// share a float history), so no Hist.
+	fr := frameReader{r: c.peer.conn, buf: (*rbp)[:0]}
+	defer func() {
+		*rbp = fr.buf[:0]
+		putFrameBuf(rbp)
+	}()
+	// Kind-4 requests are stateless broadcast bodies. Kind-7 requests decode
+	// against the connection's request history, which this goroutine, the
+	// connection's only reader, advances in the order the client wrote them.
 	dec := &wire.DecodeOpts{Version: wire.CodecV2}
 	if c.fl != nil {
 		dec.Reuse = c.fl.take
 	}
+	histDec := &wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory(), Reuse: dec.Reuse}
 	for {
-		var (
-			h    frameHeader
-			body []byte
-			err  error
-		)
-		h, body, *rbp, err = readFrame(c.peer.conn, *rbp)
+		h, body, err := fr.next()
 		if err != nil {
 			return // EOF or broken conn
 		}
 		switch h.kind {
-		case kindRequest:
-			req, err := wire.DecodeWith(body, dec)
+		case kindRequest, kindHistRequest:
+			d := dec
+			if h.kind == kindHistRequest {
+				d = histDec
+			}
+			req, err := wire.DecodeWith(body, d)
 			if err != nil {
 				return // protocol corruption; drop the connection
 			}
@@ -489,7 +492,7 @@ func (c *srvConn) deliver(item queuedReq) error {
 // respond dispatches a request and writes its response. It returns the
 // connection's write error, if any.
 func (c *srvConn) respond(item queuedReq) error {
-	s, peer, wbp := c.s, c.peer, c.wbp
+	s, peer := c.s, c.peer
 	traced := item.arrivedNs != 0
 	popNs := item.arrivedNs // no queue, no wait
 	if traced && c.q != nil {
@@ -508,11 +511,14 @@ func (c *srvConn) respond(item queuedReq) error {
 	if c.q == nil || !c.q.finish() {
 		// A cancel-suppressed response is never encoded, so it leaves the
 		// response history untouched — the client, which decodes every
-		// arriving frame, stays in lockstep.
-		*wbp = appendFrame((*wbp)[:0], frameHeader{id: item.id, kind: kindResponse}, resp, c.txHist)
+		// arriving frame, stays in lockstep. The buffer goes back to the
+		// pool after the write, so a connection at rest holds none.
+		bp := getFrameBuf()
+		*bp = appendFrame((*bp)[:0], frameHeader{id: item.id, kind: kindResponse}, resp, c.txHist)
 		peer.wmu.Lock()
-		_, err = peer.conn.Write(*wbp)
+		_, err = peer.conn.Write(*bp)
 		peer.wmu.Unlock()
+		putFrameBuf(bp)
 	}
 	if c.fl != nil && item.req != nil {
 		c.fl.put(item.req)

@@ -79,8 +79,9 @@ const maxIntFloat = 1 << 53
 // one per connection direction and MUST observe the same message sequence:
 // every encoded history-carrying message must be decoded by the peer, in
 // order. The RPC layer guarantees this for responses (single writer per
-// connection, single reader draining every frame); requests are encoded
-// statelessly precisely because concurrent senders cannot.
+// connection, single reader draining every frame) and for unicast requests
+// (encoded under the client's write lock, in wire order); broadcast request
+// bodies, sent on many connections at once, are encoded statelessly.
 //
 // A FloatHistory is not safe for concurrent use.
 type FloatHistory struct {
