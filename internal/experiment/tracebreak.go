@@ -38,12 +38,10 @@ type TraceBreakRow struct {
 	// call: frame encoding, connection writes, and time in flight (wire +
 	// server). Sums across calls — Wait exceeds Wall when calls overlap.
 	Marshal, Dispatch, Wait time.Duration
-	// ServerCalls, ServerQueue, and ServerHandler are the stage-side view:
-	// request count, summed queue wait, and summed handler time. Stage
-	// servers answer on the goroutine that read the request, so the queue
-	// wait is 0 by construction.
-	ServerCalls                uint64
-	ServerQueue, ServerHandler time.Duration
+	// ServerCalls and ServerHandler are the stage-side view: request count
+	// and summed handler time.
+	ServerCalls   uint64
+	ServerHandler time.Duration
 	// SharedSends and SharedEncodes come from the controllers'
 	// PipelineStats: broadcast calls issued from marshal-once shared frames
 	// and the body encodes those frames actually performed. Their ratio is
@@ -269,7 +267,6 @@ func (o Options) runTraceBreak(ctx context.Context, topo cluster.Topology, nodes
 	if tr := c.Trace.Stages; tr != nil {
 		tot := tr.Totals()
 		row.ServerCalls = tot.ServerCalls
-		row.ServerQueue = tot.ServerQueue
 		row.ServerHandler = tot.ServerHandler
 	}
 	return row, nil
@@ -283,18 +280,17 @@ func PrintTraceBreak(o Options, res TraceBreakResult) {
 	o.printf("wall time — above 1 means calls overlap, the point of pipelined dispatch;\n")
 	o.printf("bcast×: broadcast sends per body encode — marshal-once fan-in of the\n")
 	o.printf("shared-frame phases, the child count when every broadcast shares one encode)\n")
-	o.printf("%-20s %-10s %7s %10s %9s %10s %7s %11s %11s %8s\n",
-		"config", "dispatch", "cycles", "cycle", "marshal%", "dispatch%", "wait×", "srvq/call", "srvh/call", "bcast×")
+	o.printf("%-20s %-10s %7s %10s %9s %10s %7s %11s %8s\n",
+		"config", "dispatch", "cycles", "cycle", "marshal%", "dispatch%", "wait×", "srvh/call", "bcast×")
 	for _, r := range res.Rows {
-		var q, h time.Duration
+		var h time.Duration
 		if r.ServerCalls > 0 {
-			q = r.ServerQueue / time.Duration(r.ServerCalls)
 			h = r.ServerHandler / time.Duration(r.ServerCalls)
 		}
-		o.printf("%-20s %-10s %7d %8sms %8.2f%% %9.2f%% %7.1f %9sµs %9sµs %8.0f\n",
+		o.printf("%-20s %-10s %7d %8sms %8.2f%% %9.2f%% %7.1f %9sµs %8.0f\n",
 			r.Name, r.Mode, r.Cycles, ms(r.MeanCycle()),
 			100*r.MarshalFrac(), 100*r.DispatchFrac(), r.WaitFactor(),
-			us(q), us(h), r.SharedFanIn())
+			us(h), r.SharedFanIn())
 		if r.Incremental {
 			o.printf("%-20s dirty-set: %d dirty last cycle, %d collects and %d enforces suppressed across the run\n",
 				"", r.DirtyChildren, r.SuppressedCollects, r.SuppressedEnforces)

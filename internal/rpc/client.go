@@ -151,9 +151,10 @@ func failedCall(err error) *Call {
 
 // Wait blocks until the call completes or ctx is cancelled, returns the
 // outcome, and recycles the handle. On cancellation the request is abandoned
-// exactly as a context-cancelled synchronous Call: it is deregistered, a
-// best-effort cancel frame is sent, and a late response is dropped and
-// counted. The handle must not be used after Wait returns.
+// exactly as a context-cancelled synchronous Call: it is deregistered, and
+// its response, which the server still sends, is dropped and counted when it
+// arrives. Nothing is sent for an abandoned call. The handle must not be
+// used after Wait returns.
 func (call *Call) Wait(ctx context.Context) (wire.Message, error) {
 	c := call.client
 	if c == nil {
@@ -169,11 +170,6 @@ func (call *Call) Wait(ctx context.Context) (wire.Message, error) {
 			// We removed the call from the pending map, so no completion
 			// was — or ever will be — delivered: the handle is exclusively
 			// ours and its Done channel is empty.
-			if c.live() {
-				// Best effort: tell the server not to bother. If the write
-				// fails the connection is dying anyway.
-				c.sendCancel(call.id)
-			}
 			if c.tracer != nil {
 				if issued := call.issuedNs.Load(); issued != 0 {
 					// The span closes at abandonment: the caller stopped
@@ -291,13 +287,6 @@ func (c *Client) Err() error {
 	return nil
 }
 
-// live reports whether the connection is still usable for writes.
-func (c *Client) live() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err == nil && !c.closed
-}
-
 // LateResponses returns the number of responses that arrived after their
 // call had already been abandoned (via context) and were dropped.
 func (c *Client) LateResponses() uint64 { return c.late.Load() }
@@ -379,8 +368,8 @@ func (c *Client) readLoop() {
 		if call != nil {
 			call.finish(m, nil)
 		} else {
-			// The call was abandoned via its context; the response raced
-			// with (or beat) the cancel frame and must be dropped.
+			// The call was abandoned via its context; its response is
+			// dropped.
 			c.late.Add(1)
 		}
 	}
@@ -478,17 +467,6 @@ func (c *Client) GoShared(ctx context.Context, f *SharedFrame) *Call {
 // remote handler failure is returned as *wire.ErrorReply.
 func (c *Client) Call(ctx context.Context, req wire.Message) (wire.Message, error) {
 	return c.Go(ctx, req).Wait(ctx)
-}
-
-// sendCancel writes a body-less cancel frame for id, serialized against
-// other senders. Errors are ignored: cancellation is advisory.
-func (c *Client) sendCancel(id uint64) {
-	bp := getFrameBuf()
-	*bp = appendCancelFrame((*bp)[:0], id)
-	c.wmu.Lock()
-	_, _ = c.conn.Write(*bp)
-	c.wmu.Unlock()
-	putFrameBuf(bp)
 }
 
 // send encodes and writes call's request frame under the write lock. A nil

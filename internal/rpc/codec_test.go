@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -48,8 +49,8 @@ func (floatHandler) Serve(_ *Peer, req wire.Message) (wire.Message, error) {
 // connection: the delta-coded response history must reconstruct
 // every value exactly, including across repeated and changing payloads.
 func TestCodecV2FloatDataCorrectness(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		_, cli := codecSetup(t, floatHandler{}, sopts, DialOptions{})
+	t.Run("inline", func(t *testing.T) {
+		_, cli := codecSetup(t, floatHandler{}, ServerOptions{}, DialOptions{})
 		for i := 0; i < 50; i++ {
 			cycle := uint64(i/10 + 1) // repeats make the history hit f2Same runs
 			resp, err := cli.Call(context.Background(), &wire.Collect{Cycle: cycle})
@@ -104,10 +105,9 @@ func TestReplyReuseContract(t *testing.T) {
 // TestRequestReuseFreelist: with ReuseRequests on, the server decodes
 // successive requests of one type into a recycled message.
 func TestRequestReuseFreelist(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+	t.Run("inline", func(t *testing.T) {
 		var hits atomic.Uint64
-		sopts.ReuseRequests, sopts.ReuseHits = true, &hits
-		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+		_, cli := codecSetup(t, &echoHandler{}, ServerOptions{ReuseRequests: true, ReuseHits: &hits}, DialOptions{})
 		for i := uint64(1); i <= 10; i++ {
 			if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: i}); err != nil {
 				t.Fatalf("call %d: %v", i, err)
@@ -239,4 +239,73 @@ func TestDialBuildsClientBeforeReading(t *testing.T) {
 	waitFor(t, "the eager push and the unmatched response", func() bool {
 		return pushes.Load() == 1 && cli.LateResponses() == 1
 	})
+}
+
+// TestInlinePushInterleavesWithResponses hammers Peer.Push from a second
+// goroutine while a connection streams float-bearing responses, each written
+// by the goroutine that read its request: the responses and the pushes meet
+// on the peer's write lock, so frames never interleave, and a push
+// (stateless) never advances the response history the replies are
+// delta-coded against.
+func TestInlinePushInterleavesWithResponses(t *testing.T) {
+	var sent, pushed atomic.Int64
+	onPush := func(m wire.Message) {
+		d, ok := m.(*wire.ReportDelta)
+		if !ok || d.Report.StageID != 7 || d.Report.Demand[0] != float64(d.Seq)*0.5 {
+			t.Errorf("push decoded as %+v", m)
+		}
+		pushed.Add(1)
+	}
+	srv, cli := codecSetup(t, floatHandler{}, ServerOptions{}, DialOptions{OnPush: onPush})
+	// Dial returns before the server has registered the peer; a pusher
+	// started earlier would count pushes to nobody.
+	waitFor(t, "the server to register the peer", func() bool { return srv.NumPeers() == 1 })
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for seq := uint64(1); ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m := &wire.ReportDelta{Seq: seq, Report: wire.StageReport{StageID: 7, Demand: wire.Rates{float64(seq) * 0.5}}}
+			srv.ForEachPeer(func(p *Peer) {
+				if err := p.Push(m); err != nil {
+					t.Errorf("Push: %v", err)
+				}
+			})
+			sent.Add(1)
+		}
+	}()
+	// The calls below take a few milliseconds in all: without this wait they
+	// can finish before the pusher is first scheduled, and nothing interleaves.
+	waitFor(t, "the first push to reach the client", func() bool { return pushed.Load() > 0 })
+
+	ctx := context.Background()
+	const bursts, perBurst = 50, 40
+	handles := make([]*Call, perBurst)
+	for b := 0; b < bursts; b++ {
+		for i := range handles {
+			handles[i] = cli.Go(ctx, &wire.Collect{Cycle: uint64(b*perBurst + i + 1)})
+		}
+		for i, call := range handles {
+			resp, err := call.Wait(ctx)
+			if err != nil {
+				t.Fatalf("burst %d call %d: %v", b, i, err)
+			}
+			f := float64(b*perBurst + i + 1)
+			r := resp.(*wire.CollectReply)
+			want := wire.StageReport{StageID: 1, JobID: 1, Demand: wire.Rates{f * 1.5, 100}, Usage: wire.Rates{f, 99.25}}
+			if len(r.Reports) != 2 || r.Reports[0] != want {
+				t.Fatalf("burst %d call %d: reply %+v, want first report %+v (history out of step)", b, i, r, want)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	waitFor(t, "every push written to reach the client", func() bool { return pushed.Load() == sent.Load() })
 }

@@ -5,31 +5,12 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/transport/simnet"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
-
-// blockingHandler parks every request on block after signaling started.
-type blockingHandler struct {
-	handled atomic.Int64
-	started chan struct{}
-	block   chan struct{}
-}
-
-func newBlockingHandler() *blockingHandler {
-	return &blockingHandler{started: make(chan struct{}, 16), block: make(chan struct{})}
-}
-
-func (h *blockingHandler) Serve(peer *Peer, req wire.Message) (wire.Message, error) {
-	h.handled.Add(1)
-	h.started <- struct{}{}
-	<-h.block
-	return &wire.HeartbeatAck{}, nil
-}
 
 // probeCtx bounds a single probe call so a poll loop can never wedge on a
 // call issued into a half-dead connection.
@@ -48,76 +29,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// A cancel frame for a still-queued request must withdraw it before
-// dispatch: the handler never sees it.
-func TestCancelFrameSkipsQueuedRequest(t *testing.T) {
-	h := newBlockingHandler()
-	_, srv, cli := testSetup(t, h)
-
-	// Occupy the handler so the next request stays queued.
-	firstErr := make(chan error, 1)
-	go func() {
-		_, err := cli.Call(context.Background(), &wire.Heartbeat{})
-		firstErr <- err
-	}()
-	<-h.started
-
-	ctx, cancel := context.WithCancel(context.Background())
-	secondErr := make(chan error, 1)
-	go func() {
-		_, err := cli.Call(ctx, &wire.Heartbeat{})
-		secondErr <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the second request reach the queue
-	cancel()
-	if err := <-secondErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled call returned %v, want context.Canceled", err)
-	}
-	waitFor(t, "cancel frame to withdraw the queued request", func() bool {
-		return srv.CanceledRequests() == 1
-	})
-
-	close(h.block)
-	if err := <-firstErr; err != nil {
-		t.Fatalf("first call: %v", err)
-	}
-	if got := h.handled.Load(); got != 1 {
-		t.Errorf("handler ran %d times, want 1 (canceled request dispatched)", got)
-	}
-}
-
-// A cancel arriving while the handler is already running cannot unrun it,
-// but the server must suppress the late response instead of writing it.
-func TestCancelMidHandlerSuppressesResponse(t *testing.T) {
-	h := newBlockingHandler()
-	_, srv, cli := testSetup(t, h)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := cli.Call(ctx, &wire.Heartbeat{})
-		errc <- err
-	}()
-	<-h.started
-	cancel()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled call returned %v", err)
-	}
-	waitFor(t, "cancel frame to mark the in-flight request", func() bool {
-		return srv.CanceledRequests() == 1
-	})
-	close(h.block)
-
-	// The connection stays healthy and the suppressed response never shows
-	// up as a late response at the client.
-	if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
-		t.Fatalf("call after suppressed response: %v", err)
-	}
-	if got := cli.LateResponses(); got != 0 {
-		t.Errorf("LateResponses = %d, want 0 (response was suppressed server-side)", got)
 	}
 }
 

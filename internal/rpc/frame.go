@@ -10,10 +10,10 @@
 //     per child regardless of cycle concurrency;
 //   - per-connection ordered request handling on the server (like a gRPC
 //     stream), with concurrency across connections;
-//   - deadline and cancellation propagation: a call abandoned via its
-//     context sends a best-effort cancel frame so the server can skip the
-//     request if it has not started executing, and responses that arrive
-//     after abandonment are counted (Client.LateResponses) and dropped;
+//   - deadlines and cancellation: a call abandoned via its context fails at
+//     once on the client, which sends nothing for it; its response, which
+//     the server still writes, is counted (Client.LateResponses) and
+//     dropped when it arrives;
 //   - connection fault recovery via ReconnectingClient: redial with
 //     exponential backoff and jitter, failing in-flight calls fast;
 //   - an asynchronous call API (Client.Go returning a pooled *Call handle)
@@ -66,17 +66,11 @@ const MaxFrameSize = 1 << 26
 const maxLenPrefix = 4
 
 // frame kinds. Every body is wire.CodecV2 from a connection's first frame.
-// Kinds 0, 1 and 3 are retired (the fixed-width request/response pair and the
-// codec hello of older builds) and are not reused: either end drops a
-// connection on a kind it does not know, so an older build is refused at its
-// first frame rather than misparsed.
+// Kinds 0 to 3 are retired (the fixed-width request/response pair, the cancel
+// frame and the codec hello of older builds) and are not reused: either end
+// drops a connection on a kind it does not know, so an older build is refused
+// at its first frame rather than misparsed.
 const (
-	// kindCancel withdraws an earlier request by ID. It carries no message
-	// body. The server drops the request if it is still queued (or, when it
-	// is currently executing, suppresses the response); no reply is ever
-	// sent for a cancel frame. Because frames are delivered in order, a
-	// cancel always trails the request it refers to.
-	kindCancel = 2
 	// kindRequest bodies are encoded statelessly, so one encoding can be
 	// broadcast to many connections (SharedFrame). kindResponse bodies carry
 	// the connection's response history, which the single-reader/
@@ -152,14 +146,6 @@ func appendSharedFrame(buf []byte, h frameHeader, body []byte) []byte {
 	return endFrame(buf, start)
 }
 
-// appendCancelFrame encodes a body-less cancel frame for request id into buf
-// and returns the extended slice.
-func appendCancelFrame(buf []byte, id uint64) []byte {
-	start := len(buf)
-	buf = beginFrame(buf, frameHeader{id: id, kind: kindCancel})
-	return endFrame(buf, start)
-}
-
 // frameLen parses the length prefix at the front of b. It returns the frame
 // length and the prefix width, or a zero width while the prefix is still
 // incomplete. A prefix wider than maxLenPrefix, a non-canonical one (a
@@ -204,9 +190,8 @@ const frameBufSize = 512
 
 // next returns the next frame's header and raw body. The body aliases the
 // reader's buffer, so it is valid only until the following call; callers
-// decode it according to the frame kind before reading on. Cancel frames
-// carry no body. EOF between frames is io.EOF, and inside a frame
-// io.ErrUnexpectedEOF.
+// decode it according to the frame kind before reading on. EOF between
+// frames is io.EOF, and inside a frame io.ErrUnexpectedEOF.
 func (fr *frameReader) next() (frameHeader, []byte, error) {
 	for {
 		n, w, err := frameLen(fr.buf[fr.off:])
@@ -259,11 +244,7 @@ func parseHeader(frame []byte) (frameHeader, []byte, error) {
 	if sz >= len(frame) {
 		return frameHeader{}, nil, errors.New("rpc: truncated frame header")
 	}
-	h := frameHeader{id: id, kind: frame[sz]}
-	if h.kind == kindCancel {
-		return h, nil, nil
-	}
-	return h, frame[sz+1:], nil
+	return frameHeader{id: id, kind: frame[sz]}, frame[sz+1:], nil
 }
 
 // msgTable holds one message per type for a connection's reuse paths. It is

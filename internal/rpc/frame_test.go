@@ -19,10 +19,14 @@ import (
 // legacyFrame returns a frame of the given kind, with this build's uvarint
 // length prefix, whose body is a fixed-width Heartbeat announcing codec 2 —
 // what an older build's hello (kind 3) carried, and a valid request (kind 0)
-// or response (kind 1) body in that build's encoding. (That build's own
-// 4-byte length prefix is refused before its kind is read; see
-// TestReadFrameRejectsOversize.)
+// or response (kind 1) body in that build's encoding. A cancel (kind 2)
+// carried only the ID of the request it withdrew, and gets no body. (An
+// older build's own 4-byte length prefix is refused before its kind is read;
+// see TestReadFrameRejectsOversize.)
 func legacyFrame(id uint64, kind byte) []byte {
+	if kind == 2 {
+		return appendSharedFrame(nil, frameHeader{id: id, kind: kind}, nil)
+	}
 	body := wire.EncodeWith(nil, &wire.Heartbeat{SentUnixMicros: wire.CodecV2}, wire.CodecV1, nil)
 	return appendSharedFrame(nil, frameHeader{id: id, kind: kind}, body)
 }
@@ -32,14 +36,14 @@ func legacyFrame(id uint64, kind byte) []byte {
 // without answering, and a client fails its calls with the frame kind named
 // instead of waiting out their deadlines.
 func TestRetiredFrameKindsDropTheConnection(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+	t.Run("inline", func(t *testing.T) {
 		n := simnet.New(simnet.Config{PropDelay: -1})
-		srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, sopts)
+		srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		for _, kind := range []byte{0, 1, 3, 8} {
+		for _, kind := range []byte{0, 1, 2, 3, 8} {
 			raw, err := n.Host("legacy").Dial(context.Background(), srv.Addr().String())
 			if err != nil {
 				t.Fatal(err)
@@ -53,40 +57,39 @@ func TestRetiredFrameKindsDropTheConnection(t *testing.T) {
 			}
 			raw.Close()
 		}
-	})
 
-	n := simnet.New(simnet.Config{PropDelay: -1})
-	for _, kind := range []byte{1, 3, 8} {
-		l, err := n.Host("legacy").Listen(":0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			c, err := l.Accept()
+		for _, kind := range []byte{1, 2, 3, 8} {
+			l, err := n.Host("legacy").Listen(":0")
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			defer c.Close()
-			fr := frameReader{r: c}
-			if h, _, err := fr.next(); err == nil {
-				_, _ = c.Write(legacyFrame(h.id, kind))
-				_, _, _ = fr.next() // hold the connection until the client drops it
+			go func() {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				fr := frameReader{r: c}
+				if h, _, err := fr.next(); err == nil {
+					_, _ = c.Write(legacyFrame(h.id, kind))
+					_, _, _ = fr.next() // hold the connection until the client drops it
+				}
+			}()
+			cli, err := Dial(context.Background(), n.Host("client"), l.Addr().String(), DialOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		cli, err := Dial(context.Background(), n.Host("client"), l.Addr().String(), DialOptions{})
-		if err != nil {
-			t.Fatal(err)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			_, err = cli.Call(ctx, &wire.Heartbeat{})
+			cancel()
+			if want := fmt.Sprintf("frame kind %d", kind); err == nil || errors.Is(err, context.DeadlineExceeded) ||
+				!strings.Contains(err.Error(), want) {
+				t.Errorf("client, frame kind %d: call returned %v, want the connection lost on %q", kind, err, want)
+			}
+			cli.Close()
+			l.Close()
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_, err = cli.Call(ctx, &wire.Heartbeat{})
-		cancel()
-		if want := fmt.Sprintf("frame kind %d", kind); err == nil || errors.Is(err, context.DeadlineExceeded) ||
-			!strings.Contains(err.Error(), want) {
-			t.Errorf("client, frame kind %d: call returned %v, want the connection lost on %q", kind, err, want)
-		}
-		cli.Close()
-		l.Close()
-	}
+	})
 }
 
 // fuzzConn is a server-side connection that reads a fixed input and then
@@ -154,18 +157,17 @@ func (n fuzzNet) Accept() (net.Conn, error) {
 	}
 }
 
-// FuzzServeConn writes arbitrary bytes into a live server connection, under
-// either discipline. The server must not panic, must be done with the
-// connection within a deadline of its input running out, and must write only
-// responses, each answering a distinct well-formed request (kind 4, or kind 7
-// decoded against the connection's request history) that precedes the first
-// frame it cannot accept.
+// FuzzServeConn writes arbitrary bytes into a live server connection, with
+// the request freelist on or off. The server must not panic, must be done
+// with the connection within a deadline of its input running out, and must
+// write only responses, each answering a distinct well-formed request (kind
+// 4, or kind 7 decoded against the connection's request history) that
+// precedes the first frame it cannot accept. A cancel frame (kind 2) is one
+// it cannot accept.
 func FuzzServeConn(f *testing.F) {
 	for kind := byte(0); kind <= 8; kind++ {
 		var frame []byte
 		switch kind {
-		case kindCancel:
-			frame = appendCancelFrame(nil, 1)
 		case kindRequest:
 			frame = appendFrame(nil, frameHeader{id: 1, kind: kind}, &wire.Collect{Cycle: 3}, nil)
 		case kindResponse:
@@ -174,7 +176,7 @@ func FuzzServeConn(f *testing.F) {
 			frame = appendFrame(nil, frameHeader{kind: kind}, &wire.ReportDelta{Seq: 1}, nil)
 		case kindHistRequest:
 			frame = appendFrame(nil, frameHeader{id: 1, kind: kind}, testEnforce(1, 1), wire.NewFloatHistory())
-		default: // the retired kinds 0, 1 and 3, and an unknown one
+		default: // the retired kinds 0 to 3, and an unknown one
 			frame = legacyFrame(1, kind)
 		}
 		f.Add(frame, false)
@@ -182,15 +184,16 @@ func FuzzServeConn(f *testing.F) {
 	}
 	burst := appendFrame(nil, frameHeader{id: 1, kind: kindRequest}, &wire.Heartbeat{SentUnixMicros: 1}, nil)
 	burst = appendFrame(burst, frameHeader{id: 2, kind: kindRequest}, &wire.Collect{Cycle: 2}, nil)
-	burst = appendCancelFrame(burst, 2)
+	burst = append(burst, legacyFrame(2, 2)...)
 	burst = appendFrame(burst, frameHeader{id: 3, kind: kindRequest}, &wire.Collect{Cycle: 3}, nil)
-	// A kind-7 burst: same and delta tags against the history, with a
-	// stateless broadcast and a cancel between them.
+	// A kind-7 burst: same and delta tags against the history, a stateless
+	// broadcast between them, and a cancel the server refuses before the
+	// last.
 	hist := wire.NewFloatHistory()
 	histBurst := appendFrame(nil, frameHeader{id: 1, kind: kindHistRequest}, testEnforce(1, 1), hist)
 	histBurst = appendFrame(histBurst, frameHeader{id: 2, kind: kindHistRequest}, testEnforce(2, 1), hist)
 	histBurst = appendFrame(histBurst, frameHeader{id: 3, kind: kindRequest}, testEnforce(3, 1), nil)
-	histBurst = appendCancelFrame(histBurst, 3)
+	histBurst = append(histBurst, legacyFrame(3, 2)...)
 	histBurst = appendFrame(histBurst, frameHeader{id: 4, kind: kindHistRequest}, testEnforce(4, 1), hist)
 	// A same tag at a position the server has no history for: the
 	// connection drops unanswered.
@@ -208,7 +211,7 @@ func FuzzServeConn(f *testing.F) {
 		}
 		return &wire.HeartbeatAck{}, nil
 	})
-	f.Fuzz(func(t *testing.T, data []byte, inline bool) {
+	f.Fuzz(func(t *testing.T, data []byte, reuse bool) {
 		// The requests the server may answer: those read before the first
 		// frame it cannot accept.
 		may := make(map[uint64]int)
@@ -217,19 +220,17 @@ func FuzzServeConn(f *testing.F) {
 		histDec := &wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory()}
 		for {
 			h, body, err := in.next()
-			if err != nil || (h.kind != kindRequest && h.kind != kindHistRequest && h.kind != kindCancel) {
+			if err != nil || (h.kind != kindRequest && h.kind != kindHistRequest) {
 				break
 			}
-			if h.kind != kindCancel {
-				d := dec
-				if h.kind == kindHistRequest {
-					d = histDec
-				}
-				if _, err := wire.DecodeWith(body, d); err != nil {
-					break
-				}
-				may[h.id]++
+			d := dec
+			if h.kind == kindHistRequest {
+				d = histDec
 			}
+			if _, err := wire.DecodeWith(body, d); err != nil {
+				break
+			}
+			may[h.id]++
 		}
 
 		conn := &fuzzConn{r: bytes.NewReader(data)}
@@ -237,8 +238,7 @@ func FuzzServeConn(f *testing.F) {
 		network.conns <- conn
 		gone := make(chan struct{})
 		srv, err := Serve(network, "fuzz:1", handler, ServerOptions{
-			Inline:        inline,
-			ReuseRequests: true,
+			ReuseRequests: reuse,
 			OnDisconnect:  func(*Peer) { close(gone) },
 		})
 		if err != nil {
@@ -311,6 +311,9 @@ func FuzzClientConn(f *testing.F) {
 		// A response nobody waits for, then a request kind a client never reads.
 		append(appendFrame(nil, frameHeader{id: 9, kind: kindResponse}, &wire.HeartbeatAck{}, nil), legacyFrame(1, kindHistRequest)...),
 		{0x80, 0x80, 0x80, 0x80, 0x01},
+		// A response, then a cancel frame (kind 2), which no build sends a
+		// client: the two calls still pending fail with the connection.
+		append(appendFrame(nil, frameHeader{id: 1, kind: kindResponse}, &wire.HeartbeatAck{}, nil), legacyFrame(2, 2)...),
 	}
 	for _, seed := range seeds {
 		f.Add(seed, byte(0))

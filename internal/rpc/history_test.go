@@ -64,10 +64,9 @@ func (h *enforceHandler) Serve(_ *Peer, req wire.Message) (wire.Message, error) 
 // limit exactly, because the history advances in write order at both ends
 // and the broadcasts advance it at neither.
 func TestRequestHistoryLockstep(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		sopts.ReuseRequests = true
+	t.Run("inline", func(t *testing.T) {
 		h := &enforceHandler{}
-		_, cli := codecSetup(t, h, sopts, DialOptions{})
+		_, cli := codecSetup(t, h, ServerOptions{ReuseRequests: true}, DialOptions{})
 		ctx := context.Background()
 		const perSender, broadcasts = 200, 100
 		var wg sync.WaitGroup
@@ -221,9 +220,9 @@ func TestRedialedRequestsStartFromEmptyHistory(t *testing.T) {
 // point at history the server never saw is corruption. The server closes the
 // connection without answering.
 func TestOrphanHistoryTagDropsTheConnection(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+	t.Run("inline", func(t *testing.T) {
 		n := simnet.New(simnet.Config{PropDelay: -1})
-		srv, err := Serve(n.Host("server"), ":0", &enforceHandler{}, sopts)
+		srv, err := Serve(n.Host("server"), ":0", &enforceHandler{}, ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,7 +108,7 @@ func TestRecycledHandleNotPoisonedByLateResponse(t *testing.T) {
 			t.Fatalf("round %d: abandoned Wait = %v, want context.Canceled", round, err)
 		}
 		// callA's handle is back in the pool; callB very likely reuses it
-		// while callA's response (or its cancel) is still traveling.
+		// while callA's response is still traveling.
 		callB := cli.Go(context.Background(), &wire.Heartbeat{SentUnixMicros: 2000 + int64(round)})
 		resp, err := callB.Wait(context.Background())
 		if err != nil {
@@ -117,17 +118,57 @@ func TestRecycledHandleNotPoisonedByLateResponse(t *testing.T) {
 			t.Fatalf("round %d: reused handle got reply %d, want %d (stale delivery)", round, got, 2000+round)
 		}
 	}
-	// Every abandoned response must have been dropped or server-cancelled,
-	// never delivered: late + server-side cancellations account for all 20.
+	// Every abandoned response must have been dropped, never delivered: all
+	// 20 are counted late.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if cli.LateResponses()+srv.CanceledRequests() >= 20 || time.Now().After(deadline) {
+		if cli.LateResponses() >= 20 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := cli.LateResponses() + srv.CanceledRequests(); got < 20 {
-		t.Errorf("late(%d) + canceled(%d) = %d, want >= 20", cli.LateResponses(), srv.CanceledRequests(), got)
+	if got := cli.LateResponses(); got < 20 {
+		t.Errorf("late = %d, want >= 20", got)
+	}
+}
+
+// TestAbandonedCallsCountLateResponses: abandonment is local to the client.
+// Calls abandoned while the server is still busy with the first of them
+// each return context.Canceled at once; the server then answers every one,
+// and the client drops and counts each response — exactly one per abandoned
+// call — on a connection that stays healthy.
+func TestAbandonedCallsCountLateResponses(t *testing.T) {
+	gate := make(chan struct{})
+	var handled atomic.Int64
+	h := HandlerFunc(func(_ *Peer, req wire.Message) (wire.Message, error) {
+		if _, ok := req.(*wire.Collect); ok {
+			<-gate
+			handled.Add(1)
+		}
+		return &wire.HeartbeatAck{}, nil
+	})
+	_, _, cli := testSetup(t, h)
+
+	const rounds = 20
+	abandoned, cancel := context.WithCancel(context.Background())
+	cancel() // already cancelled: Wait abandons without blocking
+	for round := 0; round < rounds; round++ {
+		call := cli.Go(context.Background(), &wire.Collect{Cycle: uint64(round)})
+		if _, err := call.Wait(abandoned); !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: abandoned Wait = %v, want context.Canceled", round, err)
+		}
+	}
+	close(gate)
+	// This call is answered after the abandoned ones on the same connection,
+	// so every late response has been read when it returns.
+	if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
+		t.Fatalf("connection unhealthy after %d abandoned calls: %v", rounds, err)
+	}
+	if got := handled.Load(); got != rounds {
+		t.Errorf("server handled %d abandoned requests, want all %d", got, rounds)
+	}
+	if got := cli.LateResponses(); got != rounds {
+		t.Errorf("LateResponses = %d, want %d", got, rounds)
 	}
 }
 

@@ -61,18 +61,13 @@ func testSetup(t *testing.T, h Handler) (*simnet.Net, *Server, *Client) {
 	return n, srv, cli
 }
 
-// eachDiscipline runs fn against both serving disciplines. Tests of server
-// behaviour that must not depend on the discipline go through it: an inline
-// server is the same server, observably different only in what a cancel
-// frame can still reach.
-func eachDiscipline(t *testing.T, fn func(t *testing.T, sopts ServerOptions)) {
-	t.Run("queued", func(t *testing.T) { fn(t, ServerOptions{}) })
-	t.Run("inline", func(t *testing.T) { fn(t, ServerOptions{Inline: true}) })
-}
+// Tests that once ran against both serving disciplines keep their "inline"
+// subtest: it names the only discipline, where the goroutine that reads a
+// request answers it.
 
 func TestCallRoundTrip(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+	t.Run("inline", func(t *testing.T) {
+		_, cli := codecSetup(t, &echoHandler{}, ServerOptions{}, DialOptions{})
 		resp, err := cli.Call(context.Background(), &wire.Heartbeat{SentUnixMicros: 77})
 		if err != nil {
 			t.Fatalf("Call: %v", err)
@@ -88,8 +83,8 @@ func TestCallRoundTrip(t *testing.T) {
 }
 
 func TestCallRemoteError(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+	t.Run("inline", func(t *testing.T) {
+		_, cli := codecSetup(t, &echoHandler{}, ServerOptions{}, DialOptions{})
 		_, err := cli.Call(context.Background(), &wire.Enforce{Cycle: 1})
 		var er *wire.ErrorReply
 		if !errors.As(err, &er) {
@@ -102,8 +97,8 @@ func TestCallRemoteError(t *testing.T) {
 }
 
 func TestConcurrentCallsMultiplexed(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+	t.Run("inline", func(t *testing.T) {
+		_, cli := codecSetup(t, &echoHandler{}, ServerOptions{}, DialOptions{})
 		const calls = 100
 		var wg sync.WaitGroup
 		for i := 0; i < calls; i++ {
@@ -127,7 +122,7 @@ func TestConcurrentCallsMultiplexed(t *testing.T) {
 // TestPipelinedBurstOrdered: 1,000 requests pipelined on one connection are
 // dispatched in issue order and each handle gets its own reply.
 func TestPipelinedBurstOrdered(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+	t.Run("inline", func(t *testing.T) {
 		const calls = 1000
 		var seen []uint64 // per-connection dispatch is serial, so no lock
 		h := HandlerFunc(func(_ *Peer, req wire.Message) (wire.Message, error) {
@@ -135,7 +130,7 @@ func TestPipelinedBurstOrdered(t *testing.T) {
 			seen = append(seen, c.Cycle)
 			return floatHandler{}.Serve(nil, c)
 		})
-		_, cli := codecSetup(t, h, sopts, DialOptions{})
+		_, cli := codecSetup(t, h, ServerOptions{}, DialOptions{})
 		ctx := context.Background()
 		handles := make([]*Call, calls)
 		for i := range handles {
@@ -216,7 +211,7 @@ func TestCallsAfterClientClose(t *testing.T) {
 }
 
 func TestPeerAttachment(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+	t.Run("inline", func(t *testing.T) {
 		var got atomic.Value
 		h := HandlerFunc(func(peer *Peer, req wire.Message) (wire.Message, error) {
 			switch m := req.(type) {
@@ -229,7 +224,7 @@ func TestPeerAttachment(t *testing.T) {
 			}
 			return nil, errors.New("bad")
 		})
-		_, cli := codecSetup(t, h, sopts, DialOptions{})
+		_, cli := codecSetup(t, h, ServerOptions{}, DialOptions{})
 		if _, err := cli.Call(context.Background(), &wire.Register{ID: 42}); err != nil {
 			t.Fatal(err)
 		}
@@ -243,14 +238,14 @@ func TestPeerAttachment(t *testing.T) {
 }
 
 func TestHandlerPanicIsolated(t *testing.T) {
-	h := HandlerFunc(func(peer *Peer, req wire.Message) (wire.Message, error) {
-		if _, ok := req.(*wire.Collect); ok {
-			panic("boom")
-		}
-		return &wire.HeartbeatAck{}, nil
-	})
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		_, cli := codecSetup(t, h, sopts, DialOptions{})
+	t.Run("inline", func(t *testing.T) {
+		h := HandlerFunc(func(peer *Peer, req wire.Message) (wire.Message, error) {
+			if _, ok := req.(*wire.Collect); ok {
+				panic("boom")
+			}
+			return &wire.HeartbeatAck{}, nil
+		})
+		_, cli := codecSetup(t, h, ServerOptions{}, DialOptions{})
 		_, err := cli.Call(context.Background(), &wire.Collect{})
 		var er *wire.ErrorReply
 		if !errors.As(err, &er) || er.Code != wire.CodeInternal {
@@ -264,11 +259,11 @@ func TestHandlerPanicIsolated(t *testing.T) {
 }
 
 func TestNilResponseBecomesError(t *testing.T) {
-	h := HandlerFunc(func(peer *Peer, req wire.Message) (wire.Message, error) {
-		return nil, nil
-	})
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		_, cli := codecSetup(t, h, sopts, DialOptions{})
+	t.Run("inline", func(t *testing.T) {
+		h := HandlerFunc(func(peer *Peer, req wire.Message) (wire.Message, error) {
+			return nil, nil
+		})
+		_, cli := codecSetup(t, h, ServerOptions{}, DialOptions{})
 		_, err := cli.Call(context.Background(), &wire.Heartbeat{})
 		var er *wire.ErrorReply
 		if !errors.As(err, &er) {
@@ -278,10 +273,10 @@ func TestNilResponseBecomesError(t *testing.T) {
 }
 
 func TestServerNumPeersAndOnDisconnect(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+	t.Run("inline", func(t *testing.T) {
 		var disconnects atomic.Int64
-		sopts.OnDisconnect = func(*Peer) { disconnects.Add(1) }
-		srv, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{})
+		onDisconnect := func(*Peer) { disconnects.Add(1) }
+		srv, cli := codecSetup(t, &echoHandler{}, ServerOptions{OnDisconnect: onDisconnect}, DialOptions{})
 		if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
 			t.Fatal(err)
 		}
@@ -300,16 +295,30 @@ func TestServerNumPeersAndOnDisconnect(t *testing.T) {
 	})
 }
 
-// TestCloseWaitDrainsOpenConnections: Close severs connections that are
-// still open and Wait returns once their goroutines have exited, leaving
-// none behind.
+// servingGoroutines counts, by their stacks, the goroutines of this process
+// that serve an rpc server connection.
+func servingGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("rpc.(*Server).serveConn")) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCloseWaitDrainsOpenConnections: each accepted connection is served by
+// exactly one goroutine; Close severs connections that are still open and
+// Wait returns once their goroutines have exited, leaving none behind.
 func TestCloseWaitDrainsOpenConnections(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+	t.Run("inline", func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		n := simnet.New(simnet.Config{PropDelay: -1})
 		var disconnects atomic.Int64
-		sopts.OnDisconnect = func(*Peer) { disconnects.Add(1) }
-		srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, sopts)
+		onDisconnect := func(*Peer) { disconnects.Add(1) }
+		srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{OnDisconnect: onDisconnect})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,6 +331,14 @@ func TestCloseWaitDrainsOpenConnections(t *testing.T) {
 			if _, err := clients[i].Call(context.Background(), &wire.Heartbeat{}); err != nil {
 				t.Fatal(err)
 			}
+		}
+		// Poll: an earlier test's connection goroutines may still be exiting.
+		deadline := time.Now().Add(5 * time.Second)
+		for got := servingGoroutines(); got != conns; got = servingGoroutines() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines serve %d connections, want one each", got, conns)
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
 		srv.Close()
 		srv.Wait()
@@ -410,7 +427,6 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		stream = appendFrame(stream, frameHeader{id: id, kind: kindRequest}, &wire.Collect{Cycle: cycle}, nil)
 		stream = appendFrame(stream, frameHeader{id: id + 1, kind: kindHistRequest}, enforce, hist)
 		stream = appendFrame(stream, frameHeader{id: id + 2, kind: kindHistRequest}, enforce, hist)
-		stream = appendCancelFrame(stream, id+1)
 		stream = appendFrame(stream, frameHeader{kind: kindPush}, &wire.ReportDelta{Seq: cycle}, nil)
 		stream = appendFrame(stream, frameHeader{id: id + 3, kind: kindResponse}, &wire.ErrorReply{Code: 1, Text: text}, nil)
 
@@ -428,8 +444,8 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		}
 
 		want := []frameHeader{{id, kindRequest}, {id + 1, kindHistRequest}, {id + 2, kindHistRequest},
-			{id + 1, kindCancel}, {0, kindPush}, {id + 3, kindResponse}}
-		if !reflect.DeepEqual(hs, want) || bodies[3] != nil {
+			{0, kindPush}, {id + 3, kindResponse}}
+		if !reflect.DeepEqual(hs, want) {
 			return false
 		}
 		stateless, rxHist := &wire.DecodeOpts{Version: wire.CodecV2}, &wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory()}
@@ -439,10 +455,8 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			if hs[i].kind == kindHistRequest {
 				d = rxHist
 			}
-			if body != nil {
-				if msgs[i], err = wire.DecodeWith(body, d); err != nil {
-					return false
-				}
+			if msgs[i], err = wire.DecodeWith(body, d); err != nil {
+				return false
 			}
 		}
 		for _, m := range msgs[1:3] {
@@ -451,8 +465,8 @@ func TestFrameRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		return msgs[0].(*wire.Collect).Cycle == cycle && msgs[4].(*wire.ReportDelta).Seq == cycle &&
-			msgs[5].(*wire.ErrorReply).Text == text
+		return msgs[0].(*wire.Collect).Cycle == cycle && msgs[3].(*wire.ReportDelta).Seq == cycle &&
+			msgs[4].(*wire.ErrorReply).Text == text
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

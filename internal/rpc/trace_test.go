@@ -10,15 +10,14 @@ import (
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
-// tracedSetup builds a simnet with the given config, a traced server of the
-// given discipline, and a traced client with span tag childTag.
-func tracedSetup(t *testing.T, cfg simnet.Config, sopts ServerOptions, childTag uint64) (*trace.Tracer, *trace.Tracer, *Client) {
+// tracedSetup builds a simnet with the given config, a traced server, and a
+// traced client with span tag childTag.
+func tracedSetup(t *testing.T, cfg simnet.Config, childTag uint64) (*trace.Tracer, *trace.Tracer, *Client) {
 	t.Helper()
 	clientTr := trace.New(1024)
 	serverTr := trace.New(1024)
 	n := simnet.New(cfg)
-	sopts.Tracer = serverTr
-	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, sopts)
+	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{Tracer: serverTr})
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -33,7 +32,8 @@ func tracedSetup(t *testing.T, cfg simnet.Config, sopts ServerOptions, childTag 
 }
 
 // waitSpans polls until tr holds at least n spans of the given kind (spans
-// are recorded on read-loop/handler goroutines, racing the caller's return).
+// are recorded on the client's read loop and the server's connection
+// goroutine, racing the caller's return).
 func waitSpans(t *testing.T, tr *trace.Tracer, kind trace.Kind, n int) []trace.Span {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -55,8 +55,8 @@ func waitSpans(t *testing.T, tr *trace.Tracer, kind trace.Kind, n int) []trace.S
 }
 
 func TestTracedCallSpans(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
-		clientTr, serverTr, cli := tracedSetup(t, simnet.Config{PropDelay: -1}, sopts, 42)
+	t.Run("inline", func(t *testing.T) {
+		clientTr, serverTr, cli := tracedSetup(t, simnet.Config{PropDelay: -1}, 42)
 		clientTr.SetContext(7, 3, 1, trace.PhaseCollect)
 
 		if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: 7}); err != nil {
@@ -91,12 +91,12 @@ func TestTracedCallSpans(t *testing.T) {
 
 // TestTracedWireSplit checks that simnet's deterministic latency shows up as
 // in-flight time (client dur minus local work minus server busy time), not
-// as server queue or handler time: with PropDelay = 20ms and an idle
-// connection, the client span's in-flight share must cover the two one-way
-// hops while the server's queue wait stays far below one hop.
+// as server handler time: with PropDelay = 20ms and an idle connection, the
+// client span's in-flight share must cover the two one-way hops while the
+// server's handler time stays far below one hop.
 func TestTracedWireSplit(t *testing.T) {
 	const hop = 20 * time.Millisecond
-	clientTr, serverTr, cli := tracedSetup(t, simnet.Config{PropDelay: hop}, ServerOptions{}, 1)
+	clientTr, serverTr, cli := tracedSetup(t, simnet.Config{PropDelay: hop}, 1)
 
 	if _, err := cli.Call(context.Background(), &wire.Heartbeat{SentUnixMicros: 1}); err != nil {
 		t.Fatalf("Call: %v", err)
@@ -111,58 +111,15 @@ func TestTracedWireSplit(t *testing.T) {
 			inFlight, 2*hop, hop, cs, ss)
 	}
 	if ss.PartA > hop/2 {
-		t.Fatalf("server queue wait %v absorbed wire latency (hop %v)", ss.PartA, hop)
+		t.Fatalf("server handler time %v absorbed wire latency (hop %v)", ss.PartA, hop)
 	}
 
 	tot := clientTr.Totals()
 	if tot.ClientCalls != 1 || tot.ClientDur != cs.Dur {
 		t.Fatalf("client totals: %+v", tot)
 	}
-	if st := serverTr.Totals(); st.ServerCalls != 1 || st.ServerQueue != ss.PartA {
+	if st := serverTr.Totals(); st.ServerCalls != 1 || st.ServerHandler != ss.PartA {
 		t.Fatalf("server totals: %+v", st)
-	}
-}
-
-// TestTracedQueueSplit checks the queue measurement: two pipelined requests
-// on one connection are handled in order, so with a slow handler the second
-// request's queue wait covers the first's handler time.
-func TestTracedQueueSplit(t *testing.T) {
-	const proc = 10 * time.Millisecond
-	serverTr := trace.New(1024)
-	n := simnet.New(simnet.Config{PropDelay: -1})
-	slow := HandlerFunc(func(peer *Peer, req wire.Message) (wire.Message, error) {
-		time.Sleep(proc)
-		return &wire.CollectReply{}, nil
-	})
-	srv, err := Serve(n.Host("server"), ":0", slow, ServerOptions{Tracer: serverTr})
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	defer srv.Close()
-	cli, err := Dial(context.Background(), n.Host("client"), srv.Addr().String(), DialOptions{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer cli.Close()
-
-	ctx := context.Background()
-	c1 := cli.Go(ctx, &wire.Collect{Cycle: 1})
-	c2 := cli.Go(ctx, &wire.Collect{Cycle: 2})
-	if _, err := c1.Wait(ctx); err != nil {
-		t.Fatalf("call 1: %v", err)
-	}
-	if _, err := c2.Wait(ctx); err != nil {
-		t.Fatalf("call 2: %v", err)
-	}
-
-	spans := waitSpans(t, serverTr, trace.KindServer, 2)
-	first, second := spans[0], spans[1]
-	if second.PartA < proc/2 {
-		t.Fatalf("second request queue wait %v, want >= ~%v (behind a %v handler)\nfirst %+v\nsecond %+v",
-			second.PartA, proc, proc, first, second)
-	}
-	if first.PartB < proc/2 || second.PartB < proc/2 {
-		t.Fatalf("handler times %v / %v, want >= ~%v", first.PartB, second.PartB, proc)
 	}
 }
 
@@ -233,16 +190,14 @@ func TestTracedReconnectingClient(t *testing.T) {
 
 // TestSampledClientAndServer checks frame-ID sampling end to end: every call
 // is counted on both sides, but only the 1-in-N on the sample grid are timed
-// and recorded as spans — and both sides pick the same calls. An inline
-// server's spans have no queue to wait in: their queue share is exactly 0
-// while handler and write time are still measured.
+// and recorded as spans — and both sides pick the same calls. A server span
+// is its handler time plus its response-write time, each measured.
 func TestSampledClientAndServer(t *testing.T) {
-	eachDiscipline(t, func(t *testing.T, sopts ServerOptions) {
+	t.Run("inline", func(t *testing.T) {
 		clientTr, serverTr := trace.New(1024), trace.New(1024)
 		clientTr.SetSampleEvery(4)
 		serverTr.SetSampleEvery(4)
-		sopts.Tracer = serverTr
-		_, cli := codecSetup(t, &echoHandler{}, sopts, DialOptions{Tracer: clientTr, SpanTag: 7})
+		_, cli := codecSetup(t, &echoHandler{}, ServerOptions{Tracer: serverTr}, DialOptions{Tracer: clientTr, SpanTag: 7})
 
 		const calls = 8 // frame IDs 1..8: IDs 4 and 8 are on the grid
 		for i := 0; i < calls; i++ {
@@ -271,9 +226,9 @@ func TestSampledClientAndServer(t *testing.T) {
 			if s.Call%4 != 0 {
 				t.Fatalf("server sampled off-grid frame ID: %+v", s)
 			}
-			if sopts.Inline && (s.PartA != 0 || s.PartB <= 0 || s.Dur <= s.PartB) {
-				t.Fatalf("inline server span: queue %v handler %v write %v, want 0, > 0, > 0",
-					s.PartA, s.PartB, s.Dur-s.PartA-s.PartB)
+			if s.PartA <= 0 || s.PartB <= 0 || s.Dur != s.PartA+s.PartB {
+				t.Fatalf("server span: handler %v write %v of %v, want both > 0 and summing to the span",
+					s.PartA, s.PartB, s.Dur)
 			}
 		}
 

@@ -157,14 +157,11 @@ func StartVirtual(cfg Config) (*Virtual, error) {
 	v := &Virtual{cfg: cfg, start: time.Now(), who: fmt.Sprintf("stage %d", cfg.ID)}
 	v.fence.watched = len(cfg.Parents) > 0 // only rehome reads the contact time
 	// Stage handlers copy what they keep out of each request, so inbound
-	// collects/enforces/heartbeats are safely recycled per connection. They
-	// answer from in-memory state under leaf mutexes and never block, so the
-	// server runs them inline on each connection's reader.
+	// collects/enforces/heartbeats are safely recycled per connection.
 	srv, err := rpc.Serve(cfg.Network, cfg.ListenAddr, rpc.HandlerFunc(v.serve), rpc.ServerOptions{
 		Tracer:        cfg.Tracer,
 		ReuseRequests: true,
 		RecycleReply:  v.replies.recycle,
-		Inline:        true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("stage %d: %w", cfg.ID, err)
@@ -554,12 +551,9 @@ func StartEnforcing(cfg EnforcingConfig) (*Enforcing, error) {
 		e.demand[c] = metrics.NewRateCounter(cfg.Window, 10)
 		e.usage[c] = metrics.NewRateCounter(cfg.Window, 10)
 	}
-	// The handler reads rate counters and sets limiter rules, all in memory:
-	// it never blocks, so it runs inline (see StartVirtual).
 	srv, err := rpc.Serve(cfg.Network, cfg.ListenAddr, rpc.HandlerFunc(e.serve), rpc.ServerOptions{
 		Tracer:        cfg.Tracer,
 		ReuseRequests: true,
-		Inline:        true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("stage %d: %w", cfg.ID, err)

@@ -43,7 +43,6 @@ func (t *Tracer) WritePrometheus(w io.Writer, name string) error {
 		{"sdscale_trace_client_marshal_seconds_total", tot.ClientMarshal.Seconds()},
 		{"sdscale_trace_client_write_seconds_total", tot.ClientWrite.Seconds()},
 		{"sdscale_trace_server_busy_seconds_total", tot.ServerDur.Seconds()},
-		{"sdscale_trace_server_queue_seconds_total", tot.ServerQueue.Seconds()},
 		{"sdscale_trace_server_handler_seconds_total", tot.ServerHandler.Seconds()},
 		{"sdscale_trace_server_write_seconds_total", tot.ServerWrite.Seconds()},
 	}

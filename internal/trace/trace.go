@@ -5,7 +5,7 @@
 //
 // Each controller owns its own Tracer (per-controller buffers), so appends
 // never contend across controllers. Within one Tracer, appends from many
-// goroutines (the RPC read loops, server handler loops, and the controller's
+// goroutines (the RPC read loops, server connections, and the controller's
 // cycle goroutine) coordinate through a single atomic cursor; every slot
 // field is itself atomic and published under a seqlock-style sequence word,
 // so readers never block writers and the race detector sees no unsynchronized
@@ -63,11 +63,11 @@ const (
 	KindPhase
 	// KindCall is one client-side child RPC: issue → completion, with
 	// marshal and connection-write sub-timings. The remainder
-	// (Dur − PartA − PartB) is time in flight: wire plus server queue,
-	// handler, and response delivery.
+	// (Dur − PartA − PartB) is time in flight: wire plus server handler
+	// and response delivery.
 	KindCall
 	// KindServer is one server-side request: frame arrival → response
-	// written, with queue-wait and handler sub-timings.
+	// written, with handler and response-write sub-timings.
 	KindServer
 )
 
@@ -154,11 +154,11 @@ type Span struct {
 	Start time.Time
 	// Dur is the span's total duration.
 	Dur time.Duration
-	// PartA is the first sub-timing: marshal time (KindCall) or queue wait
-	// (KindServer).
+	// PartA is the first sub-timing: marshal time (KindCall) or handler
+	// time (KindServer).
 	PartA time.Duration
 	// PartB is the second sub-timing: connection-write time (KindCall) or
-	// handler time (KindServer).
+	// response encode-and-write time (KindServer).
 	PartB time.Duration
 }
 
@@ -216,11 +216,10 @@ type Totals struct {
 	// ClientCalls/ClientSampled to estimate all-calls totals.
 	ClientDur, ClientMarshal, ClientWrite time.Duration
 	// ServerCalls counts every handled request; ServerSampled the ones that
-	// were timed and got a span; ServerDur, ServerQueue, ServerHandler and
-	// ServerWrite are the sampled requests' summed total, queue-wait,
-	// handler, and response-write times.
-	ServerCalls, ServerSampled                         uint64
-	ServerDur, ServerQueue, ServerHandler, ServerWrite time.Duration
+	// were timed and got a span; ServerDur, ServerHandler and ServerWrite are
+	// the sampled requests' summed total, handler, and response-write times.
+	ServerCalls, ServerSampled            uint64
+	ServerDur, ServerHandler, ServerWrite time.Duration
 }
 
 // Tracer records spans into a fixed-size ring. The zero value is not usable;
@@ -246,11 +245,11 @@ type Tracer struct {
 	ctxMeta  atomic.Uint64 // mode | phase<<8
 
 	// Cumulative totals (see Totals).
-	nCycles, nClientCalls, nClientErrs, nAbandoned     atomic.Uint64
-	nClientSampled                                     atomic.Uint64
-	clientDur, clientMarshal, clientWrite              atomic.Int64
-	nServerCalls, nServerSampled                       atomic.Uint64
-	serverDur, serverQueue, serverHandler, serverWrite atomic.Int64
+	nCycles, nClientCalls, nClientErrs, nAbandoned atomic.Uint64
+	nClientSampled                                 atomic.Uint64
+	clientDur, clientMarshal, clientWrite          atomic.Int64
+	nServerCalls, nServerSampled                   atomic.Uint64
+	serverDur, serverHandler, serverWrite          atomic.Int64
 }
 
 // DefaultCapacity is the ring size New selects for capacity <= 0.
@@ -437,19 +436,18 @@ func (t *Tracer) CountServerCall() {
 }
 
 // RecordServerCall records one server-side request span: arrival → response
-// written, with queue-wait and handler sub-timings. tag identifies the peer
-// connection (AddrTag of its remote address).
-func (t *Tracer) RecordServerCall(tag, call uint64, startNs, durNs, queueNs, handlerNs, writeNs int64) {
+// written, with handler and response-write sub-timings. tag identifies the
+// peer connection (AddrTag of its remote address).
+func (t *Tracer) RecordServerCall(tag, call uint64, startNs, durNs, handlerNs, writeNs int64) {
 	if t == nil {
 		return
 	}
 	t.nServerCalls.Add(1)
 	t.nServerSampled.Add(1)
 	t.serverDur.Add(durNs)
-	t.serverQueue.Add(queueNs)
 	t.serverHandler.Add(handlerNs)
 	t.serverWrite.Add(writeNs)
-	t.append(packMeta(KindServer, PhaseNone, 0, 0), 0, 0, tag, call, startNs, durNs, queueNs, handlerNs)
+	t.append(packMeta(KindServer, PhaseNone, 0, 0), 0, 0, tag, call, startNs, durNs, handlerNs, writeNs)
 }
 
 // Totals returns the cumulative accounting since creation (or the last
@@ -470,7 +468,6 @@ func (t *Tracer) Totals() Totals {
 		ServerCalls:   t.nServerCalls.Load(),
 		ServerSampled: t.nServerSampled.Load(),
 		ServerDur:     time.Duration(t.serverDur.Load()),
-		ServerQueue:   time.Duration(t.serverQueue.Load()),
 		ServerHandler: time.Duration(t.serverHandler.Load()),
 		ServerWrite:   time.Duration(t.serverWrite.Load()),
 	}
@@ -494,7 +491,6 @@ func (t *Tracer) Reset() {
 	t.nServerCalls.Store(0)
 	t.nServerSampled.Store(0)
 	t.serverDur.Store(0)
-	t.serverQueue.Store(0)
 	t.serverHandler.Store(0)
 	t.serverWrite.Store(0)
 	for i := range t.slots {
@@ -644,8 +640,7 @@ func (t *Tracer) Histograms() map[string]*telemetry.Histogram {
 			get("call_write").Record(s.PartB)
 		case KindServer:
 			get("server").Record(s.Dur)
-			get("server_queue").Record(s.PartA)
-			get("server_handler").Record(s.PartB)
+			get("server_handler").Record(s.PartA)
 		}
 	}
 	return out

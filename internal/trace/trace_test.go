@@ -20,7 +20,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.RecordCycle(1, 1, 0, time.Now(), time.Millisecond, false)
 	tr.RecordPhase(PhaseCollect, 1, 1, 0, time.Now(), time.Millisecond)
 	tr.RecordClientCall(1, 1, 0, 1000, 10, 10, false, false)
-	tr.RecordServerCall(1, 1, 0, 1000, 10, 10, 10)
+	tr.RecordServerCall(1, 1, 0, 1000, 10, 10)
 	tr.Reset()
 	if got := tr.Snapshot(); got != nil {
 		t.Fatalf("nil tracer snapshot = %v, want nil", got)
@@ -64,8 +64,7 @@ func TestRecordAndSnapshot(t *testing.T) {
 	tr.RecordPhase(PhaseCollect, 7, 3, 1, start, 6*time.Millisecond)
 	tr.RecordCycle(7, 3, 1, start, 20*time.Millisecond, false)
 	tr.RecordServerCall(AddrTag("1.2.3.4:5"), 99, start.UnixNano(),
-		int64(3*time.Millisecond), int64(1*time.Millisecond), int64(2*time.Millisecond),
-		int64(10*time.Microsecond))
+		int64(3*time.Millisecond), int64(2*time.Millisecond), int64(time.Millisecond))
 
 	spans := tr.Snapshot()
 	if len(spans) != 4 {
@@ -89,7 +88,7 @@ func TestRecordAndSnapshot(t *testing.T) {
 		t.Fatalf("cycle span wrong: %+v", cycle)
 	}
 	if server.Kind != KindServer || server.Tag != AddrTag("1.2.3.4:5") ||
-		server.PartA != time.Millisecond || server.PartB != 2*time.Millisecond {
+		server.PartA != 2*time.Millisecond || server.PartB != time.Millisecond {
 		t.Fatalf("server span wrong: %+v", server)
 	}
 
@@ -100,8 +99,8 @@ func TestRecordAndSnapshot(t *testing.T) {
 	if tot.ClientDur != 5*time.Millisecond || tot.ClientMarshal != 100*time.Microsecond {
 		t.Fatalf("client totals wrong: %+v", tot)
 	}
-	if tot.ServerQueue != time.Millisecond || tot.ServerHandler != 2*time.Millisecond ||
-		tot.ServerWrite != 10*time.Microsecond {
+	if tot.ServerDur != 3*time.Millisecond || tot.ServerHandler != 2*time.Millisecond ||
+		tot.ServerWrite != time.Millisecond {
 		t.Fatalf("server totals wrong: %+v", tot)
 	}
 }
@@ -188,7 +187,7 @@ func TestConcurrentAppendSnapshot(t *testing.T) {
 				// Encode the writer+iteration into every field so a torn
 				// read is detectable.
 				v := uint64(w)*perWriter + uint64(i) + 1
-				tr.RecordServerCall(v, v, int64(v), int64(v), int64(v%1000), int64(v%1000), 0)
+				tr.RecordServerCall(v, v, int64(v), int64(v), int64(v%1000), int64(v%1000))
 			}
 		}(w)
 	}
@@ -439,7 +438,7 @@ func TestCountOnlyRecording(t *testing.T) {
 
 	// A sampled record lands in both the exact and the sampled counters.
 	tr.RecordClientCall(1, 8, 100, 50, 10, 5, false, false)
-	tr.RecordServerCall(2, 8, 100, 40, 10, 20, 10)
+	tr.RecordServerCall(2, 8, 100, 40, 20, 10)
 	tot = tr.Totals()
 	if tot.ClientCalls != 4 || tot.ClientSampled != 1 {
 		t.Fatalf("mixed client counts: %+v", tot)
