@@ -485,30 +485,12 @@ func (c *Cluster) build() error {
 		per := (cfg.Stages + cfg.Aggregators - 1) / cfg.Aggregators
 		for a := 0; a < cfg.Aggregators; a++ {
 			role := Roles{Meter: &transport.Meter{}, CPU: &monitor.CPUMeter{}}
-			var midTracer *trace.Tracer
+			acfg := c.aggregatorConfig(a, role)
 			if c.Trace != nil {
-				midTracer = c.newTracer()
-				c.Trace.Mid = append(c.Trace.Mid, midTracer)
+				acfg.Tracer = c.newTracer()
+				c.Trace.Mid = append(c.Trace.Mid, acfg.Tracer)
 			}
-			agg, err := controller.StartAggregator(controller.AggregatorConfig{
-				ID:               uint64(1_000_000 + a),
-				Network:          c.Net.Host(fmt.Sprintf("agg-%d", a+1)),
-				FanOut:           cfg.FanOut,
-				FanOutMode:       cfg.FanOutMode,
-				CallTimeout:      cfg.CallTimeout,
-				ForwardRaw:       cfg.ForwardRaw,
-				LocalControl:     cfg.Delegated,
-				Incremental:      cfg.Incremental,
-				IncrementalFloor: cfg.IncrementalFloor,
-				MaxFailures:      cfg.MaxFailures,
-				ProbeInterval:    cfg.ProbeInterval,
-				MaxProbeInterval: cfg.MaxProbeInterval,
-				StaleAfter:       cfg.StaleAfter,
-				EvictAfter:       cfg.EvictAfter,
-				Meter:            role.Meter,
-				CPU:              role.CPU,
-				Tracer:           midTracer,
-			})
+			agg, err := controller.StartAggregator(acfg)
 			if err != nil {
 				return fmt.Errorf("cluster: aggregator %d: %w", a, err)
 			}

@@ -36,7 +36,6 @@ func (c *Cluster) aggregatorConfig(seq int, role Roles) controller.AggregatorCon
 		FanOutMode:       cfg.FanOutMode,
 		CallTimeout:      cfg.CallTimeout,
 		ForwardRaw:       cfg.ForwardRaw,
-		LocalControl:     cfg.Delegated,
 		Incremental:      cfg.Incremental,
 		IncrementalFloor: cfg.IncrementalFloor,
 		MaxFailures:      cfg.MaxFailures,

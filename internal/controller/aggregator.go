@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/dsrhaslab/sdscale/internal/controlalg"
 	"github.com/dsrhaslab/sdscale/internal/metrics"
 	"github.com/dsrhaslab/sdscale/internal/monitor"
 	"github.com/dsrhaslab/sdscale/internal/rpc"
@@ -55,12 +54,6 @@ type AggregatorConfig struct {
 	// pre-aggregation buys (the paper's Table III network asymmetry and
 	// Table IV CPU migration); production deployments leave it false.
 	ForwardRaw bool
-	// LocalControl enables delegated enforcement (paper §VI future work):
-	// the global controller sends per-job capacity budgets (O(jobs)
-	// payload) and this aggregator computes per-stage rules itself from
-	// its latest per-stage demand view. The global controller must run
-	// with GlobalConfig.Delegated.
-	LocalControl bool
 	// Incremental makes the aggregator answer upstream Collects from its
 	// push-maintained report cache: stages push deltas as their rates move,
 	// and the stage-facing collect scatter shrinks to the edge cases
@@ -136,14 +129,18 @@ type Aggregator struct {
 	rehomeStop chan struct{}
 	rehomeDone chan struct{}
 
-	// mu guards the delegated-control state and the fencing/re-homing
-	// bookkeeping.
+	// mu guards the last collect's report set and the fencing/re-homing
+	// bookkeeping. reports is the set the last collect assembled, arena
+	// memory valid until the next collect begins a generation, and jobs its
+	// per-job sums (nil after a ForwardRaw collect); a Delegate splits its
+	// budgets over them.
 	mu          sync.Mutex
-	lastReports []wire.StageReport // most recent per-stage view (LocalControl)
-	epoch       uint64             // highest leadership epoch seen
-	fencedCalls uint64             // stale-epoch rejections issued
-	lastContact time.Time          // last upstream control-plane contact
-	rehomes     uint64             // successful re-registrations with a parent
+	reports     []wire.StageReport
+	jobs        []wire.JobReport
+	epoch       uint64    // highest leadership epoch seen
+	fencedCalls uint64    // stale-epoch rejections issued
+	lastContact time.Time // last upstream control-plane contact
+	rehomes     uint64    // successful re-registrations with a parent
 	closed      bool
 }
 
@@ -225,10 +222,12 @@ func (a *Aggregator) serve(peer *rpc.Peer, req wire.Message) (wire.Message, erro
 		if er := a.checkEpoch(m.Epoch); er != nil {
 			return nil, er
 		}
-		return a.enforce(m)
+		return a.enforce(m), nil
 	case *wire.Delegate:
-		a.touch()
-		return a.delegate(m)
+		if er := a.checkEpoch(m.Epoch); er != nil {
+			return nil, er
+		}
+		return a.delegate(m), nil
 	case *wire.Heartbeat:
 		a.touch()
 		return &wire.HeartbeatAck{EchoUnixMicros: m.SentUnixMicros}, nil
@@ -375,23 +374,19 @@ func (a *Aggregator) collect(m *wire.Collect) (wire.Message, error) {
 
 	start := time.Now()
 	defer a.busy(start)
-	if a.cfg.LocalControl {
-		// delegate reads lastReports after this handler returns, beyond the
-		// slab's generation — it needs a stable snapshot, not the arena slice
-		// (and not a recycled buffer a later collect would scribble over).
-		a.mu.Lock()
-		a.lastReports = append([]wire.StageReport(nil), reports...)
-		a.mu.Unlock()
-	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.reports, a.jobs = reports, nil
 	if a.cfg.ForwardRaw {
 		return &wire.CollectReply{Cycle: m.Cycle, Reports: reports}, nil
 	}
-	return &wire.CollectAggReply{Cycle: m.Cycle, AggregatorID: a.cfg.ID, Jobs: metrics.AggregateByJob(reports)}, nil
+	a.jobs = metrics.AggregateByJob(reports)
+	return &wire.CollectAggReply{Cycle: m.Cycle, AggregatorID: a.cfg.ID, Jobs: a.jobs}, nil
 }
 
 // enforce routes each rule in the batch to its stage. Quarantined stages
 // are skipped; they keep enforcing their last rules until readmitted.
-func (a *Aggregator) enforce(m *wire.Enforce) (*wire.EnforceAck, error) {
+func (a *Aggregator) enforce(m *wire.Enforce) *wire.EnforceAck {
 	children, _ := splitQuarantined(a.members.snapshot())
 
 	// Group rules by stage without a per-call map: copy the batch into an
@@ -403,104 +398,96 @@ func (a *Aggregator) enforce(m *wire.Enforce) (*wire.EnforceAck, error) {
 	copy(rules, m.Rules)
 	sort.SliceStable(rules, func(i, j int) bool { return rules[i].StageID < rules[j].StageID })
 	a.busy(start)
-
-	var applied atomic.Uint32
-	epoch := a.Epoch()
-	a.setPhase(trace.PhaseEnforce, m.Cycle, epoch)
-	a.enforceStageRules(context.Background(), m.Cycle, epoch, children, rules, sumApplied(&applied))
-	return &wire.EnforceAck{Cycle: m.Cycle, Applied: applied.Load()}, nil
+	return a.enforceRules(m.Cycle, children, nil, rules)
 }
 
-// delegate computes per-stage rules from per-job budgets — the offloaded
-// enforcement path of the delegated hierarchy. Each job's budget is split
-// over the job's stages proportionally to the demand observed in the last
-// collect, then fanned out like a normal enforce.
-func (a *Aggregator) delegate(m *wire.Delegate) (*wire.EnforceAck, error) {
-	if !a.cfg.LocalControl {
-		return nil, &wire.ErrorReply{Code: wire.CodeBadMessage, Text: "aggregator not configured for local control"}
-	}
+// delegate is the offloaded enforcement of the delegated hierarchy (paper
+// §VI): it splits per-job budgets over the stages of the last collect and
+// fans the rules out like an enforce.
+func (a *Aggregator) delegate(m *wire.Delegate) *wire.EnforceAck {
+	children, _ := splitQuarantined(a.members.snapshot())
+	casts, rules := a.delegateRules(m, children)
+	return a.enforceRules(m.Cycle, children, casts, rules)
+}
+
+// wildcast is one job's state in delegateRules: whether it has a budget,
+// whether its rules must go out per stage (it has one stage, or its stages'
+// limits differ), and otherwise the wildcard rule and the active stages it is
+// sent to.
+type wildcast struct {
+	rule                    wire.Rule
+	targets                 []*child
+	budgeted, seen, unicast bool
+}
+
+// delegateRules splits each budget over its job's stages in the last
+// collect's report set with the flat kernel, emitRules: proportionally to
+// their demand. A job whose split is identical on all of its more than one
+// stages — the steady state of a converged workload — becomes one wildcard
+// rule (StageID 0), marshaled once and sent to the job's active stages; casts
+// holds one entry per job, and those with targets are sent. The other jobs'
+// rules come back StageID-sorted. A job without a budget gets no rule.
+func (a *Aggregator) delegateRules(m *wire.Delegate, active []*child) (casts []wildcast, rules []wire.Rule) {
+	defer a.busy(time.Now())
 	a.mu.Lock()
-	reports := a.lastReports
+	reports, jobs := a.reports, a.jobs
 	a.mu.Unlock()
-
-	start := time.Now()
-	byJob := make(map[uint64][]int, len(m.Budgets))
-	for i := range reports {
-		byJob[reports[i].JobID] = append(byJob[reports[i].JobID], i)
+	if jobs == nil {
+		jobs = metrics.AggregateByJob(reports)
 	}
-	// When a job's proportional split degenerates to identical per-stage
-	// shares (the steady state of a converged workload), the job's rules
-	// collapse into one wildcard rule (StageID 0) that is marshaled once
-	// and broadcast from a shared frame to the job's active stages. Unequal
-	// splits fall back to per-stage unicast rules.
-	type wildcast struct {
-		rule    wire.Rule
-		targets []*child
+	budget := a.cyc.allocOf.Take(&a.arena, len(jobs))
+	casts = a.cyc.casts.Take(&a.arena, len(jobs))
+	for _, b := range m.Budgets {
+		if k := jobSlot(jobs, b.JobID); k >= 0 {
+			budget[k] = b.Limit
+			casts[k] = wildcast{rule: wire.Rule{StageID: wire.WildcardStage, JobID: b.JobID, Action: wire.ActionSetLimit},
+				budgeted: true, unicast: jobs[k].Stages < 2}
+		}
 	}
-	active, _ := splitQuarantined(a.members.snapshot())
-	byStageChild := make(map[uint64]*child, len(active))
+	table := emitRules(&a.cyc, &a.arena, a.pipe, reports, jobs, budget, a.fanMode == FanOutPipelined)
+	all := table.Rules()
+	for _, r := range all {
+		w := &casts[jobSlot(jobs, r.JobID)]
+		if !w.seen {
+			w.seen, w.rule.Limit = true, r.Limit
+		} else if r.Limit != w.rule.Limit {
+			w.unicast = true
+		}
+	}
 	for _, c := range active {
-		byStageChild[c.info.ID] = c
-	}
-	var casts []wildcast
-	rules := make([]wire.Rule, 0, len(reports))
-	for _, budget := range m.Budgets {
-		idxs := byJob[budget.JobID]
-		if len(idxs) == 0 {
-			continue
-		}
-		demands := make([]wire.Rates, len(idxs))
-		for k, i := range idxs {
-			demands[k] = reports[i].Demand
-		}
-		split := controlalg.SplitProportional(budget.Limit, demands)
-		uniform := len(idxs) > 1
-		for k := 1; k < len(split) && uniform; k++ {
-			uniform = split[k] == split[0]
-		}
-		if uniform {
-			w := wildcast{rule: wire.Rule{
-				StageID: wire.WildcardStage,
-				JobID:   budget.JobID,
-				Action:  wire.ActionSetLimit,
-				Limit:   split[0],
-			}}
-			for _, i := range idxs {
-				if c := byStageChild[reports[i].StageID]; c != nil {
-					w.targets = append(w.targets, c)
-				}
+		if r, ok := table.Lookup(c.info.ID); ok {
+			if w := &casts[jobSlot(jobs, r.JobID)]; w.budgeted && !w.unicast {
+				w.targets = append(w.targets, c)
 			}
-			if len(w.targets) > 0 {
-				casts = append(casts, w)
-			}
-			continue
-		}
-		for k, i := range idxs {
-			rules = append(rules, wire.Rule{
-				StageID: reports[i].StageID,
-				JobID:   budget.JobID,
-				Action:  wire.ActionSetLimit,
-				Limit:   split[k],
-			})
 		}
 	}
-	a.busy(start)
+	// The table is dead from here: compact the unicast rules in place.
+	rules = all[:0]
+	for _, r := range all {
+		if w := &casts[jobSlot(jobs, r.JobID)]; w.budgeted && w.unicast {
+			rules = append(rules, r)
+		}
+	}
+	return casts, rules
+}
 
+// enforceRules sends each wildcard cast to its targets as one shared frame,
+// then each active stage its run of the StageID-sorted rules, and acks the
+// rules applied.
+func (a *Aggregator) enforceRules(cycle uint64, active []*child, casts []wildcast, rules []wire.Rule) *wire.EnforceAck {
 	var applied atomic.Uint32
-	if len(casts) > 0 {
-		epoch := a.Epoch()
-		a.setPhase(trace.PhaseEnforce, m.Cycle, epoch)
-		for _, w := range casts {
-			f := rpc.NewSharedFrame(&wire.Enforce{Cycle: m.Cycle, Rules: []wire.Rule{w.rule}, Epoch: epoch})
-			a.fanOutBroadcast(context.Background(), a.cycleFan(&a.pipe.EnforceInFlight), w.targets, f, sumApplied(&applied))
+	ctx := context.Background()
+	epoch := a.Epoch()
+	a.setPhase(trace.PhaseEnforce, cycle, epoch)
+	for _, w := range casts {
+		if len(w.targets) == 0 {
+			continue
 		}
+		f := rpc.NewSharedFrame(&wire.Enforce{Cycle: cycle, Rules: []wire.Rule{w.rule}, Epoch: epoch})
+		a.fanOutBroadcast(ctx, a.cycleFan(&a.pipe.EnforceInFlight), w.targets, f, sumApplied(&applied))
 	}
-	ack, err := a.enforce(&wire.Enforce{Cycle: m.Cycle, Rules: rules})
-	if err != nil {
-		return nil, err
-	}
-	ack.Applied += applied.Load()
-	return ack, nil
+	a.enforceStageRules(ctx, cycle, epoch, active, rules, sumApplied(&applied))
+	return &wire.EnforceAck{Cycle: cycle, Applied: applied.Load()}
 }
 
 // Close stops the re-homing loop, severs stage connections, and stops the

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/dsrhaslab/sdscale/internal/controlalg"
 	"github.com/dsrhaslab/sdscale/internal/cyclemem"
@@ -17,14 +18,105 @@ import (
 type cycleMem struct {
 	replies    cyclemem.Slab[*wire.CollectReply]
 	aggReplies cyclemem.Slab[wire.Message] // hierarchical collect slots
-	responded  cyclemem.Slab[bool]
 	reports    cyclemem.Slab[wire.StageReport]
-	inputs     cyclemem.Slab[controlalg.JobInput]
 	allocOf    cyclemem.Slab[wire.Rates]
 	ruleBuf    cyclemem.Slab[wire.Rule]
+	casts      cyclemem.Slab[wildcast]
 	enfBuf     cyclemem.Slab[wire.Enforce]
 	calls      cyclemem.Slab[*rpc.Call]
 	table      cyclemem.RuleTable
+}
+
+// JobStatus is one job's state as of the controller's most recent cycle.
+type JobStatus struct {
+	// JobID identifies the job.
+	JobID uint64
+	// Weight is the job's QoS weight.
+	Weight float64
+	// Stages is the job's stage population seen in the last collect.
+	Stages uint32
+	// Demand is the job's aggregate demand from the last collect.
+	Demand wire.Rates
+	// Allocated is the cluster-wide limit the last compute granted.
+	Allocated wire.Rates
+}
+
+// jobTable is the allocation state of a role that runs the control
+// algorithm (Global, Peer): the algorithm, the live capacity it allocates
+// against, the per-job QoS weights, and the per-job view of the last
+// allocation. An Aggregator never allocates and holds none. mu guards
+// capacity, weights and status; a role that holds its own mutex takes it
+// before mu, never after.
+type jobTable struct {
+	algo controlalg.Algorithm
+
+	mu       sync.Mutex
+	capacity wire.Rates
+	weights  map[uint64]float64
+	status   []JobStatus
+
+	// inputs and limits are allocate's buffers, reused every cycle by the
+	// goroutine that runs the role's cycles.
+	inputs []controlalg.JobInput
+	limits []wire.Rates
+}
+
+func (t *jobTable) init(algo controlalg.Algorithm, capacity wire.Rates) {
+	t.algo, t.capacity, t.weights = algo, capacity, make(map[uint64]float64)
+}
+
+// allocate runs the algorithm over per-job rows (sorted by JobID, as
+// metrics.AggregateByJob and MergeJobReports return them) and returns each
+// row's allocation, index-aligned with rows, in a buffer reused by the
+// next allocate. The algorithm runs outside mu.
+func (t *jobTable) allocate(rows []wire.JobReport) []wire.Rates {
+	t.inputs = t.inputs[:0]
+	t.mu.Lock()
+	for _, j := range rows {
+		t.inputs = append(t.inputs, controlalg.JobInput{JobID: j.JobID, Weight: t.weights[j.JobID], Demand: j.Demand, Stages: j.Stages})
+	}
+	capacity := t.capacity
+	t.mu.Unlock()
+	allocs := t.algo.Allocate(t.inputs, capacity)
+
+	t.limits = t.limits[:0]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.status = t.status[:0]
+	for i, in := range t.inputs {
+		t.limits = append(t.limits, allocs[i].Limit)
+		t.status = append(t.status, JobStatus{JobID: in.JobID, Weight: in.Weight, Stages: in.Stages, Demand: in.Demand, Allocated: allocs[i].Limit})
+	}
+	return t.limits
+}
+
+// statuses copies the per-job view of the last allocation, sorted by JobID.
+func (t *jobTable) statuses() []JobStatus {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]JobStatus{}, t.status...)
+}
+
+// setWeight records a job's weight, a non-positive one as the default 1,
+// and returns the weight stored and whether it changed the table.
+func (t *jobTable) setWeight(jobID uint64, weight float64) (stored float64, changed bool) {
+	if weight <= 0 {
+		weight = 1
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old, known := t.weights[jobID]
+	t.weights[jobID] = weight
+	return weight, !known || old != weight
+}
+
+// adoptWeights records replicated or recovered weights.
+func (t *jobTable) adoptWeights(ws []wire.JobWeight) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, w := range ws {
+		t.weights[w.JobID] = w.Weight
+	}
 }
 
 // parallelComputeMin is the smallest per-worker report range worth a
@@ -35,76 +127,113 @@ const parallelComputeMin = 2048
 
 // computeFlatRules runs the control algorithm over raw stage reports and
 // splits each job's allocation across its stages proportionally to their
-// observed demand. The result lives in the cycle arena's rule table, valid
-// until the next cycle begins.
-//
-// The split is computed per report rather than per job: AggregateByJob has
-// already summed each job's demand in report order — the same sequence of
-// float additions controlalg.SplitProportional would perform — so the
-// per-stage limit alloc[c]·d[c]/total[c] (even split when the class total
-// is zero) reproduces the serial splitter bit for bit. With no cross-report
-// accumulation left, the emission loop shards freely over disjoint report
-// ranges: any worker count yields byte-identical rules, which is what makes
-// the parallel path safe for the paper reproduction. parallel=false (the
-// blocking fan-out mode) pins the single-threaded emission the paper's
-// prototype implies; the aggregation and PSFA allocation stages are serial
-// in either mode.
+// observed demand (emitRules). The result lives in the cycle arena's rule
+// table, valid until the next cycle begins. parallel=false (the blocking
+// fan-out mode) pins the single-threaded emission the paper's prototype
+// implies; the aggregation and allocation are serial in either mode.
 func (g *Global) computeFlatRules(reports []wire.StageReport, parallel bool) *cyclemem.RuleTable {
 	jobs := metrics.AggregateByJob(reports)
-	inputs := g.cyc.inputs.Take(&g.arena, len(jobs))
-	g.mu.Lock()
-	for i, j := range jobs {
-		inputs[i] = controlalg.JobInput{
-			JobID:  j.JobID,
-			Weight: g.jobWeights[j.JobID],
-			Demand: j.Demand,
-			Stages: j.Stages,
-		}
-	}
-	capacity := g.capacity
-	g.mu.Unlock()
-	allocs := g.cfg.Algorithm.Allocate(inputs, capacity)
-	g.recordJobStatuses(inputs, allocs)
-
-	// Index allocations by the jobs' sorted order so the kernel can reach a
-	// report's allocation with one binary search, no map.
-	allocOf := g.cyc.allocOf.Take(&g.arena, len(jobs))
-	for _, a := range allocs {
-		if j := jobSlot(jobs, a.JobID); j >= 0 {
-			allocOf[j] = a.Limit
-		}
-	}
-
-	return emitRules(&g.cyc, &g.arena, g.pipe, reports, jobs, allocOf, parallel)
+	return emitRules(&g.cyc, &g.arena, g.pipe, reports, jobs, g.jobs.allocate(jobs), parallel)
 }
 
-// computePeerRules is the coordinated-peer kernel. Each job's global
+// computeHierRules is the hierarchical compute over the aggregators' replies
+// (index-aligned with children, nil where a child did not answer) and the
+// quarantined aggregators' stale replies. Their per-job rows are merged and
+// allocated, and each job's allocation is split uniformly across its stages:
+// the global sees per-job sums, not per-stage demand (paper §III-B). Each
+// child that answered gets its stages' rule batch or, delegated (§VI), one
+// budget per job it serves: the per-stage share scaled by the job's stage
+// count behind it. A child that did not answer gets neither.
+func (g *Global) computeHierRules(children []*child, replies, stale []wire.Message) (batches [][]wire.Rule, budgets [][]wire.JobBudget) {
+	groups := make([][]wire.JobReport, 0, len(replies)+len(stale))
+	for _, msgs := range [][]wire.Message{replies, stale} {
+		for _, m := range msgs {
+			groups = append(groups, jobRows(m))
+		}
+	}
+	merged := metrics.MergeJobReports(groups...)
+	allocs := g.jobs.allocate(merged)
+	perStage := func(k int) wire.Rates { return controlalg.SplitUniform(allocs[k], int(merged[k].Stages)) }
+
+	batches, budgets = make([][]wire.Rule, len(children)), make([][]wire.JobBudget, len(children))
+	for i, c := range children {
+		if replies[i] == nil {
+			continue
+		}
+		stages := c.stageList()
+		if g.cfg.Delegated {
+			counts := make([]int, len(merged))
+			for _, s := range stages {
+				if k := jobSlot(merged, s.JobID); k >= 0 {
+					counts[k]++
+				}
+			}
+			for k, n := range counts {
+				if n > 0 {
+					budgets[i] = append(budgets[i], wire.JobBudget{JobID: merged[k].JobID, Limit: perStage(k).Scale(float64(n))})
+				}
+			}
+			continue
+		}
+		batch := g.cyc.ruleBuf.Take(&g.arena, len(stages))[:0]
+		for _, s := range stages {
+			if k := jobSlot(merged, s.JobID); k >= 0 {
+				batch = append(batch, wire.Rule{StageID: s.ID, JobID: s.JobID, Action: wire.ActionSetLimit, Limit: perStage(k)})
+			}
+		}
+		batches[i] = batch
+	}
+	return batches, budgets
+}
+
+// jobRows returns an aggregator child's collect reply as per-job rows: a
+// pre-aggregated reply as it is, a ForwardRaw reply aggregated here
+// (charging this controller's CPU). Anything else has none.
+func jobRows(m wire.Message) []wire.JobReport {
+	switch r := m.(type) {
+	case *wire.CollectAggReply:
+		return r.Jobs
+	case *wire.CollectReply:
+		return metrics.AggregateByJob(r.Reports)
+	}
+	return nil
+}
+
+// computePeerRules is the coordinated-peer kernel. allocs is the
+// allocation of each merged job, index-aligned with merged. Each job's
 // allocation is split uniformly across its global stage population; this
 // peer's share is that per-stage slice scaled by its own stage count, and
 // the share splits across the peer's stages proportionally to demand —
-// exactly the SplitUniform → Scale → SplitProportional chain the serial
+// exactly the uniform split → scale → proportional split chain the serial
 // implementation performed, folded into the shared per-report kernel.
-// ownJobs must be metrics.AggregateByJob(reports): its per-job demand sums
-// are then the identical float-add sequences SplitProportional would
-// compute, so serial and sharded emission are byte-identical here too.
+// ownJobs must be metrics.AggregateByJob(reports), and so a subset of
+// merged.
 func (p *Peer) computePeerRules(reports []wire.StageReport, ownJobs, merged []wire.JobReport,
-	allocs []controlalg.JobAllocation, parallel bool) *cyclemem.RuleTable {
+	allocs []wire.Rates, parallel bool) *cyclemem.RuleTable {
 	shareOf := p.cyc.allocOf.Take(&p.arena, len(ownJobs))
-	for i, a := range allocs {
-		if j := jobSlot(ownJobs, a.JobID); j >= 0 {
-			shareOf[j] = controlalg.SplitUniform(a.Limit, int(merged[i].Stages)).
-				Scale(float64(ownJobs[j].Stages))
-		}
+	for j := range ownJobs {
+		k := jobSlot(merged, ownJobs[j].JobID)
+		shareOf[j] = controlalg.SplitUniform(allocs[k], int(merged[k].Stages)).
+			Scale(float64(ownJobs[j].Stages))
 	}
 	return emitRules(&p.cyc, &p.arena, p.pipe, reports, ownJobs, shareOf, parallel)
 }
 
-// emitRules fills the role's arena-backed rule table: report i's rule splits
-// its job's budget proportionally to the report's share of the job's total
-// demand (even split across the job's stages for a zero-demand class). jobs
-// must be sorted by JobID with per-job totals summed in report order, and
-// budget[j] is job j's spendable allocation. Writes are index-disjoint, so
-// parallel mode shards the loop over disjoint report ranges.
+// emitRules is the one split kernel: it fills the role's arena-backed rule
+// table, report i's rule splitting its job's budget proportionally to the
+// report's share of the job's total demand (even split across the job's
+// stages for a zero-demand class). jobs must be metrics.AggregateByJob
+// (reports) — sorted by JobID, each job's demand summed in report order —
+// and budget[j] is job j's spendable allocation.
+//
+// The split is computed per report rather than per job. It performs the
+// same float operations, in the same order, as controlalg's per-job
+// proportional splitter: AggregateByJob has already summed each job's
+// demand in report order, and the per-stage limit is alloc[c]·d[c]/total[c]
+// (or alloc[c]/stages), so the two agree bit for bit. With no
+// cross-report accumulation left, writes are index-disjoint and parallel
+// mode shards the loop over disjoint report ranges: any worker count yields
+// byte-identical rules.
 func emitRules(cyc *cycleMem, arena *cyclemem.Arena, pipe *telemetry.PipelineStats,
 	reports []wire.StageReport, jobs []wire.JobReport, budget []wire.Rates,
 	parallel bool) *cyclemem.RuleTable {

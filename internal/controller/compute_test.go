@@ -5,11 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
 	"github.com/dsrhaslab/sdscale/internal/controlalg"
 	"github.com/dsrhaslab/sdscale/internal/metrics"
+	"github.com/dsrhaslab/sdscale/internal/stage"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
@@ -120,13 +122,23 @@ func randomFleet(rng *rand.Rand, nStages, nJobs int) ([]wire.StageReport, map[ui
 
 // testGlobal builds the minimal Global the compute kernel needs; no network.
 func testGlobal(weights map[uint64]float64, capacity wire.Rates) *Global {
-	g := &Global{
-		cfg:        GlobalConfig{Algorithm: controlalg.PSFA{}},
-		jobWeights: weights,
-		capacity:   capacity,
+	g := &Global{cfg: GlobalConfig{Algorithm: controlalg.PSFA{}}}
+	g.jobs.init(controlalg.PSFA{}, capacity)
+	for id, w := range weights {
+		g.jobs.setWeight(id, w)
 	}
 	g.init(stageOpts{})
 	return g
+}
+
+// limits returns the allocations' limits, index-aligned — the form
+// jobTable.allocate hands the compute kernels.
+func limits(allocs []controlalg.JobAllocation) []wire.Rates {
+	out := make([]wire.Rates, len(allocs))
+	for i, a := range allocs {
+		out[i] = a.Limit
+	}
+	return out
 }
 
 // sameRule compares two rules bit-for-bit (limits via Float64bits, so -0 vs
@@ -238,13 +250,13 @@ func TestComputePeerRulesEquivalence(t *testing.T) {
 		serial := &Peer{}
 		serial.init(stageOpts{})
 		serial.arena.Begin()
-		st := serial.computePeerRules(reports, ownJobs, merged, allocs, false)
+		st := serial.computePeerRules(reports, ownJobs, merged, limits(allocs), false)
 		checkAgainst(t, label+" serial", st, ref, reports)
 
 		par := &Peer{}
 		par.init(stageOpts{})
 		par.arena.Begin()
-		pt := par.computePeerRules(reports, ownJobs, merged, allocs, true)
+		pt := par.computePeerRules(reports, ownJobs, merged, limits(allocs), true)
 		checkAgainst(t, label+" parallel", pt, ref, reports)
 	}
 }
@@ -300,4 +312,356 @@ func TestComputeFlatRulesParallelStress(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// referenceHierRules is the hierarchical compute as Global.runHierarchicalCycle
+// wrote it before the job table, kept verbatim as the oracle: replies to
+// per-job groups, inputs and Allocate, job statuses, a per-job uniform
+// split in a map, and per aggregator either its per-stage rule batch or,
+// delegated, its per-job budgets counted through a map.
+func referenceHierRules(algo controlalg.Algorithm, weights map[uint64]float64, capacity wire.Rates,
+	delegated bool, children []*child, replies, stale []wire.Message) ([][]wire.Rule, [][]wire.JobBudget, []JobStatus) {
+	n := len(children)
+	groups := make([][]wire.JobReport, 0, n)
+	responded := make([]bool, n)
+	for i, r := range replies {
+		switch r := r.(type) {
+		case *wire.CollectAggReply:
+			groups = append(groups, r.Jobs)
+			responded[i] = true
+		case *wire.CollectReply:
+			groups = append(groups, metrics.AggregateByJob(r.Reports))
+			responded[i] = true
+		}
+	}
+	for _, m := range stale {
+		switch r := m.(type) {
+		case *wire.CollectAggReply:
+			groups = append(groups, r.Jobs)
+		case *wire.CollectReply:
+			groups = append(groups, metrics.AggregateByJob(r.Reports))
+		}
+	}
+	merged := metrics.MergeJobReports(groups...)
+	inputs := make([]controlalg.JobInput, len(merged))
+	for i, j := range merged {
+		inputs[i] = controlalg.JobInput{
+			JobID:  j.JobID,
+			Weight: weights[j.JobID],
+			Demand: j.Demand,
+			Stages: j.Stages,
+		}
+	}
+	allocs := algo.Allocate(inputs, capacity)
+	statuses := make([]JobStatus, len(inputs))
+	for i := range inputs {
+		statuses[i] = JobStatus{
+			JobID:     inputs[i].JobID,
+			Weight:    inputs[i].Weight,
+			Stages:    inputs[i].Stages,
+			Demand:    inputs[i].Demand,
+			Allocated: allocs[i].Limit,
+		}
+	}
+	sort.Slice(statuses, func(a, b int) bool { return statuses[a].JobID < statuses[b].JobID })
+
+	perStage := make(map[uint64]wire.Rates, len(allocs))
+	for i, a := range allocs {
+		perStage[a.JobID] = controlalg.SplitUniform(a.Limit, int(merged[i].Stages))
+	}
+	batches := make([][]wire.Rule, n)
+	budgets := make([][]wire.JobBudget, n)
+	for i, c := range children {
+		if !responded[i] {
+			continue // skip unresponsive aggregators this cycle
+		}
+		stages := c.stageList()
+		if delegated {
+			counts := make(map[uint64]int)
+			for _, s := range stages {
+				counts[s.JobID]++
+			}
+			budget := make([]wire.JobBudget, 0, len(counts))
+			for _, a := range allocs {
+				cnt := counts[a.JobID]
+				if cnt == 0 {
+					continue
+				}
+				budget = append(budget, wire.JobBudget{
+					JobID: a.JobID,
+					Limit: perStage[a.JobID].Scale(float64(cnt)),
+				})
+			}
+			budgets[i] = budget
+			continue
+		}
+		batch := make([]wire.Rule, 0, len(stages))
+		for _, s := range stages {
+			limit, ok := perStage[s.JobID]
+			if !ok {
+				continue
+			}
+			batch = append(batch, wire.Rule{
+				StageID: s.ID,
+				JobID:   s.JobID,
+				Action:  wire.ActionSetLimit,
+				Limit:   limit,
+			})
+		}
+		batches[i] = batch
+	}
+	return batches, budgets, statuses
+}
+
+// referenceDelegateRules is Aggregator.delegate's split as it was before it
+// moved onto emitRules, kept verbatim as the oracle: the report set grouped
+// by job in a map, each budget split with controlalg.SplitProportional, a
+// split identical on all of a job's more than one stages collapsed into a
+// wildcard for the job's active stages, and the unicast rules stable-sorted
+// by stage as Aggregator.enforce sorts them.
+func referenceDelegateRules(reports []wire.StageReport, budgets []wire.JobBudget, active []*child) ([]wildcast, []wire.Rule) {
+	byJob := make(map[uint64][]int, len(budgets))
+	for i := range reports {
+		byJob[reports[i].JobID] = append(byJob[reports[i].JobID], i)
+	}
+	byStageChild := make(map[uint64]*child, len(active))
+	for _, c := range active {
+		byStageChild[c.info.ID] = c
+	}
+	var casts []wildcast
+	rules := make([]wire.Rule, 0, len(reports))
+	for _, budget := range budgets {
+		idxs := byJob[budget.JobID]
+		if len(idxs) == 0 {
+			continue
+		}
+		demands := make([]wire.Rates, len(idxs))
+		for k, i := range idxs {
+			demands[k] = reports[i].Demand
+		}
+		split := controlalg.SplitProportional(budget.Limit, demands)
+		uniform := len(idxs) > 1
+		for k := 1; k < len(split) && uniform; k++ {
+			uniform = split[k] == split[0]
+		}
+		if uniform {
+			w := wildcast{rule: wire.Rule{
+				StageID: wire.WildcardStage,
+				JobID:   budget.JobID,
+				Action:  wire.ActionSetLimit,
+				Limit:   split[0],
+			}}
+			for _, i := range idxs {
+				if c := byStageChild[reports[i].StageID]; c != nil {
+					w.targets = append(w.targets, c)
+				}
+			}
+			if len(w.targets) > 0 {
+				casts = append(casts, w)
+			}
+			continue
+		}
+		for k, i := range idxs {
+			rules = append(rules, wire.Rule{
+				StageID: reports[i].StageID,
+				JobID:   budget.JobID,
+				Action:  wire.ActionSetLimit,
+				Limit:   split[k],
+			})
+		}
+	}
+	sort.SliceStable(rules, func(i, j int) bool { return rules[i].StageID < rules[j].StageID })
+	return casts, rules
+}
+
+// sameRates compares two rate vectors bit for bit.
+func sameRates(a, b wire.Rates) bool {
+	for c := range a {
+		if math.Float64bits(a[c]) != math.Float64bits(b[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hierFleet spreads a report set over nAggs active aggregator children and
+// one quarantined aggregator, so every child serves interleaved jobs. One
+// stage in eight stays silent: it is in its aggregator's stage list but not
+// in its reply. Child 0 replies raw, as a ForwardRaw aggregator does; the
+// last child did not answer; the quarantined aggregator's pre-aggregated
+// reply is the one stale reply.
+func hierFleet(rng *rand.Rand, reports []wire.StageReport, nAggs int) (children []*child, replies, stale []wire.Message) {
+	reported := make([][]wire.StageReport, nAggs+1)
+	children = make([]*child, nAggs)
+	for i := range children {
+		children[i] = &child{info: stage.Info{ID: uint64(1000 + i)}, role: wire.RoleAggregator}
+	}
+	for _, r := range reports {
+		a := rng.Intn(nAggs + 1)
+		if a < nAggs {
+			children[a].stages = append(children[a].stages, stage.Info{ID: r.StageID, JobID: r.JobID, Weight: 1})
+		}
+		if rng.Intn(8) > 0 {
+			reported[a] = append(reported[a], r)
+		}
+	}
+	replies = make([]wire.Message, nAggs)
+	replies[0] = &wire.CollectReply{Reports: reported[0]}
+	for i := 1; i < nAggs-1; i++ {
+		replies[i] = &wire.CollectAggReply{AggregatorID: uint64(1000 + i), Jobs: metrics.AggregateByJob(reported[i])}
+	}
+	stale = []wire.Message{&wire.CollectAggReply{AggregatorID: 999, Jobs: metrics.AggregateByJob(reported[nAggs])}}
+	return children, replies, stale
+}
+
+// TestComputeHierRulesEquivalence checks computeHierRules bit for bit
+// against the implementation it replaced, plain and delegated, over random
+// fleets: every aggregator's rule batch or budgets, and every job status.
+func TestComputeHierRulesEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 30; trial++ {
+		nAggs := 3 + rng.Intn(4)
+		nStages := 1 + rng.Intn(400)
+		nJobs := 1 + rng.Intn(8)
+		reports, weights, capacity := randomFleet(rng, nStages, nJobs)
+		if trial%2 == 1 {
+			delete(weights, 1) // a job no registration weighted: PSFA's default
+		}
+		children, replies, stale := hierFleet(rng, reports, nAggs)
+		for _, delegated := range []bool{false, true} {
+			label := fmt.Sprintf("trial %d (aggs=%d stages=%d jobs=%d delegated=%v)", trial, nAggs, nStages, nJobs, delegated)
+			wantBatches, wantBudgets, wantStatus := referenceHierRules(controlalg.PSFA{}, weights, capacity,
+				delegated, children, replies, stale)
+
+			g := testGlobal(weights, capacity)
+			g.cfg.Delegated = delegated
+			g.arena.Begin()
+			batches, budgets := g.computeHierRules(children, replies, stale)
+			for i := range children {
+				if len(batches[i]) != len(wantBatches[i]) || len(budgets[i]) != len(wantBudgets[i]) {
+					t.Fatalf("%s: child %d: %d rules, %d budgets; reference %d, %d", label, i,
+						len(batches[i]), len(budgets[i]), len(wantBatches[i]), len(wantBudgets[i]))
+				}
+				for k := range batches[i] {
+					if !sameRule(batches[i][k], wantBatches[i][k]) {
+						t.Fatalf("%s: child %d rule %d: %+v != reference %+v", label, i, k, batches[i][k], wantBatches[i][k])
+					}
+				}
+				for k := range budgets[i] {
+					got, want := budgets[i][k], wantBudgets[i][k]
+					if got.JobID != want.JobID || !sameRates(got.Limit, want.Limit) {
+						t.Fatalf("%s: child %d budget %d: %+v != reference %+v", label, i, k, got, want)
+					}
+				}
+			}
+			status := g.JobStatuses()
+			if len(status) != len(wantStatus) {
+				t.Fatalf("%s: %d job statuses, reference %d", label, len(status), len(wantStatus))
+			}
+			for k, s := range status {
+				w := wantStatus[k]
+				if s.JobID != w.JobID || s.Stages != w.Stages || math.Float64bits(s.Weight) != math.Float64bits(w.Weight) ||
+					!sameRates(s.Demand, w.Demand) || !sameRates(s.Allocated, w.Allocated) {
+					t.Fatalf("%s: status %d: %+v != reference %+v", label, k, s, w)
+				}
+			}
+		}
+	}
+}
+
+// TestDelegateRulesEquivalence checks Aggregator.delegateRules bit for bit
+// against the split it replaced, over random report sets in which some jobs
+// have converged (every stage demands the same, so the split is uniform and
+// goes out as a wildcard), some have converged in one class only, one job
+// demands nothing at all, some jobs get no
+// budget, one budget names a job without stages, and one stage in eight is
+// quarantined. Every third trial the aggregator relayed its collect raw, so
+// delegateRules aggregates the rows itself.
+func TestDelegateRulesEquivalence(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+
+	rng := rand.New(rand.NewSource(31))
+	sizes := []int{1, 2, 9, 64, 700, 2*parallelComputeMin + 5}
+	for trial := 0; trial < 24; trial++ {
+		nStages := sizes[trial%len(sizes)]
+		nJobs := 1 + rng.Intn(8)
+		reports, _, _ := randomFleet(rng, nStages, nJobs)
+		converged := make(map[uint64]wire.Rates)
+		for i := range reports {
+			r := &reports[i]
+			switch {
+			case r.JobID%4 == 0:
+				r.Demand = wire.Rates{}
+			case r.JobID%2 == 0:
+				if d, ok := converged[r.JobID]; ok {
+					r.Demand = d
+				} else {
+					converged[r.JobID] = r.Demand
+				}
+			case r.JobID%3 == 0: // converged in the data class only
+				if d, ok := converged[r.JobID]; ok {
+					r.Demand[wire.ClassData] = d[wire.ClassData]
+				} else {
+					converged[r.JobID] = r.Demand
+				}
+			}
+		}
+		var budgets []wire.JobBudget
+		for j := 1; j <= nJobs+1; j++ {
+			if rng.Intn(4) > 0 {
+				budgets = append(budgets, wire.JobBudget{JobID: uint64(j), Limit: wire.Rates{rng.Float64() * 5e4, rng.Float64() * 5e3}})
+			}
+		}
+		var active []*child
+		for _, r := range reports {
+			if rng.Intn(8) > 0 {
+				active = append(active, &child{info: stage.Info{ID: r.StageID, JobID: r.JobID}, role: wire.RoleStage})
+			}
+		}
+		label := fmt.Sprintf("trial %d (stages=%d jobs=%d)", trial, nStages, nJobs)
+		wantCasts, wantRules := referenceDelegateRules(reports, budgets, active)
+
+		a := &Aggregator{}
+		a.init(stageOpts{})
+		a.arena.Begin()
+		a.reports = reports
+		if trial%3 != 0 {
+			a.jobs = metrics.AggregateByJob(reports)
+		}
+		casts, rules := a.delegateRules(&wire.Delegate{Budgets: budgets}, active)
+
+		if len(rules) != len(wantRules) {
+			t.Fatalf("%s: %d unicast rules, reference %d", label, len(rules), len(wantRules))
+		}
+		for k := range rules {
+			if !sameRule(rules[k], wantRules[k]) {
+				t.Fatalf("%s: rule %d: %+v != reference %+v", label, k, rules[k], wantRules[k])
+			}
+		}
+		sent := casts[:0]
+		for _, w := range casts {
+			if len(w.targets) > 0 {
+				sent = append(sent, w)
+			}
+		}
+		if casts = sent; len(casts) != len(wantCasts) {
+			t.Fatalf("%s: %d wildcard casts, reference %d", label, len(casts), len(wantCasts))
+		}
+		targetIDs := func(w wildcast) []uint64 {
+			ids := make([]uint64, len(w.targets))
+			for i, c := range w.targets {
+				ids[i] = c.info.ID
+			}
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			return ids
+		}
+		for k, want := range wantCasts {
+			got := casts[k]
+			if !sameRule(got.rule, want.rule) || fmt.Sprint(targetIDs(got)) != fmt.Sprint(targetIDs(want)) {
+				t.Fatalf("%s: cast %d: %+v to %v != reference %+v to %v", label, k,
+					got.rule, targetIDs(got), want.rule, targetIDs(want))
+			}
+		}
+	}
 }

@@ -862,9 +862,8 @@ func TestDelegatedHierarchyMatchesPlainAllocations(t *testing.T) {
 	ctx := context.Background()
 
 	a, err := StartAggregator(AggregatorConfig{
-		ID:           1000,
-		Network:      n.Host("agg"),
-		LocalControl: true,
+		ID:      1000,
+		Network: n.Host("agg"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -936,7 +935,7 @@ func TestDelegatedSplitsProportionallyToLocalDemand(t *testing.T) {
 	heavy := mk(1, 3000)
 	light := mk(2, 1000)
 
-	a, err := StartAggregator(AggregatorConfig{ID: 1000, Network: n.Host("agg"), LocalControl: true})
+	a, err := StartAggregator(AggregatorConfig{ID: 1000, Network: n.Host("agg")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -965,20 +964,60 @@ func TestDelegatedSplitsProportionallyToLocalDemand(t *testing.T) {
 	}
 }
 
-func TestDelegateRejectedWithoutLocalControl(t *testing.T) {
+// TestAggregatorFencesStaleControlMessages: once an aggregator has seen
+// epoch 5, a Collect, an Enforce and a Delegate from epoch 4 — a deposed
+// primary — are each rejected with CodeStaleEpoch naming epoch 5, and no
+// stage's rule changes. The current epoch's Delegate then goes through.
+func TestAggregatorFencesStaleControlMessages(t *testing.T) {
 	n := fastNet()
+	ctx := context.Background()
+	stages := startStages(t, n, 2, 1, wire.Rates{100, 10})
 	a, err := StartAggregator(AggregatorConfig{ID: 1, Network: n.Host("agg")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	cli, err := rpc.Dial(context.Background(), n.Host("probe"), a.Addr(), rpc.DialOptions{})
+	for _, v := range stages {
+		if err := a.AddStage(ctx, v.Info()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cli, err := rpc.Dial(ctx, n.Host("probe"), a.Addr(), rpc.DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.Call(context.Background(), &wire.Delegate{Cycle: 1}); err == nil {
-		t.Error("Delegate accepted without LocalControl")
+	if _, err := cli.Call(ctx, &wire.Collect{Cycle: 1, WindowMicros: 1_000_000, Epoch: 5}); err != nil {
+		t.Fatal(err)
+	}
+
+	budget := []wire.JobBudget{{JobID: 1, Limit: wire.Rates{7, 1}}}
+	for _, m := range []wire.Message{
+		&wire.Collect{Cycle: 2, WindowMicros: 1_000_000, Epoch: 4},
+		&wire.Enforce{Cycle: 2, Epoch: 4, Rules: []wire.Rule{{StageID: 1, JobID: 1, Action: wire.ActionSetLimit, Limit: wire.Rates{7, 1}}}},
+		&wire.Delegate{Cycle: 2, Epoch: 4, Budgets: budget},
+	} {
+		_, err := cli.Call(ctx, m)
+		if cur, ok := rpc.StaleEpochError(err); !ok || cur != 5 {
+			t.Errorf("epoch-4 %s: err %v, want CodeStaleEpoch at epoch 5", m.Type(), err)
+		}
+	}
+	if got := a.Stats().FencedCalls; got != 3 {
+		t.Errorf("FencedCalls = %d, want 3", got)
+	}
+	for i, v := range stages {
+		if r, ok := v.LastRule(); ok {
+			t.Errorf("stage %d holds rule %+v from a fenced call", i, r)
+		}
+	}
+
+	if _, err := cli.Call(ctx, &wire.Delegate{Cycle: 2, Epoch: 5, Budgets: budget}); err != nil {
+		t.Fatalf("epoch-5 Delegate: %v", err)
+	}
+	for i, v := range stages {
+		if r, ok := v.LastRule(); !ok || r.StageID != wire.WildcardStage || r.Limit != (wire.Rates{3.5, 0.5}) {
+			t.Errorf("stage %d holds %+v (ok=%v), want the job's wildcard at {3.5 0.5}", i, r, ok)
+		}
 	}
 }
 

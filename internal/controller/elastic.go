@@ -83,14 +83,14 @@ func (g *Global) SetJobWeight(jobID uint64, weight float64) {
 // Shard resizes re-split the global capacity over the new shard set with
 // this.
 func (g *Global) SetCapacity(r wire.Rates) {
-	g.mu.Lock()
-	g.capacity = r
-	g.mu.Unlock()
+	g.jobs.mu.Lock()
+	g.jobs.capacity = r
+	g.jobs.mu.Unlock()
 }
 
 // Capacity returns the capacity currently allocated against.
 func (g *Global) Capacity() wire.Rates {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.capacity
+	g.jobs.mu.Lock()
+	defer g.jobs.mu.Unlock()
+	return g.jobs.capacity
 }

@@ -356,9 +356,7 @@ func (g *Global) promoteTo(ctx context.Context, epoch uint64) error {
 		if m.Cycle > g.cycle {
 			g.cycle = m.Cycle
 		}
-		for _, w := range m.Weights {
-			g.jobWeights[w.JobID] = w.Weight
-		}
+		g.jobs.adoptWeights(m.Weights)
 	}
 	// The control gap of this failover starts at the last state the old
 	// primary managed to replicate; RunCycle closes it on the first
@@ -467,9 +465,7 @@ func (g *Global) Recover(ctx context.Context) error {
 	if rec.Cycle > g.cycle {
 		g.cycle = rec.Cycle
 	}
-	for _, w := range rec.State.Weights {
-		g.jobWeights[w.JobID] = w.Weight
-	}
+	g.jobs.adoptWeights(rec.State.Weights)
 	g.gapStart = time.Now()
 	g.mu.Unlock()
 	st := g.cfg.Store.Stats()
@@ -608,9 +604,10 @@ func (g *Global) buildStateSync() *wire.StateSync {
 		Cycle:       g.cycle,
 		LeaseMicros: uint64(g.cfg.LeaseTimeout / time.Microsecond),
 		Members:     members,
-		Weights:     make([]wire.JobWeight, 0, len(g.jobWeights)),
 	}
-	for id, w := range g.jobWeights {
+	g.jobs.mu.Lock()
+	defer g.jobs.mu.Unlock()
+	for id, w := range g.jobs.weights {
 		msg.Weights = append(msg.Weights, wire.JobWeight{JobID: id, Weight: w})
 	}
 	return msg

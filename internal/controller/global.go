@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/controlalg"
-	"github.com/dsrhaslab/sdscale/internal/metrics"
 	"github.com/dsrhaslab/sdscale/internal/monitor"
 	"github.com/dsrhaslab/sdscale/internal/rpc"
 	"github.com/dsrhaslab/sdscale/internal/stage"
@@ -101,9 +99,8 @@ type GlobalConfig struct {
 	// Delegated enables the §VI delegated hierarchy: instead of computing
 	// and shipping per-stage rules, the controller ships per-job capacity
 	// budgets to each aggregator (payload O(jobs) instead of O(stages))
-	// and the aggregators — which must run with
-	// AggregatorConfig.LocalControl — compute the per-stage rules
-	// themselves. Hierarchical topologies only.
+	// and the aggregators compute the per-stage rules themselves from
+	// their last collect. Hierarchical topologies only.
 	Delegated bool
 	// Meter, if non-nil, is charged with all the controller's traffic.
 	Meter *transport.Meter
@@ -218,15 +215,14 @@ type Global struct {
 	incrReady   bool
 	incrMembers uint64
 
-	mu         sync.Mutex
-	cycle      uint64
-	jobWeights map[uint64]float64
-	lastJobs   []JobStatus
-	mode       wire.Role // RoleStage or RoleAggregator once first child added
-	// capacity is the live copy of cfg.Capacity; SetCapacity retunes it on
-	// a running controller (shard resizes re-split the global budget), so
-	// compute phases read it under mu rather than from cfg.
-	capacity wire.Rates
+	// jobs is the allocation state: weights, the live capacity (SetCapacity
+	// retunes it on a running controller) and the last job statuses. Lock
+	// order: mu before jobs.mu.
+	jobs jobTable
+
+	mu    sync.Mutex
+	cycle uint64
+	mode  wire.Role // RoleStage or RoleAggregator once first child added
 	// Leadership state (all under mu): epoch is the current leadership
 	// term; deposed is set once a stale-epoch rejection proves a newer
 	// leader exists; promoted marks a standby that has taken over;
@@ -262,12 +258,11 @@ type Global struct {
 func StartGlobal(cfg GlobalConfig) (*Global, error) {
 	cfg = cfg.withDefaults()
 	g := &Global{
-		cfg:        cfg,
-		recorder:   telemetry.NewCycleRecorder(),
-		jobWeights: make(map[uint64]float64),
-		epoch:      cfg.Epoch,
-		capacity:   cfg.Capacity,
+		cfg:      cfg,
+		recorder: telemetry.NewCycleRecorder(),
+		epoch:    cfg.Epoch,
 	}
+	g.jobs.init(cfg.Algorithm, cfg.Capacity)
 	opts := stageOpts{
 		who: "controller", network: cfg.Network,
 		fanMode: cfg.FanOutMode, par: cfg.FanOut, callTimeout: cfg.CallTimeout,
@@ -425,15 +420,8 @@ func (g *Global) Mode() wire.Role {
 // changes to the store (re-registrations with an unchanged weight append
 // nothing).
 func (g *Global) noteJob(jobID uint64, weight float64) {
-	if weight <= 0 {
-		weight = 1
-	}
-	g.mu.Lock()
-	old, known := g.jobWeights[jobID]
-	g.jobWeights[jobID] = weight
-	g.mu.Unlock()
-	if g.cfg.Store != nil && (!known || old != weight) {
-		if err := g.cfg.Store.AppendWeight(jobID, weight); err != nil {
+	if w, changed := g.jobs.setWeight(jobID, weight); changed && g.cfg.Store != nil {
+		if err := g.cfg.Store.AppendWeight(jobID, w); err != nil {
 			g.storeFault("append weight", err)
 		}
 	}
@@ -594,49 +582,10 @@ func (g *Global) noteCallError(c *child, err error) {
 	}
 }
 
-// JobStatus is one job's state as of the controller's most recent cycle.
-type JobStatus struct {
-	// JobID identifies the job.
-	JobID uint64
-	// Weight is the job's QoS weight.
-	Weight float64
-	// Stages is the job's stage population seen in the last collect.
-	Stages uint32
-	// Demand is the job's aggregate demand from the last collect.
-	Demand wire.Rates
-	// Allocated is the cluster-wide limit the last compute granted.
-	Allocated wire.Rates
-}
-
 // JobStatuses returns the per-job view of the most recent control cycle,
 // sorted by job ID — the operator-facing answer to "who is getting what".
 // It is empty before the first cycle completes.
-func (g *Global) JobStatuses() []JobStatus {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]JobStatus, len(g.lastJobs))
-	copy(out, g.lastJobs)
-	return out
-}
-
-// recordJobStatuses stores the cycle's per-job view. Inputs arrive in the
-// algorithm's input order; allocs is index-aligned.
-func (g *Global) recordJobStatuses(inputs []controlalg.JobInput, allocs []controlalg.JobAllocation) {
-	statuses := make([]JobStatus, len(inputs))
-	for i := range inputs {
-		statuses[i] = JobStatus{
-			JobID:     inputs[i].JobID,
-			Weight:    inputs[i].Weight,
-			Stages:    inputs[i].Stages,
-			Demand:    inputs[i].Demand,
-			Allocated: allocs[i].Limit,
-		}
-	}
-	sort.Slice(statuses, func(a, b int) bool { return statuses[a].JobID < statuses[b].JobID })
-	g.mu.Lock()
-	g.lastJobs = statuses
-	g.mu.Unlock()
-}
+func (g *Global) JobStatuses() []JobStatus { return g.jobs.statuses() }
 
 // Health is the outcome of a heartbeat sweep over a controller's children.
 type Health struct {
@@ -782,16 +731,16 @@ func (g *Global) runFlatCycle(ctx context.Context, cycle, epoch uint64, children
 }
 
 // runHierarchicalCycle: collect pre-aggregated reports from active
-// aggregators, compute, push per-stage rule batches back through them.
-// Quarantined aggregators contribute their last-known aggregates (degraded
-// mode) but receive no traffic.
+// aggregators, compute (computeHierRules), push per-stage rule batches — or,
+// delegated, per-job budgets — back through them. Quarantined aggregators
+// contribute their last-known aggregates (degraded mode) but receive no
+// traffic.
 func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, children, quarantined []*child) (telemetry.Breakdown, error) {
 	var b telemetry.Breakdown
-	n := len(children)
 
 	// Phase 1: collect.
 	ph := g.beginPhase(trace.PhaseCollect, cycle, epoch)
-	replies := g.cyc.aggReplies.Take(&g.arena, n)
+	replies := g.cyc.aggReplies.Take(&g.arena, len(children))
 	req := rpc.NewSharedFrame(&wire.Collect{Cycle: cycle, WindowMicros: 1_000_000, Epoch: epoch})
 	g.fanOutBroadcast(ctx, g.cycleFan(&g.pipe.CollectInFlight), children, req,
 		func(i int, resp wire.Message, _ error) {
@@ -806,98 +755,10 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 		return b, ctx.Err()
 	}
 
-	// Phase 2: compute. The global normally sees per-job aggregates
-	// (paper §III-B), so allocations are split uniformly across each
-	// job's stages; the per-aggregator rule batches cover every stage.
-	// Raw per-stage replies (aggregators in ForwardRaw ablation mode) are
-	// aggregated here instead, charging this controller's CPU.
+	// Phase 2: compute.
 	ph = g.beginPhase(trace.PhaseCompute, cycle, epoch)
-	groups := make([][]wire.JobReport, 0, n)
-	responded := g.cyc.responded.Take(&g.arena, n)
-	for i, r := range replies {
-		switch r := r.(type) {
-		case *wire.CollectAggReply:
-			groups = append(groups, r.Jobs)
-			responded[i] = true
-		case *wire.CollectReply:
-			groups = append(groups, metrics.AggregateByJob(r.Reports))
-			responded[i] = true
-		}
-	}
 	_, stale := g.appendStale(nil, nil, quarantined)
-	for _, m := range stale {
-		switch r := m.(type) {
-		case *wire.CollectAggReply:
-			groups = append(groups, r.Jobs)
-		case *wire.CollectReply:
-			groups = append(groups, metrics.AggregateByJob(r.Reports))
-		}
-	}
-	merged := metrics.MergeJobReports(groups...)
-	inputs := g.cyc.inputs.Take(&g.arena, len(merged))
-	g.mu.Lock()
-	for i, j := range merged {
-		inputs[i] = controlalg.JobInput{
-			JobID:  j.JobID,
-			Weight: g.jobWeights[j.JobID],
-			Demand: j.Demand,
-			Stages: j.Stages,
-		}
-	}
-	capacity := g.capacity
-	g.mu.Unlock()
-	allocs := g.cfg.Algorithm.Allocate(inputs, capacity)
-	g.recordJobStatuses(inputs, allocs)
-
-	perStage := make(map[uint64]wire.Rates, len(allocs))
-	for i, a := range allocs {
-		perStage[a.JobID] = controlalg.SplitUniform(a.Limit, int(merged[i].Stages))
-	}
-
-	// Build each aggregator's enforcement payload: per-stage rule batches
-	// normally, or per-job budgets in delegated mode (§VI), where the
-	// aggregators split budgets over stages themselves.
-	batches := make([][]wire.Rule, n)
-	budgets := make([][]wire.JobBudget, n)
-	for i, c := range children {
-		if !responded[i] {
-			continue // skip unresponsive aggregators this cycle
-		}
-		stages := c.stageList()
-		if g.cfg.Delegated {
-			counts := make(map[uint64]int)
-			for _, s := range stages {
-				counts[s.JobID]++
-			}
-			budget := make([]wire.JobBudget, 0, len(counts))
-			for _, a := range allocs {
-				cnt := counts[a.JobID]
-				if cnt == 0 {
-					continue
-				}
-				budget = append(budget, wire.JobBudget{
-					JobID: a.JobID,
-					Limit: perStage[a.JobID].Scale(float64(cnt)),
-				})
-			}
-			budgets[i] = budget
-			continue
-		}
-		batch := g.cyc.ruleBuf.Take(&g.arena, len(stages))[:0]
-		for _, s := range stages {
-			limit, ok := perStage[s.JobID]
-			if !ok {
-				continue
-			}
-			batch = append(batch, wire.Rule{
-				StageID: s.ID,
-				JobID:   s.JobID,
-				Action:  wire.ActionSetLimit,
-				Limit:   limit,
-			})
-		}
-		batches[i] = batch
-	}
+	batches, budgets := g.computeHierRules(children, replies, stale)
 	g.busy(ph.start)
 	b.Compute = g.endPhase(ph)
 
@@ -910,7 +771,7 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 				if len(budgets[i]) == 0 {
 					return nil
 				}
-				return children[i].client().Go(ctx, &wire.Delegate{Cycle: cycle, Budgets: budgets[i]})
+				return children[i].client().Go(ctx, &wire.Delegate{Cycle: cycle, Budgets: budgets[i], Epoch: epoch})
 			}
 			batches[i] = g.sendable(cycle, children[i], batches[i], g.cfg.DeltaEnforcement)
 			if len(batches[i]) == 0 {
@@ -946,11 +807,10 @@ func (g *Global) Run(ctx context.Context, interval time.Duration) error {
 // MemoryFootprint estimates the controller's state size in bytes: the
 // child-facing state plus the per-child rule scratch and the job table.
 func (g *Global) MemoryFootprint() uint64 {
-	total := g.stageCore.MemoryFootprint() + uint64(g.members.size())*footprintPerStage
-	g.mu.Lock()
-	total += uint64(len(g.jobWeights)) * footprintPerJob
-	g.mu.Unlock()
-	return total
+	g.jobs.mu.Lock()
+	defer g.jobs.mu.Unlock()
+	return g.stageCore.MemoryFootprint() + uint64(g.members.size())*footprintPerStage +
+		uint64(len(g.jobs.weights))*footprintPerJob
 }
 
 // Close stops the state-sync loop, severs all child connections, stops the

@@ -132,24 +132,25 @@ type Peer struct {
 	cfg      PeerConfig
 	server   *rpc.Server
 	recorder *telemetry.CycleRecorder
+	// jobs is the allocation state. Lock order: mu before jobs.mu.
+	jobs jobTable
 
-	mu         sync.Mutex
-	peers      map[uint64]*child // fellow controllers
-	remote     map[uint64]remoteView
-	jobWeights map[uint64]float64
-	cycle      uint64
+	mu     sync.Mutex
+	peers  map[uint64]*child // fellow controllers
+	remote map[uint64]remoteView
+	cycle  uint64
 }
 
 // StartPeer launches a coordinated-flat peer controller.
 func StartPeer(cfg PeerConfig) (*Peer, error) {
 	cfg = cfg.withDefaults()
 	p := &Peer{
-		cfg:        cfg,
-		recorder:   telemetry.NewCycleRecorder(),
-		peers:      make(map[uint64]*child),
-		remote:     make(map[uint64]remoteView),
-		jobWeights: make(map[uint64]float64),
+		cfg:      cfg,
+		recorder: telemetry.NewCycleRecorder(),
+		peers:    make(map[uint64]*child),
+		remote:   make(map[uint64]remoteView),
 	}
+	p.jobs.init(cfg.Algorithm, cfg.Capacity)
 	p.init(stageOpts{
 		who: fmt.Sprintf("peer %d", cfg.ID), network: cfg.Network,
 		fanMode: cfg.FanOutMode, par: cfg.FanOut, callTimeout: cfg.CallTimeout,
@@ -195,13 +196,7 @@ func (p *Peer) AddStage(ctx context.Context, info stage.Info) error {
 	if _, err := p.addChild(ctx, wire.RoleStage, info, nil); err != nil {
 		return err
 	}
-	w := info.Weight
-	if w <= 0 {
-		w = 1
-	}
-	p.mu.Lock()
-	p.jobWeights[info.JobID] = w
-	p.mu.Unlock()
+	p.jobs.setWeight(info.JobID, info.Weight)
 	return nil
 }
 
@@ -319,19 +314,13 @@ func (p *Peer) runPhases(ctx context.Context, cycle, _ uint64, children, quarant
 		}
 		groups = append(groups, v.jobs)
 	}
-	merged := metrics.MergeJobReports(groups...)
-	inputs := p.cyc.inputs.Take(&p.arena, len(merged))
-	for i, j := range merged {
-		w := p.jobWeights[j.JobID]
-		inputs[i] = controlalg.JobInput{JobID: j.JobID, Weight: w, Demand: j.Demand, Stages: j.Stages}
-	}
 	p.mu.Unlock()
-	allocs := p.cfg.Algorithm.Allocate(inputs, p.cfg.Capacity)
+	merged := metrics.MergeJobReports(groups...)
 
 	// Each job's global allocation is split uniformly across its global
 	// stage population; this peer enforces the slice covering its own
 	// stages, weighted by their observed demand (see computePeerRules).
-	rules := p.computePeerRules(reports, ownJobs, merged, allocs, p.cfg.FanOutMode == FanOutPipelined)
+	rules := p.computePeerRules(reports, ownJobs, merged, p.jobs.allocate(merged), p.cfg.FanOutMode == FanOutPipelined)
 	p.busy(ph.start)
 	b.Compute = p.endPhase(ph)
 

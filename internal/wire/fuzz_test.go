@@ -27,7 +27,7 @@ func FuzzDecode(f *testing.F) {
 		&StageListReply{Stages: []StageEntry{{ID: 1, JobID: 2, Weight: 3, Addr: "b:2"}}},
 		&PeerExchange{Cycle: 1, PeerID: 2, Addr: "p:1", Jobs: []JobReport{{JobID: 1}}},
 		&PeerExchangeAck{Cycle: 1, PeerID: 2},
-		&Delegate{Cycle: 2, Budgets: []JobBudget{{JobID: 1, Limit: Rates{9, 10}}}},
+		&Delegate{Cycle: 2, Epoch: 1, Budgets: []JobBudget{{JobID: 1, Limit: Rates{9, 10}}}},
 		&Enforce{Cycle: 5, Epoch: 2, Rules: []Rule{{StageID: 1, JobID: 2, Action: ActionPause}}},
 		&Collect{Cycle: 6, WindowMicros: 1e6, Epoch: 2},
 		&ErrorReply{Code: CodeStaleEpoch, Text: "deposed", Epoch: 3},
@@ -105,7 +105,7 @@ func FuzzDecodeV2(f *testing.F) {
 		&HeartbeatAck{EchoUnixMicros: 5},
 		&ErrorReply{Code: CodeStaleEpoch, Text: "deposed", Epoch: 3},
 		&PeerExchange{Cycle: 1, PeerID: 2, Addr: "p:1", Jobs: []JobReport{{JobID: 1, Demand: Rates{0.25, 9}}}},
-		&Delegate{Cycle: 2, Budgets: []JobBudget{{JobID: 1, Limit: Rates{9, 10}}}},
+		&Delegate{Cycle: 2, Epoch: 1, Budgets: []JobBudget{{JobID: 1, Limit: Rates{9, 10}}}},
 		&StateSync{PrimaryID: 1, Epoch: 2, Cycle: 7, LeaseMicros: 250_000,
 			Members: []MemberState{{Role: RoleStage, ID: 1, JobID: 2, Weight: 1, Addr: "a:1"}},
 			Weights: []JobWeight{{JobID: 2, Weight: 1}}},

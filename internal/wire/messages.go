@@ -804,15 +804,19 @@ type JobBudget struct {
 	Limit Rates
 }
 
-// Delegate pushes per-job budgets to an aggregator with local control: the
-// aggregator splits each budget over the job's stages itself, using its own
-// fresher per-stage demand view. Payload size is O(jobs), not O(stages) —
-// the enforcement-side analogue of collect-side pre-aggregation.
+// Delegate pushes per-job budgets to an aggregator: the aggregator splits
+// each budget over the job's stages itself, using its own per-stage demand
+// view. Payload size is O(jobs), not O(stages) — the enforcement-side
+// analogue of collect-side pre-aggregation.
 type Delegate struct {
 	// Cycle is the control cycle that produced the budgets.
 	Cycle uint64
 	// Budgets holds one entry per job with stages behind the receiver.
 	Budgets []JobBudget
+	// Epoch is the sender's leadership epoch. Aggregators reject budgets
+	// whose epoch is below the highest they have seen (CodeStaleEpoch), as
+	// they do a Collect or an Enforce.
+	Epoch uint64
 }
 
 // Type implements Message.
@@ -827,6 +831,7 @@ func (m *Delegate) Marshal(e *Encoder) {
 		e.Uint64(b.JobID)
 		e.rates(b.Limit)
 	}
+	e.Uint64(m.Epoch)
 }
 
 // Unmarshal implements Message.
@@ -838,6 +843,7 @@ func (m *Delegate) Unmarshal(d *Decoder) {
 		b.JobID = d.Uint64()
 		b.Limit = d.rates()
 	}
+	m.Epoch = d.Uint64()
 }
 
 // MemberState is one child's replicated state inside a StateSync: enough

@@ -58,7 +58,7 @@ func TestMessageRoundTrips(t *testing.T) {
 			{JobID: 1, Stages: 100, Demand: Rates{1e5, 1e4}, Usage: Rates{9e4, 9e3}},
 		}},
 		&PeerExchangeAck{Cycle: 7, PeerID: 3},
-		&Delegate{Cycle: 9, Budgets: []JobBudget{
+		&Delegate{Cycle: 9, Epoch: 4, Budgets: []JobBudget{
 			{JobID: 1, Limit: Rates{5000, 500}},
 			{JobID: 2, Limit: Rates{100, 10}},
 		}},
