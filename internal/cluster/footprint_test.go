@@ -10,18 +10,20 @@ import (
 // fleet at rest. The three simnet benchmark workloads hold 10,000 stages in
 // one process, so a per-listener or per-client allocation of a few tens of
 // kilobytes is hundreds of megabytes there (a 32 KB accept-queue channel per
-// listener once was 317 MB of a 488 MB heap). The bound sits at about twice
-// what a stage costs today, far below one such mistake. Goroutines are
-// counted the same way: a stage has its accept loop, the one goroutine that
-// serves its connection and the controller's read loop for it — three, plus
-// a handful for the whole controller that the division rounds away. A fourth
-// per stage (the server's separate handler goroutine, before stage handlers
-// ran inline) was 10,000 stacks and a wake-up per call.
+// listener once was 317 MB of a 488 MB heap). A stage costs about 7.6 KB
+// today; the bound is the 8 KB budget, so a few hundred bytes more per stage
+// fail it. Goroutines are counted the same way: a stage has the one
+// goroutine that serves its connection and the controller's read loop for
+// it — two, plus a handful for the whole controller that the division
+// rounds away. A third per stage (an accept loop, before simnet listeners
+// handed connections to the server) was 10,000 parked stacks; a fourth (the
+// server's separate handler goroutine, before stage handlers ran inline) was
+// 10,000 more and a wake-up per call.
 func TestFleetFootprintPerStage(t *testing.T) {
 	const (
 		stages               = 1000
-		maxPerStage          = 24 << 10
-		maxGoroutinePerStage = 3
+		maxPerStage          = 8 << 10
+		maxGoroutinePerStage = 2
 	)
 	heap := func() int64 {
 		runtime.GC()

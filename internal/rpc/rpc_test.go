@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"reflect"
 	"runtime"
 	"strings"
@@ -20,6 +21,7 @@ import (
 
 	"github.com/dsrhaslab/sdscale/internal/transport"
 	"github.com/dsrhaslab/sdscale/internal/transport/simnet"
+	"github.com/dsrhaslab/sdscale/internal/transport/tcpnet"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
@@ -295,18 +297,116 @@ func TestServerNumPeersAndOnDisconnect(t *testing.T) {
 	})
 }
 
-// servingGoroutines counts, by their stacks, the goroutines of this process
-// that serve an rpc server connection.
-func servingGoroutines() int {
+// goroutinesIn counts, by their stacks, the goroutines of this process that
+// are inside fn.
+func goroutinesIn(fn string) int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	n := 0
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if bytes.Contains(g, []byte("rpc.(*Server).serveConn")) {
+		if bytes.Contains(g, []byte(fn)) {
 			n++
 		}
 	}
 	return n
+}
+
+// servingGoroutines counts the goroutines that serve an rpc server
+// connection.
+func servingGoroutines() int { return goroutinesIn("rpc.(*Server).serveConn") }
+
+// TestServerAcceptLoopOnlyWithoutHandoff: a server on a simnet listener is
+// handed each connection by its dialer and runs no goroutine of its own
+// besides one per connection; a server on a TCP listener, which cannot hand
+// off, keeps one accept loop.
+func TestServerAcceptLoopOnlyWithoutHandoff(t *testing.T) {
+	const loop = "rpc.(*Server).acceptLoop"
+	base := goroutinesIn(loop)
+	n := simnet.New(simnet.Config{PropDelay: -1})
+	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 0; i < 3; i++ {
+		cli, err := Dial(context.Background(), n.Host("client"), srv.Addr().String(), DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := srv.NumPeers(); got != 3 {
+		t.Fatalf("simnet server holds %d peers, want 3", got)
+	}
+	if got := goroutinesIn(loop); got != base {
+		t.Fatalf("a simnet server added %d accept loops, want none", got-base)
+	}
+
+	tsrv, err := Serve(tcpnet.New(), "127.0.0.1:0", &echoHandler{}, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The loop may not have been scheduled yet.
+	waitFor(t, "a TCP server's accept loop", func() bool { return goroutinesIn(loop) == base+1 })
+	tsrv.Close()
+	tsrv.Wait()
+	if got := goroutinesIn(loop); got != base {
+		t.Errorf("%d accept loops left after Close and Wait, want %d", got, base)
+	}
+}
+
+// TestServerCloseRacingHandoffs: dials racing a simnet server's Close are
+// each either served and then severed by Close, or refused. After Close and
+// Wait no connection is left open or served.
+func TestServerCloseRacingHandoffs(t *testing.T) {
+	n := simnet.New(simnet.Config{PropDelay: -1, MaxConnsPerHost: -1})
+	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr().String()
+	const dialers, dials = 4, 50
+	var wg sync.WaitGroup
+	var started atomic.Int64
+	conns := make(chan net.Conn, dialers*dials)
+	for i := 0; i < dialers; i++ {
+		wg.Add(1)
+		go func(h *simnet.Host) {
+			defer wg.Done()
+			for j := 0; j < dials; j++ {
+				started.Add(1)
+				c, err := h.Dial(context.Background(), addr)
+				if err != nil {
+					if !errors.Is(err, simnet.ErrConnRefused) {
+						t.Errorf("dial: %v", err)
+					}
+					continue
+				}
+				conns <- c
+			}
+		}(n.Host(fmt.Sprintf("client%d", i)))
+	}
+	waitFor(t, "dials to start", func() bool { return started.Load() >= dialers*dials/4 })
+	srv.Close()
+	srv.Wait()
+	wg.Wait()
+	close(conns)
+	// Wait returns once every serving goroutine is done; one may still be
+	// unwinding, and an earlier test's may still be exiting.
+	waitFor(t, "serving goroutines to exit", func() bool { return servingGoroutines() == 0 })
+	if got := n.Host("server").ConnCount(); got != 0 {
+		t.Errorf("the server host holds %d connections after Close, want 0", got)
+	}
+	for c := range conns {
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Errorf("read on a connection the server closed = %v, want EOF", err)
+		}
+		c.Close()
+	}
 }
 
 // TestCloseWaitDrainsOpenConnections: each accepted connection is served by

@@ -126,18 +126,25 @@ type Server struct {
 	peers  map[*Peer]struct{}
 	closed bool
 
-	acceptWG sync.WaitGroup // the accept loop
+	acceptWG sync.WaitGroup // the accept loop, on a listener without handoff
 	connWG   sync.WaitGroup // one goroutine per connection
 }
 
 // Serve starts a server listening on addr over network. It returns once the
-// listener is active; request handling proceeds in background goroutines.
+// listener is active; request handling proceeds in background goroutines,
+// one per connection. A listener that hands its connections off
+// (transport.HandoffListener, as simnet's do) gives each to the server on
+// its dialer's goroutine; any other gets an accept loop.
 func Serve(network transport.Network, addr string, h Handler, opts ServerOptions) (*Server, error) {
 	l, err := network.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{l: l, handler: h, opts: opts, peers: make(map[*Peer]struct{})}
+	if hl, ok := l.(transport.HandoffListener); ok {
+		hl.Handoff(s.accept)
+		return s, nil
+	}
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -184,18 +191,25 @@ func (s *Server) acceptLoop() {
 			}
 			return
 		}
-		peer := &Peer{conn: transport.WithMeter(conn, s.opts.Meter)}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.peers[peer] = struct{}{}
-		s.mu.Unlock()
-		s.connWG.Add(1)
-		go s.serveConn(peer)
+		s.accept(conn)
 	}
+}
+
+// accept starts the goroutine that serves a new connection, or closes the
+// connection if the server is closed. The goroutine is counted under the
+// lock that Close takes to mark the server closed, so Wait never misses one.
+func (s *Server) accept(conn net.Conn) {
+	peer := &Peer{conn: transport.WithMeter(conn, s.opts.Meter)}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		conn.Close()
+		return
+	}
+	s.peers[peer] = struct{}{}
+	s.connWG.Add(1)
+	s.mu.Unlock()
+	go s.serveConn(peer)
 }
 
 // reqFreelist recycles decoded request messages within one connection: a
@@ -273,14 +287,10 @@ func (s *Server) serveConn(peer *Peer) {
 // reads the next, until the connection dies, a frame is not a well-formed
 // request, or a response write fails.
 func (c *srvConn) read() {
-	// The read buffer is pooled across connections; decoded messages never
-	// alias it (see frameReader).
-	rbp := getFrameBuf()
-	fr := frameReader{r: c.peer.conn, buf: (*rbp)[:0]}
-	defer func() {
-		*rbp = fr.buf[:0]
-		putFrameBuf(rbp)
-	}()
+	// The read buffer is the connection's own, allocated by the first read
+	// at the client's size: a stage's one connection lives as long as the
+	// stage, so a buffer borrowed from the pool would never go back.
+	fr := frameReader{r: c.peer.conn}
 	// Kind-4 requests are stateless broadcast bodies. Kind-7 requests decode
 	// against the connection's request history, which this goroutine, the
 	// connection's only reader, advances in the order the client wrote them.

@@ -19,6 +19,8 @@
 // time that one network-wide scheduler goroutine honours, so a 10,000-stage
 // cluster costs no scheduler overhead beyond the stages themselves. A network
 // with no latency model configured never reads the clock on a write.
+// Listeners can be goroutine-free too: one that hands its connections to a
+// callback (transport.HandoffListener) needs no goroutine parked in Accept.
 package simnet
 
 import (
@@ -225,7 +227,10 @@ func (p *processor) schedule(at time.Time, n int, cfg *Config) time.Time {
 	return done
 }
 
-var _ transport.Network = (*Host)(nil)
+var (
+	_ transport.Network         = (*Host)(nil)
+	_ transport.HandoffListener = (*listener)(nil)
+)
 
 // Name returns the host's name.
 func (h *Host) Name() string { return h.name }
@@ -336,11 +341,7 @@ func (h *Host) Listen(addr string) (net.Listener, error) {
 	} else if h.listeners[port] != nil {
 		return nil, fmt.Errorf("simnet: %s:%d already in use", h.name, port)
 	}
-	l := &listener{
-		host:  h,
-		addr:  Addr{Host: h.name, Port: port},
-		ready: make(chan struct{}, 1),
-	}
+	l := &listener{host: h, addr: Addr{Host: h.name, Port: port}}
 	h.listeners[port] = l
 	return l, nil
 }
@@ -457,43 +458,85 @@ func (a Addr) String() string {
 	return a.Host + ":" + strconv.Itoa(a.Port)
 }
 
-// listener implements net.Listener for a simulated host port. Like a
-// stream's reader, Accept waits on ready alone: deliver and Close publish
-// their change under mu and then wake.
+// listener implements net.Listener and transport.HandoffListener for a
+// simulated host port. Like a stream's reader, Accept waits on ready alone:
+// deliver and Close publish their change under mu and then wake. A listener
+// that hands its connections off is never accepted from, so it holds neither
+// a queue nor a wake-up channel.
 type listener struct {
 	host *Host
 	addr Addr
 
 	mu      sync.Mutex
-	backlog []*conn // dialed, not yet accepted
+	backlog []*conn        // dialed, not yet accepted
+	handoff func(net.Conn) // set by Handoff: where dialed connections go instead
 	closed  bool
 
-	ready chan struct{} // 1-buffered wakeup for Accept
+	// handing counts handoff calls in progress, which Close waits for. A call
+	// is counted under mu while the listener is open, so none is counted once
+	// Close has begun to wait.
+	handing sync.WaitGroup
+
+	ready chan struct{} // 1-buffered wakeup for Accept, made by its first call
 }
 
-// deliver hands a dialed connection to the accept queue. The lock makes
-// delivery and Close mutually exclusive, so a connection can never be left
-// stranded (and silently open) in the backlog of a closed listener.
+// deliver hands a dialed connection to the handoff callback or the accept
+// queue. The lock makes delivery and Close mutually exclusive, so a
+// connection can never be left stranded (and silently open) in the backlog
+// of a closed listener. The callback runs outside the lock, counted in
+// handing.
 func (l *listener) deliver(c *conn) error {
 	l.mu.Lock()
 	switch {
 	case l.closed:
 		l.mu.Unlock()
 		return ErrConnRefused
+	case l.handoff != nil:
+		fn := l.handoff
+		l.handing.Add(1)
+		l.mu.Unlock()
+		fn(c)
+		l.handing.Done()
+		return nil
 	case len(l.backlog) >= maxBacklog:
 		l.mu.Unlock()
 		return ErrBacklogFull
 	}
 	l.backlog = append(l.backlog, c)
+	ready := l.ready
 	l.mu.Unlock()
-	wake(l.ready)
+	wake(ready)
 	return nil
+}
+
+// Handoff implements transport.HandoffListener. Connections already waiting
+// in the backlog go to fn first, in the order they were dialed. On a closed
+// listener it does nothing: Close severed the backlog.
+func (l *listener) Handoff(fn func(net.Conn)) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return
+	}
+	l.handoff = fn
+	waiting := l.backlog
+	l.backlog = nil
+	l.handing.Add(1)
+	l.mu.Unlock()
+	for _, c := range waiting {
+		fn(c)
+	}
+	l.handing.Done()
 }
 
 // Accept implements net.Listener.
 func (l *listener) Accept() (net.Conn, error) {
 	for {
 		l.mu.Lock()
+		if l.ready == nil {
+			l.ready = make(chan struct{}, 1)
+		}
+		ready := l.ready
 		if len(l.backlog) > 0 {
 			c := l.backlog[0]
 			l.backlog[0] = nil
@@ -504,23 +547,23 @@ func (l *listener) Accept() (net.Conn, error) {
 			}
 			l.mu.Unlock()
 			if more {
-				wake(l.ready) // in case another Accept is blocked too
+				wake(ready) // in case another Accept is blocked too
 			}
 			return c, nil
 		}
 		closed := l.closed
 		l.mu.Unlock()
 		if closed {
-			wake(l.ready) // closed stays closed: pass the wakeup on
+			wake(ready) // closed stays closed: pass the wakeup on
 			return nil, net.ErrClosed
 		}
-		<-l.ready
+		<-ready
 	}
 }
 
 // Close implements net.Listener. Connections still waiting in the backlog
 // are severed: their dialers would otherwise hang on a peer no one will
-// ever accept.
+// ever accept. A handoff in progress finishes before Close returns.
 func (l *listener) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -530,8 +573,10 @@ func (l *listener) Close() error {
 	l.closed = true
 	stranded := l.backlog
 	l.backlog = nil
+	ready := l.ready
 	l.mu.Unlock()
-	wake(l.ready)
+	wake(ready)
+	l.handing.Wait()
 	l.host.mu.Lock()
 	delete(l.host.listeners, l.addr.Port)
 	l.host.mu.Unlock()

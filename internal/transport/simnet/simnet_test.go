@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -626,6 +627,142 @@ func TestListenerWakesEveryAccept(t *testing.T) {
 		if err := <-results; !errors.Is(err, net.ErrClosed) {
 			t.Fatalf("Accept after Close = %v, want net.ErrClosed", err)
 		}
+	}
+}
+
+// A listener with a handoff callback gives it every connection: those still
+// waiting to be accepted first, in dial order, then each new one on its
+// dialer's goroutine before Dial returns. No backlog fills, so more than
+// maxBacklog dials all succeed.
+func TestListenerHandoff(t *testing.T) {
+	n := New(Config{PropDelay: -1, MaxConnsPerHost: -1})
+	l, err := n.Host("server").Listen(":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cli := n.Host("client")
+	dial := func() net.Conn {
+		t.Helper()
+		c, err := cli.Dial(context.Background(), l.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		return c
+	}
+	var dialed []net.Conn
+	for i := 0; i < 3; i++ {
+		dialed = append(dialed, dial())
+	}
+	var handed []net.Conn // appended on this goroutine, the dialer's
+	l.(transport.HandoffListener).Handoff(func(c net.Conn) { handed = append(handed, c) })
+	for i := 0; i < maxBacklog; i++ {
+		dialed = append(dialed, dial())
+		if len(handed) != len(dialed) {
+			t.Fatalf("after dial %d, %d connections handed off, want %d", len(dialed), len(handed), len(dialed))
+		}
+	}
+	for i, c := range handed {
+		if c.(*conn).peer != dialed[i] {
+			t.Fatalf("handoff %d is not the server end of dial %d", i, i)
+		}
+	}
+	if _, err := dialed[0].Write([]byte("hi")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 2)
+	if _, err := io.ReadFull(handed[0], buf); err != nil || string(buf) != "hi" {
+		t.Fatalf("read %q, %v from a handed-off connection, want \"hi\"", buf, err)
+	}
+}
+
+// Dials racing a handoff listener's Close are each handed off or refused, and
+// once Close returns no handoff is running or begins.
+func TestListenerHandoffClose(t *testing.T) {
+	n := New(Config{PropDelay: -1, MaxConnsPerHost: -1})
+	l, err := n.Host("server").Listen(":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	var closed atomic.Bool
+	var handed, late atomic.Int64
+	l.(transport.HandoffListener).Handoff(func(c net.Conn) {
+		handed.Add(1)
+		if closed.Load() {
+			late.Add(1)
+		}
+		c.Close()
+	})
+	const dialers, dials = 4, 100
+	var wg sync.WaitGroup
+	var ok, refused atomic.Int64
+	for i := 0; i < dialers; i++ {
+		wg.Add(1)
+		go func(h *Host) {
+			defer wg.Done()
+			for j := 0; j < dials; j++ {
+				_, err := h.Dial(context.Background(), addr)
+				switch {
+				case err == nil:
+					ok.Add(1)
+				case errors.Is(err, ErrConnRefused):
+					refused.Add(1)
+				default:
+					t.Errorf("dial: %v", err)
+				}
+			}
+		}(n.Host(fmt.Sprintf("client%d", i)))
+	}
+	waitFor(t, func() bool { return handed.Load() >= dialers*dials/4 })
+	l.Close()
+	closed.Store(true)
+	wg.Wait()
+	if got := late.Load(); got != 0 {
+		t.Errorf("%d handoffs ran after Close returned", got)
+	}
+	if ok.Load() != handed.Load() || ok.Load()+refused.Load() != dialers*dials {
+		t.Errorf("%d dials succeeded and %d were refused, with %d handoffs; want every dial handed off or refused",
+			ok.Load(), refused.Load(), handed.Load())
+	}
+	if _, err := n.Host("client0").Dial(context.Background(), addr); !errors.Is(err, ErrConnRefused) {
+		t.Errorf("dial after Close = %v, want ErrConnRefused", err)
+	}
+}
+
+// Close does not return while a handoff is still running.
+func TestListenerCloseWaitsForHandoff(t *testing.T) {
+	n := New(fastCfg())
+	l, err := n.Host("server").Listen(":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	l.(transport.HandoffListener).Handoff(func(c net.Conn) {
+		close(entered)
+		<-release
+		c.Close()
+	})
+	dialed := make(chan error, 1)
+	go func() {
+		_, err := n.Host("client").Dial(context.Background(), l.Addr().String())
+		dialed <- err
+	}()
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		l.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a handoff was running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	if err := <-dialed; err != nil {
+		t.Errorf("the dial whose handoff Close waited for failed: %v", err)
 	}
 }
 

@@ -34,6 +34,22 @@ type Network interface {
 	Dial(ctx context.Context, addr string) (net.Conn, error)
 }
 
+// HandoffListener is a listener that can pass each connection to a callback
+// as it is dialed instead of queuing it for Accept, so whoever serves it
+// needs no goroutine parked in Accept. simnet's listeners implement it: a
+// simulated stage then costs the goroutine that serves its connection and
+// nothing else. A TCP listener does not; its server keeps an accept loop.
+type HandoffListener interface {
+	net.Listener
+	// Handoff makes fn the destination of every connection dialed to the
+	// listener from now on, and of any still waiting to be accepted. fn
+	// runs on the dialer's goroutine before its Dial returns, so it must
+	// not block, and it must not close the listener. Once Close returns, no
+	// call of fn is running and none begins. Accept must not be called once
+	// Handoff has been.
+	Handoff(fn func(net.Conn))
+}
+
 // Meter accumulates transmitted and received byte counts. It is safe for
 // concurrent use; controllers attach one per role and the experiment harness
 // samples it to produce MB/s columns.
