@@ -120,7 +120,7 @@ type Config struct {
 	DeltaEnforcement bool
 	// Incremental switches every controller to the event-driven incremental
 	// cycle (dirty-child tracking fed by stage push deltas; see
-	// controller.GlobalConfig.Incremental) and arms the stage push loops.
+	// controller.GlobalConfig.Incremental) and arms the stages' pushes.
 	// With PushThreshold zero it defaults to DefaultPushThreshold. Requires
 	// the default pipelined fan-out; with FanOutBlocking controllers keep
 	// the paper-faithful full cycle.
@@ -130,8 +130,8 @@ type Config struct {
 	// controller.GlobalConfig.IncrementalFloor. Zero selects StaleAfter.
 	IncrementalFloor time.Duration
 	// PushThreshold, PushInterval and PushFloor tune the stage-side delta
-	// push loops; see stage.Config. PushThreshold zero leaves push loops
-	// off unless Incremental is set.
+	// pushes; see stage.Config. PushThreshold zero leaves pushes off unless
+	// Incremental is set.
 	PushThreshold float64
 	PushInterval  time.Duration
 	PushFloor     time.Duration

@@ -3,6 +3,7 @@ package rpc
 import (
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,8 +123,11 @@ type Server struct {
 	handler Handler
 	opts    ServerOptions
 
-	mu     sync.Mutex
-	peers  map[*Peer]struct{}
+	mu sync.Mutex
+	// peers is the connected set, copied on every accept and disconnect
+	// and never changed in place: ForEachPeer iterates the slice it read
+	// under mu without copying it.
+	peers  []*Peer
 	closed bool
 
 	acceptWG sync.WaitGroup // the accept loop, on a listener without handoff
@@ -140,7 +144,7 @@ func Serve(network transport.Network, addr string, h Handler, opts ServerOptions
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{l: l, handler: h, opts: opts, peers: make(map[*Peer]struct{})}
+	s := &Server{l: l, handler: h, opts: opts}
 	if hl, ok := l.(transport.HandoffListener); ok {
 		hl.Handoff(s.accept)
 		return s, nil
@@ -160,15 +164,13 @@ func (s *Server) NumPeers() int {
 	return len(s.peers)
 }
 
-// ForEachPeer calls fn for every currently connected peer. The peer set is
-// snapshotted under the server lock, so fn may itself block (e.g. on a Push
-// write) without holding up accepts or disconnects.
+// ForEachPeer calls fn for every currently connected peer. It iterates the
+// peer set as it stood on entry, outside the server lock, so fn may itself
+// block (e.g. on a Push write) without holding up accepts or disconnects;
+// it allocates nothing.
 func (s *Server) ForEachPeer(fn func(*Peer)) {
 	s.mu.Lock()
-	peers := make([]*Peer, 0, len(s.peers))
-	for p := range s.peers {
-		peers = append(peers, p)
-	}
+	peers := s.peers
 	s.mu.Unlock()
 	for _, p := range peers {
 		fn(p)
@@ -206,7 +208,7 @@ func (s *Server) accept(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	s.peers[peer] = struct{}{}
+	s.peers = append(s.peers[:len(s.peers):len(s.peers)], peer) // a copy: see peers
 	s.connWG.Add(1)
 	s.mu.Unlock()
 	go s.serveConn(peer)
@@ -266,7 +268,9 @@ func (s *Server) serveConn(peer *Peer) {
 	defer func() {
 		peer.conn.Close()
 		s.mu.Lock()
-		delete(s.peers, peer)
+		if i := slices.Index(s.peers, peer); i >= 0 {
+			s.peers = slices.Concat(s.peers[:i], s.peers[i+1:])
+		}
 		s.mu.Unlock()
 		if s.opts.OnDisconnect != nil {
 			s.opts.OnDisconnect(peer)
@@ -403,10 +407,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	peers := make([]*Peer, 0, len(s.peers))
-	for p := range s.peers {
-		peers = append(peers, p)
-	}
+	peers := s.peers
 	s.mu.Unlock()
 
 	err := s.l.Close()

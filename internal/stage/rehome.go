@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/rpc"
@@ -20,8 +21,8 @@ import (
 // rules to a stage the new leader already controls.
 type fence struct {
 	// watched is set once at construction, before the stage serves, when
-	// something reads contact() — a Virtual stage's rehome loop. Without a
-	// watcher the per-request clock read is skipped.
+	// something reads contact() — a Virtual stage's parent watchdog.
+	// Without a watcher the per-request clock read is skipped.
 	watched bool
 
 	mu          sync.Mutex
@@ -227,38 +228,50 @@ func sleepJittered(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// rehome is the re-homing loop of a stage configured with a parent address
-// list: when no parent has contacted the stage for ParentTimeout, the stage
-// assumes its parent died and re-registers with the first reachable address
-// — typically the promoted standby — so control cycles resume without
-// manual re-adoption.
-func (v *Virtual) rehome() {
-	defer close(v.rehomeDone)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-v.rehomeStop
-		cancel()
-	}()
+// watchdog is the re-homing side of a stage configured with a parent
+// address list. The wheel ticks it every ParentTimeout/4: when no parent has
+// contacted the stage for ParentTimeout, the stage assumes its parent died
+// and re-registers with the first reachable address — typically the
+// promoted standby — so control cycles resume without manual re-adoption.
+// A registration runs on a goroutine of its own, one at a time; ticks skip
+// while it is in flight. Close cancels ctx, which ends one in progress.
+type watchdog struct {
+	task
+	v           *Virtual
+	ctx         context.Context
+	cancel      context.CancelFunc
+	registering atomic.Bool
+}
 
-	timeout := v.cfg.ParentTimeout
-	// Initial registration: the stage may boot before its controller, so
-	// retry until a parent appears (or the stage closes).
-	v.registerParents(ctx, false)
+// newWatchdog starts v's initial registration — the stage may boot before
+// its controller, so it retries until a parent appears or the stage
+// closes — and puts the watchdog on the wheel.
+func newWatchdog(v *Virtual) *watchdog {
+	d := &watchdog{v: v}
+	d.ctx, d.cancel = context.WithCancel(context.Background())
+	d.task = task{every: max(v.cfg.ParentTimeout/4, 1), fire: d.tick}
+	d.register(false)
+	stageWheel.join(&d.task, v.cfg.ID)
+	return d
+}
 
-	tick := time.NewTicker(timeout / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-v.rehomeStop:
-			return
-		case <-tick.C:
-			if time.Since(v.fence.contact()) < timeout {
-				continue
-			}
-			v.registerParents(ctx, true)
-		}
+// tick runs one watchdog check on the wheel's goroutine.
+func (d *watchdog) tick() {
+	if d.registering.Load() || time.Since(d.v.fence.contact()) < d.v.cfg.ParentTimeout {
+		return
 	}
+	d.register(true)
+}
+
+// register runs one registration off the wheel.
+func (d *watchdog) register(rehoming bool) {
+	d.registering.Store(true)
+	d.v.bg.Add(1)
+	go func() {
+		defer d.v.bg.Done()
+		d.v.registerParents(d.ctx, rehoming)
+		d.registering.Store(false)
+	}()
 }
 
 // registerParents walks the parent list until a registration succeeds,

@@ -118,11 +118,13 @@ type Virtual struct {
 	fence  fence
 	who    string // "stage N", precomputed: fence checks run on every request
 
-	rehomeStop chan struct{}
-	rehomeDone chan struct{}
-
-	pushStop chan struct{}
-	pushDone chan struct{}
+	// pusher and watchdog are the stage's tasks on the process-wide wheel:
+	// its push decision (PushThreshold set) and its parent watchdog
+	// (Parents set); nil when not configured. Their writes and
+	// registrations run on short-lived goroutines that bg counts.
+	pusher   *pusher
+	watchdog *watchdog
+	bg       sync.WaitGroup
 	pushes   atomic.Uint64
 
 	// replies recycles this stage's response messages: the RPC server hands
@@ -169,9 +171,7 @@ func StartVirtual(cfg Config) (*Virtual, error) {
 	v.server = srv
 	if len(cfg.Parents) > 0 {
 		v.fence.touch() // grace period: don't re-home before first contact
-		v.rehomeStop = make(chan struct{})
-		v.rehomeDone = make(chan struct{})
-		go v.rehome()
+		v.watchdog = newWatchdog(v)
 	}
 	if cfg.PushThreshold > 0 {
 		if v.cfg.PushInterval <= 0 {
@@ -180,9 +180,9 @@ func StartVirtual(cfg Config) (*Virtual, error) {
 		if v.cfg.PushFloor <= 0 {
 			v.cfg.PushFloor = DefaultPushFloor
 		}
-		v.pushStop = make(chan struct{})
-		v.pushDone = make(chan struct{})
-		go v.pushLoop()
+		v.pusher = &pusher{v: v}
+		v.pusher.task = task{every: v.cfg.PushInterval, fire: v.pusher.tick}
+		stageWheel.join(&v.pusher.task, cfg.ID)
 	}
 	return v, nil
 }
@@ -192,23 +192,28 @@ func (v *Virtual) Info() Info {
 	return Info{ID: v.cfg.ID, JobID: v.cfg.JobID, Weight: v.cfg.Weight, Addr: v.server.Addr().String()}
 }
 
-// Close stops the stage.
+// Close stops the stage. It returns once the stage's tick, push and
+// registration in progress, if any, have finished; none starts afterwards.
 func (v *Virtual) Close() error {
 	v.mu.Lock()
 	wasClosed := v.closed
 	v.closed = true
 	v.mu.Unlock()
-	if !wasClosed {
-		if v.rehomeStop != nil {
-			close(v.rehomeStop)
-			<-v.rehomeDone
-		}
-		if v.pushStop != nil {
-			close(v.pushStop)
-			<-v.pushDone
-		}
+	if wasClosed {
+		return v.server.Close()
 	}
-	return v.server.Close()
+	if v.pusher != nil {
+		stageWheel.leave(&v.pusher.task)
+	}
+	if v.watchdog != nil {
+		stageWheel.leave(&v.watchdog.task)
+		v.watchdog.cancel()
+	}
+	// Closing the server severs the parents' connections, so a push
+	// blocked on a write fails instead of holding up the wait.
+	err := v.server.Close()
+	v.bg.Wait()
+	return err
 }
 
 // serve handles control-plane requests.
@@ -395,68 +400,70 @@ func ratesMoved(o, n wire.Rates, thr float64) bool {
 	return false
 }
 
-// pushLoop is the event-driven reporting side of the incremental control
-// mode: it samples the stage's metrics every PushInterval and pushes a
-// ReportDelta to all connected parents when they moved past
-// PushThreshold, when the leadership epoch changed (Full baseline, so a
-// re-homed parent never computes from a pre-fencing report), or when
+// pusher is the event-driven reporting side of the incremental control
+// mode. The wheel ticks it every PushInterval: it samples the stage's
+// metrics and pushes a ReportDelta to all connected parents when they moved
+// past PushThreshold, when the leadership epoch changed (Full baseline, so
+// a re-homed parent never computes from a pre-fencing report), or when
 // PushFloor elapsed since the last push (Full refresh — the liveness signal
 // that distinguishes a quiet stage from a dead one). Quiesced ticks take no
 // allocations and write nothing.
-func (v *Virtual) pushLoop() {
-	defer close(v.pushDone)
-	tick := time.NewTicker(v.cfg.PushInterval)
-	defer tick.Stop()
-	var (
-		last      wire.StageReport
-		lastAt    time.Time
-		lastEpoch uint64
-		seq       uint64
-		haveBase  bool
-	)
-	for {
-		select {
-		case <-v.pushStop:
-			return
-		case <-tick.C:
-		}
-		r := v.sample()
-		epoch := v.fence.current()
-		full := !haveBase || epoch != lastEpoch || time.Since(lastAt) >= v.cfg.PushFloor
-		if !full && !ratesMoved(last.Demand, r.Demand, v.cfg.PushThreshold) &&
-			!ratesMoved(last.Usage, r.Usage, v.cfg.PushThreshold) {
-			continue
-		}
-		seq++
-		m := &wire.ReportDelta{Seq: seq, Full: full, Epoch: epoch, Report: r}
-		sent := false
-		v.server.ForEachPeer(func(p *rpc.Peer) {
-			if p.Push(m) == nil {
-				sent = true
-			}
-		})
-		if sent {
-			v.pushes.Add(1)
-		}
-		// The baseline advances even with no parent connected, so a
-		// late-attaching parent starts from the next floor refresh rather
-		// than a burst of stale deltas.
-		last, lastAt, lastEpoch, haveBase = r, time.Now(), epoch, true
-	}
+//
+// The writes run on a goroutine of their own, so a parent that stops
+// reading stalls only this stage. A stage has at most one push in flight
+// and skips its ticks until it lands, so parents see seq in order.
+type pusher struct {
+	task
+	v *Virtual
+
+	// The decision state, touched only by tick.
+	last      wire.StageReport
+	lastAt    time.Time
+	lastEpoch uint64
+	seq       uint64
+	haveBase  bool
+
+	// msg is the push in flight while sending is set; tick rewrites it
+	// only once send has cleared the flag.
+	msg     wire.ReportDelta
+	sending atomic.Bool
 }
 
-// PushDelta samples the stage, scales demand and usage by f, and pushes the
-// result as a Full ReportDelta to every connected parent immediately,
-// bypassing the push loop's ticker. Full deltas are accepted regardless of
-// the loop's sequence counter (the same rule that covers stage restarts), so
-// this composes with a running push loop. Benchmarks use it to dirty a
-// chosen fraction of the fleet deterministically per cycle. It reports false
-// when no parent could be pushed to: none connected, or every write failed.
-func (v *Virtual) PushDelta(f float64) bool {
+// tick runs one push decision on the wheel's goroutine.
+func (p *pusher) tick() {
+	if p.sending.Load() {
+		return
+	}
+	v := p.v
 	r := v.sample()
-	r.Demand = r.Demand.Scale(f)
-	r.Usage = r.Usage.Scale(f)
-	m := &wire.ReportDelta{Full: true, Epoch: v.fence.current(), Report: r}
+	epoch := v.fence.current()
+	now := time.Now()
+	full := !p.haveBase || epoch != p.lastEpoch || now.Sub(p.lastAt) >= v.cfg.PushFloor
+	if !full && !ratesMoved(p.last.Demand, r.Demand, v.cfg.PushThreshold) &&
+		!ratesMoved(p.last.Usage, r.Usage, v.cfg.PushThreshold) {
+		return
+	}
+	p.seq++
+	p.msg = wire.ReportDelta{Seq: p.seq, Full: full, Epoch: epoch, Report: r}
+	// The baseline advances even with no parent connected, so a
+	// late-attaching parent starts from the next floor refresh rather than
+	// a burst of stale deltas.
+	p.last, p.lastAt, p.lastEpoch, p.haveBase = r, now, epoch, true
+	p.sending.Store(true)
+	v.bg.Add(1)
+	go p.send()
+}
+
+// send writes the decided push to every connected parent.
+func (p *pusher) send() {
+	defer p.v.bg.Done()
+	p.v.pushAll(&p.msg)
+	p.sending.Store(false)
+}
+
+// pushAll writes m to every connected parent and counts the push if at
+// least one write succeeded, which it reports.
+func (v *Virtual) pushAll(m *wire.ReportDelta) bool {
 	sent := false
 	v.server.ForEachPeer(func(p *rpc.Peer) {
 		if p.Push(m) == nil {
@@ -467,6 +474,21 @@ func (v *Virtual) PushDelta(f float64) bool {
 		v.pushes.Add(1)
 	}
 	return sent
+}
+
+// PushDelta samples the stage, scales demand and usage by f, and pushes the
+// result as a Full ReportDelta to every connected parent immediately,
+// outside the wheel's schedule. Full deltas are accepted regardless of the
+// push decision's sequence counter (the same rule that covers stage
+// restarts), so this composes with a pushing stage. Benchmarks use it to
+// dirty a chosen fraction of the fleet deterministically per cycle. It
+// reports false when no parent could be pushed to: none connected, or
+// every write failed.
+func (v *Virtual) PushDelta(f float64) bool {
+	r := v.sample()
+	r.Demand = r.Demand.Scale(f)
+	r.Usage = r.Usage.Scale(f)
+	return v.pushAll(&wire.ReportDelta{Full: true, Epoch: v.fence.current(), Report: r})
 }
 
 // Pushes returns how many ReportDelta pushes reached at least one parent.
