@@ -72,7 +72,7 @@ type AggregatorConfig struct {
 	// Meter, if non-nil, is charged with all the aggregator's traffic.
 	Meter *transport.Meter
 	// CPU, if non-nil, is charged with the aggregator's busy time
-	// (aggregation compute and send-path marshaling).
+	// (aggregation compute and its fan-outs' issue loops).
 	CPU *monitor.CPUMeter
 	// Tracer, if non-nil, records this aggregator's spans: one per stage
 	// RPC (tagged with the stage's ID) plus server spans for upstream
@@ -159,8 +159,8 @@ func StartAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	})
 	// The server deliberately gets no CPU meter: its handler blocks on the
 	// stage fan-out, so handler wall time is not aggregator CPU. Busy time
-	// is charged explicitly around aggregation and via the stage clients'
-	// send paths.
+	// is charged explicitly around aggregation and around each stage
+	// fan-out's issue loop.
 	// Inbound requests are recycled: every handler completes its stage
 	// fan-out (including shared-frame encodes) before returning, so no
 	// reference to the request survives the response write.

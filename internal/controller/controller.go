@@ -17,9 +17,9 @@
 //     global still computes rules for every stage (§IV-B, Table III).
 //
 // Resource accounting: each controller role owns a transport.Meter (bytes)
-// and a monitor.CPUMeter (busy time on compute sections and send-path
-// marshaling), which the experiment harness turns into the rows of the
-// paper's Tables II–IV.
+// and a monitor.CPUMeter (busy time: the compute sections, and each
+// fan-out's issue loop, which encodes and writes the child requests), which
+// the experiment harness turns into the rows of the paper's Tables II–IV.
 package controller
 
 import (

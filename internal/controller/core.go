@@ -166,7 +166,7 @@ func (k *stageCore) snapshot() ControllerStats {
 // dirty set (only stages ever push).
 func (k *stageCore) dial(ctx context.Context, addr string, id uint64) (*rpc.ReconnectingClient, error) {
 	return rpc.DialReconnecting(ctx, k.network, addr,
-		rpc.DialOptions{Meter: k.meter, CPU: k.cpu, Tracer: k.tracer, SpanTag: id,
+		rpc.DialOptions{Meter: k.meter, Tracer: k.tracer, SpanTag: id,
 			ReuseReplies: true, ReuseHits: k.pipe.ReuseCounter(),
 			OnPush: k.onPush},
 		k.breaker.reconnectPolicy())

@@ -73,6 +73,11 @@ func (o *fanOutOpts) takeCalls(n int) []*rpc.Call {
 // sequentially on the calling goroutine, in child order. Callers must keep
 // both safe for the blocking case (index-disjoint writes or their own
 // locking). Once ctx is cancelled no further calls are issued.
+//
+// The role's CPU meter is charged with the time spent issuing — encoding
+// and writing the requests — from one clock pair around the pipelined
+// issue loop, or around each issue in blocking mode; the rpc client reads
+// no clock for it.
 func (k *stageCore) fanOutCalls(ctx context.Context, o fanOutOpts, children []*child,
 	issue func(ctx context.Context, i int) *rpc.Call,
 	onDone func(i int, resp wire.Message, err error)) {
@@ -82,7 +87,9 @@ func (k *stageCore) fanOutCalls(ctx context.Context, o fanOutOpts, children []*c
 	}
 	if o.mode == FanOutBlocking {
 		rpc.Scatter(ctx, n, o.par, func(i int) {
+			start := time.Now()
 			call := issue(ctx, i)
+			k.busy(start)
 			if call == nil {
 				return
 			}
@@ -108,6 +115,7 @@ func (k *stageCore) fanOutCalls(ctx context.Context, o fanOutOpts, children []*c
 	pctx, cancel := context.WithTimeout(ctx, o.timeout)
 	defer cancel()
 	calls := o.takeCalls(n)
+	start := time.Now()
 	for i := range children {
 		if ctx.Err() != nil {
 			break // cancelled mid-fan-out: stop issuing
@@ -116,6 +124,7 @@ func (k *stageCore) fanOutCalls(ctx context.Context, o fanOutOpts, children []*c
 			o.gauge.Enter()
 		}
 	}
+	k.busy(start)
 	for i, call := range calls {
 		if call == nil {
 			continue

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/cluster"
@@ -186,7 +187,8 @@ func (o Options) runTraceBreak(ctx context.Context, topo cluster.Topology, nodes
 	if err != nil {
 		return TraceBreakRow{}, err
 	}
-	defer c.Close()
+	closeCluster := sync.OnceFunc(c.Close)
+	defer closeCluster()
 
 	name := fmt.Sprintf("%s-%d", topo, nodes)
 	if incremental {
@@ -265,6 +267,10 @@ func (o Options) runTraceBreak(ctx context.Context, topo cluster.Topology, nodes
 		row.SuppressedEnforces += p.SuppressedEnforces
 	}
 	if tr := c.Trace.Stages; tr != nil {
+		// A stage records its server span after writing the response, so
+		// the cycle can end before its last span lands. Closing the
+		// cluster waits for every stage's server to drain.
+		closeCluster()
 		tot := tr.Totals()
 		row.ServerCalls = tot.ServerCalls
 		row.ServerHandler = tot.ServerHandler

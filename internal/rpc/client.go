@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/dsrhaslab/sdscale/internal/monitor"
+	"github.com/dsrhaslab/sdscale/internal/telemetry"
 	"github.com/dsrhaslab/sdscale/internal/trace"
 	"github.com/dsrhaslab/sdscale/internal/transport"
 	"github.com/dsrhaslab/sdscale/internal/wire"
@@ -23,7 +23,6 @@ var ErrClientClosed = errors.New("rpc: client closed")
 // underlying connection.
 type Client struct {
 	conn net.Conn
-	cpu  *monitor.CPUMeter // optional; charged with marshal/write time
 
 	// tracer, if non-nil, receives one span per call (issue → completion,
 	// with marshal/write sub-timings) tagged with spanTag. Spans are
@@ -47,9 +46,11 @@ type Client struct {
 	late atomic.Uint64 // responses that arrived after their call was abandoned
 
 	// reuseReplies enables the read loop's per-type reply cache (see
-	// DialOptions.ReuseReplies); reuseHits counts decodes into it.
+	// DialOptions.ReuseReplies); reuseHits counts decodes into it, on this
+	// connection's shard of DialOptions.ReuseHits. The read loop is its
+	// only writer and closes it on exit.
 	reuseReplies bool
-	reuseHits    *atomic.Uint64
+	reuseHits    telemetry.Shard
 
 	// onPush receives unsolicited server-initiated messages; see
 	// DialOptions.OnPush.
@@ -59,24 +60,24 @@ type Client struct {
 }
 
 // Call is the completion handle of an asynchronous request issued with
-// Client.Go. Exactly one of two consumption patterns must be used:
+// Client.Go. Wait is its one consumer: it blocks for completion, returns the
+// outcome and recycles the handle, after which the handle must not be used —
+// it may already carry a different in-flight call.
 //
-//   - call Wait, which blocks for completion, returns the outcome, and
-//     recycles the handle; or
-//   - receive from Done, read Reply/Err, and never touch the handle again
-//     (it is garbage collected instead of recycled).
-//
-// After Wait returns the handle must not be used: it may already carry a
-// different in-flight call.
+// Completion takes no channel operation. The completer stores the outcome
+// and then sets done; Wait returns at once if done is set, and otherwise
+// parks on a pooled one-slot waiter that it publishes in waiter. The
+// completer sets done and then loads waiter; Wait publishes its waiter and
+// then re-checks done. Whichever of the two goes second sees the other, so
+// a parked Wait is always woken. A completer that loads the waiter of a
+// later use of the handle (or of the waiter) sends a stale wake, which costs
+// its receiver one more check of done and nothing else.
 type Call struct {
-	// Done receives the Call itself once it completes. It is buffered, so
-	// completion never blocks on a slow consumer.
-	Done chan *Call
-	// Reply is the response message. Valid only after completion.
-	Reply wire.Message
-	// Err is the call's failure, if any: a transport error, ErrClientClosed,
-	// or a remote *wire.ErrorReply. Valid only after completion.
-	Err error
+	reply wire.Message
+	err   error // a transport error, ErrClientClosed, or a remote *wire.ErrorReply
+
+	done   atomic.Bool
+	waiter atomic.Pointer[waiter]
 
 	id     uint64
 	client *Client // nil for calls that failed before registration
@@ -98,31 +99,41 @@ type Call struct {
 	writeNs   atomic.Int64
 }
 
-// callPool recycles Call handles together with their embedded completion
-// channels, so a pipelined fan-out over thousands of children does not
-// allocate a handle and a channel per call per cycle.
-var callPool = sync.Pool{New: func() any { return &Call{Done: make(chan *Call, 1)} }}
+// waiter is what a Wait that found its call pending parks on. Its channel
+// holds one wake; a wake that finds it full is dropped, because the one
+// already buffered makes the receiver re-check done.
+type waiter struct{ wake chan struct{} }
+
+// callPool and waiterPool recycle Call handles and waiters, so a pipelined
+// fan-out over thousands of children allocates neither per call per cycle.
+var (
+	callPool   = sync.Pool{New: func() any { return new(Call) }}
+	waiterPool = sync.Pool{New: func() any { return &waiter{wake: make(chan struct{}, 1)} }}
+)
 
 func getCall() *Call { return callPool.Get().(*Call) }
 
 // putCall returns a handle to the pool. The caller must be the handle's sole
-// owner and its Done channel must be empty (completion consumed, or provably
-// never delivered).
+// owner: completion consumed, or provably never to be delivered.
 func putCall(call *Call) {
 	if call.shared != nil {
 		call.shared.Release()
 		call.shared = nil
 	}
-	call.Reply, call.Err, call.id, call.client = nil, nil, 0, nil
+	call.reply, call.err, call.id, call.client = nil, nil, 0, nil
+	call.done.Store(false)
+	call.waiter.Store(nil)
 	call.issuedNs.Store(0)
 	call.marshalNs.Store(0)
 	call.writeNs.Store(0)
 	callPool.Put(call)
 }
 
-// finish records the outcome and delivers the handle to Done. A remote
-// *wire.ErrorReply lands in Err, matching the synchronous Call contract.
-// Only the goroutine that removed the call from the pending map may call it.
+// finish records the outcome, marks the call done and wakes its waiter, if
+// one is parked. A remote *wire.ErrorReply lands in err, matching the
+// synchronous Call contract. Only the goroutine that removed the call from
+// the pending map may call it, and after done is set it touches nothing of
+// the handle but the waiter word: the handle may already be recycled.
 func (call *Call) finish(m wire.Message, err error) {
 	if er, ok := m.(*wire.ErrorReply); ok {
 		m, err = nil, er
@@ -137,8 +148,14 @@ func (call *Call) finish(m wire.Message, err error) {
 			c.tracer.CountClientCall(err != nil, false)
 		}
 	}
-	call.Reply, call.Err = m, err
-	call.Done <- call
+	call.reply, call.err = m, err
+	call.done.Store(true)
+	if w := call.waiter.Load(); w != nil {
+		select {
+		case w.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // failedCall returns a pre-completed handle carrying err, for calls rejected
@@ -156,45 +173,54 @@ func failedCall(err error) *Call {
 // arrives. Nothing is sent for an abandoned call. The handle must not be
 // used after Wait returns.
 func (call *Call) Wait(ctx context.Context) (wire.Message, error) {
-	c := call.client
-	if c == nil {
-		// Pre-failed handle: completion is already buffered in Done.
-		<-call.Done
+	if call.done.Load() {
 		return call.release()
 	}
-	select {
-	case <-call.Done:
-		return call.release()
-	case <-ctx.Done():
-		if c.deregister(call) {
-			// We removed the call from the pending map, so no completion
-			// was — or ever will be — delivered: the handle is exclusively
-			// ours and its Done channel is empty.
-			if c.tracer != nil {
-				if issued := call.issuedNs.Load(); issued != 0 {
-					// The span closes at abandonment: the caller stopped
-					// waiting, so this is where the call's cost ends for it.
-					c.tracer.RecordClientCall(c.spanTag, call.id, issued,
-						time.Now().UnixNano()-issued, call.marshalNs.Load(), call.writeNs.Load(),
-						true, true)
-				} else {
-					c.tracer.CountClientCall(true, true)
-				}
+	w := waiterPool.Get().(*waiter)
+	call.waiter.Store(w)
+	for !call.done.Load() {
+		select {
+		case <-w.wake:
+			// This call's wake, or a stale one: re-check done.
+		case <-ctx.Done():
+			if call.client.deregister(call) {
+				// We removed the call from the pending map, so no
+				// completer has it or ever will: the handle is ours.
+				waiterPool.Put(w)
+				return nil, call.abandon(ctx.Err())
 			}
-			err := ctx.Err()
-			putCall(call)
-			return nil, err
+			// Completion raced with the cancellation and won. Its
+			// completer sets done and then wakes w.
+			for !call.done.Load() {
+				<-w.wake
+			}
 		}
-		// Completion raced with the cancellation and won; take the result.
-		<-call.Done
-		return call.release()
 	}
+	waiterPool.Put(w)
+	return call.release()
 }
 
-// release extracts the outcome and recycles the handle. The completion must
-// already have been consumed from Done.
+// abandon closes the span of a call its waiter gave up on, recycles the
+// handle and returns err. The caller must own the handle exclusively.
+func (call *Call) abandon(err error) error {
+	if c := call.client; c.tracer != nil {
+		if issued := call.issuedNs.Load(); issued != 0 {
+			// The span closes at abandonment: the caller stopped waiting,
+			// so this is where the call's cost ends for it.
+			c.tracer.RecordClientCall(c.spanTag, call.id, issued,
+				time.Now().UnixNano()-issued, call.marshalNs.Load(), call.writeNs.Load(),
+				true, true)
+		} else {
+			c.tracer.CountClientCall(true, true)
+		}
+	}
+	putCall(call)
+	return err
+}
+
+// release extracts the outcome of a completed call and recycles the handle.
 func (call *Call) release() (wire.Message, error) {
-	reply, err := call.Reply, call.Err
+	reply, err := call.reply, call.err
 	putCall(call)
 	return reply, err
 }
@@ -203,9 +229,6 @@ func (call *Call) release() (wire.Message, error) {
 type DialOptions struct {
 	// Meter, if non-nil, is charged with the connection's traffic.
 	Meter *transport.Meter
-	// CPU, if non-nil, is charged with local marshal and write time, the
-	// client-side share of per-message processing cost.
-	CPU *monitor.CPUMeter
 	// Tracer, if non-nil, receives one span per call issued on this
 	// connection; SpanTag identifies the remote end in those spans
 	// (controllers set their child's ID).
@@ -218,9 +241,9 @@ type DialOptions struct {
 	// so enable it only where replies are consumed within the cycle and
 	// never retained by pointer (the controllers deep-copy what they keep).
 	ReuseReplies bool
-	// ReuseHits, if non-nil, is incremented once per reply decoded into a
-	// reused message.
-	ReuseHits *atomic.Uint64
+	// ReuseHits, if non-nil, counts the replies decoded into a reused
+	// message, on a shard of this connection's own.
+	ReuseHits *telemetry.Counter
 	// OnPush, if non-nil, receives unsolicited server-initiated messages
 	// (kindPush frames) arriving on this connection. It runs on the read
 	// loop, so it must not block and must not retain the message past
@@ -247,16 +270,15 @@ func NewClient(conn net.Conn) *Client { return newClient(conn, DialOptions{}) }
 func newClient(conn net.Conn, opts DialOptions) *Client {
 	c := &Client{
 		conn:         conn,
-		cpu:          opts.CPU,
 		tracer:       opts.Tracer,
 		spanTag:      opts.SpanTag,
 		txHist:       wire.NewFloatHistory(),
 		pending:      make(map[uint64]*Call),
 		reuseReplies: opts.ReuseReplies,
-		reuseHits:    opts.ReuseHits,
 		onPush:       opts.OnPush,
 		done:         make(chan struct{}),
 	}
+	opts.ReuseHits.Attach(&c.reuseHits)
 	go c.readLoop()
 	return c
 }
@@ -296,6 +318,7 @@ func (c *Client) LateResponses() uint64 { return c.late.Load() }
 // history (which must see every response, in order, to stay in lockstep
 // with the server's writer) and the per-type reply-reuse cache.
 func (c *Client) readLoop() {
+	defer c.reuseHits.Close()
 	var (
 		fr      = frameReader{r: c.conn} // its buffer is allocated by the first read
 		dec     *wire.DecodeOpts         // built lazily on the first response
@@ -319,7 +342,7 @@ func (c *Client) readLoop() {
 							return nil
 						}
 						m, hit := cache.cached(t)
-						if hit && c.reuseHits != nil {
+						if hit {
 							c.reuseHits.Add(1)
 						}
 						return m
@@ -482,22 +505,16 @@ func (c *Client) Call(ctx context.Context, req wire.Message) (wire.Message, erro
 // advanced the history past what the server will ever decode, so the
 // connection cannot carry another request.
 //
-// When the client has a CPU meter or a tracer the marshal and write are
-// timed once and the measurements shared: the meter gets charged and the
-// call carries them for its span, so tracing on top of an already-metered
-// connection adds no extra clock reads on this path. A call off the tracer's
-// sample grid takes no timestamps at all (unless metered) — it is merely
-// counted at completion.
+// A call on the tracer's sample grid times its marshal and write for its
+// span; any other call reads no clock here. The CPU a fan-out spends
+// issuing calls is charged by the fan-out, once around its issue loop.
 func (c *Client) send(call *Call, m wire.Message, body []byte) {
 	traced := c.tracer != nil && c.tracer.Sampled(call.id)
-	timed := c.cpu != nil || traced
 	bp := getFrameBuf()
 	c.wmu.Lock()
 	var start time.Time
-	if timed {
-		start = time.Now()
-	}
 	if traced {
+		start = time.Now()
 		call.issuedNs.Store(start.UnixNano())
 	}
 	if body != nil {
@@ -505,26 +522,14 @@ func (c *Client) send(call *Call, m wire.Message, body []byte) {
 	} else {
 		*bp = appendFrame((*bp)[:0], frameHeader{id: call.id, kind: kindHistRequest}, m, c.txHist)
 	}
-	if timed {
+	if traced {
 		now := time.Now()
-		el := now.Sub(start)
+		call.marshalNs.Store(int64(now.Sub(start)))
 		start = now
-		if c.cpu != nil {
-			c.cpu.Add(el)
-		}
-		if traced {
-			call.marshalNs.Store(int64(el))
-		}
 	}
 	_, err := c.conn.Write(*bp)
-	if timed {
-		el := time.Since(start)
-		if c.cpu != nil {
-			c.cpu.Add(el)
-		}
-		if traced {
-			call.writeNs.Store(int64(el))
-		}
+	if traced {
+		call.writeNs.Store(int64(time.Since(start)))
 	}
 	c.wmu.Unlock()
 	putFrameBuf(bp)
@@ -541,6 +546,11 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	if c.err == nil {
+		// Calls from now on fail with ErrClientClosed, not with the read
+		// error that closing the connection is about to cause.
+		c.err = ErrClientClosed
+	}
 	c.mu.Unlock()
 	close(c.done)
 	err := c.conn.Close()

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/dsrhaslab/sdscale/internal/telemetry"
 	"github.com/dsrhaslab/sdscale/internal/trace"
 	"github.com/dsrhaslab/sdscale/internal/transport/simnet"
 	"github.com/dsrhaslab/sdscale/internal/wire"
@@ -80,7 +81,7 @@ func TestCodecV2FloatDataCorrectness(t *testing.T) {
 // holding a reply across calls sees it overwritten — the documented aliasing
 // contract.
 func TestReplyReuseContract(t *testing.T) {
-	var hits atomic.Uint64
+	var hits telemetry.Counter
 	_, cli := codecSetup(t, floatHandler{}, ServerOptions{},
 		DialOptions{ReuseReplies: true, ReuseHits: &hits})
 	r1, err := cli.Call(context.Background(), &wire.Collect{Cycle: 1})
@@ -106,7 +107,7 @@ func TestReplyReuseContract(t *testing.T) {
 // successive requests of one type into a recycled message.
 func TestRequestReuseFreelist(t *testing.T) {
 	t.Run("inline", func(t *testing.T) {
-		var hits atomic.Uint64
+		var hits telemetry.Counter
 		_, cli := codecSetup(t, &echoHandler{}, ServerOptions{ReuseRequests: true, ReuseHits: &hits}, DialOptions{})
 		for i := uint64(1); i <= 10; i++ {
 			if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: i}); err != nil {
@@ -223,7 +224,7 @@ func TestDialBuildsClientBeforeReading(t *testing.T) {
 		}
 	}()
 	var (
-		hits   atomic.Uint64
+		hits   telemetry.Counter
 		pushes atomic.Int64
 	)
 	cli, err := Dial(context.Background(), n.Host("client"), l.Addr().String(), DialOptions{

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,24 +49,164 @@ func TestGoWaitRemoteError(t *testing.T) {
 	}
 }
 
-// TestGoDoneChannel exercises the raw completion-channel pattern: receive
-// from Done, then read Reply/Err directly.
-func TestGoDoneChannel(t *testing.T) {
+// TestWaitOnCompletedCall: once its response has been read a call is
+// marked done, and Wait returns the reply without parking — even under a
+// context that is already cancelled, which cannot abandon a finished call.
+func TestWaitOnCompletedCall(t *testing.T) {
 	_, _, cli := testSetup(t, &echoHandler{})
 	call := cli.Go(context.Background(), &wire.Heartbeat{SentUnixMicros: 9})
+	waitFor(t, "the call to complete", call.done.Load)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	resp, err := call.Wait(ctx)
+	if err != nil {
+		t.Fatalf("Wait = %v", err)
+	}
+	if got := resp.(*wire.HeartbeatAck).EchoUnixMicros; got != 9 {
+		t.Errorf("echoed %d, want 9", got)
+	}
+}
+
+// TestWaitOnCompletedCallAllocatesNothing: harvesting a call that has
+// already completed — the common case in a pipelined fan-out's harvest —
+// takes no allocation: no waiter, no channel.
+func TestWaitOnCompletedCallAllocatesNothing(t *testing.T) {
+	const runs = 100
+	reply := &wire.HeartbeatAck{}
+	calls := make([]*Call, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range calls {
+		calls[i] = new(Call)
+		calls[i].finish(reply, nil)
+	}
+	ctx := context.Background()
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		call := calls[next]
+		next++
+		if m, err := call.Wait(ctx); m != reply || err != nil {
+			t.Fatalf("Wait = %v, %v", m, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Wait on a completed call allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestWaitIgnoresStaleWake: a completer that loaded the waiter after its
+// own call was recycled wakes whoever parks on that waiter next. Such a
+// stale wake must cost the woken Wait one more look at its call, and must
+// not return a call that is still pending.
+func TestWaitIgnoresStaleWake(t *testing.T) {
+	gate := make(chan struct{})
+	h := HandlerFunc(func(_ *Peer, req wire.Message) (wire.Message, error) {
+		<-gate
+		return &wire.HeartbeatAck{EchoUnixMicros: req.(*wire.Heartbeat).SentUnixMicros}, nil
+	})
+	_, _, cli := testSetup(t, h)
+	ctx := context.Background()
+	call := cli.Go(ctx, &wire.Heartbeat{SentUnixMicros: 2})
+	type result struct {
+		m   wire.Message
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		m, err := call.Wait(ctx)
+		got <- result{m, err}
+	}()
+	waitFor(t, "Wait to park", func() bool { return call.waiter.Load() != nil })
+	w := call.waiter.Load()
+	for i := 0; i < 3; i++ {
+		select {
+		case w.wake <- struct{}{}: // as a stale completer would
+		default:
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	select {
-	case done := <-call.Done:
-		if done != call {
-			t.Fatal("Done delivered a different handle")
-		}
-		if call.Err != nil {
-			t.Fatalf("Err = %v", call.Err)
-		}
-		if got := call.Reply.(*wire.HeartbeatAck).EchoUnixMicros; got != 9 {
-			t.Errorf("echoed %d, want 9", got)
+	case r := <-got:
+		t.Fatalf("a stale wake returned a pending call: %v, %v", r.m, r.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	select {
+	case r := <-got:
+		if r.err != nil || r.m.(*wire.HeartbeatAck).EchoUnixMicros != 2 {
+			t.Fatalf("Wait = %v, %v, want the echo of 2", r.m, r.err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("call never completed")
+		t.Fatal("the real completion never woke Wait")
+	}
+}
+
+// TestPipelinedWaitsRaceCancel pipelines 10,000 calls and cancels their
+// harvest's context while the server is answering them: the server holds
+// the second half until another goroutine releases it and at once cancels,
+// so the cancellation races parked Waits and the completions streaming in.
+// Every Wait returns its own reply or ctx.Err(); every abandoned call's
+// response is counted late; and a second burst, issued at once on handles
+// recycled from the abandoned calls while their responses are still
+// arriving, gets only its own replies.
+func TestPipelinedWaitsRaceCancel(t *testing.T) {
+	const calls = 10000
+	gate := make(chan struct{})
+	h := HandlerFunc(func(_ *Peer, req wire.Message) (wire.Message, error) {
+		v := req.(*wire.Heartbeat).SentUnixMicros
+		if v == calls/2 {
+			<-gate
+		}
+		return &wire.HeartbeatAck{EchoUnixMicros: v}, nil
+	})
+	_, _, cli := testSetup(t, h)
+	calls1 := make([]*Call, calls)
+	for i := range calls1 {
+		calls1[i] = cli.Go(context.Background(), &wire.Heartbeat{SentUnixMicros: int64(i)})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var harvested atomic.Int64
+	go func() {
+		for harvested.Load() < calls/2 && ctx.Err() == nil { // the test's cancel ends it early
+			runtime.Gosched()
+		}
+		close(gate)
+		cancel()
+	}()
+	var abandoned uint64
+	for i, call := range calls1 {
+		resp, err := call.Wait(ctx)
+		harvested.Add(1)
+		switch {
+		case errors.Is(err, context.Canceled):
+			abandoned++
+		case err != nil:
+			t.Fatalf("call %d: %v", i, err)
+		case resp.(*wire.HeartbeatAck).EchoUnixMicros != int64(i):
+			t.Fatalf("call %d got the reply of %d", i, resp.(*wire.HeartbeatAck).EchoUnixMicros)
+		}
+	}
+	if abandoned == 0 || abandoned > calls/2 {
+		t.Fatalf("%d calls abandoned, want 1 to %d", abandoned, calls/2)
+	}
+
+	bg := context.Background()
+	calls2 := make([]*Call, calls)
+	for i := range calls2 {
+		calls2[i] = cli.Go(bg, &wire.Heartbeat{SentUnixMicros: calls + int64(i)})
+	}
+	for i, call := range calls2 {
+		resp, err := call.Wait(bg)
+		if err != nil {
+			t.Fatalf("second burst call %d: %v", i, err)
+		}
+		if got := resp.(*wire.HeartbeatAck).EchoUnixMicros; got != calls+int64(i) {
+			t.Fatalf("second burst call %d got the reply of %d", i, got)
+		}
+	}
+	// The second burst was answered after the first on the same connection,
+	// so every late response has been read by now.
+	if got := cli.LateResponses(); got != abandoned {
+		t.Errorf("LateResponses = %d, want one per abandoned call (%d)", got, abandoned)
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"net"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/monitor"
+	"github.com/dsrhaslab/sdscale/internal/telemetry"
 	"github.com/dsrhaslab/sdscale/internal/trace"
 	"github.com/dsrhaslab/sdscale/internal/transport"
 	"github.com/dsrhaslab/sdscale/internal/wire"
@@ -105,9 +105,9 @@ type ServerOptions struct {
 	// retain a request past returning (Register, StateSync, and PeerExchange
 	// are always excluded because controller handlers keep them).
 	ReuseRequests bool
-	// ReuseHits, if non-nil, is incremented once per request decoded into a
-	// recycled message.
-	ReuseHits *atomic.Uint64
+	// ReuseHits, if non-nil, counts the requests decoded into a recycled
+	// message, each connection on a shard of its own.
+	ReuseHits *telemetry.Counter
 	// RecycleReply, if non-nil, receives every handler response once the
 	// server is finished with it: the response bytes are already encoded
 	// and written, so the receiver owns the message exclusively and may
@@ -221,7 +221,7 @@ func (s *Server) accept(conn net.Conn) {
 // put both run on the connection's one goroutine, so the list needs no lock.
 type reqFreelist struct {
 	byType msgTable
-	hits   *atomic.Uint64
+	hits   telemetry.Shard // on ServerOptions.ReuseHits; closed with the connection
 }
 
 // take removes and returns the recycled instance for t, or nil when none is
@@ -233,7 +233,7 @@ func (fl *reqFreelist) take(t wire.MsgType) wire.Message {
 	slot := fl.byType.slot(t)
 	m := *slot
 	*slot = nil
-	if m != nil && fl.hits != nil {
+	if m != nil {
 		fl.hits.Add(1)
 	}
 	return m
@@ -279,7 +279,9 @@ func (s *Server) serveConn(peer *Peer) {
 
 	c := &srvConn{s: s, peer: peer, txHist: wire.NewFloatHistory()}
 	if s.opts.ReuseRequests {
-		c.fl = &reqFreelist{hits: s.opts.ReuseHits}
+		c.fl = &reqFreelist{}
+		s.opts.ReuseHits.Attach(&c.fl.hits)
+		defer c.fl.hits.Close()
 	}
 	if s.opts.Tracer != nil {
 		c.peerTag = trace.AddrTag(peer.conn.RemoteAddr().String())

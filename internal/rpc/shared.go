@@ -19,10 +19,8 @@ import (
 // released when the call's handle is recycled by Call.Wait. The encoded
 // body lives in a pooled buffer that returns to the pool only when the count
 // hits zero, so a slow connection still copying the body can never observe
-// the buffer being recycled. Callers that consume completions via Call.Done
-// instead of Wait leak the frame's references; the body is then garbage
-// collected rather than pooled, which is safe but defeats the pooling —
-// broadcast fan-outs should harvest with Wait.
+// the buffer being recycled. Wait is the only way to consume a call, so
+// every reference a call takes is released.
 //
 // The body is encoded once, on first use.
 type SharedFrame struct {

@@ -193,7 +193,9 @@ func (v *Virtual) Info() Info {
 }
 
 // Close stops the stage. It returns once the stage's tick, push and
-// registration in progress, if any, have finished; none starts afterwards.
+// registration in progress, if any, have finished, and its server has
+// finished the request it was answering (its span included); none starts
+// afterwards.
 func (v *Virtual) Close() error {
 	v.mu.Lock()
 	wasClosed := v.closed
@@ -213,6 +215,7 @@ func (v *Virtual) Close() error {
 	// blocked on a write fails instead of holding up the wait.
 	err := v.server.Close()
 	v.bg.Wait()
+	v.server.Wait()
 	return err
 }
 

@@ -58,7 +58,7 @@ type PipelineStats struct {
 	// marshal fan-in: 10,000 for a full flat broadcast.
 	sharedSends   atomic.Uint64
 	sharedEncodes atomic.Uint64
-	replyReuses   atomic.Uint64
+	replyReuses   Counter
 
 	// Incremental-mode accounting: dirtyChildren is the dirty-set size the
 	// last incremental cycle claimed, suppressedCollects counts per-child
@@ -143,10 +143,11 @@ func (p *PipelineStats) SharedSends() uint64 { return p.sharedSends.Load() }
 // SharedEncodes returns the cumulative shared-frame encode count.
 func (p *PipelineStats) SharedEncodes() uint64 { return p.sharedEncodes.Load() }
 
-// ReuseCounter returns the counter that rpc clients and servers increment
-// once per message decoded into a recycled instance — pass it as
-// DialOptions.ReuseHits / ServerOptions.ReuseHits.
-func (p *PipelineStats) ReuseCounter() *atomic.Uint64 { return &p.replyReuses }
+// ReuseCounter returns the counter that rpc clients and servers count into,
+// each connection on a shard of its own, once per message decoded into a
+// recycled instance — pass it as DialOptions.ReuseHits /
+// ServerOptions.ReuseHits.
+func (p *PipelineStats) ReuseCounter() *Counter { return &p.replyReuses }
 
 // ReplyReuses returns the cumulative recycled-decode count.
 func (p *PipelineStats) ReplyReuses() uint64 { return p.replyReuses.Load() }

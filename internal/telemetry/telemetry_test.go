@@ -333,3 +333,31 @@ func BenchmarkHistogramRecord(b *testing.B) {
 		h.Record(time.Duration(i) * time.Microsecond)
 	}
 }
+
+// TestCounterFoldsClosedShards: a Counter's total is its direct adds plus
+// every shard's count, whether the shard is open or closed — including
+// counts added after the shard closed — and a nil Counter reads zero.
+func TestCounterFoldsClosedShards(t *testing.T) {
+	var c Counter
+	c.Add(5)
+	shards := make([]Shard, 4)
+	for i := range shards {
+		c.Attach(&shards[i])
+		shards[i].Add(uint64(10 * (i + 1)))
+	}
+	shards[1].Close()
+	shards[1].Close() // idempotent
+	shards[3].Close()
+	shards[1].Add(7) // after Close: goes to the base word
+	if got, want := c.Load(), uint64(5+10+20+30+40+7); got != want {
+		t.Errorf("Load = %d, want %d", got, want)
+	}
+	var lone Shard // never attached: counts on its own
+	lone.Add(3)
+	lone.Close()
+	var none *Counter
+	none.Attach(&lone)
+	if none.Load() != 0 {
+		t.Error("nil Counter reads non-zero")
+	}
+}

@@ -15,15 +15,18 @@
 //
 //   - The cursor only grows; slot i holds the append numbered n where
 //     n % capacity == i and n is the highest such number so far.
-//   - A writer invalidates its slot (seq=0), stores the span fields, then
-//     publishes by storing its append number into seq. Readers snapshot a
-//     slot by loading seq, copying the fields, and re-loading seq; any
-//     mismatch (or zero) discards the copy.
-//   - A torn read can only be published if an appender stalls for an entire
-//     ring generation while a same-slot successor completes around it;
-//     capacity (minimum 1024) exceeds any realistic number of concurrent
-//     appenders by orders of magnitude, so snapshots are consistent in
-//     practice and always data-race-free.
+//   - A writer takes its slot by swapping seq from a published (or zero)
+//     value to the writer mark, stores the span fields, then publishes by
+//     storing its append number into seq. Readers snapshot a slot by
+//     loading seq, copying the fields, and re-loading seq; any mismatch (or
+//     zero, or the writer mark) discards the copy.
+//   - A slot has one writer at a time. Two appends one ring generation
+//     apart land on the same slot; if the second finds the first still
+//     writing — or finds a newer span already published — it drops its
+//     span rather than interleave field stores with another writer. The
+//     ring is a sample of recent spans: the totals count every call
+//     whether or not its span survives, and a published span is never
+//     torn.
 //
 // A nil *Tracer is a valid, disabled tracer: every method is a no-op (or
 // returns zero values), so call sites need no nil branches.
@@ -337,12 +340,20 @@ func (t *Tracer) SetContext(cycle, epoch uint64, mode uint8, phase Phase) {
 	t.ctxMeta.Store(uint64(mode) | uint64(phase)<<8)
 }
 
+// slotWriting is the seq value of a slot whose writer is storing fields.
+const slotWriting = ^uint64(0)
+
 // append reserves the next slot and publishes one span. Sequence numbers
 // start at 1 so 0 always means "never written".
 func (t *Tracer) append(meta, cycle, epoch, tag, call uint64, startNs, durNs int64, partANs, partBNs int64) {
 	n := t.cursor.Add(1) // reservation number; also the publication seq
 	s := &t.slots[(n-1)&t.mask]
-	s.seq.Store(0) // invalidate while the fields are in flux
+	// Take the slot: this also invalidates it while the fields are in flux.
+	// A slot another writer holds, or one already holding a newer span, is
+	// left alone and this span dropped.
+	if old := s.seq.Load(); old == slotWriting || old > n || !s.seq.CompareAndSwap(old, slotWriting) {
+		return
+	}
 	s.meta.Store(meta)
 	s.cycle.Store(cycle)
 	s.epoch.Store(epoch)
@@ -494,7 +505,11 @@ func (t *Tracer) Reset() {
 	t.serverHandler.Store(0)
 	t.serverWrite.Store(0)
 	for i := range t.slots {
-		t.slots[i].seq.Store(0)
+		// A slot being written keeps its writer: that span survives.
+		s := &t.slots[i]
+		if old := s.seq.Load(); old != slotWriting {
+			s.seq.CompareAndSwap(old, 0)
+		}
 	}
 }
 
@@ -510,8 +525,8 @@ func (t *Tracer) Snapshot() []Span {
 		s := &t.slots[i]
 		for {
 			n1 := s.seq.Load()
-			if n1 == 0 {
-				break // never written, or invalidated by an in-flight append
+			if n1 == 0 || n1 == slotWriting {
+				break // never written, or being written
 			}
 			meta := s.meta.Load()
 			sp := Span{

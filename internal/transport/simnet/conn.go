@@ -29,8 +29,8 @@ import (
 // wake: an event signalled the other way round can be slept through.
 type stream struct {
 	net    *Net
-	txHost *Host // the writing host (meter and processor charged)
-	rxHost *Host // the reading host (meter and processor charged)
+	txHost *Host // the writing host (processor charged)
+	rxHost *Host // the reading host (processor charged)
 
 	mu          sync.Mutex
 	buf         []byte      // unread bytes in write order, from off
@@ -42,6 +42,7 @@ type stream struct {
 	rtimer      *time.Timer // the pending read deadline, if any
 	wdeadline   time.Time   // the write deadline; zero for none
 	lastSendEnd time.Time
+	written     uint64 // bytes accepted by write: both hosts' traffic accounting
 
 	ready chan struct{} // 1-buffered wakeup for the reader
 }
@@ -62,6 +63,13 @@ func (s *stream) closeWrite() {
 	s.wclosed = true
 	s.mu.Unlock()
 	wake(s.ready)
+}
+
+// bytes returns how many bytes the stream has carried.
+func (s *stream) bytes() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.written
 }
 
 // closeRead fails the local reader and tells the writer its peer is gone.
@@ -138,6 +146,7 @@ func (s *stream) write(p []byte) (int, error) {
 		s.off = 0
 	}
 	s.buf = append(s.buf, p...)
+	s.written += uint64(len(p))
 	due := now // an unmodelled network: readable at once
 	if s.net.timed {
 		due = s.arrival(len(p), now)
@@ -150,8 +159,6 @@ func (s *stream) write(p []byte) (int, error) {
 		s.mu.Unlock()
 		s.net.sched.add(delivery{due: due, s: s, n: len(p)})
 	}
-	s.txHost.meter.AddTx(len(p))
-	s.rxHost.meter.AddRx(len(p))
 	return len(p), nil
 }
 

@@ -195,8 +195,10 @@ type Host struct {
 	maxConns    int
 	partitioned bool
 
-	proc  processor
-	meter transport.Meter
+	proc processor
+	// closedTx and closedRx (guarded by mu) are the traffic of the host's
+	// closed connections; Traffic adds the open ones' streams.
+	closedTx, closedRx uint64
 }
 
 // processor is a host's simulated message-processing capacity: a
@@ -235,9 +237,19 @@ var (
 // Name returns the host's name.
 func (h *Host) Name() string { return h.name }
 
-// Meter returns the host's byte-accounting meter. All traffic on
-// connections originating or terminating at the host is charged to it.
-func (h *Host) Meter() *transport.Meter { return &h.meter }
+// Traffic returns the bytes written from and to the host over all its
+// connections, open and closed. Each connection counts its bytes under its
+// streams' own locks as it writes; Traffic sums them on read.
+func (h *Host) Traffic() (tx, rx uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	tx, rx = h.closedTx, h.closedRx
+	for c := range h.conns {
+		tx += c.wr.bytes()
+		rx += c.rd.bytes()
+	}
+	return tx, rx
+}
 
 // ConnCount returns the number of currently established connections
 // (initiated plus accepted).
@@ -432,6 +444,10 @@ func (h *Host) dropConn(c *conn) {
 	h.mu.Lock()
 	if _, ok := h.conns[c]; ok {
 		delete(h.conns, c)
+		// Both of c's streams are closed (to further writes) before
+		// either host drops it, so these counts are final.
+		h.closedTx += c.wr.bytes()
+		h.closedRx += c.rd.bytes()
 		if c.initiator {
 			h.outConns--
 		}

@@ -498,14 +498,56 @@ func TestByteAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if tx := cli.Meter().Tx(); tx != 1000 {
+	if tx, _ := cli.Traffic(); tx != 1000 {
 		t.Errorf("client tx = %d, want 1000", tx)
 	}
-	if rx := srv.Meter().Rx(); rx != 1000 {
+	if _, rx := srv.Traffic(); rx != 1000 {
 		t.Errorf("server rx = %d, want 1000", rx)
 	}
-	if rx := cli.Meter().Rx(); rx != 0 {
+	if _, rx := cli.Traffic(); rx != 0 {
 		t.Errorf("client rx = %d, want 0", rx)
+	}
+}
+
+// TestHostTrafficEqualsBytesWritten: a host's totals are exactly the bytes
+// written over its connections in each direction, whether a connection is
+// still open, was closed by either end, or was read only in part.
+func TestHostTrafficEqualsBytesWritten(t *testing.T) {
+	n := New(fastCfg())
+	rng := rand.New(rand.NewSource(1))
+	var up, down uint64 // client→server and server→client bytes
+	for i := 0; i < 20; i++ {
+		c, s := pair(t, n)
+		for j := 0; j < 5; j++ {
+			a, b := 1+rng.Intn(3000), 1+rng.Intn(300)
+			if _, err := c.Write(make([]byte, a)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Write(make([]byte, b)); err != nil {
+				t.Fatal(err)
+			}
+			up, down = up+uint64(a), down+uint64(b)
+		}
+		switch i % 3 {
+		case 0:
+			c.Close()
+		case 1:
+			s.Close()
+		}
+		// On a closed connection these fail and count nothing.
+		a, _ := c.Write(make([]byte, 10))
+		b, _ := s.Write(make([]byte, 10))
+		if i%3 != 2 && a+b != 0 {
+			t.Fatalf("wrote %d and %d bytes on a closed connection", a, b)
+		}
+		up, down = up+uint64(a), down+uint64(b)
+	}
+	cli, srv := n.lookup("client"), n.lookup("server")
+	if tx, rx := cli.Traffic(); tx != up || rx != down {
+		t.Errorf("client traffic (%d, %d), want (%d, %d)", tx, rx, up, down)
+	}
+	if tx, rx := srv.Traffic(); tx != down || rx != up {
+		t.Errorf("server traffic (%d, %d), want (%d, %d)", tx, rx, down, up)
 	}
 }
 

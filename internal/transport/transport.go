@@ -15,8 +15,9 @@ import (
 	"context"
 	"errors"
 	"net"
-	"sync/atomic"
 	"time"
+
+	"github.com/dsrhaslab/sdscale/internal/telemetry"
 )
 
 // ErrConnLimit is returned by Dial when the dialing or target endpoint has
@@ -52,16 +53,17 @@ type HandoffListener interface {
 
 // Meter accumulates transmitted and received byte counts. It is safe for
 // concurrent use; controllers attach one per role and the experiment harness
-// samples it to produce MB/s columns.
+// samples it to produce MB/s columns. Each MeteredConn counts into words of
+// its own, and a read sums the open connections' counts with what closed
+// ones left behind, so connections never write a shared word per frame.
 type Meter struct {
-	tx atomic.Uint64
-	rx atomic.Uint64
+	tx, rx telemetry.Counter
 }
 
-// AddTx records n transmitted bytes.
+// AddTx records n transmitted bytes that no MeteredConn counted.
 func (m *Meter) AddTx(n int) { m.tx.Add(uint64(n)) }
 
-// AddRx records n received bytes.
+// AddRx records n received bytes that no MeteredConn counted.
 func (m *Meter) AddRx(n int) { m.rx.Add(uint64(n)) }
 
 // Tx returns total transmitted bytes.
@@ -70,13 +72,14 @@ func (m *Meter) Tx() uint64 { return m.tx.Load() }
 // Rx returns total received bytes.
 func (m *Meter) Rx() uint64 { return m.rx.Load() }
 
-// Snapshot returns (tx, rx) totals at one instant.
+// Snapshot returns the (tx, rx) totals.
 func (m *Meter) Snapshot() (tx, rx uint64) { return m.tx.Load(), m.rx.Load() }
 
-// MeteredConn wraps a net.Conn, charging traffic to a Meter.
+// MeteredConn wraps a net.Conn, charging traffic to a Meter. Its counts
+// join the meter's closed totals when it is closed.
 type MeteredConn struct {
 	net.Conn
-	meter *Meter
+	tx, rx telemetry.Shard
 }
 
 // WithMeter returns c wrapped so its traffic is charged to m. A nil meter
@@ -85,14 +88,17 @@ func WithMeter(c net.Conn, m *Meter) net.Conn {
 	if m == nil {
 		return c
 	}
-	return &MeteredConn{Conn: c, meter: m}
+	mc := &MeteredConn{Conn: c}
+	m.tx.Attach(&mc.tx)
+	m.rx.Attach(&mc.rx)
+	return mc
 }
 
 // Read implements net.Conn.
 func (c *MeteredConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 {
-		c.meter.AddRx(n)
+		c.rx.Add(uint64(n))
 	}
 	return n, err
 }
@@ -101,9 +107,17 @@ func (c *MeteredConn) Read(p []byte) (int, error) {
 func (c *MeteredConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	if n > 0 {
-		c.meter.AddTx(n)
+		c.tx.Add(uint64(n))
 	}
 	return n, err
+}
+
+// Close implements net.Conn.
+func (c *MeteredConn) Close() error {
+	err := c.Conn.Close()
+	c.tx.Close()
+	c.rx.Close()
+	return err
 }
 
 // MeteredNetwork wraps a Network so every dialed connection is charged to a

@@ -3,9 +3,11 @@ package transport
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -72,6 +74,79 @@ func TestMeteredConn(t *testing.T) {
 	}
 	if m.Rx() != 3 {
 		t.Errorf("Rx = %d, want 3", m.Rx())
+	}
+}
+
+// nullConn accepts every write and fills every read, so a MeteredConn over
+// it counts exactly the bytes it was asked to move.
+type nullConn struct{ net.Conn }
+
+func (nullConn) Read(p []byte) (int, error)  { return len(p), nil }
+func (nullConn) Write(p []byte) (int, error) { return len(p), nil }
+func (nullConn) Close() error                { return nil }
+
+// TestMeterTotalsSurviveClose: connections count on their own shards and
+// close while Snapshot runs concurrently, some with a writer still
+// writing. Snapshots never decrease, and the final totals are exactly the
+// bytes every connection moved, the closed ones' included.
+func TestMeterTotalsSurviveClose(t *testing.T) {
+	var m Meter
+	stop := make(chan struct{})
+	snapped := make(chan error, 1)
+	go func() {
+		var lastTx, lastRx uint64
+		for {
+			tx, rx := m.Snapshot()
+			if tx < lastTx || rx < lastRx {
+				snapped <- fmt.Errorf("snapshot went back: (%d, %d) after (%d, %d)", tx, rx, lastTx, lastRx)
+				return
+			}
+			lastTx, lastRx = tx, rx
+			select {
+			case <-stop:
+				snapped <- nil
+				return
+			default:
+			}
+		}
+	}()
+
+	const conns, writes = 64, 200
+	var wg sync.WaitGroup
+	var tx, rx atomic.Uint64
+	for i := 0; i < conns; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := WithMeter(nullConn{}, &m)
+			var writer sync.WaitGroup
+			writer.Add(1)
+			go func() { // races the Close below on odd connections
+				defer writer.Done()
+				for j := 0; j < writes; j++ {
+					n, _ := c.Write(make([]byte, 1+(i+j)%7))
+					tx.Add(uint64(n))
+				}
+			}()
+			buf := make([]byte, 1+i%5)
+			for j := 0; j < writes; j++ {
+				n, _ := c.Read(buf)
+				rx.Add(uint64(n))
+			}
+			if i%2 == 0 {
+				writer.Wait()
+			}
+			c.Close()
+			writer.Wait()
+		}(i)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-snapped; err != nil {
+		t.Fatal(err)
+	}
+	if gotTx, gotRx := m.Snapshot(); gotTx != tx.Load() || gotRx != rx.Load() {
+		t.Errorf("meter = (%d, %d), want (%d, %d)", gotTx, gotRx, tx.Load(), rx.Load())
 	}
 }
 
