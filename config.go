@@ -95,8 +95,8 @@ func (d *Deployment) ApplyConfig(ctx context.Context, old, next *Config) (Config
 }
 
 // SetStages grows or shrinks the stage fleet to target, attaching new
-// stages through whatever tier the deployment runs (shard leaders,
-// aggregators, or the single controller).
+// stages through whatever tier the deployment runs (shard leaders or
+// aggregators).
 func (d *Deployment) SetStages(ctx context.Context, target int) error {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()
@@ -104,16 +104,16 @@ func (d *Deployment) SetStages(ctx context.Context, target int) error {
 }
 
 // Resize changes the number of concurrently active shard leaders to target,
-// rebalancing every child onto the new ring. Only standbys-free sharded
-// deployments support resizing.
+// rebalancing every child onto the new ring. Only standbys-free flat
+// deployments on the default placement support resizing.
 func (d *Deployment) Resize(ctx context.Context, target int) error {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()
 	return d.c.ResizeShards(ctx, target)
 }
 
-// SetJobWeight retunes one job's QoS weight on every controller; the next
-// control cycle reallocates under the new weight.
+// SetJobWeight retunes one job's QoS weight on every shard's leader; the
+// next control cycle reallocates under the new weight.
 func (d *Deployment) SetJobWeight(jobID uint64, weight float64) {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()

@@ -103,6 +103,36 @@ func TestApplyConfigLive(t *testing.T) {
 	if st := d.Stats(); st.Stages != 18 {
 		t.Fatalf("rejected reload mutated the fleet: %d stages", st.Stages)
 	}
+
+	// A one-shard deployment reloads to two shards: a fresh leader takes
+	// its ring share, and the next cycle rules every stage from its new
+	// owner.
+	sharded, err := sdscale.ParseConfig([]byte(`{"stages": 18, "jobs": 2, "shards": 2, "jobWeights": {"1": 4}, "interval": "100ms"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta, err := d.ApplyConfig(ctx, next, sharded); err != nil || delta.Shards != 2 {
+		t.Fatalf("shard reload = (%+v, %v), want shards 2", delta, err)
+	}
+	if n := d.NumShards(); n != 2 {
+		t.Fatalf("NumShards = %d after reload, want 2", n)
+	}
+	before := make([]uint64, len(d.Cluster().Stages))
+	for i, v := range d.Cluster().Stages {
+		before[i], _ = v.Counters()
+	}
+	if _, err := d.RunCycle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range d.Cluster().Stages {
+		collects, _ := v.Counters()
+		if _, ok := v.LastRule(); !ok || collects <= before[i] {
+			t.Fatalf("stage %d not ruled by the cycle after the shard reload", v.Info().ID)
+		}
+	}
+	if st := d.Stats(); st.Stages != 18 || st.PerShard[0].Stages == 0 || st.PerShard[1].Stages == 0 {
+		t.Fatalf("stats after shard reload = %+v, want 18 stages over both shards", st)
+	}
 }
 
 // TestDeploymentElasticSurface exercises the aggregator-tier actuators the

@@ -189,7 +189,7 @@ func main() {
 		ListenAddr:    ":0",
 		Capacity:      sdscale.Rates{2000, 200},
 		Epoch:         1, // leadership epoch; the standby will promote to 2
-		StandbyAddr:   sb.Addr(),
+		StandbyAddrs:  []string{sb.Addr()},
 		LeaseTimeout:  150 * time.Millisecond,
 		SyncInterval:  25 * time.Millisecond,
 		CallTimeout:   200 * time.Millisecond,

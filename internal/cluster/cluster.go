@@ -74,16 +74,16 @@ type Config struct {
 	// connection limit (§IV-B).
 	Aggregators int
 	// Shards partitions the fleet across this many concurrently active
-	// global controllers (Flat topology only): each shard is a full
-	// controller group — its own leader, and with Standbys set its own
-	// per-shard quorum and stores — and a shard.Router is installed as the
-	// routing tier (Cluster.Router). Zero or one keeps the single-Global
-	// deployment.
+	// global controllers. Every Flat and Hierarchical deployment is Shards
+	// controller groups — each its own leader, and with Standbys set its
+	// own per-shard quorum and stores — behind a shard.Router
+	// (Cluster.Router); a Hierarchical deployment is one group whose
+	// leader's children are aggregators. Zero selects one; more than one
+	// requires the Flat topology.
 	Shards int
-	// Placement overrides the consistent-hash child placement when
-	// Shards > 1: it must map every stage ID to a shard in [0, Shards).
-	// Incompatible with Standbys (see validateSharded). Nil selects the
-	// default ring.
+	// Placement overrides the consistent-hash child placement: it must map
+	// every stage ID to a shard in [0, Shards). Incompatible with Standbys
+	// (see validate). Nil selects the default ring.
 	Placement func(childID uint64) int
 	// VirtualNodes tunes the default placement ring's granularity
 	// (Shards > 1 only); zero selects shard.DefaultVirtualNodes.
@@ -148,30 +148,28 @@ type Config struct {
 	MaxProbeInterval time.Duration
 	StaleAfter       time.Duration
 	EvictAfter       time.Duration
-	// Standby deploys a warm-standby global controller on its own host
-	// ("global-standby"): the primary replicates state to it every
-	// SyncInterval, and every stage gets both controllers as its parent
-	// list, so a primary crash leads to lease expiry, standby promotion,
-	// and automatic stage re-homing. Flat topology only. Shorthand for
-	// Standbys: 1.
-	Standby bool
-	// Standbys deploys this many warm standbys. With one, the lone standby
-	// promotes directly on lease expiry (Standby's behaviour); with two or
-	// more they form a leadership quorum — a candidate promotes only after
-	// a majority of the controllers (primary plus standbys) grants its
-	// epoch. Flat topology only.
+	// Standbys gives every shard this many warm standbys, each on its own
+	// host (StandbyHost(i) in a one-shard deployment): the shard's leader
+	// replicates state to them every SyncInterval, and every stage gets
+	// the shard's controllers as its parent list, so a leader crash leads
+	// to lease expiry, standby promotion, and automatic stage re-homing.
+	// With one, the lone standby promotes directly on lease expiry; with
+	// two or more they form a leadership quorum — a candidate promotes
+	// only after a majority of the shard's controllers (leader plus
+	// standbys) grants its epoch. Flat topology only.
 	Standbys int
 	// DataDir, when set, gives each global controller a durable
 	// write-ahead store under DataDir/<host name> (see StoreDir):
 	// membership, enforced rules, job weights, and leadership epochs and
 	// votes survive a controller crash and feed cold-restart recovery.
 	DataDir string
-	// LeaseTimeout and SyncInterval tune failover detection (Standby
+	// LeaseTimeout and SyncInterval tune failover detection (Standbys > 0
 	// only); zeros select the controller defaults.
 	LeaseTimeout time.Duration
 	SyncInterval time.Duration
 	// ParentTimeout is the stage-side upstream-silence threshold that
-	// triggers re-homing (Standby only). Zero selects the stage default.
+	// triggers re-homing (Standbys > 0 only). Zero selects the stage
+	// default.
 	ParentTimeout time.Duration
 	// Tracing equips every controller (and the shared stage fleet) with a
 	// span tracer, exposed via Cluster.Trace. Off by default: tracing costs
@@ -217,11 +215,8 @@ func (c Config) withDefaults() Config {
 	if c.Incremental && c.PushThreshold == 0 {
 		c.PushThreshold = DefaultPushThreshold
 	}
-	if c.Standby && c.Standbys <= 0 {
-		c.Standbys = 1
-	}
-	if c.Standbys > 0 {
-		c.Standby = true
+	if c.Shards == 0 {
+		c.Shards = 1
 	}
 	if (c.Topology == Hierarchical || c.Topology == Coordinated) && c.Aggregators <= 0 {
 		c.Aggregators = (c.Stages + simnet.DefaultMaxConns - 1) / simnet.DefaultMaxConns
@@ -237,9 +232,9 @@ func (c Config) withDefaults() Config {
 // whole stage fleet shares one: stage servers only record server spans,
 // which never touch the context words.
 type ClusterTrace struct {
-	// Global traces the top-level controller (Flat/Hierarchical).
+	// Global traces the top-level controller of a one-shard deployment.
 	Global *trace.Tracer
-	// Standby traces the warm standby (Config.Standby only).
+	// Standby traces its first warm standby (Config.Standbys > 0 only).
 	Standby *trace.Tracer
 	// Mid traces the mid tier, index-aligned with Cluster.Aggregators or
 	// Cluster.Peers.
@@ -277,36 +272,42 @@ type Roles struct {
 	CPU *monitor.CPUMeter
 }
 
+// newRoles instruments one controller.
+func newRoles() Roles { return Roles{Meter: &transport.Meter{}, CPU: &monitor.CPUMeter{}} }
+
 // Cluster is a built deployment.
 type Cluster struct {
 	cfg Config
 
 	// Net is the simulated network everything runs on.
 	Net *simnet.Net
-	// Global is the top-level controller (nil for Coordinated).
+	// Global is the configured leader of a one-shard deployment, on host
+	// "global" — Globals[0] (nil for Coordinated and for deployments built
+	// with more than one shard).
 	Global *controller.Global
-	// Standby is the first warm-standby global controller (Config.Standby
-	// only); with a quorum it is Standbys[0].
+	// Standby is the first warm standby of a one-shard deployment
+	// (Config.Standbys > 0 only): Standbys[0].
 	Standby *controller.Global
-	// Standbys lists every warm standby, index-aligned with their hosts
-	// (StandbyHost).
+	// Standbys lists every warm standby, shard by shard, each shard's
+	// index-aligned with its hosts (StandbyHost or ShardStandbyHost).
 	Standbys []*controller.Global
 	// Aggregators is the mid tier (Hierarchical only).
 	Aggregators []*controller.Aggregator
 	// Peers is the controller set of the Coordinated topology.
 	Peers []*controller.Peer
-	// Globals lists every shard leader, index-aligned with their shards
-	// (Config.Shards > 1 only; the single-Global deployments use Global).
+	// Globals lists every shard's configured leader, index-aligned with
+	// the shards (nil for Coordinated).
 	Globals []*controller.Global
-	// Router is the routing tier over the shard leaders (Config.Shards > 1
-	// only): per-child routing, cross-shard fan-out, handoff, rebalance.
+	// Router is the routing tier over the shard groups (nil for
+	// Coordinated): per-child routing, cross-shard fan-out, handoff,
+	// rebalance, and each cycle's choice of a shard's effective leader.
 	Router *shard.Router
 	// Stages is the virtual-stage fleet.
 	Stages []*stage.Virtual
 
-	// GlobalRole instruments the global controller.
+	// GlobalRole instruments Global.
 	GlobalRole Roles
-	// StandbyRole instruments the warm standby (Config.Standby only).
+	// StandbyRole instruments Standby.
 	StandbyRole Roles
 	// AggregatorRoles instruments each aggregator, index-aligned with
 	// Aggregators.
@@ -319,8 +320,8 @@ type Cluster struct {
 	// Trace holds the deployment's tracers (Config.Tracing only).
 	Trace *ClusterTrace
 
-	// recorder accumulates round latency for Coordinated clusters (flat
-	// and hierarchical clusters use the global controller's recorder).
+	// recorder accumulates the latency of every round RunControlCycle
+	// completes.
 	recorder *telemetry.CycleRecorder
 
 	// aggSeq and stageSeq are the next aggregator ordinal and stage index
@@ -337,7 +338,7 @@ func Build(cfg Config) (*Cluster, error) {
 	if cfg.Stages <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one stage, got %d", cfg.Stages)
 	}
-	if err := validateSharded(cfg); err != nil {
+	if err := validate(cfg); err != nil {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, Net: simnet.New(cfg.Net)}
@@ -346,7 +347,6 @@ func Build(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c.aggSeq = len(c.Aggregators)
-	c.stageSeq = uint64(cfg.Stages)
 	return c, nil
 }
 
@@ -392,138 +392,34 @@ func (c *Cluster) stageTracer() *trace.Tracer {
 
 func (c *Cluster) build() error {
 	cfg := c.cfg
-	ctx := context.Background()
 	c.recorder = telemetry.NewCycleRecorder()
 	if cfg.Tracing {
 		c.Trace = &ClusterTrace{Stages: c.newTracer()}
 	}
-
-	if cfg.Shards > 1 {
-		return c.buildSharded()
-	}
-
-	if cfg.Standby {
-		if cfg.Topology != Flat {
-			return fmt.Errorf("cluster: standby failover is only supported for the flat topology, not %v", cfg.Topology)
+	ctx := context.Background()
+	switch cfg.Topology {
+	case Flat, Hierarchical:
+		return c.buildGroups(ctx)
+	case Coordinated:
+		for i := 0; i < cfg.Stages; i++ {
+			v, err := c.startStage(nil)
+			if err != nil {
+				return err
+			}
+			c.Stages = append(c.Stages, v)
 		}
-		return c.buildFlatStandby()
-	}
-
-	// One simulated host per stage: the paper deploys 50 virtual stages
-	// per physical node but treats each as its own compute node (§III-D).
-	for i := 0; i < cfg.Stages; i++ {
-		v, err := stage.StartVirtual(stage.Config{
-			ID:            uint64(i + 1),
-			JobID:         uint64(i%cfg.Jobs + 1),
-			Weight:        1,
-			Generator:     cfg.Workload,
-			Network:       c.Net.Host(fmt.Sprintf("stage-%d", i+1)),
-			Tracer:        c.stageTracer(),
-			PushThreshold: cfg.PushThreshold,
-			PushInterval:  cfg.PushInterval,
-			PushFloor:     cfg.PushFloor,
-		})
-		if err != nil {
-			return fmt.Errorf("cluster: stage %d: %w", i+1, err)
-		}
-		c.Stages = append(c.Stages, v)
-	}
-
-	if cfg.Topology == Coordinated {
 		return c.buildCoordinated(ctx)
 	}
-
-	c.GlobalRole = Roles{Meter: &transport.Meter{}, CPU: &monitor.CPUMeter{}}
-	gcfg := controller.GlobalConfig{
-		Network:          c.Net.Host("global"),
-		Capacity:         cfg.Capacity,
-		Algorithm:        cfg.Algorithm,
-		FanOut:           cfg.FanOut,
-		FanOutMode:       cfg.FanOutMode,
-		CallTimeout:      cfg.CallTimeout,
-		Delegated:        cfg.Delegated,
-		DeltaEnforcement: cfg.DeltaEnforcement,
-		Incremental:      cfg.Incremental,
-		IncrementalFloor: cfg.IncrementalFloor,
-		MaxFailures:      cfg.MaxFailures,
-		ProbeInterval:    cfg.ProbeInterval,
-		MaxProbeInterval: cfg.MaxProbeInterval,
-		StaleAfter:       cfg.StaleAfter,
-		EvictAfter:       cfg.EvictAfter,
-		Meter:            c.GlobalRole.Meter,
-		CPU:              c.GlobalRole.CPU,
-	}
-	if c.Trace != nil {
-		c.Trace.Global = c.newTracer()
-		gcfg.Tracer = c.Trace.Global
-	}
-	gst, err := c.openStore("global")
-	if err != nil {
-		return err
-	}
-	gcfg.Store = gst
-	gcfg.ID = 1
-	g, err := controller.StartGlobal(gcfg)
-	if err != nil {
-		if gst != nil {
-			gst.Close()
-		}
-		return err
-	}
-	c.Global = g
-
-	switch cfg.Topology {
-	case Flat:
-		for _, v := range c.Stages {
-			if err := g.AddStage(ctx, v.Info()); err != nil {
-				return fmt.Errorf("cluster: flat attach: %w", err)
-			}
-		}
-	case Hierarchical:
-		// Partition stages into contiguous disjoint sets, as the paper
-		// does (each aggregator owns Stages/Aggregators nodes).
-		per := (cfg.Stages + cfg.Aggregators - 1) / cfg.Aggregators
-		for a := 0; a < cfg.Aggregators; a++ {
-			role := Roles{Meter: &transport.Meter{}, CPU: &monitor.CPUMeter{}}
-			acfg := c.aggregatorConfig(a, role)
-			if c.Trace != nil {
-				acfg.Tracer = c.newTracer()
-				c.Trace.Mid = append(c.Trace.Mid, acfg.Tracer)
-			}
-			agg, err := controller.StartAggregator(acfg)
-			if err != nil {
-				return fmt.Errorf("cluster: aggregator %d: %w", a, err)
-			}
-			c.Aggregators = append(c.Aggregators, agg)
-			c.AggregatorRoles = append(c.AggregatorRoles, role)
-
-			lo := a * per
-			hi := lo + per
-			if hi > cfg.Stages {
-				hi = cfg.Stages
-			}
-			for _, v := range c.Stages[lo:hi] {
-				if err := agg.AddStage(ctx, v.Info()); err != nil {
-					return fmt.Errorf("cluster: aggregator %d attach: %w", a, err)
-				}
-			}
-			if err := g.AddAggregator(ctx, agg.ID(), agg.Addr(), agg.Stages()); err != nil {
-				return fmt.Errorf("cluster: attach aggregator %d: %w", a, err)
-			}
-		}
-	default:
-		return fmt.Errorf("cluster: unknown topology %v", cfg.Topology)
-	}
-	return nil
+	return fmt.Errorf("cluster: unknown topology %v", cfg.Topology)
 }
 
-// quorumPort is the fixed registration port every controller in a standby
-// deployment listens on: with deterministic host names, every quorum member
-// knows its peers' addresses before any of them exists.
+// quorumPort is the fixed registration port every global controller listens
+// on: with deterministic host names, every quorum member knows its peers'
+// addresses before any of them exists.
 const quorumPort = ":41000"
 
 // StandbyHost returns the simulated-network host name of the i-th (0-based)
-// warm standby.
+// warm standby of a one-shard deployment.
 func StandbyHost(i int) string {
 	if i == 0 {
 		return "global-standby"
@@ -549,153 +445,72 @@ func (c *Cluster) openStore(host string) (*store.Store, error) {
 	return st, nil
 }
 
-// buildFlatStandby wires a flat control plane with warm standbys: standbys
-// first (so the primary can replicate to them from its first sync), then
-// the primary at leadership epoch 1, then the stage fleet — which registers
-// dynamically through its parent address list rather than being attached by
-// the builder, exactly the path re-homing uses after a failover. With two
-// or more standbys every controller learns the full quorum membership, so
-// lease expiry leads to a majority election instead of direct promotion.
-func (c *Cluster) buildFlatStandby() error {
+// startStage starts the fleet's next stage on a host of its own — the paper
+// deploys 50 virtual stages per physical node but treats each as its own
+// compute node (§III-D) — with the given parent list (nil for a stage its
+// owner attaches directly). The caller adds it to Stages.
+func (c *Cluster) startStage(parents []string) (*stage.Virtual, error) {
 	cfg := c.cfg
-	base := controller.GlobalConfig{
-		ListenAddr:       quorumPort,
-		Capacity:         cfg.Capacity,
-		Algorithm:        cfg.Algorithm,
-		FanOut:           cfg.FanOut,
-		FanOutMode:       cfg.FanOutMode,
-		CallTimeout:      cfg.CallTimeout,
-		DeltaEnforcement: cfg.DeltaEnforcement,
-		Incremental:      cfg.Incremental,
-		IncrementalFloor: cfg.IncrementalFloor,
-		MaxFailures:      cfg.MaxFailures,
-		ProbeInterval:    cfg.ProbeInterval,
-		MaxProbeInterval: cfg.MaxProbeInterval,
-		StaleAfter:       cfg.StaleAfter,
-		EvictAfter:       cfg.EvictAfter,
-		LeaseTimeout:     cfg.LeaseTimeout,
-		SyncInterval:     cfg.SyncInterval,
-	}
-
-	primaryAddr := "global" + quorumPort
-	sbAddrs := make([]string, cfg.Standbys)
-	for i := range sbAddrs {
-		sbAddrs[i] = StandbyHost(i) + quorumPort
-	}
-
-	for i := 0; i < cfg.Standbys; i++ {
-		host := StandbyHost(i)
-		role := Roles{Meter: &transport.Meter{}, CPU: &monitor.CPUMeter{}}
-		scfg := base
-		scfg.Network = c.Net.Host(host)
-		scfg.ID = uint64(i + 2)
-		scfg.Standby = true
-		if cfg.Standbys > 1 {
-			// Quorum membership: the primary plus the other standbys. A
-			// lone standby keeps the empty list and with it the direct
-			// promote-on-expiry behaviour.
-			peers := []string{primaryAddr}
-			for j, a := range sbAddrs {
-				if j != i {
-					peers = append(peers, a)
-				}
-			}
-			scfg.StandbyAddrs = peers
-		}
-		st, err := c.openStore(host)
-		if err != nil {
-			return err
-		}
-		scfg.Store = st
-		scfg.Meter = role.Meter
-		scfg.CPU = role.CPU
-		if c.Trace != nil && i == 0 {
-			c.Trace.Standby = c.newTracer()
-			scfg.Tracer = c.Trace.Standby
-		}
-		sb, err := controller.StartGlobal(scfg)
-		if err != nil {
-			if st != nil {
-				st.Close()
-			}
-			return fmt.Errorf("cluster: standby %d: %w", i+1, err)
-		}
-		c.Standbys = append(c.Standbys, sb)
-		if i == 0 {
-			c.Standby = sb
-			c.StandbyRole = role
-		}
-	}
-
-	c.GlobalRole = Roles{Meter: &transport.Meter{}, CPU: &monitor.CPUMeter{}}
-	gcfg := base
-	gcfg.Network = c.Net.Host("global")
-	gcfg.ID = 1
-	gcfg.Epoch = 1
-	gcfg.StandbyAddrs = sbAddrs
-	gst, err := c.openStore("global")
+	i := c.stageSeq
+	c.stageSeq++
+	v, err := stage.StartVirtual(stage.Config{
+		ID:            i + 1,
+		JobID:         i%uint64(cfg.Jobs) + 1,
+		Weight:        1,
+		Generator:     cfg.Workload,
+		Network:       c.Net.Host(fmt.Sprintf("stage-%d", i+1)),
+		Parents:       parents,
+		ParentTimeout: cfg.ParentTimeout,
+		Tracer:        c.stageTracer(),
+		PushThreshold: cfg.PushThreshold,
+		PushInterval:  cfg.PushInterval,
+		PushFloor:     cfg.PushFloor,
+	})
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("cluster: stage %d: %w", i+1, err)
 	}
-	gcfg.Store = gst
-	gcfg.Meter = c.GlobalRole.Meter
-	gcfg.CPU = c.GlobalRole.CPU
-	if c.Trace != nil {
-		c.Trace.Global = c.newTracer()
-		gcfg.Tracer = c.Trace.Global
-	}
-	g, err := controller.StartGlobal(gcfg)
-	if err != nil {
-		if gst != nil {
-			gst.Close()
-		}
-		return err
-	}
-	c.Global = g
+	return v, nil
+}
 
-	parents := make([]string, 0, 1+len(c.Standbys))
-	parents = append(parents, g.Addr())
-	for _, sb := range c.Standbys {
-		parents = append(parents, sb.Addr())
-	}
-	for i := 0; i < cfg.Stages; i++ {
-		v, err := stage.StartVirtual(stage.Config{
-			ID:            uint64(i + 1),
-			JobID:         uint64(i%cfg.Jobs + 1),
-			Weight:        1,
-			Generator:     cfg.Workload,
-			Network:       c.Net.Host(fmt.Sprintf("stage-%d", i+1)),
-			Parents:       parents,
-			ParentTimeout: cfg.ParentTimeout,
-			Tracer:        c.stageTracer(),
-			PushThreshold: cfg.PushThreshold,
-			PushInterval:  cfg.PushInterval,
-			PushFloor:     cfg.PushFloor,
-		})
+// attachAggregators builds the hierarchical tier under the global
+// controller, partitioning the started stage fleet into contiguous disjoint
+// sets as the paper does (each aggregator owns Stages/Aggregators nodes).
+func (c *Cluster) attachAggregators(ctx context.Context) error {
+	cfg := c.cfg
+	per := (cfg.Stages + cfg.Aggregators - 1) / cfg.Aggregators
+	for a := 0; a < cfg.Aggregators; a++ {
+		role := newRoles()
+		acfg := c.aggregatorConfig(a, role)
+		if c.Trace != nil {
+			acfg.Tracer = c.newTracer()
+			c.Trace.Mid = append(c.Trace.Mid, acfg.Tracer)
+		}
+		agg, err := controller.StartAggregator(acfg)
 		if err != nil {
-			return fmt.Errorf("cluster: stage %d: %w", i+1, err)
+			return fmt.Errorf("cluster: aggregator %d: %w", a, err)
 		}
-		c.Stages = append(c.Stages, v)
-	}
+		c.Aggregators = append(c.Aggregators, agg)
+		c.AggregatorRoles = append(c.AggregatorRoles, role)
 
-	// Registration is asynchronous; wait until the primary owns the fleet.
-	deadline := time.Now().Add(10 * time.Second)
-	for g.NumChildren() < cfg.Stages {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: only %d/%d stages registered with the primary", g.NumChildren(), cfg.Stages)
+		for _, v := range c.Stages[a*per : min((a+1)*per, cfg.Stages)] {
+			if err := agg.AddStage(ctx, v.Info()); err != nil {
+				return fmt.Errorf("cluster: aggregator %d attach: %w", a, err)
+			}
 		}
-		time.Sleep(2 * time.Millisecond)
+		if err := c.Global.AddAggregator(ctx, agg.ID(), agg.Addr(), agg.Stages()); err != nil {
+			return fmt.Errorf("cluster: attach aggregator %d: %w", a, err)
+		}
 	}
 	return nil
 }
 
 // buildCoordinated wires the future-work design: a full mesh of peer
-// controllers, each owning a disjoint partition of the stages.
+// controllers, each owning a disjoint partition of the started stages.
 func (c *Cluster) buildCoordinated(ctx context.Context) error {
 	cfg := c.cfg
 	per := (cfg.Stages + cfg.Aggregators - 1) / cfg.Aggregators
 	for i := 0; i < cfg.Aggregators; i++ {
-		role := Roles{Meter: &transport.Meter{}, CPU: &monitor.CPUMeter{}}
+		role := newRoles()
 		var midTracer *trace.Tracer
 		if c.Trace != nil {
 			midTracer = c.newTracer()
@@ -726,12 +541,7 @@ func (c *Cluster) buildCoordinated(ctx context.Context) error {
 		c.Peers = append(c.Peers, p)
 		c.PeerRoles = append(c.PeerRoles, role)
 
-		lo := i * per
-		hi := lo + per
-		if hi > cfg.Stages {
-			hi = cfg.Stages
-		}
-		for _, v := range c.Stages[lo:hi] {
+		for _, v := range c.Stages[i*per : min((i+1)*per, cfg.Stages)] {
 			if err := p.AddStage(ctx, v.Info()); err != nil {
 				return fmt.Errorf("cluster: peer %d attach: %w", i, err)
 			}
@@ -755,10 +565,10 @@ func (c *Cluster) buildCoordinated(ctx context.Context) error {
 func (c *Cluster) Config() Config { return c.cfg }
 
 // RunControlCycle executes one control round across the whole deployment:
-// the global controller's cycle (Flat/Hierarchical), one concurrent cycle
-// on every shard leader (Shards > 1, merged as per-phase maxima since the
-// shards overlap in time), or one concurrent cycle on every peer
-// (Coordinated, recorded as the peers' mean).
+// one concurrent cycle on every shard's effective leader (Flat and
+// Hierarchical, merged as per-phase maxima since the shards overlap in
+// time), or one concurrent cycle on every peer (Coordinated, recorded as
+// the peers' mean).
 func (c *Cluster) RunControlCycle(ctx context.Context) (telemetry.Breakdown, error) {
 	if c.Router != nil {
 		b, err := c.Router.RunCycle(ctx)
@@ -766,9 +576,6 @@ func (c *Cluster) RunControlCycle(ctx context.Context) (telemetry.Breakdown, err
 			c.recorder.Record(b)
 		}
 		return b, err
-	}
-	if c.Global != nil {
-		return c.Global.RunCycle(ctx)
 	}
 	n := len(c.Peers)
 	if n == 0 {
@@ -805,19 +612,12 @@ func (c *Cluster) RunControlCycle(ctx context.Context) (telemetry.Breakdown, err
 	return mean, nil
 }
 
-// Recorder returns the deployment's control-round latency recorder.
-func (c *Cluster) Recorder() *telemetry.CycleRecorder {
-	if c.Global != nil {
-		return c.Global.Recorder()
-	}
-	return c.recorder
-}
+// Recorder returns the deployment's control-round latency recorder: every
+// round RunControlCycle completed.
+func (c *Cluster) Recorder() *telemetry.CycleRecorder { return c.recorder }
 
-// Close tears the whole deployment down.
+// Close tears the whole deployment down, closing each controller once.
 func (c *Cluster) Close() {
-	if c.Global != nil {
-		c.Global.Close()
-	}
 	for _, g := range c.Globals {
 		g.Close()
 	}

@@ -5,10 +5,7 @@ import (
 	"fmt"
 
 	"github.com/dsrhaslab/sdscale/internal/controller"
-	"github.com/dsrhaslab/sdscale/internal/monitor"
 	"github.com/dsrhaslab/sdscale/internal/shard"
-	"github.com/dsrhaslab/sdscale/internal/stage"
-	"github.com/dsrhaslab/sdscale/internal/transport"
 )
 
 // This file is the live-reshaping surface of a built deployment: growing
@@ -60,7 +57,7 @@ func (c *Cluster) GrowAggregators(ctx context.Context) error {
 		return fmt.Errorf("cluster: no aggregator tier to grow")
 	}
 	seq := c.aggSeq
-	role := Roles{Meter: &transport.Meter{}, CPU: &monitor.CPUMeter{}}
+	role := newRoles()
 	acfg := c.aggregatorConfig(seq, role)
 	if c.Trace != nil {
 		tr := c.newTracer()
@@ -164,60 +161,39 @@ func (c *Cluster) leastLoadedAggregator() *controller.Aggregator {
 }
 
 // SetStages grows or shrinks the stage fleet to target: grown stages start
-// on fresh hosts with fresh IDs and attach to the right owner (the global
-// controller, the least-loaded aggregator, or the placement shard);
-// shrunken stages release from their owner and close, newest first.
-// Requires a standbys-free deployment — with warm standbys the fleet
-// registers dynamically and the builder's parent lists would go stale.
+// on fresh hosts with fresh IDs and attach to the right owner (the
+// least-loaded aggregator, or the placement shard's leader); shrunken
+// stages release from their owner and close, newest first. Requires a
+// standbys-free deployment — with warm standbys the fleet registers
+// dynamically and the builder's parent lists would go stale.
 func (c *Cluster) SetStages(ctx context.Context, target int) error {
-	cfg := c.cfg
 	switch {
 	case target < 1:
 		return fmt.Errorf("cluster: cannot shrink the fleet below one stage")
-	case cfg.Standbys > 0:
+	case c.cfg.Standbys > 0:
 		return fmt.Errorf("cluster: fleet resize requires standbys = 0")
-	case len(c.Peers) > 0:
+	case c.Router == nil:
 		return fmt.Errorf("cluster: fleet resize is not supported for the coordinated topology")
-	case c.Router != nil && target < c.Router.NumShards():
+	case target < c.Router.NumShards():
 		return fmt.Errorf("cluster: cannot shrink the fleet below the %d live shard(s)", c.Router.NumShards())
 	}
 
 	for len(c.Stages) < target {
-		i := c.stageSeq
-		c.stageSeq++
-		v, err := stage.StartVirtual(stage.Config{
-			ID:            i + 1,
-			JobID:         i%uint64(cfg.Jobs) + 1,
-			Weight:        1,
-			Generator:     cfg.Workload,
-			Network:       c.Net.Host(fmt.Sprintf("stage-%d", i+1)),
-			Tracer:        c.stageTracer(),
-			PushThreshold: cfg.PushThreshold,
-			PushInterval:  cfg.PushInterval,
-			PushFloor:     cfg.PushFloor,
-		})
+		v, err := c.startStage(nil)
 		if err != nil {
-			return fmt.Errorf("cluster: grow stage %d: %w", i+1, err)
+			return err
 		}
-		switch {
-		case c.Router != nil:
-			s := c.Router.Place(v.Info().ID)
-			if err := c.Router.Group(s).Leader().AddStage(ctx, v.Info()); err != nil {
-				v.Close()
-				return fmt.Errorf("cluster: shard %d attach: %w", s, err)
-			}
-		case len(c.Aggregators) > 0:
+		if len(c.Aggregators) > 0 {
 			agg := c.leastLoadedAggregator()
-			if err := agg.AddStage(ctx, v.Info()); err != nil {
-				v.Close()
-				return fmt.Errorf("cluster: aggregator attach: %w", err)
+			if err = agg.AddStage(ctx, v.Info()); err == nil {
+				c.Global.SetAggregatorStages(agg.ID(), agg.Stages())
 			}
-			c.Global.SetAggregatorStages(agg.ID(), agg.Stages())
-		default:
-			if err := c.Global.AddStage(ctx, v.Info()); err != nil {
-				v.Close()
-				return fmt.Errorf("cluster: flat attach: %w", err)
-			}
+		} else {
+			err = c.Router.Group(c.Router.Place(v.Info().ID)).Leader().AddStage(ctx, v.Info())
+		}
+		if err != nil {
+			v.Close()
+			return fmt.Errorf("cluster: attach stage %d: %w", v.Info().ID, err)
 		}
 		c.Stages = append(c.Stages, v)
 	}
@@ -226,51 +202,21 @@ func (c *Cluster) SetStages(ctx context.Context, target int) error {
 		last := len(c.Stages) - 1
 		v := c.Stages[last]
 		id := v.Info().ID
-		switch {
-		case c.Router != nil:
-			_, leader := c.Router.Route(id)
-			leader.RemoveChild(id)
-		case len(c.Aggregators) > 0:
+		if len(c.Aggregators) > 0 {
 			for _, a := range c.Aggregators {
 				if a.RemoveStage(id) {
 					c.Global.SetAggregatorStages(a.ID(), a.Stages())
 					break
 				}
 			}
-		default:
-			c.Global.RemoveChild(id)
+		} else {
+			_, leader := c.Router.Route(id)
+			leader.RemoveChild(id)
 		}
 		v.Close()
 		c.Stages = c.Stages[:last]
 	}
 	return nil
-}
-
-// shardLeaderConfig assembles the configuration for shard s's leader,
-// mirroring buildSharded (standbys-free resizes only, so no quorum
-// wiring). Capacity is set by the caller after the rebalance settles.
-func (c *Cluster) shardLeaderConfig(s int, role Roles) controller.GlobalConfig {
-	cfg := c.cfg
-	return controller.GlobalConfig{
-		ListenAddr:       quorumPort,
-		Network:          c.Net.Host(ShardHost(s)),
-		ID:               1,
-		Epoch:            1,
-		Algorithm:        cfg.Algorithm,
-		FanOut:           cfg.FanOut,
-		FanOutMode:       cfg.FanOutMode,
-		CallTimeout:      cfg.CallTimeout,
-		DeltaEnforcement: cfg.DeltaEnforcement,
-		Incremental:      cfg.Incremental,
-		IncrementalFloor: cfg.IncrementalFloor,
-		MaxFailures:      cfg.MaxFailures,
-		ProbeInterval:    cfg.ProbeInterval,
-		MaxProbeInterval: cfg.MaxProbeInterval,
-		StaleAfter:       cfg.StaleAfter,
-		EvictAfter:       cfg.EvictAfter,
-		Meter:            role.Meter,
-		CPU:              role.CPU,
-	}
 }
 
 // ResizeShards changes the shard-leader count to target and rebalances the
@@ -279,12 +225,12 @@ func (c *Cluster) shardLeaderConfig(s int, role Roles) controller.GlobalConfig {
 // ring first (so nothing routes to the doomed shards), drains each doomed
 // shard's children to their new owners, then evicts and closes it. Per-
 // shard capacity is re-split proportionally to the settled populations.
-// Requires a standbys-free sharded deployment on the default placement.
+// Requires a standbys-free flat deployment on the default placement.
 func (c *Cluster) ResizeShards(ctx context.Context, target int) error {
 	cfg := c.cfg
 	switch {
-	case c.Router == nil:
-		return fmt.Errorf("cluster: not a sharded deployment")
+	case cfg.Topology != Flat:
+		return fmt.Errorf("cluster: shard resize requires the flat topology, not %v", cfg.Topology)
 	case cfg.Standbys > 0:
 		return fmt.Errorf("cluster: shard resize requires standbys = 0")
 	case cfg.Placement != nil:
@@ -306,23 +252,11 @@ func (c *Cluster) ResizeShards(ctx context.Context, target int) error {
 
 	if target > cur {
 		for s := cur; s < target; s++ {
-			role := Roles{Meter: &transport.Meter{}, CPU: &monitor.CPUMeter{}}
-			gcfg := c.shardLeaderConfig(s, role)
-			st, err := c.openStore(ShardHost(s))
+			g, err := c.startGroup(s, 0)
 			if err != nil {
 				return err
 			}
-			gcfg.Store = st
-			g, err := controller.StartGlobal(gcfg)
-			if err != nil {
-				if st != nil {
-					st.Close()
-				}
-				return fmt.Errorf("cluster: grow shard %d: %w", s, err)
-			}
-			c.Globals = append(c.Globals, g)
-			c.ShardRoles = append(c.ShardRoles, role)
-			groups = append(groups, shard.NewGroup(g, nil, nil))
+			groups = append(groups, g)
 		}
 		c.Router.SetGroups(groups, shard.Config{VirtualNodes: cfg.VirtualNodes})
 		if _, err := c.Router.Rebalance(ctx); err != nil {
@@ -350,13 +284,14 @@ func (c *Cluster) ResizeShards(ctx context.Context, target int) error {
 	return nil
 }
 
-// SetJobWeight re-tunes one job's QoS weight across the deployment's
-// controllers; the next control cycle allocates with it.
+// SetJobWeight re-tunes one job's QoS weight on every shard's effective
+// leader (its standbys mirror it from the leader's next state sync); the
+// next control cycle allocates with it.
 func (c *Cluster) SetJobWeight(jobID uint64, weight float64) {
-	if c.Global != nil {
-		c.Global.SetJobWeight(jobID, weight)
+	if c.Router == nil {
+		return
 	}
-	for _, g := range c.Globals {
-		g.SetJobWeight(jobID, weight)
+	for i := 0; i < c.Router.NumShards(); i++ {
+		c.Router.Group(i).Leader().SetJobWeight(jobID, weight)
 	}
 }

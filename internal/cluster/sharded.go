@@ -6,34 +6,32 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/controller"
-	"github.com/dsrhaslab/sdscale/internal/monitor"
 	"github.com/dsrhaslab/sdscale/internal/shard"
-	"github.com/dsrhaslab/sdscale/internal/stage"
-	"github.com/dsrhaslab/sdscale/internal/transport"
 )
 
-// ShardHost returns the simulated-network host name of shard s's leader.
+// ShardHost returns the simulated-network host name of shard s's leader in
+// a deployment built with more than one shard (a one-shard deployment's
+// leader is "global").
 func ShardHost(s int) string { return fmt.Sprintf("shard-%d", s) }
 
 // ShardStandbyHost returns the host name of shard s's i-th (0-based) warm
-// standby.
+// standby in a deployment built with more than one shard (a one-shard
+// deployment's standbys are StandbyHost(i)).
 func ShardStandbyHost(s, i int) string { return fmt.Sprintf("shard-%d-standby-%d", s, i) }
 
-// validateSharded rejects the configuration combinations the sharded
-// builder cannot honour. It is the build-time half of the façade's
-// Topology.Validate: anything that reaches the builder invalid fails here
-// too, so direct cluster users get the same errors.
-func validateSharded(cfg Config) error {
-	if cfg.Shards < 0 {
+// validate rejects the configuration combinations the builder cannot
+// honour. It is the build-time half of the façade's Topology.Validate:
+// anything that reaches the builder invalid fails here too, so direct
+// cluster users get the same errors.
+func validate(cfg Config) error {
+	switch {
+	case cfg.Shards < 1:
 		return fmt.Errorf("cluster: Shards must be >= 1, got %d", cfg.Shards)
-	}
-	if cfg.Shards <= 1 {
-		return nil
-	}
-	if cfg.Topology != Flat {
+	case cfg.Shards > 1 && cfg.Topology != Flat:
 		return fmt.Errorf("cluster: sharding is only supported for the flat topology, not %v", cfg.Topology)
-	}
-	if cfg.Placement != nil && cfg.Standbys > 0 {
+	case cfg.Standbys > 0 && cfg.Topology != Flat:
+		return fmt.Errorf("cluster: standby failover is only supported for the flat topology, not %v", cfg.Topology)
+	case cfg.Placement != nil && cfg.Standbys > 0:
 		// A custom placement function is opaque: the builder cannot prove
 		// it is stable, so the per-shard parent lists that standby
 		// re-homing depends on could disagree with where the function
@@ -44,30 +42,28 @@ func validateSharded(cfg Config) error {
 	return nil
 }
 
-// buildSharded wires N concurrently-active flat control planes over one
-// fleet: every shard gets its own leader (plus optional quorum standbys and
-// write-ahead store), children are placed by consistent hashing (or the
-// custom Placement), per-shard capacity is the fleet capacity scaled by
-// the shard's share of the stages, and a shard.Router is installed as the
-// routing tier. Without standbys the builder attaches each stage to its
-// shard directly; with standbys stages register dynamically through their
-// shard's parent address list — the same path re-homing uses after a
-// failover, and the path a handoff re-uses for a shard move.
-func (c *Cluster) buildSharded() error {
+// buildGroups builds every deployment that has a global controller: Shards
+// groups of one leader and Standbys warm standbys (each with its own
+// write-ahead store under DataDir), behind a shard.Router. Children are
+// placed by consistent hashing (or the custom Placement), and each shard's
+// capacity is the fleet capacity scaled by its share of the stages. A
+// hierarchical deployment is one group whose leader's children are
+// aggregators. Without standbys the builder attaches each stage to its
+// shard directly, in stage order; with standbys stages register through
+// their shard's parent list — the path re-homing takes after a failover,
+// and the path a handoff re-uses for a shard move.
+func (c *Cluster) buildGroups(ctx context.Context) error {
 	cfg := c.cfg
-	ctx := context.Background()
 
 	place := cfg.Placement
 	if place == nil {
-		ring := shard.NewRing(cfg.Shards, cfg.VirtualNodes)
-		place = ring.Place
+		place = shard.NewRing(cfg.Shards, cfg.VirtualNodes).Place
 	}
-
 	// Place the whole fleet first: per-shard capacity and the
 	// registration waits need the shard populations.
 	owner := make([]int, cfg.Stages)
 	counts := make([]int, cfg.Shards)
-	for i := 0; i < cfg.Stages; i++ {
+	for i := range owner {
 		s := place(uint64(i + 1))
 		if s < 0 || s >= cfg.Shards {
 			return fmt.Errorf("cluster: placement sent stage %d to shard %d (have %d shards)", i+1, s, cfg.Shards)
@@ -76,12 +72,160 @@ func (c *Cluster) buildSharded() error {
 		counts[s]++
 	}
 
-	base := controller.GlobalConfig{
+	groups := make([]*shard.Group, cfg.Shards)
+	for s := range groups {
+		g, err := c.startGroup(s, counts[s])
+		if err != nil {
+			return err
+		}
+		groups[s] = g
+	}
+
+	// The whole fleet starts, then attaches in stage order. With standbys,
+	// a stage's parent list is its shard's controllers, leader first, and
+	// the stages register themselves.
+	parents := make([][]string, cfg.Shards)
+	if cfg.Standbys > 0 {
+		for s, g := range groups {
+			for _, m := range g.Members() {
+				parents[s] = append(parents[s], m.Addr())
+			}
+		}
+	}
+	for _, s := range owner {
+		v, err := c.startStage(parents[s])
+		if err != nil {
+			return err
+		}
+		c.Stages = append(c.Stages, v)
+	}
+
+	var err error
+	switch {
+	case cfg.Topology == Hierarchical:
+		err = c.attachAggregators(ctx)
+	case cfg.Standbys > 0:
+		err = c.awaitRegistration(counts)
+	default:
+		for i, v := range c.Stages {
+			if err = c.Globals[owner[i]].AddStage(ctx, v.Info()); err != nil {
+				err = fmt.Errorf("cluster: shard %d attach: %w", owner[i], err)
+				break
+			}
+		}
+	}
+	if err != nil {
+		return err
+	}
+	c.Router = shard.NewRouter(groups, shard.Config{Placement: cfg.Placement, VirtualNodes: cfg.VirtualNodes})
+	return nil
+}
+
+// awaitRegistration waits until every shard leader owns its slice of the
+// fleet: stages with a parent list register asynchronously.
+func (c *Cluster) awaitRegistration(counts []int) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for s, g := range c.Globals {
+		for g.NumChildren() < counts[s] {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("cluster: shard %d: only %d/%d stages registered", s, g.NumChildren(), counts[s])
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	return nil
+}
+
+// startGroup starts shard s's standbys, then its leader, so the leader's
+// first state sync finds them listening; n is the shard's share of the
+// fleet, which sizes its capacity. The group joins Globals, ShardRoles and
+// Standbys. The one shard of a deployment built with one keeps the classic
+// names: its leader is host "global" (Global, GlobalRole, Trace.Global)
+// and its standbys are StandbyHost(i), the first being Standby
+// (StandbyRole, Trace.Standby).
+func (c *Cluster) startGroup(s, n int) (*shard.Group, error) {
+	cfg := c.cfg
+	single := s == 0 && cfg.Shards == 1
+	leaderHost, standbyHost := ShardHost(s), func(i int) string { return ShardStandbyHost(s, i) }
+	if single {
+		leaderHost, standbyHost = "global", StandbyHost
+	}
+	var sbAddrs []string
+	for i := 0; i < cfg.Standbys; i++ {
+		sbAddrs = append(sbAddrs, standbyHost(i)+quorumPort)
+	}
+
+	var standbys []*controller.Global
+	for i := range sbAddrs {
+		role := newRoles()
+		gcfg := c.globalConfig(standbyHost(i), n, role)
+		gcfg.ID = uint64(i + 2)
+		gcfg.Standby = true
+		if len(sbAddrs) > 1 {
+			// Quorum membership: the leader plus the other standbys. A lone
+			// standby keeps the empty list and with it the direct
+			// promote-on-expiry behaviour.
+			gcfg.StandbyAddrs = []string{leaderHost + quorumPort}
+			for j, a := range sbAddrs {
+				if j != i {
+					gcfg.StandbyAddrs = append(gcfg.StandbyAddrs, a)
+				}
+			}
+		}
+		if single && i == 0 && c.Trace != nil {
+			c.Trace.Standby = c.newTracer()
+			gcfg.Tracer = c.Trace.Standby
+		}
+		sb, err := c.startGlobal(standbyHost(i), gcfg)
+		if err != nil {
+			return nil, err
+		}
+		standbys = append(standbys, sb)
+		c.Standbys = append(c.Standbys, sb)
+		if single && i == 0 {
+			c.Standby, c.StandbyRole = sb, role
+		}
+	}
+
+	role := newRoles()
+	gcfg := c.globalConfig(leaderHost, n, role)
+	gcfg.ID = 1
+	gcfg.StandbyAddrs = sbAddrs
+	if len(sbAddrs) > 0 {
+		// GlobalConfig.Epoch's convention: a leader with standbys starts
+		// at 1; one without stays at 0, like any unreplicated controller.
+		gcfg.Epoch = 1
+	}
+	if single && c.Trace != nil {
+		c.Trace.Global = c.newTracer()
+		gcfg.Tracer = c.Trace.Global
+	}
+	g, err := c.startGlobal(leaderHost, gcfg)
+	if err != nil {
+		return nil, err
+	}
+	c.Globals = append(c.Globals, g)
+	c.ShardRoles = append(c.ShardRoles, role)
+	if single {
+		c.Global, c.GlobalRole = g, role
+	}
+	return shard.NewGroup(g, standbys, sbAddrs), nil
+}
+
+// globalConfig is the configuration every global controller of the
+// deployment starts from — leader, standby, or a shard grown live — on
+// host, sized for n of the fleet's stages.
+func (c *Cluster) globalConfig(host string, n int, role Roles) controller.GlobalConfig {
+	cfg := c.cfg
+	return controller.GlobalConfig{
 		ListenAddr:       quorumPort,
+		Network:          c.Net.Host(host),
+		Capacity:         cfg.Capacity.Scale(float64(n) / float64(cfg.Stages)),
 		Algorithm:        cfg.Algorithm,
 		FanOut:           cfg.FanOut,
 		FanOutMode:       cfg.FanOutMode,
 		CallTimeout:      cfg.CallTimeout,
+		Delegated:        cfg.Delegated,
 		DeltaEnforcement: cfg.DeltaEnforcement,
 		Incremental:      cfg.Incremental,
 		IncrementalFloor: cfg.IncrementalFloor,
@@ -92,121 +236,24 @@ func (c *Cluster) buildSharded() error {
 		EvictAfter:       cfg.EvictAfter,
 		LeaseTimeout:     cfg.LeaseTimeout,
 		SyncInterval:     cfg.SyncInterval,
+		Meter:            role.Meter,
+		CPU:              role.CPU,
 	}
+}
 
-	groups := make([]*shard.Group, cfg.Shards)
-	parents := make([][]string, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		leaderAddr := ShardHost(s) + quorumPort
-		sbAddrs := make([]string, cfg.Standbys)
-		for i := range sbAddrs {
-			sbAddrs[i] = ShardStandbyHost(s, i) + quorumPort
-		}
-
-		// Standbys first, so the leader's first sync finds them listening.
-		var standbys []*controller.Global
-		for i := 0; i < cfg.Standbys; i++ {
-			host := ShardStandbyHost(s, i)
-			scfg := base
-			scfg.Network = c.Net.Host(host)
-			scfg.ID = uint64(i + 2)
-			scfg.Standby = true
-			scfg.Capacity = cfg.Capacity.Scale(float64(counts[s]) / float64(cfg.Stages))
-			if cfg.Standbys > 1 {
-				peers := []string{leaderAddr}
-				for j, a := range sbAddrs {
-					if j != i {
-						peers = append(peers, a)
-					}
-				}
-				scfg.StandbyAddrs = peers
-			}
-			st, err := c.openStore(host)
-			if err != nil {
-				return err
-			}
-			scfg.Store = st
-			sb, err := controller.StartGlobal(scfg)
-			if err != nil {
-				if st != nil {
-					st.Close()
-				}
-				return fmt.Errorf("cluster: shard %d standby %d: %w", s, i, err)
-			}
-			standbys = append(standbys, sb)
-			c.Standbys = append(c.Standbys, sb)
-		}
-
-		role := Roles{Meter: &transport.Meter{}, CPU: &monitor.CPUMeter{}}
-		gcfg := base
-		gcfg.Network = c.Net.Host(ShardHost(s))
-		gcfg.ID = 1
-		gcfg.Epoch = 1
-		gcfg.Capacity = cfg.Capacity.Scale(float64(counts[s]) / float64(cfg.Stages))
-		gcfg.StandbyAddrs = sbAddrs
-		gcfg.Meter = role.Meter
-		gcfg.CPU = role.CPU
-		st, err := c.openStore(ShardHost(s))
-		if err != nil {
-			return err
-		}
-		gcfg.Store = st
-		g, err := controller.StartGlobal(gcfg)
-		if err != nil {
-			if st != nil {
-				st.Close()
-			}
-			return fmt.Errorf("cluster: shard %d: %w", s, err)
-		}
-		c.Globals = append(c.Globals, g)
-		c.ShardRoles = append(c.ShardRoles, role)
-		groups[s] = shard.NewGroup(g, standbys, sbAddrs)
-
-		parents[s] = append([]string{g.Addr()}, sbAddrs...)
+// startGlobal opens host's store and starts a global controller with it.
+func (c *Cluster) startGlobal(host string, gcfg controller.GlobalConfig) (*controller.Global, error) {
+	st, err := c.openStore(host)
+	if err != nil {
+		return nil, err
 	}
-
-	for i := 0; i < cfg.Stages; i++ {
-		scfg := stage.Config{
-			ID:            uint64(i + 1),
-			JobID:         uint64(i%cfg.Jobs + 1),
-			Weight:        1,
-			Generator:     cfg.Workload,
-			Network:       c.Net.Host(fmt.Sprintf("stage-%d", i+1)),
-			Tracer:        c.stageTracer(),
-			PushThreshold: cfg.PushThreshold,
-			PushInterval:  cfg.PushInterval,
-			PushFloor:     cfg.PushFloor,
+	gcfg.Store = st
+	g, err := controller.StartGlobal(gcfg)
+	if err != nil {
+		if st != nil {
+			st.Close()
 		}
-		if cfg.Standbys > 0 {
-			scfg.Parents = parents[owner[i]]
-			scfg.ParentTimeout = cfg.ParentTimeout
-		}
-		v, err := stage.StartVirtual(scfg)
-		if err != nil {
-			return fmt.Errorf("cluster: stage %d: %w", i+1, err)
-		}
-		c.Stages = append(c.Stages, v)
-		if cfg.Standbys == 0 {
-			if err := c.Globals[owner[i]].AddStage(ctx, v.Info()); err != nil {
-				return fmt.Errorf("cluster: shard %d attach: %w", owner[i], err)
-			}
-		}
+		return nil, fmt.Errorf("cluster: %s: %w", host, err)
 	}
-
-	if cfg.Standbys > 0 {
-		// Registration is asynchronous; wait until every shard owns its
-		// slice of the fleet.
-		deadline := time.Now().Add(10 * time.Second)
-		for s, g := range c.Globals {
-			for g.NumChildren() < counts[s] {
-				if time.Now().After(deadline) {
-					return fmt.Errorf("cluster: shard %d: only %d/%d stages registered", s, g.NumChildren(), counts[s])
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-	}
-
-	c.Router = shard.NewRouter(groups, shard.Config{Placement: cfg.Placement, VirtualNodes: cfg.VirtualNodes})
-	return nil
+	return g, nil
 }

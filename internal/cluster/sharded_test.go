@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/dsrhaslab/sdscale/internal/transport/simnet"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
@@ -52,25 +55,65 @@ func TestBuildSharded(t *testing.T) {
 	}
 }
 
+// TestBuildShardedWithStandbys builds shards with a warm standby each,
+// crashes shard 0's leader and promotes its standby: every later cycle
+// must be led by the standby, whatever the shard count — a one-shard
+// deployment is not a different system.
 func TestBuildShardedWithStandbys(t *testing.T) {
-	c, err := Build(Config{Topology: Flat, Stages: 40, Jobs: 4, Shards: 2, Standbys: 1, Net: fastNet()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, err := Build(Config{Topology: Flat, Stages: 40, Jobs: 4, Shards: shards, Standbys: 1, Net: fastNet()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx := context.Background()
 
-	if len(c.Globals) != 2 || len(c.Standbys) != 2 {
-		t.Fatalf("leaders = %d standbys = %d, want 2/2", len(c.Globals), len(c.Standbys))
-	}
-	total := 0
-	for _, g := range c.Globals {
-		total += g.NumChildren()
-	}
-	if total != 40 {
-		t.Fatalf("fleet children = %d, want 40", total)
-	}
-	if _, err := c.RunControlCycle(context.Background()); err != nil {
-		t.Fatalf("cycle: %v", err)
+			if len(c.Standbys) != shards {
+				t.Fatalf("standbys = %d, want %d", len(c.Standbys), shards)
+			}
+			if _, err := c.RunControlCycle(ctx); err != nil {
+				t.Fatalf("cycle: %v", err)
+			}
+
+			// Wait for a state sync to land: the standby mirrors the
+			// leader's epoch with it.
+			sb := c.Standbys[0]
+			for deadline := time.Now().Add(5 * time.Second); sb.Epoch() < 1; {
+				if time.Now().After(deadline) {
+					t.Fatal("standby never mirrored its leader")
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			host := ShardHost(0)
+			if shards == 1 {
+				host = "global"
+			}
+			c.Net.Schedule([]simnet.FaultEvent{{Host: host, Action: simnet.FaultCrash}}).Wait()
+			if err := sb.Promote(ctx); err != nil {
+				t.Fatalf("promote: %v", err)
+			}
+
+			const cycles = 5
+			before := sb.Recorder().Cycles()
+			for i := 0; i < cycles; i++ {
+				if _, err := c.RunControlCycle(ctx); err != nil {
+					t.Fatalf("cycle %d after failover: %v", i, err)
+				}
+			}
+			if led := sb.Recorder().Cycles() - before; led != cycles {
+				t.Errorf("the promoted standby led %d of %d cycles", led, cycles)
+			}
+			if c.Router == nil {
+				t.Fatal("no routing tier")
+			}
+			if c.Router.Group(0).Leader() != sb {
+				t.Error("shard 0's leader is not the promoted standby")
+			}
+			if st := c.Router.Stats(); st.MaxEpoch < 2 || st.Children != 40 {
+				t.Errorf("router stats epoch=%d children=%d, want >= 2 and 40", st.MaxEpoch, st.Children)
+			}
+		})
 	}
 }
 

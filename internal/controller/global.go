@@ -123,18 +123,13 @@ type GlobalConfig struct {
 	// PrimaryID fields. Controllers in one quorum should carry distinct
 	// IDs; zero is accepted for single-controller deployments.
 	ID uint64
-	// StandbyAddr, if non-empty, is the warm standby's registration
-	// address: the controller replicates its state there every
-	// SyncInterval, which doubles as the leadership lease renewal.
-	// Shorthand for a one-element StandbyAddrs.
-	StandbyAddr string
 	// StandbyAddrs lists the registration addresses of every other
 	// controller in the leadership quorum. A primary replicates state to
-	// all of them each SyncInterval; a standby whose lease expires asks
-	// all of them for votes and promotes only on a majority of the quorum
-	// (the addressed controllers plus itself). A standby with an empty
-	// list keeps the single-standby behaviour: promote directly on lease
-	// expiry.
+	// all of them each SyncInterval, which doubles as the leadership lease
+	// renewal; a standby whose lease expires asks all of them for votes
+	// and promotes only on a majority of the quorum (the addressed
+	// controllers plus itself). A standby with an empty list keeps the
+	// single-standby behaviour: promote directly on lease expiry.
 	StandbyAddrs []string
 	// Store, if non-nil, is the controller's durability layer: mutations
 	// (membership, enforced rules, job weights, leadership epochs and
@@ -152,7 +147,7 @@ type GlobalConfig struct {
 	// sync). Zero selects DefaultLeaseTimeout.
 	LeaseTimeout time.Duration
 	// SyncInterval is how often a primary replicates state to
-	// StandbyAddr. Zero selects DefaultSyncInterval.
+	// StandbyAddrs. Zero selects DefaultSyncInterval.
 	SyncInterval time.Duration
 }
 
@@ -178,18 +173,6 @@ func (c GlobalConfig) withDefaults() GlobalConfig {
 	if c.LeaseTimeout <= 0 {
 		c.LeaseTimeout = DefaultLeaseTimeout
 	}
-	if c.StandbyAddr != "" {
-		found := false
-		for _, a := range c.StandbyAddrs {
-			if a == c.StandbyAddr {
-				found = true
-				break
-			}
-		}
-		if !found {
-			c.StandbyAddrs = append([]string{c.StandbyAddr}, c.StandbyAddrs...)
-		}
-	}
 	return c
 }
 
@@ -203,7 +186,7 @@ type Global struct {
 	recorder *telemetry.CycleRecorder
 	regSrv   *rpc.Server
 
-	// Primary-side state-sync loop (StandbyAddr set).
+	// Primary-side state-sync loop (StandbyAddrs set).
 	syncCancel context.CancelFunc
 	syncDone   chan struct{}
 

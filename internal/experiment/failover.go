@@ -141,7 +141,7 @@ func Failover(ctx context.Context, o Options) (FailoverResult, error) {
 		CallTimeout:   failoverCallTimeout,
 		MaxFailures:   failoverMaxFailures,
 		ProbeInterval: failoverProbeInterval,
-		Standby:       true,
+		Standbys:      1,
 		LeaseTimeout:  failoverLeaseTimeout,
 		SyncInterval:  failoverSyncInterval,
 		ParentTimeout: failoverParentTimeout,

@@ -163,24 +163,27 @@ func (st *routerState) route(childID uint64) (int, *controller.Global) {
 	return want, st.shards[want].Leader()
 }
 
-// RunCycle runs one control cycle on every shard leader concurrently and
-// merges the result: the deployment's phase latency is the slowest
-// shard's (shards overlap, so maxima — not sums — are the wall-clock
-// truth). Shards that fail contribute a wrapped error; the survivors'
-// cycles still run and merge, because one shard's outage must not stall
-// the rest of the fleet — that is the point of sharding.
+// RunCycle runs one control cycle on every shard's effective leader
+// concurrently and merges the result: the deployment's phase latency is
+// the slowest shard's (shards overlap, so maxima — not sums — are the
+// wall-clock truth). Shard 0 runs on the caller's goroutine, so a one-shard
+// deployment's cycle is its leader's, with no hand-off. Shards that fail
+// contribute a wrapped error; the survivors' cycles still run and merge,
+// because one shard's outage must not stall the rest of the fleet — that
+// is the point of sharding.
 func (r *Router) RunCycle(ctx context.Context) (telemetry.Breakdown, error) {
 	shards := r.state.Load().shards
 	bs := make([]telemetry.Breakdown, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
-	for i, s := range shards {
+	for i := 1; i < len(shards); i++ {
 		wg.Add(1)
 		go func(i int, s *Group) {
 			defer wg.Done()
 			bs[i], errs[i] = s.Leader().RunCycle(ctx)
-		}(i, s)
+		}(i, shards[i])
 	}
+	bs[0], errs[0] = shards[0].Leader().RunCycle(ctx)
 	wg.Wait()
 	var err error
 	for i, e := range errs {

@@ -35,7 +35,8 @@
 //
 // StartTopology returns a Deployment handle with a uniform surface —
 // Stats, Route, Rebalance, RunCycle — whatever the shape. A one-shard
-// Topology is the classic single-Global control plane.
+// Topology is the classic single-Global control plane, behind the same
+// routing tier as every other shape.
 //
 // # Manual assembly
 //
@@ -137,7 +138,7 @@ const (
 	FanOutBlocking = controller.FanOutBlocking
 )
 
-// Controller failover sentinels (see GlobalConfig's Standby, StandbyAddr,
+// Controller failover sentinels (see GlobalConfig's Standby, StandbyAddrs,
 // LeaseTimeout and SyncInterval fields).
 var (
 	// ErrDeposed is returned by a controller's cycle loop once epoch

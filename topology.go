@@ -29,10 +29,10 @@ type Topology struct {
 	Jobs int
 
 	// Shards is the number of concurrently active global controllers the
-	// fleet is partitioned across. Zero or one deploys the classic single
-	// global controller; higher values bound each controller's child count
-	// and blast radius, with a routing tier fanning cross-shard operations
-	// out to every leader.
+	// fleet is partitioned across, behind one routing tier that fans
+	// cross-shard operations out to every leader. Zero or one deploys the
+	// classic single global controller; higher values bound each
+	// controller's child count and blast radius.
 	Shards int
 	// Standbys gives every shard this many warm standbys: the leader
 	// replicates state to them, and lease expiry triggers promotion (one
@@ -139,16 +139,14 @@ func (t Topology) clusterConfig() ClusterConfig {
 		cfg.Topology = cluster.Hierarchical
 		cfg.Aggregators = (t.Stages + t.AggregatorFanIn - 1) / t.AggregatorFanIn
 	}
-	if t.Shards <= 1 {
-		cfg.Shards = 0
-	}
 	return cfg
 }
 
 // StartTopology builds and starts the deployment a Topology describes. A
 // one-shard spec is behaviorally identical to the classic StartGlobal +
-// BuildCluster path; higher shard counts add the routing tier. The
-// returned Deployment owns every role it started; Close tears it all down.
+// BuildCluster path, and every shape runs behind the same routing tier.
+// The returned Deployment owns every role it started; Close tears it all
+// down.
 func StartTopology(t Topology) (*Deployment, error) {
 	if t.Shards == 0 {
 		t.Shards = 1
@@ -182,8 +180,7 @@ type Deployment struct {
 // fleet-wide counters summed over every shard, plus each shard leader's
 // full per-controller snapshot.
 type DeploymentStats struct {
-	// Shards is the number of concurrently active shard leaders (one for
-	// unsharded deployments).
+	// Shards is the number of concurrently active shard leaders.
 	Shards int
 	// Children, Stages and Quarantined count the fleet.
 	Children    int
@@ -205,60 +202,36 @@ type DeploymentStats struct {
 
 // Stats snapshots the whole deployment.
 func (d *Deployment) Stats() DeploymentStats {
-	if r := d.c.Router; r != nil {
-		st := r.Stats()
-		return DeploymentStats{
-			Shards:      r.NumShards(),
-			Children:    st.Children,
-			Stages:      st.Stages,
-			Quarantined: st.Quarantined,
-			CallErrors:  st.CallErrors,
-			Evictions:   st.Evictions,
-			FencedCalls: st.FencedCalls,
-			ReHomes:     st.ReHomes,
-			MaxEpoch:    st.MaxEpoch,
-			Moves:       st.Moves,
-			Rebalances:  st.Rebalances,
-			PerShard:    st.Shards,
-		}
-	}
-	cs := d.c.Global.Stats()
+	r := d.c.Router
+	st := r.Stats()
 	return DeploymentStats{
-		Shards:      1,
-		Children:    cs.Children,
-		Stages:      cs.Stages,
-		Quarantined: cs.Quarantined,
-		CallErrors:  cs.CallErrors,
-		Evictions:   cs.Evictions,
-		FencedCalls: cs.FencedCalls,
-		ReHomes:     cs.ReHomes,
-		MaxEpoch:    cs.Epoch,
-		PerShard:    []ControllerStats{cs},
+		Shards:      r.NumShards(),
+		Children:    st.Children,
+		Stages:      st.Stages,
+		Quarantined: st.Quarantined,
+		CallErrors:  st.CallErrors,
+		Evictions:   st.Evictions,
+		FencedCalls: st.FencedCalls,
+		ReHomes:     st.ReHomes,
+		MaxEpoch:    st.MaxEpoch,
+		Moves:       st.Moves,
+		Rebalances:  st.Rebalances,
+		PerShard:    st.Shards,
 	}
 }
 
 // Route returns the shard currently owning childID and that shard's
-// effective leader. Unsharded deployments route everything to shard 0.
-func (d *Deployment) Route(childID uint64) (int, *Global) {
-	if r := d.c.Router; r != nil {
-		return r.Route(childID)
-	}
-	return 0, d.c.Global
-}
+// effective leader. A one-shard deployment routes everything to shard 0.
+func (d *Deployment) Route(childID uint64) (int, *Global) { return d.c.Router.Route(childID) }
 
 // Rebalance moves every child whose placement disagrees with its current
-// owner back to its placement shard (a no-op on unsharded deployments) and
-// returns the number of children moved.
-func (d *Deployment) Rebalance(ctx context.Context) (int, error) {
-	if r := d.c.Router; r != nil {
-		return r.Rebalance(ctx)
-	}
-	return 0, nil
-}
+// owner back to its placement shard (a no-op with one shard) and returns
+// the number of children moved.
+func (d *Deployment) Rebalance(ctx context.Context) (int, error) { return d.c.Router.Rebalance(ctx) }
 
 // RunCycle executes one control round across the whole deployment: every
-// shard leader concurrently, merged as per-phase maxima (shards overlap in
-// time), or the single controller's cycle.
+// shard's effective leader concurrently, merged as per-phase maxima
+// (shards overlap in time).
 func (d *Deployment) RunCycle(ctx context.Context) (Breakdown, error) {
 	return d.c.RunControlCycle(ctx)
 }
@@ -267,32 +240,19 @@ func (d *Deployment) RunCycle(ctx context.Context) (Breakdown, error) {
 // each leader broadcasting it over the marshal-once shared-frame path. It
 // returns the number of stages that applied the rule.
 func (d *Deployment) EnforceUniform(ctx context.Context, jobID uint64, action RuleAction, limit Rates) (int, error) {
-	if r := d.c.Router; r != nil {
-		return r.EnforceUniform(ctx, jobID, action, limit)
-	}
-	return d.c.Global.EnforceUniform(ctx, jobID, action, limit)
+	return d.c.Router.EnforceUniform(ctx, jobID, action, limit)
 }
 
 // Summary digests the deployment's recorded control-round latency.
 func (d *Deployment) Summary() Summary { return d.c.Recorder().Summarize() }
 
 // NumShards returns the number of concurrently active shard leaders.
-func (d *Deployment) NumShards() int {
-	if r := d.c.Router; r != nil {
-		return r.NumShards()
-	}
-	return 1
-}
+func (d *Deployment) NumShards() int { return d.c.Router.NumShards() }
 
 // Shard returns shard i's effective leader — the escape hatch for
 // experiments that reach into one shard (killing its leader, inspecting
-// its store). Unsharded deployments expose their controller as shard 0.
-func (d *Deployment) Shard(i int) *Global {
-	if r := d.c.Router; r != nil {
-		return r.Group(i).Leader()
-	}
-	return d.c.Global
-}
+// its store).
+func (d *Deployment) Shard(i int) *Global { return d.c.Router.Group(i).Leader() }
 
 // Cluster exposes the underlying deployment harness: the simulated
 // network, the stage fleet, the per-role instrumentation.
