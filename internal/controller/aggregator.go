@@ -3,7 +3,7 @@ package controller
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -195,7 +195,7 @@ func (a *Aggregator) NumStages() int { return a.members.size() }
 
 // Stages returns the managed stages' identities.
 func (a *Aggregator) Stages() []stage.Info {
-	children := a.members.snapshot()
+	children := a.members.snapshot(nil)
 	out := make([]stage.Info, len(children))
 	for i, c := range children {
 		out[i] = c.info
@@ -380,14 +380,14 @@ func (a *Aggregator) collect(m *wire.Collect) (wire.Message, error) {
 	if a.cfg.ForwardRaw {
 		return &wire.CollectReply{Cycle: m.Cycle, Reports: reports}, nil
 	}
-	a.jobs = metrics.AggregateByJob(reports)
+	a.jobs = a.cyc.jobs.ByJob(reports)
 	return &wire.CollectAggReply{Cycle: m.Cycle, AggregatorID: a.cfg.ID, Jobs: a.jobs}, nil
 }
 
 // enforce routes each rule in the batch to its stage. Quarantined stages
 // are skipped; they keep enforcing their last rules until readmitted.
 func (a *Aggregator) enforce(m *wire.Enforce) *wire.EnforceAck {
-	children, _ := splitQuarantined(a.members.snapshot())
+	children, _ := a.scratch.split(a.members)
 
 	// Group rules by stage without a per-call map: copy the batch into an
 	// arena slab (the inbound request is recycled after the reply, so the
@@ -396,7 +396,7 @@ func (a *Aggregator) enforce(m *wire.Enforce) *wire.EnforceAck {
 	start := time.Now()
 	rules := a.cyc.ruleBuf.Take(&a.arena, len(m.Rules))
 	copy(rules, m.Rules)
-	sort.SliceStable(rules, func(i, j int) bool { return rules[i].StageID < rules[j].StageID })
+	slices.SortStableFunc(rules, func(x, y wire.Rule) int { return stageOrder(x, y.StageID) })
 	a.busy(start)
 	return a.enforceRules(m.Cycle, children, nil, rules)
 }
@@ -405,7 +405,7 @@ func (a *Aggregator) enforce(m *wire.Enforce) *wire.EnforceAck {
 // §VI): it splits per-job budgets over the stages of the last collect and
 // fans the rules out like an enforce.
 func (a *Aggregator) delegate(m *wire.Delegate) *wire.EnforceAck {
-	children, _ := splitQuarantined(a.members.snapshot())
+	children, _ := a.scratch.split(a.members)
 	casts, rules := a.delegateRules(m, children)
 	return a.enforceRules(m.Cycle, children, casts, rules)
 }
@@ -456,7 +456,11 @@ func (a *Aggregator) delegateRules(m *wire.Delegate, active []*child) (casts []w
 	}
 	for _, c := range active {
 		if r, ok := table.Lookup(c.info.ID); ok {
-			if w := &casts[jobSlot(jobs, r.JobID)]; w.budgeted && !w.unicast {
+			k := jobSlot(jobs, r.JobID)
+			if w := &casts[k]; w.budgeted && !w.unicast {
+				if w.targets == nil { // at most the job's reporting stages
+					w.targets = a.cyc.targets.Take(&a.arena, int(jobs[k].Stages))[:0]
+				}
 				w.targets = append(w.targets, c)
 			}
 		}

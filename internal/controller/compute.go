@@ -22,9 +22,20 @@ type cycleMem struct {
 	allocOf    cyclemem.Slab[wire.Rates]
 	ruleBuf    cyclemem.Slab[wire.Rule]
 	casts      cyclemem.Slab[wildcast]
+	targets    cyclemem.Slab[*child]
 	enfBuf     cyclemem.Slab[wire.Enforce]
 	calls      cyclemem.Slab[*rpc.Call]
 	table      cyclemem.RuleTable
+	// The hierarchical global's per-aggregator slots.
+	groups  cyclemem.Slab[[]wire.JobReport]
+	batches cyclemem.Slab[[]wire.Rule]
+	budgets cyclemem.Slab[[]wire.JobBudget]
+	budget  cyclemem.Slab[wire.JobBudget]
+	counts  cyclemem.Slab[int]
+	dlgBuf  cyclemem.Slab[wire.Delegate]
+	// jobs holds the cycle's per-job sums (AggregateByJob or
+	// MergeJobReports), valid until the role's next cycle sums again.
+	jobs metrics.JobSums
 }
 
 // JobStatus is one job's state as of the controller's most recent cycle.
@@ -132,7 +143,7 @@ const parallelComputeMin = 2048
 // fan-out mode) pins the single-threaded emission the paper's prototype
 // implies; the aggregation and allocation are serial in either mode.
 func (g *Global) computeFlatRules(reports []wire.StageReport, parallel bool) *cyclemem.RuleTable {
-	jobs := metrics.AggregateByJob(reports)
+	jobs := g.cyc.jobs.ByJob(reports)
 	return emitRules(&g.cyc, &g.arena, g.pipe, reports, jobs, g.jobs.allocate(jobs), parallel)
 }
 
@@ -145,29 +156,30 @@ func (g *Global) computeFlatRules(reports []wire.StageReport, parallel bool) *cy
 // budget per job it serves: the per-stage share scaled by the job's stage
 // count behind it. A child that did not answer gets neither.
 func (g *Global) computeHierRules(children []*child, replies, stale []wire.Message) (batches [][]wire.Rule, budgets [][]wire.JobBudget) {
-	groups := make([][]wire.JobReport, 0, len(replies)+len(stale))
+	groups := g.cyc.groups.Take(&g.arena, len(replies)+len(stale))[:0]
 	for _, msgs := range [][]wire.Message{replies, stale} {
 		for _, m := range msgs {
 			groups = append(groups, jobRows(m))
 		}
 	}
-	merged := metrics.MergeJobReports(groups...)
+	merged := g.cyc.jobs.Merge(groups...)
 	allocs := g.jobs.allocate(merged)
 	perStage := func(k int) wire.Rates { return controlalg.SplitUniform(allocs[k], int(merged[k].Stages)) }
 
-	batches, budgets = make([][]wire.Rule, len(children)), make([][]wire.JobBudget, len(children))
+	batches, budgets = g.cyc.batches.Take(&g.arena, len(children)), g.cyc.budgets.Take(&g.arena, len(children))
 	for i, c := range children {
 		if replies[i] == nil {
 			continue
 		}
 		stages := c.stageList()
 		if g.cfg.Delegated {
-			counts := make([]int, len(merged))
+			counts := g.cyc.counts.Take(&g.arena, len(merged))
 			for _, s := range stages {
 				if k := jobSlot(merged, s.JobID); k >= 0 {
 					counts[k]++
 				}
 			}
+			budgets[i] = g.cyc.budget.Take(&g.arena, len(merged))[:0]
 			for k, n := range counts {
 				if n > 0 {
 					budgets[i] = append(budgets[i], wire.JobBudget{JobID: merged[k].JobID, Limit: perStage(k).Scale(float64(n))})

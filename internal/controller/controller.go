@@ -23,10 +23,13 @@
 package controller
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"time"
 
+	"github.com/dsrhaslab/sdscale/internal/cyclemem"
 	"github.com/dsrhaslab/sdscale/internal/rpc"
 	"github.com/dsrhaslab/sdscale/internal/stage"
 	"github.com/dsrhaslab/sdscale/internal/wire"
@@ -127,8 +130,9 @@ type child struct {
 	lastReport   wire.Message
 	lastReportAt time.Time
 	// lastRules caches the most recently enforced rule per stage for
-	// delta enforcement (skip sends when nothing changed).
-	lastRules map[uint64]wire.Rule
+	// delta enforcement (skip sends when nothing changed), sorted by
+	// StageID: one rule for a stage child, its stages' for an aggregator.
+	lastRules []wire.Rule
 	// Incremental-mode state: dirty marks a report change the next
 	// incremental cycle must recompute over (set by pushes, claimed by the
 	// cycle); pushSeq orders pushes from this child so a reordered stale
@@ -144,20 +148,58 @@ type child struct {
 // to this child, updating the cache. With deterministic demand (the stress
 // workload) allocations repeat bit-for-bit, so exact comparison suffices. The
 // cache is updated ahead of the send; forgetRules undoes it if the send fails.
-func (c *child) filterChanged(rules []wire.Rule) []wire.Rule {
+// A batch addresses each stage at most once.
+//
+// When every rule changed the batch itself comes back, and nothing when none
+// did. Only a batch of more than one rule — an aggregator child's — can come
+// out mixed; that subset is drawn from the slab in arena a when one is given
+// (the caller must then be the cycle goroutine) and allocated otherwise.
+func (c *child) filterChanged(rules []wire.Rule, a *cyclemem.Arena, subset *cyclemem.Slab[wire.Rule]) []wire.Rule {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lastRules == nil {
-		c.lastRules = make(map[uint64]wire.Rule, len(rules))
-	}
-	changed := rules[:0:0]
+	n := 0
 	for _, r := range rules {
-		if prev, ok := c.lastRules[r.StageID]; !ok || prev != r {
-			changed = append(changed, r)
-			c.lastRules[r.StageID] = r
+		if i, ok := c.findRule(r.StageID); !ok || c.lastRules[i] != r {
+			n++
 		}
 	}
+	if n == 0 {
+		return nil
+	}
+	changed := rules
+	if n < len(rules) {
+		changed = nil // appended to the heap without a subset slab
+		if subset != nil {
+			changed = subset.Take(a, n)[:0]
+		}
+		for _, r := range rules {
+			if i, ok := c.findRule(r.StageID); !ok || c.lastRules[i] != r {
+				changed = append(changed, r)
+			}
+		}
+	}
+	c.storeRules(changed)
 	return changed
+}
+
+// stageOrder orders a rule against a StageID.
+func stageOrder(r wire.Rule, id uint64) int { return cmp.Compare(r.StageID, id) }
+
+// findRule locates stageID's entry in the StageID-sorted rule cache.
+func (c *child) findRule(stageID uint64) (int, bool) {
+	return slices.BinarySearchFunc(c.lastRules, stageID, stageOrder)
+}
+
+// storeRules writes rules into the cache, keeping it StageID-sorted; a later
+// rule for a stage overwrites an earlier one.
+func (c *child) storeRules(rules []wire.Rule) {
+	for _, r := range rules {
+		if i, ok := c.findRule(r.StageID); ok {
+			c.lastRules[i] = r
+		} else {
+			c.lastRules = slices.Insert(c.lastRules, i, r)
+		}
+	}
 }
 
 // forgetRules withdraws rules from the delta-enforcement cache after the
@@ -166,9 +208,13 @@ func (c *child) filterChanged(rules []wire.Rule) []wire.Rule {
 func (c *child) forgetRules(rules []wire.Rule) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Tag, then compact: no rule carries the zero Action.
 	for _, r := range rules {
-		delete(c.lastRules, r.StageID)
+		if i, ok := c.findRule(r.StageID); ok {
+			c.lastRules[i].Action = 0
+		}
 	}
+	c.lastRules = slices.DeleteFunc(c.lastRules, func(r wire.Rule) bool { return r.Action == 0 })
 	c.dirty = true
 }
 
@@ -373,26 +419,18 @@ func (c *child) appendCachedReports(dst []wire.StageReport, now time.Time, stale
 func (c *child) seedRules(rules []wire.Rule) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lastRules == nil {
-		c.lastRules = make(map[uint64]wire.Rule, len(rules))
-	}
-	for _, r := range rules {
-		c.lastRules[r.StageID] = r
-	}
+	c.storeRules(rules)
 }
 
-// snapshotRules copies the delta-enforcement cache for state replication.
+// snapshotRules copies the delta-enforcement cache, in StageID order, for
+// state replication.
 func (c *child) snapshotRules() []wire.Rule {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.lastRules) == 0 {
 		return nil
 	}
-	out := make([]wire.Rule, 0, len(c.lastRules))
-	for _, r := range c.lastRules {
-		out = append(out, r)
-	}
-	return out
+	return slices.Clone(c.lastRules)
 }
 
 // replaceClient swaps in a fresh connection after a known child
@@ -409,7 +447,7 @@ func (c *child) replaceClient(cli *rpc.ReconnectingClient) {
 	c.mu.Lock()
 	old := c.cli
 	c.cli = cli
-	c.lastRules = nil
+	c.lastRules = c.lastRules[:0]
 	// The restarted child's push sequence starts over and its cached report
 	// predates the restart: accept any incoming sequence, refresh with an
 	// explicit collect, and make the next incremental cycle recompute.
@@ -454,23 +492,9 @@ func (k *stageCore) recordCall(ctx context.Context, c *child, err error) {
 	}
 }
 
-// splitQuarantined partitions a membership snapshot by breaker state.
-func splitQuarantined(children []*child) (active, quarantined []*child) {
-	active = make([]*child, 0, len(children))
-	for _, c := range children {
-		if c.isQuarantined() {
-			quarantined = append(quarantined, c)
-		} else {
-			active = append(active, c)
-		}
-	}
-	return active, quarantined
-}
-
 // cycleScratch holds the per-controller slices a cycle's preparation reuses
 // across cycles, so the steady state rebuilds no membership slices at all.
-// It belongs to the single goroutine running that controller's cycles;
-// concurrent readers (Stats) keep using the allocating helpers.
+// It belongs to the single goroutine running that controller's cycles.
 type cycleScratch struct {
 	members     []*child
 	active      []*child
@@ -481,7 +505,7 @@ type cycleScratch struct {
 // split re-snapshots the membership into the scratch slices and partitions
 // it by breaker state.
 func (s *cycleScratch) split(m *memberSet) (active, quarantined []*child) {
-	s.members = m.snapshotInto(s.members)
+	s.members = m.snapshot(s.members)
 	s.active, s.quarantined = s.active[:0], s.quarantined[:0]
 	for _, c := range s.members {
 		if c.isQuarantined() {
@@ -598,20 +622,11 @@ func (m *memberSet) remove(id uint64) *child {
 	return c
 }
 
-// snapshot returns the current children. The slice is fresh; the children
-// are shared.
-func (m *memberSet) snapshot() []*child {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*child, len(m.order))
-	copy(out, m.order)
-	return out
-}
-
-// snapshotInto is snapshot reusing buf's backing array when capacity allows
-// — the cycle-preparation path snapshots every cycle, and in the steady
-// state the membership hasn't changed since the last one.
-func (m *memberSet) snapshotInto(buf []*child) []*child {
+// snapshot returns the current children in buf's backing array, reused
+// when its capacity allows (a nil buf yields a fresh slice) — the
+// cycle-preparation path snapshots every cycle, and in the steady state the
+// membership hasn't changed since the last one. The children are shared.
+func (m *memberSet) snapshot(buf []*child) []*child {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if cap(buf) < len(m.order) {
@@ -620,6 +635,16 @@ func (m *memberSet) snapshotInto(buf []*child) []*child {
 	buf = buf[:len(m.order)]
 	copy(buf, m.order)
 	return buf
+}
+
+// each calls fn for every child under the member lock, copying nothing per
+// child; fn must not call back into the set.
+func (m *memberSet) each(fn func(c *child)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, c := range m.order {
+		fn(c)
+	}
 }
 
 // size returns the current child count.

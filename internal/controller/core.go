@@ -69,9 +69,6 @@ type stageCore struct {
 	scratch cycleScratch
 	arena   cyclemem.Arena
 	cyc     cycleMem
-
-	// statsScr backs Stats() snapshots (guarded by its own mutex).
-	statsScr statsScratch
 }
 
 // init wires the core in place (it holds locks and atomics, so it is never
@@ -118,7 +115,7 @@ func (k *stageCore) Tracer() *trace.Tracer { return k.tracer }
 // round-trip statistics. It does not evict: operators use it to inspect the
 // control plane between cycles without affecting membership.
 func (k *stageCore) HealthCheck(ctx context.Context) Health {
-	return sweepHealth(ctx, k.members.snapshot(), k.par, k.callTimeout)
+	return sweepHealth(ctx, k.members.snapshot(nil), k.par, k.callTimeout)
 }
 
 // MemoryFootprint estimates the bytes of state held for the managed
@@ -128,7 +125,7 @@ func (k *stageCore) HealthCheck(ctx context.Context) Health {
 // simulations; Global and Peer add their own tables on top.
 func (k *stageCore) MemoryFootprint() uint64 {
 	var total uint64
-	for _, c := range k.members.snapshot() {
+	for _, c := range k.members.snapshot(nil) {
 		total += footprintPerChild + uint64(len(c.info.Addr)) + uint64(c.numStages())*footprintPerStage
 	}
 	return total
@@ -147,7 +144,12 @@ const (
 // snapshot fills the role-independent part of a Stats() snapshot; Stages
 // defaults to the direct children.
 func (k *stageCore) snapshot() ControllerStats {
-	ids := k.statsScr.quarantined(k.members)
+	var ids []uint64
+	k.members.each(func(c *child) {
+		if c.isQuarantined() {
+			ids = append(ids, c.info.ID)
+		}
+	})
 	n := k.members.size()
 	return ControllerStats{
 		Children:       n,
@@ -203,7 +205,7 @@ func (k *stageCore) reRegister(ctx context.Context, c *child, addr string) error
 
 // stageEntries lists the managed children in wire form (StageList replies).
 func (k *stageCore) stageEntries() []wire.StageEntry {
-	children := k.members.snapshot()
+	children := k.members.snapshot(nil)
 	out := make([]wire.StageEntry, len(children))
 	for i, c := range children {
 		out[i] = wire.StageEntry{ID: c.info.ID, JobID: c.info.JobID, Weight: c.info.Weight, Addr: c.info.Addr}
@@ -512,12 +514,13 @@ func (k *stageCore) appendStale(rows []wire.StageReport, msgs []wire.Message, qu
 // are logged. Without it the full batch is sent every cycle, but only
 // changes are worth a log record: the diff keeps the WAL O(changed rules),
 // and logging before the send keeps the store a superset of what the fleet
-// holds.
-func (k *stageCore) sendable(cycle uint64, c *child, batch []wire.Rule, delta bool) []wire.Rule {
+// holds. The WAL hook may receive the batch itself; it copies what it keeps.
+// subset follows filterChanged's contract.
+func (k *stageCore) sendable(cycle uint64, c *child, batch []wire.Rule, delta bool, subset *cyclemem.Slab[wire.Rule]) []wire.Rule {
 	if len(batch) == 0 || (!delta && k.walRules == nil) {
 		return batch
 	}
-	changed := c.filterChanged(batch)
+	changed := c.filterChanged(batch, &k.arena, subset)
 	if k.walRules != nil && len(changed) > 0 {
 		k.walRules(cycle, c.info.ID, changed)
 	}
@@ -550,7 +553,9 @@ func (k *stageCore) enforceStageRules(ctx context.Context, cycle, epoch uint64, 
 			if len(batch) == 0 {
 				return nil
 			}
-			if batch = k.sendable(cycle, c, batch, k.delta); len(batch) == 0 {
+			// A stage's batch is its one rule, so it never comes out mixed:
+			// this may run on blocking mode's scatter workers, off the arena.
+			if batch = k.sendable(cycle, c, batch, k.delta, nil); len(batch) == 0 {
 				if k.incremental {
 					k.pipe.AddSuppressedEnforces(1)
 				}

@@ -13,15 +13,13 @@ import (
 // mutable here, so every reader goes through the lock-guarded accessors
 // below.
 
-// stageList returns a snapshot of the stages behind this child (nil for a
-// stage child).
+// stageList returns the stages behind this child (nil for a stage child).
+// The list is returned itself, not copied: setStageList replaces it whole and
+// nothing writes into it, so a reader holds a stable snapshot.
 func (c *child) stageList() []stage.Info {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.stages) == 0 {
-		return nil
-	}
-	return append([]stage.Info(nil), c.stages...)
+	return c.stages
 }
 
 // setStageList replaces the child's stage list.

@@ -577,23 +577,11 @@ func (g *Global) syncOnce(ctx context.Context, cli *rpc.Client, f *rpc.SharedFra
 // leadership epoch, cycle counter, lease duration, the full membership with
 // per-child last-enforced rules, and the job-weight table.
 func (g *Global) buildStateSync() *wire.StateSync {
-	children := g.members.snapshot()
+	children := g.members.snapshot(nil)
 	members := make([]wire.MemberState, 0, len(children))
 	for _, c := range children {
-		m := wire.MemberState{
-			Role:   c.role,
-			ID:     c.info.ID,
-			JobID:  c.info.JobID,
-			Weight: c.info.Weight,
-			Addr:   c.info.Addr,
-			Rules:  c.snapshotRules(),
-		}
-		if stages := c.stageList(); len(stages) > 0 {
-			m.Stages = make([]wire.StageEntry, len(stages))
-			for k, s := range stages {
-				m.Stages[k] = wire.StageEntry{ID: s.ID, JobID: s.JobID, Weight: s.Weight, Addr: s.Addr}
-			}
-		}
+		m := c.memberState()
+		m.Rules = c.snapshotRules()
 		members = append(members, m)
 	}
 	g.mu.Lock()

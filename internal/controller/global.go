@@ -326,22 +326,22 @@ func (g *Global) logRegister(c *child) {
 	if g.cfg.Store == nil {
 		return
 	}
-	m := wire.MemberState{
-		Role:   c.role,
-		ID:     c.info.ID,
-		JobID:  c.info.JobID,
-		Weight: c.info.Weight,
-		Addr:   c.info.Addr,
+	if err := g.cfg.Store.AppendRegister(c.memberState()); err != nil {
+		g.storeFault("append register", err)
 	}
+}
+
+// memberState is the child's registration in wire form, as the store logs it
+// and a state sync replicates it (without the rule cache).
+func (c *child) memberState() wire.MemberState {
+	m := wire.MemberState{Role: c.role, ID: c.info.ID, JobID: c.info.JobID, Weight: c.info.Weight, Addr: c.info.Addr}
 	if stages := c.stageList(); len(stages) > 0 {
 		m.Stages = make([]wire.StageEntry, len(stages))
 		for k, s := range stages {
 			m.Stages[k] = wire.StageEntry{ID: s.ID, JobID: s.JobID, Weight: s.Weight, Addr: s.Addr}
 		}
 	}
-	if err := g.cfg.Store.AppendRegister(m); err != nil {
-		g.storeFault("append register", err)
-	}
+	return m
 }
 
 // logEvict appends a member eviction to the store.
@@ -365,15 +365,15 @@ func (g *Global) NumChildren() int { return g.members.size() }
 
 // NumStages returns the number of stages managed across the whole control
 // plane (directly in flat mode, through aggregators in hierarchical mode).
-func (g *Global) NumStages() int {
-	var n int
-	for _, c := range g.members.snapshot() {
+func (g *Global) NumStages() (n int) {
+	// Counted under the member lock: a Stats scrape copies no membership.
+	g.members.each(func(c *child) {
 		if c.role == wire.RoleStage {
 			n++
 		} else {
 			n += c.numStages()
 		}
-	}
+	})
 	return n
 }
 
@@ -746,21 +746,30 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 	b.Compute = g.endPhase(ph)
 
 	// Phase 3: enforce via aggregators. The incremental regime lives in the
-	// aggregators here, so only the configured DeltaEnforcement diffs.
+	// aggregators here, so only the configured DeltaEnforcement diffs. The
+	// diff runs before the fan-out, on this goroutine, so a batch that comes
+	// out mixed draws its subset from the cycle arena.
 	ph = g.beginPhase(trace.PhaseEnforce, cycle, epoch)
+	start := time.Now()
+	for i, c := range children { // a delegated cycle has no batches
+		batches[i] = g.sendable(cycle, c, batches[i], g.cfg.DeltaEnforcement, &g.cyc.ruleBuf)
+	}
+	g.busy(start)
+	enf, dlg := g.cyc.enfBuf.Take(&g.arena, len(children)), g.cyc.dlgBuf.Take(&g.arena, len(children))
 	g.fanOutCalls(ctx, g.cycleFan(&g.pipe.EnforceInFlight), children,
 		func(ctx context.Context, i int) *rpc.Call {
 			if g.cfg.Delegated {
 				if len(budgets[i]) == 0 {
 					return nil
 				}
-				return children[i].client().Go(ctx, &wire.Delegate{Cycle: cycle, Budgets: budgets[i], Epoch: epoch})
+				dlg[i] = wire.Delegate{Cycle: cycle, Budgets: budgets[i], Epoch: epoch}
+				return children[i].client().Go(ctx, &dlg[i])
 			}
-			batches[i] = g.sendable(cycle, children[i], batches[i], g.cfg.DeltaEnforcement)
 			if len(batches[i]) == 0 {
 				return nil
 			}
-			return children[i].client().Go(ctx, &wire.Enforce{Cycle: cycle, Rules: batches[i], Epoch: epoch})
+			enf[i] = wire.Enforce{Cycle: cycle, Rules: batches[i], Epoch: epoch}
+			return children[i].client().Go(ctx, &enf[i])
 		},
 		func(i int, _ wire.Message, err error) {
 			if err != nil {

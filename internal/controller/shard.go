@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"github.com/dsrhaslab/sdscale/internal/rpc"
@@ -72,7 +73,7 @@ func (g *Global) ChildSnapshot(id uint64) (stage.Info, []wire.Rule, bool) {
 // ones included — the enumeration a rebalance walks to find misplaced
 // children. The order is unspecified.
 func (g *Global) ChildIDs() []uint64 {
-	children := g.members.snapshot()
+	children := g.members.snapshot(nil)
 	ids := make([]uint64, len(children))
 	for i, c := range children {
 		ids[i] = c.info.ID
@@ -127,7 +128,7 @@ func (g *Global) EnforceUniform(ctx context.Context, jobID uint64, action wire.R
 		return 0, fmt.Errorf("controller: uniform enforce requires a flat controller (children are aggregators)")
 	}
 
-	active, _ := splitQuarantined(g.members.snapshot())
+	active := slices.DeleteFunc(g.members.snapshot(nil), (*child).isQuarantined)
 	// This runs beside the cycle, so it fans out through offCycle and, under
 	// its rule, counts an ack by its type alone: a stage applies the rule
 	// exactly when it serves the job, which the registration already says.

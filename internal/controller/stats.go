@@ -1,38 +1,9 @@
 package controller
 
 import (
-	"sync"
-
 	"github.com/dsrhaslab/sdscale/internal/store"
 	"github.com/dsrhaslab/sdscale/internal/telemetry"
 )
-
-// statsScratch holds the members buffer a controller's Stats() reuses across
-// calls, so monitoring pollers stop copying the full membership slice (80 KB
-// at the paper's 10k scale) on every snapshot. Its mutex serializes
-// concurrent Stats callers; the cycle goroutine never touches it.
-type statsScratch struct {
-	mu  sync.Mutex
-	buf []*child
-}
-
-// quarantined refreshes the buffer from m and returns the quarantined
-// members' IDs — nil when none, the steady-state case, which together with
-// the reused buffer makes a healthy snapshot allocation-free here. The
-// returned slice is freshly allocated when non-empty, so it is the caller's
-// to keep.
-func (s *statsScratch) quarantined(m *memberSet) []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.buf = m.snapshotInto(s.buf)
-	var ids []uint64
-	for _, c := range s.buf {
-		if c.isQuarantined() {
-			ids = append(ids, c.info.ID)
-		}
-	}
-	return ids
-}
 
 // ControllerStats is a point-in-time snapshot of a controller's operational
 // state: membership, breaker health, leadership, and fan-out pipeline

@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -64,6 +65,45 @@ func TestTracedCycleSpans(t *testing.T) {
 	tot := tr.Totals()
 	if tot.Cycles != 1 || tot.ClientCalls != uint64(2*len(stages)) || tot.ClientErrors != 0 {
 		t.Fatalf("totals: %+v", tot)
+	}
+}
+
+// TestStatsAllocatesNothingPerChild: a Stats snapshot serves every /metrics
+// scrape and sdsctl status line, so what it allocates must not grow with the
+// membership. Counting the stages once copied the whole membership (80 KB at
+// 10,000 children) on every call.
+func TestStatsAllocatesNothingPerChild(t *testing.T) {
+	perCall := func(children int, hier bool) uint64 {
+		n := fastNet()
+		stages := startStages(t, n, children, 4, wire.Rates{1000, 100})
+		var g *Global
+		if hier {
+			g, _ = buildHierarchy(t, n, stages, 2, GlobalConfig{Capacity: wire.Rates{4000, 400}})
+		} else {
+			g = buildFlat(t, n, stages, GlobalConfig{Capacity: wire.Rates{4000, 400}})
+		}
+		if _, err := g.RunCycle(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st := g.Stats(); st.Stages != children {
+			t.Fatalf("Stats().Stages = %d, want %d", st.Stages, children)
+		}
+		const calls = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			g.Stats()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	for _, hier := range []bool{false, true} {
+		small, large := perCall(50, hier), perCall(800, hier)
+		t.Logf("hierarchical=%v: %d B per Stats call at 50 stages, %d B at 800", hier, small, large)
+		// 750 more children would be at least 6 KB more for a membership copy.
+		if large > small+256 {
+			t.Errorf("hierarchical=%v: Stats allocates %d B per call at 800 stages, %d at 50", hier, large, small)
+		}
 	}
 }
 

@@ -5,7 +5,8 @@
 package metrics
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -160,52 +161,79 @@ func (e *EWMA) Primed() bool {
 // global controller. The result is sorted by JobID so payloads are
 // deterministic.
 func AggregateByJob(reports []wire.StageReport) []wire.JobReport {
-	if len(reports) == 0 {
-		return nil
-	}
-	byJob := make(map[uint64]*wire.JobReport)
-	for i := range reports {
-		r := &reports[i]
-		j, ok := byJob[r.JobID]
-		if !ok {
-			j = &wire.JobReport{JobID: r.JobID}
-			byJob[r.JobID] = j
-		}
-		j.Stages++
-		j.Demand = j.Demand.Add(r.Demand)
-		j.Usage = j.Usage.Add(r.Usage)
-	}
-	out := make([]wire.JobReport, 0, len(byJob))
-	for _, j := range byJob {
-		out = append(out, *j)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].JobID < out[b].JobID })
-	return out
+	return new(JobSums).ByJob(reports)
 }
 
 // MergeJobReports folds per-job aggregates from multiple aggregators into
 // one per-job view, the global controller's input to the control algorithm.
 func MergeJobReports(groups ...[]wire.JobReport) []wire.JobReport {
-	byJob := make(map[uint64]*wire.JobReport)
+	return new(JobSums).Merge(groups...)
+}
+
+// JobSums computes AggregateByJob and MergeJobReports into memory it keeps
+// across calls, for callers that aggregate every control cycle: after the
+// first call a steady job population allocates nothing. A result is valid
+// until the next call on the same JobSums, which is not safe for concurrent
+// use. Each job's rows are summed in input order, so the sums match the
+// allocating forms bit for bit.
+type JobSums struct {
+	slot map[uint64]int // JobID → index in rows
+	rows []wire.JobReport
+}
+
+// ByJob is AggregateByJob into s's memory.
+func (s *JobSums) ByJob(reports []wire.StageReport) []wire.JobReport {
+	if len(reports) == 0 {
+		return nil
+	}
+	s.reset()
+	for i := range reports {
+		r := &reports[i]
+		j := s.row(r.JobID)
+		j.Stages++
+		j.Demand = j.Demand.Add(r.Demand)
+		j.Usage = j.Usage.Add(r.Usage)
+	}
+	return s.sorted()
+}
+
+// Merge is MergeJobReports into s's memory.
+func (s *JobSums) Merge(groups ...[]wire.JobReport) []wire.JobReport {
+	s.reset()
 	for _, g := range groups {
 		for i := range g {
 			r := &g[i]
-			j, ok := byJob[r.JobID]
-			if !ok {
-				j = &wire.JobReport{JobID: r.JobID}
-				byJob[r.JobID] = j
-			}
+			j := s.row(r.JobID)
 			j.Stages += r.Stages
 			j.Demand = j.Demand.Add(r.Demand)
 			j.Usage = j.Usage.Add(r.Usage)
 		}
 	}
-	out := make([]wire.JobReport, 0, len(byJob))
-	for _, j := range byJob {
-		out = append(out, *j)
+	return s.sorted()
+}
+
+func (s *JobSums) reset() {
+	if s.slot == nil {
+		s.slot = make(map[uint64]int)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].JobID < out[b].JobID })
-	return out
+	clear(s.slot)
+	s.rows = s.rows[:0]
+}
+
+// row returns jobID's accumulator, appending a zero one on first sight.
+func (s *JobSums) row(jobID uint64) *wire.JobReport {
+	i, ok := s.slot[jobID]
+	if !ok {
+		i = len(s.rows)
+		s.slot[jobID] = i
+		s.rows = append(s.rows, wire.JobReport{JobID: jobID})
+	}
+	return &s.rows[i]
+}
+
+func (s *JobSums) sorted() []wire.JobReport {
+	slices.SortFunc(s.rows, func(a, b wire.JobReport) int { return cmp.Compare(a.JobID, b.JobID) })
+	return s.rows
 }
 
 // TotalDemand sums demand across a set of job reports.

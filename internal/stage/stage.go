@@ -491,8 +491,16 @@ func (v *Virtual) PushDelta(f float64) bool {
 	r := v.sample()
 	r.Demand = r.Demand.Scale(f)
 	r.Usage = r.Usage.Scale(f)
-	return v.pushAll(&wire.ReportDelta{Full: true, Epoch: v.fence.current(), Report: r})
+	m := deltaPool.Get().(*wire.ReportDelta)
+	*m = wire.ReportDelta{Full: true, Epoch: v.fence.current(), Report: r}
+	sent := v.pushAll(m)
+	deltaPool.Put(m)
+	return sent
 }
+
+// deltaPool recycles PushDelta's messages: a push encodes its message before
+// returning, so a fleet pushing every cycle allocates none.
+var deltaPool = sync.Pool{New: func() any { return new(wire.ReportDelta) }}
 
 // Pushes returns how many ReportDelta pushes reached at least one parent.
 func (v *Virtual) Pushes() uint64 { return v.pushes.Load() }
