@@ -11,32 +11,34 @@ import (
 // fleet at rest. The three simnet benchmark workloads hold 10,000 stages in
 // one process, so a per-listener or per-client allocation of a few tens of
 // kilobytes is hundreds of megabytes there (a 32 KB accept-queue channel per
-// listener once was 317 MB of a 488 MB heap). A stage costs about 7.5 KB
-// today; the bound is the 8 KB budget, so a few hundred bytes more per stage
+// listener once was 317 MB of a 488 MB heap). A stage costs about 6.6 KB
+// today; the bound is a 7 KB budget, so a few hundred bytes more per stage
 // fail it. Goroutines are counted the same way: a stage has the one
-// goroutine that serves its connection and the controller's read loop for
-// it — two, plus a handful for the whole controller that the division
-// rounds away. A third per stage (an accept loop, before simnet listeners
-// handed connections to the server) was 10,000 parked stacks; a fourth (the
-// server's separate handler goroutine, before stage handlers ran inline) was
-// 10,000 more and a wake-up per call.
+// goroutine that serves its connection — one, plus a handful for the whole
+// controller that the division rounds away. A second per stage (the
+// controller's read loop for it, before the stage's response writes handed
+// their bytes to the controller's reader) was 10,000 parked stacks and a
+// wake-up per reply; a third (an accept loop, before simnet listeners handed
+// connections to the server) was 10,000 more; a fourth (the server's
+// separate handler goroutine, before stage handlers ran inline) was 10,000
+// more and a wake-up per call.
 //
 // The goroutine bound holds in every fleet shape. A pushing stage and a
 // stage with a parent list run their push decisions and parent watchdogs on
 // the process-wide stage wheel, not on goroutines of their own: before the
-// wheel, an incremental stage cost a third goroutine (its push loop) and a
-// sharded stage with standbys a third and fourth (its re-home loop and that
-// loop's cancel watcher), a fifth when incremental.
+// wheel, an incremental stage cost a second goroutine (its push loop) and a
+// sharded stage with standbys a second and third (its re-home loop and that
+// loop's cancel watcher), a fourth when incremental.
 //
 // The fleets run in turn in one process, and a goroutine's descriptor
 // (~0.5 KB) is never returned to the heap: the first fleet pays for its
-// two per stage, the later ones reuse them. Their readings leave those out.
-// The sharded fleet's heap bound is 9 KB, not 8: its controllers keep more
-// per child (8.1-8.2 KB a stage here).
+// one per stage, the later ones reuse them. Their readings leave those out.
+// The sharded fleet's heap bound is 8 KB, not 7: its controllers keep more
+// per child (6.9-7.7 KB a stage here).
 func TestFleetFootprintPerStage(t *testing.T) {
 	const (
 		stages               = 1000
-		maxGoroutinePerStage = 2
+		maxGoroutinePerStage = 1
 	)
 	// pinned keeps every wall-clock timer of the fleet from firing while it
 	// is measured, so the fleet is at rest.
@@ -46,16 +48,16 @@ func TestFleetFootprintPerStage(t *testing.T) {
 		cfg         Config
 		maxPerStage int64
 	}{
-		{"flat", Config{Topology: Flat}, 8 << 10},
+		{"flat", Config{Topology: Flat}, 7 << 10},
 		{"flat-incremental", Config{
 			Topology: Flat, Incremental: true,
 			PushInterval: pinned, PushFloor: pinned, IncrementalFloor: pinned, StaleAfter: pinned,
-		}, 8 << 10},
+		}, 7 << 10},
 		{"sharded-standby-incremental", Config{
 			Topology: Flat, Shards: 4, Standbys: 1, Incremental: true,
 			PushInterval: pinned, PushFloor: pinned, IncrementalFloor: pinned, StaleAfter: pinned,
 			ParentTimeout: pinned,
-		}, 9 << 10},
+		}, 8 << 10},
 	}
 	heap := func() int64 {
 		runtime.GC()

@@ -214,8 +214,9 @@ func (k *stageCore) stageEntries() []wire.StageEntry {
 }
 
 // onPush folds a stage's unsolicited ReportDelta into its dirty-set entry.
-// It runs on the connection's read loop, so it stays cheap: one membership
-// lookup plus a capacity-reusing cache write, no blocking calls.
+// It runs on the connection's reader — on simnet inside the stage's push
+// write, under its write lock — so it stays cheap: one membership lookup
+// plus a capacity-reusing cache write, no blocking calls.
 func (k *stageCore) onPush(m wire.Message) {
 	rd, ok := m.(*wire.ReportDelta)
 	if !ok {

@@ -288,10 +288,24 @@ func (c chunkedConn) Read(p []byte) (int, error) {
 	return c.fuzzConn.Read(p)
 }
 
-// FuzzClientConn feeds arbitrary server bytes, in reads of a fuzzed size, to
-// a client with three calls pending (request IDs 1 to 3). The client must
-// not panic, and every call must complete with a reply or an error within a
-// deadline of the bytes running out.
+// handoffConn is a client-side fuzzConn that hands its reads off: the test
+// delivers the server's bytes to the client itself.
+type handoffConn struct {
+	*fuzzConn
+	deliver func([]byte, error)
+}
+
+func (c *handoffConn) HandoffReads(fn func([]byte, error)) bool {
+	c.deliver = fn
+	return true
+}
+
+// FuzzClientConn feeds arbitrary server bytes, in runs of a fuzzed size, to
+// a client with three calls pending (request IDs 1 to 3), once through a
+// read loop and once through a connection that hands its reads off. The
+// client must not panic, every call must complete with a reply or an error
+// within a deadline of the bytes running out, and each call must end the
+// same way under both drivers.
 func FuzzClientConn(f *testing.F) {
 	hist := wire.NewFloatHistory()
 	collect := &wire.CollectReply{Cycle: 1, Reports: []wire.StageReport{
@@ -321,22 +335,63 @@ func FuzzClientConn(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, chunk byte) {
-		start := make(chan struct{})
-		conn := chunkedConn{fuzzConn: &fuzzConn{r: bytes.NewReader(data)}, start: start, chunk: int(chunk) + 1}
-		cli := newClient(conn, DialOptions{ReuseReplies: true, OnPush: func(wire.Message) {}})
-		defer cli.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		calls := []*Call{
-			cli.Go(ctx, &wire.Heartbeat{SentUnixMicros: 1}),
-			cli.Go(ctx, &wire.Collect{Cycle: 1}),
-			cli.Go(ctx, testEnforce(1, 1)),
-		}
-		close(start)
-		for i, call := range calls {
-			if _, err := call.Wait(ctx); errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("call %d still pending 5s after the server's bytes ran out", i+1)
+		loop := clientOutcomes(t, data, int(chunk)+1, false)
+		handoff := clientOutcomes(t, data, int(chunk)+1, true)
+		for i := range loop {
+			if loop[i] != handoff[i] {
+				t.Fatalf("call %d ended with %s on a read loop and %s on a handoff", i+1, loop[i], handoff[i])
 			}
 		}
 	})
+}
+
+// clientOutcomes issues FuzzClientConn's three calls, delivers data to the
+// client in runs of chunk bytes (through a read loop, or a handoff), and
+// returns how each call ended: its reply's type, or its error.
+func clientOutcomes(t *testing.T, data []byte, chunk int, handoff bool) []string {
+	start := make(chan struct{})
+	var conn net.Conn = chunkedConn{fuzzConn: &fuzzConn{r: bytes.NewReader(data)}, start: start, chunk: chunk}
+	var hc *handoffConn
+	if handoff {
+		hc = &handoffConn{fuzzConn: &fuzzConn{}}
+		conn = hc
+	}
+	cli := newClient(conn, DialOptions{ReuseReplies: true, OnPush: func(wire.Message) {}})
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	calls := []*Call{
+		cli.Go(ctx, &wire.Heartbeat{SentUnixMicros: 1}),
+		cli.Go(ctx, &wire.Collect{Cycle: 1}),
+		cli.Go(ctx, testEnforce(1, 1)),
+	}
+	if handoff {
+		// Each run is handed over in a buffer that is overwritten as soon as
+		// the call returns, as a connection may.
+		buf := make([]byte, chunk)
+		for rest := data; len(rest) > 0; {
+			n := copy(buf, rest)
+			hc.deliver(buf[:n], nil)
+			rest = rest[n:]
+			for i := range buf {
+				buf[i] = 0xa5
+			}
+		}
+		hc.deliver(nil, io.EOF)
+	} else {
+		close(start)
+	}
+	out := make([]string, len(calls))
+	for i, call := range calls {
+		reply, err := call.Wait(ctx)
+		switch {
+		case errors.Is(err, context.DeadlineExceeded):
+			t.Fatalf("call %d still pending 5s after the server's bytes ran out", i+1)
+		case err != nil:
+			out[i] = "error " + err.Error()
+		default:
+			out[i] = fmt.Sprintf("%T", reply)
+		}
+	}
+	return out
 }

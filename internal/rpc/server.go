@@ -257,7 +257,7 @@ type srvConn struct {
 
 	peerTag uint64
 	// The response history (shared by all response types on this
-	// connection) is kept in lockstep with the client's read loop because
+	// connection) is kept in lockstep with the client's reader because
 	// this goroutine is the connection's only response writer.
 	txHist *wire.FloatHistory
 }

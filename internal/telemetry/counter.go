@@ -6,7 +6,7 @@ import (
 )
 
 // Counter is a total that many connections add to without sharing a word.
-// Each connection counts into a Shard of its own, so read loops on
+// Each connection counts into a Shard of its own, so connection readers on
 // different cores never write one cache line; Load sums the open shards
 // plus a base word that holds what closed ones left behind. Registering and
 // closing a shard take the counter's lock, adding to one does not.

@@ -5,11 +5,11 @@
 //
 // Each controller owns its own Tracer (per-controller buffers), so appends
 // never contend across controllers. Within one Tracer, appends from many
-// goroutines (the RPC read loops, server connections, and the controller's
-// cycle goroutine) coordinate through a single atomic cursor; every slot
-// field is itself atomic and published under a seqlock-style sequence word,
-// so readers never block writers and the race detector sees no unsynchronized
-// access.
+// goroutines (the RPC clients' readers, server connections, and the
+// controller's cycle goroutine) coordinate through a single atomic cursor;
+// every slot field is itself atomic and published under a seqlock-style
+// sequence word, so readers never block writers and the race detector sees
+// no unsynchronized access.
 //
 // Ring invariants:
 //
@@ -70,7 +70,10 @@ const (
 	// and response delivery.
 	KindCall
 	// KindServer is one server-side request: frame arrival → response
-	// written, with handler and response-write sub-timings.
+	// written, with handler and response-write sub-timings. Where the
+	// client's connection hands its reads off (an untimed simnet one), the
+	// response write includes the client decoding the response and
+	// completing its call.
 	KindServer
 )
 

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"github.com/dsrhaslab/sdscale/internal/transport"
 )
 
 // stream is one direction of a connection: a byte buffer the writer appends
@@ -27,6 +29,12 @@ import (
 // deadline expiring — is a field below that is set under mu BEFORE wake is
 // called, and read re-checks all of them after every wake. Set the flag, then
 // wake: an event signalled the other way round can be slept through.
+//
+// A stream whose reads are handed off (transport.HandoffConn) has no reader
+// to wake. The goroutine that publishes an event — the writer whose bytes
+// became readable, or whoever closed either side — runs the callback itself,
+// unless another goroutine's call of it is running: that one takes the event
+// in its next round, so at most one call runs and no writer waits for it.
 type stream struct {
 	net    *Net
 	txHost *Host // the writing host (processor charged)
@@ -43,6 +51,14 @@ type stream struct {
 	wdeadline   time.Time   // the write deadline; zero for none
 	lastSendEnd time.Time
 	written     uint64 // bytes accepted by write: both hosts' traffic accounting
+
+	// handoff, once set, receives the stream's bytes and then its end in
+	// place of read. draining says a call of it is running: buf[:arrived]
+	// then stays where it is, since the call may be reading it. ended says
+	// the end has been delivered.
+	handoff  func([]byte, error)
+	draining bool
+	ended    bool
 
 	ready chan struct{} // 1-buffered wakeup for the reader
 }
@@ -61,8 +77,7 @@ func newStream(n *Net, tx, rx *Host) *stream {
 func (s *stream) closeWrite() {
 	s.mu.Lock()
 	s.wclosed = true
-	s.mu.Unlock()
-	wake(s.ready)
+	s.signal()
 }
 
 // bytes returns how many bytes the stream has carried.
@@ -76,8 +91,82 @@ func (s *stream) bytes() uint64 {
 func (s *stream) closeRead() {
 	s.mu.Lock()
 	s.rclosed = true
+	s.signal()
+}
+
+// signal passes an event published under mu to the reader and releases mu:
+// it wakes a blocked read, or runs the handoff callback unless a call of it
+// is already running (which then delivers the event) or the end is out.
+func (s *stream) signal() {
+	if s.handoff == nil {
+		s.mu.Unlock()
+		wake(s.ready)
+		return
+	}
+	if s.draining || s.ended {
+		s.mu.Unlock()
+		return
+	}
+	s.draining = true
+	s.drain()
+}
+
+// drain calls the handoff callback until it has had everything there is to
+// deliver. The caller holds mu and has set draining; drain releases both.
+// Each round hands over, outside the lock, whatever arrived since the last
+// one; a write meanwhile appends its bytes and returns, and the next round
+// takes them. A closed reading side ends the stream at once, bytes still
+// arriving or not; a closed writing side ends it after its last byte.
+func (s *stream) drain() {
+	for !s.ended {
+		var end error
+		switch {
+		case s.rclosed:
+			end = net.ErrClosed
+		case s.arrived > s.off:
+			b := s.buf[s.off:s.arrived]
+			s.off = s.arrived
+			s.mu.Unlock()
+			s.handoff(b, nil)
+			s.mu.Lock()
+			continue
+		case s.wclosed && s.arrived == len(s.buf):
+			end = io.EOF
+		default:
+			s.rewind()
+			s.draining = false
+			s.mu.Unlock()
+			return
+		}
+		s.ended = true
+		s.buf, s.off, s.arrived = nil, 0, 0
+		s.mu.Unlock()
+		s.handoff(nil, end)
+		s.mu.Lock()
+	}
+	s.draining = false
 	s.mu.Unlock()
-	wake(s.ready)
+}
+
+// handReadsTo makes fn the stream's reader, and hands it whatever has
+// arrived (and the end, if that has come) before it returns.
+func (s *stream) handReadsTo(fn func([]byte, error)) {
+	s.mu.Lock()
+	s.handoff = fn
+	s.signal()
+}
+
+// rewind starts the buffer at the front again once everything in it has been
+// handed to the reader, dropping it if an outsized frame grew it. Callers
+// hold mu, and no handoff call is running.
+func (s *stream) rewind() {
+	if s.off < len(s.buf) {
+		return
+	}
+	if cap(s.buf) > maxIdleBuf {
+		s.buf = nil
+	}
+	s.buf, s.off, s.arrived = s.buf[:0], 0, 0
 }
 
 // wake nudges the goroutine sleeping on a 1-buffered ready channel, if any.
@@ -138,9 +227,10 @@ func (s *stream) write(p []byte) (int, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	if s.off > 0 && len(s.buf)+len(p) > cap(s.buf) {
+	if s.off > 0 && !s.draining && len(s.buf)+len(p) > cap(s.buf) {
 		// Reclaim the consumed prefix before growing, so a reader that
 		// never quite catches up does not make the buffer grow forever.
+		// Not under a handoff call: it may be reading that prefix.
 		s.buf = s.buf[:copy(s.buf, s.buf[s.off:])]
 		s.arrived -= s.off
 		s.off = 0
@@ -153,8 +243,7 @@ func (s *stream) write(p []byte) (int, error) {
 	}
 	if !due.After(now) {
 		s.arrived += len(p)
-		s.mu.Unlock()
-		wake(s.ready)
+		s.signal()
 	} else {
 		s.mu.Unlock()
 		s.net.sched.add(delivery{due: due, s: s, n: len(p)})
@@ -170,13 +259,7 @@ func (s *stream) read(p []byte) (int, error) {
 		if s.arrived > s.off {
 			n := copy(p, s.buf[s.off:s.arrived])
 			s.off += n
-			if s.off == len(s.buf) {
-				// Drained: the next write starts at the front again.
-				if cap(s.buf) > maxIdleBuf {
-					s.buf = nil
-				}
-				s.buf, s.off, s.arrived = s.buf[:0], 0, 0
-			}
+			s.rewind()
 			s.mu.Unlock()
 			return n, nil
 		}
@@ -362,7 +445,7 @@ type conn struct {
 	initiator bool // true on the dialing side (counts toward the limit)
 }
 
-var _ net.Conn = (*conn)(nil)
+var _ transport.HandoffConn = (*conn)(nil)
 
 // Read implements net.Conn.
 func (c *conn) Read(p []byte) (int, error) {
@@ -383,6 +466,18 @@ func (c *conn) Write(p []byte) (int, error) {
 		err = &net.OpError{Op: "write", Net: "sim", Addr: c.remoteAddr, Err: err}
 	}
 	return n, err
+}
+
+// HandoffReads implements transport.HandoffConn. A connection of a timed
+// network declines: its bytes arrive on the network's one scheduler
+// goroutine, which would then run every reader's callback inside the
+// modelled latency.
+func (c *conn) HandoffReads(fn func(b []byte, err error)) bool {
+	if c.rd.net.timed {
+		return false
+	}
+	c.rd.handReadsTo(fn)
+	return true
 }
 
 // Close implements net.Conn. Data already written remains readable by the

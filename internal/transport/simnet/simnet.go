@@ -21,6 +21,9 @@
 // with no latency model configured never reads the clock on a write.
 // Listeners can be goroutine-free too: one that hands its connections to a
 // callback (transport.HandoffListener) needs no goroutine parked in Accept.
+// So can readers: a connection of an untimed network hands its arriving
+// bytes to a callback (transport.HandoffConn) on the writer's goroutine, so
+// its reader needs no goroutine parked in Read.
 package simnet
 
 import (

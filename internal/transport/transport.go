@@ -51,6 +51,28 @@ type HandoffListener interface {
 	Handoff(fn func(net.Conn))
 }
 
+// HandoffConn is the read-side counterpart of HandoffListener: a connection
+// that can pass the bytes arriving on it to a callback instead of holding
+// them for Read, so whoever consumes them needs no goroutine parked in Read.
+// An untimed simnet connection implements it: a simulated controller then
+// decodes each reply on the goroutine that wrote it. A TCP connection, and a
+// connection of a timed simnet network, declines; its reader keeps a read
+// loop.
+type HandoffConn interface {
+	net.Conn
+	// HandoffReads makes fn the destination of every byte that arrives from
+	// now on, and of any already waiting, or reports false and changes
+	// nothing. fn runs on the goroutine that made the bytes arrive (inside
+	// the peer's Write, under whatever locks that writer holds), one call at
+	// a time, with the bytes in write order. b is valid only during the call.
+	// After the last bytes fn is called once more, with nil and the error
+	// that ends the stream: io.EOF when the peer closed, net.ErrClosed when
+	// this side did. fn must not block and must not write to the connection;
+	// it may close it. Once HandoffReads has returned true, Read must not be
+	// called, and read deadlines have no effect.
+	HandoffReads(fn func(b []byte, err error)) bool
+}
+
 // Meter accumulates transmitted and received byte counts. It is safe for
 // concurrent use; controllers attach one per role and the experiment harness
 // samples it to produce MB/s columns. Each MeteredConn counts into words of
@@ -82,6 +104,8 @@ type MeteredConn struct {
 	tx, rx telemetry.Shard
 }
 
+var _ HandoffConn = (*MeteredConn)(nil)
+
 // WithMeter returns c wrapped so its traffic is charged to m. A nil meter
 // returns c unchanged.
 func WithMeter(c net.Conn, m *Meter) net.Conn {
@@ -110,6 +134,18 @@ func (c *MeteredConn) Write(p []byte) (int, error) {
 		c.tx.Add(uint64(n))
 	}
 	return n, err
+}
+
+// HandoffReads implements HandoffConn when the wrapped connection does,
+// counting the bytes it hands over as received.
+func (c *MeteredConn) HandoffReads(fn func(b []byte, err error)) bool {
+	hc, ok := c.Conn.(HandoffConn)
+	return ok && hc.HandoffReads(func(b []byte, err error) {
+		if len(b) > 0 {
+			c.rx.Add(uint64(len(b)))
+		}
+		fn(b, err)
+	})
 }
 
 // Close implements net.Conn.

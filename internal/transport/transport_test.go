@@ -77,6 +77,51 @@ func TestMeteredConn(t *testing.T) {
 	}
 }
 
+// handoffConn is a HandoffConn that keeps the callback it is given, so a
+// test can drive it.
+type handoffConn struct {
+	nullConn
+	fn func([]byte, error)
+}
+
+func (c *handoffConn) HandoffReads(fn func([]byte, error)) bool {
+	c.fn = fn
+	return true
+}
+
+// TestMeteredConnHandoff: a MeteredConn hands its reads off exactly when
+// the connection it wraps does, and counts what it hands over as received.
+func TestMeteredConnHandoff(t *testing.T) {
+	var m Meter
+	inner := &handoffConn{}
+	var got []byte
+	var ends []error
+	if !WithMeter(inner, &m).(HandoffConn).HandoffReads(func(b []byte, err error) {
+		got = append(got, b...)
+		if err != nil {
+			ends = append(ends, err)
+		}
+	}) {
+		t.Fatal("a MeteredConn declined over a connection that hands off")
+	}
+	inner.fn([]byte("abc"), nil)
+	inner.fn([]byte("de"), nil)
+	inner.fn(nil, io.EOF)
+	if string(got) != "abcde" || len(ends) != 1 || ends[0] != io.EOF {
+		t.Errorf("handed %q then %v, want \"abcde\" then EOF", got, ends)
+	}
+	if m.Rx() != 5 {
+		t.Errorf("Rx = %d, want 5", m.Rx())
+	}
+
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	if WithMeter(a, &m).(HandoffConn).HandoffReads(func([]byte, error) { t.Error("called") }) {
+		t.Error("a MeteredConn accepted a handoff its connection cannot make")
+	}
+}
+
 // nullConn accepts every write and fills every read, so a MeteredConn over
 // it counts exactly the bytes it was asked to move.
 type nullConn struct{ net.Conn }
