@@ -55,6 +55,16 @@ type fanOutOpts struct {
 	calls *cyclemem.Slab[*rpc.Call]
 }
 
+// parallelIssueMin is the smallest child range worth an issuer of its own:
+// below 2× this the pipelined issue loop runs on the calling goroutine. An
+// issuer costs a goroutine start, a join and a wake-up on another processor
+// per phase, tens of microseconds together. Issuing one call costs a few
+// microseconds: an encode and a write, and on an untimed simnet the stage's
+// handling and the reply's decode inside that write. 512 calls are a
+// millisecond or more of work, so an issuer's start-up stays within a few
+// percent of its range even on the cheapest path.
+const parallelIssueMin = 512
+
 // takeCalls returns n nil call slots, arena-backed when configured.
 func (o *fanOutOpts) takeCalls(n int) []*rpc.Call {
 	if o.arena != nil && o.calls != nil {
@@ -69,15 +79,18 @@ func (o *fanOutOpts) takeCalls(n int) []*rpc.Call {
 // be nil. issue starts child i's call under ctx (Go or GoShared on its client:
 // issuing never blocks, the deadline applies to the wait) and returns the
 // handle; a nil handle skips the child. In blocking mode issue and onDone run
-// concurrently from up to par scatter workers; in pipelined mode they run
-// sequentially on the calling goroutine, in child order. Callers must keep
-// both safe for the blocking case (index-disjoint writes or their own
-// locking). Once ctx is cancelled no further calls are issued.
+// concurrently from up to par scatter workers. In pipelined mode issue runs
+// on up to GOMAXPROCS issuers, each over a contiguous range of children in
+// child order, and onDone runs sequentially on the calling goroutine, in
+// child order. Callers must keep both safe under concurrency (index-disjoint
+// writes or their own locking). Once ctx is cancelled no further calls are
+// issued.
 //
 // The role's CPU meter is charged with the time spent issuing — encoding
-// and writing the requests — from one clock pair around the pipelined
-// issue loop, or around each issue in blocking mode; the rpc client reads
-// no clock for it.
+// and writing the requests, and on an untimed simnet the stages' handling,
+// which runs inside the write — from one clock pair per pipelined issuer,
+// or around each issue in blocking mode; the rpc client reads no clock for
+// it.
 func (k *stageCore) fanOutCalls(ctx context.Context, o fanOutOpts, children []*child,
 	issue func(ctx context.Context, i int) *rpc.Call,
 	onDone func(i int, resp wire.Message, err error)) {
@@ -109,22 +122,24 @@ func (k *stageCore) fanOutCalls(ctx context.Context, o fanOutOpts, children []*c
 	}
 
 	// Pipelined: issue every call back-to-back, then harvest the completion
-	// handles in issue order — phase latency is the slowest child, not the
+	// handles in child order — phase latency is the slowest child, not the
 	// sum over a bounded pool. One deadline covers the whole phase in place
 	// of a context per call.
 	pctx, cancel := context.WithTimeout(ctx, o.timeout)
 	defer cancel()
 	calls := o.takeCalls(n)
-	start := time.Now()
-	for i := range children {
-		if ctx.Err() != nil {
-			break // cancelled mid-fan-out: stop issuing
+	cyclemem.ParallelFor(n, parallelIssueMin, func(lo, hi int) {
+		start := time.Now()
+		for i := lo; i < hi; i++ {
+			if ctx.Err() != nil {
+				break // cancelled mid-fan-out: stop issuing
+			}
+			if calls[i] = issue(ctx, i); calls[i] != nil && o.gauge != nil {
+				o.gauge.Enter()
+			}
 		}
-		if calls[i] = issue(ctx, i); calls[i] != nil && o.gauge != nil {
-			o.gauge.Enter()
-		}
-	}
-	k.busy(start)
+		k.busy(start)
+	})
 	for i, call := range calls {
 		if call == nil {
 			continue

@@ -324,6 +324,10 @@ func TestIncrementalReRegistrationForcesFullReport(t *testing.T) {
 // run back to back. Run under -race (the CI race shard covers this
 // package); correctness assertions are deliberately loose — the test's job
 // is to expose unsynchronized dirty-set and report-cache access.
+//
+// It runs at least 100 cycles, and then more until a stage's push loop has
+// reached the controller over the wire: 100 cycles of 8 in-process stages
+// can finish inside one push tick.
 func TestIncrementalConcurrentPushStress(t *testing.T) {
 	n := fastNet()
 	stages := startPushStages(t, n, 8, 2, func(i int) workload.Generator {
@@ -362,7 +366,14 @@ func TestIncrementalConcurrentPushStress(t *testing.T) {
 		}(w)
 	}
 
-	for i := 0; i < 100; i++ {
+	wirePushes := func() (n uint64) {
+		for _, v := range stages {
+			n += v.Pushes()
+		}
+		return n
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < 100 || (wirePushes() == 0 && time.Now().Before(deadline)); i++ {
 		if _, err := g.RunCycle(ctx); err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
@@ -370,14 +381,12 @@ func TestIncrementalConcurrentPushStress(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	var wirePushes uint64
 	for i, v := range stages {
 		if _, ok := v.LastRule(); !ok {
 			t.Errorf("stage %d has no rule after the stress run", i)
 		}
-		wirePushes += v.Pushes()
 	}
-	if wirePushes == 0 {
+	if wirePushes() == 0 {
 		t.Error("stage push loops never fired during the stress run")
 	}
 	if g.Stats().Pipeline.SuppressedEnforces == 0 {

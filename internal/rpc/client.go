@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -446,51 +445,24 @@ func pushDecoder() *wire.DecodeOpts {
 
 // handoffReader is a client's reader on a connection that hands its reads
 // off: the connection calls arrive with each run of bytes, on the goroutine
-// that wrote them, one call at a time. Whole frames are handled in place; a
-// frame whose rest has not arrived yet is kept until it has.
+// that wrote them, one call at a time.
 type handoffReader struct {
 	replyReader
-	part []byte // the start of a frame still arriving
-	dead bool   // the reader has died: what follows is dropped
+	frames frameSplitter
+	dead   bool // the reader has died: what follows is dropped
 }
 
 // arrive handles the frames that b completes, or with a non-nil end, the end
-// of the stream. Its errors are the read loop's: a frame the stream ends
-// inside is io.ErrUnexpectedEOF.
+// of the stream. Its errors are the read loop's.
 func (r *handoffReader) arrive(b []byte, end error) {
 	if r.dead {
 		return
 	}
-	if len(r.part) > 0 {
-		r.part = append(r.part, b...)
-		b = r.part
-	}
-	var err error
-	for err == nil {
-		var n, w int
-		if n, w, err = frameLen(b); err != nil || w == 0 || len(b) < w+n {
-			break
-		}
-		var h frameHeader
-		var body []byte
-		if h, body, err = parseHeader(b[w : w+n]); err == nil {
-			err = r.frame(h, body)
-		}
-		b = b[w+n:]
-	}
-	if err == nil && end != nil {
-		err = end
-		if end == io.EOF && len(b) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-	}
-	if err != nil {
-		r.dead, r.part = true, nil
+	if err := r.frames.split(b, end, &r.replyReader); err != nil {
+		r.dead = true
 		r.c.reuseHits.Close()
 		r.c.fail(fmt.Errorf("rpc: connection lost: %w", err))
-		return
 	}
-	r.part = append(r.part[:0], b...)
 }
 
 // fail poisons the client: all pending and future calls return err.

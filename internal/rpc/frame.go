@@ -235,6 +235,57 @@ func (fr *frameReader) fill(need int) {
 	fr.buf, fr.err = fr.buf[:have+n], err
 }
 
+// frameHandler handles one frame's header and raw body, which is valid only
+// during the call. An error ends the stream.
+type frameHandler interface {
+	frame(h frameHeader, body []byte) error
+}
+
+// frameSplitter cuts the byte runs of a connection that hands its reads off
+// (transport.HandoffConn) into frames. Whole frames are handled in place; a
+// frame whose rest has not arrived yet is kept until it has. A client's
+// reader and a server's inline driver each own one.
+type frameSplitter struct {
+	part []byte // the start of a frame still arriving
+}
+
+// split passes each frame that b completes to h, in order, and then, with a
+// non-nil end, ends the stream. It returns the first error, with the
+// frameReader's meaning: a malformed frame's, h's, or end, which is
+// io.ErrUnexpectedEOF for an io.EOF that falls inside a frame. After an error
+// the splitter holds nothing, and the caller must drop what follows.
+func (sp *frameSplitter) split(b []byte, end error, h frameHandler) error {
+	if len(sp.part) > 0 {
+		sp.part = append(sp.part, b...)
+		b = sp.part
+	}
+	var err error
+	for err == nil {
+		var n, w int
+		if n, w, err = frameLen(b); err != nil || w == 0 || len(b) < w+n {
+			break
+		}
+		var fh frameHeader
+		var body []byte
+		if fh, body, err = parseHeader(b[w : w+n]); err == nil {
+			err = h.frame(fh, body)
+		}
+		b = b[w+n:]
+	}
+	if err == nil && end != nil {
+		err = end
+		if end == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err != nil {
+		sp.part = nil
+		return err
+	}
+	sp.part = append(sp.part[:0], b...)
+	return nil
+}
+
 // parseHeader splits a frame into its header and body.
 func parseHeader(frame []byte) (frameHeader, []byte, error) {
 	id, sz := binary.Uvarint(frame)

@@ -33,29 +33,36 @@ func legacyFrame(id uint64, kind byte) []byte {
 
 // TestRetiredFrameKindsDropTheConnection: a frame of a retired or unknown
 // kind is a peer that is not this build. The server closes the connection
-// without answering, and a client fails its calls with the frame kind named
-// instead of waiting out their deadlines.
+// without answering, whether it serves the connection on a goroutine or
+// inline, and a client fails its calls with the frame kind named instead of
+// waiting out their deadlines.
 func TestRetiredFrameKindsDropTheConnection(t *testing.T) {
 	t.Run("inline", func(t *testing.T) {
 		n := simnet.New(simnet.Config{PropDelay: -1})
-		srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		for _, kind := range []byte{0, 1, 2, 3, 8} {
-			raw, err := n.Host("legacy").Dial(context.Background(), srv.Addr().String())
+		for _, opts := range []ServerOptions{{}, {NonBlocking: true}} {
+			srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := raw.Write(legacyFrame(1, kind)); err != nil {
-				t.Fatal(err)
+			defer srv.Close()
+			for _, kind := range []byte{0, 1, 2, 3, 8} {
+				raw, err := n.Host("legacy").Dial(context.Background(), srv.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A well-formed request first: the frame after it drops the
+				// connection, the answer already written stays.
+				if _, err := raw.Write(append(collectFrames(1), legacyFrame(2, kind)...)); err != nil {
+					t.Fatal(err)
+				}
+				readReplies(t, raw, 1)
+				_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+				if b, err := io.ReadAll(raw); err != nil || len(b) != 0 {
+					t.Errorf("server (NonBlocking %v), frame kind %d: read %d more bytes, %v; want EOF and nothing",
+						opts.NonBlocking, kind, len(b), err)
+				}
+				raw.Close()
 			}
-			_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-			if b, err := io.ReadAll(raw); err != nil || len(b) != 0 {
-				t.Errorf("server, frame kind %d: read %d bytes, %v; want EOF and nothing", kind, len(b), err)
-			}
-			raw.Close()
 		}
 
 		for _, kind := range []byte{1, 2, 3, 8} {
@@ -158,12 +165,14 @@ func (n fuzzNet) Accept() (net.Conn, error) {
 }
 
 // FuzzServeConn writes arbitrary bytes into a live server connection, with
-// the request freelist on or off. The server must not panic, must be done
-// with the connection within a deadline of its input running out, and must
-// write only responses, each answering a distinct well-formed request (kind
-// 4, or kind 7 decoded against the connection's request history) that
-// precedes the first frame it cannot accept. A cancel frame (kind 2) is one
-// it cannot accept.
+// the request freelist on or off, once through a connection the server reads
+// and once through one that hands its reads off to a NonBlocking server, in
+// runs of a fuzzed size. The server must not panic, must be done with the
+// connection within a deadline of its input running out, and must write only
+// responses, each answering a distinct well-formed request (kind 4, or kind
+// 7 decoded against the connection's request history) that precedes the
+// first frame it cannot accept. A cancel frame (kind 2) is one it cannot
+// accept. Both drivers must write the same bytes.
 func FuzzServeConn(f *testing.F) {
 	for kind := byte(0); kind <= 8; kind++ {
 		var frame []byte
@@ -179,8 +188,8 @@ func FuzzServeConn(f *testing.F) {
 		default: // the retired kinds 0 to 3, and an unknown one
 			frame = legacyFrame(1, kind)
 		}
-		f.Add(frame, false)
-		f.Add(frame, true)
+		f.Add(frame, false, byte(255))
+		f.Add(frame, true, byte(0))
 	}
 	burst := appendFrame(nil, frameHeader{id: 1, kind: kindRequest}, &wire.Heartbeat{SentUnixMicros: 1}, nil)
 	burst = appendFrame(burst, frameHeader{id: 2, kind: kindRequest}, &wire.Collect{Cycle: 2}, nil)
@@ -201,8 +210,8 @@ func FuzzServeConn(f *testing.F) {
 	// A frame of 128 bytes or more: a two-byte length prefix.
 	long := appendFrame(nil, frameHeader{id: 1, kind: kindHistRequest}, &wire.Register{ID: 9, Addr: strings.Repeat("a", 200)}, wire.NewFloatHistory())
 	for _, seed := range [][]byte{burst, histBurst, orphan, long} {
-		f.Add(seed, false)
-		f.Add(seed, true)
+		f.Add(seed, false, byte(0))
+		f.Add(seed, true, byte(4))
 	}
 
 	handler := HandlerFunc(func(_ *Peer, req wire.Message) (wire.Message, error) {
@@ -211,7 +220,7 @@ func FuzzServeConn(f *testing.F) {
 		}
 		return &wire.HeartbeatAck{}, nil
 	})
-	f.Fuzz(func(t *testing.T, data []byte, reuse bool) {
+	f.Fuzz(func(t *testing.T, data []byte, reuse bool, chunk byte) {
 		// The requests the server may answer: those read before the first
 		// frame it cannot accept.
 		may := make(map[uint64]int)
@@ -233,26 +242,12 @@ func FuzzServeConn(f *testing.F) {
 			may[h.id]++
 		}
 
-		conn := &fuzzConn{r: bytes.NewReader(data)}
-		network := fuzzNet{conns: make(chan net.Conn, 1), done: make(chan struct{})}
-		network.conns <- conn
-		gone := make(chan struct{})
-		srv, err := Serve(network, "fuzz:1", handler, ServerOptions{
-			ReuseRequests: reuse,
-			OnDisconnect:  func(*Peer) { close(gone) },
-		})
-		if err != nil {
-			t.Fatal(err)
+		written := serveBytes(t, handler, data, reuse, false, 0)
+		if inline := serveBytes(t, handler, data, reuse, true, int(chunk)+1); !bytes.Equal(inline, written) {
+			t.Fatalf("the inline driver wrote %x, the read loop %x", inline, written)
 		}
-		select {
-		case <-gone:
-		case <-time.After(5 * time.Second):
-			t.Fatal("the server still holds the connection 5s after its input ran out")
-		}
-		srv.Close()
-		srv.Wait()
 
-		out, hist := frameReader{r: bytes.NewReader(conn.written())}, wire.NewFloatHistory()
+		out, hist := frameReader{r: bytes.NewReader(written)}, wire.NewFloatHistory()
 		for {
 			h, body, err := out.next()
 			if err == io.EOF {

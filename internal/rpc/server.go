@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"slices"
 	"sync"
@@ -16,9 +17,12 @@ import (
 
 // Handler processes one request and returns the response message. Returning
 // an error sends a wire.ErrorReply to the caller. Requests arriving on the
-// same connection are handled in order, each on the goroutine that read it,
-// so a handler that blocks holds up only its own connection; distinct
-// connections are concurrent.
+// same connection are handled in order, one at a time; distinct connections
+// are concurrent. By default each connection has a goroutine that reads and
+// handles its requests, so a handler that blocks holds up only its own
+// connection. A server whose handler never blocks may declare it
+// (ServerOptions.NonBlocking): on a connection that hands its reads off, its
+// requests are then handled on the goroutines that wrote them.
 type Handler interface {
 	Serve(peer *Peer, req wire.Message) (wire.Message, error)
 }
@@ -115,6 +119,15 @@ type ServerOptions struct {
 	// handler. Handlers that return shared or retained messages must not
 	// set this.
 	RecycleReply func(wire.Message)
+	// NonBlocking declares that the handler never blocks: it returns
+	// promptly and waits for nothing a client may hold while it writes.
+	// A connection that hands its reads off (transport.HandoffConn, as an
+	// untimed simnet connection does) is then served inline: each request
+	// is decoded, handled and answered inside the client's write that
+	// delivered it, and the connection costs no goroutine. Any other
+	// connection keeps its goroutine. A handler that runs a sub-cycle of
+	// calls, as a controller's does, must not set it.
+	NonBlocking bool
 }
 
 // Server accepts RPC connections and dispatches requests to a Handler.
@@ -131,14 +144,15 @@ type Server struct {
 	closed bool
 
 	acceptWG sync.WaitGroup // the accept loop, on a listener without handoff
-	connWG   sync.WaitGroup // one goroutine per connection
+	connWG   sync.WaitGroup // one per connection until its service ends
 }
 
 // Serve starts a server listening on addr over network. It returns once the
-// listener is active; request handling proceeds in background goroutines,
-// one per connection. A listener that hands its connections off
-// (transport.HandoffListener, as simnet's do) gives each to the server on
-// its dialer's goroutine; any other gets an accept loop.
+// listener is active; request handling proceeds in the background, on one
+// goroutine per connection, or inline for a NonBlocking server on a
+// connection that hands its reads off. A listener that hands its
+// connections off (transport.HandoffListener, as simnet's do) gives each to
+// the server on its dialer's goroutine; any other gets an accept loop.
 func Serve(network transport.Network, addr string, h Handler, opts ServerOptions) (*Server, error) {
 	l, err := network.Listen(addr)
 	if err != nil {
@@ -197,9 +211,11 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// accept starts the goroutine that serves a new connection, or closes the
-// connection if the server is closed. The goroutine is counted under the
-// lock that Close takes to mark the server closed, so Wait never misses one.
+// accept starts serving a new connection, or closes the connection if the
+// server is closed. A server whose handler never blocks serves a connection
+// that hands its reads off inline, on the goroutines that write to it; any
+// other connection gets a goroutine. Either is counted under the lock that
+// Close takes to mark the server closed, so Wait never misses one.
 func (s *Server) accept(conn net.Conn) {
 	peer := &Peer{conn: transport.WithMeter(conn, s.opts.Meter)}
 	s.mu.Lock()
@@ -211,14 +227,21 @@ func (s *Server) accept(conn net.Conn) {
 	s.peers = append(s.peers[:len(s.peers):len(s.peers)], peer) // a copy: see peers
 	s.connWG.Add(1)
 	s.mu.Unlock()
-	go s.serveConn(peer)
+	c := s.newConn(peer)
+	if s.opts.NonBlocking {
+		if hc, ok := peer.conn.(transport.HandoffConn); ok && hc.HandoffReads(c.arrive) {
+			return
+		}
+	}
+	go s.serveConn(c)
 }
 
 // reqFreelist recycles decoded request messages within one connection: a
 // request decodes into a recycled instance (reusing its backing arrays), and
 // the instance goes back once its response is written. One slot per type
 // suffices because a connection answers one request at a time, and take and
-// put both run on the connection's one goroutine, so the list needs no lock.
+// put both run in its driver, one frame at a time, so the list needs no
+// lock.
 type reqFreelist struct {
 	byType msgTable
 	hits   telemetry.Shard // on ServerOptions.ReuseHits; closed with the connection
@@ -247,9 +270,11 @@ func (fl *reqFreelist) put(m wire.Message) {
 	}
 }
 
-// srvConn is one connection's serving state. It belongs to the connection's
-// one goroutine, which reads a request, runs its handler and writes its
-// response before it reads the next frame.
+// srvConn is one connection's serving state. One of two drivers feeds it
+// the connection's frames, and it answers each request before it takes the
+// next frame: a goroutine of the connection's own that reads them (read), or
+// on a connection that hands its reads off, whichever goroutine wrote them
+// (arrive). Either way one frame is handled at a time.
 type srvConn struct {
 	s    *Server
 	peer *Peer
@@ -258,35 +283,58 @@ type srvConn struct {
 	peerTag uint64
 	// The response history (shared by all response types on this
 	// connection) is kept in lockstep with the client's reader because
-	// this goroutine is the connection's only response writer.
+	// this connection's driver is its only response writer.
 	txHist *wire.FloatHistory
+	// Kind-4 requests are stateless broadcast bodies. Kind-7 requests
+	// decode against histDec's request history, which the driver advances
+	// in the order the client wrote them.
+	dec, histDec wire.DecodeOpts
+
+	// The inline driver's state: the frame still arriving, and whether the
+	// connection has been dropped and what follows is to be ignored.
+	frames frameSplitter
+	dead   bool
 }
 
-// serveConn answers one connection's requests in order until it dies.
-func (s *Server) serveConn(peer *Peer) {
-	defer s.connWG.Done()
-	defer func() {
-		peer.conn.Close()
-		s.mu.Lock()
-		if i := slices.Index(s.peers, peer); i >= 0 {
-			s.peers = slices.Concat(s.peers[:i], s.peers[i+1:])
-		}
-		s.mu.Unlock()
-		if s.opts.OnDisconnect != nil {
-			s.opts.OnDisconnect(peer)
-		}
-	}()
-
+// newConn builds a connection's serving state.
+func (s *Server) newConn(peer *Peer) *srvConn {
 	c := &srvConn{s: s, peer: peer, txHist: wire.NewFloatHistory()}
+	c.dec = wire.DecodeOpts{Version: wire.CodecV2}
 	if s.opts.ReuseRequests {
 		c.fl = &reqFreelist{}
 		s.opts.ReuseHits.Attach(&c.fl.hits)
-		defer c.fl.hits.Close()
+		c.dec.Reuse = c.fl.take
 	}
+	c.histDec = wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory(), Reuse: c.dec.Reuse}
 	if s.opts.Tracer != nil {
 		c.peerTag = trace.AddrTag(peer.conn.RemoteAddr().String())
 	}
+	return c
+}
+
+// serveConn answers one connection's requests in order until it dies.
+func (s *Server) serveConn(c *srvConn) {
+	defer s.drop(c)
 	c.read()
+}
+
+// drop ends a connection's service once its driver has stopped: it closes
+// the connection, removes the peer and runs OnDisconnect.
+func (s *Server) drop(c *srvConn) {
+	if c.fl != nil {
+		c.fl.hits.Close()
+	}
+	peer := c.peer
+	peer.conn.Close()
+	s.mu.Lock()
+	if i := slices.Index(s.peers, peer); i >= 0 {
+		s.peers = slices.Concat(s.peers[:i], s.peers[i+1:])
+	}
+	s.mu.Unlock()
+	if s.opts.OnDisconnect != nil {
+		s.opts.OnDisconnect(peer)
+	}
+	s.connWG.Done()
 }
 
 // read consumes the connection's frames and answers each request before it
@@ -297,39 +345,56 @@ func (c *srvConn) read() {
 	// at the client's size: a stage's one connection lives as long as the
 	// stage, so a buffer borrowed from the pool would never go back.
 	fr := frameReader{r: c.peer.conn}
-	// Kind-4 requests are stateless broadcast bodies. Kind-7 requests decode
-	// against the connection's request history, which this goroutine, the
-	// connection's only reader, advances in the order the client wrote them.
-	dec := &wire.DecodeOpts{Version: wire.CodecV2}
-	if c.fl != nil {
-		dec.Reuse = c.fl.take
-	}
-	histDec := &wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory(), Reuse: dec.Reuse}
 	for {
 		h, body, err := fr.next()
+		if err == nil {
+			err = c.frame(h, body)
+		}
 		if err != nil {
-			return // EOF or broken conn
-		}
-		d := dec
-		switch h.kind {
-		case kindRequest:
-		case kindHistRequest:
-			d = histDec
-		default:
-			return // a retired or unknown kind: the peer is not this build
-		}
-		req, err := wire.DecodeWith(body, d)
-		if err != nil {
-			return // protocol corruption; drop the connection
-		}
-		var arrivedNs int64
-		if c.s.opts.Tracer.Sampled(h.id) {
-			arrivedNs = time.Now().UnixNano()
-		}
-		if c.respond(h.id, req, arrivedNs) != nil {
-			return // the response write failed
+			return // EOF, a broken conn, a bad frame or a failed write
 		}
 	}
+}
+
+// arrive is the inline driver: the connection hands it each run of bytes on
+// the goroutine that wrote them, and it answers the requests they complete
+// before it returns. A frame that read would stop at closes the connection
+// instead, whose end follows; the end drops the connection.
+func (c *srvConn) arrive(b []byte, end error) {
+	if end != nil {
+		c.s.drop(c)
+		return
+	}
+	if c.dead {
+		return
+	}
+	if c.frames.split(b, nil, c) != nil {
+		c.dead = true
+		c.peer.conn.Close()
+	}
+}
+
+// frame decodes one request and answers it. An error drops the connection:
+// a retired or unknown kind (the peer is not this build), a body that does
+// not decode (protocol corruption), or a failed response write.
+func (c *srvConn) frame(h frameHeader, body []byte) error {
+	d := &c.dec
+	switch h.kind {
+	case kindRequest:
+	case kindHistRequest:
+		d = &c.histDec
+	default:
+		return fmt.Errorf("frame kind %d", h.kind)
+	}
+	req, err := wire.DecodeWith(body, d)
+	if err != nil {
+		return err
+	}
+	var arrivedNs int64
+	if c.s.opts.Tracer.Sampled(h.id) {
+		arrivedNs = time.Now().UnixNano()
+	}
+	return c.respond(h.id, req, arrivedNs)
 }
 
 // respond runs the handler for request id and writes its response. arrivedNs
@@ -420,7 +485,8 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Wait blocks until every per-connection goroutine has exited.
+// Wait blocks until every connection's service has ended: its goroutine has
+// exited, or its inline driver has taken the connection's end.
 // Call it after Close when full quiescence matters (e.g. before asserting
 // on shared state in tests).
 func (s *Server) Wait() {

@@ -159,11 +159,14 @@ func StartVirtual(cfg Config) (*Virtual, error) {
 	v := &Virtual{cfg: cfg, start: time.Now(), who: fmt.Sprintf("stage %d", cfg.ID)}
 	v.fence.watched = len(cfg.Parents) > 0 // only rehome reads the contact time
 	// Stage handlers copy what they keep out of each request, so inbound
-	// collects/enforces/heartbeats are safely recycled per connection.
+	// collects/enforces/heartbeats are safely recycled per connection. They
+	// take only the stage's own short locks, so they never block: on an
+	// untimed simnet a request is answered inside the controller's write.
 	srv, err := rpc.Serve(cfg.Network, cfg.ListenAddr, rpc.HandlerFunc(v.serve), rpc.ServerOptions{
 		Tracer:        cfg.Tracer,
 		ReuseRequests: true,
 		RecycleReply:  v.replies.recycle,
+		NonBlocking:   true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("stage %d: %w", cfg.ID, err)
@@ -584,9 +587,13 @@ func StartEnforcing(cfg EnforcingConfig) (*Enforcing, error) {
 		e.demand[c] = metrics.NewRateCounter(cfg.Window, 10)
 		e.usage[c] = metrics.NewRateCounter(cfg.Window, 10)
 	}
+	// The handler reads rate counters and sets the limiter's rates: short
+	// locks that Submit, which blocks on admission, never holds while it
+	// waits.
 	srv, err := rpc.Serve(cfg.Network, cfg.ListenAddr, rpc.HandlerFunc(e.serve), rpc.ServerOptions{
 		Tracer:        cfg.Tracer,
 		ReuseRequests: true,
+		NonBlocking:   true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("stage %d: %w", cfg.ID, err)

@@ -1,15 +1,19 @@
 package stage
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/pfs"
 	"github.com/dsrhaslab/sdscale/internal/rpc"
+	"github.com/dsrhaslab/sdscale/internal/transport"
 	"github.com/dsrhaslab/sdscale/internal/transport/simnet"
+	"github.com/dsrhaslab/sdscale/internal/transport/tcpnet"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 	"github.com/dsrhaslab/sdscale/internal/workload"
 )
@@ -323,8 +327,10 @@ func TestRegisterHelperErrors(t *testing.T) {
 }
 
 // TestVirtualStagePushesWhileAnswering: a stage's server answers each
-// request on the goroutine that read it, while pushes — the push loop's and
-// PushDelta's — are written from other goroutines onto the same connection.
+// request inside the client's write that delivered it, while pushes — the
+// push loop's and PushDelta's — are written from other goroutines onto the
+// same connection, each holding the peer's write lock while the client's
+// OnPush runs inside it.
 // Every frame must arrive whole and every reply must decode to the stage's
 // report (the replies are delta-coded against a history a push never
 // advances). Run under -race -count=10 in CI.
@@ -348,6 +354,8 @@ func TestVirtualStagePushesWhileAnswering(t *testing.T) {
 			if d, ok := m.(*wire.ReportDelta); !ok || d.Report.StageID != 7 {
 				t.Errorf("push decoded as %+v", m)
 			}
+			// Hold the write lock a moment, so responses meet it.
+			runtime.Gosched()
 			pushed.Add(1)
 		},
 	})
@@ -435,5 +443,59 @@ func TestStageWithoutParentsStillFences(t *testing.T) {
 	}
 	if v.Epoch() != 5 || v.FencedCalls() != 1 {
 		t.Errorf("epoch %d fenced %d, want 5 and 1", v.Epoch(), v.FencedCalls())
+	}
+}
+
+// servingGoroutines counts the goroutines that serve an rpc server
+// connection.
+func servingGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("rpc.(*Server).serveConn("))
+}
+
+// TestInlineStageServing: both stage kinds answer an untimed simnet
+// connection inline, with no serving goroutine. Over TCP and over a timed
+// simnet network, whose connections decline the handoff, each keeps one
+// serving goroutine per connection, so the latency models are unchanged.
+func TestInlineStageServing(t *testing.T) {
+	timed := simnet.New(simnet.Config{PropDelay: 50 * time.Microsecond})
+	untimed := fastNet()
+	cases := []struct {
+		name    string
+		stage   transport.Network
+		dialer  transport.Network
+		addr    string
+		serving int
+	}{
+		{"untimed simnet", untimed.Host("stage"), untimed.Host("controller"), ":0", 0},
+		{"timed simnet", timed.Host("stage"), timed.Host("controller"), ":0", 1},
+		{"tcp", tcpnet.New(), tcpnet.New(), "127.0.0.1:0", 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			waitFor(t, "earlier serving goroutines to exit", func() bool { return servingGoroutines() == 0 })
+			v, err := StartVirtual(Config{ID: 1, JobID: 1, Network: tc.stage, ListenAddr: tc.addr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer v.Close()
+			e, err := StartEnforcing(EnforcingConfig{ID: 2, JobID: 1, Network: tc.stage, ListenAddr: tc.addr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for _, addr := range []string{v.Info().Addr, e.Info().Addr} {
+				cli, err := rpc.Dial(context.Background(), tc.dialer, addr, rpc.DialOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cli.Close()
+				if _, err := cli.Call(context.Background(), &wire.Collect{Cycle: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := 2 * tc.serving
+			waitFor(t, "the stages' serving goroutines", func() bool { return servingGoroutines() == want })
+		})
 	}
 }

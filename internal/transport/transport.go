@@ -37,9 +37,8 @@ type Network interface {
 
 // HandoffListener is a listener that can pass each connection to a callback
 // as it is dialed instead of queuing it for Accept, so whoever serves it
-// needs no goroutine parked in Accept. simnet's listeners implement it: a
-// simulated stage then costs the goroutine that serves its connection and
-// nothing else. A TCP listener does not; its server keeps an accept loop.
+// needs no goroutine parked in Accept. simnet's listeners implement it. A
+// TCP listener does not; its server keeps an accept loop.
 type HandoffListener interface {
 	net.Listener
 	// Handoff makes fn the destination of every connection dialed to the
@@ -55,9 +54,10 @@ type HandoffListener interface {
 // that can pass the bytes arriving on it to a callback instead of holding
 // them for Read, so whoever consumes them needs no goroutine parked in Read.
 // An untimed simnet connection implements it: a simulated controller then
-// decodes each reply on the goroutine that wrote it. A TCP connection, and a
-// connection of a timed simnet network, declines; its reader keeps a read
-// loop.
+// decodes each reply on the goroutine that wrote it, and a simulated stage
+// answers each request on the goroutine that wrote it, so a stage costs no
+// goroutine. A TCP connection, and a connection of a timed simnet network,
+// declines; its reader keeps a read loop.
 type HandoffConn interface {
 	net.Conn
 	// HandoffReads makes fn the destination of every byte that arrives from
@@ -67,9 +67,11 @@ type HandoffConn interface {
 	// a time, with the bytes in write order. b is valid only during the call.
 	// After the last bytes fn is called once more, with nil and the error
 	// that ends the stream: io.EOF when the peer closed, net.ErrClosed when
-	// this side did. fn must not block and must not write to the connection;
-	// it may close it. Once HandoffReads has returned true, Read must not be
-	// called, and read deadlines have no effect.
+	// this side did. fn must not block. It may write to the connection,
+	// since a write to a connection that hands its reads off never blocks
+	// (it may run the peer's callback in turn), and it may close it. Once
+	// HandoffReads has returned true, Read must not be called, and read
+	// deadlines have no effect.
 	HandoffReads(fn func(b []byte, err error)) bool
 }
 
