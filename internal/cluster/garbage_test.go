@@ -78,7 +78,7 @@ func TestSteadyCyclesMakeNoFleetSizedGarbage(t *testing.T) {
 				for j := 0; j < len(c.Stages); j += 10 {
 					c.Stages[j].PushDelta(scale)
 				}
-				time.Sleep(2 * time.Millisecond) // let the read loops ingest them
+				time.Sleep(2 * time.Millisecond) // let the controller ingest them
 			}
 			if _, err := c.RunControlCycle(ctx); err != nil {
 				t.Fatalf("%d stages, cycle %d: %v", stages, i, err)

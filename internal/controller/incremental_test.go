@@ -51,7 +51,7 @@ func startPushStages(t *testing.T, n *simnet.Net, count, nJobs int, gen func(i i
 }
 
 // push injects a ReportDelta through the controller's real push entry point
-// (the same function the connection read loops call).
+// (the same function the connections' readers call).
 func push(g *Global, stageID, jobID, seq uint64, demand wire.Rates) {
 	g.onPush(&wire.ReportDelta{
 		Seq: seq,

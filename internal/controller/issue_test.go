@@ -124,12 +124,13 @@ func TestIssueSplitMatchesSerial(t *testing.T) {
 // TestInlineControllersKeepServingGoroutines: stages answer an untimed
 // simnet connection inline, but a controller's handler may run a whole
 // sub-cycle (an aggregator's Collect does), so an aggregator's and a
-// global's servers keep one serving goroutine per connection.
+// global's servers keep one pump per connection. A client on an untimed
+// simnet connection runs none.
 func TestInlineControllersKeepServingGoroutines(t *testing.T) {
 	serving := func() int {
 		buf := make([]byte, 1<<20)
 		buf = buf[:runtime.Stack(buf, true)]
-		return bytes.Count(buf, []byte("rpc.(*Server).serveConn("))
+		return bytes.Count(buf, []byte("rpc.pump("))
 	}
 	// Earlier tests' servers are closed, but their goroutines may still be
 	// on their way out.
@@ -159,6 +160,6 @@ func TestInlineControllersKeepServingGoroutines(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if got := serving() - base; got != want {
-		t.Errorf("%d serving goroutines, want %d: one per controller connection, none per stage", got, want)
+		t.Errorf("%d pumps, want %d: one per controller connection, none per stage", got, want)
 	}
 }

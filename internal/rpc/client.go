@@ -22,10 +22,10 @@ var ErrClientClosed = errors.New("rpc: client closed")
 // concurrent use: many calls may be in flight at once over the single
 // underlying connection.
 //
-// Responses are read by one of two drivers. On a connection that hands its
-// reads off (transport.HandoffConn, as an untimed simnet connection does),
-// the goroutine whose write delivered a response parses and completes it, and
-// the client runs no goroutine of its own. On any other a read loop does.
+// Responses reach the client's replyReader through the connection's
+// hand-off (transport.HandoffConn, as an untimed simnet connection offers),
+// on the goroutine whose write delivered them, so the client runs no
+// goroutine of its own; any other connection gets a pump.
 type Client struct {
 	conn net.Conn
 
@@ -249,7 +249,7 @@ type DialOptions struct {
 	ReuseHits *telemetry.Counter
 	// OnPush, if non-nil, receives unsolicited server-initiated messages
 	// (kindPush frames) arriving on this connection. It runs on the
-	// connection's reader — the read loop, or the pushing goroutine on a
+	// connection's reader — its pump, or the pushing goroutine on a
 	// connection that hands its reads off — so it must not block and must
 	// not retain the message past returning: the next push of the same
 	// shape may reuse its memory. Nil clients drop push frames on the floor.
@@ -269,9 +269,8 @@ func Dial(ctx context.Context, network transport.Network, addr string, opts Dial
 // reading its responses. The client takes ownership of conn.
 func NewClient(conn net.Conn) *Client { return newClient(conn, DialOptions{}) }
 
-// newClient builds the client completely and only then starts its reader,
-// which reads every field set from opts: the connection's handoff when it
-// offers one, a read loop otherwise.
+// newClient builds the client completely and only then starts its reads,
+// since its reader reads every field set from opts.
 func newClient(conn net.Conn, opts DialOptions) *Client {
 	c := &Client{
 		conn:         conn,
@@ -283,13 +282,7 @@ func newClient(conn net.Conn, opts DialOptions) *Client {
 		onPush:       opts.OnPush,
 	}
 	opts.ReuseHits.Attach(&c.reuseHits)
-	if hc, ok := conn.(transport.HandoffConn); ok {
-		hr := &handoffReader{replyReader: replyReader{c: c}}
-		if hc.HandoffReads(hr.arrive) {
-			return c
-		}
-	}
-	go c.readLoop()
+	startReads(conn, &replyReader{c: c}, true)
 	return c
 }
 
@@ -323,34 +316,50 @@ func (c *Client) Err() error {
 // call had already been abandoned (via context) and were dropped.
 func (c *Client) LateResponses() uint64 { return c.late.Load() }
 
-// readLoop reads the connection's frames until it dies or a frame cannot be
-// handled.
-func (c *Client) readLoop() {
-	defer c.reuseHits.Close()
-	fr := frameReader{r: c.conn} // its buffer is allocated by the first read
-	r := replyReader{c: c}
-	for {
-		h, body, err := fr.next()
-		if err == nil {
-			err = r.frame(h, body)
-		}
-		if err != nil {
-			c.fail(fmt.Errorf("rpc: connection lost: %w", err))
-			return
-		}
-	}
-}
-
 // replyReader handles the frames a client receives. It is the connection's
 // single reader, so it owns the response-side float history (which must see
 // every response, in order, to stay in lockstep with the server's writer)
 // and the per-type reply-reuse cache. One goroutine uses it at a time: the
-// read loop, or whichever goroutine the connection's handoff runs on, in the
+// pump, or whichever goroutine the connection's hand-off runs on, in the
 // order the connection delivers.
 type replyReader struct {
 	c       *Client
 	dec     *wire.DecodeOpts // built on the first response
 	pushDec *wire.DecodeOpts // built on the first push frame
+	part    partial
+	dead    bool // the reader has died: what follows is dropped
+}
+
+// arrive handles the frames that b completes, or with a non-nil end, the end
+// of the stream. A malformed frame, or the end, fails the client; a frame
+// error also closes the connection, which ends a pump's Read.
+func (r *replyReader) arrive(b []byte, end error) {
+	if r.dead {
+		return
+	}
+	b = r.part.join(b)
+	var h frameHeader
+	var body []byte
+	var err error
+	for {
+		if h, body, b, err = cut(b); body == nil {
+			break
+		}
+		if err = r.frame(h, body); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		if err = r.part.keep(b, end); err == nil {
+			return
+		}
+	}
+	r.dead, r.part = true, nil
+	r.c.reuseHits.Close()
+	r.c.fail(fmt.Errorf("rpc: connection lost: %w", err))
+	if end == nil {
+		r.c.conn.Close() // a frame error: what follows is dropped
+	}
 }
 
 // frame decodes one frame and completes its call, or passes a push to
@@ -391,7 +400,7 @@ func (r *replyReader) frame(h frameHeader, body []byte) error {
 
 // complete hands response m to the call waiting for it, or drops it if the
 // call was abandoned. It and the two decoder builders below stay out of line:
-// inlined into frame, they grew a read loop's stack into the next size, and
+// inlined into frame, they grew a reader's stack into the next size, and
 // a 1,000-stage TCP fleet's stacks from 11.2 to 14.8 MB.
 //
 //go:noinline
@@ -441,28 +450,6 @@ func pushDecoder() *wire.DecodeOpts {
 		m, _ := cache.cached(t)
 		return m
 	}}
-}
-
-// handoffReader is a client's reader on a connection that hands its reads
-// off: the connection calls arrive with each run of bytes, on the goroutine
-// that wrote them, one call at a time.
-type handoffReader struct {
-	replyReader
-	frames frameSplitter
-	dead   bool // the reader has died: what follows is dropped
-}
-
-// arrive handles the frames that b completes, or with a non-nil end, the end
-// of the stream. Its errors are the read loop's.
-func (r *handoffReader) arrive(b []byte, end error) {
-	if r.dead {
-		return
-	}
-	if err := r.frames.split(b, end, &r.replyReader); err != nil {
-		r.dead = true
-		r.c.reuseHits.Close()
-		r.c.fail(fmt.Errorf("rpc: connection lost: %w", err))
-	}
 }
 
 // fail poisons the client: all pending and future calls return err.

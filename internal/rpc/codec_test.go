@@ -205,10 +205,10 @@ func TestReuseTablesGrowOnFirstUse(t *testing.T) {
 
 // TestDialBuildsClientBeforeReading: a server that speaks before it reads —
 // here a push frame and a response written the moment the connection is
-// accepted — reaches the client's read loop while Dial is still running. The
-// loop reads the push callback, the reply-reuse settings and the tracer, so
-// Dial must have set them all before it starts the loop; under -race a Dial
-// that sets a field after starting the loop is reported.
+// accepted — reaches the client's reader while Dial is still running. The
+// reader reads the push callback, the reply-reuse settings and the tracer,
+// so Dial must have set them all before it starts its reads; under -race a
+// Dial that sets a field after starting them is reported.
 func TestDialBuildsClientBeforeReading(t *testing.T) {
 	n := simnet.New(simnet.Config{PropDelay: -1})
 	l, err := n.Host("eager").Listen(":0")

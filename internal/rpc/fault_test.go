@@ -33,7 +33,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // A response with no waiting call must be dropped and counted, not crash
-// the read loop or leak. Simulated with a hand-rolled server that answers
+// the client's reader or leak. Simulated with a hand-rolled server that answers
 // the same request twice.
 func TestLateResponseCounted(t *testing.T) {
 	n := simnet.New(simnet.Config{PropDelay: -1})
@@ -48,8 +48,8 @@ func TestLateResponseCounted(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		fr := frameReader{r: conn}
-		h, _, err := fr.next()
+		var fr frameLog
+		h, _, err := fr.next(conn)
 		if err != nil {
 			return
 		}
@@ -57,7 +57,7 @@ func TestLateResponseCounted(t *testing.T) {
 		buf := appendFrame(nil, frameHeader{id: h.id, kind: kindResponse}, &wire.HeartbeatAck{}, hist)
 		buf = appendFrame(buf, frameHeader{id: h.id, kind: kindResponse}, &wire.HeartbeatAck{}, hist)
 		conn.Write(buf)
-		fr.next() // hold the conn open until the client closes
+		fr.next(conn) // hold the conn open until the client closes
 	}()
 
 	cli, err := Dial(context.Background(), n.Host("client"), l.Addr().String(), DialOptions{})

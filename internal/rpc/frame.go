@@ -10,6 +10,11 @@
 //     per child regardless of cycle concurrency;
 //   - per-connection ordered request handling on the server (like a gRPC
 //     stream), with concurrency across connections;
+//   - one read path: on either end, a connection's bytes reach one arrive,
+//     which cuts them into frames and handles each in order. A connection
+//     that hands its reads off (an untimed simnet one) calls arrive on the
+//     goroutine that wrote the bytes; any other gets one pump goroutine,
+//     the package's only Read;
 //   - deadlines and cancellation: a call abandoned via its context fails at
 //     once on the client, which sends nothing for it; its response, which
 //     the server still writes, is counted (Client.LateResponses) and
@@ -29,15 +34,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 
+	"github.com/dsrhaslab/sdscale/internal/transport"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
 // frameBufs recycles frame encode buffers across clients, servers, and
 // connections: a controller fanning out to thousands of children would
 // otherwise regrow an encode buffer per call per cycle. Decoded messages
-// never alias these buffers (see frameReader), so recycling is safe.
+// never alias these buffers (the wire decoders copy what they keep), so
+// recycling is safe.
 var frameBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b
@@ -174,128 +182,99 @@ func frameLen(b []byte) (n, w int, err error) {
 	return 0, 0, nil
 }
 
-// frameReader reads one connection's frames. Each Read takes whatever has
-// arrived into the connection's buffer, and next parses whole frames out of
-// it, so a burst of frames costs one Read rather than two per frame. A frame
-// that outgrows the buffer grows it.
-type frameReader struct {
-	r   io.Reader
-	buf []byte // bytes read so far; buf[off:] is not yet parsed
-	off int
-	err error // the Read error that follows buf's last byte
+// cut splits the first whole frame off b: it returns the frame's header and
+// body, and the rest of b. A nil body means that b holds no whole frame yet,
+// or that the first one is malformed, which err then says.
+func cut(b []byte) (h frameHeader, body, rest []byte, err error) {
+	n, w, err := frameLen(b)
+	if err != nil || w == 0 || len(b) < w+n {
+		return h, nil, b, err
+	}
+	frame, rest := b[w:w+n], b[w+n:]
+	id, sz := binary.Uvarint(frame)
+	switch {
+	case sz <= 0:
+		return h, nil, rest, errors.New("rpc: bad frame header")
+	case sz >= len(frame):
+		return h, nil, rest, errors.New("rpc: truncated frame header")
+	}
+	return frameHeader{id: id, kind: frame[sz]}, frame[sz+1:], rest, nil
 }
 
-// frameBufSize is the buffer a frameReader allocates when it has none.
+// partial is the start of a frame whose rest has not arrived yet.
+type partial []byte
+
+// join returns b behind the bytes p holds, which are then b's.
+func (p *partial) join(b []byte) []byte {
+	if len(*p) == 0 {
+		return b
+	}
+	*p = append(*p, b...)
+	return *p
+}
+
+// keep holds rest, which follows the last whole frame, until the next join.
+// A rest as long as what p holds is what p holds, since nothing was cut from
+// it; it stays in place, so a frame that arrives a byte at a time is not
+// copied once per byte. A non-nil end ends the stream instead, and keep
+// returns it: as io.ErrUnexpectedEOF for an io.EOF that falls inside a frame.
+func (p *partial) keep(rest []byte, end error) error {
+	if end == nil {
+		if len(rest) != len(*p) {
+			*p = append((*p)[:0], rest...)
+		}
+		return nil
+	}
+	*p = nil
+	if end == io.EOF && len(rest) > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return end
+}
+
+// reader takes a connection's bytes: each run in the order it arrived, then
+// the end of the stream, one call at a time. b is valid only during the
+// call. The client's replyReader and the server's srvConn each loop over cut
+// in arrive and pass each header and body to their own frame method. A
+// callback per frame, a method value in place of this interface, or a frame
+// method that parses its own header each deepens a pump's stack past the
+// size a TCP fleet's pumps fit in (TestTCPFleetStackPerStage).
+type reader interface {
+	arrive(b []byte, end error)
+}
+
+// startReads delivers conn's bytes to r: through the connection's hand-off
+// (transport.HandoffConn) when handoff is set and conn offers one, and
+// through a pump otherwise.
+func startReads(conn net.Conn, r reader, handoff bool) {
+	if hc, ok := conn.(transport.HandoffConn); ok && handoff && hc.HandoffReads(r.arrive) {
+		return
+	}
+	go pump(conn, r)
+}
+
+// frameBufSize is the buffer a pump starts with.
 const frameBufSize = 512
 
-// next returns the next frame's header and raw body. The body aliases the
-// reader's buffer, so it is valid only until the following call; callers
-// decode it according to the frame kind before reading on. EOF between
-// frames is io.EOF, and inside a frame io.ErrUnexpectedEOF.
-func (fr *frameReader) next() (frameHeader, []byte, error) {
+// pump is the goroutine of a connection that does not hand its reads off:
+// it passes each Read's bytes, and then the error that ended the stream, to
+// r. A Read that fills the buffer doubles it, up to MaxFrameSize, so a large
+// frame takes a few reads rather than one per 512 bytes.
+func pump(conn io.Reader, r reader) {
+	buf := make([]byte, frameBufSize)
 	for {
-		n, w, err := frameLen(fr.buf[fr.off:])
+		n, err := conn.Read(buf)
+		if n > 0 {
+			r.arrive(buf[:n], nil)
+		}
 		if err != nil {
-			return frameHeader{}, nil, err
+			r.arrive(nil, err)
+			return
 		}
-		need := w + n
-		if w > 0 && len(fr.buf)-fr.off >= need {
-			frame := fr.buf[fr.off+w : fr.off+need]
-			fr.off += need
-			return parseHeader(frame)
-		}
-		if fr.err != nil {
-			if fr.err == io.EOF && len(fr.buf) > fr.off {
-				return frameHeader{}, nil, io.ErrUnexpectedEOF
-			}
-			return frameHeader{}, nil, fr.err
-		}
-		fr.fill(need)
-	}
-}
-
-// fill moves the unparsed bytes to the front of the buffer, grows it when
-// the frame being read (need bytes, or unknown while need is 0) cannot fit,
-// and reads once into the free space.
-func (fr *frameReader) fill(need int) {
-	if fr.off > 0 {
-		n := copy(fr.buf, fr.buf[fr.off:])
-		fr.buf, fr.off = fr.buf[:n], 0
-	}
-	have := len(fr.buf)
-	if need <= have {
-		need = have + 1
-	}
-	if need > cap(fr.buf) {
-		grown := make([]byte, have, max(need, frameBufSize))
-		copy(grown, fr.buf)
-		fr.buf = grown
-	}
-	n, err := fr.r.Read(fr.buf[have:cap(fr.buf)])
-	fr.buf, fr.err = fr.buf[:have+n], err
-}
-
-// frameHandler handles one frame's header and raw body, which is valid only
-// during the call. An error ends the stream.
-type frameHandler interface {
-	frame(h frameHeader, body []byte) error
-}
-
-// frameSplitter cuts the byte runs of a connection that hands its reads off
-// (transport.HandoffConn) into frames. Whole frames are handled in place; a
-// frame whose rest has not arrived yet is kept until it has. A client's
-// reader and a server's inline driver each own one.
-type frameSplitter struct {
-	part []byte // the start of a frame still arriving
-}
-
-// split passes each frame that b completes to h, in order, and then, with a
-// non-nil end, ends the stream. It returns the first error, with the
-// frameReader's meaning: a malformed frame's, h's, or end, which is
-// io.ErrUnexpectedEOF for an io.EOF that falls inside a frame. After an error
-// the splitter holds nothing, and the caller must drop what follows.
-func (sp *frameSplitter) split(b []byte, end error, h frameHandler) error {
-	if len(sp.part) > 0 {
-		sp.part = append(sp.part, b...)
-		b = sp.part
-	}
-	var err error
-	for err == nil {
-		var n, w int
-		if n, w, err = frameLen(b); err != nil || w == 0 || len(b) < w+n {
-			break
-		}
-		var fh frameHeader
-		var body []byte
-		if fh, body, err = parseHeader(b[w : w+n]); err == nil {
-			err = h.frame(fh, body)
-		}
-		b = b[w+n:]
-	}
-	if err == nil && end != nil {
-		err = end
-		if end == io.EOF && len(b) > 0 {
-			err = io.ErrUnexpectedEOF
+		if n == len(buf) && n < MaxFrameSize {
+			buf = make([]byte, 2*n)
 		}
 	}
-	if err != nil {
-		sp.part = nil
-		return err
-	}
-	sp.part = append(sp.part[:0], b...)
-	return nil
-}
-
-// parseHeader splits a frame into its header and body.
-func parseHeader(frame []byte) (frameHeader, []byte, error) {
-	id, sz := binary.Uvarint(frame)
-	if sz <= 0 {
-		return frameHeader{}, nil, errors.New("rpc: bad frame header")
-	}
-	if sz >= len(frame) {
-		return frameHeader{}, nil, errors.New("rpc: truncated frame header")
-	}
-	return frameHeader{id: id, kind: frame[sz]}, frame[sz+1:], nil
 }
 
 // msgTable holds one message per type for a connection's reuse paths. It is

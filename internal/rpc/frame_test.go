@@ -3,10 +3,12 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,170 @@ import (
 	"github.com/dsrhaslab/sdscale/internal/transport/simnet"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
+
+// frameLog is a reader that keeps copies of the frames it is handed, cut as
+// the client's and the server's readers cut them, and the error that ended
+// the stream: a malformed frame's, or the end's.
+type frameLog struct {
+	part   partial
+	hs     []frameHeader
+	bodies [][]byte
+	err    error
+	taken  int // the frames next has returned
+}
+
+func (l *frameLog) arrive(b []byte, end error) {
+	if l.err != nil {
+		return
+	}
+	b = l.part.join(b)
+	for {
+		h, body, rest, err := cut(b)
+		if err != nil {
+			l.err = err
+			return
+		}
+		if body == nil {
+			break
+		}
+		l.hs = append(l.hs, h)
+		l.bodies = append(l.bodies, append([]byte(nil), body...))
+		b = rest
+	}
+	l.err = l.part.keep(b, end)
+}
+
+// readFrames pumps r into a frameLog until r ends.
+func readFrames(r io.Reader) *frameLog {
+	l := &frameLog{}
+	pump(r, l)
+	return l
+}
+
+// next returns the first frame it has not returned yet, reading from r only
+// until that frame is whole, or the error that ended the stream.
+func (l *frameLog) next(r io.Reader) (frameHeader, []byte, error) {
+	buf := make([]byte, frameBufSize)
+	for l.taken == len(l.hs) && l.err == nil {
+		n, err := r.Read(buf)
+		l.arrive(buf[:n], nil)
+		if err != nil {
+			l.arrive(nil, err)
+		}
+	}
+	if l.taken == len(l.hs) {
+		return frameHeader{}, nil, l.err
+	}
+	l.taken++
+	return l.hs[l.taken-1], l.bodies[l.taken-1], nil
+}
+
+// arriveCase is a stream a client's reader is handed, how many of its two
+// pending calls the whole frames before the fault answer, and the error the
+// rest of the calls and the client then fail with.
+type arriveCase struct {
+	name   string
+	stream []byte
+	frames int
+	want   error
+}
+
+// twoResponses returns two response frames, for calls 1 and 2, and the
+// stream of both. The second's 300 bytes of text make a two-byte length
+// prefix, so a cut can fall inside it.
+func twoResponses() (first, second, full []byte) {
+	hist := wire.NewFloatHistory()
+	first = appendFrame(nil, frameHeader{id: 1, kind: kindResponse}, &wire.HeartbeatAck{EchoUnixMicros: 5}, hist)
+	second = appendFrame(nil, frameHeader{id: 2, kind: kindResponse}, &wire.ErrorReply{Text: strings.Repeat("y", 300)}, hist)
+	return first, second, slices.Concat(first, second)
+}
+
+// checkArrive hands each case's stream to a client with two calls pending,
+// in runs of one byte, of seven bytes and in one run, then ends it with
+// io.EOF. The calls of the whole frames before a fault must complete, the
+// rest fail with the fault's error, and the client with it too. A frame
+// error, unlike the stream's end, also closes the connection.
+func checkArrive(t *testing.T, cases []arriveCase) {
+	t.Helper()
+	for _, c := range cases {
+		for _, run := range []int{1, 7, max(len(c.stream), 1)} {
+			conn := &handoffConn{fuzzConn: &fuzzConn{}}
+			cli := newClient(conn, DialOptions{})
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			calls := []*Call{cli.Go(ctx, &wire.Heartbeat{}), cli.Go(ctx, &wire.Heartbeat{})}
+			for rest := c.stream; len(rest) > 0; {
+				n := min(run, len(rest))
+				conn.deliver(rest[:n], nil)
+				rest = rest[n:]
+			}
+			conn.deliver(nil, io.EOF)
+			for i, call := range calls {
+				_, err := call.Wait(ctx)
+				var er *wire.ErrorReply
+				answered := err == nil || errors.As(err, &er)
+				if answered != (i < c.frames) || (!answered && !errors.Is(err, c.want)) {
+					t.Errorf("%s, runs of %d: call %d ended with %v; want %d calls answered, then %v",
+						c.name, run, i+1, err, c.frames, c.want)
+				}
+			}
+			if err := cli.Err(); !errors.Is(err, c.want) {
+				t.Errorf("%s, runs of %d: client failed with %v, want %v", c.name, run, err, c.want)
+			}
+			frameErr := c.want != io.EOF && c.want != io.ErrUnexpectedEOF
+			if closed := conn.isClosed(); closed != frameErr {
+				t.Errorf("%s, runs of %d: connection closed %v, want %v", c.name, run, closed, frameErr)
+			}
+			cancel()
+			cli.Close()
+		}
+	}
+}
+
+// TestReadFrameRejectsOversize: a length prefix must be the canonical
+// uvarint of a length in [1, MaxFrameSize], at most four bytes. Anything
+// else is an error before any body byte arrives, after the calls of the
+// whole frames before it are answered, and closes the connection.
+func TestReadFrameRejectsOversize(t *testing.T) {
+	first, _, _ := twoResponses()
+	checkArrive(t, []arriveCase{
+		{"above MaxFrameSize", slices.Concat(first, binary.AppendUvarint(nil, MaxFrameSize+1)), 1, ErrFrameTooLarge},
+		{"five bytes", []byte{0x80, 0x80, 0x80, 0x80, 0x01}, 0, errBadLength},
+		{"five bytes, non-canonical", []byte{0x81, 0x80, 0x80, 0x80, 0x00}, 0, errBadLength},
+		{"four continuation bytes", slices.Concat(first, []byte{0xFF, 0xFF, 0xFF, 0xFF}), 1, errBadLength},
+		{"non-canonical", []byte{0x85, 0x00}, 0, errBadLength},
+		{"zero length", slices.Concat(first, []byte{0x00}), 1, errBadLength},
+		// An older build's fixed 4-byte big-endian length starts with a zero
+		// byte for any frame under 16 MiB.
+		{"older build's prefix", []byte{0, 0, 0, 10}, 0, errBadLength},
+		// The largest frame is announced legally; its missing body is then
+		// a truncation.
+		{"MaxFrameSize announced", binary.AppendUvarint(nil, MaxFrameSize), 0, io.ErrUnexpectedEOF},
+	})
+}
+
+// TestReadFrameTruncated: a stream that ends between frames ends with
+// io.EOF; one that ends inside a length prefix or a body ends with
+// io.ErrUnexpectedEOF, after the calls of every whole frame before the cut
+// were answered.
+func TestReadFrameTruncated(t *testing.T) {
+	first, _, full := twoResponses()
+	var cases []arriveCase
+	for end := 0; end <= len(full); end++ {
+		c := arriveCase{fmt.Sprintf("EOF at %d/%d", end, len(full)), full[:end], 0, io.ErrUnexpectedEOF}
+		switch {
+		case end == 0:
+			c.want = io.EOF
+		case end == len(first):
+			c.frames, c.want = 1, io.EOF
+		case end == len(full):
+			c.frames, c.want = 2, io.EOF
+		case end > len(first):
+			c.frames = 1
+		}
+		cases = append(cases, c)
+	}
+	checkArrive(t, cases)
+}
 
 // legacyFrame returns a frame of the given kind, with this build's uvarint
 // length prefix, whose body is a fixed-width Heartbeat announcing codec 2 —
@@ -76,10 +242,10 @@ func TestRetiredFrameKindsDropTheConnection(t *testing.T) {
 					return
 				}
 				defer c.Close()
-				fr := frameReader{r: c}
-				if h, _, err := fr.next(); err == nil {
+				var fr frameLog
+				if h, _, err := fr.next(c); err == nil {
 					_, _ = c.Write(legacyFrame(h.id, kind))
-					_, _, _ = fr.next() // hold the connection until the client drops it
+					_, _, _ = fr.next(c) // hold the connection until the client drops it
 				}
 			}()
 			cli, err := Dial(context.Background(), n.Host("client"), l.Addr().String(), DialOptions{})
@@ -165,14 +331,14 @@ func (n fuzzNet) Accept() (net.Conn, error) {
 }
 
 // FuzzServeConn writes arbitrary bytes into a live server connection, with
-// the request freelist on or off, once through a connection the server reads
-// and once through one that hands its reads off to a NonBlocking server, in
-// runs of a fuzzed size. The server must not panic, must be done with the
-// connection within a deadline of its input running out, and must write only
-// responses, each answering a distinct well-formed request (kind 4, or kind
-// 7 decoded against the connection's request history) that precedes the
-// first frame it cannot accept. A cancel frame (kind 2) is one it cannot
-// accept. Both drivers must write the same bytes.
+// the request freelist on or off, once through a pump whose Reads return
+// runs of a fuzzed size and once in one run handed off to a NonBlocking
+// server. The server must not panic, must be done with the connection within
+// a deadline of its input running out, and must write only responses, each
+// answering a distinct well-formed request (kind 4, or kind 7 decoded
+// against the connection's request history) that precedes the first frame
+// it cannot accept. A cancel frame (kind 2) is one it cannot accept. Both
+// ways must write the same bytes.
 func FuzzServeConn(f *testing.F) {
 	for kind := byte(0); kind <= 8; kind++ {
 		var frame []byte
@@ -224,38 +390,34 @@ func FuzzServeConn(f *testing.F) {
 		// The requests the server may answer: those read before the first
 		// frame it cannot accept.
 		may := make(map[uint64]int)
-		in := frameReader{r: bytes.NewReader(data)}
+		in := readFrames(bytes.NewReader(data))
 		dec := &wire.DecodeOpts{Version: wire.CodecV2}
 		histDec := &wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory()}
-		for {
-			h, body, err := in.next()
-			if err != nil || (h.kind != kindRequest && h.kind != kindHistRequest) {
+		for i, h := range in.hs {
+			if h.kind != kindRequest && h.kind != kindHistRequest {
 				break
 			}
 			d := dec
 			if h.kind == kindHistRequest {
 				d = histDec
 			}
-			if _, err := wire.DecodeWith(body, d); err != nil {
+			if _, err := wire.DecodeWith(in.bodies[i], d); err != nil {
 				break
 			}
 			may[h.id]++
 		}
 
-		written := serveBytes(t, handler, data, reuse, false, 0)
-		if inline := serveBytes(t, handler, data, reuse, true, int(chunk)+1); !bytes.Equal(inline, written) {
-			t.Fatalf("the inline driver wrote %x, the read loop %x", inline, written)
+		written := serveBytes(t, handler, data, reuse, false, int(chunk)+1)
+		if inline := serveBytes(t, handler, data, reuse, true, len(data)); !bytes.Equal(inline, written) {
+			t.Fatalf("served inline, the server wrote %x; through its pump, %x", inline, written)
 		}
 
-		out, hist := frameReader{r: bytes.NewReader(written)}, wire.NewFloatHistory()
-		for {
-			h, body, err := out.next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("server wrote a malformed frame: %v", err)
-			}
+		out, hist := readFrames(bytes.NewReader(written)), wire.NewFloatHistory()
+		if out.err != io.EOF {
+			t.Fatalf("server wrote a malformed frame: %v", out.err)
+		}
+		for i, h := range out.hs {
+			body := out.bodies[i]
 			if h.kind != kindResponse || may[h.id] == 0 {
 				t.Fatalf("server wrote a kind-%d frame for id %d, which no well-formed request asked for", h.kind, h.id)
 			}
@@ -267,8 +429,8 @@ func FuzzServeConn(f *testing.F) {
 	})
 }
 
-// chunkedConn is a client-side fuzzConn whose reads wait for start and then
-// return at most chunk bytes each.
+// chunkedConn is a fuzzConn whose reads wait for start and then return at
+// most chunk bytes each.
 type chunkedConn struct {
 	*fuzzConn
 	start <-chan struct{}
@@ -295,12 +457,12 @@ func (c *handoffConn) HandoffReads(fn func([]byte, error)) bool {
 	return true
 }
 
-// FuzzClientConn feeds arbitrary server bytes, in runs of a fuzzed size, to
-// a client with three calls pending (request IDs 1 to 3), once through a
-// read loop and once through a connection that hands its reads off. The
-// client must not panic, every call must complete with a reply or an error
-// within a deadline of the bytes running out, and each call must end the
-// same way under both drivers.
+// FuzzClientConn feeds arbitrary server bytes to a client with three calls
+// pending (request IDs 1 to 3), once through a pump whose Reads return runs
+// of a fuzzed size and once in one run through a connection that hands its
+// reads off. The client must not panic, every call must complete with a
+// reply or an error within a deadline of the bytes running out, and each
+// call must end the same way both ways.
 func FuzzClientConn(f *testing.F) {
 	hist := wire.NewFloatHistory()
 	collect := &wire.CollectReply{Cycle: 1, Reports: []wire.StageReport{
@@ -330,19 +492,19 @@ func FuzzClientConn(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, chunk byte) {
-		loop := clientOutcomes(t, data, int(chunk)+1, false)
-		handoff := clientOutcomes(t, data, int(chunk)+1, true)
-		for i := range loop {
-			if loop[i] != handoff[i] {
-				t.Fatalf("call %d ended with %s on a read loop and %s on a handoff", i+1, loop[i], handoff[i])
+		pumped := clientOutcomes(t, data, int(chunk)+1, false)
+		handoff := clientOutcomes(t, data, 0, true)
+		for i := range pumped {
+			if pumped[i] != handoff[i] {
+				t.Fatalf("call %d ended with %s through a pump and %s through a hand-off", i+1, pumped[i], handoff[i])
 			}
 		}
 	})
 }
 
 // clientOutcomes issues FuzzClientConn's three calls, delivers data to the
-// client in runs of chunk bytes (through a read loop, or a handoff), and
-// returns how each call ended: its reply's type, or its error.
+// client (through a pump in runs of chunk bytes, or through a hand-off in
+// one run), and returns how each call ended: its reply's type, or its error.
 func clientOutcomes(t *testing.T, data []byte, chunk int, handoff bool) []string {
 	start := make(chan struct{})
 	var conn net.Conn = chunkedConn{fuzzConn: &fuzzConn{r: bytes.NewReader(data)}, start: start, chunk: chunk}
@@ -361,16 +523,12 @@ func clientOutcomes(t *testing.T, data []byte, chunk int, handoff bool) []string
 		cli.Go(ctx, testEnforce(1, 1)),
 	}
 	if handoff {
-		// Each run is handed over in a buffer that is overwritten as soon as
+		// The run is handed over in a buffer that is overwritten as soon as
 		// the call returns, as a connection may.
-		buf := make([]byte, chunk)
-		for rest := data; len(rest) > 0; {
-			n := copy(buf, rest)
-			hc.deliver(buf[:n], nil)
-			rest = rest[n:]
-			for i := range buf {
-				buf[i] = 0xa5
-			}
+		buf := slices.Clone(data)
+		hc.deliver(buf, nil)
+		for i := range buf {
+			buf[i] = 0xa5
 		}
 		hc.deliver(nil, io.EOF)
 	} else {

@@ -16,19 +16,21 @@ import (
 // TestHandoffClientRunsNoReadLoop: a client over an untimed simnet
 // connection reads its responses on the goroutines that write them and adds
 // no goroutine of its own. Over a timed simnet network or TCP, where the
-// connection declines the handoff, every client still runs its read loop.
+// connection declines the handoff, every client runs a pump. The server,
+// which does not declare NonBlocking, runs one per connection everywhere.
 func TestHandoffClientRunsNoReadLoop(t *testing.T) {
-	const clients, loop = 4, "rpc.(*Client).readLoop"
+	const clients = 4
 	cases := []struct {
-		name      string
-		network   transport.Network // the server's
-		dialer    transport.Network
-		addr      string
-		readLoops int
+		name    string
+		network transport.Network // the server's
+		dialer  transport.Network
+		addr    string
+		// The pumps of each connection's client end.
+		clientPumps int
 	}{
 		{"untimed simnet", nil, nil, ":0", 0},
-		{"timed simnet", nil, nil, ":0", clients},
-		{"tcp", tcpnet.New(), tcpnet.New(), "127.0.0.1:0", clients},
+		{"timed simnet", nil, nil, ":0", 1},
+		{"tcp", tcpnet.New(), tcpnet.New(), "127.0.0.1:0", 1},
 	}
 	untimed := simnet.New(simnet.Config{PropDelay: -1})
 	cases[0].network, cases[0].dialer = untimed.Host("server"), untimed.Host("client")
@@ -41,7 +43,7 @@ func TestHandoffClientRunsNoReadLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			base, goBase := goroutinesIn(loop), runtime.NumGoroutine()
+			base, goBase := pumps(), runtime.NumGoroutine()
 			var clis []*Client
 			for i := 0; i < clients; i++ {
 				cli, err := Dial(context.Background(), tc.dialer, srv.Addr().String(), DialOptions{Meter: &transport.Meter{}})
@@ -54,18 +56,19 @@ func TestHandoffClientRunsNoReadLoop(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			waitFor(t, "the clients' read loops", func() bool { return goroutinesIn(loop)-base == tc.readLoops })
-			if tc.readLoops == 0 {
-				// One serving goroutine per connection, on the server.
+			want := clients * (1 + tc.clientPumps)
+			waitFor(t, "the pumps", func() bool { return pumps()-base == want })
+			if tc.clientPumps == 0 {
+				// One pump per connection, on the server.
 				if added := runtime.NumGoroutine() - goBase; added > clients {
 					t.Errorf("%d clients and their connections added %d goroutines, want at most %d", clients, added, clients)
 				}
 			}
-			// The next case counts from a base without these loops.
+			// The next case counts from a base without these pumps.
 			for _, cli := range clis {
 				cli.Close()
 			}
-			waitFor(t, "the clients' read loops to exit", func() bool { return goroutinesIn(loop) <= base })
+			waitFor(t, "the pumps to exit", func() bool { return pumps() <= base })
 		})
 	}
 }

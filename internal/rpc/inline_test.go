@@ -29,7 +29,7 @@ func bothDrivers(t *testing.T, fn func(t *testing.T, opts ServerOptions)) {
 // so the call is complete when Go returns, and the connection costs no
 // goroutine. A server that does not declare NonBlocking, and any server on a
 // timed simnet network or TCP, where the connection declines the handoff,
-// keeps one serving goroutine per connection.
+// keeps one pump per connection; so does a client on those two networks.
 func TestInlineServerRunsNoServingGoroutine(t *testing.T) {
 	const clients = 3
 	untimed := simnet.New(simnet.Config{PropDelay: -1})
@@ -40,18 +40,19 @@ func TestInlineServerRunsNoServingGoroutine(t *testing.T) {
 		dialer      transport.Network
 		addr        string
 		nonBlocking bool
-		serving     int
+		// The pumps of each connection's server end and client end.
+		serverPumps, clientPumps int
 	}{
-		{"untimed simnet", untimed.Host("s1"), untimed.Host("c1"), ":0", true, 0},
-		{"untimed simnet, may block", untimed.Host("s2"), untimed.Host("c2"), ":0", false, clients},
-		{"timed simnet", timed.Host("s3"), timed.Host("c3"), ":0", true, clients},
-		{"tcp", tcpnet.New(), tcpnet.New(), "127.0.0.1:0", true, clients},
+		{"untimed simnet", untimed.Host("s1"), untimed.Host("c1"), ":0", true, 0, 0},
+		{"untimed simnet, may block", untimed.Host("s2"), untimed.Host("c2"), ":0", false, 1, 0},
+		{"timed simnet", timed.Host("s3"), timed.Host("c3"), ":0", true, 1, 1},
+		{"tcp", tcpnet.New(), tcpnet.New(), "127.0.0.1:0", true, 1, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Earlier tests' servers are closed, but their goroutines may
+			// Earlier tests' connections are closed, but their pumps may
 			// still be on their way out.
-			waitFor(t, "earlier serving goroutines to exit", func() bool { return servingGoroutines() == 0 })
+			waitFor(t, "earlier pumps to exit", func() bool { return pumps() == 0 })
 			srv, err := Serve(tc.network, tc.addr, &echoHandler{}, ServerOptions{NonBlocking: tc.nonBlocking})
 			if err != nil {
 				t.Fatal(err)
@@ -63,18 +64,21 @@ func TestInlineServerRunsNoServingGoroutine(t *testing.T) {
 				}
 				defer cli.Close()
 				call := cli.Go(context.Background(), &wire.Heartbeat{SentUnixMicros: 7})
-				if inline := call.done.Load(); tc.serving == 0 && !inline {
+				if inline := call.done.Load(); tc.serverPumps == 0 && !inline {
 					t.Error("an inline call was still pending when Go returned")
 				}
 				if _, err := call.Wait(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 			}
-			waitFor(t, "the serving goroutines", func() bool { return servingGoroutines() == tc.serving })
+			want := clients * (tc.serverPumps + tc.clientPumps)
+			waitFor(t, "the pumps", func() bool { return pumps() == want })
 			srv.Close()
 			srv.Wait()
-			// Wait returns once they are done; they exit just after.
-			waitFor(t, "the serving goroutines to exit", func() bool { return servingGoroutines() == 0 })
+			// Wait returns once the server's pumps have handed over their
+			// connections' ends; they exit just after, and the clients'
+			// pumps once those ends reach them.
+			waitFor(t, "the pumps to exit", func() bool { return pumps() == 0 })
 		})
 	}
 }
@@ -100,10 +104,10 @@ func collectFrames(n int) []byte {
 func readReplies(t *testing.T, conn net.Conn, n int) {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	fr := frameReader{r: conn}
+	var fr frameLog
 	hist := wire.NewFloatHistory()
 	for want := uint64(1); want <= uint64(n); want++ {
-		h, body, err := fr.next()
+		h, body, err := fr.next(conn)
 		if err != nil {
 			t.Fatalf("reading response %d: %v", want, err)
 		}
@@ -337,14 +341,17 @@ func (c *fuzzConn) isClosed() bool {
 }
 
 // serveBytes serves data to a fresh server over one connection and returns
-// everything the server wrote. Read-loop mode hands the server a connection
-// to read; inline mode delivers data to a NonBlocking server's callback in
-// runs of chunk bytes, from a buffer overwritten after each call, then the
-// end: net.ErrClosed once the server has closed the connection, io.EOF if it
-// never did. The server must be done with the connection within a deadline.
+// everything the server wrote. Pump mode hands the server a connection whose
+// Reads return runs of chunk bytes; inline mode delivers data to a
+// NonBlocking server's callback in runs of chunk bytes, from a buffer
+// overwritten after each call, then the end: net.ErrClosed once the server
+// has closed the connection, io.EOF if it never did. The server must be done
+// with the connection within a deadline.
 func serveBytes(t *testing.T, h Handler, data []byte, reuse, inline bool, chunk int) []byte {
 	conn := &fuzzConn{r: bytes.NewReader(data)}
-	var served net.Conn = conn
+	start := make(chan struct{})
+	close(start)
+	var served net.Conn = chunkedConn{fuzzConn: conn, start: start, chunk: chunk}
 	var hc *srvHandoffConn
 	if inline {
 		hc = &srvHandoffConn{fuzzConn: conn, installed: make(chan func([]byte, error), 1)}

@@ -399,24 +399,23 @@ func TestPipelinedSendsShareBuffers(t *testing.T) {
 
 // TestDecodedMessageDoesNotAliasFrameBuffer pins the invariant buffer
 // recycling depends on: wire.Decoder.Bytes16 aliases its input, so message
-// decoders must copy (e.g. via String conversion) before the frame reader's
-// buffer is reused. Scribbling over the buffer after decode must not change
-// the message.
+// decoders must copy (e.g. via String conversion) before the buffer a
+// connection's bytes arrived in is reused. Scribbling over the buffer after
+// decode must not change the message.
 func TestDecodedMessageDoesNotAliasFrameBuffer(t *testing.T) {
 	const text = "partition tolerated; degraded collect"
-	frame := appendFrame(nil, frameHeader{id: 7, kind: kindResponse},
+	buf := appendFrame(nil, frameHeader{id: 7, kind: kindResponse},
 		&wire.ErrorReply{Code: wire.CodeInternal, Text: text}, nil)
-	fr := frameReader{r: bytes.NewReader(frame)}
-	_, body, err := fr.next()
-	if err != nil {
-		t.Fatal(err)
+	_, body, _, err := cut(buf)
+	if body == nil {
+		t.Fatalf("cut: %v", err)
 	}
 	m, err := wire.DecodeWith(body, &wire.DecodeOpts{Version: wire.CodecV2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range fr.buf {
-		fr.buf[i] = 0xFF // simulate the pooled buffer being reused
+	for i := range buf {
+		buf[i] = 0xFF // simulate the pump's buffer being reused
 	}
 	er, ok := m.(*wire.ErrorReply)
 	if !ok {

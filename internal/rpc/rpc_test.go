@@ -3,7 +3,6 @@ package rpc
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -311,9 +310,10 @@ func goroutinesIn(fn string) int {
 	return n
 }
 
-// servingGoroutines counts the goroutines that serve an rpc server
-// connection.
-func servingGoroutines() int { return goroutinesIn("rpc.(*Server).serveConn") }
+// pumps counts the goroutines that read an rpc connection: on a server, one
+// per connection it does not serve inline; on a client, one per connection
+// that does not hand its reads off.
+func pumps() int { return goroutinesIn("rpc.pump(") }
 
 // TestServerAcceptLoopOnlyWithoutHandoff: a server on a simnet listener is
 // handed each connection by its dialer and runs no goroutine of its own
@@ -394,9 +394,9 @@ func TestServerCloseRacingHandoffs(t *testing.T) {
 	srv.Wait()
 	wg.Wait()
 	close(conns)
-	// Wait returns once every serving goroutine is done; one may still be
-	// unwinding, and an earlier test's may still be exiting.
-	waitFor(t, "serving goroutines to exit", func() bool { return servingGoroutines() == 0 })
+	// Wait returns once every pump has handed over its connection's end; one
+	// may still be unwinding, and an earlier test's may still be exiting.
+	waitFor(t, "pumps to exit", func() bool { return pumps() == 0 })
 	if got := n.Host("server").ConnCount(); got != 0 {
 		t.Errorf("the server host holds %d connections after Close, want 0", got)
 	}
@@ -410,7 +410,7 @@ func TestServerCloseRacingHandoffs(t *testing.T) {
 }
 
 // TestCloseWaitDrainsOpenConnections: each accepted connection is served by
-// exactly one goroutine; Close severs connections that are still open and
+// exactly one goroutine, its pump; Close severs connections that are still open and
 // Wait returns once their goroutines have exited, leaving none behind.
 func TestCloseWaitDrainsOpenConnections(t *testing.T) {
 	t.Run("inline", func(t *testing.T) {
@@ -434,7 +434,7 @@ func TestCloseWaitDrainsOpenConnections(t *testing.T) {
 		}
 		// Poll: an earlier test's connection goroutines may still be exiting.
 		deadline := time.Now().Add(5 * time.Second)
-		for got := servingGoroutines(); got != conns; got = servingGoroutines() {
+		for got := pumps(); got != conns; got = pumps() {
 			if time.Now().After(deadline) {
 				t.Fatalf("%d goroutines serve %d connections, want one each", got, conns)
 			}
@@ -448,8 +448,8 @@ func TestCloseWaitDrainsOpenConnections(t *testing.T) {
 		for _, cli := range clients {
 			cli.Close()
 		}
-		// The server's goroutines are gone when Wait returns; the clients'
-		// read loops exit on their own once they see the closed connection.
+		// The server's goroutines are gone when Wait returns; a client's
+		// pump, where it has one, exits once it sees the closed connection.
 		waitFor(t, "goroutines to return to the baseline", func() bool {
 			return runtime.NumGoroutine() <= before
 		})
@@ -484,40 +484,12 @@ func TestMetersChargedBothSides(t *testing.T) {
 	}
 }
 
-// countingReader counts the Reads made of it.
-type countingReader struct {
-	r     io.Reader
-	reads int
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	c.reads++
-	return c.r.Read(p)
-}
-
-// readAllFrames reads frames from fr until an error, returning copies of
-// their headers and bodies and the error that ended the stream.
-func readAllFrames(fr *frameReader) ([]frameHeader, [][]byte, error) {
-	var (
-		hs     []frameHeader
-		bodies [][]byte
-	)
-	for {
-		h, body, err := fr.next()
-		if err != nil {
-			return hs, bodies, err
-		}
-		hs = append(hs, h)
-		bodies = append(bodies, append([]byte(nil), body...))
-	}
-}
-
 // TestFrameRoundTripProperty: a stream of every frame kind, whose last frame
 // is up to 64 KiB long (one-, two- and three-byte length prefixes), yields
-// the same frames whether it arrives one byte per Read or all in one Read.
-// Read the first way, a long frame outgrows the reader's default buffer and
-// must still be read whole; the second way takes the stream in a single Read
-// into a buffer that holds it.
+// the same frames whether a pump reads it one byte per Read, a pump reads it
+// whole Reads at a time, or it arrives in one run. Read the first way, a
+// long frame is joined from many runs; read the second, it outgrows the
+// pump's first buffer.
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(id, cycle uint64, limit float64, pad uint16) bool {
 		text := strings.Repeat("x", int(pad))
@@ -530,19 +502,18 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		stream = appendFrame(stream, frameHeader{kind: kindPush}, &wire.ReportDelta{Seq: cycle}, nil)
 		stream = appendFrame(stream, frameHeader{id: id + 3, kind: kindResponse}, &wire.ErrorReply{Code: 1, Text: text}, nil)
 
-		slow := frameReader{r: iotest.OneByteReader(bytes.NewReader(stream))}
-		hs, bodies, err := readAllFrames(&slow)
-		if err != io.EOF {
-			return false
-		}
-		burst := &countingReader{r: bytes.NewReader(stream)}
-		fast := frameReader{r: burst, buf: make([]byte, 0, len(stream))}
-		fastHs, fastBodies, err := readAllFrames(&fast)
-		// One Read takes the whole stream; the second returns EOF.
-		if err != io.EOF || burst.reads != 2 || !reflect.DeepEqual(hs, fastHs) || !reflect.DeepEqual(bodies, fastBodies) {
-			return false
+		slow := readFrames(iotest.OneByteReader(bytes.NewReader(stream)))
+		whole := readFrames(bytes.NewReader(stream))
+		var once frameLog
+		once.arrive(stream, nil)
+		once.arrive(nil, io.EOF)
+		for _, l := range []*frameLog{slow, whole, &once} {
+			if l.err != io.EOF || !reflect.DeepEqual(l.hs, slow.hs) || !reflect.DeepEqual(l.bodies, slow.bodies) {
+				return false
+			}
 		}
 
+		hs, bodies := slow.hs, slow.bodies
 		want := []frameHeader{{id, kindRequest}, {id + 1, kindHistRequest}, {id + 2, kindHistRequest},
 			{0, kindPush}, {id + 3, kindResponse}}
 		if !reflect.DeepEqual(hs, want) {
@@ -555,6 +526,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			if hs[i].kind == kindHistRequest {
 				d = rxHist
 			}
+			var err error
 			if msgs[i], err = wire.DecodeWith(body, d); err != nil {
 				return false
 			}
@@ -570,68 +542,6 @@ func TestFrameRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestReadFrameRejectsOversize: a length prefix must be the canonical
-// uvarint of a length in [1, MaxFrameSize], at most four bytes. Anything
-// else is an error before any body byte is read.
-func TestReadFrameRejectsOversize(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		prefix []byte
-		want   error
-	}{
-		{"above MaxFrameSize", binary.AppendUvarint(nil, MaxFrameSize+1), ErrFrameTooLarge},
-		{"five bytes", []byte{0x80, 0x80, 0x80, 0x80, 0x01}, errBadLength},
-		{"five bytes, non-canonical", []byte{0x81, 0x80, 0x80, 0x80, 0x00}, errBadLength},
-		{"four continuation bytes", []byte{0xFF, 0xFF, 0xFF, 0xFF}, errBadLength},
-		{"non-canonical", []byte{0x85, 0x00}, errBadLength},
-		{"zero length", []byte{0x00}, errBadLength},
-		// An older build's fixed 4-byte big-endian length starts with a zero
-		// byte for any frame under 16 MiB.
-		{"older build's prefix", []byte{0, 0, 0, 10}, errBadLength},
-	} {
-		fr := frameReader{r: bytes.NewReader(tc.prefix)}
-		if _, _, err := fr.next(); !errors.Is(err, tc.want) {
-			t.Errorf("%s (% x): %v, want %v", tc.name, tc.prefix, err, tc.want)
-		}
-	}
-	// The largest frame is announced legally; its missing body is then a
-	// truncation.
-	fr := frameReader{r: bytes.NewReader(binary.AppendUvarint(nil, MaxFrameSize))}
-	if _, _, err := fr.next(); err != io.ErrUnexpectedEOF {
-		t.Errorf("MaxFrameSize announcement: %v, want io.ErrUnexpectedEOF", err)
-	}
-}
-
-// TestReadFrameTruncated: a stream that ends between frames ends with
-// io.EOF; one that ends inside a length prefix or a body ends with
-// io.ErrUnexpectedEOF, after every whole frame before the cut was returned.
-func TestReadFrameTruncated(t *testing.T) {
-	first := appendFrame(nil, frameHeader{id: 1, kind: kindRequest}, &wire.Heartbeat{SentUnixMicros: 5}, nil)
-	// 300 bytes of text make a two-byte length prefix, so a cut can fall
-	// inside it.
-	second := appendFrame(nil, frameHeader{id: 2, kind: kindResponse}, &wire.ErrorReply{Text: strings.Repeat("y", 300)}, nil)
-	full := append(append([]byte(nil), first...), second...)
-	for cut := 0; cut <= len(full); cut++ {
-		wantFrames, wantErr := 0, io.ErrUnexpectedEOF
-		switch {
-		case cut == 0:
-			wantErr = io.EOF
-		case cut == len(first):
-			wantFrames, wantErr = 1, io.EOF
-		case cut == len(full):
-			wantFrames, wantErr = 2, io.EOF
-		case cut > len(first):
-			wantFrames = 1
-		}
-		for _, r := range []io.Reader{bytes.NewReader(full[:cut]), iotest.OneByteReader(bytes.NewReader(full[:cut]))} {
-			hs, _, err := readAllFrames(&frameReader{r: r})
-			if len(hs) != wantFrames || err != wantErr {
-				t.Errorf("cut at %d/%d: %d frames then %v, want %d then %v", cut, len(full), len(hs), err, wantFrames, wantErr)
-			}
-		}
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // Handler processes one request and returns the response message. Returning
 // an error sends a wire.ErrorReply to the caller. Requests arriving on the
 // same connection are handled in order, one at a time; distinct connections
-// are concurrent. By default each connection has a goroutine that reads and
-// handles its requests, so a handler that blocks holds up only its own
-// connection. A server whose handler never blocks may declare it
+// are concurrent. By default each connection has a goroutine, its pump, that
+// reads and handles its requests, so a handler that blocks holds up only its
+// own connection. A server whose handler never blocks may declare it
 // (ServerOptions.NonBlocking): on a connection that hands its reads off, its
 // requests are then handled on the goroutines that wrote them.
 type Handler interface {
@@ -214,8 +214,8 @@ func (s *Server) acceptLoop() {
 // accept starts serving a new connection, or closes the connection if the
 // server is closed. A server whose handler never blocks serves a connection
 // that hands its reads off inline, on the goroutines that write to it; any
-// other connection gets a goroutine. Either is counted under the lock that
-// Close takes to mark the server closed, so Wait never misses one.
+// other connection gets a pump. Either is counted under the lock that Close
+// takes to mark the server closed, so Wait never misses one.
 func (s *Server) accept(conn net.Conn) {
 	peer := &Peer{conn: transport.WithMeter(conn, s.opts.Meter)}
 	s.mu.Lock()
@@ -227,21 +227,14 @@ func (s *Server) accept(conn net.Conn) {
 	s.peers = append(s.peers[:len(s.peers):len(s.peers)], peer) // a copy: see peers
 	s.connWG.Add(1)
 	s.mu.Unlock()
-	c := s.newConn(peer)
-	if s.opts.NonBlocking {
-		if hc, ok := peer.conn.(transport.HandoffConn); ok && hc.HandoffReads(c.arrive) {
-			return
-		}
-	}
-	go s.serveConn(c)
+	startReads(peer.conn, s.newConn(peer), s.opts.NonBlocking)
 }
 
 // reqFreelist recycles decoded request messages within one connection: a
 // request decodes into a recycled instance (reusing its backing arrays), and
 // the instance goes back once its response is written. One slot per type
 // suffices because a connection answers one request at a time, and take and
-// put both run in its driver, one frame at a time, so the list needs no
-// lock.
+// put both run in its arrive, one frame at a time, so the list needs no lock.
 type reqFreelist struct {
 	byType msgTable
 	hits   telemetry.Shard // on ServerOptions.ReuseHits; closed with the connection
@@ -270,11 +263,10 @@ func (fl *reqFreelist) put(m wire.Message) {
 	}
 }
 
-// srvConn is one connection's serving state. One of two drivers feeds it
-// the connection's frames, and it answers each request before it takes the
-// next frame: a goroutine of the connection's own that reads them (read), or
-// on a connection that hands its reads off, whichever goroutine wrote them
-// (arrive). Either way one frame is handled at a time.
+// srvConn is one connection's serving state. Its arrive takes the
+// connection's bytes, from the connection's pump or, on a connection that
+// hands its reads off, on whichever goroutine wrote them, and it answers
+// each request before it takes the next frame.
 type srvConn struct {
 	s    *Server
 	peer *Peer
@@ -283,17 +275,15 @@ type srvConn struct {
 	peerTag uint64
 	// The response history (shared by all response types on this
 	// connection) is kept in lockstep with the client's reader because
-	// this connection's driver is its only response writer.
+	// this connection's reader is its only response writer.
 	txHist *wire.FloatHistory
 	// Kind-4 requests are stateless broadcast bodies. Kind-7 requests
-	// decode against histDec's request history, which the driver advances
-	// in the order the client wrote them.
+	// decode against histDec's request history, which arrive advances in
+	// the order the client wrote them.
 	dec, histDec wire.DecodeOpts
 
-	// The inline driver's state: the frame still arriving, and whether the
-	// connection has been dropped and what follows is to be ignored.
-	frames frameSplitter
-	dead   bool
+	part partial
+	dead bool // the connection is closing: what follows is dropped
 }
 
 // newConn builds a connection's serving state.
@@ -312,14 +302,8 @@ func (s *Server) newConn(peer *Peer) *srvConn {
 	return c
 }
 
-// serveConn answers one connection's requests in order until it dies.
-func (s *Server) serveConn(c *srvConn) {
-	defer s.drop(c)
-	c.read()
-}
-
-// drop ends a connection's service once its driver has stopped: it closes
-// the connection, removes the peer and runs OnDisconnect.
+// drop ends a connection's service once its stream has ended: it closes the
+// connection, removes the peer and runs OnDisconnect.
 func (s *Server) drop(c *srvConn) {
 	if c.fl != nil {
 		c.fl.hits.Close()
@@ -337,29 +321,10 @@ func (s *Server) drop(c *srvConn) {
 	s.connWG.Done()
 }
 
-// read consumes the connection's frames and answers each request before it
-// reads the next, until the connection dies, a frame is not a well-formed
-// request, or a response write fails.
-func (c *srvConn) read() {
-	// The read buffer is the connection's own, allocated by the first read
-	// at the client's size: a stage's one connection lives as long as the
-	// stage, so a buffer borrowed from the pool would never go back.
-	fr := frameReader{r: c.peer.conn}
-	for {
-		h, body, err := fr.next()
-		if err == nil {
-			err = c.frame(h, body)
-		}
-		if err != nil {
-			return // EOF, a broken conn, a bad frame or a failed write
-		}
-	}
-}
-
-// arrive is the inline driver: the connection hands it each run of bytes on
-// the goroutine that wrote them, and it answers the requests they complete
-// before it returns. A frame that read would stop at closes the connection
-// instead, whose end follows; the end drops the connection.
+// arrive answers the requests that b completes, in order, before it
+// returns. A frame that is not a well-formed request, or a failed response
+// write, closes the connection, whose end follows; the end drops the
+// connection.
 func (c *srvConn) arrive(b []byte, end error) {
 	if end != nil {
 		c.s.drop(c)
@@ -368,10 +333,24 @@ func (c *srvConn) arrive(b []byte, end error) {
 	if c.dead {
 		return
 	}
-	if c.frames.split(b, nil, c) != nil {
-		c.dead = true
-		c.peer.conn.Close()
+	b = c.part.join(b)
+	var h frameHeader
+	var body []byte
+	var err error
+	for {
+		if h, body, b, err = cut(b); body == nil {
+			break
+		}
+		if err = c.frame(h, body); err != nil {
+			break
+		}
 	}
+	if err != nil {
+		c.dead, c.part = true, nil
+		c.peer.conn.Close()
+		return
+	}
+	c.part.keep(b, nil)
 }
 
 // frame decodes one request and answers it. An error drops the connection:
@@ -485,10 +464,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Wait blocks until every connection's service has ended: its goroutine has
-// exited, or its inline driver has taken the connection's end.
-// Call it after Close when full quiescence matters (e.g. before asserting
-// on shared state in tests).
+// Wait blocks until every connection's service has ended: its arrive has
+// taken the connection's end. Call it after Close when full quiescence
+// matters (e.g. before asserting on shared state in tests).
 func (s *Server) Wait() {
 	s.acceptWG.Wait()
 	s.connWG.Wait()

@@ -32,8 +32,8 @@ func tracedSetup(t *testing.T, cfg simnet.Config, childTag uint64) (*trace.Trace
 }
 
 // waitSpans polls until tr holds at least n spans of the given kind (spans
-// are recorded on the client's read loop and the server's connection
-// goroutine, racing the caller's return).
+// are recorded on the client's reader and the server's, which may run on a
+// pump, racing the caller's return).
 func waitSpans(t *testing.T, tr *trace.Tracer, kind trace.Kind, n int) []trace.Span {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -446,34 +446,35 @@ func TestStageWithoutParentsStillFences(t *testing.T) {
 	}
 }
 
-// servingGoroutines counts the goroutines that serve an rpc server
-// connection.
-func servingGoroutines() int {
+// pumps counts the goroutines that read an rpc connection, on either end.
+func pumps() int {
 	buf := make([]byte, 1<<20)
-	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("rpc.(*Server).serveConn("))
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("rpc.pump("))
 }
 
 // TestInlineStageServing: both stage kinds answer an untimed simnet
-// connection inline, with no serving goroutine. Over TCP and over a timed
-// simnet network, whose connections decline the handoff, each keeps one
-// serving goroutine per connection, so the latency models are unchanged.
+// connection inline, with no serving goroutine, and the controller's client
+// reads their answers without one either. Over TCP and over a timed simnet
+// network, whose connections decline the handoff, each end of a connection
+// keeps one pump, so the latency models are unchanged.
 func TestInlineStageServing(t *testing.T) {
 	timed := simnet.New(simnet.Config{PropDelay: 50 * time.Microsecond})
 	untimed := fastNet()
 	cases := []struct {
-		name    string
-		stage   transport.Network
-		dialer  transport.Network
-		addr    string
-		serving int
+		name   string
+		stage  transport.Network
+		dialer transport.Network
+		addr   string
+		// The pumps of each connection's stage end and controller end.
+		stagePumps, controllerPumps int
 	}{
-		{"untimed simnet", untimed.Host("stage"), untimed.Host("controller"), ":0", 0},
-		{"timed simnet", timed.Host("stage"), timed.Host("controller"), ":0", 1},
-		{"tcp", tcpnet.New(), tcpnet.New(), "127.0.0.1:0", 1},
+		{"untimed simnet", untimed.Host("stage"), untimed.Host("controller"), ":0", 0, 0},
+		{"timed simnet", timed.Host("stage"), timed.Host("controller"), ":0", 1, 1},
+		{"tcp", tcpnet.New(), tcpnet.New(), "127.0.0.1:0", 1, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			waitFor(t, "earlier serving goroutines to exit", func() bool { return servingGoroutines() == 0 })
+			waitFor(t, "earlier pumps to exit", func() bool { return pumps() == 0 })
 			v, err := StartVirtual(Config{ID: 1, JobID: 1, Network: tc.stage, ListenAddr: tc.addr})
 			if err != nil {
 				t.Fatal(err)
@@ -494,8 +495,8 @@ func TestInlineStageServing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want := 2 * tc.serving
-			waitFor(t, "the stages' serving goroutines", func() bool { return servingGoroutines() == want })
+			want := 2 * (tc.stagePumps + tc.controllerPumps)
+			waitFor(t, "the pumps", func() bool { return pumps() == want })
 		})
 	}
 }

@@ -57,7 +57,9 @@ type HandoffListener interface {
 // decodes each reply on the goroutine that wrote it, and a simulated stage
 // answers each request on the goroutine that wrote it, so a stage costs no
 // goroutine. A TCP connection, and a connection of a timed simnet network,
-// declines; its reader keeps a read loop.
+// declines; its reader then runs one goroutine that Reads the connection and
+// passes each Read's bytes, and then the stream's end, to the same callback
+// (rpc's pump), so both kinds of connection have one read path.
 type HandoffConn interface {
 	net.Conn
 	// HandoffReads makes fn the destination of every byte that arrives from
