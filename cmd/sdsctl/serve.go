@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -154,9 +155,7 @@ func runServe(ctx context.Context, args []string) error {
 			fmt.Fprintf(w, "ok cycles=%d shards=%d stages=%d\n",
 				d.cycles.Value(), dep.NumShards(), dep.Stats().Stages)
 		}))
-		for i := 0; i < dep.NumShards(); i++ {
-			dbg.AddMetrics(fmt.Sprintf("shard-%d", i), dep.Shard(i))
-		}
+		dbg.AddMetrics("shards", shardMetrics(dep))
 		// The elastic source reads through the atomic pointer so reloads
 		// that arm, retune, or disarm the loop need not touch the server.
 		dbg.AddMetrics("elastic", trace.MetricsFunc(func(w io.Writer) error {
@@ -184,6 +183,20 @@ func runServe(ctx context.Context, args []string) error {
 	fmt.Printf("cycles=%d reloads=%d rejects=%d aggregators=%d\n",
 		d.cycles.Value(), d.rel.Reloads(), d.rel.Rejects(), dep.NumAggregators())
 	return nil
+}
+
+// shardMetrics renders every shard's current leader, its series labelled
+// shard="<i>". It reads the leaders on each scrape, so a promoted standby's
+// counters and a shard a reload added are exported as soon as they serve.
+func shardMetrics(dep *sdscale.Deployment) trace.MetricsFunc {
+	return func(w io.Writer) error {
+		for i, g := range dep.Leaders() {
+			if err := g.WritePrometheusLabeled(w, "shard", strconv.Itoa(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // serveLoop runs control cycles until ctx is cancelled, applying reloads

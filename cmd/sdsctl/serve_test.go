@@ -2,13 +2,18 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/dsrhaslab/sdscale"
 	"github.com/dsrhaslab/sdscale/internal/config"
+	"github.com/dsrhaslab/sdscale/internal/trace"
 )
 
 // startTestDaemon builds a daemon around a config file written to a temp
@@ -210,6 +215,57 @@ func TestServeWatcherTriggersReload(t *testing.T) {
 	}
 	waitFor(t, "watcher-driven reload", func() bool { return d.rel.Reloads() >= 1 })
 	waitFor(t, "fleet grown", func() bool { return d.dep.Stats().Stages == 10 })
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serveLoop: %v", err)
+	}
+}
+
+// TestServeMetricsFollowShardReload: /metrics exports every shard's current
+// leader, each under its own shard label, including a shard that a live
+// reload added after the endpoint started.
+func TestServeMetricsFollowShardReload(t *testing.T) {
+	d, path, hup := startTestDaemon(t, `{"stages": 8, "jobs": 2, "interval": "5ms"}`)
+	dbg, err := trace.StartDebug(trace.DebugOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbg.Close()
+	dbg.AddMetrics("shards", shardMetrics(d.dep))
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get("http://" + dbg.Addr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	children := func(shard int) string {
+		return fmt.Sprintf(`sdscale_controller_children{controller="global",shard="%d"}`, shard)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serveLoop(ctx, d) }()
+	waitFor(t, "first cycle", func() bool { return d.cycles.Value() >= 1 })
+	if m := scrape(); !strings.Contains(m, children(0)) || strings.Contains(m, children(1)) {
+		t.Fatalf("one shard: /metrics should hold shard 0's series and no shard 1's:\n%s", m)
+	}
+
+	if err := os.WriteFile(path, []byte(`{"stages": 8, "jobs": 2, "interval": "5ms", "shards": 2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hup <- os.Interrupt
+	waitFor(t, "second shard", func() bool { return d.dep.NumShards() == 2 })
+	if m := scrape(); !strings.Contains(m, children(0)) || !strings.Contains(m, children(1)) {
+		t.Errorf("two shards: /metrics lacks a shard's series:\n%s", m)
+	}
 
 	cancel()
 	if err := <-done; err != nil {

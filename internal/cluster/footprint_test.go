@@ -11,9 +11,10 @@ import (
 // fleet at rest. The three simnet benchmark workloads hold 10,000 stages in
 // one process, so a per-listener or per-client allocation of a few tens of
 // kilobytes is hundreds of megabytes there (a 32 KB accept-queue channel per
-// listener once was 317 MB of a 488 MB heap). A stage costs about 5.6 KB
-// today; the bound is a 6 KB budget, so a few hundred bytes more per stage
-// fail it.
+// listener once was 317 MB of a 488 MB heap). A stage costs about 5.35 KB
+// today; the bound is 5,840 B, so a few hundred bytes more per stage fail
+// it. Each bound fell by about 300 B when a child's connection stopped
+// being wrapped in a redialing client with its own channel.
 //
 // Goroutines are counted per fleet, not per stage: a stage on an untimed
 // simnet costs none. Its server answers each request inside the
@@ -32,9 +33,9 @@ import (
 // sharded stage with standbys two more (its re-home loop and that loop's
 // cancel watcher).
 //
-// The flat-incremental fleet's heap bound is 6.5 KB (5.9 KB measured) and
-// the sharded fleet's 8 KB (6.6-7.5 KB measured, the most under -race): their
-// controllers keep more per child.
+// The flat-incremental fleet's heap bound is 6,350 B (5.65 KB measured) and
+// the sharded fleet's 7,930 B (6.4-7.7 KB measured, the most under -race):
+// their controllers keep more per child.
 func TestFleetFootprintPerStage(t *testing.T) {
 	const (
 		stages = 1000
@@ -51,16 +52,16 @@ func TestFleetFootprintPerStage(t *testing.T) {
 		cfg         Config
 		maxPerStage int64
 	}{
-		{"flat", Config{Topology: Flat}, 6 << 10},
+		{"flat", Config{Topology: Flat}, 5840},
 		{"flat-incremental", Config{
 			Topology: Flat, Incremental: true,
 			PushInterval: pinned, PushFloor: pinned, IncrementalFloor: pinned, StaleAfter: pinned,
-		}, 13 << 9},
+		}, 6350},
 		{"sharded-standby-incremental", Config{
 			Topology: Flat, Shards: 4, Standbys: 1, Incremental: true,
 			PushInterval: pinned, PushFloor: pinned, IncrementalFloor: pinned, StaleAfter: pinned,
 			ParentTimeout: pinned,
-		}, 8 << 10},
+		}, 7930},
 	}
 	heap := func() int64 {
 		runtime.GC()

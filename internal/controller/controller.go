@@ -27,6 +27,7 @@ import (
 	"context"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/cyclemem"
@@ -94,29 +95,23 @@ func (bc breakerConfig) withDefaults() breakerConfig {
 	return bc
 }
 
-// reconnectPolicy derives a child connection's redial policy from the
-// breaker policy, so the transport never lags the probe cadence by more
-// than one probe interval.
-func (bc breakerConfig) reconnectPolicy() rpc.ReconnectPolicy {
-	base := bc.ProbeInterval / 4
-	if base < 5*time.Millisecond {
-		base = 5 * time.Millisecond
-	}
-	return rpc.ReconnectPolicy{BaseDelay: base, MaxDelay: bc.MaxProbeInterval}
-}
-
 // child is a controller's handle to one downstream component (a stage or an
-// aggregator), with its long-lived self-healing RPC connection and its
-// circuit-breaker state.
+// aggregator), with its long-lived RPC connection and its circuit-breaker
+// state.
 type child struct {
 	info stage.Info
 	role wire.Role
-	cli  *rpc.ReconnectingClient
+	// cli is read without a lock; it is replaced under mu, by a redial (see
+	// install) or a re-registration (see replaceClient).
+	cli atomic.Pointer[rpc.Client]
 	// stages lists the stages behind an aggregator child; nil for stages.
 	stages []stage.Info
 
 	mu    sync.Mutex
 	fails int
+	// retired is set when the child leaves the membership or its controller
+	// closes: a connection dialed for it afterwards is closed, not installed.
+	retired bool
 	// Circuit-breaker state: a quarantined child is skipped by the
 	// collect/enforce scatter and probed with half-open heartbeats until
 	// one succeeds (readmission) or EvictAfter expires (eviction).
@@ -443,29 +438,47 @@ func (c *child) snapshotRules() []wire.Rule {
 // restarted (or re-homed to a promoted standby), so whatever rules it held
 // are gone, and the next cycle must send it the full rule set rather than
 // diffing against state the child no longer has.
-func (c *child) replaceClient(cli *rpc.ReconnectingClient) {
+func (c *child) replaceClient(cli *rpc.Client) {
 	c.mu.Lock()
-	old := c.cli
-	c.cli = cli
-	c.lastRules = c.lastRules[:0]
-	// The restarted child's push sequence starts over and its cached report
-	// predates the restart: accept any incoming sequence, refresh with an
-	// explicit collect, and make the next incremental cycle recompute.
-	c.pushSeq = 0
-	c.dirty = true
-	c.forceCollect = true
-	c.mu.Unlock()
-	if old != nil {
-		old.Close()
+	old := cli // a retired child keeps none
+	if !c.retired {
+		old = c.cli.Swap(cli)
+		c.lastRules = c.lastRules[:0]
+		// The restarted child's push sequence starts over and its cached
+		// report predates the restart: accept any incoming sequence, refresh
+		// with an explicit collect, and make the next incremental cycle
+		// recompute.
+		c.pushSeq = 0
+		c.dirty = true
+		c.forceCollect = true
 	}
+	c.mu.Unlock()
+	old.Close()
+}
+
+// install puts a redialed connection in place of the dead one it replaces
+// and closes the dead one. It closes fresh instead when the child has moved
+// on: a re-registration replaced dead meanwhile, or the child was retired.
+func (c *child) install(dead, fresh *rpc.Client) {
+	c.mu.Lock()
+	if c.retired || !c.cli.CompareAndSwap(dead, fresh) {
+		dead = fresh
+	}
+	c.mu.Unlock()
+	dead.Close()
+}
+
+// retire closes the child's connection for good: the child has left the
+// membership, or its controller is closing.
+func (c *child) retire() {
+	c.mu.Lock()
+	c.retired = true
+	c.mu.Unlock()
+	c.client().Close()
 }
 
 // client returns the child's current connection.
-func (c *child) client() *rpc.ReconnectingClient {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cli
-}
+func (c *child) client() *rpc.Client { return c.cli.Load() }
 
 // recordCall applies one call's outcome to the child's breaker. Errors
 // caused by the caller's own context (shutdown or cycle-deadline expiry
@@ -478,11 +491,6 @@ func (k *stageCore) recordCall(ctx context.Context, c *child, err error) {
 		}
 		return
 	}
-	// Pipelined calls surface connection death at harvest time rather than
-	// inside ReconnectingClient.Call; give the wrapper the chance to start
-	// its background redial (a no-op for healthy connections and for the
-	// synchronous path, which already checked inline).
-	c.client().NoteError(ctx, err)
 	if ctx.Err() != nil {
 		return // caller-side cancellation, not a child failure
 	}
@@ -517,19 +525,29 @@ func (s *cycleScratch) split(m *memberSet) (active, quarantined []*child) {
 	return s.active, s.quarantined
 }
 
-// sweepProbes sends half-open heartbeats to the quarantined children whose
-// probe is due, readmitting those that answer. It returns the children
-// whose quarantine outlived EvictAfter; the caller owns their removal.
-func (k *stageCore) sweepProbes(ctx context.Context, quarantined []*child) (evictable []*child) {
+// sweep is the pre-cycle pass that tries lost children again, all in one
+// scatter: every active child whose connection has died is redialed, and
+// every quarantined child whose probe is due is sent a half-open heartbeat,
+// redialed first if its connection has died. The breaker's probe schedule is
+// the only retry clock. An answered probe readmits the child and a failed
+// one backs the schedule off. A failed redial of an active child is judged
+// by the cycle: the child's calls fail at once with rpc.ErrDisconnected and
+// count against its breaker. sweep returns the children whose quarantine
+// outlived EvictAfter; the caller owns their removal.
+func (k *stageCore) sweep(ctx context.Context, active, quarantined []*child) (evictable []*child) {
 	bc := k.breaker
 	now := time.Now()
 	var due []*child
 	for _, c := range quarantined {
 		if bc.EvictAfter > 0 && c.quarantineAge(now) >= bc.EvictAfter {
 			evictable = append(evictable, c)
-			continue
+		} else if c.probeDue(now) {
+			due = append(due, c)
 		}
-		if c.probeDue(now) {
+	}
+	probes := len(due)
+	for _, c := range active {
+		if c.client().Err() != nil {
 			due = append(due, c)
 		}
 	}
@@ -542,15 +560,16 @@ func (k *stageCore) sweepProbes(ctx context.Context, quarantined []*child) (evic
 	defer hb.Release()
 	rpc.Scatter(ctx, len(due), k.par, func(i int) {
 		c := due[i]
+		k.redial(ctx, c)
+		if i >= probes {
+			return
+		}
 		cctx, cancel := context.WithTimeout(ctx, k.callTimeout)
 		resp, err := c.client().GoShared(cctx, hb).Wait(cctx)
 		cancel()
 		if err != nil && ctx.Err() != nil {
 			return // caller shutdown mid-probe: no accounting
 		}
-		// The async path surfaces connection death at harvest; give the
-		// reconnect wrapper the chance to start its background redial.
-		c.client().NoteError(ctx, err)
 		ok := err == nil
 		if ok {
 			_, ok = resp.(*wire.HeartbeatAck)
@@ -567,6 +586,24 @@ func (k *stageCore) sweepProbes(ctx context.Context, quarantined []*child) (evic
 		}
 	})
 	return evictable
+}
+
+// redial replaces c's connection, if it has died, with one dialed to the
+// same address within CallTimeout. The child is the same process behind a
+// new connection, so its breaker state, rule cache and push sequence stay as
+// they are: a re-registration, which means a restarted child, is what resets
+// them (replaceClient). A failed dial leaves the dead connection in place.
+func (k *stageCore) redial(ctx context.Context, c *child) {
+	dead := c.client()
+	if dead.Err() == nil {
+		return
+	}
+	dctx, cancel := context.WithTimeout(ctx, k.callTimeout)
+	fresh, err := k.dial(dctx, dead.RemoteAddr().String(), c.info.ID)
+	cancel()
+	if err == nil {
+		c.install(dead, fresh)
+	}
 }
 
 // memberSet tracks a controller's children with cheap snapshotting: the
@@ -669,6 +706,6 @@ func (m *memberSet) closeAll() {
 	m.byID = make(map[uint64]*child)
 	m.mu.Unlock()
 	for _, c := range children {
-		c.client().Close()
+		c.retire()
 	}
 }

@@ -163,15 +163,14 @@ func (k *stageCore) snapshot() ControllerStats {
 	}
 }
 
-// dial opens the long-lived self-healing connection to a child. Replies are
-// decoded into per-connection reuse caches, and unsolicited pushes feed the
-// dirty set (only stages ever push).
-func (k *stageCore) dial(ctx context.Context, addr string, id uint64) (*rpc.ReconnectingClient, error) {
-	return rpc.DialReconnecting(ctx, k.network, addr,
+// dial opens the long-lived connection to a child. Replies are decoded into
+// per-connection reuse caches, and unsolicited pushes feed the dirty set
+// (only stages ever push).
+func (k *stageCore) dial(ctx context.Context, addr string, id uint64) (*rpc.Client, error) {
+	return rpc.Dial(ctx, k.network, addr,
 		rpc.DialOptions{Meter: k.meter, Tracer: k.tracer, SpanTag: id,
 			ReuseReplies: true, ReuseHits: k.pipe.ReuseCounter(),
-			OnPush: k.onPush},
-		k.breaker.reconnectPolicy())
+			OnPush: k.onPush})
 }
 
 // addChild dials a child and admits it to the membership.
@@ -180,7 +179,8 @@ func (k *stageCore) addChild(ctx context.Context, role wire.Role, info stage.Inf
 	if err != nil {
 		return nil, fmt.Errorf("%s: dial %s %d at %s: %w", k.who, role, info.ID, info.Addr, err)
 	}
-	c := &child{info: info, role: role, cli: cli, stages: append([]stage.Info(nil), stages...)}
+	c := &child{info: info, role: role, stages: append([]stage.Info(nil), stages...)}
+	c.cli.Store(cli)
 	if !k.members.add(c) {
 		cli.Close()
 		return nil, fmt.Errorf("%s: duplicate %s ID %d", k.who, role, info.ID)
@@ -276,25 +276,24 @@ func (k *stageCore) fanOutBroadcast(ctx context.Context, o fanOutOpts, children 
 	k.pipe.AddSharedEncodes(f.Encodes())
 }
 
-// prepareCycle runs the pre-cycle breaker maintenance: half-open probes for
-// quarantined children (readmitting responders), eviction of children whose
-// quarantine outlived EvictAfter, and the active/quarantined split the
-// cycle's scatter phases work from. The returned slices are the cycle
+// prepareCycle runs the pre-cycle sweep (redials, half-open probes), evicts
+// the children whose quarantine outlived EvictAfter, and returns the
+// active/quarantined split the cycle's scatter phases work from: the cycle
 // scratch, valid until the next prepareCycle.
 func (k *stageCore) prepareCycle(ctx context.Context) (active, quarantined []*child) {
 	active, quarantined = k.scratch.split(k.members)
-	if len(quarantined) == 0 {
-		return active, quarantined
-	}
-	for _, c := range k.sweepProbes(ctx, quarantined) {
+	for _, c := range k.sweep(ctx, active, quarantined) {
 		if k.members.remove(c.info.ID) != nil {
-			c.client().Close()
+			c.retire()
 			if k.walEvict != nil {
 				k.walEvict(c.info.ID)
 			}
 			k.faults.Evict()
 			k.logf("%s: evicted child %d after %v in quarantine", k.who, c.info.ID, k.breaker.EvictAfter)
 		}
+	}
+	if len(quarantined) == 0 {
+		return active, quarantined
 	}
 	return k.scratch.split(k.members)
 }
@@ -411,13 +410,13 @@ func runLoop(ctx context.Context, interval time.Duration, cycle func(context.Con
 // the per-child cache already holds a current report for every live, quiet
 // child. The dirty set is claimed, the collect shrinks to the edge cases —
 // never reported, forced after re-registration or readmission, cache past
-// the heartbeat floor, no connection attached — and the set is assembled
+// the heartbeat floor, a dead connection — and the set is assembled
 // from the cache: pushed deltas, the collects just made, and
 // untouched-but-fresh reports all read back alike. With mayIdle set, a cycle
 // with nothing dirty, nothing to collect and nobody quarantined sends and
 // assembles nothing and reports idle.
 //
-// A child whose client is detached after a failed call and redialing can
+// A child whose connection died and could not be redialed (see sweep) can
 // push nothing. Collecting it every cycle is what lets its consecutive
 // failures reach MaxFailures, so the breaker — not the floor timer — decides
 // about a child that went silent behind a fresh cache.
@@ -435,7 +434,7 @@ func (k *stageCore) gatherReports(ctx context.Context, m wire.Collect, active, q
 			if wasDirty {
 				dirty++
 			}
-			if collect || !c.client().Connected() {
+			if collect || c.client().Err() != nil {
 				targets = append(targets, c)
 			}
 		}

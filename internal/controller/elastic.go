@@ -46,7 +46,7 @@ func (a *Aggregator) RemoveStage(id uint64) bool {
 	if c == nil {
 		return false
 	}
-	c.client().Close()
+	c.retire()
 	return true
 }
 

@@ -80,8 +80,8 @@ type GlobalConfig struct {
 	// per-child report cache and dirty set, and each cycle explicitly
 	// collects only the edge cases — children that never reported, whose
 	// cache aged past IncrementalFloor, that re-registered or were
-	// readmitted from quarantine, or whose connection is detached (no push
-	// can arrive on it, so it is collected explicitly). When nothing is
+	// readmitted from quarantine, or whose connection is dead (no push can
+	// arrive on it, so it is collected explicitly). When nothing is
 	// dirty the whole cycle short-circuits.
 	// Incremental mode implies delta enforcement and requires
 	// FanOutPipelined; with FanOutBlocking — the paper-reproduction
@@ -474,7 +474,7 @@ func (g *Global) RemoveChild(id uint64) bool {
 	if c == nil {
 		return false
 	}
-	c.client().Close()
+	c.retire()
 	g.logEvict(id)
 	return true
 }

@@ -441,13 +441,8 @@ func TestIncrementalResendsRuleWhoseEnforceFailed(t *testing.T) {
 		t.Fatalf("during the partition: %d failed calls, want 2 (stage 2's collect and enforce)", got)
 	}
 
+	// The next cycle's sweep redials stage 2.
 	n.Host("stage-2").SetPartitioned(false)
-	for deadline := time.Now().Add(5 * time.Second); !c2.client().Connected(); {
-		if time.Now().After(deadline) {
-			t.Fatal("stage 2's client never redialed after the heal")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 	for i := 0; i < 200; i++ {
 		cycle()
 	}

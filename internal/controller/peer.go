@@ -60,7 +60,7 @@ type PeerConfig struct {
 	// push-maintained report cache: stages push deltas as their rates move,
 	// and the collect scatter shrinks to the edge cases (never reported,
 	// forced after re-registration or readmission, cache past
-	// IncrementalFloor, no connection attached). Enforce sends are diffed per
+	// IncrementalFloor, a dead connection). Enforce sends are diffed per
 	// stage, skipping unchanged rules. The peer exchange is unaffected —
 	// fellows always receive the cycle's full aggregates. Requires
 	// FanOutPipelined; with FanOutBlocking the full fan-out runs unchanged.
@@ -215,7 +215,9 @@ func (p *Peer) AddPeer(ctx context.Context, id uint64, addr string) error {
 		cli.Close()
 		return fmt.Errorf("peer %d: duplicate peer ID %d", p.cfg.ID, id)
 	}
-	p.peers[id] = &child{info: stage.Info{ID: id, Addr: addr}, role: wire.RoleGlobal, cli: cli}
+	c := &child{info: stage.Info{ID: id, Addr: addr}, role: wire.RoleGlobal}
+	c.cli.Store(cli)
+	p.peers[id] = c
 	return nil
 }
 
@@ -333,9 +335,10 @@ func (p *Peer) runPhases(ctx context.Context, cycle, _ uint64, children, quarant
 
 // exchange pushes this cycle's aggregates to every fellow; their cycles pick
 // them up. Every fellow receives the same aggregates, so the exchange is
-// marshaled once into a shared frame. It stays fire-and-forget: a failed
-// push just leaves the fellow computing on aggregates one cycle staler
-// (NoteError still kicks the reconnect loop for the dead fellow).
+// marshaled once into a shared frame. A fellow whose connection has died is
+// redialed first, as the sweep redials a child. It stays fire-and-forget: a
+// failed push just leaves the fellow computing on aggregates one cycle
+// staler.
 func (p *Peer) exchange(ctx context.Context, cycle uint64, ownJobs []wire.JobReport) {
 	p.mu.Lock()
 	fellows := make([]*child, 0, len(p.peers))
@@ -345,10 +348,9 @@ func (p *Peer) exchange(ctx context.Context, cycle uint64, ownJobs []wire.JobRep
 	p.mu.Unlock()
 	f := rpc.NewSharedFrame(&wire.PeerExchange{Cycle: cycle, PeerID: p.cfg.ID, Addr: p.Addr(), Jobs: ownJobs})
 	rpc.Scatter(ctx, len(fellows), p.cfg.FanOut, func(i int) {
+		p.redial(ctx, fellows[i])
 		cctx, cancel := context.WithTimeout(ctx, p.cfg.CallTimeout)
-		if _, err := fellows[i].client().GoShared(cctx, f).Wait(cctx); err != nil {
-			fellows[i].client().NoteError(ctx, err)
-		}
+		fellows[i].client().GoShared(cctx, f).Wait(cctx)
 		cancel()
 	})
 	f.Release()
@@ -379,7 +381,7 @@ func (p *Peer) Close() error {
 	p.members.closeAll()
 	p.mu.Lock()
 	for _, c := range p.peers {
-		c.client().Close()
+		c.retire()
 	}
 	p.peers = make(map[uint64]*child)
 	p.mu.Unlock()

@@ -10,39 +10,46 @@ import (
 // telemetry, and cycle-phase latency histograms in the Prometheus text
 // exposition format. It implements trace.MetricsSource, so a Global plugs
 // into trace.StartDebug directly via DebugServer.AddMetrics.
-func (g *Global) WritePrometheus(w io.Writer) error {
-	if err := promStats(w, "global", g.Stats()); err != nil {
+func (g *Global) WritePrometheus(w io.Writer) error { return g.WritePrometheusLabeled(w) }
+
+// WritePrometheusLabeled is WritePrometheus with extra label pairs (key,
+// value, ...) on every series, so the leaders of several shards can share one
+// /metrics page: sdsctl serve labels each with shard="<i>".
+func (g *Global) WritePrometheusLabeled(w io.Writer, labels ...string) error {
+	labels = append([]string{"controller", "global"}, labels...)
+	if err := promStats(w, labels, g.Stats()); err != nil {
 		return err
 	}
-	if err := telemetry.PromFaults(w, "sdscale_controller_fault", g.faults, "controller", "global"); err != nil {
+	if err := telemetry.PromFaults(w, "sdscale_controller_fault", g.faults, labels...); err != nil {
 		return err
 	}
-	return promRecorder(w, "global", g.recorder)
+	return promRecorder(w, labels, g.recorder)
 }
 
 // WritePrometheus renders the aggregator's counters and histograms; see
 // (*Global).WritePrometheus.
 func (a *Aggregator) WritePrometheus(w io.Writer) error {
-	if err := promStats(w, "aggregator", a.Stats()); err != nil {
+	labels := []string{"controller", "aggregator"}
+	if err := promStats(w, labels, a.Stats()); err != nil {
 		return err
 	}
-	return telemetry.PromFaults(w, "sdscale_controller_fault", a.faults, "controller", "aggregator")
+	return telemetry.PromFaults(w, "sdscale_controller_fault", a.faults, labels...)
 }
 
 // WritePrometheus renders the peer's counters and histograms; see
 // (*Global).WritePrometheus.
 func (p *Peer) WritePrometheus(w io.Writer) error {
-	if err := promStats(w, "peer", p.Stats()); err != nil {
+	labels := []string{"controller", "peer"}
+	if err := promStats(w, labels, p.Stats()); err != nil {
 		return err
 	}
-	if err := telemetry.PromFaults(w, "sdscale_controller_fault", p.faults, "controller", "peer"); err != nil {
+	if err := telemetry.PromFaults(w, "sdscale_controller_fault", p.faults, labels...); err != nil {
 		return err
 	}
-	return promRecorder(w, "peer", p.recorder)
+	return promRecorder(w, labels, p.recorder)
 }
 
-func promStats(w io.Writer, role string, st ControllerStats) error {
-	labels := []string{"controller", role}
+func promStats(w io.Writer, labels []string, st ControllerStats) error {
 	gauges := []struct {
 		name  string
 		value float64
@@ -118,14 +125,14 @@ func promStats(w io.Writer, role string, st ControllerStats) error {
 	return nil
 }
 
-func promRecorder(w io.Writer, role string, r *telemetry.CycleRecorder) error {
+func promRecorder(w io.Writer, labels []string, r *telemetry.CycleRecorder) error {
 	for _, p := range []telemetry.Phase{telemetry.PhaseCollect, telemetry.PhaseCompute, telemetry.PhaseEnforce, telemetry.PhaseTotal} {
 		h := r.Phase(p)
 		if h.Count() == 0 {
 			continue
 		}
 		if err := telemetry.PromHistogram(w, "sdscale_controller_cycle_phase", h,
-			"controller", role, "phase", p.String()); err != nil {
+			append(labels, "phase", p.String())...); err != nil {
 			return err
 		}
 	}

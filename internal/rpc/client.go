@@ -18,6 +18,11 @@ import (
 // ErrClientClosed is returned by calls on a closed client.
 var ErrClientClosed = errors.New("rpc: client closed")
 
+// ErrDisconnected is wrapped by the error of every call on a client whose
+// connection has died, those in flight when it died and those issued after,
+// which fail at once. A dead client stays dead: its owner dials a new one.
+var ErrDisconnected = errors.New("rpc: connection lost")
+
 // Client is one end of a multiplexed RPC connection. It is safe for
 // concurrent use: many calls may be in flight at once over the single
 // underlying connection.
@@ -159,14 +164,6 @@ func (call *Call) finish(m wire.Message, err error) {
 		default:
 		}
 	}
-}
-
-// failedCall returns a pre-completed handle carrying err, for calls rejected
-// before they reach a connection.
-func failedCall(err error) *Call {
-	call := getCall()
-	call.finish(nil, err)
-	return call
 }
 
 // Wait blocks until the call completes or ctx is cancelled, returns the
@@ -356,7 +353,7 @@ func (r *replyReader) arrive(b []byte, end error) {
 	}
 	r.dead, r.part = true, nil
 	r.c.reuseHits.Close()
-	r.c.fail(fmt.Errorf("rpc: connection lost: %w", err))
+	r.c.fail(disconnected(err))
 	if end == nil {
 		r.c.conn.Close() // a frame error: what follows is dropped
 	}
@@ -451,6 +448,13 @@ func pushDecoder() *wire.DecodeOpts {
 		return m
 	}}
 }
+
+// disconnected is the error a client fails with when its connection dies of
+// err. It stays out of line for the same reason as complete: building its
+// arguments in arrive grew every pump's stack into the next size.
+//
+//go:noinline
+func disconnected(err error) error { return fmt.Errorf("%w: %w", ErrDisconnected, err) }
 
 // fail poisons the client: all pending and future calls return err.
 func (c *Client) fail(err error) {
@@ -588,7 +592,7 @@ func (c *Client) send(call *Call, m wire.Message, body []byte) {
 	c.wmu.Unlock()
 	putFrameBuf(bp)
 	if err != nil {
-		c.fail(fmt.Errorf("rpc: connection lost: %w", err))
+		c.fail(disconnected(err))
 	}
 }
 

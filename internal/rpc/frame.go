@@ -19,8 +19,10 @@
 //     once on the client, which sends nothing for it; its response, which
 //     the server still writes, is counted (Client.LateResponses) and
 //     dropped when it arrives;
-//   - connection fault recovery via ReconnectingClient: redial with
-//     exponential backoff and jitter, failing in-flight calls fast;
+//   - fail-fast connection faults: a dead connection fails its in-flight
+//     calls and every later one with ErrDisconnected, and a client never
+//     redials (its owner dials a new one, as the controllers' pre-cycle
+//     sweep does);
 //   - an asynchronous call API (Client.Go returning a pooled *Call handle)
 //     that pipelines many requests back-to-back over one connection — the
 //     fast path of the control cycle's collect and enforce fan-out;

@@ -176,18 +176,22 @@ func TestRedialedRequestsStartFromEmptyHistory(t *testing.T) {
 	}
 	addr := srv.Addr().String()
 	var meter transport.Meter
-	rc, err := DialReconnecting(context.Background(), n.Host("client"), addr, DialOptions{Meter: &meter},
-		ReconnectPolicy{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	dial := func() *Client {
+		t.Helper()
+		cli, err := Dial(context.Background(), n.Host("client"), addr, DialOptions{Meter: &meter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cli.Close() })
+		return cli
 	}
-	defer rc.Close()
+	cli := dial()
 
 	enforce := testEnforce(3, 1)
 	sent := func() uint64 {
 		t.Helper()
 		before := meter.Tx()
-		if _, err := rc.Call(context.Background(), enforce); err != nil {
+		if _, err := cli.Call(context.Background(), enforce); err != nil {
 			t.Fatalf("Enforce: %v", err)
 		}
 		return meter.Tx() - before
@@ -198,19 +202,13 @@ func TestRedialedRequestsStartFromEmptyHistory(t *testing.T) {
 	}
 
 	srv.Close()
-	waitFor(t, "the dead connection to be detached", func() bool {
-		_, err := rc.Call(probeCtx(), &wire.Heartbeat{})
-		return errors.Is(err, ErrDisconnected)
-	})
+	waitFor(t, "the connection to die", func() bool { return errors.Is(cli.Err(), ErrDisconnected) })
 	srv2, err := Serve(n.Host("server"), addr, &enforceHandler{}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	waitFor(t, "the redial", func() bool {
-		_, err := rc.Call(probeCtx(), &wire.Heartbeat{})
-		return err == nil
-	})
+	cli = dial()
 	if again := sent(); again != first {
 		t.Fatalf("the first Enforce after the redial took %d bytes, want %d: it leaned on the old connection's history", again, first)
 	}

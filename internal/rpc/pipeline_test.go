@@ -426,60 +426,6 @@ func TestDecodedMessageDoesNotAliasFrameBuffer(t *testing.T) {
 	}
 }
 
-// TestReconnectingGoFailsFastWhileDown checks the async path keeps the
-// reconnect wrapper's fail-fast contract, and that NoteError after a harvest
-// kicks the redial.
-func TestReconnectingGoFailsFastWhileDown(t *testing.T) {
-	n := simnet.New(simnet.Config{PropDelay: -1})
-	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr().String()
-	rc, err := DialReconnecting(context.Background(), n.Host("client"), addr, DialOptions{},
-		ReconnectPolicy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-
-	ctx := context.Background()
-	if _, err := rc.Go(ctx, &wire.Heartbeat{}).Wait(ctx); err != nil {
-		t.Fatalf("Go over live connection: %v", err)
-	}
-
-	srv.Close()
-	// Harvest errors until NoteError notices the dead connection.
-	deadline := time.Now().Add(5 * time.Second)
-	for rc.Connected() && time.Now().Before(deadline) {
-		cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-		_, err := rc.Go(cctx, &wire.Heartbeat{}).Wait(cctx)
-		rc.NoteError(cctx, err)
-		cancel()
-	}
-	if rc.Connected() {
-		t.Fatal("NoteError never detached the dead connection")
-	}
-	if _, err := rc.Go(ctx, &wire.Heartbeat{}).Wait(ctx); !errors.Is(err, ErrDisconnected) {
-		t.Fatalf("Go while down = %v, want ErrDisconnected", err)
-	}
-
-	// A new server at the same address: the redial must restore service.
-	srv2, err := Serve(n.Host("server"), addr, &echoHandler{}, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := rc.Go(ctx, &wire.Heartbeat{}).Wait(ctx); err == nil {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal("async calls never recovered after redial")
-}
-
 // TestCallHandlesRecycled verifies Wait actually returns handles to the
 // pool: a long sequential run must reuse a small set of handles rather than
 // allocating one per call. (The pool gives no hard guarantee, but in a quiet

@@ -167,43 +167,3 @@ func TestGoSharedOnClosedClient(t *testing.T) {
 	}
 	f.Release()
 }
-
-// TestReconnectingGoShared: the reconnect wrapper forwards GoShared and
-// fails fast while disconnected without touching the frame's refcount.
-func TestReconnectingGoShared(t *testing.T) {
-	n := simnet.New(simnet.Config{PropDelay: -1})
-	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := DialReconnecting(context.Background(), n.Host("client"), srv.Addr().String(),
-		DialOptions{}, ReconnectPolicy{BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-
-	f := NewSharedFrame(&wire.Heartbeat{SentUnixMicros: 5})
-	if _, err := rc.GoShared(context.Background(), f).Wait(context.Background()); err != nil {
-		t.Fatalf("connected GoShared: %v", err)
-	}
-
-	srv.Close()
-	waitFor(t, "wrapper to notice the dead connection", func() bool {
-		call := rc.GoShared(context.Background(), f)
-		_, err := call.Wait(context.Background())
-		if err == nil {
-			return false
-		}
-		rc.NoteError(context.Background(), err)
-		return !rc.Connected()
-	})
-	call := rc.GoShared(context.Background(), f)
-	if _, err := call.Wait(context.Background()); !errors.Is(err, ErrDisconnected) {
-		t.Fatalf("disconnected GoShared err = %v, want ErrDisconnected", err)
-	}
-	if got := f.refs.Load(); got != 1 {
-		t.Fatalf("refs = %d, want 1", got)
-	}
-	f.Release()
-}

@@ -162,32 +162,6 @@ func TestTracedAbandonedCall(t *testing.T) {
 	}
 }
 
-// TestTracedReconnectingClient checks DialOptions tracing survives redials.
-func TestTracedReconnectingClient(t *testing.T) {
-	clientTr := trace.New(1024)
-	n := simnet.New(simnet.Config{PropDelay: -1})
-	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{})
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	defer srv.Close()
-
-	rc, err := DialReconnecting(context.Background(), n.Host("client"), srv.Addr().String(),
-		DialOptions{Tracer: clientTr, SpanTag: 5}, ReconnectPolicy{})
-	if err != nil {
-		t.Fatalf("DialReconnecting: %v", err)
-	}
-	defer rc.Close()
-
-	if _, err := rc.Call(context.Background(), &wire.Heartbeat{SentUnixMicros: 1}); err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	s := waitSpans(t, clientTr, trace.KindCall, 1)[0]
-	if s.Tag != 5 {
-		t.Fatalf("span tag through reconnecting client: %+v", s)
-	}
-}
-
 // TestSampledClientAndServer checks frame-ID sampling end to end: every call
 // is counted on both sides, but only the 1-in-N on the sample grid are timed
 // and recorded as spans — and both sides pick the same calls. A server span

@@ -130,6 +130,17 @@ func (r *Router) NumShards() int { return len(r.state.Load().shards) }
 // Group returns shard i's controller group.
 func (r *Router) Group(i int) *Group { return r.state.Load().shards[i] }
 
+// Leaders returns every shard's effective leader in shard order, read from
+// one view of the shard table, so a resize cannot move the end of the walk.
+func (r *Router) Leaders() []*controller.Global {
+	shards := r.state.Load().shards
+	out := make([]*controller.Global, len(shards))
+	for i, s := range shards {
+		out[i] = s.Leader()
+	}
+	return out
+}
+
 // Place returns the shard that placement assigns childID to — where the
 // child *should* live. See Route for where it actually lives.
 func (r *Router) Place(childID uint64) int { return r.state.Load().place(childID) }

@@ -254,6 +254,10 @@ func (d *Deployment) NumShards() int { return d.c.Router.NumShards() }
 // its store).
 func (d *Deployment) Shard(i int) *Global { return d.c.Router.Group(i).Leader() }
 
+// Leaders returns every shard's effective leader, in shard order: a promoted
+// standby in place of its deposed primary, and each shard a resize added.
+func (d *Deployment) Leaders() []*Global { return d.c.Router.Leaders() }
+
 // Cluster exposes the underlying deployment harness: the simulated
 // network, the stage fleet, the per-role instrumentation.
 func (d *Deployment) Cluster() *Cluster { return d.c }
