@@ -303,9 +303,9 @@ func runAggregator(ctx context.Context, args []string) error {
 	return nil
 }
 
-// runPeer runs one controller of the coordinated flat design: stages
-// register with it, and it exchanges per-job aggregates with the other
-// peers listed on the command line.
+// runPeer runs one controller of the coordinated flat design, a flat Global
+// with fellows: stages register with it, and it exchanges per-job
+// aggregates with the other peers listed on the command line.
 func runPeer(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("peer", flag.ExitOnError)
 	listen := fs.String("listen", ":7002", "listen address (stage registrations and peer exchange)")
@@ -324,11 +324,10 @@ func runPeer(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	p, err := controller.StartPeer(controller.PeerConfig{
-		ID:        *id,
-		Network:   tcpnet.New(),
-		Algorithm: alg,
-
+	p, err := controller.StartGlobal(controller.GlobalConfig{
+		ID:         *id,
+		Network:    tcpnet.New(),
+		Algorithm:  alg,
 		ListenAddr: *listen,
 		Capacity:   cap,
 		Logf:       logf,

@@ -132,14 +132,15 @@ func TestTCPHierarchy(t *testing.T) {
 	}
 }
 
-// TestTCPCoordinatedPeersAutoMesh runs two coordinated peers over TCP with
-// one-sided configuration; auto-meshing must make visibility symmetric.
+// TestTCPCoordinatedPeersAutoMesh runs two coordinated peers — Globals with
+// fellows — over TCP with one-sided configuration; auto-meshing must make
+// visibility symmetric.
 func TestTCPCoordinatedPeersAutoMesh(t *testing.T) {
 	net := sdscale.NewTCPNet()
 	ctx := context.Background()
 
-	mkPeer := func(id uint64) *sdscale.PeerController {
-		p, err := sdscale.StartPeerController(sdscale.PeerControllerConfig{
+	mkPeer := func(id uint64) *sdscale.Global {
+		p, err := sdscale.StartGlobal(sdscale.GlobalConfig{
 			ID:         id,
 			Network:    net,
 			ListenAddr: "127.0.0.1:0",
@@ -172,7 +173,7 @@ func TestTCPCoordinatedPeersAutoMesh(t *testing.T) {
 		defer st.Close()
 		stages = append(stages, st)
 	}
-	parent := []*sdscale.PeerController{p1, p1, p2, p2}
+	parent := []*sdscale.Global{p1, p1, p2, p2}
 	for i, st := range stages {
 		if err := parent[i].AddStage(ctx, st.Info()); err != nil {
 			t.Fatal(err)

@@ -120,34 +120,30 @@ type Config struct {
 	DeltaEnforcement bool
 	// Incremental switches every controller to the event-driven incremental
 	// cycle (dirty-child tracking fed by stage push deltas; see
-	// controller.GlobalConfig.Incremental) and arms the stages' pushes.
-	// With PushThreshold zero it defaults to DefaultPushThreshold. Requires
-	// the default pipelined fan-out; with FanOutBlocking controllers keep
-	// the paper-faithful full cycle.
+	// controller.GlobalConfig.Incremental) and arms the stages' pushes at
+	// DefaultPushThreshold. Requires the default pipelined fan-out; with
+	// FanOutBlocking controllers keep the paper-faithful full cycle.
 	Incremental bool
 	// IncrementalFloor bounds the age of a cached report before an
 	// incremental cycle re-collects explicitly; see
 	// controller.GlobalConfig.IncrementalFloor. Zero selects StaleAfter.
 	IncrementalFloor time.Duration
-	// PushThreshold, PushInterval and PushFloor tune the stage-side delta
-	// pushes; see stage.Config. PushThreshold zero leaves pushes off unless
-	// Incremental is set.
-	PushThreshold float64
-	PushInterval  time.Duration
-	PushFloor     time.Duration
+	// PushInterval and PushFloor tune the stage-side delta pushes
+	// (Incremental only); see stage.Config.
+	PushInterval time.Duration
+	PushFloor    time.Duration
 	// Net parameterizes the simulated network.
 	Net simnet.Config
 	// CallTimeout bounds child RPCs. Zero selects the controller default.
 	CallTimeout time.Duration
-	// MaxFailures, ProbeInterval, MaxProbeInterval, StaleAfter and
-	// EvictAfter tune every controller's per-child circuit breaker; see
+	// MaxFailures, ProbeInterval, MaxProbeInterval and StaleAfter tune
+	// every controller's per-child circuit breaker; see
 	// controller.GlobalConfig for their semantics. Zeros select the
-	// controller defaults (EvictAfter zero = quarantine only, never evict).
+	// controller defaults. A quarantined child is never evicted.
 	MaxFailures      int
 	ProbeInterval    time.Duration
 	MaxProbeInterval time.Duration
 	StaleAfter       time.Duration
-	EvictAfter       time.Duration
 	// Standbys gives every shard this many warm standbys, each on its own
 	// host (StandbyHost(i) in a one-shard deployment): the shard's leader
 	// replicates state to them every SyncInterval, and every stage gets
@@ -176,9 +172,6 @@ type Config struct {
 	// roughly one extra timestamp per sampled RPC and one atomic add per
 	// unsampled one.
 	Tracing bool
-	// TraceCapacity is the per-tracer span-ring size (rounded up to a power
-	// of two). Zero scales with the stage count, clamped to [4096, 65536].
-	TraceCapacity int
 	// TraceSample is the call-sampling rate: one call in TraceSample
 	// (rounded up to a power of two) is timed and recorded as a span; the
 	// rest are counted only. Zero selects DefaultTraceSample, which keeps
@@ -194,9 +187,9 @@ type Config struct {
 const DefaultTraceSample = 32
 
 // DefaultPushThreshold is the relative rate movement that triggers a stage
-// push when Config.Incremental is set without an explicit PushThreshold: 5%,
-// small enough that allocations track real demand shifts and large enough
-// that sampling noise stays below it.
+// push when Config.Incremental is set: 5%, small enough that allocations
+// track real demand shifts and large enough that sampling noise stays below
+// it.
 const DefaultPushThreshold = 0.05
 
 func (c Config) withDefaults() Config {
@@ -211,9 +204,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Capacity.IsZero() {
 		c.Capacity = wire.Rates{500, 50}.Scale(float64(c.Stages))
-	}
-	if c.Incremental && c.PushThreshold == 0 {
-		c.PushThreshold = DefaultPushThreshold
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
@@ -294,7 +284,7 @@ type Cluster struct {
 	// Aggregators is the mid tier (Hierarchical only).
 	Aggregators []*controller.Aggregator
 	// Peers is the controller set of the Coordinated topology.
-	Peers []*controller.Peer
+	Peers []*controller.Global
 	// Globals lists every shard's configured leader, index-aligned with
 	// the shards (nil for Coordinated).
 	Globals []*controller.Global
@@ -350,12 +340,9 @@ func Build(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// traceCapacity is the per-tracer span-ring size: explicit, or scaled with
-// the stage fleet (a 10k-stage cycle records >20k call spans) and clamped.
+// traceCapacity is the per-tracer span-ring size, scaled with the stage
+// fleet (a 10k-stage cycle records >20k call spans) and clamped.
 func (c Config) traceCapacity() int {
-	if c.TraceCapacity > 0 {
-		return c.TraceCapacity
-	}
 	n := 4 * c.Stages
 	if n < 4096 {
 		n = 4096
@@ -453,6 +440,10 @@ func (c *Cluster) startStage(parents []string) (*stage.Virtual, error) {
 	cfg := c.cfg
 	i := c.stageSeq
 	c.stageSeq++
+	var pushThreshold float64
+	if cfg.Incremental {
+		pushThreshold = DefaultPushThreshold
+	}
 	v, err := stage.StartVirtual(stage.Config{
 		ID:            i + 1,
 		JobID:         i%uint64(cfg.Jobs) + 1,
@@ -462,7 +453,7 @@ func (c *Cluster) startStage(parents []string) (*stage.Virtual, error) {
 		Parents:       parents,
 		ParentTimeout: cfg.ParentTimeout,
 		Tracer:        c.stageTracer(),
-		PushThreshold: cfg.PushThreshold,
+		PushThreshold: pushThreshold,
 		PushInterval:  cfg.PushInterval,
 		PushFloor:     cfg.PushFloor,
 	})
@@ -504,8 +495,9 @@ func (c *Cluster) attachAggregators(ctx context.Context) error {
 	return nil
 }
 
-// buildCoordinated wires the future-work design: a full mesh of peer
-// controllers, each owning a disjoint partition of the started stages.
+// buildCoordinated wires the future-work design: a full mesh of flat
+// Globals with fellows, each owning a disjoint partition of the started
+// stages.
 func (c *Cluster) buildCoordinated(ctx context.Context) error {
 	cfg := c.cfg
 	per := (cfg.Stages + cfg.Aggregators - 1) / cfg.Aggregators
@@ -516,7 +508,7 @@ func (c *Cluster) buildCoordinated(ctx context.Context) error {
 			midTracer = c.newTracer()
 			c.Trace.Mid = append(c.Trace.Mid, midTracer)
 		}
-		p, err := controller.StartPeer(controller.PeerConfig{
+		p, err := controller.StartGlobal(controller.GlobalConfig{
 			ID:               uint64(2_000_000 + i),
 			Network:          c.Net.Host(fmt.Sprintf("peer-%d", i+1)),
 			Algorithm:        cfg.Algorithm,
@@ -530,7 +522,6 @@ func (c *Cluster) buildCoordinated(ctx context.Context) error {
 			ProbeInterval:    cfg.ProbeInterval,
 			MaxProbeInterval: cfg.MaxProbeInterval,
 			StaleAfter:       cfg.StaleAfter,
-			EvictAfter:       cfg.EvictAfter,
 			Meter:            role.Meter,
 			CPU:              role.CPU,
 			Tracer:           midTracer,
@@ -586,7 +577,7 @@ func (c *Cluster) RunControlCycle(ctx context.Context) (telemetry.Breakdown, err
 	var wg sync.WaitGroup
 	for i, p := range c.Peers {
 		wg.Add(1)
-		go func(i int, p *controller.Peer) {
+		go func(i int, p *controller.Global) {
 			defer wg.Done()
 			breakdowns[i], errs[i] = p.RunCycle(ctx)
 		}(i, p)

@@ -39,7 +39,6 @@ func (c *Cluster) aggregatorConfig(seq int, role Roles) controller.AggregatorCon
 		ProbeInterval:    cfg.ProbeInterval,
 		MaxProbeInterval: cfg.MaxProbeInterval,
 		StaleAfter:       cfg.StaleAfter,
-		EvictAfter:       cfg.EvictAfter,
 		Meter:            role.Meter,
 		CPU:              role.CPU,
 	}

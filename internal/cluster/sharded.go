@@ -233,7 +233,6 @@ func (c *Cluster) globalConfig(host string, n int, role Roles) controller.Global
 		ProbeInterval:    cfg.ProbeInterval,
 		MaxProbeInterval: cfg.MaxProbeInterval,
 		StaleAfter:       cfg.StaleAfter,
-		EvictAfter:       cfg.EvictAfter,
 		LeaseTimeout:     cfg.LeaseTimeout,
 		SyncInterval:     cfg.SyncInterval,
 		Meter:            role.Meter,

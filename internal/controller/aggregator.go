@@ -81,14 +81,6 @@ type AggregatorConfig struct {
 	Tracer *trace.Tracer
 	// Logf, if non-nil, receives operational logs.
 	Logf func(format string, args ...any)
-	// Parents, if non-empty, lists the global controllers (primary first,
-	// then standbys) the aggregator re-homes to: when no parent has
-	// contacted it for ParentTimeout, it walks the list and re-registers
-	// with the first controller that answers.
-	Parents []string
-	// ParentTimeout is the silence threshold that triggers re-homing. Zero
-	// selects stage.DefaultParentTimeout.
-	ParentTimeout time.Duration
 }
 
 func (c AggregatorConfig) withDefaults() AggregatorConfig {
@@ -103,9 +95,6 @@ func (c AggregatorConfig) withDefaults() AggregatorConfig {
 	}
 	if c.MaxFailures <= 0 {
 		c.MaxFailures = DefaultMaxFailures
-	}
-	if c.ParentTimeout <= 0 {
-		c.ParentTimeout = stage.DefaultParentTimeout
 	}
 	return c
 }
@@ -125,23 +114,16 @@ type Aggregator struct {
 	cfg    AggregatorConfig
 	server *rpc.Server
 
-	// Re-homing loop lifecycle (Parents configured).
-	rehomeStop chan struct{}
-	rehomeDone chan struct{}
-
-	// mu guards the last collect's report set and the fencing/re-homing
-	// bookkeeping. reports is the set the last collect assembled, arena
-	// memory valid until the next collect begins a generation, and jobs its
-	// per-job sums (nil after a ForwardRaw collect); a Delegate splits its
-	// budgets over them.
+	// mu guards the last collect's report set and the fencing bookkeeping.
+	// reports is the set the last collect assembled, arena memory valid
+	// until the next collect begins a generation, and jobs its per-job sums
+	// (nil after a ForwardRaw collect); a Delegate splits its budgets over
+	// them.
 	mu          sync.Mutex
 	reports     []wire.StageReport
 	jobs        []wire.JobReport
-	epoch       uint64    // highest leadership epoch seen
-	fencedCalls uint64    // stale-epoch rejections issued
-	lastContact time.Time // last upstream control-plane contact
-	rehomes     uint64    // successful re-registrations with a parent
-	closed      bool
+	epoch       uint64 // highest leadership epoch seen
+	fencedCalls uint64 // stale-epoch rejections issued
 }
 
 // StartAggregator launches an aggregator's RPC server. Stages are attached
@@ -175,12 +157,6 @@ func StartAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		return nil, fmt.Errorf("aggregator %d: %w", cfg.ID, err)
 	}
 	a.server = srv
-	if len(cfg.Parents) > 0 {
-		a.touch() // grace period before the first re-homing check
-		a.rehomeStop = make(chan struct{})
-		a.rehomeDone = make(chan struct{})
-		go a.rehome()
-	}
 	return a, nil
 }
 
@@ -229,10 +205,8 @@ func (a *Aggregator) serve(peer *rpc.Peer, req wire.Message) (wire.Message, erro
 		}
 		return a.delegate(m), nil
 	case *wire.Heartbeat:
-		a.touch()
 		return &wire.HeartbeatAck{EchoUnixMicros: m.SentUnixMicros}, nil
 	case *wire.StageList:
-		a.touch()
 		return &wire.StageListReply{Stages: a.stageEntries()}, nil
 	case *wire.Register:
 		return a.handleRegister(m)
@@ -263,8 +237,7 @@ func (a *Aggregator) handleRegister(m *wire.Register) (wire.Message, error) {
 
 // checkEpoch is the aggregator's side of epoch fencing: calls from a lower
 // leadership epoch than the highest seen are rejected (the sender was
-// deposed), higher epochs are adopted, and either way live contact counts
-// against the re-homing timeout.
+// deposed), and higher epochs are adopted.
 func (a *Aggregator) checkEpoch(senderEpoch uint64) *wire.ErrorReply {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -279,7 +252,6 @@ func (a *Aggregator) checkEpoch(senderEpoch uint64) *wire.ErrorReply {
 	if senderEpoch > a.epoch {
 		a.epoch = senderEpoch
 	}
-	a.lastContact = time.Now()
 	return nil
 }
 
@@ -288,65 +260,6 @@ func (a *Aggregator) Epoch() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.epoch
-}
-
-func (a *Aggregator) touch() {
-	a.mu.Lock()
-	a.lastContact = time.Now()
-	a.mu.Unlock()
-}
-
-func (a *Aggregator) contact() time.Time {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastContact
-}
-
-// rehome watches for upstream silence and re-registers with the first
-// reachable parent — the aggregator-side counterpart of the stage re-homing
-// loop, used when a standby global takes over.
-func (a *Aggregator) rehome() {
-	defer close(a.rehomeDone)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-a.rehomeStop
-		cancel()
-	}()
-	timeout := a.cfg.ParentTimeout
-	tick := time.NewTicker(timeout / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-a.rehomeStop:
-			return
-		case <-tick.C:
-			if time.Since(a.contact()) < timeout {
-				continue
-			}
-			a.registerParents(ctx)
-		}
-	}
-}
-
-// registerParents walks the parent list until a registration succeeds,
-// adopting the acknowledged leadership epoch.
-func (a *Aggregator) registerParents(ctx context.Context) {
-	ack, err := stage.RegisterAny(ctx, a.cfg.Network, a.cfg.Parents, stage.Info{ID: a.cfg.ID, Addr: a.Addr()}, stage.RegisterOptions{
-		Role:      wire.RoleAggregator,
-		BaseDelay: a.cfg.ParentTimeout / 8,
-		MaxDelay:  a.cfg.ParentTimeout,
-	})
-	if err != nil {
-		return
-	}
-	a.mu.Lock()
-	if ack.Epoch > a.epoch {
-		a.epoch = ack.Epoch
-	}
-	a.lastContact = time.Now()
-	a.rehomes++
-	a.mu.Unlock()
 }
 
 // collect fans the request out to all stages and returns per-job
@@ -494,18 +407,8 @@ func (a *Aggregator) enforceRules(cycle uint64, active []*child, casts []wildcas
 	return &wire.EnforceAck{Cycle: cycle, Applied: applied.Load()}
 }
 
-// Close stops the re-homing loop, severs stage connections, and stops the
-// server.
+// Close severs stage connections and stops the server.
 func (a *Aggregator) Close() error {
-	if a.rehomeStop != nil {
-		a.mu.Lock()
-		if !a.closed {
-			a.closed = true
-			close(a.rehomeStop)
-		}
-		a.mu.Unlock()
-		<-a.rehomeDone
-	}
 	a.members.closeAll()
 	return a.server.Close()
 }

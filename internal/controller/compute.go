@@ -53,7 +53,7 @@ type JobStatus struct {
 }
 
 // jobTable is the allocation state of a role that runs the control
-// algorithm (Global, Peer): the algorithm, the live capacity it allocates
+// algorithm (the Global): the algorithm, the live capacity it allocates
 // against, the per-job QoS weights, and the per-job view of the last
 // allocation. An Aggregator never allocates and holds none. mu guards
 // capacity, weights and status; a role that holds its own mutex takes it
@@ -211,24 +211,24 @@ func jobRows(m wire.Message) []wire.JobReport {
 	return nil
 }
 
-// computePeerRules is the coordinated-peer kernel. allocs is the
-// allocation of each merged job, index-aligned with merged. Each job's
-// allocation is split uniformly across its global stage population; this
-// peer's share is that per-stage slice scaled by its own stage count, and
-// the share splits across the peer's stages proportionally to demand —
-// exactly the uniform split → scale → proportional split chain the serial
-// implementation performed, folded into the shared per-report kernel.
+// computePeerRules is the compute kernel of a Global with fellows. allocs
+// is the allocation of each merged job (mergeFellowViews), index-aligned
+// with merged. Each job's allocation is split uniformly across its global
+// stage population; this partition's share is that per-stage slice scaled
+// by its own stage count, and the share splits across the partition's
+// stages proportionally to demand — the uniform split → scale →
+// proportional split chain, folded into the shared per-report kernel.
 // ownJobs must be metrics.AggregateByJob(reports), and so a subset of
 // merged.
-func (p *Peer) computePeerRules(reports []wire.StageReport, ownJobs, merged []wire.JobReport,
+func (g *Global) computePeerRules(reports []wire.StageReport, ownJobs, merged []wire.JobReport,
 	allocs []wire.Rates, parallel bool) *cyclemem.RuleTable {
-	shareOf := p.cyc.allocOf.Take(&p.arena, len(ownJobs))
+	shareOf := g.cyc.allocOf.Take(&g.arena, len(ownJobs))
 	for j := range ownJobs {
 		k := jobSlot(merged, ownJobs[j].JobID)
 		shareOf[j] = controlalg.SplitUniform(allocs[k], int(merged[k].Stages)).
 			Scale(float64(ownJobs[j].Stages))
 	}
-	return emitRules(&p.cyc, &p.arena, p.pipe, reports, ownJobs, shareOf, parallel)
+	return emitRules(&g.cyc, &g.arena, g.pipe, reports, ownJobs, shareOf, parallel)
 }
 
 // emitRules is the one split kernel: it fills the role's arena-backed rule

@@ -55,8 +55,8 @@ func referenceFlatRules(algo controlalg.Algorithm, weights map[uint64]float64,
 	return rules
 }
 
-// referencePeerRules is the pre-arena coordinated-peer compute phase:
-// uniform global split per stage, scaled to the peer's own stage count,
+// referencePeerRules is the pre-arena coordinated compute phase: uniform
+// global split per stage, scaled to the partition's own stage count,
 // then proportional-to-demand within the partition.
 func referencePeerRules(allocs []controlalg.JobAllocation, merged []wire.JobReport,
 	reports []wire.StageReport) map[uint64]wire.Rule {
@@ -210,8 +210,8 @@ func TestComputeFlatRulesEquivalence(t *testing.T) {
 	}
 }
 
-// TestComputePeerRulesEquivalence does the same for the coordinated-peer
-// kernel, with remote peers' aggregates merged into the global view so the
+// TestComputePeerRulesEquivalence does the same for the kernel of a Global
+// with fellows, with a fellow's aggregates merged into the global view so the
 // per-partition share differs from the whole allocation.
 func TestComputePeerRulesEquivalence(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
@@ -225,7 +225,7 @@ func TestComputePeerRulesEquivalence(t *testing.T) {
 		reports, weights, capacity := randomFleet(rng, nStages, nJobs)
 		ownJobs := metrics.AggregateByJob(reports)
 
-		// A remote peer reporting overlapping jobs: the merged view's stage
+		// A fellow reporting overlapping jobs: the merged view's stage
 		// counts exceed the partition's, so shares scale non-trivially.
 		remote := make([]wire.JobReport, 0, nJobs)
 		for j := 1; j <= nJobs; j++ {
@@ -247,13 +247,13 @@ func TestComputePeerRulesEquivalence(t *testing.T) {
 		ref := referencePeerRules(allocs, merged, reports)
 
 		label := fmt.Sprintf("trial %d (stages=%d jobs=%d)", trial, nStages, nJobs)
-		serial := &Peer{}
+		serial := &Global{}
 		serial.init(stageOpts{})
 		serial.arena.Begin()
 		st := serial.computePeerRules(reports, ownJobs, merged, limits(allocs), false)
 		checkAgainst(t, label+" serial", st, ref, reports)
 
-		par := &Peer{}
+		par := &Global{}
 		par.init(stageOpts{})
 		par.arena.Begin()
 		pt := par.computePeerRules(reports, ownJobs, merged, limits(allocs), true)

@@ -60,7 +60,7 @@ const (
 )
 
 // breakerConfig is the per-child circuit-breaker policy shared by the
-// three controller roles.
+// controller roles.
 type breakerConfig struct {
 	// MaxFailures consecutive call errors trip the breaker.
 	MaxFailures int

@@ -20,7 +20,7 @@ import (
 
 // stageOpts is what a role's configuration contributes to its stageCore.
 type stageOpts struct {
-	// who prefixes operational logs: "controller", "aggregator 7", "peer 2".
+	// who prefixes operational logs: "controller", "aggregator 7".
 	who     string
 	network transport.Network
 	// fanMode, par and callTimeout shape every fan-out (see fanOutOpts).
@@ -48,10 +48,10 @@ type stageOpts struct {
 
 // stageCore is everything a controller does towards its children, written
 // once: the membership and its breaker policy, the dial, the accounted
-// fan-outs, the push ingest, the pre-cycle probe/evict/split, the phase and
-// cycle frames, and the two halves of the stage-facing control cycle —
-// gatherReports and enforceStageRules. Global, Aggregator and Peer embed it
-// by value and differ only in what they do between those two halves (see
+// fan-outs, the push ingest, the pre-cycle probe/evict/split, the phase
+// frames, and the two halves of the stage-facing control cycle —
+// gatherReports and enforceStageRules. Global and Aggregator embed it by
+// value and differ only in what they do between those two halves (see
 // DESIGN.md §6).
 //
 // Concurrency: scratch, arena and cyc are cycle-serial — they belong to the
@@ -122,7 +122,7 @@ func (k *stageCore) HealthCheck(ctx context.Context) Health {
 // children: the membership table, per-child connection buffers, and the
 // stage lists behind aggregator children. It implements
 // monitor.MemoryReporter for per-role memory attribution in single-process
-// simulations; Global and Peer add their own tables on top.
+// simulations; the Global adds its own tables on top.
 func (k *stageCore) MemoryFootprint() uint64 {
 	var total uint64
 	for _, c := range k.members.snapshot(nil) {
@@ -330,38 +330,6 @@ func (k *stageCore) busy(start time.Time) {
 	if k.cpu != nil {
 		k.cpu.Add(time.Since(start))
 	}
-}
-
-// runCycle is the frame around one control cycle of a role that drives its
-// own cycles (Global, Peer). Half-open probe RPCs run before the phases and
-// are attributed to the cycle they gate — quarantined children receive no
-// in-phase traffic, so PhaseProbe is the only phase their calls ever carry.
-// tick then advances the role's cycle counter and body runs the phases
-// inside a fresh arena generation: every slab draw reuses last cycle's
-// capacity, and last cycle's rule table is invalidated. The caller records
-// a successful cycle's breakdown; a failed one leaves only its cycle span.
-func (k *stageCore) runCycle(ctx context.Context, probeCycle, probeEpoch uint64,
-	tick func() (cycle, epoch uint64),
-	body func(ctx context.Context, cycle, epoch uint64, active, quarantined []*child) (telemetry.Breakdown, error),
-) (telemetry.Breakdown, error) {
-	k.setPhase(trace.PhaseProbe, probeCycle, probeEpoch)
-	active, quarantined := k.prepareCycle(ctx)
-	if len(active)+len(quarantined) == 0 {
-		return telemetry.Breakdown{}, ErrNoChildren
-	}
-	cycle, epoch := tick()
-	if len(quarantined) > 0 {
-		k.faults.DegradedCycle()
-	}
-	start := time.Now()
-	allocsBefore := telemetry.AllocsNow()
-	k.arena.Begin()
-	b, err := body(ctx, cycle, epoch, active, quarantined)
-	k.pipe.RecordCycleAllocs(telemetry.AllocsNow() - allocsBefore)
-	k.pipe.RecordArena(arenaSnapshot(k.arena.Stats()))
-	b.Total = time.Since(start)
-	k.tracer.RecordCycle(cycle, epoch, uint8(k.fanMode), start, b.Total, err != nil)
-	return b, err
 }
 
 // runLoop executes cycles until ctx ends. A zero interval runs the paper's

@@ -17,7 +17,7 @@ import (
 )
 
 // The stage-facing half of the control cycle — gatherReports and
-// enforceStageRules — is one implementation embedded in three roles, so its
+// enforceStageRules — is one implementation embedded in every role, so its
 // edge cases are checked once, through each role's core, in both regimes.
 
 const (
@@ -67,7 +67,13 @@ var coreRoles = []struct {
 		return &a.stageCore
 	}},
 	{"peer", func(t *testing.T, n *simnet.Net, incremental bool) *stageCore {
-		p, err := StartPeer(PeerConfig{
+		// A Global with a fellow: the coordinated flat design's controller.
+		fellow, err := StartGlobal(GlobalConfig{ID: 101, Network: n.Host("fellow")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fellow.Close() })
+		p, err := StartGlobal(GlobalConfig{
 			ID: 100, Network: n.Host("ctl"), Incremental: incremental, IncrementalFloor: coreFloor,
 			StaleAfter: coreStaleAfter, CallTimeout: 200 * time.Millisecond, MaxFailures: coreMaxFailures,
 			ProbeInterval: 2 * time.Millisecond, MaxProbeInterval: 10 * time.Millisecond,
@@ -76,6 +82,9 @@ var coreRoles = []struct {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { p.Close() })
+		if err := p.AddPeer(context.Background(), fellow.ID(), fellow.Addr()); err != nil {
+			t.Fatal(err)
+		}
 		return &p.stageCore
 	}},
 }

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/controlalg"
+	"github.com/dsrhaslab/sdscale/internal/cyclemem"
+	"github.com/dsrhaslab/sdscale/internal/metrics"
 	"github.com/dsrhaslab/sdscale/internal/monitor"
 	"github.com/dsrhaslab/sdscale/internal/rpc"
 	"github.com/dsrhaslab/sdscale/internal/stage"
@@ -61,7 +63,8 @@ type GlobalConfig struct {
 	ProbeInterval    time.Duration
 	MaxProbeInterval time.Duration
 	// StaleAfter bounds how old a quarantined child's last-known report
-	// may be and still feed a degraded cycle. Zero selects
+	// may be and still feed a degraded cycle, and how long a fellow's
+	// aggregates count without a refresh (see AddPeer). Zero selects
 	// DefaultStaleAfter.
 	StaleAfter time.Duration
 	// EvictAfter, if positive, permanently evicts a child that has been
@@ -119,9 +122,10 @@ type GlobalConfig struct {
 	// starts at 1 and a promoting standby always bumps past the highest
 	// epoch it mirrored.
 	Epoch uint64
-	// ID identifies this controller in quorum vote traffic and StateSync
-	// PrimaryID fields. Controllers in one quorum should carry distinct
-	// IDs; zero is accepted for single-controller deployments.
+	// ID identifies this controller in quorum vote traffic, StateSync
+	// PrimaryID fields and the aggregates it exchanges with fellows.
+	// Controllers in one quorum or one coordinated mesh should carry
+	// distinct IDs; zero is accepted for single-controller deployments.
 	ID uint64
 	// StandbyAddrs lists the registration addresses of every other
 	// controller in the leadership quorum. A primary replicates state to
@@ -178,9 +182,19 @@ func (c GlobalConfig) withDefaults() GlobalConfig {
 
 // Global is the top-level controller. Its children are either stages (flat
 // design) or aggregators (hierarchical design); mixing is rejected.
+//
+// A flat Global with fellows (AddPeer) is one controller of the coordinated
+// flat design the paper's §VI proposes as future work: several flat
+// controllers, each owning a disjoint partition of the stages, that exchange
+// per-job demand aggregates every cycle. Each keeps global visibility while
+// holding only its own partition's connections. The exchange is
+// asynchronous: a cycle pushes its fresh aggregates to every fellow and
+// computes with the newest ones it holds from them, at most one cycle stale.
+// A dead fellow's aggregates age out after StaleAfter, and the stages it
+// managed keep enforcing their last rules.
 type Global struct {
 	// stageCore is the child-facing half of the controller: membership,
-	// breaker, fan-outs, the cycle frame and arena (see core.go).
+	// breaker, fan-outs, the phase frames and arena (see core.go).
 	stageCore
 	cfg      GlobalConfig
 	recorder *telemetry.CycleRecorder
@@ -233,6 +247,17 @@ type Global struct {
 	// shard this controller serves.
 	shardTable func(childID uint64) *wire.ShardMap
 	shardSelf  int
+	// fellows are the coordinated mesh's other controllers, and remote the
+	// newest aggregates each fellow pushed here.
+	fellows map[uint64]*child
+	remote  map[uint64]remoteView
+}
+
+// remoteView is the latest aggregate state received from one fellow.
+type remoteView struct {
+	cycle uint64
+	jobs  []wire.JobReport
+	when  time.Time
 }
 
 // StartGlobal launches a global controller with its registration endpoint
@@ -244,6 +269,8 @@ func StartGlobal(cfg GlobalConfig) (*Global, error) {
 		cfg:      cfg,
 		recorder: telemetry.NewCycleRecorder(),
 		epoch:    cfg.Epoch,
+		fellows:  make(map[uint64]*child),
+		remote:   make(map[uint64]remoteView),
 	}
 	g.jobs.init(cfg.Algorithm, cfg.Capacity)
 	opts := stageOpts{
@@ -357,6 +384,9 @@ func (g *Global) logEvict(id uint64) {
 // Addr returns the registration endpoint address.
 func (g *Global) Addr() string { return g.regSrv.Addr().String() }
 
+// ID returns the controller's configured identifier.
+func (g *Global) ID() uint64 { return g.cfg.ID }
+
 // Recorder returns the controller's cycle-latency recorder.
 func (g *Global) Recorder() *telemetry.CycleRecorder { return g.recorder }
 
@@ -468,6 +498,42 @@ func (g *Global) AttachAggregator(ctx context.Context, id uint64, addr string) e
 	return g.AddAggregator(ctx, id, addr, stages)
 }
 
+// AddPeer makes the controller at addr, identified by id, a fellow of this
+// one in a coordinated flat deployment: every cycle pushes this controller's
+// per-job aggregates to it. A fellow that pushes to a controller that does
+// not know it is added back automatically (auto-mesh), so one-sided
+// configuration suffices.
+func (g *Global) AddPeer(ctx context.Context, id uint64, addr string) error {
+	if id == g.cfg.ID {
+		return fmt.Errorf("controller %d: cannot peer with itself", id)
+	}
+	if err := g.setMode(wire.RoleStage); err != nil {
+		return err
+	}
+	cli, err := g.dial(ctx, addr, id)
+	if err != nil {
+		return fmt.Errorf("controller %d: dial peer %d at %s: %w", g.cfg.ID, id, addr, err)
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if _, dup := g.fellows[id]; dup {
+		cli.Close()
+		return fmt.Errorf("controller %d: duplicate peer ID %d", g.cfg.ID, id)
+	}
+	c := &child{info: stage.Info{ID: id, Addr: addr}, role: wire.RoleGlobal}
+	c.cli.Store(cli)
+	g.fellows[id] = c
+	return nil
+}
+
+// NumPeers returns the number of fellows this controller exchanges
+// aggregates with.
+func (g *Global) NumPeers() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.fellows)
+}
+
 // RemoveChild evicts a child by ID, closing its connection.
 func (g *Global) RemoveChild(id uint64) bool {
 	c := g.members.remove(id)
@@ -479,14 +545,18 @@ func (g *Global) RemoveChild(id uint64) bool {
 	return true
 }
 
-// serveRegistration handles the dynamic-membership endpoint: stages (and,
-// in hierarchical mode, aggregators) register, the controller dials them
-// back and adds them to the control plane. The same endpoint carries the
-// primary→standby StateSync stream.
+// serveRegistration handles the dynamic-membership endpoint: stages
+// register, the controller dials them back and adds them to the control
+// plane. The same endpoint carries the primary→standby StateSync stream and
+// the fellows' aggregate exchange.
 func (g *Global) serveRegistration(peer *rpc.Peer, req wire.Message) (wire.Message, error) {
 	switch m := req.(type) {
 	case *wire.Register:
 		return g.handleRegister(m)
+	case *wire.PeerExchange:
+		return g.handlePeerExchange(m), nil
+	case *wire.StageList:
+		return &wire.StageListReply{Stages: g.stageEntries()}, nil
 	case *wire.StateSync:
 		return g.handleStateSync(m)
 	case *wire.VoteRequest:
@@ -523,37 +593,46 @@ func (g *Global) handleRegister(m *wire.Register) (wire.Message, error) {
 		}
 		return &wire.RegisterAck{ID: m.ID, Epoch: g.Epoch()}, nil
 	}
-	switch m.Role {
-	case wire.RoleStage:
-		// In a sharded deployment the shard table decides who may adopt
-		// this child. Without the guard, a registration retry that lags a
-		// completed handoff would re-add the child here while the
-		// destination shard owns it at a higher epoch — the child would
-		// fence this shard's every call, reading as a deposition.
-		if owner, ok := g.shardOwner(m.ID); !ok {
-			return nil, &wire.ErrorReply{Code: wire.CodeNotLeader,
-				Text: fmt.Sprintf("stage %d belongs to shard %d", m.ID, owner), Epoch: epoch}
-		}
-		info := stage.Info{ID: m.ID, JobID: m.JobID, Weight: m.Weight, Addr: m.Addr}
-		if err := g.AddStage(ctx, info); err != nil {
-			return nil, err
-		}
-	case wire.RoleAggregator:
-		// Aggregators join dynamically only once the control plane is
-		// already hierarchical (a promoted standby whose mirror held
-		// aggregators): a fresh global does not let a child pick its
-		// topology.
-		if g.Mode() != wire.RoleAggregator {
-			return nil, &wire.ErrorReply{Code: wire.CodeBadMessage, Text: "only stages may register dynamically"}
-		}
-		if err := g.AttachAggregator(ctx, m.ID, m.Addr); err != nil {
-			return nil, err
-		}
-	default:
+	if m.Role != wire.RoleStage {
 		return nil, &wire.ErrorReply{Code: wire.CodeBadMessage, Text: "only stages may register dynamically"}
+	}
+	// In a sharded deployment the shard table decides who may adopt this
+	// child. Without the guard, a registration retry that lags a completed
+	// handoff would re-add the child here while the destination shard owns
+	// it at a higher epoch — the child would fence this shard's every call,
+	// reading as a deposition.
+	if owner, ok := g.shardOwner(m.ID); !ok {
+		return nil, &wire.ErrorReply{Code: wire.CodeNotLeader,
+			Text: fmt.Sprintf("stage %d belongs to shard %d", m.ID, owner), Epoch: epoch}
+	}
+	info := stage.Info{ID: m.ID, JobID: m.JobID, Weight: m.Weight, Addr: m.Addr}
+	if err := g.AddStage(ctx, info); err != nil {
+		return nil, err
 	}
 	g.logf("controller: %s %d registered from %s", m.Role, m.ID, m.Addr)
 	return &wire.RegisterAck{ID: m.ID, Epoch: g.Epoch()}, nil
+}
+
+// handlePeerExchange keeps a fellow's newest aggregates for the next cycle's
+// compute. A sender this controller does not know is dialed back (auto-mesh),
+// so this controller's aggregates reach it too.
+func (g *Global) handlePeerExchange(m *wire.PeerExchange) wire.Message {
+	g.mu.Lock()
+	if m.Cycle >= g.remote[m.PeerID].cycle {
+		g.remote[m.PeerID] = remoteView{cycle: m.Cycle, jobs: m.Jobs, when: time.Now()}
+	}
+	_, known := g.fellows[m.PeerID]
+	g.mu.Unlock()
+	if !known && m.Addr != "" && m.PeerID != g.cfg.ID {
+		ctx, cancel := context.WithTimeout(context.Background(), g.cfg.CallTimeout)
+		if err := g.AddPeer(ctx, m.PeerID, m.Addr); err != nil {
+			g.logf("controller %d: auto-mesh with %d at %s: %v", g.cfg.ID, m.PeerID, m.Addr, err)
+		} else {
+			g.logf("controller %d: auto-meshed with peer %d at %s", g.cfg.ID, m.PeerID, m.Addr)
+		}
+		cancel()
+	}
+	return &wire.PeerExchangeAck{Cycle: m.Cycle, PeerID: g.cfg.ID}
 }
 
 // noteCallError is the core's failed-call hook: a child that fenced the call
@@ -648,21 +727,38 @@ func (g *Global) RunCycle(ctx context.Context) (telemetry.Breakdown, error) {
 	}
 	probeCycle, probeEpoch := g.cycle+1, g.epoch
 	g.mu.Unlock()
-	var mode wire.Role
-	b, err := g.runCycle(ctx, probeCycle, probeEpoch,
-		func() (cycle, epoch uint64) {
-			g.mu.Lock()
-			defer g.mu.Unlock()
-			g.cycle++
-			mode = g.mode
-			return g.cycle, g.epoch
-		},
-		func(ctx context.Context, cycle, epoch uint64, active, quarantined []*child) (telemetry.Breakdown, error) {
-			if mode == wire.RoleAggregator {
-				return g.runHierarchicalCycle(ctx, cycle, epoch, active, quarantined)
-			}
-			return g.runFlatCycle(ctx, cycle, epoch, active, quarantined)
-		})
+	// Half-open probe RPCs run before the phases and are attributed to the
+	// cycle they gate: quarantined children receive no in-phase traffic, so
+	// PhaseProbe is the only phase their calls ever carry.
+	g.setPhase(trace.PhaseProbe, probeCycle, probeEpoch)
+	active, quarantined := g.prepareCycle(ctx)
+	if len(active)+len(quarantined) == 0 {
+		return telemetry.Breakdown{}, ErrNoChildren
+	}
+	g.mu.Lock()
+	g.cycle++
+	cycle, epoch, mode := g.cycle, g.epoch, g.mode
+	g.mu.Unlock()
+	if len(quarantined) > 0 {
+		g.faults.DegradedCycle()
+	}
+	// The phases run inside a fresh arena generation: every slab draw reuses
+	// last cycle's capacity, and last cycle's rule table is invalidated. A
+	// failed cycle is traced but not recorded.
+	start := time.Now()
+	allocsBefore := telemetry.AllocsNow()
+	g.arena.Begin()
+	var b telemetry.Breakdown
+	var err error
+	if mode == wire.RoleAggregator {
+		b, err = g.runHierarchicalCycle(ctx, cycle, epoch, active, quarantined)
+	} else {
+		b, err = g.runFlatCycle(ctx, cycle, epoch, active, quarantined)
+	}
+	g.pipe.RecordCycleAllocs(telemetry.AllocsNow() - allocsBefore)
+	g.pipe.RecordArena(arenaSnapshot(g.arena.Stats()))
+	b.Total = time.Since(start)
+	g.tracer.RecordCycle(cycle, epoch, uint8(g.fanMode), start, b.Total, err != nil)
 	if err != nil {
 		return b, err
 	}
@@ -679,18 +775,35 @@ func (g *Global) RunCycle(ctx context.Context) (telemetry.Breakdown, error) {
 
 // runFlatCycle: gather the stages' reports, compute, enforce one rule per
 // stage that reported (see DESIGN.md §6 for what Incremental,
-// DeltaEnforcement and FanOutMode select inside the two shared halves). In
-// incremental mode, when nothing is dirty, membership has not changed, and a
-// full compute+enforce pass already ran, the cycle short-circuits entirely:
-// the rules the stages hold are still exactly the rules this cycle would
-// compute.
+// DeltaEnforcement and FanOutMode select inside the two shared halves).
+//
+// Without fellows, in incremental mode, when nothing is dirty, membership has
+// not changed, and a full compute+enforce pass already ran, the cycle
+// short-circuits entirely: the rules the stages hold are still exactly the
+// rules this cycle would compute. With fellows the cycle never idles: the
+// collect phase also pushes this partition's per-job aggregates to every
+// fellow, whose views age out unless refreshed, and the compute runs over
+// the merged view (mergeFellowViews, computePeerRules).
 func (g *Global) runFlatCycle(ctx context.Context, cycle, epoch uint64, children, quarantined []*child) (telemetry.Breakdown, error) {
 	var b telemetry.Breakdown
 	memberEpoch := g.members.currentEpoch()
+	g.mu.Lock()
+	fellows := make([]*child, 0, len(g.fellows))
+	for _, c := range g.fellows {
+		fellows = append(fellows, c)
+	}
+	g.mu.Unlock()
 
 	ph := g.beginPhase(trace.PhaseCollect, cycle, epoch)
 	reports, idle := g.gatherReports(ctx, wire.Collect{Cycle: cycle, WindowMicros: 1_000_000, Epoch: epoch},
-		children, quarantined, g.incrReady && g.incrMembers == memberEpoch)
+		children, quarantined, len(fellows) == 0 && g.incrReady && g.incrMembers == memberEpoch)
+	var ownJobs []wire.JobReport
+	if len(fellows) > 0 {
+		start := time.Now()
+		ownJobs = metrics.AggregateByJob(reports)
+		g.busy(start)
+		g.exchange(ctx, cycle, fellows, ownJobs)
+	}
 	b.Collect = g.endPhase(ph)
 	if idle {
 		g.pipe.AddSuppressedEnforces(uint64(len(children)))
@@ -702,7 +815,14 @@ func (g *Global) runFlatCycle(ctx context.Context, cycle, epoch uint64, children
 	// The blocking fan-out pins the single-threaded kernel the paper's
 	// prototype implies.
 	ph = g.beginPhase(trace.PhaseCompute, cycle, epoch)
-	rules := g.computeFlatRules(reports, g.cfg.FanOutMode == FanOutPipelined)
+	parallel := g.cfg.FanOutMode == FanOutPipelined
+	var rules *cyclemem.RuleTable
+	if len(fellows) > 0 {
+		merged := g.mergeFellowViews(ownJobs, ph.start)
+		rules = g.computePeerRules(reports, ownJobs, merged, g.jobs.allocate(merged), parallel)
+	} else {
+		rules = g.computeFlatRules(reports, parallel)
+	}
 	g.busy(ph.start)
 	b.Compute = g.endPhase(ph)
 
@@ -711,6 +831,25 @@ func (g *Global) runFlatCycle(ctx context.Context, cycle, epoch uint64, children
 	b.Enforce = g.endPhase(ph)
 	g.incrReady, g.incrMembers = true, memberEpoch
 	return b, ctx.Err()
+}
+
+// exchange pushes this cycle's aggregates to every fellow; their cycles pick
+// them up. Every fellow receives the same aggregates, so the exchange is
+// marshaled once into a shared frame. A fellow whose connection has died is
+// redialed first, as the sweep redials a child. It stays fire-and-forget: a
+// failed push just leaves the fellow computing on aggregates one cycle
+// staler.
+func (g *Global) exchange(ctx context.Context, cycle uint64, fellows []*child, ownJobs []wire.JobReport) {
+	f := rpc.NewSharedFrame(&wire.PeerExchange{Cycle: cycle, PeerID: g.cfg.ID, Addr: g.Addr(), Jobs: ownJobs})
+	rpc.Scatter(ctx, len(fellows), g.par, func(i int) {
+		g.redial(ctx, fellows[i])
+		cctx, cancel := context.WithTimeout(ctx, g.callTimeout)
+		fellows[i].client().GoShared(cctx, f).Wait(cctx)
+		cancel()
+	})
+	f.Release()
+	g.pipe.AddSharedSends(uint64(len(fellows)))
+	g.pipe.AddSharedEncodes(f.Encodes())
 }
 
 // runHierarchicalCycle: collect pre-aggregated reports from active
@@ -782,6 +921,23 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 	return b, ctx.Err()
 }
 
+// mergeFellowViews merges this partition's per-job rows with every fellow's
+// view younger than StaleAfter at now. An older view is a dead fellow's
+// demand: it is dropped and stops influencing allocations.
+func (g *Global) mergeFellowViews(ownJobs []wire.JobReport, now time.Time) []wire.JobReport {
+	groups := [][]wire.JobReport{ownJobs}
+	g.mu.Lock()
+	for id, v := range g.remote {
+		if now.Sub(v.when) > g.breaker.StaleAfter {
+			delete(g.remote, id)
+			continue
+		}
+		groups = append(groups, v.jobs)
+	}
+	g.mu.Unlock()
+	return metrics.MergeJobReports(groups...)
+}
+
 // Run executes control cycles until ctx ends. A zero interval runs the
 // paper's stress workload (back-to-back cycles); otherwise each cycle
 // starts interval after the previous one started. A standby first waits
@@ -797,16 +953,23 @@ func (g *Global) Run(ctx context.Context, interval time.Duration) error {
 }
 
 // MemoryFootprint estimates the controller's state size in bytes: the
-// child-facing state plus the per-child rule scratch and the job table.
+// child-facing state plus the per-child rule scratch, the job table, and the
+// fellows' connections and aggregates.
 func (g *Global) MemoryFootprint() uint64 {
+	total := g.stageCore.MemoryFootprint() + uint64(g.members.size())*footprintPerStage
+	g.mu.Lock()
+	total += uint64(len(g.fellows)) * footprintPerChild
+	for _, v := range g.remote {
+		total += uint64(len(v.jobs)) * footprintPerJob
+	}
+	g.mu.Unlock()
 	g.jobs.mu.Lock()
 	defer g.jobs.mu.Unlock()
-	return g.stageCore.MemoryFootprint() + uint64(g.members.size())*footprintPerStage +
-		uint64(len(g.jobs.weights))*footprintPerJob
+	return total + uint64(len(g.jobs.weights))*footprintPerJob
 }
 
-// Close stops the state-sync loop, severs all child connections, stops the
-// registration endpoint, and flushes and closes the store (if any).
+// Close stops the state-sync loop, severs all child and fellow connections,
+// stops the registration endpoint, and flushes and closes the store (if any).
 func (g *Global) Close() error {
 	g.mu.Lock()
 	syncCancel, syncDone := g.syncCancel, g.syncDone
@@ -816,6 +979,12 @@ func (g *Global) Close() error {
 		<-syncDone
 	}
 	g.members.closeAll()
+	g.mu.Lock()
+	for _, c := range g.fellows {
+		c.retire()
+	}
+	clear(g.fellows)
+	g.mu.Unlock()
 	err := g.regSrv.Close()
 	if g.cfg.Store != nil {
 		if serr := g.cfg.Store.Close(); err == nil {

@@ -17,7 +17,7 @@ import (
 // through Global: push sequence ordering, the quiesced fast path, pushes
 // racing quarantine and readmission, re-registration invalidation, and a
 // -race stress of concurrent pushes against in-flight cycles. The collect-set
-// and report-source cases shared by all three roles (heartbeat-floor expiry
+// and report-source cases shared by every role (heartbeat-floor expiry
 // among them) are in core_test.go.
 
 // startPushStages is startStages with the event-driven push pipeline turned

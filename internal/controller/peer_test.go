@@ -15,14 +15,14 @@ import (
 	"github.com/dsrhaslab/sdscale/internal/workload"
 )
 
-// buildPeers assembles nPeers coordinated controllers over the given
-// stages, partitioned round-robin, in a full mesh.
-func buildPeers(t *testing.T, n *simnet.Net, stages []*stage.Virtual, nPeers int, capacity wire.Rates) []*Peer {
+// buildPeers assembles nPeers coordinated controllers — flat Globals with
+// fellows — over the given stages, partitioned round-robin, in a full mesh.
+func buildPeers(t *testing.T, n *simnet.Net, stages []*stage.Virtual, nPeers int, capacity wire.Rates) []*Global {
 	t.Helper()
 	ctx := context.Background()
-	peers := make([]*Peer, nPeers)
+	peers := make([]*Global, nPeers)
 	for i := range peers {
-		p, err := StartPeer(PeerConfig{
+		p, err := StartGlobal(GlobalConfig{
 			ID:       uint64(i + 1),
 			Network:  n.Host(fmt.Sprintf("peer-%d", i+1)),
 			Capacity: capacity,
@@ -126,9 +126,9 @@ func TestCoordinatedStaleAggregatesAgeOut(t *testing.T) {
 	stages := startStages(t, net, 4, 1, wire.Rates{1000, 0})
 	ctx := context.Background()
 
-	peers := make([]*Peer, 2)
+	peers := make([]*Global, 2)
 	for i := range peers {
-		p, err := StartPeer(PeerConfig{
+		p, err := StartGlobal(GlobalConfig{
 			ID:         uint64(i + 1),
 			Network:    net.Host(fmt.Sprintf("peer-%d", i+1)),
 			Capacity:   wire.Rates{2000, 0},
@@ -169,9 +169,80 @@ func TestCoordinatedStaleAggregatesAgeOut(t *testing.T) {
 	}
 }
 
+// TestCoordinatedIncrementalNeverIdles: a Global with fellows never takes the
+// flat cycle's incremental short-circuit. The fleet is quiet — constant
+// demand, no pushes, so nothing is ever dirty and a stage is re-collected
+// only when its cache nears StaleAfter — yet every cycle must push a
+// PeerExchange, and over a run longer than StaleAfter neither controller's
+// view of the other may age out: every stage keeps the global-view limit.
+func TestCoordinatedIncrementalNeverIdles(t *testing.T) {
+	const (
+		staleAfter = 300 * time.Millisecond
+		interval   = 30 * time.Millisecond
+		rounds     = 14 // rounds × interval > staleAfter
+	)
+	net := fastNet()
+	stages := startStages(t, net, 4, 1, wire.Rates{1000, 0})
+	ctx := context.Background()
+	peers := make([]*Global, 2)
+	for i := range peers {
+		p, err := StartGlobal(GlobalConfig{
+			ID:               uint64(i + 1),
+			Network:          net.Host(fmt.Sprintf("peer-%d", i+1)),
+			Capacity:         wire.Rates{2000, 0},
+			Incremental:      true,
+			IncrementalFloor: staleAfter - 50*time.Millisecond,
+			StaleAfter:       staleAfter,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		peers[i] = p
+	}
+	for i, v := range stages {
+		if err := peers[i%2].AddStage(ctx, v.Info()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range peers {
+		if err := p.AddPeer(ctx, peers[1-i].ID(), peers[1-i].Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for round := uint64(1); round <= rounds; round++ {
+		for i, p := range peers {
+			if _, err := p.RunCycle(ctx); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			q := peers[1-i]
+			q.mu.Lock()
+			got := q.remote[p.ID()].cycle
+			q.mu.Unlock()
+			if got != round {
+				t.Fatalf("round %d: controller %d holds controller %d's aggregates of cycle %d, want a PeerExchange every cycle",
+					round, q.ID(), p.ID(), got)
+			}
+		}
+		if round > 1 { // round 1: controller 1 computed before controller 2's first push
+			for i, v := range stages {
+				if r, ok := v.LastRule(); !ok || math.Abs(r.Limit[wire.ClassData]-500) > 1e-6 {
+					t.Fatalf("round %d: stage %d rule %+v (%v), want the 500 global-view limit: a fellow's view aged out",
+						round, i, r.Limit, ok)
+				}
+			}
+		}
+		time.Sleep(interval)
+	}
+	if st := peers[0].Stats(); st.Peers != 1 {
+		t.Errorf("Stats().Peers = %d, want 1", st.Peers)
+	}
+}
+
 func TestPeerDynamicRegistration(t *testing.T) {
 	net := fastNet()
-	p, err := StartPeer(PeerConfig{ID: 1, Network: net.Host("peer-1"), Capacity: wire.Rates{100, 10}})
+	p, err := StartGlobal(GlobalConfig{ID: 1, Network: net.Host("peer-1"), Capacity: wire.Rates{100, 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +289,12 @@ func TestPeerStageListQuery(t *testing.T) {
 
 func TestPeerRejectsSelfAndDuplicates(t *testing.T) {
 	net := fastNet()
-	p, err := StartPeer(PeerConfig{ID: 1, Network: net.Host("peer-1"), Capacity: wire.Rates{1, 1}})
+	p, err := StartGlobal(GlobalConfig{ID: 1, Network: net.Host("peer-1"), Capacity: wire.Rates{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	q, err := StartPeer(PeerConfig{ID: 2, Network: net.Host("peer-2"), Capacity: wire.Rates{1, 1}})
+	q, err := StartGlobal(GlobalConfig{ID: 2, Network: net.Host("peer-2"), Capacity: wire.Rates{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +314,7 @@ func TestPeerRejectsSelfAndDuplicates(t *testing.T) {
 
 func TestPeerNoStages(t *testing.T) {
 	net := fastNet()
-	p, err := StartPeer(PeerConfig{ID: 1, Network: net.Host("peer-1"), Capacity: wire.Rates{1, 1}})
+	p, err := StartGlobal(GlobalConfig{ID: 1, Network: net.Host("peer-1"), Capacity: wire.Rates{1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

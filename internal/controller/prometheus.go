@@ -36,19 +36,6 @@ func (a *Aggregator) WritePrometheus(w io.Writer) error {
 	return telemetry.PromFaults(w, "sdscale_controller_fault", a.faults, labels...)
 }
 
-// WritePrometheus renders the peer's counters and histograms; see
-// (*Global).WritePrometheus.
-func (p *Peer) WritePrometheus(w io.Writer) error {
-	labels := []string{"controller", "peer"}
-	if err := promStats(w, labels, p.Stats()); err != nil {
-		return err
-	}
-	if err := telemetry.PromFaults(w, "sdscale_controller_fault", p.faults, labels...); err != nil {
-		return err
-	}
-	return promRecorder(w, labels, p.recorder)
-}
-
 func promStats(w io.Writer, labels []string, st ControllerStats) error {
 	gauges := []struct {
 		name  string
@@ -78,7 +65,6 @@ func promStats(w io.Writer, labels []string, st ControllerStats) error {
 		{"sdscale_controller_call_errors_total", st.CallErrors},
 		{"sdscale_controller_evictions_total", st.Evictions},
 		{"sdscale_controller_fenced_calls_total", st.FencedCalls},
-		{"sdscale_controller_rehomes_total", st.ReHomes},
 	}
 	for _, c := range counters {
 		if err := telemetry.PromCounter(w, c.name, c.value, labels...); err != nil {

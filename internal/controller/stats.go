@@ -7,8 +7,8 @@ import (
 
 // ControllerStats is a point-in-time snapshot of a controller's operational
 // state: membership, breaker health, leadership, and fan-out pipeline
-// telemetry. It is the one-call observability surface shared by Global,
-// Aggregator, and Peer.
+// telemetry. It is the one-call observability surface shared by Global and
+// Aggregator.
 //
 // Consistency: Stats is safe to call at any time, including from another
 // goroutine while a control cycle is running, but the snapshot is only
@@ -25,8 +25,8 @@ type ControllerStats struct {
 	// aggregators); Stages is the stage population reached through them.
 	Children int
 	Stages   int
-	// Peers is the number of fellow controllers in the coordinated flat
-	// design; zero for the other controller kinds.
+	// Peers is the number of fellows of a Global in the coordinated flat
+	// design (see Global.AddPeer); zero otherwise.
 	Peers int
 	// Quarantined counts children currently behind a tripped circuit
 	// breaker; QuarantinedIDs lists them.
@@ -43,9 +43,6 @@ type ControllerStats struct {
 	// FencedCalls counts epoch-fencing events: stale-epoch rejections this
 	// controller received (Global) or issued (Aggregator).
 	FencedCalls uint64
-	// ReHomes counts re-registrations with a new parent after upstream
-	// silence (Aggregator only).
-	ReHomes uint64
 	// Faults digests the fault-tolerance counters (quarantines,
 	// readmissions, probes, degraded cycles, stale-report ages, ...).
 	Faults telemetry.FaultSummary
@@ -63,6 +60,7 @@ func (g *Global) Stats() ControllerStats {
 	st.Stages = g.NumStages()
 	st.Epoch = g.Epoch()
 	st.FencedCalls = g.faults.FencedCalls()
+	st.Peers = g.NumPeers()
 	if g.cfg.Store != nil {
 		ss := g.cfg.Store.Stats()
 		st.Store = &ss
@@ -74,14 +72,7 @@ func (g *Global) Stats() ControllerStats {
 func (a *Aggregator) Stats() ControllerStats {
 	st := a.snapshot()
 	a.mu.Lock()
-	st.Epoch, st.FencedCalls, st.ReHomes = a.epoch, a.fencedCalls, a.rehomes
+	st.Epoch, st.FencedCalls = a.epoch, a.fencedCalls
 	a.mu.Unlock()
-	return st
-}
-
-// Stats snapshots the peer's operational state.
-func (p *Peer) Stats() ControllerStats {
-	st := p.snapshot()
-	st.Peers = p.NumPeers()
 	return st
 }

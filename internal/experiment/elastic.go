@@ -128,16 +128,23 @@ func Elastic(ctx context.Context, o Options) (ElasticResult, error) {
 	}
 
 	// Healthy baseline: measure p90 at the initial shape and derive the SLO
-	// between it and the doubled-fleet level.
-	samples := make([]time.Duration, 0, elasticBaselineCycles)
+	// between it and the doubled-fleet level. The baseline is the lowest
+	// p90 of elasticBaselineCycles/elasticWindow windows: a load burst from
+	// another process can inflate a window's p90 but never deflate it, and
+	// an inflated SLO would let the doubled fleet pass under it.
+	samples := make([]time.Duration, 0, elasticWindow)
 	for i := 0; i < elasticBaselineCycles; i++ {
 		bd, err := c.RunControlCycle(ctx)
 		if err != nil {
 			return r, fmt.Errorf("experiment elastic: baseline: %w", err)
 		}
-		samples = append(samples, bd.Total)
+		if samples = append(samples, bd.Total); len(samples) == elasticWindow {
+			if p90 := nearestRankP90(samples); r.BaselineP90 == 0 || p90 < r.BaselineP90 {
+				r.BaselineP90 = p90
+			}
+			samples = samples[:0]
+		}
 	}
-	r.BaselineP90 = nearestRankP90(samples)
 	r.SLO = time.Duration(float64(r.BaselineP90) * elasticSLOFactor)
 
 	el, err := elastic.New(elastic.Config{

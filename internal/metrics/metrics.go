@@ -99,63 +99,6 @@ func (c *RateCounter) Total(now time.Time) float64 {
 	return total
 }
 
-// EWMA is an exponentially weighted moving average with a configurable time
-// constant. Controllers use it to smooth per-job demand so the PSFA
-// algorithm doesn't chase single-cycle noise.
-type EWMA struct {
-	mu       sync.Mutex
-	tau      time.Duration
-	value    float64
-	lastSeen time.Time
-	primed   bool
-}
-
-// NewEWMA creates an average with time constant tau: a step change in input
-// reaches ~63% of its final value after tau.
-func NewEWMA(tau time.Duration) *EWMA {
-	if tau <= 0 {
-		tau = time.Second
-	}
-	return &EWMA{tau: tau}
-}
-
-// Update folds a new sample observed at now into the average.
-func (e *EWMA) Update(now time.Time, sample float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.primed {
-		e.value = sample
-		e.primed = true
-		e.lastSeen = now
-		return
-	}
-	dt := now.Sub(e.lastSeen)
-	if dt <= 0 {
-		// Same-instant samples average in with a nominal small weight.
-		e.value += (sample - e.value) * 0.1
-		return
-	}
-	// alpha = 1 - exp(-dt/tau), approximated by dt/(dt+tau) to stay in
-	// (0,1) without importing math for Exp on the hot path.
-	alpha := float64(dt) / float64(dt+e.tau)
-	e.value += (sample - e.value) * alpha
-	e.lastSeen = now
-}
-
-// Value returns the current average (zero before the first sample).
-func (e *EWMA) Value() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.value
-}
-
-// Primed reports whether at least one sample has been folded in.
-func (e *EWMA) Primed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.primed
-}
-
 // AggregateByJob sums per-stage reports into per-job aggregates, the
 // transformation an aggregator controller applies before replying to the
 // global controller. The result is sorted by JobID so payloads are

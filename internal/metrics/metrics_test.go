@@ -76,69 +76,6 @@ func TestRateCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestEWMAConvergence(t *testing.T) {
-	e := NewEWMA(time.Second)
-	base := time.Now()
-	e.Update(base, 0)
-	// Feed a constant 100 for many time constants; must converge.
-	for i := 1; i <= 100; i++ {
-		e.Update(base.Add(time.Duration(i)*200*time.Millisecond), 100)
-	}
-	if v := e.Value(); math.Abs(v-100) > 1 {
-		t.Errorf("EWMA = %g, want ~100", v)
-	}
-}
-
-func TestEWMAFirstSamplePrimes(t *testing.T) {
-	e := NewEWMA(time.Second)
-	if e.Primed() {
-		t.Error("new EWMA reports primed")
-	}
-	e.Update(time.Now(), 42)
-	if !e.Primed() {
-		t.Error("EWMA not primed after first sample")
-	}
-	if v := e.Value(); v != 42 {
-		t.Errorf("first sample = %g, want 42", v)
-	}
-}
-
-func TestEWMASameInstant(t *testing.T) {
-	e := NewEWMA(time.Second)
-	now := time.Now()
-	e.Update(now, 0)
-	e.Update(now, 100) // dt == 0 must not divide by zero or jump fully
-	v := e.Value()
-	if v <= 0 || v >= 100 {
-		t.Errorf("same-instant update = %g, want in (0, 100)", v)
-	}
-}
-
-func TestEWMABoundedProperty(t *testing.T) {
-	// The average always stays within the min/max of its inputs.
-	f := func(samples []float64) bool {
-		if len(samples) == 0 {
-			return true
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		e := NewEWMA(time.Second)
-		now := time.Now()
-		for i, s := range samples {
-			if math.IsNaN(s) || math.Abs(s) > 1e100 {
-				return true // skip degenerate inputs where FP rounding dominates
-			}
-			lo = math.Min(lo, s)
-			hi = math.Max(hi, s)
-			e.Update(now.Add(time.Duration(i)*time.Millisecond), s)
-		}
-		v := e.Value()
-		return v >= lo-1e-9 && v <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAggregateByJob(t *testing.T) {
 	reports := []wire.StageReport{
 		{StageID: 1, JobID: 10, Demand: wire.Rates{100, 10}, Usage: wire.Rates{90, 9}},

@@ -18,11 +18,3 @@ func StaleEpochError(err error) (current uint64, ok bool) {
 	}
 	return 0, false
 }
-
-// NotLeaderError reports whether err is (or wraps) a remote not-leader
-// rejection from an unpromoted standby. Unlike a stale epoch it is
-// retryable: the caller should try the next address on its parent list.
-func NotLeaderError(err error) bool {
-	var er *wire.ErrorReply
-	return errors.As(err, &er) && er.Code == wire.CodeNotLeader
-}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/dsrhaslab/sdscale/internal/monitor"
 	"github.com/dsrhaslab/sdscale/internal/telemetry"
 	"github.com/dsrhaslab/sdscale/internal/trace"
 	"github.com/dsrhaslab/sdscale/internal/transport"
@@ -90,9 +89,6 @@ func (p *Peer) Push(m wire.Message) error {
 type ServerOptions struct {
 	// Meter, if non-nil, is charged with all accepted connections' traffic.
 	Meter *transport.Meter
-	// CPU, if non-nil, is charged with request handling and response
-	// marshal/write time (but not with time blocked waiting for requests).
-	CPU *monitor.CPUMeter
 	// Logf, if non-nil, receives connection-level error logs.
 	Logf func(format string, args ...any)
 	// OnDisconnect, if non-nil, runs when a peer's connection ends.
@@ -383,10 +379,6 @@ func (c *srvConn) frame(h frameHeader, body []byte) error {
 // any.
 func (c *srvConn) respond(id uint64, req wire.Message, arrivedNs int64) error {
 	s, peer := c.s, c.peer
-	var untrack func()
-	if s.opts.CPU != nil {
-		untrack = s.opts.CPU.Track()
-	}
 	resp := s.dispatch(peer, req)
 	var handlerDoneNs int64
 	if arrivedNs != 0 {
@@ -405,9 +397,6 @@ func (c *srvConn) respond(id uint64, req wire.Message, arrivedNs int64) error {
 	}
 	if s.opts.RecycleReply != nil {
 		s.opts.RecycleReply(resp)
-	}
-	if untrack != nil {
-		untrack()
 	}
 	if arrivedNs != 0 {
 		endNs := time.Now().UnixNano()

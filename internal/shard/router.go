@@ -343,15 +343,14 @@ type Stats struct {
 	// shard. Fault and pipeline digests live here — they do not merge
 	// meaningfully across shards.
 	Shards []controller.ControllerStats
-	// Children, Stages, Quarantined, CallErrors, Evictions, FencedCalls
-	// and ReHomes are fleet-wide sums over the shards.
+	// Children, Stages, Quarantined, CallErrors, Evictions and
+	// FencedCalls are fleet-wide sums over the shards.
 	Children    int
 	Stages      int
 	Quarantined int
 	CallErrors  uint64
 	Evictions   uint64
 	FencedCalls uint64
-	ReHomes     uint64
 	// MaxEpoch is the highest leadership epoch any shard leads with.
 	MaxEpoch uint64
 	// Moves and Rebalances count completed child handoffs and rebalance
@@ -373,7 +372,6 @@ func (r *Router) Stats() Stats {
 		st.CallErrors += cs.CallErrors
 		st.Evictions += cs.Evictions
 		st.FencedCalls += cs.FencedCalls
-		st.ReHomes += cs.ReHomes
 		if cs.Epoch > st.MaxEpoch {
 			st.MaxEpoch = cs.Epoch
 		}
@@ -382,10 +380,6 @@ func (r *Router) Stats() Stats {
 	st.Rebalances = r.rebalances.Load()
 	return st
 }
-
-// Describe returns the deployment's shard table — the routing metadata a
-// ShardQuery answer carries.
-func (r *Router) Describe() *wire.ShardMap { return r.describe(0) }
 
 // describe builds a fresh ShardMap (handlers overlay their own epoch on the
 // reply, so the map must not be shared). childID nonzero also resolves the

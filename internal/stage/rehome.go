@@ -95,9 +95,6 @@ func (f *fence) contact() time.Time {
 
 // RegisterOptions tunes the retry behaviour of RegisterAny.
 type RegisterOptions struct {
-	// Role to register as. Zero selects RoleStage; aggregators re-homing
-	// to a standby global pass RoleAggregator.
-	Role wire.Role
 	// Attempts is the number of passes over the address list before giving
 	// up. Zero selects DefaultRegisterAttempts; negative values retry until
 	// the context is done.
@@ -119,9 +116,6 @@ const (
 )
 
 func (o RegisterOptions) withDefaults() RegisterOptions {
-	if o.Role == 0 {
-		o.Role = wire.RoleStage
-	}
 	if o.Attempts == 0 {
 		o.Attempts = DefaultRegisterAttempts
 	}
@@ -134,7 +128,7 @@ func (o RegisterOptions) withDefaults() RegisterOptions {
 	return o
 }
 
-// RegisterAny announces a component to the first reachable parent on addrs,
+// RegisterAny announces a stage to the first reachable parent on addrs,
 // retrying with exponential backoff and jitter across passes. A stage that
 // boots before its controller therefore registers as soon as the controller
 // comes up, and an orphaned child walks the list until it finds the current
@@ -157,7 +151,7 @@ func RegisterAny(ctx context.Context, network transport.Network, addrs []string,
 			}
 		}
 		for _, addr := range addrs {
-			ack, err := registerOnce(ctx, network, addr, info, opts.Role)
+			ack, err := registerOnce(ctx, network, addr, info)
 			if err == nil {
 				return ack, nil
 			}
@@ -177,14 +171,14 @@ func RegisterAny(ctx context.Context, network transport.Network, addrs []string,
 // connection. The transient connection mirrors real deployments, where
 // registration must not consume one of the controller's scarce long-lived
 // connection slots.
-func registerOnce(ctx context.Context, network transport.Network, addr string, info Info, role wire.Role) (*wire.RegisterAck, error) {
+func registerOnce(ctx context.Context, network transport.Network, addr string, info Info) (*wire.RegisterAck, error) {
 	cli, err := rpc.Dial(ctx, network, addr, rpc.DialOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("stage %d: register dial %s: %w", info.ID, addr, err)
 	}
 	defer cli.Close()
 	resp, err := cli.Call(ctx, &wire.Register{
-		Role:   role,
+		Role:   wire.RoleStage,
 		ID:     info.ID,
 		JobID:  info.JobID,
 		Weight: info.Weight,

@@ -555,9 +555,6 @@ type EnforcingConfig struct {
 	FS *pfs.FileSystem
 	// Window is the metric measurement window. Zero selects one second.
 	Window time.Duration
-	// Tracer, when set, records a server span per control-plane request.
-	// Safe to share across stages (see Config.Tracer).
-	Tracer *trace.Tracer
 }
 
 // Enforcing is a functional stage: it rate limits application operations
@@ -591,7 +588,6 @@ func StartEnforcing(cfg EnforcingConfig) (*Enforcing, error) {
 	// locks that Submit, which blocks on admission, never holds while it
 	// waits.
 	srv, err := rpc.Serve(cfg.Network, cfg.ListenAddr, rpc.HandlerFunc(e.serve), rpc.ServerOptions{
-		Tracer:        cfg.Tracer,
 		ReuseRequests: true,
 		NonBlocking:   true,
 	})
@@ -629,13 +625,6 @@ func (e *Enforcing) Submit(ctx context.Context, class wire.OpClass) error {
 
 // Limits exposes the currently enforced limits (for observability).
 func (e *Enforcing) Limits() (wire.Rates, bool) { return e.limiter.Limits() }
-
-// Epoch returns the highest leadership epoch the stage has seen.
-func (e *Enforcing) Epoch() uint64 { return e.fence.current() }
-
-// FencedCalls returns how many calls the stage rejected for carrying a
-// stale leadership epoch.
-func (e *Enforcing) FencedCalls() uint64 { return e.fence.fencedCalls() }
 
 // Demand-probing parameters: a stage whose measured rate sits within
 // saturationFraction of its enforced limit is throttle-bound — its callers

@@ -114,9 +114,6 @@ type Options struct {
 	// SnapshotEvery compacts the log after this many records. Zero selects
 	// DefaultSnapshotEvery.
 	SnapshotEvery int
-	// MaxLogBytes compacts the log when it outgrows this size. Zero
-	// selects DefaultMaxLogBytes.
-	MaxLogBytes int64
 	// NoFsync skips fsync calls (writes still happen). For tests and
 	// single-process simulations where process death, not power loss, is
 	// the failure model.
@@ -132,9 +129,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if o.MaxLogBytes <= 0 {
-		o.MaxLogBytes = DefaultMaxLogBytes
 	}
 	return o
 }
@@ -656,7 +650,7 @@ func (s *Store) maybeCompact() {
 	if s.flushErr != nil || s.closed {
 		return
 	}
-	if s.logRecords < uint64(s.opts.SnapshotEvery) && s.logSize < s.opts.MaxLogBytes {
+	if s.logRecords < uint64(s.opts.SnapshotEvery) && s.logSize < DefaultMaxLogBytes {
 		return
 	}
 	if err := s.compactLocked(); err != nil {

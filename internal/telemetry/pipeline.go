@@ -30,11 +30,8 @@ func (g *Gauge) Exit() { g.cur.Add(-1) }
 // Current returns the instantaneous value.
 func (g *Gauge) Current() int64 { return g.cur.Load() }
 
-// Peak returns the highest value observed since the last ResetPeak.
+// Peak returns the highest value ever observed.
 func (g *Gauge) Peak() int64 { return g.peak.Load() }
-
-// ResetPeak clears the high-water mark (the current value stands).
-func (g *Gauge) ResetPeak() { g.peak.Store(g.cur.Load()) }
 
 // PipelineStats instruments a controller's fan-out phases: how many child
 // calls are in flight per phase, and how many heap objects each control
@@ -161,9 +158,6 @@ func (p *PipelineStats) RecordCycleAllocs(n uint64) {
 
 // LastCycleAllocs returns the most recent cycle's allocation count.
 func (p *PipelineStats) LastCycleAllocs() uint64 { return p.lastCycleAllocs.Load() }
-
-// TotalAllocs returns allocations accumulated over all recorded cycles.
-func (p *PipelineStats) TotalAllocs() uint64 { return p.totalAllocs.Load() }
 
 // MeanCycleAllocs returns the mean allocation count per recorded cycle.
 func (p *PipelineStats) MeanCycleAllocs() float64 {

@@ -41,9 +41,10 @@
 // # Manual assembly
 //
 // Every controller kind is also launched individually by a Start*
-// constructor (StartGlobal, StartAggregator, StartPeerController,
-// StartVirtualStage, StartEnforcingStage) and observed through its Stats
-// method. This is the manual-assembly path: it exists for programs that
+// constructor (StartGlobal, StartAggregator, StartVirtualStage,
+// StartEnforcingStage) and observed through its Stats method; a controller
+// of the coordinated flat design (§VI) is a StartGlobal joined to its
+// fellows with AddPeer. This is the manual-assembly path: it exists for programs that
 // wire roles one by one across real networks or mix roles StartTopology
 // does not cover. New code that just wants a running control plane should
 // declare a Topology instead.
@@ -107,7 +108,9 @@ const (
 
 // Control plane.
 type (
-	// Global is the top-level controller (flat or hierarchical).
+	// Global is the top-level controller (flat or hierarchical), and, with
+	// fellows (AddPeer), one controller of the coordinated flat design (the
+	// paper's §VI future work).
 	Global = controller.Global
 	// GlobalConfig configures a Global controller.
 	GlobalConfig = controller.GlobalConfig
@@ -115,11 +118,6 @@ type (
 	Aggregator = controller.Aggregator
 	// AggregatorConfig configures an Aggregator.
 	AggregatorConfig = controller.AggregatorConfig
-	// PeerController is one controller of the coordinated flat design
-	// (the paper's §VI future work).
-	PeerController = controller.Peer
-	// PeerControllerConfig configures a PeerController.
-	PeerControllerConfig = controller.PeerConfig
 	// ControllerStats is the point-in-time operational snapshot every
 	// controller kind exposes through its Stats method.
 	ControllerStats = controller.ControllerStats
@@ -161,13 +159,6 @@ func StartGlobal(cfg GlobalConfig) (*Global, error) { return controller.StartGlo
 // Topology with AggregatorFanIn set deploys the whole tier declaratively).
 func StartAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	return controller.StartAggregator(cfg)
-}
-
-// StartPeerController launches one controller of the coordinated flat
-// design (manual assembly only — the coordinated design predates the
-// sharded Topology and is kept for the paper's §VI experiments).
-func StartPeerController(cfg PeerControllerConfig) (*PeerController, error) {
-	return controller.StartPeer(cfg)
 }
 
 // Data plane.

@@ -186,11 +186,10 @@ type DeploymentStats struct {
 	Children    int
 	Stages      int
 	Quarantined int
-	// CallErrors, Evictions, FencedCalls and ReHomes are fleet-wide sums.
+	// CallErrors, Evictions and FencedCalls are fleet-wide sums.
 	CallErrors  uint64
 	Evictions   uint64
 	FencedCalls uint64
-	ReHomes     uint64
 	// MaxEpoch is the highest leadership epoch any shard leads with.
 	MaxEpoch uint64
 	// Moves and Rebalances count child handoffs and rebalance sweeps.
@@ -212,7 +211,6 @@ func (d *Deployment) Stats() DeploymentStats {
 		CallErrors:  st.CallErrors,
 		Evictions:   st.Evictions,
 		FencedCalls: st.FencedCalls,
-		ReHomes:     st.ReHomes,
 		MaxEpoch:    st.MaxEpoch,
 		Moves:       st.Moves,
 		Rebalances:  st.Rebalances,
