@@ -92,7 +92,7 @@ func runCycles(b *testing.B, c *cluster.Cluster) {
 	b.ReportMetric(msOf(s.Total.Mean), "cycle-ms")
 	b.ReportMetric(global.TxMBps, "global-tx-MBps")
 	b.ReportMetric(global.RxMBps, "global-rx-MBps")
-	if len(c.Aggregators) > 0 || len(c.Peers) > 0 {
+	if len(c.Aggregators) > 0 || len(c.Globals) > 1 {
 		b.ReportMetric(agg.TxMBps, "agg-tx-MBps")
 		b.ReportMetric(agg.CPUPercent, "agg-cpu-pct")
 	}
@@ -683,13 +683,13 @@ func stageRegister(ctx context.Context, network transport.Network, addr string, 
 }
 
 // BenchmarkFutureCoordinatedFlat measures the paper's §VI future-work
-// design — a coordinated flat control plane with peer controllers — at the
+// design — a coordinated flat control plane of meshed shard leaders — at the
 // 10,000-node (scaled) size, for comparison with BenchmarkFig5Hierarchical.
 func BenchmarkFutureCoordinatedFlat(b *testing.B) {
 	nodes := scaled(experiment.HierNodes)
 	for _, peers := range []int{4, 20} {
 		b.Run(fmt.Sprintf("nodes=%d/peers=%d", nodes, peers), func(b *testing.B) {
-			c := buildBench(b, cluster.Config{Topology: cluster.Coordinated, Stages: nodes, Aggregators: peers})
+			c := buildBench(b, cluster.Config{Topology: cluster.Coordinated, Stages: nodes, Shards: peers})
 			runCycles(b, c)
 		})
 	}

@@ -16,19 +16,16 @@
 //	sdsctl global -listen :7000 -capacity 1000000,100000 [-algorithm psfa] [-interval 1s]
 //	    Run the global controller. Stages register at the listen address;
 //	    the controller dials them back and runs control cycles, printing a
-//	    latency summary on SIGINT.
+//	    latency summary on SIGINT. With -id and -peers 2=host2:7000,... it
+//	    is one controller of the coordinated flat design (paper §VI future
+//	    work): it exchanges per-job aggregates with the listed fellows, and
+//	    fellows auto-mesh from one-sided configuration.
 //
 //	sdsctl aggregator -listen :7001 [-fanout 8]
 //	    Run an aggregator controller. Stages register at the listen
 //	    address. Attach it to a global controller manually (the in-process
 //	    harness does this automatically; over TCP the global currently
 //	    manages stages directly or via pre-attached aggregators).
-//
-//	sdsctl peer -listen :7002 -id 1 [-peers 2=host2:7002,...]
-//	    Run one controller of the coordinated flat design (paper §VI
-//	    future work). Stages register at the listen address; peers
-//	    exchange per-job aggregates and auto-mesh from one-sided
-//	    configuration.
 //
 //	sdsctl stages -parent host:7000 -count 50 -job 1 -weight 1 [-workload stress]
 //	    Run a fleet of virtual stages in this process (the paper runs 50
@@ -92,8 +89,6 @@ func main() {
 		err = runGlobal(ctx, os.Args[2:])
 	case "aggregator":
 		err = runAggregator(ctx, os.Args[2:])
-	case "peer":
-		err = runPeer(ctx, os.Args[2:])
 	case "stages":
 		err = runStages(ctx, os.Args[2:])
 	case "store":
@@ -115,7 +110,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: sdsctl <serve|global|aggregator|peer|stages|store|topology|top500> [flags]
+	fmt.Fprintln(os.Stderr, `usage: sdsctl <serve|global|aggregator|stages|store|topology|top500> [flags]
 run "sdsctl <role> -h" for role-specific flags`)
 }
 
@@ -139,12 +134,14 @@ func parseRates(s string) (wire.Rates, error) {
 func runGlobal(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("global", flag.ExitOnError)
 	listen := fs.String("listen", ":7000", "registration listen address")
-	capacity := fs.String("capacity", "1000000,100000", "PFS capacity as data,meta ops/s")
+	id := fs.Uint64("id", 1, "controller ID (unique across coordinated controllers)")
+	capacity := fs.String("capacity", "1000000,100000", "PFS capacity as data,meta ops/s (the full capacity, same at every coordinated controller)")
 	algorithm := fs.String("algorithm", "psfa", "control algorithm (psfa, uniform, weighted-static, maxmin, strict-priority)")
 	interval := fs.Duration("interval", time.Second, "control cycle interval (0 = stress, back-to-back)")
 	fanout := fs.Int("fanout", controller.DefaultFanOut, "fan-out parallelism")
 	report := fs.Duration("report", 10*time.Second, "status report interval")
 	aggregators := fs.String("aggregators", "", "comma-separated aggregator addresses to attach (hierarchical mode)")
+	peers := fs.String("peers", "", "comma-separated id=addr fellow controllers (coordinated mode), e.g. 2=host2:7000,3=host3:7000")
 	samplesPath := fs.String("samples", "", "write a REMORA-style resource time series to this CSV file on exit")
 	sampleEvery := fs.Duration("sample-interval", time.Second, "resource sampling interval")
 	dataDir := fs.String("data-dir", "", "durable state directory: mutations are logged to a write-ahead store and recovered on restart")
@@ -173,6 +170,7 @@ func runGlobal(ctx context.Context, args []string) error {
 	var meter transport.Meter
 	var cpu monitor.CPUMeter
 	g, err := controller.StartGlobal(controller.GlobalConfig{
+		ID:         *id,
 		Network:    tcpnet.New(),
 		ListenAddr: *listen,
 		Algorithm:  alg,
@@ -216,6 +214,24 @@ func runGlobal(ctx context.Context, args []string) error {
 			}
 			fmt.Printf("attached aggregator %s\n", addr)
 		}
+	}
+	for _, entry := range strings.Split(*peers, ",") {
+		entry = strings.TrimSpace(entry)
+		if entry == "" {
+			continue
+		}
+		idStr, addr, ok := strings.Cut(entry, "=")
+		if !ok {
+			return fmt.Errorf("bad -peers entry %q (want id=addr)", entry)
+		}
+		pid, err := strconv.ParseUint(idStr, 10, 64)
+		if err != nil {
+			return fmt.Errorf("bad peer id %q: %v", idStr, err)
+		}
+		if err := g.AddPeer(ctx, pid, addr); err != nil {
+			return err
+		}
+		fmt.Printf("meshed with peer %d at %s\n", pid, addr)
 	}
 
 	var pm monitor.ProcessMonitor
@@ -301,74 +317,6 @@ func runAggregator(ctx context.Context, args []string) error {
 	fmt.Printf("\naggregator served %d stages; tx %.2f MB rx %.2f MB\n",
 		a.NumStages(), float64(tx)/1e6, float64(rx)/1e6)
 	return nil
-}
-
-// runPeer runs one controller of the coordinated flat design, a flat Global
-// with fellows: stages register with it, and it exchanges per-job
-// aggregates with the other peers listed on the command line.
-func runPeer(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("peer", flag.ExitOnError)
-	listen := fs.String("listen", ":7002", "listen address (stage registrations and peer exchange)")
-	id := fs.Uint64("id", 1, "peer ID (unique across the control plane)")
-	capacity := fs.String("capacity", "1000000,100000", "full PFS capacity as data,meta ops/s (same at every peer)")
-	algorithm := fs.String("algorithm", "psfa", "control algorithm")
-	interval := fs.Duration("interval", time.Second, "control cycle interval (0 = stress)")
-	peersList := fs.String("peers", "", "comma-separated id=addr fellow peers, e.g. 2=host2:7002,3=host3:7002")
-	fs.Parse(args)
-
-	cap, err := parseRates(*capacity)
-	if err != nil {
-		return err
-	}
-	alg, err := controlalg.New(*algorithm)
-	if err != nil {
-		return err
-	}
-	p, err := controller.StartGlobal(controller.GlobalConfig{
-		ID:         *id,
-		Network:    tcpnet.New(),
-		Algorithm:  alg,
-		ListenAddr: *listen,
-		Capacity:   cap,
-		Logf:       logf,
-	})
-	if err != nil {
-		return err
-	}
-	closeP := sync.OnceFunc(func() { p.Close() })
-	defer closeP()
-	fmt.Printf("peer %d listening on %s\n", p.ID(), p.Addr())
-
-	if *peersList != "" {
-		for _, entry := range strings.Split(*peersList, ",") {
-			entry = strings.TrimSpace(entry)
-			if entry == "" {
-				continue
-			}
-			idStr, addr, ok := strings.Cut(entry, "=")
-			if !ok {
-				return fmt.Errorf("peer: bad -peers entry %q (want id=addr)", entry)
-			}
-			pid, err := strconv.ParseUint(idStr, 10, 64)
-			if err != nil {
-				return fmt.Errorf("peer: bad peer id %q: %v", idStr, err)
-			}
-			if err := p.AddPeer(ctx, pid, addr); err != nil {
-				return err
-			}
-			fmt.Printf("meshed with peer %d at %s\n", pid, addr)
-		}
-	}
-
-	err = p.Run(ctx, *interval)
-	closeP() // drain before reporting, same as serve
-	s := p.Recorder().Summarize()
-	fmt.Println("\n--- final report ---")
-	fmt.Print(s.String())
-	if ctx.Err() != nil {
-		return nil
-	}
-	return err
 }
 
 func runStages(ctx context.Context, args []string) error {

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/controlalg"
@@ -39,9 +38,11 @@ const (
 	Flat Topology = iota
 	// Hierarchical adds a tier of aggregator controllers (paper Fig. 3).
 	Hierarchical
-	// Coordinated is the future-work flat design with multiple peer
-	// controllers that exchange per-job aggregates to keep global
-	// visibility without a hierarchy (paper §VI).
+	// Coordinated is the future-work flat design with multiple controllers
+	// that exchange per-job aggregates to keep global visibility without a
+	// hierarchy (paper §VI): Shards flat leaders, each owning a contiguous
+	// slice of the fleet and meshed with the others as fellows
+	// (controller.Global.AddPeer).
 	Coordinated
 )
 
@@ -68,18 +69,18 @@ type Config struct {
 	// Jobs is the number of distinct jobs the stages are spread over.
 	// Zero selects 16.
 	Jobs int
-	// Aggregators is the mid-tier controller count: aggregators for the
-	// Hierarchical topology, peer controllers for the Coordinated one.
+	// Aggregators is the aggregator count of the Hierarchical topology.
 	// Zero selects ceil(Stages/2500), the minimum imposed by the
 	// connection limit (§IV-B).
 	Aggregators int
 	// Shards partitions the fleet across this many concurrently active
-	// global controllers. Every Flat and Hierarchical deployment is Shards
-	// controller groups — each its own leader, and with Standbys set its
-	// own per-shard quorum and stores — behind a shard.Router
-	// (Cluster.Router); a Hierarchical deployment is one group whose
-	// leader's children are aggregators. Zero selects one; more than one
-	// requires the Flat topology.
+	// global controllers. Every deployment is Shards controller groups —
+	// each its own leader, and with Standbys set its own per-shard quorum
+	// and stores — behind a shard.Router (Cluster.Router); a Hierarchical
+	// deployment is one group whose leader's children are aggregators, and
+	// a Coordinated one is Shards meshed leaders. Zero selects one, or
+	// ceil(Stages/2500) for Coordinated; more than one requires the Flat or
+	// Coordinated topology.
 	Shards int
 	// Placement overrides the consistent-hash child placement: it must map
 	// every stage ID to a shard in [0, Shards). Incompatible with Standbys
@@ -205,14 +206,16 @@ func (c Config) withDefaults() Config {
 	if c.Capacity.IsZero() {
 		c.Capacity = wire.Rates{500, 50}.Scale(float64(c.Stages))
 	}
+	// The connection limit's minimum controller count (§IV-B).
+	atLimit := max(1, (c.Stages+simnet.DefaultMaxConns-1)/simnet.DefaultMaxConns)
 	if c.Shards == 0 {
 		c.Shards = 1
-	}
-	if (c.Topology == Hierarchical || c.Topology == Coordinated) && c.Aggregators <= 0 {
-		c.Aggregators = (c.Stages + simnet.DefaultMaxConns - 1) / simnet.DefaultMaxConns
-		if c.Aggregators < 1 {
-			c.Aggregators = 1
+		if c.Topology == Coordinated {
+			c.Shards = atLimit
 		}
+	}
+	if c.Topology == Hierarchical && c.Aggregators <= 0 {
+		c.Aggregators = atLimit
 	}
 	return c
 }
@@ -226,8 +229,8 @@ type ClusterTrace struct {
 	Global *trace.Tracer
 	// Standby traces its first warm standby (Config.Standbys > 0 only).
 	Standby *trace.Tracer
-	// Mid traces the mid tier, index-aligned with Cluster.Aggregators or
-	// Cluster.Peers.
+	// Mid traces the mid tier, index-aligned with Cluster.Aggregators or,
+	// in a deployment built with more than one shard, Cluster.Globals.
 	Mid []*trace.Tracer
 	// Stages is the tracer shared by every stage server.
 	Stages *trace.Tracer
@@ -271,9 +274,8 @@ type Cluster struct {
 
 	// Net is the simulated network everything runs on.
 	Net *simnet.Net
-	// Global is the configured leader of a one-shard deployment, on host
-	// "global" — Globals[0] (nil for Coordinated and for deployments built
-	// with more than one shard).
+	// Global is the configured leader of a one-shard deployment —
+	// Globals[0] (nil for deployments built with more than one shard).
 	Global *controller.Global
 	// Standby is the first warm standby of a one-shard deployment
 	// (Config.Standbys > 0 only): Standbys[0].
@@ -283,14 +285,12 @@ type Cluster struct {
 	Standbys []*controller.Global
 	// Aggregators is the mid tier (Hierarchical only).
 	Aggregators []*controller.Aggregator
-	// Peers is the controller set of the Coordinated topology.
-	Peers []*controller.Global
 	// Globals lists every shard's configured leader, index-aligned with
-	// the shards (nil for Coordinated).
+	// the shards.
 	Globals []*controller.Global
-	// Router is the routing tier over the shard groups (nil for
-	// Coordinated): per-child routing, cross-shard fan-out, handoff,
-	// rebalance, and each cycle's choice of a shard's effective leader.
+	// Router is the routing tier over the shard groups: per-child routing,
+	// cross-shard fan-out, handoff, rebalance, and each cycle's choice of a
+	// shard's effective leader.
 	Router *shard.Router
 	// Stages is the virtual-stage fleet.
 	Stages []*stage.Virtual
@@ -302,9 +302,6 @@ type Cluster struct {
 	// AggregatorRoles instruments each aggregator, index-aligned with
 	// Aggregators.
 	AggregatorRoles []Roles
-	// PeerRoles instruments each coordinated peer, index-aligned with
-	// Peers.
-	PeerRoles []Roles
 	// ShardRoles instruments each shard leader, index-aligned with Globals.
 	ShardRoles []Roles
 	// Trace holds the deployment's tracers (Config.Tracing only).
@@ -383,19 +380,9 @@ func (c *Cluster) build() error {
 	if cfg.Tracing {
 		c.Trace = &ClusterTrace{Stages: c.newTracer()}
 	}
-	ctx := context.Background()
 	switch cfg.Topology {
-	case Flat, Hierarchical:
-		return c.buildGroups(ctx)
-	case Coordinated:
-		for i := 0; i < cfg.Stages; i++ {
-			v, err := c.startStage(nil)
-			if err != nil {
-				return err
-			}
-			c.Stages = append(c.Stages, v)
-		}
-		return c.buildCoordinated(ctx)
+	case Flat, Hierarchical, Coordinated:
+		return c.buildGroups(context.Background())
 	}
 	return fmt.Errorf("cluster: unknown topology %v", cfg.Topology)
 }
@@ -495,112 +482,18 @@ func (c *Cluster) attachAggregators(ctx context.Context) error {
 	return nil
 }
 
-// buildCoordinated wires the future-work design: a full mesh of flat
-// Globals with fellows, each owning a disjoint partition of the started
-// stages.
-func (c *Cluster) buildCoordinated(ctx context.Context) error {
-	cfg := c.cfg
-	per := (cfg.Stages + cfg.Aggregators - 1) / cfg.Aggregators
-	for i := 0; i < cfg.Aggregators; i++ {
-		role := newRoles()
-		var midTracer *trace.Tracer
-		if c.Trace != nil {
-			midTracer = c.newTracer()
-			c.Trace.Mid = append(c.Trace.Mid, midTracer)
-		}
-		p, err := controller.StartGlobal(controller.GlobalConfig{
-			ID:               uint64(2_000_000 + i),
-			Network:          c.Net.Host(fmt.Sprintf("peer-%d", i+1)),
-			Algorithm:        cfg.Algorithm,
-			Capacity:         cfg.Capacity,
-			FanOut:           cfg.FanOut,
-			FanOutMode:       cfg.FanOutMode,
-			CallTimeout:      cfg.CallTimeout,
-			Incremental:      cfg.Incremental,
-			IncrementalFloor: cfg.IncrementalFloor,
-			MaxFailures:      cfg.MaxFailures,
-			ProbeInterval:    cfg.ProbeInterval,
-			MaxProbeInterval: cfg.MaxProbeInterval,
-			StaleAfter:       cfg.StaleAfter,
-			Meter:            role.Meter,
-			CPU:              role.CPU,
-			Tracer:           midTracer,
-		})
-		if err != nil {
-			return fmt.Errorf("cluster: peer %d: %w", i, err)
-		}
-		c.Peers = append(c.Peers, p)
-		c.PeerRoles = append(c.PeerRoles, role)
-
-		for _, v := range c.Stages[i*per : min((i+1)*per, cfg.Stages)] {
-			if err := p.AddStage(ctx, v.Info()); err != nil {
-				return fmt.Errorf("cluster: peer %d attach: %w", i, err)
-			}
-		}
-	}
-	// Full mesh.
-	for _, p := range c.Peers {
-		for _, q := range c.Peers {
-			if p.ID() == q.ID() {
-				continue
-			}
-			if err := p.AddPeer(ctx, q.ID(), q.Addr()); err != nil {
-				return fmt.Errorf("cluster: mesh: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
 // Config returns the (defaulted) configuration the cluster was built from.
 func (c *Cluster) Config() Config { return c.cfg }
 
 // RunControlCycle executes one control round across the whole deployment:
-// one concurrent cycle on every shard's effective leader (Flat and
-// Hierarchical, merged as per-phase maxima since the shards overlap in
-// time), or one concurrent cycle on every peer (Coordinated, recorded as
-// the peers' mean).
+// one concurrent cycle on every shard's effective leader, merged as
+// per-phase maxima since the shards overlap in time.
 func (c *Cluster) RunControlCycle(ctx context.Context) (telemetry.Breakdown, error) {
-	if c.Router != nil {
-		b, err := c.Router.RunCycle(ctx)
-		if err == nil {
-			c.recorder.Record(b)
-		}
-		return b, err
+	b, err := c.Router.RunCycle(ctx)
+	if err == nil {
+		c.recorder.Record(b)
 	}
-	n := len(c.Peers)
-	if n == 0 {
-		return telemetry.Breakdown{}, controller.ErrNoChildren
-	}
-	breakdowns := make([]telemetry.Breakdown, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, p := range c.Peers {
-		wg.Add(1)
-		go func(i int, p *controller.Global) {
-			defer wg.Done()
-			breakdowns[i], errs[i] = p.RunCycle(ctx)
-		}(i, p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return telemetry.Breakdown{}, err
-		}
-	}
-	var mean telemetry.Breakdown
-	for _, b := range breakdowns {
-		mean.Collect += b.Collect
-		mean.Compute += b.Compute
-		mean.Enforce += b.Enforce
-		mean.Total += b.Total
-	}
-	mean.Collect /= time.Duration(n)
-	mean.Compute /= time.Duration(n)
-	mean.Enforce /= time.Duration(n)
-	mean.Total /= time.Duration(n)
-	c.recorder.Record(mean)
-	return mean, nil
+	return b, err
 }
 
 // Recorder returns the deployment's control-round latency recorder: every
@@ -617,9 +510,6 @@ func (c *Cluster) Close() {
 	}
 	for _, a := range c.Aggregators {
 		a.Close()
-	}
-	for _, p := range c.Peers {
-		p.Close()
 	}
 	for _, v := range c.Stages {
 		v.Close()
@@ -659,14 +549,15 @@ func NewUsageCollector(c *Cluster) *UsageCollector {
 }
 
 // midTier returns the cluster's mid-tier roles and their memory reporters:
-// aggregators for Hierarchical, peer controllers for Coordinated.
+// the aggregators of a Hierarchical deployment, or the shard leaders of one
+// built with more than one shard (which has no Global).
 func (c *Cluster) midTier() ([]Roles, []monitor.MemoryReporter) {
-	if len(c.Peers) > 0 {
-		reporters := make([]monitor.MemoryReporter, len(c.Peers))
-		for i, p := range c.Peers {
-			reporters[i] = p
+	if c.Global == nil {
+		reporters := make([]monitor.MemoryReporter, len(c.Globals))
+		for i, g := range c.Globals {
+			reporters[i] = g
 		}
-		return c.PeerRoles, reporters
+		return c.ShardRoles, reporters
 	}
 	reporters := make([]monitor.MemoryReporter, len(c.Aggregators))
 	for i, a := range c.Aggregators {
@@ -697,8 +588,8 @@ func (u *UsageCollector) Start() {
 }
 
 // Stop closes the window and reports the global controller's usage (zero
-// for Coordinated clusters, which have none) plus the mean per-mid-tier
-// controller usage, matching the paper's table layout ("average resource
+// for deployments built with more than one shard, which have none) plus the
+// mean per-mid-tier controller usage, matching the paper's table layout ("average resource
 // consumption per aggregator controller").
 func (u *UsageCollector) Stop() (global RoleUsage, aggregator RoleUsage, elapsed time.Duration) {
 	if !u.collecting {

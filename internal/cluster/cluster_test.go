@@ -95,6 +95,11 @@ func TestDefaultAggregatorCount(t *testing.T) {
 	if cfg.Aggregators != 3 {
 		t.Errorf("default aggregators = %d, want 3", cfg.Aggregators)
 	}
+	// A coordinated deployment's controllers are its shards, with the same
+	// default.
+	if cfg := (Config{Topology: Coordinated, Stages: 6000}).withDefaults(); cfg.Shards != 3 {
+		t.Errorf("default coordinated shards = %d, want 3", cfg.Shards)
+	}
 }
 
 func TestDefaultCapacityScalesWithStages(t *testing.T) {
@@ -151,7 +156,7 @@ func TestHierarchicalEscapesConnectionLimit(t *testing.T) {
 }
 
 func TestBuildCoordinated(t *testing.T) {
-	c, err := Build(Config{Topology: Coordinated, Stages: 12, Jobs: 3, Aggregators: 3, Net: fastNet()})
+	c, err := Build(Config{Topology: Coordinated, Stages: 12, Jobs: 3, Shards: 3, Net: fastNet()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +165,25 @@ func TestBuildCoordinated(t *testing.T) {
 	if c.Global != nil {
 		t.Error("coordinated cluster has a global controller")
 	}
-	if len(c.Peers) != 3 {
-		t.Fatalf("peers = %d", len(c.Peers))
+	if len(c.Globals) != 3 || c.Router.NumShards() != 3 {
+		t.Fatalf("leaders = %d, router shards = %d", len(c.Globals), c.Router.NumShards())
 	}
-	for i, p := range c.Peers {
+	for i, p := range c.Globals {
 		if p.NumStages() != 4 {
-			t.Errorf("peer %d stages = %d, want 4", i, p.NumStages())
+			t.Errorf("leader %d stages = %d, want 4", i, p.NumStages())
 		}
 		if p.NumPeers() != 2 {
-			t.Errorf("peer %d mesh = %d, want 2", i, p.NumPeers())
+			t.Errorf("leader %d mesh = %d, want 2", i, p.NumPeers())
+		}
+		if p.ID() != uint64(2_000_000+i) {
+			t.Errorf("leader %d ID = %d, want %d", i, p.ID(), 2_000_000+i)
+		}
+	}
+	// Placement is contiguous: stage IDs 1-4 on leader 0, 5-8 on 1, 9-12
+	// on 2.
+	for i, v := range c.Stages {
+		if s, _ := c.Router.Route(v.Info().ID); s != i/4 {
+			t.Errorf("stage %d routes to shard %d, want %d", v.Info().ID, s, i/4)
 		}
 	}
 
@@ -198,12 +213,12 @@ func TestBuildCoordinated(t *testing.T) {
 
 func TestCoordinatedEscapesConnectionLimit(t *testing.T) {
 	// Same 10-connection limit as the flat/hierarchical tests: 11 stages
-	// need at least 2 peers.
+	// need at least 2 leaders.
 	c, err := Build(Config{
-		Topology:    Coordinated,
-		Stages:      11,
-		Aggregators: 2,
-		Net:         simnet.Config{PropDelay: -1, MaxConnsPerHost: 10},
+		Topology: Coordinated,
+		Stages:   11,
+		Shards:   2,
+		Net:      simnet.Config{PropDelay: -1, MaxConnsPerHost: 10},
 	})
 	if err != nil {
 		t.Fatalf("coordinated build under the limit failed: %v", err)
@@ -215,11 +230,15 @@ func TestCoordinatedEscapesConnectionLimit(t *testing.T) {
 }
 
 func TestCoordinatedUsageCollector(t *testing.T) {
-	c, err := Build(Config{Topology: Coordinated, Stages: 8, Aggregators: 2, Net: fastNet()})
+	c, err := Build(Config{Topology: Coordinated, Stages: 8, Shards: 2, Tracing: true, Net: fastNet()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// The leaders are the mid tier for tracing too.
+	if c.Trace.Global != nil || len(c.Trace.Mid) != 2 {
+		t.Errorf("traces: global %v, mid %d, want none and 2", c.Trace.Global, len(c.Trace.Mid))
+	}
 	uc := NewUsageCollector(c)
 	uc.Start()
 	for i := 0; i < 3; i++ {
@@ -227,15 +246,15 @@ func TestCoordinatedUsageCollector(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	global, peer, elapsed := uc.Stop()
+	global, leader, elapsed := uc.Stop()
 	if elapsed <= 0 {
 		t.Fatal("no window")
 	}
 	if global.TxMBps != 0 || global.CPUPercent != 0 {
 		t.Errorf("coordinated global usage = %+v, want zero (no global controller)", global)
 	}
-	if peer.TxMBps <= 0 || peer.RxMBps <= 0 || peer.MemBytes == 0 {
-		t.Errorf("per-peer usage = %+v, want nonzero", peer)
+	if leader.TxMBps <= 0 || leader.RxMBps <= 0 || leader.MemBytes == 0 {
+		t.Errorf("per-leader usage = %+v, want nonzero", leader)
 	}
 }
 

@@ -171,8 +171,6 @@ func (c *Cluster) SetStages(ctx context.Context, target int) error {
 		return fmt.Errorf("cluster: cannot shrink the fleet below one stage")
 	case c.cfg.Standbys > 0:
 		return fmt.Errorf("cluster: fleet resize requires standbys = 0")
-	case c.Router == nil:
-		return fmt.Errorf("cluster: fleet resize is not supported for the coordinated topology")
 	case target < c.Router.NumShards():
 		return fmt.Errorf("cluster: cannot shrink the fleet below the %d live shard(s)", c.Router.NumShards())
 	}
@@ -272,6 +270,9 @@ func (c *Cluster) ResizeShards(ctx context.Context, target int) error {
 		}
 		c.Globals = c.Globals[:target]
 		c.ShardRoles = c.ShardRoles[:target]
+		if c.Trace != nil && len(c.Trace.Mid) > target {
+			c.Trace.Mid = c.Trace.Mid[:target]
+		}
 	}
 
 	// Re-split the administrator capacity over the settled populations.
@@ -287,9 +288,6 @@ func (c *Cluster) ResizeShards(ctx context.Context, target int) error {
 // leader (its standbys mirror it from the leader's next state sync); the
 // next control cycle allocates with it.
 func (c *Cluster) SetJobWeight(jobID uint64, weight float64) {
-	if c.Router == nil {
-		return
-	}
 	for i := 0; i < c.Router.NumShards(); i++ {
 		c.Router.Group(i).Leader().SetJobWeight(jobID, weight)
 	}

@@ -161,6 +161,35 @@ func TestSetStagesSharded(t *testing.T) {
 	}
 }
 
+func TestSetStagesCoordinated(t *testing.T) {
+	c, err := Build(Config{Topology: Coordinated, Stages: 12, Jobs: 4, Shards: 3, Net: fastNet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+
+	// Grown stages join the last contiguous slice.
+	if err := c.SetStages(ctx, 15); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Router.Stats(); st.Children != 15 {
+		t.Fatalf("router sees %d children, want 15", st.Children)
+	}
+	if n := c.Globals[2].NumStages(); n != 7 {
+		t.Errorf("last leader owns %d stages, want 7", n)
+	}
+	cycleAndCheckRules(t, c)
+
+	if err := c.SetStages(ctx, 10); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Router.Stats(); st.Children != 10 {
+		t.Fatalf("router sees %d children, want 10", st.Children)
+	}
+	cycleAndCheckRules(t, c)
+}
+
 func TestResizeShards(t *testing.T) {
 	c, err := Build(Config{Topology: Flat, Stages: 60, Jobs: 4, Shards: 2, Net: fastNet()})
 	if err != nil {
@@ -248,4 +277,78 @@ func stageLimitByJob(c *Cluster) map[uint64][2]float64 {
 		out[v.Info().JobID] = cur
 	}
 	return out
+}
+
+// TestSetJobWeightCoordinated: a weight reaches every coordinated leader,
+// so job 1 grows on every leader's slice of the fleet.
+func TestSetJobWeightCoordinated(t *testing.T) {
+	c, err := Build(Config{Topology: Coordinated, Stages: 12, Jobs: 2, Shards: 3, Net: fastNet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Two rounds: the second computes over every fellow's aggregates.
+	cycleAndCheckRules(t, c)
+	cycleAndCheckRules(t, c)
+
+	before := stageLimitByShardJob(c)
+	c.SetJobWeight(1, 3)
+	cycleAndCheckRules(t, c)
+	after := stageLimitByShardJob(c)
+	for s := range c.Globals {
+		if !(after[s][1][0] > before[s][1][0]) {
+			t.Errorf("shard %d: job 1 data limit did not grow after weight bump: %v -> %v", s, before[s][1], after[s][1])
+		}
+		if !(after[s][2][0] < before[s][2][0]) {
+			t.Errorf("shard %d: job 2 data limit did not yield: %v -> %v", s, before[s][2], after[s][2])
+		}
+	}
+}
+
+// stageLimitByShardJob is stageLimitByJob split by owning shard.
+func stageLimitByShardJob(c *Cluster) map[int]map[uint64][2]float64 {
+	out := make(map[int]map[uint64][2]float64)
+	for _, v := range c.Stages {
+		r, ok := v.LastRule()
+		if !ok {
+			continue
+		}
+		s, _ := c.Router.Route(v.Info().ID)
+		if out[s] == nil {
+			out[s] = make(map[uint64][2]float64)
+		}
+		cur := out[s][v.Info().JobID]
+		cur[0] += r.Limit[0]
+		cur[1] += r.Limit[1]
+		out[s][v.Info().JobID] = cur
+	}
+	return out
+}
+
+// TestCoordinatedDeltaEnforcement: DeltaEnforcement reaches coordinated
+// leaders, so once the fellows' views settle under a steady workload no
+// stage is sent an enforce again.
+func TestCoordinatedDeltaEnforcement(t *testing.T) {
+	c, err := Build(Config{Topology: Coordinated, Stages: 12, Jobs: 3, Shards: 3, DeltaEnforcement: true, Net: fastNet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	enforces := func() (n uint64) {
+		for _, v := range c.Stages {
+			_, e := v.Counters()
+			n += e
+		}
+		return n
+	}
+	for i := 0; i < 4; i++ {
+		cycleAndCheckRules(t, c)
+	}
+	settled := enforces()
+	for i := 0; i < 3; i++ {
+		cycleAndCheckRules(t, c)
+	}
+	if got := enforces() - settled; got != 0 {
+		t.Errorf("%d enforces over 3 steady rounds, want 0 under DeltaEnforcement", got)
+	}
 }

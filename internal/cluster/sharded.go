@@ -27,8 +27,8 @@ func validate(cfg Config) error {
 	switch {
 	case cfg.Shards < 1:
 		return fmt.Errorf("cluster: Shards must be >= 1, got %d", cfg.Shards)
-	case cfg.Shards > 1 && cfg.Topology != Flat:
-		return fmt.Errorf("cluster: sharding is only supported for the flat topology, not %v", cfg.Topology)
+	case cfg.Shards > 1 && cfg.Topology == Hierarchical:
+		return fmt.Errorf("cluster: sharding requires the flat topology or the coordinated one, not %v", cfg.Topology)
 	case cfg.Standbys > 0 && cfg.Topology != Flat:
 		return fmt.Errorf("cluster: standby failover is only supported for the flat topology, not %v", cfg.Topology)
 	case cfg.Placement != nil && cfg.Standbys > 0:
@@ -42,21 +42,30 @@ func validate(cfg Config) error {
 	return nil
 }
 
-// buildGroups builds every deployment that has a global controller: Shards
-// groups of one leader and Standbys warm standbys (each with its own
-// write-ahead store under DataDir), behind a shard.Router. Children are
-// placed by consistent hashing (or the custom Placement), and each shard's
-// capacity is the fleet capacity scaled by its share of the stages. A
-// hierarchical deployment is one group whose leader's children are
-// aggregators. Without standbys the builder attaches each stage to its
-// shard directly, in stage order; with standbys stages register through
-// their shard's parent list — the path re-homing takes after a failover,
-// and the path a handoff re-uses for a shard move.
+// buildGroups builds every deployment: Shards groups of one leader and
+// Standbys warm standbys (each with its own write-ahead store under
+// DataDir), behind a shard.Router. Children are placed by consistent
+// hashing (or the custom Placement), and each shard's capacity is the fleet
+// capacity scaled by its share of the stages. A hierarchical deployment is
+// one group whose leader's children are aggregators. A coordinated one
+// places the fleet in contiguous slices, gives every leader the full
+// capacity, and meshes the leaders as fellows, which split it by demand.
+// Without standbys the builder attaches each stage to its shard directly,
+// in stage order; with standbys stages register through their shard's
+// parent list — the path re-homing takes after a failover, and the path a
+// handoff re-uses for a shard move.
 func (c *Cluster) buildGroups(ctx context.Context) error {
 	cfg := c.cfg
 
 	place := cfg.Placement
-	if place == nil {
+	switch {
+	case place != nil:
+	case cfg.Topology == Coordinated:
+		// Contiguous slices of ceil(Stages/Shards); stages grown later
+		// join the last slice.
+		per := uint64((cfg.Stages + cfg.Shards - 1) / cfg.Shards)
+		place = func(id uint64) int { return min(int((id-1)/per), cfg.Shards-1) }
+	default:
 		place = shard.NewRing(cfg.Shards, cfg.VirtualNodes).Place
 	}
 	// Place the whole fleet first: per-shard capacity and the
@@ -117,7 +126,19 @@ func (c *Cluster) buildGroups(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	c.Router = shard.NewRouter(groups, shard.Config{Placement: cfg.Placement, VirtualNodes: cfg.VirtualNodes})
+	if cfg.Topology == Coordinated {
+		for _, g := range c.Globals {
+			for _, f := range c.Globals {
+				if g == f {
+					continue
+				}
+				if err := g.AddPeer(ctx, f.ID(), f.Addr()); err != nil {
+					return fmt.Errorf("cluster: mesh: %w", err)
+				}
+			}
+		}
+	}
+	c.Router = shard.NewRouter(groups, shard.Config{Placement: place})
 	return nil
 }
 
@@ -142,12 +163,18 @@ func (c *Cluster) awaitRegistration(counts []int) error {
 // Standbys. The one shard of a deployment built with one keeps the classic
 // names: its leader is host "global" (Global, GlobalRole, Trace.Global)
 // and its standbys are StandbyHost(i), the first being Standby
-// (StandbyRole, Trace.Standby).
+// (StandbyRole, Trace.Standby). In a deployment built with more than one
+// shard, each leader traces into Trace.Mid. A coordinated leader is host
+// "peer-<s+1>" with ID 2,000,000+s, so its fellows tell it apart.
 func (c *Cluster) startGroup(s, n int) (*shard.Group, error) {
 	cfg := c.cfg
 	single := s == 0 && cfg.Shards == 1
 	leaderHost, standbyHost := ShardHost(s), func(i int) string { return ShardStandbyHost(s, i) }
-	if single {
+	leaderID := uint64(1)
+	switch {
+	case cfg.Topology == Coordinated:
+		leaderHost, leaderID = fmt.Sprintf("peer-%d", s+1), uint64(2_000_000+s)
+	case single:
 		leaderHost, standbyHost = "global", StandbyHost
 	}
 	var sbAddrs []string
@@ -189,16 +216,21 @@ func (c *Cluster) startGroup(s, n int) (*shard.Group, error) {
 
 	role := newRoles()
 	gcfg := c.globalConfig(leaderHost, n, role)
-	gcfg.ID = 1
+	gcfg.ID = leaderID
 	gcfg.StandbyAddrs = sbAddrs
 	if len(sbAddrs) > 0 {
 		// GlobalConfig.Epoch's convention: a leader with standbys starts
 		// at 1; one without stays at 0, like any unreplicated controller.
 		gcfg.Epoch = 1
 	}
-	if single && c.Trace != nil {
+	switch {
+	case c.Trace == nil:
+	case single:
 		c.Trace.Global = c.newTracer()
 		gcfg.Tracer = c.Trace.Global
+	case cfg.Shards > 1:
+		gcfg.Tracer = c.newTracer()
+		c.Trace.Mid = append(c.Trace.Mid, gcfg.Tracer)
 	}
 	g, err := c.startGlobal(leaderHost, gcfg)
 	if err != nil {
@@ -214,13 +246,18 @@ func (c *Cluster) startGroup(s, n int) (*shard.Group, error) {
 
 // globalConfig is the configuration every global controller of the
 // deployment starts from — leader, standby, or a shard grown live — on
-// host, sized for n of the fleet's stages.
+// host, sized for n of the fleet's stages. A coordinated leader gets the
+// whole capacity: the fellows' merged view splits it.
 func (c *Cluster) globalConfig(host string, n int, role Roles) controller.GlobalConfig {
 	cfg := c.cfg
+	capacity := cfg.Capacity
+	if cfg.Topology != Coordinated {
+		capacity = capacity.Scale(float64(n) / float64(cfg.Stages))
+	}
 	return controller.GlobalConfig{
 		ListenAddr:       quorumPort,
 		Network:          c.Net.Host(host),
-		Capacity:         cfg.Capacity.Scale(float64(n) / float64(cfg.Stages)),
+		Capacity:         capacity,
 		Algorithm:        cfg.Algorithm,
 		FanOut:           cfg.FanOut,
 		FanOutMode:       cfg.FanOutMode,

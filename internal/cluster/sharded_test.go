@@ -24,8 +24,8 @@ func TestBuildSharded(t *testing.T) {
 	if len(c.Globals) != 4 {
 		t.Fatalf("shard leaders = %d, want 4", len(c.Globals))
 	}
-	if c.Router == nil {
-		t.Fatal("sharded cluster has no router")
+	if n := c.Router.NumShards(); n != 4 {
+		t.Fatalf("router shards = %d, want 4", n)
 	}
 	total := 0
 	for s, g := range c.Globals {
@@ -104,8 +104,8 @@ func TestBuildShardedWithStandbys(t *testing.T) {
 			if led := sb.Recorder().Cycles() - before; led != cycles {
 				t.Errorf("the promoted standby led %d of %d cycles", led, cycles)
 			}
-			if c.Router == nil {
-				t.Fatal("no routing tier")
+			if n := c.Router.NumShards(); n != shards {
+				t.Fatalf("router shards = %d, want %d", n, shards)
 			}
 			if c.Router.Group(0).Leader() != sb {
 				t.Error("shard 0's leader is not the promoted standby")

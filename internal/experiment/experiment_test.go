@@ -270,6 +270,37 @@ func summaryWithTotal(d time.Duration) (s telemetry.Summary) {
 	return s
 }
 
+// TestCheckFig6ShapeComparesComputeMedians feeds CheckFig6Shape synthetic
+// rounds: one slow hierarchical compute cycle must not fail it, a
+// hierarchical compute that is typically 1.5x flat's must.
+func TestCheckFig6ShapeComparesComputeMedians(t *testing.T) {
+	summarize := func(total, compute time.Duration, outlier time.Duration) telemetry.Summary {
+		r := telemetry.NewCycleRecorder()
+		for i := 0; i < 9; i++ {
+			r.Record(telemetry.Breakdown{Compute: compute, Total: total})
+		}
+		r.Record(telemetry.Breakdown{Compute: compute + outlier, Total: total + outlier})
+		return r.Summarize()
+	}
+	flat := Result{Name: "flat", Latency: summarize(10*time.Millisecond, time.Millisecond, 0)}
+	for _, tc := range []struct {
+		name    string
+		hier    telemetry.Summary
+		wantErr bool
+	}{
+		{"one slow cycle", summarize(12*time.Millisecond, 500*time.Microsecond, 50*time.Millisecond), false},
+		{"typically 1.5x", summarize(12*time.Millisecond, 1500*time.Microsecond, 0), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := CheckFig6Shape([]Result{flat, {Name: "hier", Latency: tc.hier}})
+			if (err != nil) != tc.wantErr {
+				t.Errorf("CheckFig6Shape = %v, want error %v (hier compute mean %v, p50 %v)",
+					err, tc.wantErr, tc.hier.Compute.Mean, tc.hier.Compute.P50)
+			}
+		})
+	}
+}
+
 func TestRunOnePropagatesBuildErrors(t *testing.T) {
 	o := testOptions(1).withDefaults()
 	net := *o.Net

@@ -308,7 +308,7 @@ func PrintFig6(o Options, results []Result) {
 // total latency than flat at 2,500 nodes (compared on medians, which GC
 // outliers cannot tilt; a 2% tolerance absorbs residual sampling noise),
 // the penalty is bounded (under 75%, paper: ~30%), and the global
-// controller's compute phase shrinks.
+// controller's median compute phase does not grow.
 func CheckFig6Shape(results []Result) error {
 	if len(results) != 2 {
 		return errors.New("fig6: want [flat, hierarchical] results")
@@ -324,10 +324,11 @@ func CheckFig6Shape(results []Result) error {
 	// The compute phase must not grow: offloading aggregation to the
 	// aggregator can only reduce the global controller's compute work. At
 	// paper scale it shrinks ~4x; a 20% tolerance covers measurement noise
-	// at reduced scales where both phases are microseconds.
-	if float64(hier.Latency.Compute.Mean) >= 1.2*float64(flat.Latency.Compute.Mean) {
+	// at reduced scales where both phases are microseconds. Medians again,
+	// so one slow cycle cannot fail the check.
+	if float64(hier.Latency.Compute.P50) >= 1.2*float64(flat.Latency.Compute.P50) {
 		return fmt.Errorf("fig6: compute phase grew: flat %v vs hier %v",
-			flat.Latency.Compute.Mean, hier.Latency.Compute.Mean)
+			flat.Latency.Compute.P50, hier.Latency.Compute.P50)
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ func FutureCoordinated(ctx context.Context, o Options) ([]Result, error) {
 	defer hier.Close()
 	coord, err := cluster.Build(cluster.Config{
 		Topology: cluster.Coordinated, Stages: nodes, Jobs: o.Jobs,
-		Aggregators: controllers, Net: *o.Net,
+		Shards: controllers, Net: *o.Net,
 		FanOutMode: controller.FanOutBlocking, // paper fidelity
 	})
 	if err != nil {

@@ -131,29 +131,11 @@ type CPUMeter struct {
 	busy atomic.Int64
 }
 
-// Track marks the start of a work section; invoke the returned function when
-// the section ends (typically via defer).
-func (c *CPUMeter) Track() func() {
-	start := time.Now()
-	return func() { c.busy.Add(int64(time.Since(start))) }
-}
-
 // Add charges d of busy time directly.
 func (c *CPUMeter) Add(d time.Duration) { c.busy.Add(int64(d)) }
 
 // Busy returns total accumulated busy time.
 func (c *CPUMeter) Busy() time.Duration { return time.Duration(c.busy.Load()) }
-
-// Percent returns busy time as a percentage of elapsed wall time.
-func (c *CPUMeter) Percent(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return 100 * float64(c.Busy()) / float64(elapsed)
-}
-
-// Reset clears accumulated busy time.
-func (c *CPUMeter) Reset() { c.busy.Store(0) }
 
 // MemoryReporter is implemented by components that can estimate the bytes of
 // state they hold, enabling per-role memory attribution in single-process

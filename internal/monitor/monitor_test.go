@@ -63,39 +63,6 @@ func TestUsageMemGB(t *testing.T) {
 	}
 }
 
-func TestCPUMeterTrack(t *testing.T) {
-	var c CPUMeter
-	stop := c.Track()
-	time.Sleep(20 * time.Millisecond)
-	stop()
-	if b := c.Busy(); b < 15*time.Millisecond {
-		t.Errorf("Busy = %v, want >= ~20ms", b)
-	}
-}
-
-func TestCPUMeterPercent(t *testing.T) {
-	var c CPUMeter
-	c.Add(50 * time.Millisecond)
-	if got := c.Percent(100 * time.Millisecond); got != 50 {
-		t.Errorf("Percent = %g, want 50", got)
-	}
-	if got := c.Percent(0); got != 0 {
-		t.Errorf("Percent(0) = %g, want 0", got)
-	}
-	if got := c.Percent(-time.Second); got != 0 {
-		t.Errorf("Percent(<0) = %g, want 0", got)
-	}
-}
-
-func TestCPUMeterReset(t *testing.T) {
-	var c CPUMeter
-	c.Add(time.Second)
-	c.Reset()
-	if c.Busy() != 0 {
-		t.Error("Reset did not clear busy time")
-	}
-}
-
 func TestCPUMeterConcurrent(t *testing.T) {
 	var c CPUMeter
 	var wg sync.WaitGroup

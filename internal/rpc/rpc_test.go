@@ -39,7 +39,6 @@ func (h *echoHandler) Serve(peer *Peer, req wire.Message) (wire.Message, error) 
 	case *wire.Enforce:
 		return nil, errors.New("enforce rejected")
 	case *wire.Register:
-		peer.SetAttachment(m.ID)
 		return &wire.RegisterAck{ID: m.ID}, nil
 	}
 	return nil, fmt.Errorf("unexpected %s", req.Type())
@@ -209,33 +208,6 @@ func TestCallsAfterClientClose(t *testing.T) {
 	if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err == nil {
 		t.Fatal("Call on closed client succeeded")
 	}
-}
-
-func TestPeerAttachment(t *testing.T) {
-	t.Run("inline", func(t *testing.T) {
-		var got atomic.Value
-		h := HandlerFunc(func(peer *Peer, req wire.Message) (wire.Message, error) {
-			switch m := req.(type) {
-			case *wire.Register:
-				peer.SetAttachment(m.ID)
-				return &wire.RegisterAck{ID: m.ID}, nil
-			case *wire.Heartbeat:
-				got.Store(peer.Attachment())
-				return &wire.HeartbeatAck{}, nil
-			}
-			return nil, errors.New("bad")
-		})
-		_, cli := codecSetup(t, h, ServerOptions{}, DialOptions{})
-		if _, err := cli.Call(context.Background(), &wire.Register{ID: 42}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
-			t.Fatal(err)
-		}
-		if v, _ := got.Load().(uint64); v != 42 {
-			t.Errorf("attachment seen by second request = %v, want 42", got.Load())
-		}
-	})
 }
 
 func TestHandlerPanicIsolated(t *testing.T) {

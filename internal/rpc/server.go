@@ -34,9 +34,7 @@ func (f HandlerFunc) Serve(peer *Peer, req wire.Message) (wire.Message, error) {
 	return f(peer, req)
 }
 
-// Peer represents one client connection as seen by server handlers. It
-// carries an attachment slot so a handler can associate state (e.g. the
-// registered member identity) with the connection across requests.
+// Peer represents one client connection as seen by server handlers.
 type Peer struct {
 	conn net.Conn
 
@@ -45,27 +43,10 @@ type Peer struct {
 	// respond encodes outside the lock and holds it only for the write
 	// itself.
 	wmu sync.Mutex
-
-	mu         sync.Mutex
-	attachment any
 }
 
 // RemoteAddr returns the peer's address.
 func (p *Peer) RemoteAddr() net.Addr { return p.conn.RemoteAddr() }
-
-// SetAttachment associates v with the connection.
-func (p *Peer) SetAttachment(v any) {
-	p.mu.Lock()
-	p.attachment = v
-	p.mu.Unlock()
-}
-
-// Attachment returns the value set by SetAttachment, or nil.
-func (p *Peer) Attachment() any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.attachment
-}
 
 // Close severs the peer's connection. Used by servers to evict members.
 func (p *Peer) Close() error { return p.conn.Close() }

@@ -375,16 +375,3 @@ func (s Summary) String() string {
 	row("total", s.Total)
 	return b.String()
 }
-
-// CSVHeader returns the header row matching CSVRow.
-func CSVHeader() string {
-	return "cycles,collect_mean_us,compute_mean_us,enforce_mean_us,total_mean_us,total_p95_us,total_p99_us,total_stddev_us"
-}
-
-// CSVRow renders the summary as one CSV row (microsecond units).
-func (s Summary) CSVRow() string {
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	return fmt.Sprintf("%d,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f,%.1f",
-		s.Cycles, us(s.Collect.Mean), us(s.Compute.Mean), us(s.Enforce.Mean),
-		us(s.Total.Mean), us(s.Total.P95), us(s.Total.P99), us(s.Total.Stddev))
-}

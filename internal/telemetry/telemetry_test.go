@@ -284,19 +284,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestSummaryCSV(t *testing.T) {
-	r := NewCycleRecorder()
-	r.Record(Breakdown{Collect: time.Millisecond, Compute: 2 * time.Millisecond, Enforce: 3 * time.Millisecond, Total: 6 * time.Millisecond})
-	header := CSVHeader()
-	row := r.Summarize().CSVRow()
-	if got, want := len(strings.Split(row, ",")), len(strings.Split(header, ",")); got != want {
-		t.Errorf("CSV row has %d fields, header has %d", got, want)
-	}
-	if !strings.HasPrefix(row, "1,1000.0,2000.0,3000.0,6000.0") {
-		t.Errorf("CSV row = %q", row)
-	}
-}
-
 func TestPhaseString(t *testing.T) {
 	if PhaseCollect.String() != "collect" || PhaseTotal.String() != "total" {
 		t.Error("phase names wrong")
