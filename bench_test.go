@@ -647,11 +647,10 @@ func BenchmarkFlatCycleTraced(b *testing.B) {
 // registering with a live control plane per iteration (the HPC job churn
 // the paper's §II motivates).
 func BenchmarkRegistrationChurn(b *testing.B) {
-	net := simnet.New(simnet.Config{})
 	// The controller keeps one dialed connection per registered stage;
-	// lift its connection limit so b.N can exceed 2,500 registrations
+	// lift the connection limit so b.N can exceed 2,500 registrations
 	// (this bench measures registration cost, not the §IV-A limit).
-	net.Host("global").SetMaxConns(-1)
+	net := simnet.New(simnet.Config{MaxConnsPerHost: -1})
 	g, err := sdscale.StartGlobal(sdscale.GlobalConfig{
 		Network:    net.Host("global"),
 		ListenAddr: ":0",

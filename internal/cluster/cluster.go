@@ -539,7 +539,6 @@ type UsageCollector struct {
 	gBusy      time.Duration
 	aTx, aRx   []uint64
 	aBusy      []time.Duration
-	stagesMem  uint64
 	collecting bool
 }
 

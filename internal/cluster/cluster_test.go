@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -152,6 +153,43 @@ func TestHierarchicalEscapesConnectionLimit(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Global.RunCycle(context.Background()); err != nil {
 		t.Fatalf("cycle: %v", err)
+	}
+}
+
+// TestCoordinatedPlacementBalanced: a coordinated deployment places the
+// fleet in contiguous slices whose sizes differ by at most one, so no leader
+// is left without children when Shards does not divide Stages. When it does,
+// slice s is stages s·Stages/Shards+1 onward, as with equal-sized slices.
+func TestCoordinatedPlacementBalanced(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct{ stages, shards int }{{9, 4}, {10, 4}, {7, 3}, {8, 4}, {6, 2}} {
+		c, err := Build(Config{Topology: Coordinated, Stages: tc.stages, Jobs: 2, Shards: tc.shards, Net: fastNet()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%d stages on %d leaders", tc.stages, tc.shards)
+		counts := make([]int, tc.shards)
+		prev := 0
+		for i, v := range c.Stages {
+			s, _ := c.Router.Route(v.Info().ID)
+			if s < prev {
+				t.Errorf("%s: stage %d routes to shard %d after shard %d: not contiguous", label, v.Info().ID, s, prev)
+			}
+			if per := tc.stages / tc.shards; tc.stages%tc.shards == 0 && s != i/per {
+				t.Errorf("%s: stage %d routes to shard %d, want %d", label, v.Info().ID, s, i/per)
+			}
+			prev = s
+			counts[s]++
+		}
+		for s, n := range counts {
+			if lo := tc.stages / tc.shards; n < lo || n > lo+1 {
+				t.Errorf("%s: leader %d owns %d stages, want %d or %d", label, s, n, lo, lo+1)
+			}
+		}
+		if _, err := c.RunControlCycle(ctx); err != nil {
+			t.Errorf("%s: cycle: %v", label, err)
+		}
+		c.Close()
 	}
 }
 

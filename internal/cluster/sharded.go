@@ -48,7 +48,7 @@ func validate(cfg Config) error {
 // hashing (or the custom Placement), and each shard's capacity is the fleet
 // capacity scaled by its share of the stages. A hierarchical deployment is
 // one group whose leader's children are aggregators. A coordinated one
-// places the fleet in contiguous slices, gives every leader the full
+// places the fleet in balanced contiguous slices, gives every leader the full
 // capacity, and meshes the leaders as fellows, which split it by demand.
 // Without standbys the builder attaches each stage to its shard directly,
 // in stage order; with standbys stages register through their shard's
@@ -61,10 +61,10 @@ func (c *Cluster) buildGroups(ctx context.Context) error {
 	switch {
 	case place != nil:
 	case cfg.Topology == Coordinated:
-		// Contiguous slices of ceil(Stages/Shards); stages grown later
-		// join the last slice.
-		per := uint64((cfg.Stages + cfg.Shards - 1) / cfg.Shards)
-		place = func(id uint64) int { return min(int((id-1)/per), cfg.Shards-1) }
+		// Contiguous slices whose sizes differ by at most one, so no
+		// leader is left empty; stages grown later join the last slice.
+		stages, shards := uint64(cfg.Stages), uint64(cfg.Shards)
+		place = func(id uint64) int { return int(min((id-1)*shards/stages, shards-1)) }
 	default:
 		place = shard.NewRing(cfg.Shards, cfg.VirtualNodes).Place
 	}

@@ -34,8 +34,7 @@ type Watcher struct {
 	interval time.Duration
 	kick     chan struct{} // wakes the loop when the interval changes
 
-	polls   atomic.Uint64
-	changes atomic.Uint64
+	polls atomic.Uint64
 }
 
 // NewWatcher starts polling path every interval (zero selects DefaultPoll).
@@ -78,9 +77,6 @@ func (w *Watcher) SetInterval(d time.Duration) {
 
 // Polls returns how many times the watcher has read the file.
 func (w *Watcher) Polls() uint64 { return w.polls.Load() }
-
-// Changes returns how many content changes the watcher has observed.
-func (w *Watcher) Changes() uint64 { return w.changes.Load() }
 
 // Close stops the polling loop.
 func (w *Watcher) Close() {
@@ -138,7 +134,6 @@ func (w *Watcher) loop() {
 			var changed bool
 			cur, changed = snapshot(w.path, cur)
 			if changed {
-				w.changes.Add(1)
 				select {
 				case w.notify <- struct{}{}:
 				default:

@@ -35,8 +35,8 @@ func TestWatcherDetectsContentChange(t *testing.T) {
 	if !waitNotify(t, w.C, 5*time.Second) {
 		t.Fatal("watcher missed a content change")
 	}
-	if w.Changes() == 0 || w.Polls() == 0 {
-		t.Fatalf("counters: polls %d changes %d", w.Polls(), w.Changes())
+	if w.Polls() == 0 {
+		t.Fatal("a change was seen without a poll")
 	}
 }
 
@@ -54,9 +54,6 @@ func TestWatcherIgnoresSameContentRewrite(t *testing.T) {
 	if waitNotify(t, w.C, 150*time.Millisecond) {
 		t.Fatal("watcher fired on a same-content rewrite")
 	}
-	if w.Changes() != 0 {
-		t.Fatalf("Changes = %d after no-op rewrite", w.Changes())
-	}
 }
 
 // TestWatcherIgnoresTruncatingRewriteStorm: os.WriteFile truncates the file
@@ -73,8 +70,11 @@ func TestWatcherIgnoresTruncatingRewriteStorm(t *testing.T) {
 	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
 		writeFile(t, path, body)
 	}
-	if got := w.Changes(); got != 0 {
-		t.Fatalf("Changes = %d after %d polls of same-content rewrites, want 0", got, w.Polls())
+	// Nothing drains C, so any change the storm caused left a token.
+	select {
+	case <-w.C:
+		t.Fatalf("watcher fired after %d polls of same-content rewrites", w.Polls())
+	default:
 	}
 }
 

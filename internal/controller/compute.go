@@ -38,33 +38,17 @@ type cycleMem struct {
 	jobs metrics.JobSums
 }
 
-// JobStatus is one job's state as of the controller's most recent cycle.
-type JobStatus struct {
-	// JobID identifies the job.
-	JobID uint64
-	// Weight is the job's QoS weight.
-	Weight float64
-	// Stages is the job's stage population seen in the last collect.
-	Stages uint32
-	// Demand is the job's aggregate demand from the last collect.
-	Demand wire.Rates
-	// Allocated is the cluster-wide limit the last compute granted.
-	Allocated wire.Rates
-}
-
 // jobTable is the allocation state of a role that runs the control
 // algorithm (the Global): the algorithm, the live capacity it allocates
-// against, the per-job QoS weights, and the per-job view of the last
-// allocation. An Aggregator never allocates and holds none. mu guards
-// capacity, weights and status; a role that holds its own mutex takes it
-// before mu, never after.
+// against and the per-job QoS weights. An Aggregator never allocates and
+// holds none. mu guards capacity and weights; a role that holds its own
+// mutex takes it before mu, never after.
 type jobTable struct {
 	algo controlalg.Algorithm
 
 	mu       sync.Mutex
 	capacity wire.Rates
 	weights  map[uint64]float64
-	status   []JobStatus
 
 	// inputs and limits are allocate's buffers, reused every cycle by the
 	// goroutine that runs the role's cycles.
@@ -91,21 +75,10 @@ func (t *jobTable) allocate(rows []wire.JobReport) []wire.Rates {
 	allocs := t.algo.Allocate(t.inputs, capacity)
 
 	t.limits = t.limits[:0]
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.status = t.status[:0]
-	for i, in := range t.inputs {
+	for i := range t.inputs {
 		t.limits = append(t.limits, allocs[i].Limit)
-		t.status = append(t.status, JobStatus{JobID: in.JobID, Weight: in.Weight, Stages: in.Stages, Demand: in.Demand, Allocated: allocs[i].Limit})
 	}
 	return t.limits
-}
-
-// statuses copies the per-job view of the last allocation, sorted by JobID.
-func (t *jobTable) statuses() []JobStatus {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]JobStatus{}, t.status...)
 }
 
 // setWeight records a job's weight, a non-positive one as the default 1,

@@ -299,7 +299,6 @@ func TestComputeFlatRulesParallelStress(t *testing.T) {
 			default:
 			}
 			_ = g.Stats()
-			_ = g.JobStatuses()
 		}
 	}()
 
@@ -316,11 +315,11 @@ func TestComputeFlatRulesParallelStress(t *testing.T) {
 
 // referenceHierRules is the hierarchical compute as Global.runHierarchicalCycle
 // wrote it before the job table, kept verbatim as the oracle: replies to
-// per-job groups, inputs and Allocate, job statuses, a per-job uniform
+// per-job groups, inputs and Allocate, a per-job uniform
 // split in a map, and per aggregator either its per-stage rule batch or,
 // delegated, its per-job budgets counted through a map.
 func referenceHierRules(algo controlalg.Algorithm, weights map[uint64]float64, capacity wire.Rates,
-	delegated bool, children []*child, replies, stale []wire.Message) ([][]wire.Rule, [][]wire.JobBudget, []JobStatus) {
+	delegated bool, children []*child, replies, stale []wire.Message) ([][]wire.Rule, [][]wire.JobBudget) {
 	n := len(children)
 	groups := make([][]wire.JobReport, 0, n)
 	responded := make([]bool, n)
@@ -353,18 +352,6 @@ func referenceHierRules(algo controlalg.Algorithm, weights map[uint64]float64, c
 		}
 	}
 	allocs := algo.Allocate(inputs, capacity)
-	statuses := make([]JobStatus, len(inputs))
-	for i := range inputs {
-		statuses[i] = JobStatus{
-			JobID:     inputs[i].JobID,
-			Weight:    inputs[i].Weight,
-			Stages:    inputs[i].Stages,
-			Demand:    inputs[i].Demand,
-			Allocated: allocs[i].Limit,
-		}
-	}
-	sort.Slice(statuses, func(a, b int) bool { return statuses[a].JobID < statuses[b].JobID })
-
 	perStage := make(map[uint64]wire.Rates, len(allocs))
 	for i, a := range allocs {
 		perStage[a.JobID] = controlalg.SplitUniform(a.Limit, int(merged[i].Stages))
@@ -410,7 +397,7 @@ func referenceHierRules(algo controlalg.Algorithm, weights map[uint64]float64, c
 		}
 		batches[i] = batch
 	}
-	return batches, budgets, statuses
+	return batches, budgets
 }
 
 // referenceDelegateRules is Aggregator.delegate's split as it was before it
@@ -516,7 +503,7 @@ func hierFleet(rng *rand.Rand, reports []wire.StageReport, nAggs int) (children 
 
 // TestComputeHierRulesEquivalence checks computeHierRules bit for bit
 // against the implementation it replaced, plain and delegated, over random
-// fleets: every aggregator's rule batch or budgets, and every job status.
+// fleets: every aggregator's rule batch or budgets.
 func TestComputeHierRulesEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 30; trial++ {
@@ -530,7 +517,7 @@ func TestComputeHierRulesEquivalence(t *testing.T) {
 		children, replies, stale := hierFleet(rng, reports, nAggs)
 		for _, delegated := range []bool{false, true} {
 			label := fmt.Sprintf("trial %d (aggs=%d stages=%d jobs=%d delegated=%v)", trial, nAggs, nStages, nJobs, delegated)
-			wantBatches, wantBudgets, wantStatus := referenceHierRules(controlalg.PSFA{}, weights, capacity,
+			wantBatches, wantBudgets := referenceHierRules(controlalg.PSFA{}, weights, capacity,
 				delegated, children, replies, stale)
 
 			g := testGlobal(weights, capacity)
@@ -552,17 +539,6 @@ func TestComputeHierRulesEquivalence(t *testing.T) {
 					if got.JobID != want.JobID || !sameRates(got.Limit, want.Limit) {
 						t.Fatalf("%s: child %d budget %d: %+v != reference %+v", label, i, k, got, want)
 					}
-				}
-			}
-			status := g.JobStatuses()
-			if len(status) != len(wantStatus) {
-				t.Fatalf("%s: %d job statuses, reference %d", label, len(status), len(wantStatus))
-			}
-			for k, s := range status {
-				w := wantStatus[k]
-				if s.JobID != w.JobID || s.Stages != w.Stages || math.Float64bits(s.Weight) != math.Float64bits(w.Weight) ||
-					!sameRates(s.Demand, w.Demand) || !sameRates(s.Allocated, w.Allocated) {
-					t.Fatalf("%s: status %d: %+v != reference %+v", label, k, s, w)
 				}
 			}
 		}

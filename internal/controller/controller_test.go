@@ -191,8 +191,8 @@ func TestHierarchicalCycleEndToEnd(t *testing.T) {
 	if b.Total <= 0 {
 		t.Errorf("breakdown = %+v", b)
 	}
-	if g.Mode() != wire.RoleAggregator {
-		t.Errorf("Mode = %v", g.Mode())
+	if g.mode != wire.RoleAggregator {
+		t.Errorf("mode = %v", g.mode)
 	}
 	if g.NumChildren() != 3 || g.NumStages() != 12 {
 		t.Errorf("children/stages = %d/%d", g.NumChildren(), g.NumStages())
@@ -436,54 +436,6 @@ func TestBaselineAlgorithmWiring(t *testing.T) {
 	}
 }
 
-func TestJobStatuses(t *testing.T) {
-	n := fastNet()
-	stages := startStages(t, n, 6, 3, wire.Rates{900, 90})
-	g := buildFlat(t, n, stages, GlobalConfig{Capacity: wire.Rates{2700, 270}})
-
-	if got := g.JobStatuses(); len(got) != 0 {
-		t.Fatalf("statuses before first cycle = %d", len(got))
-	}
-	if _, err := g.RunCycle(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	statuses := g.JobStatuses()
-	if len(statuses) != 3 {
-		t.Fatalf("statuses = %d, want 3 jobs", len(statuses))
-	}
-	for i, s := range statuses {
-		if s.JobID != uint64(i+1) {
-			t.Errorf("statuses not sorted: [%d] = job %d", i, s.JobID)
-		}
-		if s.Stages != 2 {
-			t.Errorf("job %d stages = %d, want 2", s.JobID, s.Stages)
-		}
-		if s.Demand[wire.ClassData] != 1800 {
-			t.Errorf("job %d demand = %v", s.JobID, s.Demand)
-		}
-		// Saturated 2:1 with equal weights: each job gets 900.
-		if math.Abs(s.Allocated[wire.ClassData]-900) > 1e-6 {
-			t.Errorf("job %d allocated = %v, want 900", s.JobID, s.Allocated)
-		}
-	}
-}
-
-func TestJobStatusesHierarchical(t *testing.T) {
-	n := fastNet()
-	stages := startStages(t, n, 6, 2, wire.Rates{900, 90})
-	g, _ := buildHierarchy(t, n, stages, 2, GlobalConfig{Capacity: wire.Rates{1800, 180}})
-	if _, err := g.RunCycle(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	statuses := g.JobStatuses()
-	if len(statuses) != 2 {
-		t.Fatalf("statuses = %d", len(statuses))
-	}
-	if statuses[0].Stages != 3 || statuses[0].Demand[wire.ClassData] != 2700 {
-		t.Errorf("job 1 status = %+v", statuses[0])
-	}
-}
-
 func TestDeltaEnforcementSkipsUnchangedRules(t *testing.T) {
 	n := fastNet()
 	stages := startStages(t, n, 4, 2, wire.Rates{1000, 100}) // constant demand
@@ -643,51 +595,6 @@ func TestReRegistrationGetsFullRules(t *testing.T) {
 	}
 	if _, otherAfter := stages[1].Counters(); otherAfter != otherBefore {
 		t.Fatalf("undisturbed stage got %d enforces, want 0", otherAfter-otherBefore)
-	}
-}
-
-func TestHealthCheck(t *testing.T) {
-	n := fastNet()
-	stages := startStages(t, n, 5, 2, wire.Rates{1, 1})
-	g := buildFlat(t, n, stages, GlobalConfig{
-		Capacity:    wire.Rates{100, 10},
-		CallTimeout: 300 * time.Millisecond,
-	})
-
-	h := g.HealthCheck(context.Background())
-	if h.Responsive != 5 || h.Unresponsive != 0 {
-		t.Fatalf("health = %+v, want 5 responsive", h)
-	}
-	if h.MeanRTT <= 0 || h.MinRTT <= 0 || h.MaxRTT < h.MinRTT {
-		t.Errorf("RTT stats = %+v", h)
-	}
-
-	// Kill two stages: they become unresponsive but are NOT evicted.
-	stages[0].Close()
-	stages[1].Close()
-	h = g.HealthCheck(context.Background())
-	if h.Responsive != 3 || h.Unresponsive != 2 {
-		t.Fatalf("health after deaths = %+v, want 3/2", h)
-	}
-	if g.NumChildren() != 5 {
-		t.Errorf("HealthCheck evicted children: %d left", g.NumChildren())
-	}
-}
-
-func TestAggregatorHealthCheck(t *testing.T) {
-	n := fastNet()
-	stages := startStages(t, n, 3, 1, wire.Rates{1, 1})
-	a, err := StartAggregator(AggregatorConfig{ID: 1, Network: n.Host("agg"), CallTimeout: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	for _, v := range stages {
-		a.AddStage(context.Background(), v.Info())
-	}
-	h := a.HealthCheck(context.Background())
-	if h.Responsive != 3 {
-		t.Fatalf("aggregator health = %+v", h)
 	}
 }
 

@@ -107,17 +107,6 @@ func (k *stageCore) Faults() *telemetry.FaultCounters { return k.faults }
 // the snapshot form.
 func (k *stageCore) Pipeline() *telemetry.PipelineStats { return k.pipe }
 
-// Tracer returns the tracer the controller records cycle, phase, and
-// per-call spans into; nil when tracing is off.
-func (k *stageCore) Tracer() *trace.Tracer { return k.tracer }
-
-// HealthCheck heartbeats every child concurrently and reports liveness and
-// round-trip statistics. It does not evict: operators use it to inspect the
-// control plane between cycles without affecting membership.
-func (k *stageCore) HealthCheck(ctx context.Context) Health {
-	return sweepHealth(ctx, k.members.snapshot(nil), k.par, k.callTimeout)
-}
-
 // MemoryFootprint estimates the bytes of state held for the managed
 // children: the membership table, per-child connection buffers, and the
 // stage lists behind aggregator children. It implements

@@ -421,14 +421,6 @@ func (g *Global) setMode(role wire.Role) error {
 	return nil
 }
 
-// Mode returns the topology kind (RoleStage for flat, RoleAggregator for
-// hierarchical), or 0 before any child is added.
-func (g *Global) Mode() wire.Role {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.mode
-}
-
 // noteJob records a job's weight from a stage registration, logging actual
 // changes to the store (re-registrations with an unchanged weight append
 // nothing).
@@ -642,67 +634,6 @@ func (g *Global) noteCallError(c *child, err error) {
 		g.faults.FencedCall()
 		g.stepDown(fmt.Sprintf("child %d fenced a call, current epoch is %d", c.info.ID, cur))
 	}
-}
-
-// JobStatuses returns the per-job view of the most recent control cycle,
-// sorted by job ID — the operator-facing answer to "who is getting what".
-// It is empty before the first cycle completes.
-func (g *Global) JobStatuses() []JobStatus { return g.jobs.statuses() }
-
-// Health is the outcome of a heartbeat sweep over a controller's children.
-type Health struct {
-	// Responsive and Unresponsive count children by heartbeat outcome.
-	Responsive, Unresponsive int
-	// MinRTT, MeanRTT and MaxRTT summarize responsive children's
-	// round-trip times.
-	MinRTT, MeanRTT, MaxRTT time.Duration
-}
-
-// sweepHealth heartbeats the given children with bounded parallelism. One
-// shared heartbeat body serves the whole sweep: round-trip times come from
-// each call's local issue time, not the echoed timestamp, so sharing the
-// body does not skew them.
-func sweepHealth(ctx context.Context, children []*child, fanOut int, timeout time.Duration) Health {
-	if len(children) == 0 {
-		return Health{}
-	}
-	rtts := make([]time.Duration, len(children))
-	ok := make([]bool, len(children))
-	hb := rpc.NewSharedFrame(&wire.Heartbeat{SentUnixMicros: time.Now().UnixMicro()})
-	defer hb.Release()
-	rpc.Scatter(ctx, len(children), fanOut, func(i int) {
-		cctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		start := time.Now()
-		resp, err := children[i].client().GoShared(cctx, hb).Wait(cctx)
-		if err != nil {
-			return
-		}
-		if _, isAck := resp.(*wire.HeartbeatAck); isAck {
-			rtts[i] = time.Since(start)
-			ok[i] = true
-		}
-	})
-	var h Health
-	var sum time.Duration
-	for i := range children {
-		if !ok[i] {
-			h.Unresponsive++
-			continue
-		}
-		h.Responsive++
-		sum += rtts[i]
-		if h.MinRTT == 0 || rtts[i] < h.MinRTT {
-			h.MinRTT = rtts[i]
-		}
-		if rtts[i] > h.MaxRTT {
-			h.MaxRTT = rtts[i]
-		}
-	}
-	if h.Responsive > 0 {
-		h.MeanRTT = sum / time.Duration(h.Responsive)
-	}
-	return h
 }
 
 // RunCycle executes one complete control cycle and returns its phase

@@ -98,9 +98,6 @@ func (s *Slab[T]) Take(a *Arena, n int) []T {
 	return s.buf[start:need:need]
 }
 
-// Cap returns the slab's retained capacity (for tests and telemetry).
-func (s *Slab[T]) Cap() int { return cap(s.buf) }
-
 // RuleTable is the per-cycle rule index: a flat, eventually StageID-sorted
 // slice of rules replacing the map[stageID]Rule the compute phase used to
 // build fresh every cycle. The lifecycle is Reset → (Slot | Append)* →
@@ -139,9 +136,6 @@ func (t *RuleTable) Slot(n int) []wire.Rule {
 	}
 	return t.rules[start:need:need]
 }
-
-// Append adds one rule (serial building path).
-func (t *RuleTable) Append(r wire.Rule) { t.rules = append(t.rules, r) }
 
 // Seal sorts the table by (StageID, JobID), stably, making it ready for
 // Lookup. Stability means entries with equal keys keep insertion order, so

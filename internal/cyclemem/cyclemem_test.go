@@ -57,8 +57,8 @@ func TestSlabMultipleTakesAreDisjoint(t *testing.T) {
 	if cap(x) != len(x) {
 		t.Fatalf("take not capacity-clamped: len=%d cap=%d", len(x), cap(x))
 	}
-	if s.Cap() < 8 {
-		t.Fatalf("slab cap = %d, want >= 8", s.Cap())
+	if cap(s.buf) < 8 {
+		t.Fatalf("slab cap = %d, want >= 8", cap(s.buf))
 	}
 }
 
@@ -82,7 +82,7 @@ func TestRuleTableLookup(t *testing.T) {
 	a.Begin()
 	tab.Reset(&a)
 	for _, id := range []uint64{30, 10, 20} {
-		tab.Append(wire.Rule{StageID: id, JobID: 1, Limit: wire.Rates{float64(id)}})
+		tab.rules = append(tab.rules, wire.Rule{StageID: id, JobID: 1, Limit: wire.Rates{float64(id)}})
 	}
 	if _, ok := tab.Lookup(10); ok {
 		t.Fatal("unsealed table answered a lookup")
@@ -107,8 +107,8 @@ func TestRuleTableLastWriteWins(t *testing.T) {
 	var tab RuleTable
 	a.Begin()
 	tab.Reset(&a)
-	tab.Append(wire.Rule{StageID: 5, JobID: 1, Limit: wire.Rates{1}})
-	tab.Append(wire.Rule{StageID: 5, JobID: 1, Limit: wire.Rates{2}})
+	tab.rules = append(tab.rules, wire.Rule{StageID: 5, JobID: 1, Limit: wire.Rates{1}})
+	tab.rules = append(tab.rules, wire.Rule{StageID: 5, JobID: 1, Limit: wire.Rates{2}})
 	tab.Seal()
 	r, ok := tab.Lookup(5)
 	if !ok || r.Limit[0] != 2 {
@@ -121,7 +121,7 @@ func TestRuleTableGenerationInvalidation(t *testing.T) {
 	var tab RuleTable
 	a.Begin()
 	tab.Reset(&a)
-	tab.Append(wire.Rule{StageID: 1})
+	tab.rules = append(tab.rules, wire.Rule{StageID: 1})
 	tab.Seal()
 	if _, ok := tab.Lookup(1); !ok {
 		t.Fatal("sealed table missed in its own generation")

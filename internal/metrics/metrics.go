@@ -87,18 +87,6 @@ func (c *RateCounter) Rate(now time.Time) float64 {
 	return total / window.Seconds()
 }
 
-// Total returns the raw event count currently inside the window.
-func (c *RateCounter) Total(now time.Time) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.advance(now)
-	var total float64
-	for _, b := range c.buckets {
-		total += b
-	}
-	return total
-}
-
 // AggregateByJob sums per-stage reports into per-job aggregates, the
 // transformation an aggregator controller applies before replying to the
 // global controller. The result is sorted by JobID so payloads are
@@ -177,22 +165,4 @@ func (s *JobSums) row(jobID uint64) *wire.JobReport {
 func (s *JobSums) sorted() []wire.JobReport {
 	slices.SortFunc(s.rows, func(a, b wire.JobReport) int { return cmp.Compare(a.JobID, b.JobID) })
 	return s.rows
-}
-
-// TotalDemand sums demand across a set of job reports.
-func TotalDemand(jobs []wire.JobReport) wire.Rates {
-	var t wire.Rates
-	for i := range jobs {
-		t = t.Add(jobs[i].Demand)
-	}
-	return t
-}
-
-// TotalUsage sums usage across a set of job reports.
-func TotalUsage(jobs []wire.JobReport) wire.Rates {
-	var t wire.Rates
-	for i := range jobs {
-		t = t.Add(jobs[i].Usage)
-	}
-	return t
 }

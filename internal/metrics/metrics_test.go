@@ -31,9 +31,6 @@ func TestRateCounterExpiry(t *testing.T) {
 	if rate := c.Rate(base.Add(2 * time.Second)); rate != 0 {
 		t.Errorf("rate after expiry = %g, want 0", rate)
 	}
-	if total := c.Total(base.Add(2 * time.Second)); total != 0 {
-		t.Errorf("total after expiry = %g, want 0", total)
-	}
 }
 
 func TestRateCounterPartialExpiry(t *testing.T) {
@@ -41,8 +38,9 @@ func TestRateCounterPartialExpiry(t *testing.T) {
 	c := NewRateCounter(time.Second, 10)
 	c.Add(base, 10)                           // bucket at t=0
 	c.Add(base.Add(600*time.Millisecond), 20) // bucket at t=0.6
-	// At t=1.05 the first bucket (age > 1s) has expired, second remains.
-	total := c.Total(base.Add(1050 * time.Millisecond))
+	// At t=1.05 the first bucket (age > 1s) has expired, second remains;
+	// over a one-second window the rate is the event count.
+	total := c.Rate(base.Add(1050 * time.Millisecond))
 	if total != 20 {
 		t.Errorf("total = %g, want 20", total)
 	}
@@ -52,7 +50,7 @@ func TestRateCounterDefaults(t *testing.T) {
 	c := NewRateCounter(0, 0) // both defaulted, must not panic
 	now := time.Now()
 	c.Add(now, 5)
-	if c.Total(now) != 5 {
+	if c.Rate(now) != 5 {
 		t.Error("defaulted counter lost events")
 	}
 }
@@ -71,7 +69,7 @@ func TestRateCounterConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Total(now); got != 8000 {
+	if got := c.Rate(now); got != 8000 {
 		t.Errorf("concurrent total = %g, want 8000", got)
 	}
 }
@@ -145,11 +143,11 @@ func TestAggregationConservesTotalsProperty(t *testing.T) {
 			wantDemand = wantDemand.Add(r.Demand)
 			wantUsage = wantUsage.Add(r.Usage)
 		}
-		jobs := AggregateByJob(reports)
-		gotDemand := TotalDemand(jobs)
-		gotUsage := TotalUsage(jobs)
+		var gotDemand, gotUsage wire.Rates
 		var stages uint32
-		for _, j := range jobs {
+		for _, j := range AggregateByJob(reports) {
+			gotDemand = gotDemand.Add(j.Demand)
+			gotUsage = gotUsage.Add(j.Usage)
 			stages += j.Stages
 		}
 		const eps = 1e-6
@@ -189,10 +187,10 @@ func TestMergeEquivalentToFlatAggregation(t *testing.T) {
 			if flat[i].JobID != merged[i].JobID || flat[i].Stages != merged[i].Stages {
 				return false
 			}
-			d := flat[i].Demand.Sub(merged[i].Demand)
-			u := flat[i].Usage.Sub(merged[i].Usage)
-			if math.Abs(d[0]) > 1e-6 || math.Abs(d[1]) > 1e-6 || math.Abs(u[0]) > 1e-6 || math.Abs(u[1]) > 1e-6 {
-				return false
+			for c := range flat[i].Demand {
+				if math.Abs(flat[i].Demand[c]-merged[i].Demand[c]) > 1e-6 || math.Abs(flat[i].Usage[c]-merged[i].Usage[c]) > 1e-6 {
+					return false
+				}
 			}
 		}
 		return true

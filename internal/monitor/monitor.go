@@ -91,9 +91,6 @@ type Usage struct {
 	// MemBytes is the memory attributed to the monitored entity at the end
 	// of the interval.
 	MemBytes uint64
-	// TxMBps and RxMBps are average network rates over the interval in
-	// decimal MB/s.
-	TxMBps, RxMBps float64
 	// Elapsed is the measured interval.
 	Elapsed time.Duration
 }

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -10,12 +12,18 @@ import (
 
 func TestSamplerCollectsSeries(t *testing.T) {
 	var meter transport.Meter
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	go io.Copy(io.Discard, b)
+	conn := transport.WithMeter(a, &meter)
 	s := StartSampler(20*time.Millisecond, &meter)
 
 	// Generate some traffic between samples.
 	for i := 0; i < 5; i++ {
-		meter.AddTx(1000)
-		meter.AddRx(500)
+		if _, err := conn.Write(make([]byte, 1000)); err != nil {
+			t.Fatal(err)
+		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	samples := s.Stop()

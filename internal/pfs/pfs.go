@@ -17,7 +17,6 @@ package pfs
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -67,7 +66,6 @@ type server struct {
 	nextFree time.Time     // when the server finishes its current backlog
 	queued   int
 	maxQueue int
-	done     uint64
 }
 
 func newServer(capacity float64, maxQueue int) *server {
@@ -99,29 +97,12 @@ func (s *server) schedule(now time.Time) (time.Time, error) {
 func (s *server) finish() {
 	s.mu.Lock()
 	s.queued--
-	s.done++
 	s.mu.Unlock()
-}
-
-// depth returns the current queue length.
-func (s *server) depth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queued
-}
-
-// completed returns the number of operations served.
-func (s *server) completed() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.done
 }
 
 // clientStats accumulates one client's I/O accounting.
 type clientStats struct {
-	ops      [wire.NumClasses]uint64
-	waitNS   [wire.NumClasses]int64
-	lastSeen time.Time
+	ops [wire.NumClasses]uint64
 }
 
 // FileSystem is the simulated PFS.
@@ -132,7 +113,6 @@ type FileSystem struct {
 
 	mu      sync.Mutex
 	clients map[uint64]*clientStats
-	started time.Time
 }
 
 // New creates a file system with the given configuration.
@@ -142,23 +122,11 @@ func New(cfg Config) *FileSystem {
 		cfg:     cfg,
 		mds:     newServer(cfg.MDSCapacity, cfg.MaxQueue),
 		clients: make(map[uint64]*clientStats),
-		started: time.Now(),
 	}
 	for i := 0; i < cfg.OSTs; i++ {
 		fs.osts = append(fs.osts, newServer(cfg.OSTCapacity, cfg.MaxQueue))
 	}
 	return fs
-}
-
-// Capacity returns the aggregate service rate per operation class: all OSTs
-// for data, the MDS for metadata. This is the value a system administrator
-// would configure as the PSFA algorithm's cluster-wide maximum (paper
-// §III-C).
-func (fs *FileSystem) Capacity() wire.Rates {
-	var r wire.Rates
-	r[wire.ClassData] = fs.cfg.OSTCapacity * float64(fs.cfg.OSTs)
-	r[wire.ClassMeta] = fs.cfg.MDSCapacity
-	return r
 }
 
 // route picks the serving target for an operation. Data operations stripe
@@ -206,8 +174,6 @@ func (fs *FileSystem) Submit(ctx context.Context, clientID uint64, class wire.Op
 
 	fs.mu.Lock()
 	st.ops[class]++
-	st.waitNS[class] += int64(latency)
-	st.lastSeen = time.Now()
 	fs.mu.Unlock()
 	return latency, nil
 }
@@ -224,51 +190,4 @@ func (fs *FileSystem) ClientOps(clientID uint64) wire.Rates {
 		}
 	}
 	return r
-}
-
-// ClientMeanLatency returns a client's mean operation latency per class.
-func (fs *FileSystem) ClientMeanLatency(clientID uint64) [wire.NumClasses]time.Duration {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var out [wire.NumClasses]time.Duration
-	if st, ok := fs.clients[clientID]; ok {
-		for c := range out {
-			if st.ops[c] > 0 {
-				out[c] = time.Duration(st.waitNS[c] / int64(st.ops[c]))
-			}
-		}
-	}
-	return out
-}
-
-// Clients returns the known client IDs in ascending order.
-func (fs *FileSystem) Clients() []uint64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	ids := make([]uint64, 0, len(fs.clients))
-	for id := range fs.clients {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// TotalOps returns operations completed across all servers per class.
-func (fs *FileSystem) TotalOps() wire.Rates {
-	var r wire.Rates
-	r[wire.ClassMeta] = float64(fs.mds.completed())
-	for _, o := range fs.osts {
-		r[wire.ClassData] += float64(o.completed())
-	}
-	return r
-}
-
-// QueueDepths returns the MDS queue depth and the summed OST queue depth, a
-// direct contention signal.
-func (fs *FileSystem) QueueDepths() (mds, osts int) {
-	mds = fs.mds.depth()
-	for _, o := range fs.osts {
-		osts += o.depth()
-	}
-	return mds, osts
 }

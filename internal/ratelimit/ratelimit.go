@@ -10,15 +10,11 @@ package ratelimit
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
-
-// ErrPaused is returned by TryTake on a paused bucket.
-var ErrPaused = errors.New("ratelimit: paused by control plane")
 
 // pollInterval bounds how long a waiter sleeps before rechecking a bucket
 // whose rate is zero or paused; rate changes wake waiters sooner.
@@ -112,25 +108,6 @@ func (b *TokenBucket) SetPaused(p bool) {
 	b.mu.Unlock()
 }
 
-// TryTake attempts to consume n tokens without blocking. It reports whether
-// the tokens were taken; ErrPaused distinguishes administrative pauses from
-// plain throttling.
-func (b *TokenBucket) TryTake(n float64) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.paused {
-		return ErrPaused
-	}
-	b.refill(time.Now())
-	if b.tokens < n {
-		return errThrottled
-	}
-	b.tokens -= n
-	return nil
-}
-
-var errThrottled = errors.New("ratelimit: throttled")
-
 // Wait blocks until n tokens are available (or ctx ends), then consumes
 // them. Rate changes and pauses take effect immediately, even for waiters
 // already blocked.
@@ -171,14 +148,6 @@ func (b *TokenBucket) Wait(ctx context.Context, n float64) error {
 	}
 }
 
-// Tokens returns the currently available token count (after refill).
-func (b *TokenBucket) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refill(time.Now())
-	return b.tokens
-}
-
 // MultiBucket holds one token bucket per operation class and applies
 // control-plane rules atomically across them.
 type MultiBucket struct {
@@ -215,18 +184,6 @@ func (m *MultiBucket) Admit(ctx context.Context, class wire.OpClass) error {
 	b := m.buckets[class]
 	m.mu.Unlock()
 	return b.Wait(ctx, 1)
-}
-
-// TryAdmit attempts to admit one operation without blocking.
-func (m *MultiBucket) TryAdmit(class wire.OpClass) error {
-	m.mu.Lock()
-	if m.unlimited {
-		m.mu.Unlock()
-		return nil
-	}
-	b := m.buckets[class]
-	m.mu.Unlock()
-	return b.TryTake(1)
 }
 
 // ApplyRule reconfigures the limiter from a control-plane rule.

@@ -11,27 +11,39 @@ import (
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
+// doneCtx is a context that is already done: Wait and Admit under it take a
+// token that is available at once and fail rather than wait for one.
+var doneCtx = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
 func TestTryTakeWithinBurst(t *testing.T) {
 	b := NewTokenBucket(100, 10)
 	for i := 0; i < 10; i++ {
-		if err := b.TryTake(1); err != nil {
-			t.Fatalf("TryTake %d within burst: %v", i, err)
+		if err := b.Wait(doneCtx, 1); err != nil {
+			t.Fatalf("take %d within burst: %v", i, err)
 		}
 	}
-	if err := b.TryTake(1); err == nil {
-		t.Fatal("TryTake beyond burst succeeded immediately")
+	if err := b.Wait(doneCtx, 1); err == nil {
+		t.Fatal("take beyond burst succeeded immediately")
 	}
 }
 
 func TestTokensRefill(t *testing.T) {
 	b := NewTokenBucket(1000, 10)
 	for i := 0; i < 10; i++ {
-		if err := b.TryTake(1); err != nil {
+		if err := b.Wait(doneCtx, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	time.Sleep(50 * time.Millisecond) // ~50 tokens accrue, capped at burst 10
-	if got := b.Tokens(); got < 5 || got > 10 {
+	b.mu.Lock()
+	b.refill(time.Now())
+	got := b.tokens
+	b.mu.Unlock()
+	if got < 5 || got > 10 {
 		t.Errorf("Tokens after refill = %g, want in [5, 10]", got)
 	}
 }
@@ -57,7 +69,7 @@ func TestWaitThroughputBounded(t *testing.T) {
 
 func TestWaitContextCancel(t *testing.T) {
 	b := NewTokenBucket(0, 1) // zero rate: waits forever without cancel
-	b.TryTake(1)
+	b.Wait(doneCtx, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if err := b.Wait(ctx, 1); !errors.Is(err, context.DeadlineExceeded) {
@@ -67,7 +79,7 @@ func TestWaitContextCancel(t *testing.T) {
 
 func TestSetRateWakesWaiter(t *testing.T) {
 	b := NewTokenBucket(0, 1)
-	b.TryTake(1) // drain
+	b.Wait(doneCtx, 1) // drain
 	done := make(chan error, 1)
 	go func() { done <- b.Wait(context.Background(), 1) }()
 	time.Sleep(20 * time.Millisecond)
@@ -85,8 +97,8 @@ func TestSetRateWakesWaiter(t *testing.T) {
 func TestPause(t *testing.T) {
 	b := NewTokenBucket(1e6, 10)
 	b.SetPaused(true)
-	if err := b.TryTake(1); !errors.Is(err, ErrPaused) {
-		t.Fatalf("TryTake on paused = %v, want ErrPaused", err)
+	if err := b.Wait(doneCtx, 1); err == nil {
+		t.Fatal("a paused bucket admitted an operation")
 	}
 	done := make(chan error, 1)
 	go func() { done <- b.Wait(context.Background(), 1) }()
@@ -109,12 +121,12 @@ func TestPause(t *testing.T) {
 
 func TestBurstDefaults(t *testing.T) {
 	b := NewTokenBucket(50, 0)
-	if b.Tokens() != 50 {
-		t.Errorf("default burst = %g, want 50 (rate)", b.Tokens())
+	if b.burst != 50 || b.tokens != 50 {
+		t.Errorf("default burst = %g with %g tokens, want 50 (rate)", b.burst, b.tokens)
 	}
 	tiny := NewTokenBucket(0.1, 0)
-	if tiny.Tokens() != 1 {
-		t.Errorf("minimum burst = %g, want 1", tiny.Tokens())
+	if tiny.burst != 1 || tiny.tokens != 1 {
+		t.Errorf("minimum burst = %g with %g tokens, want 1", tiny.burst, tiny.tokens)
 	}
 }
 
@@ -161,7 +173,7 @@ func TestAdmissionNeverExceedsRateProperty(t *testing.T) {
 		start := time.Now()
 		var admitted int
 		for time.Since(start) < 20*time.Millisecond {
-			if b.TryTake(1) == nil {
+			if b.Wait(doneCtx, 1) == nil {
 				admitted++
 			}
 		}
@@ -178,17 +190,17 @@ func TestMultiBucketClasses(t *testing.T) {
 	m := NewMultiBucket(wire.Rates{5, 1})
 	// Data class has 5 tokens of burst, meta has 1.
 	for i := 0; i < 5; i++ {
-		if err := m.TryAdmit(wire.ClassData); err != nil {
+		if err := m.Admit(doneCtx, wire.ClassData); err != nil {
 			t.Fatalf("data admit %d: %v", i, err)
 		}
 	}
-	if err := m.TryAdmit(wire.ClassData); err == nil {
+	if err := m.Admit(doneCtx, wire.ClassData); err == nil {
 		t.Error("data admit beyond burst succeeded")
 	}
-	if err := m.TryAdmit(wire.ClassMeta); err != nil {
+	if err := m.Admit(doneCtx, wire.ClassMeta); err != nil {
 		t.Fatalf("meta admit: %v", err)
 	}
-	if err := m.TryAdmit(wire.ClassMeta); err == nil {
+	if err := m.Admit(doneCtx, wire.ClassMeta); err == nil {
 		t.Error("meta admit beyond burst succeeded")
 	}
 }
@@ -196,7 +208,7 @@ func TestMultiBucketClasses(t *testing.T) {
 func TestMultiBucketUnlimited(t *testing.T) {
 	m := NewUnlimited()
 	for i := 0; i < 10000; i++ {
-		if err := m.TryAdmit(wire.ClassData); err != nil {
+		if err := m.Admit(context.Background(), wire.ClassData); err != nil {
 			t.Fatalf("unlimited admit: %v", err)
 		}
 	}
@@ -218,16 +230,16 @@ func TestMultiBucketApplyRules(t *testing.T) {
 	}
 
 	m.ApplyRule(wire.Rule{Action: wire.ActionPause})
-	if err := m.TryAdmit(wire.ClassData); !errors.Is(err, ErrPaused) {
-		t.Errorf("TryAdmit while paused = %v", err)
+	if err := m.Admit(doneCtx, wire.ClassData); err == nil {
+		t.Error("admitted while paused")
 	}
 
 	m.ApplyRule(wire.Rule{Action: wire.ActionNoLimit})
 	if _, unlimited := m.Limits(); !unlimited {
 		t.Error("not unlimited after NoLimit")
 	}
-	if err := m.TryAdmit(wire.ClassData); err != nil {
-		t.Errorf("TryAdmit after NoLimit: %v", err)
+	if err := m.Admit(context.Background(), wire.ClassData); err != nil {
+		t.Errorf("Admit after NoLimit: %v", err)
 	}
 }
 
@@ -240,18 +252,20 @@ func TestMultiBucketRuleRetuning(t *testing.T) {
 	}
 }
 
-func BenchmarkTryTake(b *testing.B) {
+func BenchmarkWait(b *testing.B) {
 	bucket := NewTokenBucket(1e12, 1e12)
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		bucket.TryTake(1)
+		bucket.Wait(ctx, 1)
 	}
 }
 
 func BenchmarkAdmitUnlimited(b *testing.B) {
 	m := NewUnlimited()
 	b.ReportAllocs()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		m.TryAdmit(wire.ClassData)
+		m.Admit(ctx, wire.ClassData)
 	}
 }

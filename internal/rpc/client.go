@@ -262,10 +262,6 @@ func Dial(ctx context.Context, network transport.Network, addr string, opts Dial
 	return newClient(transport.WithMeter(conn, opts.Meter), opts), nil
 }
 
-// NewClient wraps an established connection as an RPC client and starts
-// reading its responses. The client takes ownership of conn.
-func NewClient(conn net.Conn) *Client { return newClient(conn, DialOptions{}) }
-
 // newClient builds the client completely and only then starts its reads,
 // since its reader reads every field set from opts.
 func newClient(conn net.Conn, opts DialOptions) *Client {
@@ -290,11 +286,6 @@ func (c *Client) CodecVersion() int { return wire.CodecV2 }
 // RemoteAddr returns the server's address.
 func (c *Client) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
 
-// LocalAddr returns the connection's local address. trace.AddrTag of its
-// string form matches the tag the server records for this connection's
-// requests, correlating client and server spans.
-func (c *Client) LocalAddr() net.Addr { return c.conn.LocalAddr() }
-
 // Err reports why the client is unusable: the error its reader died of,
 // ErrClientClosed after Close, or nil while the connection is healthy.
 func (c *Client) Err() error {
@@ -308,10 +299,6 @@ func (c *Client) Err() error {
 	}
 	return nil
 }
-
-// LateResponses returns the number of responses that arrived after their
-// call had already been abandoned (via context) and were dropped.
-func (c *Client) LateResponses() uint64 { return c.late.Load() }
 
 // replyReader handles the frames a client receives. It is the connection's
 // single reader, so it owns the response-side float history (which must see

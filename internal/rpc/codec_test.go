@@ -238,7 +238,7 @@ func TestDialBuildsClientBeforeReading(t *testing.T) {
 	}
 	defer cli.Close()
 	waitFor(t, "the eager push and the unmatched response", func() bool {
-		return pushes.Load() == 1 && cli.LateResponses() == 1
+		return pushes.Load() == 1 && cli.late.Load() == 1
 	})
 }
 
@@ -260,7 +260,7 @@ func TestInlinePushInterleavesWithResponses(t *testing.T) {
 	srv, cli := codecSetup(t, floatHandler{}, ServerOptions{}, DialOptions{OnPush: onPush})
 	// Dial returns before the server has registered the peer; a pusher
 	// started earlier would count pushes to nobody.
-	waitFor(t, "the server to register the peer", func() bool { return srv.NumPeers() == 1 })
+	waitFor(t, "the server to register the peer", func() bool { return peerCount(srv) == 1 })
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -60,7 +60,7 @@ func TestLateResponseCounted(t *testing.T) {
 		t.Fatalf("Call: %v", err)
 	}
 	waitFor(t, "duplicate response to be counted", func() bool {
-		return cli.LateResponses() == 1
+		return cli.late.Load() == 1
 	})
 }
 
@@ -87,7 +87,7 @@ func TestClientLifecycleRace(t *testing.T) {
 				_, _ = cli.Call(ctx, &wire.Heartbeat{SentUnixMicros: int64(g*1000 + i)})
 				cancel()
 				cli.Err()
-				cli.LateResponses()
+				cli.late.Load()
 			}
 		}(g)
 	}

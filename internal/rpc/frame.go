@@ -17,7 +17,7 @@
 //     the package's only Read;
 //   - deadlines and cancellation: a call abandoned via its context fails at
 //     once on the client, which sends nothing for it; its response, which
-//     the server still writes, is counted (Client.LateResponses) and
+//     the server still writes, is counted (Client.late) and
 //     dropped when it arrives;
 //   - fail-fast connection faults: a dead connection fails its in-flight
 //     calls and every later one with ErrDisconnected, and a client never

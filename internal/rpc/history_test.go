@@ -139,7 +139,7 @@ func TestFailedWriteFailsClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := &failOnceConn{Conn: raw}
-	cli := NewClient(conn)
+	cli := newClient(conn, DialOptions{})
 	defer cli.Close()
 
 	enforce := testEnforce(3, 1)

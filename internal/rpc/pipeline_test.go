@@ -205,8 +205,8 @@ func TestPipelinedWaitsRaceCancel(t *testing.T) {
 	}
 	// The second burst was answered after the first on the same connection,
 	// so every late response has been read by now.
-	if got := cli.LateResponses(); got != abandoned {
-		t.Errorf("LateResponses = %d, want one per abandoned call (%d)", got, abandoned)
+	if got := cli.late.Load(); got != abandoned {
+		t.Errorf("late responses = %d, want one per abandoned call (%d)", got, abandoned)
 	}
 }
 
@@ -224,7 +224,7 @@ func TestGoAfterClose(t *testing.T) {
 // TestRecycledHandleNotPoisonedByLateResponse is the pool-aliasing
 // leak-check: a handle abandoned via context is recycled and immediately
 // reused by the next call, while the abandoned call's response is still in
-// flight. The late response must be dropped (counted in LateResponses), not
+// flight. The late response must be dropped (counted as late), not
 // delivered into the recycled handle.
 func TestRecycledHandleNotPoisonedByLateResponse(t *testing.T) {
 	// A propagation delay keeps the first response in flight while the
@@ -263,12 +263,12 @@ func TestRecycledHandleNotPoisonedByLateResponse(t *testing.T) {
 	// 20 are counted late.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if cli.LateResponses() >= 20 || time.Now().After(deadline) {
+		if cli.late.Load() >= 20 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := cli.LateResponses(); got < 20 {
+	if got := cli.late.Load(); got < 20 {
 		t.Errorf("late = %d, want >= 20", got)
 	}
 }
@@ -308,8 +308,8 @@ func TestAbandonedCallsCountLateResponses(t *testing.T) {
 	if got := handled.Load(); got != rounds {
 		t.Errorf("server handled %d abandoned requests, want all %d", got, rounds)
 	}
-	if got := cli.LateResponses(); got != rounds {
-		t.Errorf("LateResponses = %d, want %d", got, rounds)
+	if got := cli.late.Load(); got != rounds {
+		t.Errorf("late responses = %d, want %d", got, rounds)
 	}
 }
 

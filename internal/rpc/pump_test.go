@@ -98,7 +98,7 @@ func TestLargeFrameFewReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli := NewClient(clientEnd)
+	cli := newClient(clientEnd, DialOptions{})
 	defer cli.Close()
 	callEcho(t, cli, strings.Repeat("p", 1<<20))
 	if reads := counted.reads.Load(); reads > 16 {
@@ -130,7 +130,7 @@ func TestLargeFrameOneByteReads(t *testing.T) {
 	if r, ok := got.(*wire.StageListReply); err != nil || !ok || len(r.Stages) != 1 || r.Stages[0].Addr != addr {
 		t.Fatalf("one byte per Read, the client's call ended with %T, %v", got, err)
 	}
-	if late := cli.LateResponses(); late != 0 {
+	if late := cli.late.Load(); late != 0 {
 		t.Errorf("%d late responses, want none", late)
 	}
 }

@@ -245,6 +245,13 @@ func TestNilResponseBecomesError(t *testing.T) {
 	})
 }
 
+// peerCount returns the number of peers connected to s.
+func peerCount(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.peers)
+}
+
 func TestServerNumPeersAndOnDisconnect(t *testing.T) {
 	t.Run("inline", func(t *testing.T) {
 		var disconnects atomic.Int64
@@ -253,7 +260,7 @@ func TestServerNumPeersAndOnDisconnect(t *testing.T) {
 		if _, err := cli.Call(context.Background(), &wire.Heartbeat{}); err != nil {
 			t.Fatal(err)
 		}
-		if got := srv.NumPeers(); got != 1 {
+		if got := peerCount(srv); got != 1 {
 			t.Errorf("NumPeers = %d, want 1", got)
 		}
 		cli.Close()
@@ -310,7 +317,7 @@ func TestServerAcceptLoopOnlyWithoutHandoff(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := srv.NumPeers(); got != 3 {
+	if got := peerCount(srv); got != 3 {
 		t.Fatalf("simnet server holds %d peers, want 3", got)
 	}
 	if got := goroutinesIn(loop); got != base {

@@ -45,9 +45,6 @@ type Peer struct {
 	wmu sync.Mutex
 }
 
-// RemoteAddr returns the peer's address.
-func (p *Peer) RemoteAddr() net.Addr { return p.conn.RemoteAddr() }
-
 // Close severs the peer's connection. Used by servers to evict members.
 func (p *Peer) Close() error { return p.conn.Close() }
 
@@ -147,13 +144,6 @@ func Serve(network transport.Network, addr string, h Handler, opts ServerOptions
 
 // Addr returns the server's listen address.
 func (s *Server) Addr() net.Addr { return s.l.Addr() }
-
-// NumPeers returns the number of currently connected peers.
-func (s *Server) NumPeers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.peers)
-}
 
 // ForEachPeer calls fn for every currently connected peer. It iterates the
 // peer set as it stood on entry, outside the server lock, so fn may itself

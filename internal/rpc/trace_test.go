@@ -77,7 +77,7 @@ func TestTracedCallSpans(t *testing.T) {
 		ss := waitSpans(t, serverTr, trace.KindServer, 1)[0]
 		// The server tags the peer's remote address; the client's local address
 		// is the same endpoint, correlating the two spans.
-		if want := trace.AddrTag(cli.LocalAddr().String()); ss.Tag != want {
+		if want := trace.AddrTag(cli.conn.LocalAddr().String()); ss.Tag != want {
 			t.Fatalf("server span tag %d, want %d", ss.Tag, want)
 		}
 		if ss.Call != cs.Call {

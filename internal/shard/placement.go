@@ -64,9 +64,6 @@ func NewRing(shards, virtualNodes int) *Ring {
 	return r
 }
 
-// Shards returns the number of shards the ring places onto.
-func (r *Ring) Shards() int { return r.shards }
-
 // Place returns the shard owning childID: the shard of the first virtual
 // point at or above the child's hash, wrapping past the top of the ring.
 func (r *Ring) Place(childID uint64) int {

@@ -4,8 +4,8 @@ import "testing"
 
 func TestRingPlaceRangeAndDeterminism(t *testing.T) {
 	r := NewRing(4, 0)
-	if r.Shards() != 4 {
-		t.Fatalf("shards = %d", r.Shards())
+	if r.shards != 4 {
+		t.Fatalf("shards = %d", r.shards)
 	}
 	for id := uint64(1); id <= 1000; id++ {
 		s := r.Place(id)

@@ -16,7 +16,7 @@ import (
 type Counter struct {
 	mu   sync.Mutex
 	open []*Shard
-	base atomic.Uint64 // closed shards' counts and direct adds
+	base atomic.Uint64 // closed shards' counts
 }
 
 // Shard is one connection's share of a Counter. Its zero value counts on
@@ -28,10 +28,6 @@ type Shard struct {
 	c      *Counter
 	i      int // index in c.open; guarded by c.mu
 }
-
-// Add counts n on the counter's base word, which every caller of Add
-// shares: for counts that do not belong to one connection.
-func (c *Counter) Add(n uint64) { c.base.Add(n) }
 
 // Attach registers s, which must be new, with c. A nil c leaves s counting
 // on its own.

@@ -168,50 +168,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return h.maxSeen
 }
 
-// Merge folds other's observations into h, so per-controller recorders can
-// be combined into one distribution (e.g. across the peers of a
-// coordinated control plane). other is read under its own lock and may be
-// concurrently updated; the merge is a consistent snapshot of it.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || h == other {
-		return
-	}
-	other.mu.Lock()
-	counts := other.counts
-	n := other.n
-	sum, sumSq := other.sum, other.sumSq
-	minSeen, maxSeen := other.minSeen, other.maxSeen
-	other.mu.Unlock()
-	if n == 0 {
-		return
-	}
-
-	h.mu.Lock()
-	for i, c := range counts {
-		h.counts[i] += c
-	}
-	if h.n == 0 || minSeen < h.minSeen {
-		h.minSeen = minSeen
-	}
-	if maxSeen > h.maxSeen {
-		h.maxSeen = maxSeen
-	}
-	h.n += n
-	h.sum += sum
-	h.sumSq += sumSq
-	h.mu.Unlock()
-}
-
-// Merge folds other's cycles into r, phase by phase.
-func (r *CycleRecorder) Merge(other *CycleRecorder) {
-	if other == nil || r == other {
-		return
-	}
-	for i := range r.phases {
-		r.phases[i].Merge(&other.phases[i])
-	}
-}
-
 // Reset discards all observations.
 func (h *Histogram) Reset() {
 	h.mu.Lock()

@@ -5,7 +5,6 @@ package top500
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -32,13 +31,6 @@ func Systems() []System {
 		{Name: "Summit", Rank: 9, RmaxPFlops: 148.6, Nodes: 4608, Year: 2018},
 		{Name: "Frontera", Rank: 33, RmaxPFlops: 23.52, Nodes: 8368, Year: 2019},
 	}
-}
-
-// ByNodes returns the systems sorted by descending node count.
-func ByNodes() []System {
-	s := Systems()
-	sort.Slice(s, func(i, j int) bool { return s[i].Nodes > s[j].Nodes })
-	return s
 }
 
 // MinAggregators returns the minimum number of aggregator controllers a

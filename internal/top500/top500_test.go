@@ -32,18 +32,6 @@ func TestSystemsMatchPaperTableI(t *testing.T) {
 	}
 }
 
-func TestByNodesDescending(t *testing.T) {
-	s := ByNodes()
-	for i := 1; i < len(s); i++ {
-		if s[i].Nodes > s[i-1].Nodes {
-			t.Fatalf("not descending at %d: %d > %d", i, s[i].Nodes, s[i-1].Nodes)
-		}
-	}
-	if s[0].Name != "Fugaku" {
-		t.Errorf("largest system = %s, want Fugaku", s[0].Name)
-	}
-}
-
 func TestMinAggregators(t *testing.T) {
 	frontier := Systems()[0]
 	// 9408 nodes at the paper's 2,500-connection limit need 4 aggregators.

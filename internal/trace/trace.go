@@ -47,7 +47,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -274,9 +273,6 @@ func New(capacity int) *Tracer {
 	return &Tracer{slots: make([]slot, n), mask: uint64(n - 1)}
 }
 
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // SetSampleEvery sets the call-sampling rate: calls whose frame ID is a
 // multiple of every (rounded up to a power of two) are timed and recorded as
 // spans; all other calls are counted but not timed. every <= 1 restores full
@@ -311,23 +307,6 @@ func (t *Tracer) SampleEvery() int {
 // so a sampled client call meets a sampled server request.
 func (t *Tracer) Sampled(id uint64) bool {
 	return t != nil && id&t.sampleMask == 0
-}
-
-// Cap returns the ring capacity (0 for a nil tracer).
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.slots)
-}
-
-// Appends returns the total number of spans ever appended; min(Appends, Cap)
-// entries are currently resident.
-func (t *Tracer) Appends() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.cursor.Load()
 }
 
 // SetContext publishes the owning controller's current cycle context:
@@ -557,33 +536,6 @@ func (t *Tracer) Snapshot() []Span {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
-}
-
-// Dump writes a human-readable span listing, oldest first.
-func (t *Tracer) Dump(w io.Writer) error {
-	if t == nil {
-		_, err := fmt.Fprintln(w, "trace: disabled")
-		return err
-	}
-	spans := t.Snapshot()
-	if _, err := fmt.Fprintf(w, "trace: %d spans resident (%d appended, capacity %d)\n",
-		len(spans), t.Appends(), t.Cap()); err != nil {
-		return err
-	}
-	for _, s := range spans {
-		var flags string
-		if s.Err() {
-			flags += " ERR"
-		}
-		if s.Abandoned() {
-			flags += " ABANDONED"
-		}
-		if _, err := fmt.Fprintf(w, "#%-8d %-7s %-8s cycle=%d epoch=%d tag=%d call=%d dur=%v a=%v b=%v%s\n",
-			s.Seq, s.Kind, s.Phase, s.Cycle, s.Epoch, s.Tag, s.Call, s.Dur, s.PartA, s.PartB, flags); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ChildLatency is one child's slowest resident call.

@@ -13,9 +13,6 @@ import (
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	tr.SetContext(1, 1, 0, PhaseCollect)
 	tr.RecordCycle(1, 1, 0, time.Now(), time.Millisecond, false)
 	tr.RecordPhase(PhaseCollect, 1, 1, 0, time.Now(), time.Millisecond)
@@ -31,13 +28,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if got := tr.SlowestChildren(3); got != nil {
 		t.Fatalf("nil tracer slowest = %v, want nil", got)
 	}
-	if tr.Cap() != 0 || tr.Appends() != 0 {
-		t.Fatal("nil tracer reports capacity or appends")
-	}
 	var buf bytes.Buffer
-	if err := tr.Dump(&buf); err != nil {
-		t.Fatalf("nil Dump: %v", err)
-	}
 	if err := tr.WritePrometheus(&buf, "x"); err != nil {
 		t.Fatalf("nil WritePrometheus: %v", err)
 	}
@@ -48,8 +39,8 @@ func TestCapacityRounding(t *testing.T) {
 		{0, DefaultCapacity}, {-5, DefaultCapacity}, {1, 1024}, {1024, 1024},
 		{1025, 2048}, {5000, 8192},
 	} {
-		if got := New(tc.in).Cap(); got != tc.want {
-			t.Errorf("New(%d).Cap() = %d, want %d", tc.in, got, tc.want)
+		if got := len(New(tc.in).slots); got != tc.want {
+			t.Errorf("New(%d) capacity = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -129,16 +120,16 @@ func TestFlags(t *testing.T) {
 
 func TestRingWraps(t *testing.T) {
 	tr := New(1024)
-	n := tr.Cap()*2 + 17
+	n := len(tr.slots)*2 + 17
 	for i := 0; i < n; i++ {
 		tr.RecordPhase(PhaseCompute, uint64(i), 1, 0, time.Now(), time.Duration(i))
 	}
 	spans := tr.Snapshot()
-	if len(spans) != tr.Cap() {
-		t.Fatalf("resident %d, want %d", len(spans), tr.Cap())
+	if len(spans) != len(tr.slots) {
+		t.Fatalf("resident %d, want %d", len(spans), len(tr.slots))
 	}
 	// Oldest resident append is n-cap+1 (seq numbers are 1-based).
-	if want := uint64(n - tr.Cap() + 1); spans[0].Seq != want {
+	if want := uint64(n - len(tr.slots) + 1); spans[0].Seq != want {
 		t.Fatalf("oldest seq %d, want %d", spans[0].Seq, want)
 	}
 	for i := 1; i < len(spans); i++ {
@@ -146,8 +137,8 @@ func TestRingWraps(t *testing.T) {
 			t.Fatalf("non-contiguous seqs at %d: %d then %d", i, spans[i-1].Seq, spans[i].Seq)
 		}
 	}
-	if tr.Appends() != uint64(n) {
-		t.Fatalf("appends %d, want %d", tr.Appends(), n)
+	if tr.cursor.Load() != uint64(n) {
+		t.Fatalf("appends %d, want %d", tr.cursor.Load(), n)
 	}
 }
 
@@ -270,19 +261,6 @@ func TestAddrTag(t *testing.T) {
 	}
 	if a != AddrTag("10.0.0.1:4000") {
 		t.Fatal("AddrTag not deterministic")
-	}
-}
-
-func TestDump(t *testing.T) {
-	tr := New(1024)
-	tr.RecordCycle(1, 2, 0, time.Now(), time.Millisecond, false)
-	var buf bytes.Buffer
-	if err := tr.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "cycle") || !strings.Contains(out, "epoch=2") {
-		t.Fatalf("dump output missing fields:\n%s", out)
 	}
 }
 
@@ -432,7 +410,7 @@ func TestCountOnlyRecording(t *testing.T) {
 	if tot.ServerCalls != 1 || tot.ServerSampled != 0 || tot.ServerDur != 0 {
 		t.Fatalf("server counts: %+v", tot)
 	}
-	if got := tr.Appends(); got != 0 {
+	if got := tr.cursor.Load(); got != 0 {
 		t.Fatalf("count-only calls appended %d spans, want 0", got)
 	}
 

@@ -50,7 +50,6 @@ type stream struct {
 	rtimer      *time.Timer // the pending read deadline, if any
 	wdeadline   time.Time   // the write deadline; zero for none
 	lastSendEnd time.Time
-	written     uint64 // bytes accepted by write: both hosts' traffic accounting
 
 	// handoff, once set, receives the stream's bytes and then its end in
 	// place of read. draining says a call of it is running: buf[:arrived]
@@ -78,13 +77,6 @@ func (s *stream) closeWrite() {
 	s.mu.Lock()
 	s.wclosed = true
 	s.signal()
-}
-
-// bytes returns how many bytes the stream has carried.
-func (s *stream) bytes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.written
 }
 
 // closeRead fails the local reader and tells the writer its peer is gone.
@@ -236,7 +228,6 @@ func (s *stream) write(p []byte) (int, error) {
 		s.off = 0
 	}
 	s.buf = append(s.buf, p...)
-	s.written += uint64(len(p))
 	due := now // an unmodelled network: readable at once
 	if s.net.timed {
 		due = s.arrival(len(p), now)

@@ -3,7 +3,6 @@ package simnet
 import (
 	"context"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -83,9 +82,6 @@ type FaultSchedule struct {
 	net    *Net
 	cancel context.CancelFunc
 	done   chan struct{}
-
-	mu      sync.Mutex
-	applied int
 }
 
 // Schedule starts replaying events against the network. Events are applied
@@ -142,9 +138,6 @@ func (s *FaultSchedule) run(ctx context.Context, events []FaultEvent) {
 			h.SetPartitioned(true)
 			h.KillConns()
 		}
-		s.mu.Lock()
-		s.applied++
-		s.mu.Unlock()
 	}
 }
 
@@ -153,13 +146,6 @@ func (s *FaultSchedule) healAll(down map[string]bool) {
 	for name := range down {
 		s.net.Host(name).SetPartitioned(false)
 	}
-}
-
-// Applied returns how many events have fired so far.
-func (s *FaultSchedule) Applied() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applied
 }
 
 // Wait blocks until every event has fired (or the schedule was stopped).

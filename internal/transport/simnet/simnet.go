@@ -9,8 +9,6 @@
 //   - a configurable concurrent-connection limit (default 2,500, the limit
 //     the paper measured on Frontera nodes, §IV-A), so the flat design's
 //     scalability cliff is reproduced by construction;
-//   - exact transmit/receive byte accounting, feeding the network rows of
-//     the paper's resource tables;
 //   - a latency model: one-way propagation delay, optional jitter, and
 //     per-connection serialization bandwidth.
 //
@@ -171,21 +169,9 @@ func (n *Net) lookup(name string) *Host {
 	return n.hosts[name]
 }
 
-// Hosts returns a snapshot of all hosts, in unspecified order.
-func (n *Net) Hosts() []*Host {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	hs := make([]*Host, 0, len(n.hosts))
-	for _, h := range n.hosts {
-		hs = append(hs, h)
-	}
-	return hs
-}
-
 // Host is one endpoint of the simulated network. It implements
 // transport.Network: listening binds ports on this host, and dialing
-// originates from it (so connection limits and byte accounting apply to the
-// correct endpoint).
+// originates from it (so connection limits apply to the correct endpoint).
 type Host struct {
 	net  *Net
 	name string
@@ -199,9 +185,6 @@ type Host struct {
 	partitioned bool
 
 	proc processor
-	// closedTx and closedRx (guarded by mu) are the traffic of the host's
-	// closed connections; Traffic adds the open ones' streams.
-	closedTx, closedRx uint64
 }
 
 // processor is a host's simulated message-processing capacity: a
@@ -237,44 +220,12 @@ var (
 	_ transport.HandoffListener = (*listener)(nil)
 )
 
-// Name returns the host's name.
-func (h *Host) Name() string { return h.name }
-
-// Traffic returns the bytes written from and to the host over all its
-// connections, open and closed. Each connection counts its bytes under its
-// streams' own locks as it writes; Traffic sums them on read.
-func (h *Host) Traffic() (tx, rx uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	tx, rx = h.closedTx, h.closedRx
-	for c := range h.conns {
-		tx += c.wr.bytes()
-		rx += c.rd.bytes()
-	}
-	return tx, rx
-}
-
 // ConnCount returns the number of currently established connections
 // (initiated plus accepted).
 func (h *Host) ConnCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.conns)
-}
-
-// OutConnCount returns the number of currently established connections the
-// host initiated — the pool the connection limit applies to.
-func (h *Host) OutConnCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.outConns
-}
-
-// SetMaxConns overrides the host's connection limit. Negative disables it.
-func (h *Host) SetMaxConns(n int) {
-	h.mu.Lock()
-	h.maxConns = n
-	h.mu.Unlock()
 }
 
 // SetPartitioned isolates (or heals) the host. Partitioning fails future
@@ -309,13 +260,6 @@ func (h *Host) KillConns() {
 	for _, c := range victims {
 		c.Close()
 	}
-}
-
-// Partitioned reports whether the host is currently isolated.
-func (h *Host) Partitioned() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.partitioned
 }
 
 // resolve parses "host:port" relative to h: an empty host means h itself.
@@ -447,10 +391,6 @@ func (h *Host) dropConn(c *conn) {
 	h.mu.Lock()
 	if _, ok := h.conns[c]; ok {
 		delete(h.conns, c)
-		// Both of c's streams are closed (to further writes) before
-		// either host drops it, so these counts are final.
-		h.closedTx += c.wr.bytes()
-		h.closedRx += c.rd.bytes()
 		if c.initiator {
 			h.outConns--
 		}

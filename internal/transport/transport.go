@@ -86,12 +86,6 @@ type Meter struct {
 	tx, rx telemetry.Counter
 }
 
-// AddTx records n transmitted bytes that no MeteredConn counted.
-func (m *Meter) AddTx(n int) { m.tx.Add(uint64(n)) }
-
-// AddRx records n received bytes that no MeteredConn counted.
-func (m *Meter) AddRx(n int) { m.rx.Add(uint64(n)) }
-
 // Tx returns total transmitted bytes.
 func (m *Meter) Tx() uint64 { return m.tx.Load() }
 
@@ -158,25 +152,6 @@ func (c *MeteredConn) Close() error {
 	c.tx.Close()
 	c.rx.Close()
 	return err
-}
-
-// MeteredNetwork wraps a Network so every dialed connection is charged to a
-// Meter. Accepted connections must be wrapped by the listener's owner (the
-// RPC server does this) because listeners hand out raw conns.
-type MeteredNetwork struct {
-	// Network is the underlying transport.
-	Network
-	// Meter receives the byte accounting for dialed connections.
-	Meter *Meter
-}
-
-// Dial implements Network.
-func (n *MeteredNetwork) Dial(ctx context.Context, addr string) (net.Conn, error) {
-	c, err := n.Network.Dial(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	return WithMeter(c, n.Meter), nil
 }
 
 // Rate converts a byte count over an elapsed duration into MB/s (decimal

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -11,22 +10,26 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/dsrhaslab/sdscale/internal/telemetry"
 )
 
 func TestMeterCounts(t *testing.T) {
 	var m Meter
-	m.AddTx(100)
-	m.AddTx(50)
-	m.AddRx(7)
+	var tx, rx telemetry.Shard
+	m.tx.Attach(&tx)
+	m.rx.Attach(&rx)
+	tx.Add(100)
+	tx.Add(50)
+	rx.Add(7)
 	if m.Tx() != 150 {
 		t.Errorf("Tx = %d, want 150", m.Tx())
 	}
 	if m.Rx() != 7 {
 		t.Errorf("Rx = %d, want 7", m.Rx())
 	}
-	tx, rx := m.Snapshot()
-	if tx != 150 || rx != 7 {
-		t.Errorf("Snapshot = (%d, %d)", tx, rx)
+	if gotTx, gotRx := m.Snapshot(); gotTx != 150 || gotRx != 7 {
+		t.Errorf("Snapshot = (%d, %d)", gotTx, gotRx)
 	}
 }
 
@@ -37,10 +40,15 @@ func TestMeterConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var tx, rx telemetry.Shard
+			m.tx.Attach(&tx)
+			m.rx.Attach(&rx)
 			for j := 0; j < 1000; j++ {
-				m.AddTx(1)
-				m.AddRx(2)
+				tx.Add(1)
+				rx.Add(2)
 			}
+			tx.Close()
+			rx.Close()
 		}()
 	}
 	wg.Wait()
@@ -203,36 +211,6 @@ func TestWithMeterNil(t *testing.T) {
 	}
 }
 
-// pipeNetwork is a trivial Network over net.Pipe for testing the wrapper.
-type pipeNetwork struct{ server chan net.Conn }
-
-func (p *pipeNetwork) Listen(string) (net.Listener, error) { return nil, nil }
-func (p *pipeNetwork) Dial(ctx context.Context, addr string) (net.Conn, error) {
-	a, b := net.Pipe()
-	p.server <- b
-	return a, nil
-}
-
-func TestMeteredNetwork(t *testing.T) {
-	inner := &pipeNetwork{server: make(chan net.Conn, 1)}
-	var m Meter
-	n := &MeteredNetwork{Network: inner, Meter: &m}
-	c, err := n.Dial(context.Background(), "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := <-inner.server
-	defer srv.Close()
-	go io.Copy(io.Discard, srv)
-	if _, err := c.Write(make([]byte, 9)); err != nil {
-		t.Fatal(err)
-	}
-	if m.Tx() != 9 {
-		t.Errorf("metered network Tx = %d, want 9", m.Tx())
-	}
-}
-
 func TestRate(t *testing.T) {
 	if got := Rate(1e6, time.Second); got != 1.0 {
 		t.Errorf("Rate(1MB, 1s) = %g, want 1", got)
@@ -251,9 +229,11 @@ func TestRate(t *testing.T) {
 func TestMeterMonotonicProperty(t *testing.T) {
 	f := func(adds []uint16) bool {
 		var m Meter
+		var tx telemetry.Shard
+		m.tx.Attach(&tx)
 		var sum uint64
 		for _, a := range adds {
-			m.AddTx(int(a))
+			tx.Add(uint64(a))
 			sum += uint64(a)
 			if m.Tx() != sum {
 				return false

@@ -20,7 +20,7 @@ func TestFloat64V2RoundTrip(t *testing.T) {
 	for _, v := range values {
 		e.Float64(v)
 	}
-	d := &Decoder{buf: e.Bytes(), ver: CodecV2}
+	d := &Decoder{buf: e.buf, ver: CodecV2}
 	for i, want := range values {
 		got := d.Float64()
 		if math.IsNaN(want) {

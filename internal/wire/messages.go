@@ -174,29 +174,12 @@ func (r Rates) Add(o Rates) Rates {
 	return r
 }
 
-// Sub returns the element-wise difference r - o.
-func (r Rates) Sub(o Rates) Rates {
-	for i := range r {
-		r[i] -= o[i]
-	}
-	return r
-}
-
 // Scale returns r with every class multiplied by f.
 func (r Rates) Scale(f float64) Rates {
 	for i := range r {
 		r[i] *= f
 	}
 	return r
-}
-
-// Total returns the sum across classes.
-func (r Rates) Total() float64 {
-	var t float64
-	for _, v := range r {
-		t += v
-	}
-	return t
 }
 
 // IsZero reports whether every class is exactly zero.
@@ -628,22 +611,21 @@ type ErrorReply struct {
 	Epoch uint64
 }
 
-// Remote error codes.
+// Remote error codes. They are wire values: a retired code's number is
+// never reused (3 is reserved).
 const (
 	// CodeInternal is an unclassified remote failure.
-	CodeInternal uint32 = iota + 1
+	CodeInternal uint32 = 1
 	// CodeBadMessage means the peer could not decode the request.
-	CodeBadMessage
-	// CodeNotRegistered means the sender is unknown to the receiver.
-	CodeNotRegistered
+	CodeBadMessage uint32 = 2
 	// CodeOverload means the receiver shed the request under load.
-	CodeOverload
+	CodeOverload uint32 = 4
 	// CodeStaleEpoch means the caller's leadership epoch is below the
 	// receiver's: the caller has been deposed and must step down.
-	CodeStaleEpoch
+	CodeStaleEpoch uint32 = 5
 	// CodeNotLeader means the receiver is a standby that has not been
 	// promoted; the caller should retry against the current leader.
-	CodeNotLeader
+	CodeNotLeader uint32 = 6
 )
 
 // Type implements Message.

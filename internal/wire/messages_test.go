@@ -129,10 +129,10 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 func TestDecodeHugeSliceRejected(t *testing.T) {
 	// Hand-craft a CollectReply claiming 2^30 reports with no payload. The
 	// decoder must reject the length before allocating.
-	e := NewEncoder([]byte{byte(TCollectReply)})
+	e := &Encoder{buf: []byte{byte(TCollectReply)}}
 	e.Uint64(1)       // cycle
 	e.Uint64(1 << 30) // report count
-	if _, err := Decode(e.Bytes()); !errors.Is(err, ErrBadLength) {
+	if _, err := Decode(e.buf); !errors.Is(err, ErrBadLength) {
 		t.Errorf("Decode = %v, want ErrBadLength", err)
 	}
 }
@@ -162,20 +162,33 @@ func TestRatesArithmetic(t *testing.T) {
 	if got := a.Add(b); got != (Rates{11, 22}) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := a.Sub(b); got != (Rates{9, 18}) {
-		t.Errorf("Sub = %v", got)
-	}
 	if got := a.Scale(0.5); got != (Rates{5, 10}) {
 		t.Errorf("Scale = %v", got)
-	}
-	if got := a.Total(); got != 30 {
-		t.Errorf("Total = %g", got)
 	}
 	if a.IsZero() {
 		t.Error("IsZero(nonzero) = true")
 	}
 	if !(Rates{}).IsZero() {
 		t.Error("IsZero(zero) = false")
+	}
+}
+
+// TestErrorCodesPinned: ErrorReply codes are wire values, so each keeps its
+// number and the retired code 3 stays unused.
+func TestErrorCodesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uint32
+	}{
+		{"CodeInternal", CodeInternal, 1},
+		{"CodeBadMessage", CodeBadMessage, 2},
+		{"CodeOverload", CodeOverload, 4},
+		{"CodeStaleEpoch", CodeStaleEpoch, 5},
+		{"CodeNotLeader", CodeNotLeader, 6},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 

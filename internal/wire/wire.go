@@ -127,21 +127,6 @@ type Encoder struct {
 	hist *typeHist
 }
 
-// NewEncoder returns an Encoder that appends to buf (which may be nil).
-// Passing a buffer with spare capacity lets callers amortize allocations
-// across messages.
-func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
-
-// Bytes returns the encoded bytes accumulated so far. The slice aliases the
-// encoder's internal buffer and is invalidated by further Put calls.
-func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
-// Reset discards the accumulated encoding but keeps the capacity.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
-
 // Uint64 appends v as an unsigned varint.
 func (e *Encoder) Uint64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
@@ -153,15 +138,6 @@ func (e *Encoder) Uint32(v uint32) { e.Uint64(uint64(v)) }
 
 // Byte appends a single raw byte.
 func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
-
-// Bool appends a boolean as one byte.
-func (e *Encoder) Bool(b bool) {
-	if b {
-		e.Byte(1)
-	} else {
-		e.Byte(0)
-	}
-}
 
 // Float64 appends v in the encoder's codec version. V1 writes the fixed
 // 8-byte IEEE 754 representation: observed IOPS are rarely small integers and
@@ -215,12 +191,6 @@ func deltaFits(prev, v float64) bool {
 		return false
 	}
 	return prev+float64(int64(d)) == v
-}
-
-// Bytes16 appends a length-prefixed byte slice.
-func (e *Encoder) Bytes16(b []byte) {
-	e.Uint64(uint64(len(b)))
-	e.buf = append(e.buf, b...)
 }
 
 // String appends a length-prefixed UTF-8 string.
@@ -331,9 +301,6 @@ func (d *Decoder) Byte() byte {
 	d.off++
 	return b
 }
-
-// Bool reads a one-byte boolean.
-func (d *Decoder) Bool() bool { return d.Byte() != 0 }
 
 // Float64 reads a float in the decoder's codec version (see Encoder.Float64).
 func (d *Decoder) Float64() float64 {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestEncoderDecoderRoundTripPrimitives(t *testing.T) {
-	e := NewEncoder(nil)
+	e := &Encoder{}
 	e.Uint64(0)
 	e.Uint64(1)
 	e.Uint64(math.MaxUint64)
@@ -17,15 +17,13 @@ func TestEncoderDecoderRoundTripPrimitives(t *testing.T) {
 	e.Int64(math.MaxInt64)
 	e.Uint32(math.MaxUint32)
 	e.Byte(0xAB)
-	e.Bool(true)
-	e.Bool(false)
 	e.Float64(3.14159)
 	e.Float64(math.Inf(-1))
-	e.Bytes16([]byte{1, 2, 3})
+	e.String("\x01\x02\x03")
 	e.String("hello, 世界")
 	e.String("")
 
-	d := NewDecoder(e.Bytes())
+	d := NewDecoder(e.buf)
 	if got := d.Uint64(); got != 0 {
 		t.Errorf("Uint64 = %d, want 0", got)
 	}
@@ -49,12 +47,6 @@ func TestEncoderDecoderRoundTripPrimitives(t *testing.T) {
 	}
 	if got := d.Byte(); got != 0xAB {
 		t.Errorf("Byte = %#x, want 0xAB", got)
-	}
-	if got := d.Bool(); !got {
-		t.Error("Bool = false, want true")
-	}
-	if got := d.Bool(); got {
-		t.Error("Bool = true, want false")
 	}
 	if got := d.Float64(); got != 3.14159 {
 		t.Errorf("Float64 = %g, want 3.14159", got)
@@ -111,9 +103,9 @@ func TestDecoderVarintOverflow(t *testing.T) {
 }
 
 func TestDecoderUint32Overflow(t *testing.T) {
-	e := NewEncoder(nil)
+	e := &Encoder{}
 	e.Uint64(math.MaxUint32 + 1)
-	d := NewDecoder(e.Bytes())
+	d := NewDecoder(e.buf)
 	d.Uint32()
 	if d.Err() == nil {
 		t.Error("Uint32 accepted a 33-bit value")
@@ -121,9 +113,9 @@ func TestDecoderUint32Overflow(t *testing.T) {
 }
 
 func TestDecoderLengthLimit(t *testing.T) {
-	e := NewEncoder(nil)
+	e := &Encoder{}
 	e.Uint64(MaxSliceLen + 1)
-	d := NewDecoder(e.Bytes())
+	d := NewDecoder(e.buf)
 	d.Length()
 	if !errors.Is(d.Err(), ErrBadLength) {
 		t.Errorf("Err = %v, want ErrBadLength", d.Err())
@@ -160,27 +152,11 @@ func TestDecoderFinishTrailing(t *testing.T) {
 	}
 }
 
-func TestEncoderReset(t *testing.T) {
-	e := NewEncoder(nil)
-	e.Uint64(42)
-	if e.Len() == 0 {
-		t.Fatal("encoder empty after write")
-	}
-	e.Reset()
-	if e.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", e.Len())
-	}
-	e.Byte(7)
-	if got := e.Bytes(); len(got) != 1 || got[0] != 7 {
-		t.Errorf("Bytes after Reset+Byte = %v", got)
-	}
-}
-
 func TestBytes16Aliasing(t *testing.T) {
-	e := NewEncoder(nil)
-	e.Bytes16([]byte("abc"))
+	e := &Encoder{}
+	e.String("abc")
 	e.Byte(0x7F)
-	d := NewDecoder(e.Bytes())
+	d := NewDecoder(e.buf)
 	b := d.Bytes16()
 	// The returned slice must have capacity clamped so appends cannot
 	// clobber adjacent frame bytes.
@@ -192,9 +168,9 @@ func TestBytes16Aliasing(t *testing.T) {
 
 func TestUvarintRoundTripProperty(t *testing.T) {
 	f := func(v uint64) bool {
-		e := NewEncoder(nil)
+		e := &Encoder{}
 		e.Uint64(v)
-		d := NewDecoder(e.Bytes())
+		d := NewDecoder(e.buf)
 		return d.Uint64() == v && d.Finish() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -204,9 +180,9 @@ func TestUvarintRoundTripProperty(t *testing.T) {
 
 func TestVarintRoundTripProperty(t *testing.T) {
 	f := func(v int64) bool {
-		e := NewEncoder(nil)
+		e := &Encoder{}
 		e.Int64(v)
-		d := NewDecoder(e.Bytes())
+		d := NewDecoder(e.buf)
 		return d.Int64() == v && d.Finish() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -216,9 +192,9 @@ func TestVarintRoundTripProperty(t *testing.T) {
 
 func TestFloat64RoundTripProperty(t *testing.T) {
 	f := func(v float64) bool {
-		e := NewEncoder(nil)
+		e := &Encoder{}
 		e.Float64(v)
-		d := NewDecoder(e.Bytes())
+		d := NewDecoder(e.buf)
 		got := d.Float64()
 		if math.IsNaN(v) {
 			return math.IsNaN(got)
@@ -232,9 +208,9 @@ func TestFloat64RoundTripProperty(t *testing.T) {
 
 func TestStringRoundTripProperty(t *testing.T) {
 	f := func(s string) bool {
-		e := NewEncoder(nil)
+		e := &Encoder{}
 		e.String(s)
-		d := NewDecoder(e.Bytes())
+		d := NewDecoder(e.buf)
 		return d.String() == s && d.Finish() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -244,13 +220,13 @@ func TestStringRoundTripProperty(t *testing.T) {
 
 func TestMixedSequenceProperty(t *testing.T) {
 	f := func(a uint64, b int64, c float64, s string, raw []byte) bool {
-		e := NewEncoder(nil)
+		e := &Encoder{}
 		e.Uint64(a)
 		e.Int64(b)
 		e.Float64(c)
 		e.String(s)
-		e.Bytes16(raw)
-		d := NewDecoder(e.Bytes())
+		e.String(string(raw))
+		d := NewDecoder(e.buf)
 		if d.Uint64() != a || d.Int64() != b {
 			return false
 		}

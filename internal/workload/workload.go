@@ -127,44 +127,6 @@ func (w RandomWalk) Demand(t time.Duration) wire.Rates {
 	return out
 }
 
-// Trace replays a recorded demand series at a fixed step, holding the last
-// sample after the trace ends.
-type Trace struct {
-	// Samples is the recorded series.
-	Samples []wire.Rates
-	// Step is the sampling interval. Zero means one second.
-	Step time.Duration
-}
-
-// Demand implements Generator.
-func (tr Trace) Demand(t time.Duration) wire.Rates {
-	if len(tr.Samples) == 0 {
-		return wire.Rates{}
-	}
-	step := tr.Step
-	if step <= 0 {
-		step = time.Second
-	}
-	i := int(t / step)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(tr.Samples) {
-		i = len(tr.Samples) - 1
-	}
-	return tr.Samples[i]
-}
-
-// Record samples g every step for n samples, producing a Trace. It lets
-// tests and tools capture a synthetic workload and replay it elsewhere.
-func Record(g Generator, step time.Duration, n int) Trace {
-	samples := make([]wire.Rates, n)
-	for i := range samples {
-		samples[i] = g.Demand(time.Duration(i) * step)
-	}
-	return Trace{Samples: samples, Step: step}
-}
-
 // Parse builds a generator from a compact CLI spec:
 //
 //	constant:<data>,<meta>

@@ -127,41 +127,6 @@ func TestRandomWalkNeverNegative(t *testing.T) {
 	}
 }
 
-func TestTraceReplay(t *testing.T) {
-	tr := Trace{
-		Samples: []wire.Rates{{1, 0}, {2, 0}, {3, 0}},
-		Step:    time.Second,
-	}
-	if got := tr.Demand(0); got != (wire.Rates{1, 0}) {
-		t.Errorf("Demand(0) = %v", got)
-	}
-	if got := tr.Demand(1500 * time.Millisecond); got != (wire.Rates{2, 0}) {
-		t.Errorf("Demand(1.5s) = %v", got)
-	}
-	// Holds last sample.
-	if got := tr.Demand(time.Hour); got != (wire.Rates{3, 0}) {
-		t.Errorf("Demand(past end) = %v", got)
-	}
-	var empty Trace
-	if got := empty.Demand(0); !got.IsZero() {
-		t.Errorf("empty trace = %v", got)
-	}
-}
-
-func TestRecordRoundTrip(t *testing.T) {
-	src := Ramp{From: wire.Rates{0, 0}, To: wire.Rates{100, 0}, Over: 10 * time.Second}
-	tr := Record(src, time.Second, 11)
-	if len(tr.Samples) != 11 {
-		t.Fatalf("recorded %d samples", len(tr.Samples))
-	}
-	for i := 0; i <= 10; i++ {
-		at := time.Duration(i) * time.Second
-		if tr.Demand(at) != src.Demand(at) {
-			t.Errorf("replay diverges at %v: %v vs %v", at, tr.Demand(at), src.Demand(at))
-		}
-	}
-}
-
 func TestParse(t *testing.T) {
 	cases := []struct {
 		spec string

@@ -131,8 +131,8 @@ func TestFacadeFileSystem(t *testing.T) {
 	if _, err := fs.Submit(context.Background(), 1, sdscale.ClassData); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Capacity()[sdscale.ClassData] != 2e6 {
-		t.Errorf("capacity = %v", fs.Capacity())
+	if ops := fs.ClientOps(1); ops[sdscale.ClassData] != 1 {
+		t.Errorf("client ops = %v", ops)
 	}
 }
 
