@@ -27,6 +27,9 @@ func validate(cfg Config) error {
 	switch {
 	case cfg.Shards < 1:
 		return fmt.Errorf("cluster: Shards must be >= 1, got %d", cfg.Shards)
+	case cfg.Shards > cfg.Stages:
+		// A leader without children fails its first cycle.
+		return fmt.Errorf("cluster: %d stages cannot populate %d shards", cfg.Stages, cfg.Shards)
 	case cfg.Shards > 1 && cfg.Topology == Hierarchical:
 		return fmt.Errorf("cluster: sharding requires the flat topology or the coordinated one, not %v", cfg.Topology)
 	case cfg.Standbys > 0 && cfg.Topology != Flat:

@@ -11,6 +11,22 @@ import (
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
+// TestBuildRejectsMoreShardsThanStages: a deployment with more shards than
+// stages would have a leader with no children, whose first cycle fails, so
+// Build refuses it as config.Parse does.
+func TestBuildRejectsMoreShardsThanStages(t *testing.T) {
+	for _, topo := range []Topology{Flat, Coordinated} {
+		c, err := Build(Config{Topology: topo, Stages: 2, Shards: 4, Net: fastNet()})
+		if err == nil {
+			c.Close()
+			t.Fatalf("%v: Build with 2 stages and 4 shards succeeded", topo)
+		}
+		if !strings.Contains(err.Error(), "2 stages cannot populate 4 shards") {
+			t.Errorf("%v: error %q does not name the stages and shards", topo, err)
+		}
+	}
+}
+
 func TestBuildSharded(t *testing.T) {
 	c, err := Build(Config{Topology: Flat, Stages: 120, Jobs: 4, Shards: 4, Net: fastNet()})
 	if err != nil {

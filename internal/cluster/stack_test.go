@@ -24,12 +24,17 @@ import (
 // header itself rather than taking it from arrive. A simnet fleet runs no
 // pump, so TestFleetFootprintPerStage cannot see any of them.
 //
-// A pump's deepest path is an allocation that pays for a running collection.
-// A 200-stage fleet collects too rarely to take it, so the test collects
-// often (GOGC 10); a 1,000-stage fleet takes it at the default. Measured on
-// a 2-core x86-64 VM with go1.24: a stage costs 11.6-12.8 KB of stack here,
-// and 14.3-14.7 KB with any of the three changes above; the bound sits
-// between them.
+// A pump's deepest path is its steady one. It takes no frame buffer or
+// coder from a pool and, once its connection has sized its buffers,
+// allocates nothing, but a request's path from arrive through the handler
+// to the response write still outgrows a pump's first stack size; what a
+// stage costs at rest is what the collections that follow shrink that
+// stack back to. The test collects often (GOGC 10), as a large fleet does,
+// so it reads the shrunken size rather than the last collection's timing.
+// Measured on a 2-core x86-64 VM with go1.24: a stage costs 11.3-12.0 KB of
+// stack here (13.3 KB once, beside a concurrent full test run; 12.6-13.1 KB
+// at GOGC 100), and 14.3-14.7 KB with any of the three changes above; the
+// bound sits between them.
 func TestTCPFleetStackPerStage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200 loopback TCP stages")

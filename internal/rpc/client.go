@@ -42,16 +42,26 @@ type Client struct {
 	tracer  *trace.Tracer
 	spanTag uint64
 
-	// wmu serializes frame writes, and guards txHist: the request history
-	// kind-7 bodies are encoded against, which advances in write order.
+	// wmu serializes frame writes, and guards the buffer they are encoded
+	// into and txHist: the request history kind-7 bodies are encoded
+	// against, which advances in write order.
 	wmu    sync.Mutex
-	txHist *wire.FloatHistory
+	wbuf   []byte
+	txHist wire.FloatHistory
 
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]*Call
-	err     error // set once the reader dies
-	closed  bool
+	// free holds the client's recycled Call handles, as many as it has
+	// had in flight at once: Go takes one under mu, which it holds
+	// anyway, and Wait gives it back, so no handle passes between cores
+	// through a shared pool.
+	free   []*Call
+	closed bool
+	// err is why the client is unusable: the error its reader died of, or
+	// ErrClientClosed after Close. It is set once, under mu, and read
+	// without it by Err.
+	err atomic.Pointer[error]
 
 	late atomic.Uint64 // responses that arrived after their call was abandoned
 
@@ -112,29 +122,44 @@ type Call struct {
 // already buffered makes the receiver re-check done.
 type waiter struct{ wake chan struct{} }
 
-// callPool and waiterPool recycle Call handles and waiters, so a pipelined
-// fan-out over thousands of children allocates neither per call per cycle.
-var (
-	callPool   = sync.Pool{New: func() any { return new(Call) }}
-	waiterPool = sync.Pool{New: func() any { return &waiter{wake: make(chan struct{}, 1)} }}
-)
+// waiterPool recycles waiters, so a Wait that parks allocates none. Call
+// handles are recycled by their own client (Client.free).
+var waiterPool = sync.Pool{New: func() any { return &waiter{wake: make(chan struct{}, 1)} }}
 
-func getCall() *Call { return callPool.Get().(*Call) }
+// takeCall returns one of the client's recycled handles, or a new one. The
+// caller holds mu.
+func (c *Client) takeCall() *Call {
+	n := len(c.free)
+	if n == 0 {
+		return new(Call)
+	}
+	call := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	return call
+}
 
-// putCall returns a handle to the pool. The caller must be the handle's sole
-// owner: completion consumed, or provably never to be delivered.
+// putCall recycles a handle on the client that issued it; one that failed
+// before it was issued has none and is dropped. The caller must be the
+// handle's sole owner: completion consumed, or provably never to be
+// delivered.
 func putCall(call *Call) {
 	if call.shared != nil {
 		call.shared.Release()
 		call.shared = nil
 	}
+	c := call.client
 	call.reply, call.err, call.id, call.client = nil, nil, 0, nil
 	call.done.Store(false)
 	call.waiter.Store(nil)
 	call.issuedNs.Store(0)
 	call.marshalNs.Store(0)
 	call.writeNs.Store(0)
-	callPool.Put(call)
+	if c != nil {
+		c.mu.Lock()
+		c.free = append(c.free, call)
+		c.mu.Unlock()
+	}
 }
 
 // finish records the outcome, marks the call done and wakes its waiter, if
@@ -269,13 +294,12 @@ func newClient(conn net.Conn, opts DialOptions) *Client {
 		conn:         conn,
 		tracer:       opts.Tracer,
 		spanTag:      opts.SpanTag,
-		txHist:       wire.NewFloatHistory(),
 		pending:      make(map[uint64]*Call),
 		reuseReplies: opts.ReuseReplies,
 		onPush:       opts.OnPush,
 	}
 	opts.ReuseHits.Attach(&c.reuseHits)
-	startReads(conn, &replyReader{c: c}, true)
+	startReads(conn, c.newReplyReader(), true)
 	return c
 }
 
@@ -289,16 +313,15 @@ func (c *Client) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
 // Err reports why the client is unusable: the error its reader died of,
 // ErrClientClosed after Close, or nil while the connection is healthy.
 func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	if c.closed {
-		return ErrClientClosed
+	if err := c.err.Load(); err != nil {
+		return *err
 	}
 	return nil
 }
+
+// setErr records err as why the client is unusable, unless a reason is
+// already recorded.
+func (c *Client) setErr(err error) { c.err.CompareAndSwap(nil, &err) }
 
 // replyReader handles the frames a client receives. It is the connection's
 // single reader, so it owns the response-side float history (which must see
@@ -308,7 +331,8 @@ func (c *Client) Err() error {
 // order the connection delivers.
 type replyReader struct {
 	c       *Client
-	dec     *wire.DecodeOpts // built on the first response
+	dec     wire.DecodeOpts // Hist is rxHist
+	rxHist  wire.FloatHistory
 	pushDec *wire.DecodeOpts // built on the first push frame
 	part    partial
 	dead    bool // the reader has died: what follows is dropped
@@ -354,10 +378,7 @@ func (r *replyReader) frame(h frameHeader, body []byte) error {
 	c := r.c
 	switch h.kind {
 	case kindResponse:
-		if r.dec == nil {
-			r.dec = c.replyDecoder()
-		}
-		m, err := wire.DecodeWith(body, r.dec)
+		m, err := wire.DecodeWith(body, &r.dec)
 		if err != nil {
 			return err
 		}
@@ -383,9 +404,9 @@ func (r *replyReader) frame(h frameHeader, body []byte) error {
 }
 
 // complete hands response m to the call waiting for it, or drops it if the
-// call was abandoned. It and the two decoder builders below stay out of line:
-// inlined into frame, they grew a reader's stack into the next size, and
-// a 1,000-stage TCP fleet's stacks from 11.2 to 14.8 MB.
+// call was abandoned. It and pushDecoder stay out of line: inlined into
+// frame, they grew a reader's stack into the next size, and a 1,000-stage
+// TCP fleet's stacks from 11.2 to 14.8 MB.
 //
 //go:noinline
 func (c *Client) complete(id uint64, m wire.Message) {
@@ -401,15 +422,14 @@ func (c *Client) complete(id uint64, m wire.Message) {
 	}
 }
 
-// replyDecoder builds the response decoder, with the reply-reuse cache when
-// the client reuses replies.
-//
-//go:noinline
-func (c *Client) replyDecoder() *wire.DecodeOpts {
-	dec := &wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory()}
+// newReplyReader builds the client's reader, whose response decoder has the
+// reply-reuse cache when the client reuses replies.
+func (c *Client) newReplyReader() *replyReader {
+	r := &replyReader{c: c}
+	r.dec = wire.DecodeOpts{Version: wire.CodecV2, Hist: &r.rxHist}
 	if c.reuseReplies {
 		var cache msgTable
-		dec.Reuse = func(t wire.MsgType) wire.Message {
+		r.dec.Reuse = func(t wire.MsgType) wire.Message {
 			if !reusableReply(t) {
 				return nil
 			}
@@ -420,7 +440,7 @@ func (c *Client) replyDecoder() *wire.DecodeOpts {
 			return m
 		}
 	}
-	return dec
+	return r
 }
 
 // pushDecoder builds the push decoder. Pushes decode into one cached
@@ -446,9 +466,7 @@ func disconnected(err error) error { return fmt.Errorf("%w: %w", ErrDisconnected
 // fail poisons the client: all pending and future calls return err.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
+	c.setErr(err)
 	pending := c.pending
 	c.pending = make(map[uint64]*Call)
 	c.mu.Unlock()
@@ -478,13 +496,9 @@ func (c *Client) deregister(call *Call) bool {
 // the handles in whatever order the server produces them. Errors — including
 // a dead connection — surface through the handle, never as a panic.
 func (c *Client) Go(ctx context.Context, req wire.Message) *Call {
-	call := getCall()
 	c.mu.Lock()
-	if c.err != nil || c.closed {
-		err := c.err
-		if err == nil {
-			err = ErrClientClosed
-		}
+	call := c.takeCall()
+	if err := c.Err(); err != nil {
 		c.mu.Unlock()
 		call.finish(nil, err)
 		return call
@@ -507,13 +521,9 @@ func (c *Client) Go(ctx context.Context, req wire.Message) *Call {
 // recycled by Wait, so the shared body cannot be pooled out from under a
 // slow connection.
 func (c *Client) GoShared(ctx context.Context, f *SharedFrame) *Call {
-	call := getCall()
 	c.mu.Lock()
-	if c.err != nil || c.closed {
-		err := c.err
-		if err == nil {
-			err = ErrClientClosed
-		}
+	call := c.takeCall()
+	if err := c.Err(); err != nil {
 		c.mu.Unlock()
 		call.finish(nil, err)
 		return call
@@ -545,6 +555,9 @@ func (c *Client) Call(ctx context.Context, req wire.Message) (wire.Message, erro
 // 4 — the "marshal" then degenerates to a header append plus memcopy, and is
 // timed as such so the tracer's marshal share reflects the win.
 //
+// The frame is encoded into the client's own buffer, wbuf, which it keeps
+// for the next call (see keepFrameBuf).
+//
 // A failed write fails the client with every call pending on it, this one
 // included: the frame may be partly on the wire, and a kind-7 body has
 // advanced the history past what the server will ever decode, so the
@@ -555,7 +568,6 @@ func (c *Client) Call(ctx context.Context, req wire.Message) (wire.Message, erro
 // issuing calls is charged by the fan-out, once around its issue loop.
 func (c *Client) send(call *Call, m wire.Message, body []byte) {
 	traced := c.tracer != nil && c.tracer.Sampled(call.id)
-	bp := getFrameBuf()
 	c.wmu.Lock()
 	var start time.Time
 	if traced {
@@ -563,21 +575,21 @@ func (c *Client) send(call *Call, m wire.Message, body []byte) {
 		call.issuedNs.Store(start.UnixNano())
 	}
 	if body != nil {
-		*bp = appendSharedFrame((*bp)[:0], frameHeader{id: call.id, kind: kindRequest}, body)
+		c.wbuf = appendSharedFrame(c.wbuf[:0], frameHeader{id: call.id, kind: kindRequest}, body)
 	} else {
-		*bp = appendFrame((*bp)[:0], frameHeader{id: call.id, kind: kindHistRequest}, m, c.txHist)
+		c.wbuf = appendFrame(c.wbuf[:0], frameHeader{id: call.id, kind: kindHistRequest}, m, &c.txHist)
 	}
 	if traced {
 		now := time.Now()
 		call.marshalNs.Store(int64(now.Sub(start)))
 		start = now
 	}
-	_, err := c.conn.Write(*bp)
+	_, err := c.conn.Write(c.wbuf)
 	if traced {
 		call.writeNs.Store(int64(time.Since(start)))
 	}
+	c.wbuf = keepFrameBuf(c.wbuf)
 	c.wmu.Unlock()
-	putFrameBuf(bp)
 	if err != nil {
 		c.fail(disconnected(err))
 	}
@@ -591,11 +603,9 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.err == nil {
-		// Calls from now on fail with ErrClientClosed, not with the read
-		// error that closing the connection is about to cause.
-		c.err = ErrClientClosed
-	}
+	// Calls from now on fail with ErrClientClosed, not with the read error
+	// that closing the connection is about to cause.
+	c.setErr(ErrClientClosed)
 	c.mu.Unlock()
 	err := c.conn.Close()
 	c.fail(ErrClientClosed)

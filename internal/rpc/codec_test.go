@@ -76,6 +76,50 @@ func TestCodecV2FloatDataCorrectness(t *testing.T) {
 	})
 }
 
+// aggReply is the CollectAggReply a Collect for cycle is answered with in
+// TestAggReplyHistoryAcrossSizes: 2,500 job reports on odd cycles and 10 on
+// even ones, with floats that repeat, step and change between cycles.
+func aggReply(cycle uint64) *wire.CollectAggReply {
+	n := 10
+	if cycle%2 == 1 {
+		n = 2500
+	}
+	jobs := make([]wire.JobReport, n)
+	for i := range jobs {
+		f := float64(i)
+		jobs[i] = wire.JobReport{JobID: uint64(i + 1), Stages: 4,
+			Demand: wire.Rates{f*1.5 + float64(cycle/3), 100},
+			Usage:  wire.Rates{f + 0.25, float64(cycle)}}
+	}
+	return &wire.CollectAggReply{Cycle: cycle, AggregatorID: 7, Jobs: jobs}
+}
+
+// TestAggReplyHistoryAcrossSizes sends an aggregator's 2,500-report reply,
+// then a 10-report one, then both again, over one connection: the response
+// history must shrink to the short reply's floats and grow back past them,
+// on both ends, with every float decoded exactly.
+func TestAggReplyHistoryAcrossSizes(t *testing.T) {
+	h := HandlerFunc(func(_ *Peer, req wire.Message) (wire.Message, error) {
+		return aggReply(req.(*wire.Collect).Cycle), nil
+	})
+	_, cli := codecSetup(t, h, ServerOptions{}, DialOptions{ReuseReplies: true})
+	for cycle := uint64(1); cycle <= 4; cycle++ {
+		resp, err := cli.Call(context.Background(), &wire.Collect{Cycle: cycle})
+		if err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		got, want := resp.(*wire.CollectAggReply), aggReply(cycle)
+		if got.Cycle != want.Cycle || len(got.Jobs) != len(want.Jobs) {
+			t.Fatalf("cycle %d: cycle %d with %d jobs, want %d", cycle, got.Cycle, len(got.Jobs), len(want.Jobs))
+		}
+		for i := range want.Jobs {
+			if got.Jobs[i] != want.Jobs[i] {
+				t.Fatalf("cycle %d job %d: got %+v, want %+v", cycle, i, got.Jobs[i], want.Jobs[i])
+			}
+		}
+	}
+}
+
 // TestReplyReuseContract: with ReuseReplies on, successive replies of the
 // same type decode into the same cached message (hits counted), so a caller
 // holding a reply across calls sees it overwritten — the documented aliasing

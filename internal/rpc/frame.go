@@ -23,7 +23,7 @@
 //     calls and every later one with ErrDisconnected, and a client never
 //     redials (its owner dials a new one, as the controllers' pre-cycle
 //     sweep does);
-//   - an asynchronous call API (Client.Go returning a pooled *Call handle)
+//   - an asynchronous call API (Client.Go returning a recycled *Call handle)
 //     that pipelines many requests back-to-back over one connection — the
 //     fast path of the control cycle's collect and enforce fan-out;
 //   - a scatter-gather helper with bounded parallelism and cooperative
@@ -43,18 +43,18 @@ import (
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
-// frameBufs recycles frame encode buffers across clients, servers, and
-// connections: a controller fanning out to thousands of children would
-// otherwise regrow an encode buffer per call per cycle. Decoded messages
-// never alias these buffers (the wire decoders copy what they keep), so
-// recycling is safe.
+// frameBufs recycles the buffers of the frames no connection end owns: a
+// SharedFrame's body and a Push. A client encodes its requests into a
+// buffer of its own, under its write lock, and a server connection its
+// responses, in respond; neither takes one from here per call.
 var frameBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b
 }}
 
-// maxPooledFrameBuf bounds what goes back into the pool: the occasional
-// giant Enforce batch should not pin megabytes inside it.
+// maxPooledFrameBuf bounds the buffers that are kept, in the pool or by a
+// connection end: the occasional giant Enforce batch should not pin
+// megabytes.
 const maxPooledFrameBuf = 1 << 20
 
 func getFrameBuf() *[]byte { return frameBufs.Get().(*[]byte) }
@@ -64,6 +64,16 @@ func putFrameBuf(bp *[]byte) {
 		return
 	}
 	frameBufs.Put(bp)
+}
+
+// keepFrameBuf returns what a connection end keeps of the buffer it just
+// wrote a frame from: the buffer, for its next frame, unless it grew past
+// maxPooledFrameBuf.
+func keepFrameBuf(b []byte) []byte {
+	if cap(b) > maxPooledFrameBuf {
+		return nil
+	}
+	return b
 }
 
 // MaxFrameSize bounds a single frame; larger announcements are treated as

@@ -40,8 +40,8 @@ type Peer struct {
 
 	// wmu serializes every write to conn: the connection's responses and
 	// unsolicited Push frames (which may originate on any goroutine).
-	// respond encodes outside the lock and holds it only for the write
-	// itself.
+	// respond encodes outside the lock, into its connection's own buffer,
+	// and holds it only for the write itself.
 	wmu sync.Mutex
 }
 
@@ -242,12 +242,15 @@ type srvConn struct {
 	peerTag uint64
 	// The response history (shared by all response types on this
 	// connection) is kept in lockstep with the client's reader because
-	// this connection's reader is its only response writer.
-	txHist *wire.FloatHistory
-	// Kind-4 requests are stateless broadcast bodies. Kind-7 requests
-	// decode against histDec's request history, which arrive advances in
-	// the order the client wrote them.
-	dec, histDec wire.DecodeOpts
+	// this connection's reader is its only response writer. respond
+	// encodes into wbuf, which the connection keeps between responses.
+	txHist wire.FloatHistory
+	wbuf   []byte
+	// dec decodes every request. Kind-4 requests are stateless broadcast
+	// bodies; kind-7 requests decode against rxHist, the request history,
+	// which arrive advances in the order the client wrote them.
+	dec    wire.DecodeOpts
+	rxHist wire.FloatHistory
 
 	part partial
 	dead bool // the connection is closing: what follows is dropped
@@ -255,14 +258,13 @@ type srvConn struct {
 
 // newConn builds a connection's serving state.
 func (s *Server) newConn(peer *Peer) *srvConn {
-	c := &srvConn{s: s, peer: peer, txHist: wire.NewFloatHistory()}
+	c := &srvConn{s: s, peer: peer}
 	c.dec = wire.DecodeOpts{Version: wire.CodecV2}
 	if s.opts.ReuseRequests {
 		c.fl = &reqFreelist{}
 		s.opts.ReuseHits.Attach(&c.fl.hits)
 		c.dec.Reuse = c.fl.take
 	}
-	c.histDec = wire.DecodeOpts{Version: wire.CodecV2, Hist: wire.NewFloatHistory(), Reuse: c.dec.Reuse}
 	if s.opts.Tracer != nil {
 		c.peerTag = trace.AddrTag(peer.conn.RemoteAddr().String())
 	}
@@ -324,15 +326,15 @@ func (c *srvConn) arrive(b []byte, end error) {
 // a retired or unknown kind (the peer is not this build), a body that does
 // not decode (protocol corruption), or a failed response write.
 func (c *srvConn) frame(h frameHeader, body []byte) error {
-	d := &c.dec
 	switch h.kind {
 	case kindRequest:
+		c.dec.Hist = nil
 	case kindHistRequest:
-		d = &c.histDec
+		c.dec.Hist = &c.rxHist
 	default:
 		return fmt.Errorf("frame kind %d", h.kind)
 	}
-	req, err := wire.DecodeWith(body, d)
+	req, err := wire.DecodeWith(body, &c.dec)
 	if err != nil {
 		return err
 	}
@@ -355,14 +357,11 @@ func (c *srvConn) respond(id uint64, req wire.Message, arrivedNs int64) error {
 	if arrivedNs != 0 {
 		handlerDoneNs = time.Now().UnixNano()
 	}
-	// The buffer goes back to the pool after the write, so a connection at
-	// rest holds none.
-	bp := getFrameBuf()
-	*bp = appendFrame((*bp)[:0], frameHeader{id: id, kind: kindResponse}, resp, c.txHist)
+	c.wbuf = appendFrame(c.wbuf[:0], frameHeader{id: id, kind: kindResponse}, resp, &c.txHist)
 	peer.wmu.Lock()
-	_, err := peer.conn.Write(*bp)
+	_, err := peer.conn.Write(c.wbuf)
 	peer.wmu.Unlock()
-	putFrameBuf(bp)
+	c.wbuf = keepFrameBuf(c.wbuf)
 	if c.fl != nil {
 		c.fl.put(req)
 	}

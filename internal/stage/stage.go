@@ -313,63 +313,49 @@ func ruleTargets(r *wire.Rule, stageID, jobID uint64) bool {
 }
 
 // replyCache holds one recycled response instance per message type. take*
-// returns the cached instance (or a fresh one when the slot is empty — e.g.
-// two parents collecting concurrently during a failover overlap); recycle
-// refills the slot once the server has written the response bytes, so an
-// instance is never cached while still referenced.
+// swaps the cached instance out (or builds a fresh one when the slot is
+// empty — e.g. two parents collecting concurrently during a failover
+// overlap); recycle refills the slot once the server has written the
+// response bytes, so an instance is never cached while still referenced.
+// Each slot is one atomic word: a swap, not a lock pair, per answered call.
 type replyCache struct {
-	mu        sync.Mutex
-	collect   *wire.CollectReply
-	enforce   *wire.EnforceAck
-	heartbeat *wire.HeartbeatAck
+	collect   atomic.Pointer[wire.CollectReply]
+	enforce   atomic.Pointer[wire.EnforceAck]
+	heartbeat atomic.Pointer[wire.HeartbeatAck]
 }
 
 func (c *replyCache) takeCollect() *wire.CollectReply {
-	c.mu.Lock()
-	rep := c.collect
-	c.collect = nil
-	c.mu.Unlock()
-	if rep == nil {
-		rep = &wire.CollectReply{Reports: make([]wire.StageReport, 0, 1)}
+	if rep := c.collect.Swap(nil); rep != nil {
+		return rep
 	}
-	return rep
+	return &wire.CollectReply{Reports: make([]wire.StageReport, 0, 1)}
 }
 
 func (c *replyCache) takeEnforce() *wire.EnforceAck {
-	c.mu.Lock()
-	ack := c.enforce
-	c.enforce = nil
-	c.mu.Unlock()
-	if ack == nil {
-		ack = &wire.EnforceAck{}
+	if ack := c.enforce.Swap(nil); ack != nil {
+		return ack
 	}
-	return ack
+	return &wire.EnforceAck{}
 }
 
 func (c *replyCache) takeHeartbeat() *wire.HeartbeatAck {
-	c.mu.Lock()
-	ack := c.heartbeat
-	c.heartbeat = nil
-	c.mu.Unlock()
-	if ack == nil {
-		ack = &wire.HeartbeatAck{}
+	if ack := c.heartbeat.Swap(nil); ack != nil {
+		return ack
 	}
-	return ack
+	return &wire.HeartbeatAck{}
 }
 
 // recycle accepts a response the server has finished writing. Unrecognized
 // types (fence errors, push acks) are simply dropped.
 func (c *replyCache) recycle(m wire.Message) {
-	c.mu.Lock()
 	switch m := m.(type) {
 	case *wire.CollectReply:
-		c.collect = m
+		c.collect.Store(m)
 	case *wire.EnforceAck:
-		c.enforce = m
+		c.enforce.Store(m)
 	case *wire.HeartbeatAck:
-		c.heartbeat = m
+		c.heartbeat.Store(m)
 	}
-	c.mu.Unlock()
 }
 
 // sample synthesizes the stage's current report without counting a collect —

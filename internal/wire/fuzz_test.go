@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 )
@@ -162,14 +163,16 @@ func FuzzFloat64V2(f *testing.F) {
 			data = data[8:]
 		}
 		half := len(vals) / 2
-		eh, dh := &typeHist{}, &typeHist{}
+		eh, dh := NewFloatHistory(), NewFloatHistory()
 		for _, seq := range [][]float64{vals[:half], vals[half:]} {
 			e := &Encoder{ver: CodecV2, hist: eh}
+			eh.begin(TCollectReply)
 			for _, v := range seq {
 				e.Float64(v)
 			}
-			eh.swap()
+			eh.end()
 			d := &Decoder{buf: e.buf, ver: CodecV2, hist: dh}
+			dh.begin(TCollectReply)
 			for i, want := range seq {
 				got := d.Float64()
 				if got != want && !(math.IsNaN(got) && math.IsNaN(want)) &&
@@ -181,7 +184,137 @@ func FuzzFloat64V2(f *testing.F) {
 			if err := d.Finish(); err != nil {
 				t.Fatalf("finish: %v", err)
 			}
-			dh.swap()
+			dh.end()
+		}
+	})
+}
+
+// refHist is the float history as it was before it became one flat value,
+// kept as FuzzFloatHistoryMatchesReference's reference: per message type,
+// the previous message's floats (prev) and those of the message being coded
+// (cur), which trade places when the message ends.
+type refHist map[MsgType]*refTypeHist
+
+type refTypeHist struct{ prev, cur []float64 }
+
+func (h refHist) get(t MsgType) *refTypeHist {
+	if h[t] == nil {
+		h[t] = &refTypeHist{}
+	}
+	return h[t]
+}
+
+func (th *refTypeHist) swap() { th.prev, th.cur = th.cur, th.prev[:0] }
+
+// encode is Encoder.Float64 against the two-array history.
+func (th *refTypeHist) encode(e *Encoder, v float64) {
+	var prev float64
+	hasPrev := false
+	if pos := len(th.cur); pos < len(th.prev) {
+		prev, hasPrev = th.prev[pos], true
+	}
+	th.cur = append(th.cur, v)
+	switch {
+	case hasPrev && prev == v:
+		e.Byte(f2Same)
+	case v == 0:
+		e.Byte(f2Zero)
+	case isIntFloat(v):
+		e.Byte(f2Int)
+		e.Uint64(uint64(v))
+	case hasPrev && deltaFits(prev, v):
+		e.Byte(f2Delta)
+		e.Int64(int64(v - prev))
+	default:
+		e.Byte(f2Raw)
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
+	}
+}
+
+// decode is Decoder.Float64 against the two-array history.
+func (th *refTypeHist) decode(d *Decoder) float64 {
+	tag := d.Byte()
+	if d.err != nil {
+		return 0
+	}
+	var v float64
+	switch tag {
+	case f2Zero:
+	case f2Int:
+		v = float64(d.Uint64())
+	case f2Raw:
+		v = d.float64raw()
+	case f2Same, f2Delta:
+		if len(th.cur) >= len(th.prev) {
+			d.fail(errors.New("reference: history tag without history"))
+			return 0
+		}
+		v = th.prev[len(th.cur)]
+		if tag == f2Delta {
+			v += float64(d.Int64())
+		}
+	default:
+		d.fail(errors.New("reference: unknown tag"))
+		return 0
+	}
+	th.cur = append(th.cur, v)
+	return v
+}
+
+// FuzzFloatHistoryMatchesReference drives the flat history and the
+// two-array reference through one sequence of messages of mixed types, each
+// a run of floats, and requires identical bytes from both encoders and
+// identical floats from both decoders. Three bytes of input per message
+// pick its type, its float count (0 to 23: counts grow past the inline
+// four, shrink and drop to zero) and a seed for its floats, which come from
+// a small alphabet so that same, delta, int, zero and raw tags all occur.
+func FuzzFloatHistoryMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 4, 1, 0, 4, 1, 0, 9, 2, 0, 0, 0, 0, 4, 1})
+	f.Add([]byte{0, 4, 1, 1, 2, 3, 0, 0, 0, 0, 4, 1}) // repeats across an empty message
+	f.Add([]byte{1, 23, 5, 2, 3, 7, 1, 6, 5, 3, 0, 0, 1, 23, 9, 2, 3, 7})
+	f.Add([]byte{3, 2, 0, 3, 2, 0, 0, 17, 33, 0, 5, 33, 0, 17, 34})
+	types := [...]MsgType{TCollectReply, TEnforce, TCollectAggReply, TReportDelta}
+	alphabet := [...]float64{0, 1, 1000.5, 90.25, math.Copysign(0, -1), 1 << 53, math.NaN(), -3}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		eh, dh := NewFloatHistory(), NewFloatHistory()
+		reh, rdh := refHist{}, refHist{}
+		for msg := 0; len(data) >= 3; msg, data = msg+1, data[3:] {
+			typ, n, seed := types[data[0]%4], int(data[1]%24), data[2]
+			vals := make([]float64, n)
+			for i := range vals {
+				b := seed + byte(i)*(seed|1)
+				vals[i] = alphabet[b%8] + float64(b/8%3)
+			}
+
+			e := &Encoder{ver: CodecV2, hist: eh}
+			eh.begin(typ)
+			for _, v := range vals {
+				e.Float64(v)
+			}
+			eh.end()
+			ref, rth := &Encoder{ver: CodecV2}, reh.get(typ)
+			for _, v := range vals {
+				rth.encode(ref, v)
+			}
+			rth.swap()
+			if !bytes.Equal(e.buf, ref.buf) {
+				t.Fatalf("message %d (%s, %d floats): encoded\n%x\nreference\n%x", msg, typ, n, e.buf, ref.buf)
+			}
+
+			d, rd := &Decoder{buf: e.buf, ver: CodecV2, hist: dh}, &Decoder{buf: e.buf, ver: CodecV2}
+			rth = rdh.get(typ)
+			dh.begin(typ)
+			for i := range vals {
+				got, want := d.Float64(), rth.decode(rd)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("message %d (%s) float %d: decoded %v, reference %v", msg, typ, i, got, want)
+				}
+			}
+			dh.end()
+			rth.swap()
+			if err, rerr := d.Finish(), rd.Finish(); err != nil || rerr != nil {
+				t.Fatalf("message %d (%s): finish %v, reference %v", msg, typ, err, rerr)
+			}
 		}
 	})
 }

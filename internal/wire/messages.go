@@ -1274,15 +1274,12 @@ func New(t MsgType) Message {
 	return nil
 }
 
-// Encoder/Decoder handles are pooled: Marshal/Unmarshal are interface calls,
-// so a per-message &Encoder{} escapes to the heap — at paper scale that is
-// four allocations per RPC. The handles hold no buffer ownership; Encode and
-// Decode clear the buf reference before returning a handle to its pool so a
-// pooled handle never pins a caller's (possibly itself pooled) buffer.
-var (
-	encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
-	decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
-)
+// encoderPool recycles the Encoder of a stateless encode: Marshal is an
+// interface call, so a per-message &Encoder{} escapes to the heap. A handle
+// holds no buffer ownership; EncodeWith clears its buf reference before
+// returning it, so a pooled handle never pins a caller's buffer. A
+// history-coded encode runs on its history's own Encoder instead.
+var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
 
 // Encode appends t's tag and m's body to buf in the fixed-width encoding
 // (CodecV1) and returns the extended slice. It is the on-disk format of
@@ -1296,24 +1293,34 @@ func Encode(buf []byte, m Message) []byte {
 // against the previous same-type message encoded through that history; the
 // peer must decode with a matching history (see FloatHistory).
 func EncodeWith(buf []byte, m Message, ver int, hist *FloatHistory) []byte {
-	e := encoderPool.Get().(*Encoder)
-	e.buf = buf
-	e.ver = ver
-	if hist != nil && ver >= CodecV2 {
-		e.hist = hist.get(m.Type())
+	if hist == nil || ver < CodecV2 {
+		e := encoderPool.Get().(*Encoder)
+		e.buf, e.ver = buf, ver
+		out := e.message(m)
+		encoderPool.Put(e)
+		return out
 	}
-	e.Byte(byte(m.Type()))
-	m.Marshal(e)
-	if e.hist != nil {
-		e.hist.swap()
-	}
-	out := e.buf
-	e.buf, e.ver, e.hist = nil, 0, nil
-	encoderPool.Put(e)
+	e := &hist.enc
+	e.buf, e.ver, e.hist = buf, ver, hist
+	hist.begin(m.Type())
+	out := e.message(m)
+	hist.end()
 	return out
 }
 
-// DecodeOpts configures DecodeWith.
+// message appends m's tag and body and returns the buffer, which the
+// Encoder then lets go of.
+func (e *Encoder) message(m Message) []byte {
+	e.Byte(byte(m.Type()))
+	m.Marshal(e)
+	out := e.buf
+	e.buf = nil
+	return out
+}
+
+// DecodeOpts configures DecodeWith. It also holds the Decoder that
+// DecodeWith runs on, so that a connection end's decodes take nothing from
+// a pool: a DecodeOpts serves one decode at a time.
 type DecodeOpts struct {
 	// Version is the codec version the buffer was encoded with.
 	Version int
@@ -1327,11 +1334,12 @@ type DecodeOpts struct {
 	// reused message is valid only until the next same-type decode that
 	// receives the same instance.
 	Reuse func(MsgType) Message
+
+	d Decoder
 }
 
 // Decode parses a tagged v1 message produced by Encode. It verifies the
-// whole buffer is consumed. Decoded slices alias buf (see Decoder), never
-// the decoder handle, so recycling the handle is invisible to callers.
+// whole buffer is consumed. Decoded slices alias buf (see Decoder).
 func Decode(buf []byte) (Message, error) {
 	return DecodeWith(buf, nil)
 }
@@ -1339,11 +1347,13 @@ func Decode(buf []byte) (Message, error) {
 // DecodeWith parses a tagged message with explicit codec options. A nil opts
 // decodes v1, equivalent to Decode.
 func DecodeWith(buf []byte, opts *DecodeOpts) (Message, error) {
-	d := decoderPool.Get().(*Decoder)
-	*d = Decoder{buf: buf}
+	if opts == nil {
+		opts = new(DecodeOpts)
+	}
+	d := &opts.d
+	*d = Decoder{buf: buf, ver: opts.Version}
 	m, err := decode(d, opts)
-	*d = Decoder{}
-	decoderPool.Put(d)
+	*d = Decoder{} // pins no caller's buffer
 	return m, err
 }
 
@@ -1353,14 +1363,8 @@ func decode(d *Decoder, opts *DecodeOpts) (Message, error) {
 		return nil, d.Err()
 	}
 	var m Message
-	if opts != nil {
-		if opts.Reuse != nil {
-			m = opts.Reuse(t)
-		}
-		d.ver = opts.Version
-		if opts.Hist != nil && opts.Version >= CodecV2 {
-			d.hist = opts.Hist.get(t)
-		}
+	if opts.Reuse != nil {
+		m = opts.Reuse(t)
 	}
 	if m == nil {
 		m = New(t)
@@ -1368,9 +1372,13 @@ func decode(d *Decoder, opts *DecodeOpts) (Message, error) {
 	if m == nil {
 		return nil, fmt.Errorf("wire: unknown message type %d", t)
 	}
-	m.Unmarshal(d)
-	if d.hist != nil && d.err == nil {
-		d.hist.swap()
+	if h := opts.Hist; h != nil && opts.Version >= CodecV2 {
+		d.hist = h
+		h.begin(t)
+		m.Unmarshal(d)
+		h.end()
+	} else {
+		m.Unmarshal(d)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("wire: decoding %s: %w", t, err)

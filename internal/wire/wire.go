@@ -83,40 +83,104 @@ const maxIntFloat = 1 << 53
 // (encoded under the client's write lock, in wire order); broadcast request
 // bodies, sent on many connections at once, are encoded statelessly.
 //
-// A FloatHistory is not safe for concurrent use.
+// A history is one flat value: a slot per float-bearing message type, bound
+// at the type's first float, so a type that carries none (an EnforceAck, a
+// HeartbeatAck) takes no slot. The first slot, and its first four floats,
+// are stored inline: a connection end whose one float-bearing type carries
+// a stage's report or rule owns its whole history in its own struct. A
+// slot holds one float per position, and the codec reads each position
+// before it overwrites it, so the positions before the one being coded hold
+// this message's floats and the rest the previous message's, of which n
+// bounds how many there were.
+//
+// A decode error can leave a slot half overwritten. It is never read again:
+// an error desynchronizes the stream, so the RPC layer ends the connection,
+// and its histories with it.
+//
+// A history-coded encode runs on the history's own scratch Encoder, so it
+// takes nothing from a pool. The zero value is ready to use; a FloatHistory
+// is not safe for concurrent use.
 type FloatHistory struct {
-	// types is indexed by message type and grown on first use: a type is one
-	// byte, so even a corrupt one grows it to 256 entries at most.
-	types []*typeHist
+	first histSlot
+	rest  []histSlot
+	// The message being coded: its type, its slot (nil until a float binds
+	// one, if the type has none yet) and the position of its next float.
+	t   MsgType
+	pos int
+	cur *histSlot
+	enc Encoder
 }
 
-// typeHist is one message type's history: the float sequence of the previous
-// message (prev) and the one being built (cur). At message end the two swap.
-type typeHist struct {
-	prev, cur []float64
+// histSlot is one message type's floats, in position order: the first
+// len(inline) inline, the rest in spill.
+type histSlot struct {
+	t      MsgType // 0, which names no message, while unbound
+	n      int32   // how many floats the previous message of type t carried
+	inline [4]float64
+	spill  []float64
 }
 
 // NewFloatHistory returns an empty history.
 func NewFloatHistory() *FloatHistory { return &FloatHistory{} }
 
-func (h *FloatHistory) get(t MsgType) *typeHist {
-	if int(t) >= len(h.types) {
-		h.types = append(h.types, make([]*typeHist, int(t)+1-len(h.types))...)
+// begin starts coding a message of type t.
+func (h *FloatHistory) begin(t MsgType) {
+	h.t, h.pos, h.cur = t, 0, nil
+	if h.first.t == t {
+		h.cur = &h.first
+		return
 	}
-	th := h.types[t]
-	if th == nil {
-		th = &typeHist{}
-		h.types[t] = th
+	for i := range h.rest {
+		if h.rest[i].t == t {
+			h.cur = &h.rest[i]
+			return
+		}
 	}
-	return th
 }
 
-func (th *typeHist) swap() {
-	th.prev, th.cur = th.cur, th.prev[:0]
+// end finishes the message begin started: its float count is what the next
+// message of its type may refer to.
+func (h *FloatHistory) end() {
+	if h.cur != nil {
+		h.cur.n = int32(h.pos)
+	}
+	h.cur = nil
 }
 
-// Encoder appends primitive values to a byte slice. The zero value is ready
-// to use; Bytes returns the accumulated encoding.
+// next returns the message's next float position, which the caller reads
+// (it holds the previous same-type message's float there when ok) and then
+// overwrites with this message's float. The type's first float binds its
+// slot.
+func (h *FloatHistory) next() (p *float64, ok bool) {
+	s := h.cur
+	if s == nil {
+		if h.first.t == 0 {
+			s = &h.first
+		} else {
+			h.rest = append(h.rest, histSlot{})
+			s = &h.rest[len(h.rest)-1]
+		}
+		s.t, h.cur = h.t, s
+	}
+	i := h.pos
+	h.pos++
+	ok = i < int(s.n)
+	if i < len(s.inline) {
+		return &s.inline[i], ok
+	}
+	i -= len(s.inline)
+	if i == len(s.spill) {
+		s.spill = append(s.spill, 0)
+	}
+	return &s.spill[i], ok
+}
+
+// Encoder appends primitive values to a byte slice; the zero value is ready
+// to use. EncodeWith runs a history-coded encode on the history's own
+// Encoder, which writes each float into the history as it encodes it, and a
+// stateless one on a pooled Encoder. The decoding peer's history advances
+// in step only while every frame decodes: a decode error ends the
+// connection (see FloatHistory).
 type Encoder struct {
 	buf []byte
 	// ver selects the float encoding: values below CodecV2 use the fixed
@@ -124,7 +188,7 @@ type Encoder struct {
 	ver int
 	// hist, when non-nil (v2 only), enables the f2Same/f2Delta tags against
 	// the previous message of the same type.
-	hist *typeHist
+	hist *FloatHistory
 }
 
 // Uint64 appends v as an unsigned varint.
@@ -153,11 +217,9 @@ func (e *Encoder) Float64(v float64) {
 	}
 	var prev float64
 	hasPrev := false
-	if h := e.hist; h != nil {
-		if pos := len(h.cur); pos < len(h.prev) {
-			prev, hasPrev = h.prev[pos], true
-		}
-		h.cur = append(h.cur, v)
+	if e.hist != nil {
+		p, ok := e.hist.next()
+		prev, hasPrev, *p = *p, ok, v
 	}
 	switch {
 	case hasPrev && prev == v:
@@ -209,7 +271,7 @@ type Decoder struct {
 	// hist resolves the v2 f2Same/f2Delta tags. A stateless v2 decoder (hist
 	// nil) rejects those tags as corrupt.
 	ver  int
-	hist *typeHist
+	hist *FloatHistory
 }
 
 // NewDecoder returns a Decoder reading from buf.
@@ -332,7 +394,11 @@ func (d *Decoder) float64v2() float64 {
 	if d.err != nil {
 		return 0
 	}
-	h := d.hist
+	var p *float64
+	hasPrev := false
+	if d.hist != nil {
+		p, hasPrev = d.hist.next()
+	}
 	var v float64
 	switch tag {
 	case f2Zero:
@@ -341,11 +407,11 @@ func (d *Decoder) float64v2() float64 {
 	case f2Raw:
 		v = d.float64raw()
 	case f2Same, f2Delta:
-		if h == nil || len(h.cur) >= len(h.prev) {
+		if !hasPrev {
 			d.fail(fmt.Errorf("wire: float tag %d without matching history", tag))
 			return 0
 		}
-		v = h.prev[len(h.cur)]
+		v = *p
 		if tag == f2Delta {
 			v += float64(d.Int64())
 		}
@@ -353,8 +419,8 @@ func (d *Decoder) float64v2() float64 {
 		d.fail(fmt.Errorf("wire: unknown float tag %d", tag))
 		return 0
 	}
-	if h != nil {
-		h.cur = append(h.cur, v)
+	if p != nil {
+		*p = v
 	}
 	return v
 }
