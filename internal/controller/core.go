@@ -381,9 +381,11 @@ func runLoop(ctx context.Context, interval time.Duration, cycle func(context.Con
 // The returned rows live in the cycle arena.
 func (k *stageCore) gatherReports(ctx context.Context, m wire.Collect, active, quarantined []*child,
 	mayIdle bool) (reports []wire.StageReport, idle bool) {
+	// One clock read stamps the whole collect: a report looks at most one
+	// phase older than it is (see DESIGN.md §10).
+	now := time.Now()
 	targets := active
 	if k.incremental {
-		now := time.Now()
 		dirty := 0
 		targets = k.scratch.collect[:0]
 		for _, c := range active {
@@ -410,7 +412,7 @@ func (k *stageCore) gatherReports(ctx context.Context, m wire.Collect, active, q
 			func(i int, resp wire.Message, _ error) {
 				if r, ok := resp.(*wire.CollectReply); ok {
 					replies[i] = r
-					targets[i].noteReport(r, time.Now())
+					targets[i].noteReport(r, now)
 				}
 			})
 	}

@@ -45,7 +45,9 @@ type fanOutOpts struct {
 	// phase deadline, so every child still gets at least timeout from its
 	// request being issued.
 	timeout time.Duration
-	// gauge, if non-nil, tracks in-flight calls for this phase.
+	// gauge, if non-nil, tracks in-flight calls for this phase: per call in
+	// blocking mode, per issuer range in pipelined mode (charged once the
+	// range is issued, released once it is harvested).
 	gauge *telemetry.Gauge
 	// arena and calls, when both set, draw the pipelined harvest's call-
 	// handle slots from the controller's cycle arena instead of allocating
@@ -79,12 +81,13 @@ func (o *fanOutOpts) takeCalls(n int) []*rpc.Call {
 // be nil. issue starts child i's call under ctx (Go or GoShared on its client:
 // issuing never blocks, the deadline applies to the wait) and returns the
 // handle; a nil handle skips the child. In blocking mode issue and onDone run
-// concurrently from up to par scatter workers. In pipelined mode issue runs
-// on up to GOMAXPROCS issuers, each over a contiguous range of children in
-// child order, and onDone runs sequentially on the calling goroutine, in
-// child order. Callers must keep both safe under concurrency (index-disjoint
-// writes or their own locking). Once ctx is cancelled no further calls are
-// issued.
+// concurrently from up to par scatter workers. In pipelined mode up to
+// GOMAXPROCS issuers each take a contiguous range of children: an issuer
+// issues its range, then waits for, accounts and hands to onDone the calls it
+// issued, in child order within its range, while the other issuers do the
+// same with theirs. Callers must keep both safe under concurrency
+// (index-disjoint writes or their own locking). Once ctx is cancelled no
+// further calls are issued; those already issued are still harvested.
 //
 // The role's CPU meter is charged with the time spent issuing — encoding
 // and writing the requests, and on an untimed simnet the stages' handling,
@@ -121,36 +124,39 @@ func (k *stageCore) fanOutCalls(ctx context.Context, o fanOutOpts, children []*c
 		return
 	}
 
-	// Pipelined: issue every call back-to-back, then harvest the completion
-	// handles in child order — phase latency is the slowest child, not the
-	// sum over a bounded pool. One deadline covers the whole phase in place
-	// of a context per call.
+	// Pipelined: each issuer issues its range back-to-back, then harvests
+	// that range's completion handles in child order while the state they
+	// touch is still warm on its core — phase latency is the slowest child,
+	// not the sum over a bounded pool. One deadline covers the whole phase in
+	// place of a context per call.
 	pctx, cancel := context.WithTimeout(ctx, o.timeout)
 	defer cancel()
 	calls := o.takeCalls(n)
 	cyclemem.ParallelFor(n, parallelIssueMin, func(lo, hi int) {
 		start := time.Now()
+		issued := 0
 		for i := lo; i < hi; i++ {
 			if ctx.Err() != nil {
-				break // cancelled mid-fan-out: stop issuing
+				break // cancelled mid-fan-out: stop issuing, harvest what was
 			}
-			if calls[i] = issue(ctx, i); calls[i] != nil && o.gauge != nil {
-				o.gauge.Enter()
+			if calls[i] = issue(ctx, i); calls[i] != nil {
+				issued++
 			}
 		}
 		k.busy(start)
-	})
-	for i, call := range calls {
-		if call == nil {
-			continue
-		}
-		resp, err := call.Wait(pctx)
 		if o.gauge != nil {
-			o.gauge.Exit()
+			o.gauge.Add(int64(issued))
+			defer o.gauge.Add(int64(-issued))
 		}
-		k.accountCall(ctx, children[i], err)
-		if onDone != nil {
-			onDone(i, resp, err)
+		for i := lo; i < hi; i++ {
+			if calls[i] == nil {
+				continue
+			}
+			resp, err := calls[i].Wait(pctx)
+			k.accountCall(ctx, children[i], err)
+			if onDone != nil {
+				onDone(i, resp, err)
+			}
 		}
-	}
+	})
 }

@@ -800,7 +800,7 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 			switch resp.(type) {
 			case *wire.CollectAggReply, *wire.CollectReply:
 				replies[i] = resp
-				children[i].noteReport(resp, time.Now())
+				children[i].noteReport(resp, ph.start) // one clock read per collect
 			}
 		})
 	b.Collect = g.endPhase(ph)

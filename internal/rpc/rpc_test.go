@@ -451,6 +451,9 @@ func TestMetersChargedBothSides(t *testing.T) {
 	if _, err := cli.Call(context.Background(), &wire.Heartbeat{SentUnixMicros: 1}); err != nil {
 		t.Fatal(err)
 	}
+	// The call completes inside the server's reply write, so the server's
+	// meter is charged for it only once that write returns.
+	waitFor(t, "the server's reply write to be charged", func() bool { return smeter.Tx() == cmeter.Rx() })
 	if cmeter.Tx() == 0 || cmeter.Rx() == 0 {
 		t.Errorf("client meter = %d/%d, want nonzero", cmeter.Tx(), cmeter.Rx())
 	}

@@ -14,8 +14,12 @@ type Gauge struct {
 }
 
 // Enter increments the gauge, updating the peak.
-func (g *Gauge) Enter() {
-	v := g.cur.Add(1)
+func (g *Gauge) Enter() { g.Add(1) }
+
+// Add moves the gauge by n, updating the peak: one atomic add for a batch
+// of calls entering (n > 0) or leaving (n < 0) at once.
+func (g *Gauge) Add(n int64) {
+	v := g.cur.Add(n)
 	for {
 		p := g.peak.Load()
 		if v <= p || g.peak.CompareAndSwap(p, v) {
@@ -192,8 +196,10 @@ func (p *PipelineStats) Snapshot() PipelineSnapshot {
 type PipelineSnapshot struct {
 	// CollectInFlight and EnforceInFlight are the instantaneous per-phase
 	// in-flight call counts; the Peak variants are their high-water marks.
-	// Pipelined fan-out peaks near the child count; blocking fan-out peaks
-	// at the configured parallelism bound.
+	// A pipelined peak lies between the largest issuer range and the child
+	// count: each issuer charges its range once issued and releases it once
+	// harvested, so ranges overlap only as far as their issuers do. Blocking
+	// fan-out peaks at the configured parallelism bound.
 	CollectInFlight     int64
 	CollectInFlightPeak int64
 	EnforceInFlight     int64
