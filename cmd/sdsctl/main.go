@@ -39,10 +39,11 @@
 //	    a controller data directory (offline; the controller need not run).
 //
 //	sdsctl topology -stages 10000 -shards 4 -standbys 2 [-validate] [-cycles 5]
-//	    Validate a declarative deployment spec (sdscale.Topology) and dry-run
-//	    it on the in-process simulated network: build the deployment, run a
-//	    few control cycles, and print the shard route table and per-shard
-//	    stats. Use it to check a spec — shard counts, standby quorums,
+//	    Validate a declarative deployment spec (sdscale.Topology) by the
+//	    same shape rules the builder applies, so a spec that validates
+//	    builds, and dry-run it on the in-process simulated network: build
+//	    the deployment, run a few control cycles, and print the shard route
+//	    table and per-shard stats. Use it to check a spec — shard counts, standby quorums,
 //	    aggregator fan-in — before wiring real hosts with the per-role
 //	    commands above, which are the manual-assembly path to the same
 //	    deployment.
@@ -61,6 +62,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/sdscale"
+	"github.com/dsrhaslab/sdscale/internal/cluster"
 	"github.com/dsrhaslab/sdscale/internal/controlalg"
 	"github.com/dsrhaslab/sdscale/internal/controller"
 	"github.com/dsrhaslab/sdscale/internal/monitor"
@@ -412,7 +414,7 @@ func runTopology(ctx context.Context, args []string) error {
 	fanIn := fs.Int("fanin", 0, "stages per aggregator (hierarchical design; exclusive with -shards > 1)")
 	capacity := fs.String("capacity", "1000000,100000", "PFS capacity as data,meta ops/s")
 	cycles := fs.Int("cycles", 5, "control cycles to run in the dry-run")
-	validateOnly := fs.Bool("validate", false, "validate the spec and exit without building anything")
+	validateOnly := fs.Bool("validate", false, "validate the spec by the builder's shape rules and exit without building anything")
 	fs.Parse(args)
 
 	cap, err := parseRates(*capacity)
@@ -434,7 +436,8 @@ func runTopology(ctx context.Context, args []string) error {
 	fmt.Printf("topology spec valid: %d stages, %d jobs, %d shard(s), %d standby(s)/shard",
 		*stages, *jobs, *shards, *standbys)
 	if *fanIn > 0 {
-		fmt.Printf(", aggregator fan-in %d (%d aggregators)", *fanIn, (*stages+*fanIn-1) / *fanIn)
+		lowered, _ := cluster.Config{Stages: *stages}.WithFanIn(*fanIn)
+		fmt.Printf(", aggregator fan-in %d (%d aggregators)", *fanIn, lowered.Aggregators)
 	}
 	fmt.Println()
 	if *validateOnly {
@@ -450,23 +453,23 @@ func runTopology(ctx context.Context, args []string) error {
 	fmt.Printf("built simulated deployment in %v\n", time.Since(start).Round(time.Millisecond))
 
 	for i := 0; i < *cycles; i++ {
-		if _, err := d.RunCycle(ctx); err != nil {
+		if _, err := d.RunControlCycle(ctx); err != nil {
 			return fmt.Errorf("cycle %d: %w", i+1, err)
 		}
 	}
 	fmt.Println()
-	fmt.Print(d.Summary().String())
+	fmt.Print(d.Recorder().Summarize().String())
 
-	st := d.Stats()
-	fmt.Printf("\nshard route table (%d shard(s), max epoch %d):\n", st.Shards, st.MaxEpoch)
-	for i, cs := range st.PerShard {
+	st := d.Router.Stats()
+	fmt.Printf("\nshard route table (%d shard(s), max epoch %d):\n", len(st.Shards), st.MaxEpoch)
+	for i, cs := range st.Shards {
 		fmt.Printf("  shard %d: epoch %d, %d children, %d quarantined, %d call errors\n",
 			i, cs.Epoch, cs.Children, cs.Quarantined, cs.CallErrors)
 	}
-	if st.Shards > 1 {
+	if len(st.Shards) > 1 {
 		fmt.Println("\nsample placement (stage -> shard):")
 		for _, id := range []uint64{1, uint64(*stages / 2), uint64(*stages)} {
-			s, _ := d.Route(id)
+			s, _ := d.Router.Route(id)
 			fmt.Printf("  stage %-8d -> shard %d\n", id, s)
 		}
 	}

@@ -153,7 +153,7 @@ func runServe(ctx context.Context, args []string) error {
 		defer dbg.Close()
 		dbg.Handle("/healthz", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			fmt.Fprintf(w, "ok cycles=%d shards=%d stages=%d\n",
-				d.cycles.Value(), dep.NumShards(), dep.Stats().Stages)
+				d.cycles.Value(), dep.Router.NumShards(), dep.Router.Stats().Stages)
 		}))
 		dbg.AddMetrics("shards", shardMetrics(dep))
 		// The elastic source reads through the atomic pointer so reloads
@@ -169,7 +169,7 @@ func runServe(ctx context.Context, args []string) error {
 	expvar.Publish("sdscale.serve", expvar.Func(d.vars))
 
 	fmt.Printf("serving %d stages over %d shard(s) from %s (interval %v)\n",
-		dep.Stats().Stages, dep.NumShards(), *cfgPath, d.interval)
+		dep.Router.Stats().Stages, dep.Router.NumShards(), *cfgPath, d.interval)
 
 	if err := serveLoop(ctx, d); err != nil {
 		return err
@@ -179,7 +179,7 @@ func runServe(ctx context.Context, args []string) error {
 	// group-commit window — then report.
 	closeDep()
 	fmt.Println("\n--- final report ---")
-	fmt.Print(dep.Summary().String())
+	fmt.Print(dep.Recorder().Summarize().String())
 	fmt.Printf("cycles=%d reloads=%d rejects=%d aggregators=%d\n",
 		d.cycles.Value(), d.rel.Reloads(), d.rel.Rejects(), dep.NumAggregators())
 	return nil
@@ -190,7 +190,7 @@ func runServe(ctx context.Context, args []string) error {
 // counters and a shard a reload added are exported as soon as they serve.
 func shardMetrics(dep *sdscale.Deployment) trace.MetricsFunc {
 	return func(w io.Writer) error {
-		for i, g := range dep.Leaders() {
+		for i, g := range dep.Router.Leaders() {
 			if err := g.WritePrometheusLabeled(w, "shard", strconv.Itoa(i)); err != nil {
 				return err
 			}
@@ -207,7 +207,7 @@ func serveLoop(ctx context.Context, d *daemon) error {
 	for {
 		// The cycle runs under its own context: cancelling the daemon must
 		// drain, not abort, the in-flight cycle.
-		bd, err := d.dep.RunCycle(context.WithoutCancel(ctx))
+		bd, err := d.dep.RunControlCycle(context.WithoutCancel(ctx))
 		if err != nil {
 			return fmt.Errorf("serve: control cycle: %w", err)
 		}
@@ -269,7 +269,7 @@ func (d *daemon) applyReload(ctx context.Context) {
 	if delta.Empty() {
 		return
 	}
-	if _, err := d.dep.ApplyConfig(ctx, old, next); err != nil {
+	if _, err := sdscale.ApplyConfig(ctx, d.dep, old, next); err != nil {
 		d.logf("sdsctl: reload apply: %v", err)
 		return
 	}

@@ -146,14 +146,14 @@ func TestServeReloadAppliesFleetResize(t *testing.T) {
 	}
 	hup <- os.Interrupt
 	waitFor(t, "reload applied", func() bool { return d.applied.Value() >= 1 })
-	waitFor(t, "fleet grown", func() bool { return d.dep.Stats().Stages == 14 })
+	waitFor(t, "fleet grown", func() bool { return d.dep.Router.Stats().Stages == 14 })
 	waitFor(t, "post-reload cycles", func() bool { return d.cycles.Value() >= 3 })
 
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("serveLoop dropped a cycle: %v", err)
 	}
-	for _, v := range d.dep.Cluster().Stages {
+	for _, v := range d.dep.Stages {
 		if _, ok := v.LastRule(); !ok {
 			t.Errorf("stage %d has no rule after the reload", v.Info().ID)
 		}
@@ -214,7 +214,7 @@ func TestServeWatcherTriggersReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "watcher-driven reload", func() bool { return d.rel.Reloads() >= 1 })
-	waitFor(t, "fleet grown", func() bool { return d.dep.Stats().Stages == 10 })
+	waitFor(t, "fleet grown", func() bool { return d.dep.Router.Stats().Stages == 10 })
 
 	cancel()
 	if err := <-done; err != nil {
@@ -262,7 +262,7 @@ func TestServeMetricsFollowShardReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	hup <- os.Interrupt
-	waitFor(t, "second shard", func() bool { return d.dep.NumShards() == 2 })
+	waitFor(t, "second shard", func() bool { return d.dep.Router.NumShards() == 2 })
 	if m := scrape(); !strings.Contains(m, children(0)) || !strings.Contains(m, children(1)) {
 		t.Errorf("two shards: /metrics lacks a shard's series:\n%s", m)
 	}

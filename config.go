@@ -66,82 +66,17 @@ func TopologyFromConfig(f *Config) (Topology, error) {
 }
 
 // ApplyConfig absorbs the safe deltas between old and next into the running
-// deployment: job weights retune allocation, fleet and shard sizes grow or
-// shrink live. An unsafe change rejects the whole reload — nothing is
-// applied and the returned error names the offending fields. Interval, poll
-// and SLO changes are reported in the delta for the caller (the daemon's
-// serve loop owns those knobs). Both configs must already be validated.
-func (d *Deployment) ApplyConfig(ctx context.Context, old, next *Config) (ConfigDelta, error) {
+// deployment d: job weights retune allocation, fleet and shard sizes grow or
+// shrink live, all under one hold of d's mutation lock
+// (Deployment.Reconfigure). An unsafe change rejects the whole reload —
+// nothing is applied and the returned error names the offending fields.
+// Interval, poll and SLO changes are reported in the delta for the caller
+// (the daemon's serve loop owns those knobs). Both configs must already be
+// validated.
+func ApplyConfig(ctx context.Context, d *Deployment, old, next *Config) (ConfigDelta, error) {
 	delta, err := config.Diff(old, next)
 	if err != nil {
 		return ConfigDelta{}, err
 	}
-	d.opMu.Lock()
-	defer d.opMu.Unlock()
-	for id, w := range delta.JobWeights {
-		d.c.SetJobWeight(id, w)
-	}
-	if delta.Shards != 0 && delta.Shards != d.NumShards() {
-		if err := d.c.ResizeShards(ctx, delta.Shards); err != nil {
-			return delta, err
-		}
-	}
-	if delta.Stages != 0 {
-		if err := d.c.SetStages(ctx, delta.Stages); err != nil {
-			return delta, err
-		}
-	}
-	return delta, nil
-}
-
-// SetStages grows or shrinks the stage fleet to target, attaching new
-// stages through whatever tier the deployment runs (shard leaders or
-// aggregators).
-func (d *Deployment) SetStages(ctx context.Context, target int) error {
-	d.opMu.Lock()
-	defer d.opMu.Unlock()
-	return d.c.SetStages(ctx, target)
-}
-
-// Resize changes the number of concurrently active shard leaders to target,
-// rebalancing every child onto the new ring. Only standbys-free flat
-// deployments on the default placement support resizing.
-func (d *Deployment) Resize(ctx context.Context, target int) error {
-	d.opMu.Lock()
-	defer d.opMu.Unlock()
-	return d.c.ResizeShards(ctx, target)
-}
-
-// SetJobWeight retunes one job's QoS weight on every shard's leader; the
-// next control cycle reallocates under the new weight.
-func (d *Deployment) SetJobWeight(jobID uint64, weight float64) {
-	d.opMu.Lock()
-	defer d.opMu.Unlock()
-	d.c.SetJobWeight(jobID, weight)
-}
-
-// NumAggregators returns the aggregator-tier size (zero for flat and
-// sharded deployments).
-func (d *Deployment) NumAggregators() int {
-	d.opMu.Lock()
-	defer d.opMu.Unlock()
-	return d.c.NumAggregators()
-}
-
-// GrowAggregators adds one aggregator to a hierarchical deployment's tier,
-// re-homing stages from the most loaded aggregators until the tier is
-// balanced. It is the elasticity loop's grow actuator.
-func (d *Deployment) GrowAggregators(ctx context.Context) error {
-	d.opMu.Lock()
-	defer d.opMu.Unlock()
-	return d.c.GrowAggregators(ctx)
-}
-
-// ShrinkAggregators removes the most recently added aggregator, re-homing
-// its stages over the survivors. It is the elasticity loop's shrink
-// actuator.
-func (d *Deployment) ShrinkAggregators(ctx context.Context) error {
-	d.opMu.Lock()
-	defer d.opMu.Unlock()
-	return d.c.ShrinkAggregators(ctx)
+	return delta, d.Reconfigure(ctx, delta.JobWeights, delta.Shards, delta.Stages)
 }

@@ -64,7 +64,7 @@ func TestApplyConfigLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.RunCycle(ctx); err != nil {
+	if _, err := d.RunControlCycle(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -72,20 +72,20 @@ func TestApplyConfigLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := d.ApplyConfig(ctx, old, next)
+	delta, err := sdscale.ApplyConfig(ctx, d, old, next)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if delta.Stages != 18 || delta.Interval == nil || delta.JobWeights[1] != 4 {
 		t.Fatalf("delta = %+v, want stages 18, interval set, weight 4", delta)
 	}
-	if st := d.Stats(); st.Stages != 18 {
+	if st := d.Router.Stats(); st.Stages != 18 {
 		t.Fatalf("deployment has %d stages after reload, want 18", st.Stages)
 	}
-	if _, err := d.RunCycle(ctx); err != nil {
+	if _, err := d.RunControlCycle(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range d.Cluster().Stages {
+	for _, v := range d.Stages {
 		if _, ok := v.LastRule(); !ok {
 			t.Fatalf("stage %d lost its rule across the reload", v.Info().ID)
 		}
@@ -96,12 +96,26 @@ func TestApplyConfigLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ApplyConfig(ctx, next, bad); err == nil ||
+	if _, err := sdscale.ApplyConfig(ctx, d, next, bad); err == nil ||
 		!strings.Contains(err.Error(), "unsafe") {
 		t.Fatalf("unsafe reload err = %v, want unsafe-change rejection", err)
 	}
-	if st := d.Stats(); st.Stages != 18 {
+	if st := d.Router.Stats(); st.Stages != 18 {
 		t.Fatalf("rejected reload mutated the fleet: %d stages", st.Stages)
+	}
+
+	// A shape-invalid file (fewer stages than shards) is rejected whole:
+	// Parse refuses it by the builder's shape rules, and handed in
+	// directly, the reload applies none of it.
+	const shapeless = `{"stages": 1, "jobs": 2, "shards": 2}`
+	if _, err := sdscale.ParseConfig([]byte(shapeless)); err == nil || !strings.Contains(err.Error(), "cannot populate") {
+		t.Fatalf("ParseConfig(%s) err = %v, want a shape rejection", shapeless, err)
+	}
+	if _, err := sdscale.ApplyConfig(ctx, d, next, &sdscale.Config{Stages: 1, Jobs: 2, Shards: 2}); err == nil {
+		t.Fatal("reload to 1 stage over 2 shards applied")
+	}
+	if n, st := d.Router.NumShards(), d.Router.Stats(); n != 1 || st.Stages != 18 {
+		t.Fatalf("rejected shape reload left %d shard(s) and %d stages, want 1 and 18", n, st.Stages)
 	}
 
 	// A one-shard deployment reloads to two shards: a fresh leader takes
@@ -111,26 +125,26 @@ func TestApplyConfigLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta, err := d.ApplyConfig(ctx, next, sharded); err != nil || delta.Shards != 2 {
+	if delta, err := sdscale.ApplyConfig(ctx, d, next, sharded); err != nil || delta.Shards != 2 {
 		t.Fatalf("shard reload = (%+v, %v), want shards 2", delta, err)
 	}
-	if n := d.NumShards(); n != 2 {
+	if n := d.Router.NumShards(); n != 2 {
 		t.Fatalf("NumShards = %d after reload, want 2", n)
 	}
-	before := make([]uint64, len(d.Cluster().Stages))
-	for i, v := range d.Cluster().Stages {
+	before := make([]uint64, len(d.Stages))
+	for i, v := range d.Stages {
 		before[i], _ = v.Counters()
 	}
-	if _, err := d.RunCycle(ctx); err != nil {
+	if _, err := d.RunControlCycle(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range d.Cluster().Stages {
+	for i, v := range d.Stages {
 		collects, _ := v.Counters()
 		if _, ok := v.LastRule(); !ok || collects <= before[i] {
 			t.Fatalf("stage %d not ruled by the cycle after the shard reload", v.Info().ID)
 		}
 	}
-	if st := d.Stats(); st.Stages != 18 || st.PerShard[0].Stages == 0 || st.PerShard[1].Stages == 0 {
+	if st := d.Router.Stats(); st.Stages != 18 || st.Shards[0].Stages == 0 || st.Shards[1].Stages == 0 {
 		t.Fatalf("stats after shard reload = %+v, want 18 stages over both shards", st)
 	}
 }
@@ -155,7 +169,7 @@ func TestDeploymentElasticSurface(t *testing.T) {
 	if d.NumAggregators() != 3 {
 		t.Fatalf("tier = %d after grow, want 3", d.NumAggregators())
 	}
-	if _, err := d.RunCycle(ctx); err != nil {
+	if _, err := d.RunControlCycle(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.ShrinkAggregators(ctx); err != nil {
@@ -164,10 +178,10 @@ func TestDeploymentElasticSurface(t *testing.T) {
 	if d.NumAggregators() != 2 {
 		t.Fatalf("tier = %d after shrink, want 2", d.NumAggregators())
 	}
-	if _, err := d.RunCycle(ctx); err != nil {
+	if _, err := d.RunControlCycle(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range d.Cluster().Stages {
+	for _, v := range d.Stages {
 		if _, ok := v.LastRule(); !ok {
 			t.Fatalf("stage %d lost its rule across tier reshape", v.Info().ID)
 		}

@@ -15,9 +15,9 @@ import (
 	"testing"
 )
 
-// citingDocs are the documents that describe the code as it is. CHANGES.md,
-// EXPERIMENTS.md and docs/evidence/ are history: they may name what is gone.
-var citingDocs = []string{"DESIGN.md", "README.md", "docs/PROTOCOL.md"}
+// citingDocs are the documents that describe the code as it is. CHANGES.md
+// and docs/evidence/ are history: they may name what is gone.
+var citingDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", "docs/DEPLOYMENT.md", "docs/PROTOCOL.md"}
 
 // runtimeNames are runtime and operating-system names the documents cite
 // bare: functions of the Go runtime's internals that profiles show, a field

@@ -78,10 +78,10 @@ func main() {
 	}
 	defer d.Close()
 
-	if _, err := d.RunCycle(ctx); err != nil {
+	if _, err := d.RunControlCycle(ctx); err != nil {
 		log.Fatalf("cycle: %v", err)
 	}
-	fmt.Printf("running: %d stages, interval %v\n", d.Stats().Stages, cf.CycleInterval())
+	fmt.Printf("running: %d stages, interval %v\n", d.Router.Stats().Stages, cf.CycleInterval())
 
 	// A safe reload: DiffConfig classifies the edit, ApplyConfig absorbs
 	// it. The daemon does exactly this at the next cycle boundary after
@@ -90,16 +90,16 @@ func main() {
 	if err != nil {
 		log.Fatalf("parse edited config: %v", err)
 	}
-	delta, err := d.ApplyConfig(ctx, cf, next)
+	delta, err := sdscale.ApplyConfig(ctx, d, cf, next)
 	if err != nil {
 		log.Fatalf("apply config: %v", err)
 	}
 	cf = next
-	if _, err := d.RunCycle(ctx); err != nil {
+	if _, err := d.RunControlCycle(ctx); err != nil {
 		log.Fatalf("cycle after reload: %v", err)
 	}
 	fmt.Printf("reloaded (%v): now %d stages, every stage holds a rule: %v\n",
-		delta, d.Stats().Stages, allRuled(d))
+		delta, d.Router.Stats().Stages, allRuled(d))
 
 	// An unsafe reload: the whole edit is rejected and the running config
 	// stays in force — there is no partial application.
@@ -107,18 +107,18 @@ func main() {
 	if err != nil {
 		log.Fatalf("parse unsafe config: %v", err)
 	}
-	if _, err := d.ApplyConfig(ctx, cf, bad); err == nil {
+	if _, err := sdscale.ApplyConfig(ctx, d, cf, bad); err == nil {
 		log.Fatal("unsafe config was not rejected")
 	} else {
 		fmt.Printf("rejected: %v\n", err)
 	}
-	fmt.Printf("still running: %d stages under the previous config\n", d.Stats().Stages)
+	fmt.Printf("still running: %d stages under the previous config\n", d.Router.Stats().Stages)
 }
 
 // allRuled reports whether every stage holds an enforced rule — the
 // zero-rule-loss invariant a reload must preserve.
 func allRuled(d *sdscale.Deployment) bool {
-	for _, st := range d.Cluster().Stages {
+	for _, st := range d.Stages {
 		if _, ok := st.LastRule(); !ok {
 			return false
 		}

@@ -78,14 +78,13 @@ func main() {
 		// every shard leader cycling concurrently. The recorded breakdown
 		// is the slowest shard per cycle — the deployment's wall clock.
 		for ctx.Err() == nil {
-			if _, err := d.RunCycle(ctx); err != nil && ctx.Err() == nil {
+			if _, err := d.RunControlCycle(ctx); err != nil && ctx.Err() == nil {
 				log.Fatalf("cycle: %v", err)
 			}
 		}
-		fmt.Print(d.Summary().String())
-		st := d.Stats()
+		fmt.Print(d.Recorder().Summarize().String())
 		fmt.Printf("\nper-shard fleet (epoch, children):\n")
-		for i, cs := range st.PerShard {
+		for i, cs := range d.Router.Stats().Shards {
 			fmt.Printf("  shard %d: epoch %d, %d children, %d quarantined\n",
 				i, cs.Epoch, cs.Children, cs.Quarantined)
 		}
@@ -94,12 +93,12 @@ func main() {
 		return
 	}
 
-	uc := sdscale.NewUsageCollector(d.Cluster())
+	uc := sdscale.NewUsageCollector(d)
 	uc.Start()
-	d.Cluster().Global.Run(ctx, 0) // stress: cycles back-to-back (paper §III-C)
+	d.Global.Run(ctx, 0) // stress: cycles back-to-back (paper §III-C)
 	global, agg, elapsed := uc.Stop()
 
-	fmt.Print(d.Summary().String())
+	fmt.Print(d.Global.Recorder().Summarize().String())
 	fmt.Printf("\nresource usage over %v:\n", elapsed.Round(time.Millisecond))
 	fmt.Printf("  global:              CPU %5.2f%%  mem %6.3f GB  tx %6.2f MB/s  rx %6.2f MB/s\n",
 		global.CPUPercent, global.MemGB(), global.TxMBps, global.RxMBps)

@@ -48,7 +48,7 @@ func main() {
 
 	// Run a few control cycles and watch the rules converge.
 	for cycle := 1; cycle <= 3; cycle++ {
-		b, err := d.RunCycle(ctx)
+		b, err := d.RunControlCycle(ctx)
 		if err != nil {
 			log.Fatalf("cycle %d: %v", cycle, err)
 		}
@@ -57,21 +57,21 @@ func main() {
 	}
 
 	fmt.Println("\nper-stage enforcement (PSFA, 2:1 oversubscribed, capacity 2000 data IOPS):")
-	for _, st := range d.Cluster().Stages {
+	for _, st := range d.Stages {
 		rule, ok := st.LastRule()
 		if !ok {
 			log.Fatalf("stage %d got no rule", st.Info().ID)
 		}
-		shard, _ := d.Route(rule.StageID)
+		shard, _ := d.Router.Route(rule.StageID)
 		fmt.Printf("  stage %d (job %d, shard %d): data %6.1f IOPS, meta %5.1f ops/s\n",
 			rule.StageID, rule.JobID, shard,
 			rule.Limit[sdscale.ClassData], rule.Limit[sdscale.ClassMeta])
 	}
 
 	// One unified snapshot for the whole deployment, however many shards.
-	st := d.Stats()
+	st := d.Router.Stats()
 	fmt.Printf("\ndeployment: %d shard(s), %d children, epoch %d, %d quarantined\n",
-		st.Shards, st.Children, st.MaxEpoch, st.Quarantined)
+		len(st.Shards), st.Children, st.MaxEpoch, st.Quarantined)
 	fmt.Println("every limit is half its demand — PSFA arbitrated the 2:1 oversubscription;")
 	fmt.Println("the four limits sum to the configured capacity — work conserving.")
 }

@@ -21,6 +21,7 @@ import (
 // package that has no other way to observe the behaviour.
 var testOnlyAllowed = map[string]string{
 	"controlalg.SplitProportional": "the oracle of controller's TestComputeFlatRulesEquivalence, TestComputePeerRulesEquivalence and TestDelegateRulesEquivalence, which compare the inlined proportional split against it",
+	"shard.Router.EnforceUniform":  "library users reach it as sdscale.Deployment's Router.EnforceUniform, the cross-shard job-wide rule the façade documents, which no program in this module issues; root's TestTopologySharded and cluster's TestShardedEnforceUniform pin it",
 	"shard.Router.Move":            "cluster's TestShardedMoveAndRebalance, TestShardedDuplicateRegisterAfterMove and TestShardedRebalanceRaceWithCycles put a child off its placement shard, which no production call leaves behind",
 	"simnet.Host.ConnCount":        "rpc's TestServerCloseRacingHandoffs and controller's TestRedialCloseDuringSweepLeaksNothing count the connections a closed server or controller leaves at its host",
 }

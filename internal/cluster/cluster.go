@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/controlalg"
@@ -83,8 +84,9 @@ type Config struct {
 	// Coordinated topology.
 	Shards int
 	// Placement overrides the consistent-hash child placement: it must map
-	// every stage ID to a shard in [0, Shards). Incompatible with Standbys
-	// (see validate). Nil selects the default ring.
+	// every stage ID to a shard in [0, Shards). Requires Shards > 1 and is
+	// incompatible with Standbys (see Validate). Nil selects the default
+	// ring.
 	Placement func(childID uint64) int
 	// VirtualNodes tunes the default placement ring's granularity
 	// (Shards > 1 only); zero selects shard.DefaultVirtualNodes.
@@ -272,6 +274,11 @@ func newRoles() Roles { return Roles{Meter: &transport.Meter{}, CPU: &monitor.CP
 type Cluster struct {
 	cfg Config
 
+	// mu serializes the live-reshaping mutators of elastic.go against each
+	// other. None of them may run concurrently with RunControlCycle: the
+	// daemon's serve loop applies them only at cycle boundaries.
+	mu sync.Mutex
+
 	// Net is the simulated network everything runs on.
 	Net *simnet.Net
 	// Global is the configured leader of a one-shard deployment —
@@ -318,16 +325,13 @@ type Cluster struct {
 	stageSeq uint64
 }
 
-// Build assembles and connects a deployment. On error, everything already
-// started is torn down.
+// Build assembles and connects a deployment; it refuses what Validate
+// rejects. On error, everything already started is torn down.
 func Build(cfg Config) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Stages <= 0 {
-		return nil, fmt.Errorf("cluster: need at least one stage, got %d", cfg.Stages)
-	}
-	if err := validate(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	c := &Cluster{cfg: cfg, Net: simnet.New(cfg.Net)}
 	if err := c.build(); err != nil {
 		c.Close()
@@ -380,11 +384,7 @@ func (c *Cluster) build() error {
 	if cfg.Tracing {
 		c.Trace = &ClusterTrace{Stages: c.newTracer()}
 	}
-	switch cfg.Topology {
-	case Flat, Hierarchical, Coordinated:
-		return c.buildGroups(context.Background())
-	}
-	return fmt.Errorf("cluster: unknown topology %v", cfg.Topology)
+	return c.buildGroups(context.Background())
 }
 
 // quorumPort is the fixed registration port every global controller listens

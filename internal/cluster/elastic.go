@@ -10,16 +10,42 @@ import (
 
 // This file is the live-reshaping surface of a built deployment: growing
 // and shrinking the aggregator tier (the SLO elasticity loop's actuator),
-// resizing the stage fleet and the shard set (config hot reload), and
-// re-tuning QoS weights. None of these run concurrently with
-// RunControlCycle — the sdsctl daemon serializes them at cycle boundaries,
-// and tests follow the same discipline. The underlying child state they
-// touch is still lock-guarded (see controller/elastic.go and the router's
-// atomic state), so a misuse shows up as a momentary inconsistency rather
-// than a torn read.
+// resizing the stage fleet and the shard set, and re-tuning QoS weights
+// (config hot reload). Each exported mutator holds the cluster's mutation
+// lock, so they serialize against each other and against NumAggregators
+// readers. None of them run concurrently with RunControlCycle — the sdsctl
+// daemon applies them at cycle boundaries, and tests follow the same
+// discipline. The underlying child state they touch is still lock-guarded
+// (see controller/elastic.go and the router's atomic state), so a misuse
+// shows up as a momentary inconsistency rather than a torn read.
 
 // NumAggregators returns the aggregator-tier size (Hierarchical only).
-func (c *Cluster) NumAggregators() int { return len(c.Aggregators) }
+func (c *Cluster) NumAggregators() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.Aggregators)
+}
+
+// Reconfigure applies a configuration reload's live changes as one
+// mutation: every job weight in weights, then a shard resize to shards and
+// a fleet resize to stages (each skipped when zero), under one hold of the
+// mutation lock so no other mutator interleaves.
+func (c *Cluster) Reconfigure(ctx context.Context, weights map[uint64]float64, shards, stages int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for id, w := range weights {
+		c.setJobWeight(id, w)
+	}
+	if shards != 0 && shards != c.Router.NumShards() {
+		if err := c.resizeShards(ctx, shards); err != nil {
+			return err
+		}
+	}
+	if stages != 0 {
+		return c.setStages(ctx, stages)
+	}
+	return nil
+}
 
 // aggregatorConfig assembles the configuration for the aggregator at
 // ordinal seq, mirroring the builder so grown aggregators are
@@ -52,6 +78,8 @@ func (c *Cluster) aggregatorConfig(seq int, role Roles) controller.AggregatorCon
 // aggregator adopts the global controller's leadership epoch on its first
 // cycle, exactly like a re-homed child.
 func (c *Cluster) GrowAggregators(ctx context.Context) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.Global == nil || len(c.Aggregators) == 0 {
 		return fmt.Errorf("cluster: no aggregator tier to grow")
 	}
@@ -106,6 +134,8 @@ func (c *Cluster) GrowAggregators(ctx context.Context) error {
 // its stages round-robin across the survivors before evicting and closing
 // it. The tier never shrinks below one.
 func (c *Cluster) ShrinkAggregators(ctx context.Context) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.Global == nil || len(c.Aggregators) == 0 {
 		return fmt.Errorf("cluster: no aggregator tier to shrink")
 	}
@@ -166,6 +196,12 @@ func (c *Cluster) leastLoadedAggregator() *controller.Aggregator {
 // standbys-free deployment — with warm standbys the fleet registers
 // dynamically and the builder's parent lists would go stale.
 func (c *Cluster) SetStages(ctx context.Context, target int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.setStages(ctx, target)
+}
+
+func (c *Cluster) setStages(ctx context.Context, target int) error {
 	switch {
 	case target < 1:
 		return fmt.Errorf("cluster: cannot shrink the fleet below one stage")
@@ -216,14 +252,14 @@ func (c *Cluster) SetStages(ctx context.Context, target int) error {
 	return nil
 }
 
-// ResizeShards changes the shard-leader count to target and rebalances the
+// resizeShards changes the shard-leader count to target and rebalances the
 // fleet onto the new consistent-hash ring. Growing starts fresh leaders
 // and drains their ring share onto them; shrinking installs the smaller
 // ring first (so nothing routes to the doomed shards), drains each doomed
 // shard's children to their new owners, then evicts and closes it. Per-
 // shard capacity is re-split proportionally to the settled populations.
 // Requires a standbys-free flat deployment on the default placement.
-func (c *Cluster) ResizeShards(ctx context.Context, target int) error {
+func (c *Cluster) resizeShards(ctx context.Context, target int) error {
 	cfg := c.cfg
 	switch {
 	case cfg.Topology != Flat:
@@ -284,10 +320,10 @@ func (c *Cluster) ResizeShards(ctx context.Context, target int) error {
 	return nil
 }
 
-// SetJobWeight re-tunes one job's QoS weight on every shard's effective
+// setJobWeight re-tunes one job's QoS weight on every shard's effective
 // leader (its standbys mirror it from the leader's next state sync); the
 // next control cycle allocates with it.
-func (c *Cluster) SetJobWeight(jobID uint64, weight float64) {
+func (c *Cluster) setJobWeight(jobID uint64, weight float64) {
 	for i := 0; i < c.Router.NumShards(); i++ {
 		c.Router.Group(i).Leader().SetJobWeight(jobID, weight)
 	}

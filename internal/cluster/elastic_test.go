@@ -199,7 +199,7 @@ func TestResizeShards(t *testing.T) {
 	ctx := context.Background()
 	cycleAndCheckRules(t, c)
 
-	if err := c.ResizeShards(ctx, 4); err != nil {
+	if err := c.Reconfigure(ctx, nil, 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	if c.Router.NumShards() != 4 || len(c.Globals) != 4 {
@@ -218,7 +218,7 @@ func TestResizeShards(t *testing.T) {
 	}
 	cycleAndCheckRules(t, c)
 
-	if err := c.ResizeShards(ctx, 2); err != nil {
+	if err := c.Reconfigure(ctx, nil, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if c.Router.NumShards() != 2 || len(c.Globals) != 2 {
@@ -233,10 +233,10 @@ func TestResizeShards(t *testing.T) {
 	}
 	cycleAndCheckRules(t, c)
 
-	if err := c.ResizeShards(ctx, 0); err == nil {
+	if err := c.resizeShards(ctx, 0); err == nil {
 		t.Fatal("resized to zero shards")
 	}
-	if err := c.ResizeShards(ctx, 61); err == nil {
+	if err := c.resizeShards(ctx, 61); err == nil {
 		t.Fatal("resized to more shards than stages")
 	}
 }
@@ -252,7 +252,9 @@ func TestSetJobWeightLive(t *testing.T) {
 	// Job 1's weight triples: its stages' allocation must strictly grow
 	// relative to job 2's on the next cycle.
 	before := stageLimitByJob(c)
-	c.SetJobWeight(1, 3)
+	if err := c.Reconfigure(context.Background(), map[uint64]float64{1: 3}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	cycleAndCheckRules(t, c)
 	after := stageLimitByJob(c)
 	if !(after[1][0] > before[1][0]) {
@@ -292,7 +294,9 @@ func TestSetJobWeightCoordinated(t *testing.T) {
 	cycleAndCheckRules(t, c)
 
 	before := stageLimitByShardJob(c)
-	c.SetJobWeight(1, 3)
+	if err := c.Reconfigure(context.Background(), map[uint64]float64{1: 3}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	cycleAndCheckRules(t, c)
 	after := stageLimitByShardJob(c)
 	for s := range c.Globals {

@@ -19,30 +19,70 @@ func ShardHost(s int) string { return fmt.Sprintf("shard-%d", s) }
 // deployment's standbys are StandbyHost(i)).
 func ShardStandbyHost(s, i int) string { return fmt.Sprintf("shard-%d-standby-%d", s, i) }
 
-// validate rejects the configuration combinations the builder cannot
-// honour. It is the build-time half of the façade's Topology.Validate:
-// anything that reaches the builder invalid fails here too, so direct
-// cluster users get the same errors.
-func validate(cfg Config) error {
+// Validate reports whether Build can honour the configuration, after the
+// defaults Build applies (Shards zero is one, or the connection-limit
+// minimum for Coordinated). It is the one rule set for a deployment's
+// shape: sdscale.Topology and the daemon's configuration file lower onto a
+// Config and validate through it, so a spec that validates also builds.
+func (c Config) Validate() error {
+	c = c.withDefaults()
 	switch {
-	case cfg.Shards < 1:
-		return fmt.Errorf("cluster: Shards must be >= 1, got %d", cfg.Shards)
-	case cfg.Shards > cfg.Stages:
+	case c.Topology != Flat && c.Topology != Hierarchical && c.Topology != Coordinated:
+		return fmt.Errorf("cluster: unknown topology %v", c.Topology)
+	case c.Stages < 1:
+		return fmt.Errorf("cluster: need at least one stage, got %d", c.Stages)
+	case c.Shards < 1:
+		return fmt.Errorf("cluster: Shards must be >= 1, got %d", c.Shards)
+	case c.Shards > c.Stages:
 		// A leader without children fails its first cycle.
-		return fmt.Errorf("cluster: %d stages cannot populate %d shards", cfg.Stages, cfg.Shards)
-	case cfg.Shards > 1 && cfg.Topology == Hierarchical:
-		return fmt.Errorf("cluster: sharding requires the flat topology or the coordinated one, not %v", cfg.Topology)
-	case cfg.Standbys > 0 && cfg.Topology != Flat:
-		return fmt.Errorf("cluster: standby failover is only supported for the flat topology, not %v", cfg.Topology)
-	case cfg.Placement != nil && cfg.Standbys > 0:
-		// A custom placement function is opaque: the builder cannot prove
-		// it is stable, so the per-shard parent lists that standby
-		// re-homing depends on could disagree with where the function
-		// sends a re-registering child. Refuse loudly instead of silently
-		// dropping the standbys.
-		return fmt.Errorf("cluster: Standbys requires the default consistent-hash placement; a custom Placement cannot guarantee the per-shard parent lists re-homing depends on")
+		return fmt.Errorf("cluster: %d stages cannot populate %d shards", c.Stages, c.Shards)
+	case c.Standbys < 0:
+		return fmt.Errorf("cluster: negative standby count %d", c.Standbys)
+	case c.Standbys > 2:
+		// Each shard's voter set is its leader plus the standbys, and a
+		// promotion needs a strict majority of the voters. Standbys must
+		// stay below that majority threshold (voters/2 + 1, in real
+		// arithmetic): past it, adding standbys only enlarges the
+		// electorate a candidate must win without adding a leader that
+		// could ever serve. The bound works out to at most two.
+		return fmt.Errorf("cluster: %d standbys exceed the %d-voter quorum threshold; at most 2 standbys per shard are supported",
+			c.Standbys, c.Standbys+1)
+	case c.Shards > 1 && c.Topology == Hierarchical:
+		return fmt.Errorf("cluster: aggregator tiers and sharding are exclusive (%d shards)", c.Shards)
+	case c.Standbys > 0 && c.Topology != Flat:
+		return fmt.Errorf("cluster: standby failover is only supported for the flat topology, not %v", c.Topology)
+	case c.Placement == nil:
+		return nil
+	case c.Shards < 2:
+		return fmt.Errorf("cluster: custom placement requires Shards > 1")
+	case c.Standbys > 0:
+		// A custom placement function is opaque: nothing proves it stable,
+		// so the per-shard parent lists that standby re-homing depends on
+		// could disagree with where it sends a re-registering child.
+		return fmt.Errorf("cluster: custom placement is incompatible with Standbys; use the default consistent-hash placement")
+	}
+	// Every stage ID lands on exactly one in-range shard, so the shards'
+	// populations sum to the fleet and no child is orphaned.
+	for id := uint64(1); id <= uint64(c.Stages); id++ {
+		if s := c.Placement(id); s < 0 || s >= c.Shards {
+			return fmt.Errorf("cluster: placement sent stage %d to shard %d (have %d shards)", id, s, c.Shards)
+		}
 	}
 	return nil
+}
+
+// WithFanIn lowers a per-aggregator fan-in, the declarative specs' way to
+// ask for the hierarchical design, onto c: a positive fanIn selects
+// Hierarchical with the fewest aggregators that leave none owning more
+// than fanIn of the Stages; zero leaves c as it is.
+func (c Config) WithFanIn(fanIn int) (Config, error) {
+	switch {
+	case fanIn < 0:
+		return c, fmt.Errorf("cluster: negative aggregator fan-in %d", fanIn)
+	case fanIn > 0:
+		c.Topology, c.Aggregators = Hierarchical, (c.Stages+fanIn-1)/fanIn
+	}
+	return c, nil
 }
 
 // buildGroups builds every deployment: Shards groups of one leader and
@@ -76,12 +116,8 @@ func (c *Cluster) buildGroups(ctx context.Context) error {
 	owner := make([]int, cfg.Stages)
 	counts := make([]int, cfg.Shards)
 	for i := range owner {
-		s := place(uint64(i + 1))
-		if s < 0 || s >= cfg.Shards {
-			return fmt.Errorf("cluster: placement sent stage %d to shard %d (have %d shards)", i+1, s, cfg.Shards)
-		}
-		owner[i] = s
-		counts[s]++
+		owner[i] = place(uint64(i + 1))
+		counts[owner[i]]++
 	}
 
 	groups := make([]*shard.Group, cfg.Shards)

@@ -9,6 +9,7 @@ import (
 
 	"github.com/dsrhaslab/sdscale/internal/transport/simnet"
 	"github.com/dsrhaslab/sdscale/internal/wire"
+	"github.com/dsrhaslab/sdscale/internal/workload"
 )
 
 // TestBuildRejectsMoreShardsThanStages: a deployment with more shards than
@@ -170,7 +171,7 @@ func TestShardedValidation(t *testing.T) {
 		{
 			name: "hierarchical",
 			cfg:  Config{Topology: Hierarchical, Stages: 4, Shards: 2},
-			want: "flat topology",
+			want: "exclusive",
 		},
 		{
 			name: "custom placement with standbys",
@@ -265,5 +266,47 @@ func TestShardedEnforceUniform(t *testing.T) {
 	}
 	if applied != 5 {
 		t.Errorf("applied = %d, want 5", applied)
+	}
+}
+
+// TestOneShardRoundAllocatesAsItsLeader: a one-shard deployment's routed
+// round is its leader's cycle, so a quiesced RunControlCycle allocates no
+// more than the leader's own RunCycle — the routing tier adds nothing to
+// the quiesced floor BenchmarkFlatCycle gates.
+func TestOneShardRoundAllocatesAsItsLeader(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	// pinned keeps every wall-clock timer from firing, so nothing dirties
+	// the fleet once the rules have converged.
+	const pinned = time.Hour
+	c, err := Build(Config{
+		Topology: Flat, Stages: 50, Incremental: true, DeltaEnforcement: true,
+		Workload:     workload.Constant{Rates: wire.Rates{1000, 100}},
+		PushInterval: pinned, PushFloor: pinned, IncrementalFloor: pinned, StaleAfter: pinned,
+		Net: fastNet(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		if _, err := c.RunControlCycle(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leader := testing.AllocsPerRun(100, func() {
+		if _, err := c.Global.RunCycle(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+	routed := testing.AllocsPerRun(100, func() {
+		if _, err := c.RunControlCycle(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+	if routed > leader {
+		t.Fatalf("a quiesced one-shard round allocates %.1f times, its leader's cycle %.1f", routed, leader)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/dsrhaslab/sdscale/internal/cluster"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
@@ -207,30 +208,13 @@ func Load(path string) (*File, error) {
 	return f, nil
 }
 
-// Validate checks the file's internal consistency. It mirrors the bounds
-// sdscale.Topology.Validate enforces so a file that loads cleanly also
-// builds cleanly.
+// Validate checks the file: its own rules (jobs, capacity, intervals, job
+// weights, the slo block), then the deployment shape it describes through
+// cluster.Config.Validate, the one rule set the deployment is built by, so
+// a file that loads cleanly also builds cleanly.
 func (f *File) Validate() error {
-	if f.Stages < 1 {
-		return fmt.Errorf("config: stages must be >= 1, got %d", f.Stages)
-	}
 	if f.Jobs < 0 {
 		return fmt.Errorf("config: negative jobs %d", f.Jobs)
-	}
-	if f.Shards < 0 {
-		return fmt.Errorf("config: negative shards %d", f.Shards)
-	}
-	if f.Standbys < 0 || f.Standbys > 2 {
-		return fmt.Errorf("config: standbys must be 0..2, got %d", f.Standbys)
-	}
-	if f.AggregatorFanIn < 0 {
-		return fmt.Errorf("config: negative aggregatorFanIn %d", f.AggregatorFanIn)
-	}
-	if f.AggregatorFanIn > 0 && f.Shards > 1 {
-		return fmt.Errorf("config: aggregatorFanIn and shards > 1 are exclusive")
-	}
-	if shards := f.Shards; shards > 1 && f.Stages < shards {
-		return fmt.Errorf("config: %d stages cannot populate %d shards", f.Stages, shards)
 	}
 	if len(f.Capacity) != 0 && len(f.Capacity) != int(wire.NumClasses) {
 		return fmt.Errorf("config: capacity wants %d rates [data, meta], got %d", wire.NumClasses, len(f.Capacity))
@@ -275,6 +259,13 @@ func (f *File) Validate() error {
 		if f.AggregatorFanIn <= 0 {
 			return fmt.Errorf("config: slo elasticity requires the hierarchical design (set aggregatorFanIn)")
 		}
+	}
+	shape, err := cluster.Config{Stages: f.Stages, Shards: f.Shards, Standbys: f.Standbys}.WithFanIn(f.AggregatorFanIn)
+	if err == nil {
+		err = shape.Validate()
+	}
+	if err != nil {
+		return fmt.Errorf("config: %w", err)
 	}
 	return nil
 }

@@ -81,10 +81,13 @@ func TestParseRejects(t *testing.T) {
 		{"unknown field", `{"stages": 4, "stagess": 5}`, "unknown field"},
 		{"trailing data", `{"stages": 4} {"stages": 5}`, "trailing data"},
 		{"bad duration", `{"stages": 4, "interval": "fast"}`, "bad duration"},
-		{"no stages", `{}`, "stages must be >= 1"},
+		{"no stages", `{}`, "at least one stage"},
 		{"negative jobs", `{"stages": 4, "jobs": -1}`, "negative jobs"},
-		{"negative shards", `{"stages": 4, "shards": -1}`, "negative shards"},
-		{"standbys too many", `{"stages": 4, "standbys": 3}`, "standbys must be 0..2"},
+		{"negative shards", `{"stages": 4, "shards": -1}`, "Shards must be >= 1"},
+		{"standbys too many", `{"stages": 4, "standbys": 3}`, "at most 2 standbys"},
+		{"negative standbys", `{"stages": 4, "standbys": -1}`, "negative standby"},
+		{"fanin with standbys", `{"stages": 100, "aggregatorFanIn": 50, "standbys": 1}`, "standby failover"},
+		{"negative fanin", `{"stages": 4, "aggregatorFanIn": -1}`, "negative aggregator fan-in"},
 		{"fanin exclusive with shards", `{"stages": 4, "shards": 2, "aggregatorFanIn": 2}`, "exclusive"},
 		{"stages under shards", `{"stages": 2, "shards": 4}`, "cannot populate"},
 		{"capacity arity", `{"stages": 4, "capacity": [1]}`, "capacity wants"},

@@ -259,6 +259,13 @@ func TestRedialDeadFellow(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Host("peer-2").KillConns()
+	// The exchange is fire-and-forget and redials only a client that
+	// already reports an error: a push on a death not yet delivered to
+	// peer 1's client is lost by design, so wait for the delivery.
+	p.mu.Lock()
+	toQ := p.fellows[q.ID()]
+	p.mu.Unlock()
+	detachClient(t, toQ)
 	if _, err := p.RunCycle(ctx); err != nil {
 		t.Fatal(err)
 	}

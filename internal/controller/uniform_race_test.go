@@ -9,8 +9,8 @@ import (
 )
 
 // TestEnforceUniformDuringRun runs back-to-back pipelined cycles while
-// another goroutine loops EnforceUniform, the way shard.Router and
-// Deployment.EnforceUniform call it: with no lock against Run. The cycle's
+// another goroutine loops EnforceUniform, the way shard.Router's
+// EnforceUniform calls it: with no lock against Run. The cycle's
 // call-handle slab is cycle-serial, so an off-cycle fan-out drawing from it
 // is a data race with the cycle's own Take (and the arena reset at the next
 // cycle start clears handles the off-cycle harvest still reads). Run under

@@ -178,12 +178,19 @@ func (st *routerState) route(childID uint64) (int, *controller.Global) {
 // concurrently and merges the result: the deployment's phase latency is
 // the slowest shard's (shards overlap, so maxima — not sums — are the
 // wall-clock truth). Shard 0 runs on the caller's goroutine, so a one-shard
-// deployment's cycle is its leader's, with no hand-off. Shards that fail
-// contribute a wrapped error; the survivors' cycles still run and merge,
-// because one shard's outage must not stall the rest of the fleet — that
-// is the point of sharding.
+// deployment's cycle is its leader's, with no hand-off and no allocation.
+// Shards that fail contribute a wrapped error; the survivors' cycles still
+// run and merge, because one shard's outage must not stall the rest of the
+// fleet — that is the point of sharding.
 func (r *Router) RunCycle(ctx context.Context) (telemetry.Breakdown, error) {
 	shards := r.state.Load().shards
+	if len(shards) == 1 {
+		b, err := shards[0].Leader().RunCycle(ctx)
+		if err != nil {
+			err = fmt.Errorf("shard 0: %w", err)
+		}
+		return b, err
+	}
 	bs := make([]telemetry.Breakdown, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup

@@ -17,8 +17,9 @@
 //   - Transports: an in-process simulated network with per-host
 //     connection limits and processing capacities (SimNet), and real TCP
 //     (TCPNet).
-//   - Harnesses: Cluster builds whole deployments; the experiment
-//     runners regenerate every table and figure of the paper.
+//   - Harnesses: StartTopology and BuildCluster build whole deployments;
+//     the experiment runners regenerate every table and figure of the
+//     paper.
 //
 // # Quick start
 //
@@ -30,13 +31,14 @@
 //		Standbys: 1,
 //	})
 //	defer d.Close()
-//	d.RunCycle(context.Background())
-//	fmt.Println(d.Stats().Children, "children across", d.NumShards(), "shards")
+//	d.RunControlCycle(context.Background())
+//	fmt.Println(d.Router.Stats().Children, "children across", d.Router.NumShards(), "shards")
 //
-// StartTopology returns a Deployment handle with a uniform surface —
-// Stats, Route, Rebalance, RunCycle — whatever the shape. A one-shard
-// Topology is the classic single-Global control plane, behind the same
-// routing tier as every other shape.
+// StartTopology returns the running Deployment, whatever the shape: shard
+// groups behind one routing tier (d.Router answers Route, Stats and
+// Rebalance), driven by RunControlCycle. A one-shard Topology is the
+// classic single-Global control plane, behind the same routing tier as
+// every other shape.
 //
 // # Manual assembly
 //
@@ -332,8 +334,6 @@ func StartDebug(opts DebugOptions) (*DebugServer, error) { return trace.StartDeb
 
 // Deployment harness.
 type (
-	// Cluster is a complete in-process deployment.
-	Cluster = cluster.Cluster
 	// ClusterConfig describes a deployment to build.
 	ClusterConfig = cluster.Config
 	// Design selects the control-plane design of a ClusterConfig. (It was
@@ -361,10 +361,10 @@ const (
 // network. It is the fully parameterized harness underneath StartTopology;
 // prefer declaring a Topology unless a knob only ClusterConfig exposes is
 // needed.
-func BuildCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.Build(cfg) }
+func BuildCluster(cfg ClusterConfig) (*Deployment, error) { return cluster.Build(cfg) }
 
-// NewUsageCollector creates a per-role resource collector for a cluster.
-func NewUsageCollector(c *Cluster) *UsageCollector { return cluster.NewUsageCollector(c) }
+// NewUsageCollector creates a per-role resource collector for a deployment.
+func NewUsageCollector(d *Deployment) *UsageCollector { return cluster.NewUsageCollector(d) }
 
 // ExperimentNet returns the calibrated simulated-network model the
 // paper-reproduction experiments use (per-host message processing costs,

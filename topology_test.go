@@ -26,22 +26,22 @@ func TestTopologySingleShardEquivalence(t *testing.T) {
 	}
 	defer c.Close()
 
-	if d.NumShards() != 1 {
-		t.Fatalf("NumShards = %d, want 1", d.NumShards())
+	if d.Router.NumShards() != 1 {
+		t.Fatalf("NumShards = %d, want 1", d.Router.NumShards())
 	}
-	if _, err := d.RunCycle(ctx); err != nil {
+	if _, err := d.RunControlCycle(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RunControlCycle(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	ds, cs := d.Stats(), c.Global.Stats()
+	ds, cs := d.Router.Stats(), c.Global.Stats()
 	if ds.Children != cs.Children || ds.Stages != cs.Stages || ds.MaxEpoch != cs.Epoch {
 		t.Errorf("stats diverge: topology %+v vs global %+v", ds, cs)
 	}
-	for i := range d.Cluster().Stages {
-		dr, dok := d.Cluster().Stages[i].LastRule()
+	for i := range d.Stages {
+		dr, dok := d.Stages[i].LastRule()
 		cr, cok := c.Stages[i].LastRule()
 		if !dok || !cok {
 			t.Fatalf("stage %d: missing rule (topology %v, cluster %v)", i, dok, cok)
@@ -52,10 +52,10 @@ func TestTopologySingleShardEquivalence(t *testing.T) {
 	}
 
 	// Routing degenerates to shard 0 / the single controller.
-	if s, g := d.Route(1); s != 0 || g != d.Shard(0) {
+	if s, g := d.Router.Route(1); s != 0 || g != d.Router.Group(0).Leader() {
 		t.Errorf("Route(1) = (%d, %p), want shard 0", s, g)
 	}
-	if moved, err := d.Rebalance(ctx); err != nil || moved != 0 {
+	if moved, err := d.Router.Rebalance(ctx); err != nil || moved != 0 {
 		t.Errorf("Rebalance = (%d, %v), want no-op", moved, err)
 	}
 }
@@ -68,28 +68,28 @@ func TestTopologySharded(t *testing.T) {
 	defer d.Close()
 	ctx := context.Background()
 
-	if d.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", d.NumShards())
+	if d.Router.NumShards() != 4 {
+		t.Fatalf("NumShards = %d", d.Router.NumShards())
 	}
-	if _, err := d.RunCycle(ctx); err != nil {
+	if _, err := d.RunControlCycle(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st := d.Stats()
-	if st.Shards != 4 || st.Children != 120 || len(st.PerShard) != 4 {
+	st := d.Router.Stats()
+	if st.Children != 120 || len(st.Shards) != 4 {
 		t.Fatalf("stats = %+v", st)
 	}
 
 	// Route agrees with the owning leader's membership.
-	s, g := d.Route(7)
-	if g != d.Shard(s) {
+	s, g := d.Router.Route(7)
+	if g != d.Router.Group(s).Leader() {
 		t.Errorf("Route(7) leader is not Shard(%d)", s)
 	}
 
-	if applied, err := d.EnforceUniform(ctx, 1, sdscale.ActionPause, sdscale.Rates{}); err != nil || applied != 30 {
+	if applied, err := d.Router.EnforceUniform(ctx, 1, sdscale.ActionPause, sdscale.Rates{}); err != nil || applied != 30 {
 		t.Errorf("EnforceUniform = (%d, %v), want 30 stages paused", applied, err)
 	}
-	if d.Summary().Cycles != 1 {
-		t.Errorf("summary cycles = %d, want 1", d.Summary().Cycles)
+	if n := d.Recorder().Summarize().Cycles; n != 1 {
+		t.Errorf("summary cycles = %d, want 1", n)
 	}
 }
 
@@ -100,10 +100,10 @@ func TestTopologyHierarchical(t *testing.T) {
 	}
 	defer d.Close()
 
-	if n := len(d.Cluster().Aggregators); n != 3 {
+	if n := len(d.Aggregators); n != 3 {
 		t.Fatalf("aggregators = %d, want 3", n)
 	}
-	if _, err := d.RunCycle(context.Background()); err != nil {
+	if _, err := d.RunControlCycle(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,7 +115,10 @@ func TestTopologyValidate(t *testing.T) {
 		want string
 	}{
 		{"no stages", sdscale.Topology{Shards: 1}, "at least one stage"},
-		{"no shards", sdscale.Topology{Stages: 4}, "at least one shard"},
+		{"negative shards", sdscale.Topology{Stages: 4, Shards: -1}, "Shards must be >= 1"},
+		{"stages under shards", sdscale.Topology{Stages: 3, Shards: 4}, "cannot populate"},
+		{"fan-in with standbys", sdscale.Topology{Stages: 100, AggregatorFanIn: 50, Standbys: 1}, "standby failover"},
+		{"negative fan-in", sdscale.Topology{Stages: 4, AggregatorFanIn: -1}, "negative aggregator fan-in"},
 		{"negative standbys", sdscale.Topology{Stages: 4, Shards: 1, Standbys: -1}, "negative standby"},
 		{"standby quorum", sdscale.Topology{Stages: 4, Shards: 1, Standbys: 3}, "quorum"},
 		{"fan-in with shards", sdscale.Topology{Stages: 4, Shards: 2, AggregatorFanIn: 2}, "exclusive"},
@@ -138,5 +141,35 @@ func TestTopologyValidate(t *testing.T) {
 	good := sdscale.Topology{Stages: 100, Shards: 4, Standbys: 2}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+}
+
+// TestTopologyValidateMatchesBuild: Validate and StartTopology apply one rule
+// set, so a spec validates exactly when it builds. Shards zero is one shard.
+func TestTopologyValidateMatchesBuild(t *testing.T) {
+	specs := []sdscale.Topology{
+		{Stages: 4},
+		{Stages: 4, Shards: 2},
+		{Stages: 4, AggregatorFanIn: 2},
+		{Stages: 4, Standbys: 1},
+		{Stages: 3, Shards: 4},
+		{Stages: 100, AggregatorFanIn: 50, Standbys: 1},
+		{Stages: 4, Shards: 2, AggregatorFanIn: 2},
+		{Stages: 4, Shards: -1},
+		{Stages: 4, AggregatorFanIn: -1},
+	}
+	for _, spec := range specs {
+		spec.Net = fastTestNet()
+		verr := spec.Validate()
+		d, berr := sdscale.StartTopology(spec)
+		if berr == nil {
+			if n := d.Router.NumShards(); n != max(spec.Shards, 1) {
+				t.Errorf("%+v: built %d shards", spec, n)
+			}
+			d.Close()
+		}
+		if (verr == nil) != (berr == nil) {
+			t.Errorf("%+v: Validate = %v, StartTopology = %v", spec, verr, berr)
+		}
 	}
 }
