@@ -39,9 +39,10 @@
 //	    a controller data directory (offline; the controller need not run).
 //
 //	sdsctl topology -stages 10000 -shards 4 -standbys 2 [-validate] [-cycles 5]
-//	    Validate a declarative deployment spec (sdscale.Topology) by the
-//	    same shape rules the builder applies, so a spec that validates
-//	    builds, and dry-run it on the in-process simulated network: build
+//	    Validate a declarative deployment spec (the shape sdscale.Topology
+//	    lowers onto) by the same shape rules the builder applies, so a spec
+//	    that validates builds, print it with the builder's defaults applied,
+//	    and dry-run it on the in-process simulated network: build
 //	    the deployment, run a few control cycles, and print the shard route
 //	    table and per-shard stats. Use it to check a spec — shard counts, standby quorums,
 //	    aggregator fan-in — before wiring real hosts with the per-role
@@ -53,6 +54,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -96,7 +98,7 @@ func main() {
 	case "store":
 		err = runStore(os.Args[2:])
 	case "topology":
-		err = runTopology(ctx, os.Args[2:])
+		err = runTopology(ctx, os.Args[2:], os.Stdout)
 	case "top500":
 		fmt.Print(top500.Table())
 	case "-h", "--help", "help":
@@ -402,10 +404,11 @@ func runStore(args []string) error {
 	}
 }
 
-// runTopology validates a declarative sdscale.Topology spec and dry-runs it
-// as a simulated deployment: the fastest way to sanity-check a spec before
-// assembling the same deployment role by role over TCP.
-func runTopology(ctx context.Context, args []string) error {
+// runTopology validates a declarative deployment spec, prints it as the
+// builder would build it, and dry-runs it as a simulated deployment: the
+// fastest way to sanity-check a spec before assembling the same deployment
+// role by role over TCP.
+func runTopology(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("topology", flag.ExitOnError)
 	stages := fs.Int("stages", 1000, "fleet size (one virtual stage per simulated compute node)")
 	jobs := fs.Int("jobs", 16, "jobs the stages are spread over")
@@ -421,56 +424,60 @@ func runTopology(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	spec := sdscale.Topology{
-		Stages:          *stages,
-		Jobs:            *jobs,
-		Shards:          *shards,
-		Standbys:        *standbys,
-		AggregatorFanIn: *fanIn,
-		Capacity:        cap,
-		Net:             sdscale.ExperimentNet(),
+	// The spec as sdscale.Topology lowers it; Validate applies the
+	// builder's defaults, so what is printed is what is built.
+	spec, err := cluster.Config{
+		Topology: cluster.Flat,
+		Stages:   *stages,
+		Jobs:     *jobs,
+		Shards:   *shards,
+		Standbys: *standbys,
+		Capacity: cap,
+		Net:      sdscale.ExperimentNet(),
+	}.WithFanIn(*fanIn)
+	if err == nil {
+		spec, err = spec.Validate()
 	}
-	if err := spec.Validate(); err != nil {
+	if err != nil {
 		return err
 	}
-	fmt.Printf("topology spec valid: %d stages, %d jobs, %d shard(s), %d standby(s)/shard",
-		*stages, *jobs, *shards, *standbys)
+	fmt.Fprintf(out, "topology spec valid: %d stages, %d jobs, %d shard(s), %d standby(s)/shard",
+		spec.Stages, spec.Jobs, spec.Shards, spec.Standbys)
 	if *fanIn > 0 {
-		lowered, _ := cluster.Config{Stages: *stages}.WithFanIn(*fanIn)
-		fmt.Printf(", aggregator fan-in %d (%d aggregators)", *fanIn, lowered.Aggregators)
+		fmt.Fprintf(out, ", aggregator fan-in %d (%d aggregators)", *fanIn, spec.Aggregators)
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	if *validateOnly {
 		return nil
 	}
 
 	start := time.Now()
-	d, err := sdscale.StartTopology(spec)
+	d, err := cluster.Build(spec)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	fmt.Printf("built simulated deployment in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "built simulated deployment in %v\n", time.Since(start).Round(time.Millisecond))
 
 	for i := 0; i < *cycles; i++ {
 		if _, err := d.RunControlCycle(ctx); err != nil {
 			return fmt.Errorf("cycle %d: %w", i+1, err)
 		}
 	}
-	fmt.Println()
-	fmt.Print(d.Recorder().Summarize().String())
+	fmt.Fprintln(out)
+	fmt.Fprint(out, d.Recorder().Summarize().String())
 
 	st := d.Router.Stats()
-	fmt.Printf("\nshard route table (%d shard(s), max epoch %d):\n", len(st.Shards), st.MaxEpoch)
+	fmt.Fprintf(out, "\nshard route table (%d shard(s), max epoch %d):\n", len(st.Shards), st.MaxEpoch)
 	for i, cs := range st.Shards {
-		fmt.Printf("  shard %d: epoch %d, %d children, %d quarantined, %d call errors\n",
+		fmt.Fprintf(out, "  shard %d: epoch %d, %d children, %d quarantined, %d call errors\n",
 			i, cs.Epoch, cs.Children, cs.Quarantined, cs.CallErrors)
 	}
 	if len(st.Shards) > 1 {
 		fmt.Println("\nsample placement (stage -> shard):")
 		for _, id := range []uint64{1, uint64(*stages / 2), uint64(*stages)} {
 			s, _ := d.Router.Route(id)
-			fmt.Printf("  stage %-8d -> shard %d\n", id, s)
+			fmt.Fprintf(out, "  stage %-8d -> shard %d\n", id, s)
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"github.com/dsrhaslab/sdscale/internal/store"
@@ -57,5 +59,31 @@ func TestRunStoreInspect(t *testing.T) {
 	}
 	if err := runStore(nil); err == nil {
 		t.Error("missing subcommand should fail")
+	}
+}
+
+// TestRunTopologyPrintsBuiltSpec: the validated spec is printed as the
+// builder would build it, defaults applied: jobs clamped to the fleet, zero
+// shards as one, and the aggregator count a fan-in lowers to.
+func TestRunTopologyPrintsBuiltSpec(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-stages", "10", "-shards", "0", "-validate"},
+			"topology spec valid: 10 stages, 10 jobs, 1 shard(s), 0 standby(s)/shard\n"},
+		{[]string{"-stages", "100", "-fanin", "30", "-validate"},
+			"topology spec valid: 100 stages, 16 jobs, 1 shard(s), 0 standby(s)/shard, aggregator fan-in 30 (4 aggregators)\n"},
+	} {
+		var out strings.Builder
+		if err := runTopology(context.Background(), tc.args, &out); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if out.String() != tc.want {
+			t.Errorf("%v printed %q, want %q", tc.args, out.String(), tc.want)
+		}
+	}
+	if err := runTopology(context.Background(), []string{"-stages", "3", "-shards", "4", "-validate"}, &strings.Builder{}); err == nil {
+		t.Error("a spec with more shards than stages validated")
 	}
 }

@@ -328,10 +328,10 @@ type Cluster struct {
 // Build assembles and connects a deployment; it refuses what Validate
 // rejects. On error, everything already started is torn down.
 func Build(cfg Config) (*Cluster, error) {
-	if err := cfg.Validate(); err != nil {
+	cfg, err := cfg.Validate()
+	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	c := &Cluster{cfg: cfg, Net: simnet.New(cfg.Net)}
 	if err := c.build(); err != nil {
 		c.Close()

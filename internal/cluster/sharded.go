@@ -19,13 +19,19 @@ func ShardHost(s int) string { return fmt.Sprintf("shard-%d", s) }
 // deployment's standbys are StandbyHost(i)).
 func ShardStandbyHost(s, i int) string { return fmt.Sprintf("shard-%d-standby-%d", s, i) }
 
-// Validate reports whether Build can honour the configuration, after the
-// defaults Build applies (Shards zero is one, or the connection-limit
-// minimum for Coordinated). It is the one rule set for a deployment's
-// shape: sdscale.Topology and the daemon's configuration file lower onto a
-// Config and validate through it, so a spec that validates also builds.
-func (c Config) Validate() error {
+// Validate returns the configuration Build builds from c, its defaults
+// applied (Shards zero is one, or the connection-limit minimum for
+// Coordinated; Jobs at most Stages), or why Build cannot honour c. It is
+// the one rule set for a deployment's shape: sdscale.Topology and the
+// daemon's configuration file lower onto a Config and validate through it,
+// so a spec that validates also builds.
+func (c Config) Validate() (Config, error) {
 	c = c.withDefaults()
+	return c, c.shapeErr()
+}
+
+// shapeErr is Validate's rule set, applied to a defaulted configuration.
+func (c Config) shapeErr() error {
 	switch {
 	case c.Topology != Flat && c.Topology != Hierarchical && c.Topology != Coordinated:
 		return fmt.Errorf("cluster: unknown topology %v", c.Topology)

@@ -262,7 +262,7 @@ func (f *File) Validate() error {
 	}
 	shape, err := cluster.Config{Stages: f.Stages, Shards: f.Shards, Standbys: f.Standbys}.WithFanIn(f.AggregatorFanIn)
 	if err == nil {
-		err = shape.Validate()
+		_, err = shape.Validate()
 	}
 	if err != nil {
 		return fmt.Errorf("config: %w", err)

@@ -122,7 +122,7 @@ func (k *stageCore) MemoryFootprint() uint64 {
 
 const (
 	// footprintPerChild reflects the measured in-process heap cost of one
-	// managed connection (RPC client, pending map, frame buffers,
+	// managed connection (RPC client, in-flight table, frame buffers,
 	// simulated-conn queues): ~24 KiB of the ~39 KiB a stage+connection
 	// pair costs.
 	footprintPerChild = 24 << 10
@@ -252,13 +252,13 @@ func (k *stageCore) offCycle(gauge *telemetry.Gauge) fanOutOpts {
 // fanOutBroadcast dispatches one identical request to every child as a
 // marshal-once shared frame: the body is encoded once (per codec version in
 // use) and each call writes just a header plus a memcopy. It takes ownership
-// of f — the producer reference is released once every call holds its own —
-// and attributes the sends and actual encodes to the pipeline stats, whose
+// of f and releases it once fanOutCalls has joined its issuers, so after
+// every GoShared of the frame has returned, and attributes the sends and actual encodes to the pipeline stats, whose
 // ratio is the per-cycle marshal fan-in. onDone follows fanOutCalls' contract.
 func (k *stageCore) fanOutBroadcast(ctx context.Context, o fanOutOpts, children []*child,
 	f *rpc.SharedFrame, onDone func(i int, resp wire.Message, err error)) {
-	k.fanOutCalls(ctx, o, children, func(ctx context.Context, i int) *rpc.Call {
-		return children[i].client().GoShared(ctx, f)
+	k.fanOutCalls(ctx, o, children, func(ctx context.Context, i int) (*rpc.Call, bool) {
+		return children[i].client().GoShared(ctx, f), false
 	}, onDone)
 	f.Release()
 	k.pipe.AddSharedSends(uint64(len(children)))
@@ -495,7 +495,8 @@ func (k *stageCore) sendable(cycle uint64, c *child, batch []wire.Rule, delta bo
 // delta). A child with no rule — it had no report this cycle — is sent
 // nothing. The request messages are index-disjoint arena slots, safe from
 // blocking mode's concurrent issue. onDone, which may be nil, sees every
-// outcome.
+// outcome. In incremental mode a child whose batch the diff emptied is
+// counted as a suppressed enforce, by fanOutCalls once per issuer range.
 //
 // sendable commits a batch to the child's rule cache when it takes the diff,
 // before the call is issued. A call that then fails — the caller's own
@@ -506,22 +507,19 @@ func (k *stageCore) enforceStageRules(ctx context.Context, cycle, epoch uint64, 
 	rules []wire.Rule, onDone func(i int, resp wire.Message, err error)) {
 	enfBuf := k.cyc.enfBuf.Take(&k.arena, len(children))
 	k.fanOutCalls(ctx, k.cycleFan(&k.pipe.EnforceInFlight), children,
-		func(ctx context.Context, i int) *rpc.Call {
+		func(ctx context.Context, i int) (*rpc.Call, bool) {
 			c := children[i]
 			batch := stageRun(rules, c.info.ID)
 			if len(batch) == 0 {
-				return nil
+				return nil, false
 			}
 			// A stage's batch is its one rule, so it never comes out mixed:
 			// this may run on blocking mode's scatter workers, off the arena.
 			if batch = k.sendable(cycle, c, batch, k.delta, nil); len(batch) == 0 {
-				if k.incremental {
-					k.pipe.AddSuppressedEnforces(1)
-				}
-				return nil
+				return nil, k.incremental
 			}
 			enfBuf[i] = wire.Enforce{Cycle: cycle, Rules: batch, Epoch: epoch}
-			return c.client().Go(ctx, &enfBuf[i])
+			return c.client().Go(ctx, &enfBuf[i]), false
 		},
 		func(i int, resp wire.Message, err error) {
 			if err != nil {

@@ -827,19 +827,19 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 	g.busy(start)
 	enf, dlg := g.cyc.enfBuf.Take(&g.arena, len(children)), g.cyc.dlgBuf.Take(&g.arena, len(children))
 	g.fanOutCalls(ctx, g.cycleFan(&g.pipe.EnforceInFlight), children,
-		func(ctx context.Context, i int) *rpc.Call {
+		func(ctx context.Context, i int) (*rpc.Call, bool) {
 			if g.cfg.Delegated {
 				if len(budgets[i]) == 0 {
-					return nil
+					return nil, false
 				}
 				dlg[i] = wire.Delegate{Cycle: cycle, Budgets: budgets[i], Epoch: epoch}
-				return children[i].client().Go(ctx, &dlg[i])
+				return children[i].client().Go(ctx, &dlg[i]), false
 			}
 			if len(batches[i]) == 0 {
-				return nil
+				return nil, false
 			}
 			enf[i] = wire.Enforce{Cycle: cycle, Rules: batches[i], Epoch: epoch}
-			return children[i].client().Go(ctx, &enf[i])
+			return children[i].client().Go(ctx, &enf[i]), false
 		},
 		func(i int, _ wire.Message, err error) {
 			if err != nil {

@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -162,6 +163,44 @@ func TestIncrementalQuiescedFastPath(t *testing.T) {
 	}
 	if got := g.Stats().Pipeline.DirtyChildren; got != 1 {
 		t.Errorf("DirtyChildren = %d after one push, want 1", got)
+	}
+}
+
+// TestIncrementalSuppressedEnforcesCounted: in an incremental cycle every
+// child with a rule is either sent it or counted as a suppressed enforce,
+// across every issuer's range. The fleet is two issuers' worth of children
+// at GOMAXPROCS 2, so each issuer contributes its own range's count.
+func TestIncrementalSuppressedEnforcesCounted(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const count = 2 * parallelIssueMin
+	n := fastNet()
+	stages := startStages(t, n, count, 4, wire.Rates{100, 10})
+	g := buildFlat(t, n, stages, GlobalConfig{
+		Capacity:         wire.Rates{40 * count, 4 * count},
+		DeltaEnforcement: true,
+		Incremental:      true,
+		IncrementalFloor: time.Hour,
+	})
+	ctx := context.Background()
+	enforces := func() (sum uint64) {
+		for _, v := range stages {
+			_, e := v.Counters()
+			sum += e
+		}
+		return sum
+	}
+	if _, err := g.RunCycle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sent, suppressed := enforces(), g.Stats().Pipeline.SuppressedEnforces
+	// One job's demand moves: its stages' rules change, the rest do not.
+	push(g, 1, 1, 1, wire.Rates{4000, 400})
+	if _, err := g.RunCycle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sent, suppressed = enforces()-sent, g.Stats().Pipeline.SuppressedEnforces-suppressed
+	if sent == 0 || suppressed == 0 || sent+suppressed != count {
+		t.Fatalf("%d enforces sent and %d suppressed, want both positive and %d in all", sent, suppressed, count)
 	}
 }
 

@@ -49,8 +49,15 @@ type Client struct {
 	wbuf   []byte
 	txHist wire.FloatHistory
 
-	mu      sync.Mutex
-	nextID  uint64
+	mu     sync.Mutex
+	nextID uint64
+	// slot and pending are the calls in flight: slot holds one, and
+	// pending, made on first need, the rest. A connection usually has one
+	// call in flight at a time, so it usually costs no map operation; the
+	// map carries the others, as when an off-cycle fan-out shares the
+	// connection with a cycle's. A call sits in exactly one of the two
+	// until it is completed, deregistered or failed.
+	slot    *Call
 	pending map[uint64]*Call
 	// free holds the client's recycled Call handles, as many as it has
 	// had in flight at once: Go takes one under mu, which it holds
@@ -78,9 +85,12 @@ type Client struct {
 }
 
 // Call is the completion handle of an asynchronous request issued with
-// Client.Go. Wait is its one consumer: it blocks for completion, returns the
-// outcome and recycles the handle, after which the handle must not be used —
-// it may already carry a different in-flight call.
+// Client.Go or Client.GoShared. Wait is its one consumer: it blocks for
+// completion, returns the outcome and recycles the handle, after which the
+// handle must not be used — it may already carry a different in-flight call.
+// The handle holds nothing of the request once Go or GoShared has returned:
+// the frame is on the wire by then, so a shared body need outlive only the
+// GoShared calls that send it, not their Waits.
 //
 // Completion takes no channel operation. The completer stores the outcome
 // and then sets done; Wait returns at once if done is set, and otherwise
@@ -100,18 +110,13 @@ type Call struct {
 	id     uint64
 	client *Client // nil for calls that failed before registration
 
-	// shared pins the broadcast frame a GoShared call wrote, released when
-	// the handle is recycled — the frame's pooled bodies outlive every
-	// in-flight copy of them.
-	shared *SharedFrame
-
 	// Span timings, populated by send when the client traces: issue time
 	// (unix nanoseconds; doubles as the "this call is traced" marker),
 	// frame-encode time, and connection-write time. Atomic because the
 	// write timing lands after the frame is on the wire, so a fast
 	// response's completion (by its reader) can race it; a span that
 	// loses that race reports a zero write sub-timing rather than a torn
-	// value.
+	// value. They stay zero on an untraced call.
 	issuedNs  atomic.Int64
 	marshalNs atomic.Int64
 	writeNs   atomic.Int64
@@ -142,19 +147,22 @@ func (c *Client) takeCall() *Call {
 // putCall recycles a handle on the client that issued it; one that failed
 // before it was issued has none and is dropped. The caller must be the
 // handle's sole owner: completion consumed, or provably never to be
-// delivered.
+// delivered. It is the goroutine that called Wait, so it reads the waiter
+// and span words its own Wait and Go wrote, and stores to them only when
+// they were set: a waiter only if Wait parked, the span timings only if the
+// call was traced.
 func putCall(call *Call) {
-	if call.shared != nil {
-		call.shared.Release()
-		call.shared = nil
-	}
 	c := call.client
 	call.reply, call.err, call.id, call.client = nil, nil, 0, nil
 	call.done.Store(false)
-	call.waiter.Store(nil)
-	call.issuedNs.Store(0)
-	call.marshalNs.Store(0)
-	call.writeNs.Store(0)
+	if call.waiter.Load() != nil {
+		call.waiter.Store(nil)
+	}
+	if call.issuedNs.Load() != 0 {
+		call.issuedNs.Store(0)
+		call.marshalNs.Store(0)
+		call.writeNs.Store(0)
+	}
 	if c != nil {
 		c.mu.Lock()
 		c.free = append(c.free, call)
@@ -164,9 +172,10 @@ func putCall(call *Call) {
 
 // finish records the outcome, marks the call done and wakes its waiter, if
 // one is parked. A remote *wire.ErrorReply lands in err, matching the
-// synchronous Call contract. Only the goroutine that removed the call from
-// the pending map may call it, and after done is set it touches nothing of
-// the handle but the waiter word: the handle may already be recycled.
+// synchronous Call contract. Only the goroutine that took the call out of
+// the client's in-flight table may call it, and after done is set it touches
+// nothing of the handle but the waiter word: the handle may already be
+// recycled.
 func (call *Call) finish(m wire.Message, err error) {
 	if er, ok := m.(*wire.ErrorReply); ok {
 		m, err = nil, er
@@ -209,7 +218,7 @@ func (call *Call) Wait(ctx context.Context) (wire.Message, error) {
 			// This call's wake, or a stale one: re-check done.
 		case <-ctx.Done():
 			if call.client.deregister(call) {
-				// We removed the call from the pending map, so no
+				// We took the call out of the in-flight table, so no
 				// completer has it or ever will: the handle is ours.
 				waiterPool.Put(w)
 				return nil, call.abandon(ctx.Err())
@@ -294,7 +303,6 @@ func newClient(conn net.Conn, opts DialOptions) *Client {
 		conn:         conn,
 		tracer:       opts.Tracer,
 		spanTag:      opts.SpanTag,
-		pending:      make(map[uint64]*Call),
 		reuseReplies: opts.ReuseReplies,
 		onPush:       opts.OnPush,
 	}
@@ -411,8 +419,12 @@ func (r *replyReader) frame(h frameHeader, body []byte) error {
 //go:noinline
 func (c *Client) complete(id uint64, m wire.Message) {
 	c.mu.Lock()
-	call := c.pending[id]
-	delete(c.pending, id)
+	call := c.slot
+	if call != nil && call.id == id {
+		c.slot = nil
+	} else if call = c.pending[id]; call != nil {
+		delete(c.pending, id)
+	}
 	c.mu.Unlock()
 	if call != nil {
 		call.finish(m, nil)
@@ -463,31 +475,53 @@ func pushDecoder() *wire.DecodeOpts {
 //go:noinline
 func disconnected(err error) error { return fmt.Errorf("%w: %w", ErrDisconnected, err) }
 
-// fail poisons the client: all pending and future calls return err.
+// fail poisons the client: all in-flight and future calls return err. Once
+// err is set no call is registered, so the table it empties stays empty.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	c.setErr(err)
-	pending := c.pending
-	c.pending = make(map[uint64]*Call)
+	slot, pending := c.slot, c.pending
+	c.slot, c.pending = nil, nil
 	c.mu.Unlock()
+	if slot != nil {
+		slot.finish(nil, err)
+	}
 	for _, call := range pending {
 		call.finish(nil, err)
 	}
 }
 
-// deregister removes call from the pending map, returning true if the caller
-// now exclusively owns the handle. False means a completer (the reader or
-// fail) got there first and a completion is in flight.
+// deregister takes call out of the in-flight table, returning true if the
+// caller now exclusively owns the handle. False means a completer (the
+// reader or fail) got there first and a completion is in flight.
 func (c *Client) deregister(call *Call) bool {
 	c.mu.Lock()
-	cur, ok := c.pending[call.id]
-	if ok && cur == call {
-		delete(c.pending, call.id)
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if c.slot == call {
+		c.slot = nil
 		return true
 	}
-	c.mu.Unlock()
+	if c.pending[call.id] == call {
+		delete(c.pending, call.id)
+		return true
+	}
 	return false
+}
+
+// register assigns call the next request ID and puts it in the in-flight
+// table: in the slot if it is free, else in the map. The caller holds mu.
+func (c *Client) register(call *Call) {
+	c.nextID++
+	call.id = c.nextID
+	call.client = c
+	if c.slot == nil {
+		c.slot = call
+		return
+	}
+	if c.pending == nil {
+		c.pending = make(map[uint64]*Call)
+	}
+	c.pending[call.id] = call
 }
 
 // Go sends req asynchronously and returns its completion handle. The request
@@ -503,10 +537,7 @@ func (c *Client) Go(ctx context.Context, req wire.Message) *Call {
 		call.finish(nil, err)
 		return call
 	}
-	c.nextID++
-	call.id = c.nextID
-	call.client = c
-	c.pending[call.id] = call
+	c.register(call)
 	c.mu.Unlock()
 
 	c.send(call, req, nil)
@@ -517,9 +548,9 @@ func (c *Client) Go(ctx context.Context, req wire.Message) *Call {
 // GoShared issues a request whose body is the broadcast frame f, already
 // encoded (or encoded once, lazily, by the first caller): the per-call cost is
 // a header plus one memcopy instead of a marshal. It is otherwise identical
-// to Go. The call takes its own reference on f, released when the handle is
-// recycled by Wait, so the shared body cannot be pooled out from under a
-// slow connection.
+// to Go. The body is copied into the client's own write buffer before
+// GoShared returns, so the call keeps nothing of f: the producer's reference
+// must outlive the GoShared calls, not their Waits.
 func (c *Client) GoShared(ctx context.Context, f *SharedFrame) *Call {
 	c.mu.Lock()
 	call := c.takeCall()
@@ -528,12 +559,7 @@ func (c *Client) GoShared(ctx context.Context, f *SharedFrame) *Call {
 		call.finish(nil, err)
 		return call
 	}
-	c.nextID++
-	call.id = c.nextID
-	call.client = c
-	f.retain()
-	call.shared = f
-	c.pending[call.id] = call
+	c.register(call)
 	c.mu.Unlock()
 
 	c.send(call, nil, f.body())

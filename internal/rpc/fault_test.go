@@ -113,8 +113,8 @@ func TestClientLifecycleRace(t *testing.T) {
 }
 
 // TestDeadClientFailsFast: once its connection dies, a client fails every
-// call at once with ErrDisconnected, taking no reference on a broadcast
-// frame, and it never comes back: a redial is a new client.
+// call at once with ErrDisconnected, without encoding a broadcast frame, and
+// it never comes back: a redial is a new client.
 func TestDeadClientFailsFast(t *testing.T) {
 	n := simnet.New(simnet.Config{PropDelay: -1})
 	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{})
@@ -155,8 +155,8 @@ func TestDeadClientFailsFast(t *testing.T) {
 			t.Errorf("%s on the dead client = %v, want ErrDisconnected at once", name, err)
 		}
 	}
-	if got := f.refs.Load(); got != 1 {
-		t.Errorf("refs = %d, want 1 (only the producer's)", got)
+	if enc := f.Encodes(); enc != 0 {
+		t.Errorf("Encodes = %d, want 0", enc)
 	}
 	f.Release()
 }

@@ -13,7 +13,9 @@ import (
 )
 
 // TestGoSharedRoundTrip: a broadcast frame fans out to several servers with
-// one encode, and every handler sees the full body.
+// one encode, and every handler sees the full body. The producer may release
+// the frame before the calls are harvested; its body then goes back to the
+// pool, and a second release panics.
 func TestGoSharedRoundTrip(t *testing.T) {
 	n := simnet.New(simnet.Config{PropDelay: -1})
 	const servers = 4
@@ -48,13 +50,19 @@ func TestGoSharedRoundTrip(t *testing.T) {
 			t.Fatalf("server %d: cycle %d", i, r.Cycle)
 		}
 	}
-	if got := f.refs.Load(); got != 0 {
-		t.Fatalf("refs = %d after full harvest, want 0", got)
+	if f.encoded.Load() != nil {
+		t.Fatal("the released frame still holds its body")
 	}
 	// Exactly one encode serves the whole fan-out.
 	if enc := f.Encodes(); enc != 1 {
 		t.Fatalf("Encodes = %d, want 1", enc)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release did not panic")
+		}
+	}()
+	f.Release()
 }
 
 // slowVerifyHandler verifies each Collect body is intact (the shared frame
@@ -81,17 +89,21 @@ func (h *slowVerifyHandler) Serve(_ *Peer, req wire.Message) (wire.Message, erro
 	return &wire.CollectReply{Cycle: c.Cycle}, nil
 }
 
-// TestGoSharedRefcountStress exercises the SharedFrame lifecycle under the
+// TestGoSharedRefcountStress exercises the SharedFrame lifetime under the
 // race detector: many cycles of pipelined fan-out across several
-// connections, with slow handlers keeping bodies in flight and one client
-// torn down mid-cycle. The pooled encoded body must never be recycled while
-// any connection still copies from it (the handlers verify body integrity),
-// and every cycle's frame must drain to refs == 0 even when some calls fail.
+// connections, with slow handlers keeping calls in flight and one client
+// torn down mid-cycle. The producer's reference is the only one, and it is
+// released as soon as every GoShared has returned: the test then takes the
+// body's buffer back from the pool, as the next frame would, and overwrites
+// it while the calls are still in flight. A connection that read the body
+// after GoShared returned would hand its handler the overwritten bytes, which
+// the handler's integrity check, or the decode, catches.
 func TestGoSharedRefcountStress(t *testing.T) {
 	n := simnet.New(simnet.Config{PropDelay: -1})
 	h := &slowVerifyHandler{delay: 200 * time.Microsecond}
 	const conns = 6
 	const cycles = 20
+	const victim = conns - 1 // closed mid-run
 	clis := make([]*Client, conns)
 	for i := range clis {
 		srv, err := Serve(n.Host(fmt.Sprintf("s%d", i)), ":0", h, ServerOptions{})
@@ -110,7 +122,7 @@ func TestGoSharedRefcountStress(t *testing.T) {
 		}
 	}()
 
-	var failures int
+	var victimFailures, overwritten int
 	for cycle := 1; cycle <= cycles; cycle++ {
 		f := NewSharedFrame(&wire.Collect{Cycle: uint64(cycle), WindowMicros: 1e6, Epoch: 7})
 		calls := make([]*Call, conns)
@@ -118,22 +130,38 @@ func TestGoSharedRefcountStress(t *testing.T) {
 			calls[i] = cli.GoShared(context.Background(), f)
 		}
 		if cycle == cycles/2 {
-			// Tear one connection down mid-cycle: its in-flight call fails,
-			// but its reference still releases through Wait.
-			clis[conns-1].Close()
+			// Tear one connection down mid-cycle: its in-flight call fails.
+			clis[victim].Close()
 		}
+		body := f.encoded.Load()
 		f.Release()
-		for _, call := range calls {
-			if _, err := call.Wait(context.Background()); err != nil {
-				failures++
+		bp := getFrameBuf()
+		if bp == body {
+			overwritten++
+		}
+		b := (*bp)[:cap(*bp)]
+		for i := range b {
+			b[i] = 0xff
+		}
+		for i, call := range calls {
+			_, err := call.Wait(context.Background())
+			switch {
+			case err == nil:
+			case i == victim:
+				victimFailures++
+			default:
+				t.Errorf("cycle %d, connection %d: %v", cycle, i, err)
 			}
 		}
-		if got := f.refs.Load(); got != 0 {
-			t.Fatalf("cycle %d: refs = %d after harvest, want 0", cycle, got)
-		}
+		putFrameBuf(bp)
 	}
-	if failures == 0 {
-		t.Fatal("expected some failed calls after mid-cycle close")
+	if victimFailures == 0 {
+		t.Fatal("expected failed calls after the mid-run close")
+	}
+	if overwritten == 0 {
+		// sync.Pool may hand back another buffer, and under the race
+		// detector drops some puts; over 20 cycles it is back at least once.
+		t.Fatal("no released body came back from the pool to be overwritten")
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -143,7 +171,7 @@ func TestGoSharedRefcountStress(t *testing.T) {
 }
 
 // TestGoSharedOnClosedClient: a pre-failed GoShared handle carries the error
-// and takes no reference on the frame.
+// and never encodes the frame.
 func TestGoSharedOnClosedClient(t *testing.T) {
 	n := simnet.New(simnet.Config{PropDelay: -1})
 	srv, err := Serve(n.Host("server"), ":0", &echoHandler{}, ServerOptions{})
@@ -162,8 +190,8 @@ func TestGoSharedOnClosedClient(t *testing.T) {
 	if _, err := call.Wait(context.Background()); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("err = %v, want ErrClientClosed", err)
 	}
-	if got := f.refs.Load(); got != 1 {
-		t.Fatalf("refs = %d, want 1 (only the producer's)", got)
+	if enc := f.Encodes(); enc != 0 {
+		t.Fatalf("Encodes = %d, want 0", enc)
 	}
 	f.Release()
 }

@@ -72,10 +72,10 @@ type Topology struct {
 // specs StartTopology builds.
 func (t Topology) Validate() error {
 	cfg, err := t.clusterConfig()
-	if err != nil {
-		return err
+	if err == nil {
+		_, err = cfg.Validate()
 	}
-	return cfg.Validate()
+	return err
 }
 
 // clusterConfig lowers the spec onto the deployment harness.
