@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/cyclemem"
+	"github.com/dsrhaslab/sdscale/internal/stage"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
 
@@ -76,4 +77,82 @@ func TestBreakerProbeSchedule(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBreakerLockFreeReads: the breaker's lock-free reads agree with its
+// state. recordSuccess on a child with failures short of the limit resets
+// the count, so the next failures start from zero; a tripped child's first
+// success readmits it, once, marking it dirty with a forced collect; and
+// isQuarantined, and so split, follows every trip and readmission.
+func TestBreakerLockFreeReads(t *testing.T) {
+	const limit = 3
+	bc := breakerConfig{MaxFailures: limit}.withDefaults()
+	now := time.Now()
+	m := newMemberSet()
+	kids := make([]*child, 4)
+	for i := range kids {
+		kids[i] = &child{info: stage.Info{ID: uint64(i + 1)}}
+		m.add(kids[i])
+	}
+	var s cycleScratch
+	wantSplit := func(step string, quarantined ...*child) {
+		t.Helper()
+		active, q := s.split(m)
+		if !slices.Equal(q, quarantined) || len(active)+len(q) != len(kids) {
+			t.Fatalf("%s: split quarantined %d of %d children, want %d", step, len(q), len(kids), len(quarantined))
+		}
+		for _, c := range kids {
+			if want := slices.Contains(quarantined, c); c.isQuarantined() != want {
+				t.Fatalf("%s: child %d isQuarantined = %v, want %v", step, c.info.ID, !want, want)
+			}
+		}
+	}
+	// fail records n failures and reports which of them tripped the breaker.
+	fail := func(c *child, n int) (tripped []int) {
+		for i := 1; i <= n; i++ {
+			if c.recordFailure(bc, now) {
+				tripped = append(tripped, i)
+			}
+		}
+		return tripped
+	}
+	wantSplit("healthy")
+
+	a, b := kids[1], kids[2]
+	if got := fail(a, limit-1); got != nil {
+		t.Fatalf("failures %v of %d tripped the breaker", got, limit-1)
+	}
+	wantSplit("failing")
+	if a.recordSuccess() {
+		t.Fatal("a success on a child that was never quarantined readmitted it")
+	}
+	if got := fail(a, limit-1); got != nil {
+		t.Fatalf("a success did not reset the failure count: failure %v after it tripped the breaker", got)
+	}
+	if got := fail(a, 1); !slices.Equal(got, []int{1}) {
+		t.Fatal("the last failure of the limit did not trip the breaker")
+	}
+	if got := fail(b, limit+1); !slices.Equal(got, []int{limit}) {
+		t.Fatalf("failures %v tripped the breaker, want only failure %d", got, limit)
+	}
+	wantSplit("tripped", a, b)
+	if a.dirty || a.forceCollect {
+		t.Fatal("a trip marked the child dirty")
+	}
+
+	if !a.recordSuccess() {
+		t.Fatal("a quarantined child's first success did not readmit it")
+	}
+	if !a.dirty || !a.forceCollect {
+		t.Fatalf("readmission left dirty %v and forceCollect %v, want both set", a.dirty, a.forceCollect)
+	}
+	if a.recordSuccess() {
+		t.Fatal("a second success readmitted the child again")
+	}
+	wantSplit("one readmitted", b)
+	if got := fail(a, limit-1); got != nil {
+		t.Fatalf("readmission did not reset the failure count: failure %v tripped the breaker", got)
+	}
+	b.recordSuccess()
+	wantSplit("both readmitted")
 }

@@ -107,15 +107,17 @@ type child struct {
 	// stages lists the stages behind an aggregator child; nil for stages.
 	stages []stage.Info
 
-	mu    sync.Mutex
-	fails int
+	mu sync.Mutex
+	// fails and quarantined are written under mu and read without it too:
+	// isQuarantined, and recordSuccess on a healthy child, take no lock.
+	fails atomic.Int64
 	// retired is set when the child leaves the membership or its controller
 	// closes: a connection dialed for it afterwards is closed, not installed.
 	retired bool
 	// Circuit-breaker state: a quarantined child is skipped by the
 	// collect/enforce scatter and probed with half-open heartbeats until
 	// one succeeds (readmission) or EvictAfter expires (eviction).
-	quarantined   bool
+	quarantined   atomic.Bool
 	quarantinedAt time.Time
 	nextProbe     time.Time
 	probeDelay    time.Duration
@@ -218,11 +220,10 @@ func (c *child) forgetRules(rules []wire.Rule) {
 func (c *child) recordFailure(bc breakerConfig, now time.Time) (tripped bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.fails++
-	if c.quarantined || c.fails < bc.MaxFailures {
+	if c.fails.Add(1) < int64(bc.MaxFailures) || c.quarantined.Load() {
 		return false
 	}
-	c.quarantined = true
+	c.quarantined.Store(true)
 	c.quarantinedAt = now
 	c.probeDelay = bc.ProbeInterval
 	c.nextProbe = now.Add(c.probeDelay)
@@ -236,31 +237,30 @@ func (c *child) recordFailure(bc breakerConfig, now time.Time) (tripped bool) {
 // The dirty flag a child accumulated while quarantined survives — pushes
 // that arrived during the outage still count.
 func (c *child) recordSuccess() (readmitted bool) {
+	if c.fails.Load() == 0 && !c.quarantined.Load() {
+		return false // healthy: nothing to reset
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.fails = 0
-	if !c.quarantined {
+	c.fails.Store(0)
+	if !c.quarantined.Load() {
 		return false
 	}
-	c.quarantined = false
+	c.quarantined.Store(false)
 	c.dirty = true
 	c.forceCollect = true
 	return true
 }
 
 // isQuarantined reports the breaker state.
-func (c *child) isQuarantined() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quarantined
-}
+func (c *child) isQuarantined() bool { return c.quarantined.Load() }
 
 // quarantineAge returns how long the child has been quarantined (zero if it
 // is not).
 func (c *child) quarantineAge(now time.Time) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.quarantined {
+	if !c.quarantined.Load() {
 		return 0
 	}
 	return now.Sub(c.quarantinedAt)
@@ -270,7 +270,7 @@ func (c *child) quarantineAge(now time.Time) time.Duration {
 func (c *child) probeDue(now time.Time) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.quarantined && !now.Before(c.nextProbe)
+	return c.quarantined.Load() && !now.Before(c.nextProbe)
 }
 
 // failProbe backs the probe schedule off after an unsuccessful half-open

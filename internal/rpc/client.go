@@ -42,29 +42,32 @@ type Client struct {
 	tracer  *trace.Tracer
 	spanTag uint64
 
-	// wmu serializes frame writes, and guards the buffer they are encoded
-	// into and txHist: the request history kind-7 bodies are encoded
-	// against, which advances in write order.
+	// wmu serializes frame writes, and guards nextID, which calls are
+	// registered under, the buffer frames are encoded into, and txHist:
+	// the request history kind-7 bodies are encoded against, which
+	// advances in write order.
 	wmu    sync.Mutex
+	nextID uint64
 	wbuf   []byte
 	txHist wire.FloatHistory
 
-	mu     sync.Mutex
-	nextID uint64
-	// slot and pending are the calls in flight: slot holds one, and
-	// pending, made on first need, the rest. A connection usually has one
-	// call in flight at a time, so it usually costs no map operation; the
-	// map carries the others, as when an off-cycle fan-out shares the
-	// connection with a cycle's. A call sits in exactly one of the two
-	// until it is completed, deregistered or failed.
-	slot    *Call
+	// call is the client's one reusable handle. Go takes it, by a CAS on
+	// held, unless an earlier call still holds it, and its Wait gives it
+	// back; while it is in flight, slot holds its request ID. A connection
+	// usually has one call in flight at a time, so it usually costs no
+	// allocation, lock or map operation. Any other call gets a handle of
+	// its own, registered in pending, made on first need, under mu: as when
+	// an off-cycle fan-out shares the connection with a cycle's. complete,
+	// deregister and fail take the slot by a CAS or Swap of the ID, so a
+	// late response never takes the handle's next call. A call sits in
+	// exactly one of the two until it is completed, deregistered or failed.
+	call Call
+	held atomic.Bool
+	slot atomic.Uint64
+
+	mu      sync.Mutex
 	pending map[uint64]*Call
-	// free holds the client's recycled Call handles, as many as it has
-	// had in flight at once: Go takes one under mu, which it holds
-	// anyway, and Wait gives it back, so no handle passes between cores
-	// through a shared pool.
-	free   []*Call
-	closed bool
+	closed  bool
 	// err is why the client is unusable: the error its reader died of, or
 	// ErrClientClosed after Close. It is set once, under mu, and read
 	// without it by Err.
@@ -93,22 +96,24 @@ type Client struct {
 // GoShared calls that send it, not their Waits.
 //
 // Completion takes no channel operation. The completer stores the outcome
-// and then sets done; Wait returns at once if done is set, and otherwise
-// parks on a pooled one-slot waiter that it publishes in waiter. The
-// completer sets done and then loads waiter; Wait publishes its waiter and
-// then re-checks done. Whichever of the two goes second sees the other, so
-// a parked Wait is always woken. A completer that loads the waiter of a
-// later use of the handle (or of the waiter) sends a stale wake, which costs
-// its receiver one more check of done and nothing else.
+// and then stores the call's ID in done, so the call is complete when done
+// holds its ID, and a reused handle needs no reset; Wait returns at once if
+// it is complete, and otherwise parks on a pooled one-slot waiter that it
+// publishes in waiter. The completer sets done and then loads waiter; Wait
+// publishes its waiter and then re-checks done. Whichever of the two goes
+// second sees the other, so a parked Wait is always woken. A completer that
+// loads the waiter of a later use of the handle (or of the waiter) sends a
+// stale wake, which costs its receiver one more check of done and nothing
+// else.
 type Call struct {
 	reply wire.Message
 	err   error // a transport error, ErrClientClosed, or a remote *wire.ErrorReply
 
-	done   atomic.Bool
+	done   atomic.Uint64 // the ID of the handle's last completed call
 	waiter atomic.Pointer[waiter]
 
 	id     uint64
-	client *Client // nil for calls that failed before registration
+	client *Client
 
 	// Span timings, populated by send when the client traces: issue time
 	// (unix nanoseconds; doubles as the "this call is traced" marker),
@@ -127,34 +132,32 @@ type Call struct {
 // already buffered makes the receiver re-check done.
 type waiter struct{ wake chan struct{} }
 
-// waiterPool recycles waiters, so a Wait that parks allocates none. Call
-// handles are recycled by their own client (Client.free).
+// waiterPool recycles waiters, so a Wait that parks allocates none. Each
+// client recycles its own inline Call handle.
 var waiterPool = sync.Pool{New: func() any { return &waiter{wake: make(chan struct{}, 1)} }}
 
-// takeCall returns one of the client's recycled handles, or a new one. The
-// caller holds mu.
+// takeCall returns the client's inline handle if no call holds it, or a new
+// one.
 func (c *Client) takeCall() *Call {
-	n := len(c.free)
-	if n == 0 {
-		return new(Call)
+	if c.held.CompareAndSwap(false, true) {
+		return &c.call
 	}
-	call := c.free[n-1]
-	c.free[n-1] = nil
-	c.free = c.free[:n-1]
-	return call
+	return &Call{client: c}
 }
 
-// putCall recycles a handle on the client that issued it; one that failed
-// before it was issued has none and is dropped. The caller must be the
-// handle's sole owner: completion consumed, or provably never to be
-// delivered. It is the goroutine that called Wait, so it reads the waiter
-// and span words its own Wait and Go wrote, and stores to them only when
-// they were set: a waiter only if Wait parked, the span timings only if the
-// call was traced.
+// putCall gives the client's inline handle back; any other is dropped. The
+// caller must be the handle's sole owner: completion consumed, or provably
+// never to be delivered. It is the goroutine that called Wait, so it reads
+// the waiter and span words its own Wait and Go wrote, and stores to them
+// only when they were set: a waiter only if Wait parked, the span timings
+// only if the call was traced. done keeps the completed call's ID, which the
+// next call's differs from.
 func putCall(call *Call) {
 	c := call.client
-	call.reply, call.err, call.id, call.client = nil, nil, 0, nil
-	call.done.Store(false)
+	if call != &c.call {
+		return
+	}
+	call.reply, call.err = nil, nil
 	if call.waiter.Load() != nil {
 		call.waiter.Store(nil)
 	}
@@ -163,12 +166,11 @@ func putCall(call *Call) {
 		call.marshalNs.Store(0)
 		call.writeNs.Store(0)
 	}
-	if c != nil {
-		c.mu.Lock()
-		c.free = append(c.free, call)
-		c.mu.Unlock()
-	}
+	c.held.Store(false)
 }
+
+// completed reports whether the call's outcome is in.
+func (call *Call) completed() bool { return call.done.Load() == call.id }
 
 // finish records the outcome, marks the call done and wakes its waiter, if
 // one is parked. A remote *wire.ErrorReply lands in err, matching the
@@ -180,7 +182,7 @@ func (call *Call) finish(m wire.Message, err error) {
 	if er, ok := m.(*wire.ErrorReply); ok {
 		m, err = nil, er
 	}
-	if c := call.client; c != nil && c.tracer != nil {
+	if c := call.client; c.tracer != nil {
 		if issued := call.issuedNs.Load(); issued != 0 {
 			c.tracer.RecordClientCall(c.spanTag, call.id, issued,
 				time.Now().UnixNano()-issued, call.marshalNs.Load(), call.writeNs.Load(),
@@ -191,7 +193,7 @@ func (call *Call) finish(m wire.Message, err error) {
 		}
 	}
 	call.reply, call.err = m, err
-	call.done.Store(true)
+	call.done.Store(call.id)
 	if w := call.waiter.Load(); w != nil {
 		select {
 		case w.wake <- struct{}{}:
@@ -207,12 +209,12 @@ func (call *Call) finish(m wire.Message, err error) {
 // arrives. Nothing is sent for an abandoned call. The handle must not be
 // used after Wait returns.
 func (call *Call) Wait(ctx context.Context) (wire.Message, error) {
-	if call.done.Load() {
+	if call.completed() {
 		return call.release()
 	}
 	w := waiterPool.Get().(*waiter)
 	call.waiter.Store(w)
-	for !call.done.Load() {
+	for !call.completed() {
 		select {
 		case <-w.wake:
 			// This call's wake, or a stale one: re-check done.
@@ -225,7 +227,7 @@ func (call *Call) Wait(ctx context.Context) (wire.Message, error) {
 			}
 			// Completion raced with the cancellation and won. Its
 			// completer sets done and then wakes w.
-			for !call.done.Load() {
+			for !call.completed() {
 				<-w.wake
 			}
 		}
@@ -306,6 +308,7 @@ func newClient(conn net.Conn, opts DialOptions) *Client {
 		reuseReplies: opts.ReuseReplies,
 		onPush:       opts.OnPush,
 	}
+	c.call.client = c
 	opts.ReuseHits.Attach(&c.reuseHits)
 	startReads(conn, c.newReplyReader(), true)
 	return c
@@ -418,14 +421,14 @@ func (r *replyReader) frame(h frameHeader, body []byte) error {
 //
 //go:noinline
 func (c *Client) complete(id uint64, m wire.Message) {
-	c.mu.Lock()
-	call := c.slot
-	if call != nil && call.id == id {
-		c.slot = nil
-	} else if call = c.pending[id]; call != nil {
-		delete(c.pending, id)
+	call := &c.call
+	if !c.slot.CompareAndSwap(id, 0) {
+		c.mu.Lock()
+		if call = c.pending[id]; call != nil {
+			delete(c.pending, id)
+		}
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 	if call != nil {
 		call.finish(m, nil)
 	} else {
@@ -480,11 +483,11 @@ func disconnected(err error) error { return fmt.Errorf("%w: %w", ErrDisconnected
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	c.setErr(err)
-	slot, pending := c.slot, c.pending
-	c.slot, c.pending = nil, nil
+	pending := c.pending
+	c.pending = nil
 	c.mu.Unlock()
-	if slot != nil {
-		slot.finish(nil, err)
+	if c.slot.Swap(0) != 0 {
+		c.call.finish(nil, err)
 	}
 	for _, call := range pending {
 		call.finish(nil, err)
@@ -495,12 +498,11 @@ func (c *Client) fail(err error) {
 // caller now exclusively owns the handle. False means a completer (the
 // reader or fail) got there first and a completion is in flight.
 func (c *Client) deregister(call *Call) bool {
+	if call == &c.call {
+		return c.slot.CompareAndSwap(call.id, 0)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.slot == call {
-		c.slot = nil
-		return true
-	}
 	if c.pending[call.id] == call {
 		delete(c.pending, call.id)
 		return true
@@ -509,19 +511,35 @@ func (c *Client) deregister(call *Call) bool {
 }
 
 // register assigns call the next request ID and puts it in the in-flight
-// table: in the slot if it is free, else in the map. The caller holds mu.
-func (c *Client) register(call *Call) {
+// table: the inline handle in the slot, any other in the map. On a dead
+// client it completes the call with the client's error, untraced, and
+// reports false. The caller holds wmu.
+func (c *Client) register(call *Call) bool {
 	c.nextID++
 	call.id = c.nextID
-	call.client = c
-	if c.slot == nil {
-		c.slot = call
-		return
+	var err error
+	if call == &c.call {
+		c.slot.Store(call.id)
+		// fail sets err before it empties the slot, so unless err is set
+		// by now, fail will find the call there.
+		if err = c.Err(); err != nil && !c.slot.CompareAndSwap(call.id, 0) {
+			return false // fail took the call and completes it
+		}
+	} else {
+		c.mu.Lock()
+		if err = c.Err(); err == nil {
+			if c.pending == nil {
+				c.pending = make(map[uint64]*Call)
+			}
+			c.pending[call.id] = call
+		}
+		c.mu.Unlock()
 	}
-	if c.pending == nil {
-		c.pending = make(map[uint64]*Call)
+	if err != nil {
+		call.err = err
+		call.done.Store(call.id)
 	}
-	c.pending[call.id] = call
+	return err == nil
 }
 
 // Go sends req asynchronously and returns its completion handle. The request
@@ -530,19 +548,8 @@ func (c *Client) register(call *Call) {
 // the handles in whatever order the server produces them. Errors — including
 // a dead connection — surface through the handle, never as a panic.
 func (c *Client) Go(ctx context.Context, req wire.Message) *Call {
-	c.mu.Lock()
-	call := c.takeCall()
-	if err := c.Err(); err != nil {
-		c.mu.Unlock()
-		call.finish(nil, err)
-		return call
-	}
-	c.register(call)
-	c.mu.Unlock()
-
-	c.send(call, req, nil)
 	_ = ctx // the deadline is enforced at Wait; issuing is non-blocking
-	return call
+	return c.send(c.takeCall(), req, nil)
 }
 
 // GoShared issues a request whose body is the broadcast frame f, already
@@ -552,19 +559,8 @@ func (c *Client) Go(ctx context.Context, req wire.Message) *Call {
 // GoShared returns, so the call keeps nothing of f: the producer's reference
 // must outlive the GoShared calls, not their Waits.
 func (c *Client) GoShared(ctx context.Context, f *SharedFrame) *Call {
-	c.mu.Lock()
-	call := c.takeCall()
-	if err := c.Err(); err != nil {
-		c.mu.Unlock()
-		call.finish(nil, err)
-		return call
-	}
-	c.register(call)
-	c.mu.Unlock()
-
-	c.send(call, nil, f.body())
 	_ = ctx // the deadline is enforced at Wait; issuing is non-blocking
-	return call
+	return c.send(c.takeCall(), nil, f)
 }
 
 // Call sends req and waits for the matching response, honoring ctx. A
@@ -573,13 +569,14 @@ func (c *Client) Call(ctx context.Context, req wire.Message) (wire.Message, erro
 	return c.Go(ctx, req).Wait(ctx)
 }
 
-// send encodes and writes call's request frame under the write lock. A nil
-// body marshals m as a kind-7 frame against the client's request history:
+// send registers call and encodes and writes its request frame, all under
+// the write lock, and returns call; on a dead client it sends nothing. A nil
+// f marshals m as a kind-7 frame against the client's request history:
 // encoding under the lock advances the history in the order the frames reach
 // the wire, which is the order the server's single reader decodes them in. A
-// non-nil body is a SharedFrame's stateless pre-encoded bytes, sent as kind
-// 4 — the "marshal" then degenerates to a header append plus memcopy, and is
-// timed as such so the tracer's marshal share reflects the win.
+// non-nil f is a SharedFrame, whose stateless pre-encoded body is sent as
+// kind 4 — the "marshal" then degenerates to a header append plus memcopy,
+// and is timed as such so the tracer's marshal share reflects the win.
 //
 // The frame is encoded into the client's own buffer, wbuf, which it keeps
 // for the next call (see keepFrameBuf).
@@ -592,9 +589,17 @@ func (c *Client) Call(ctx context.Context, req wire.Message) (wire.Message, erro
 // A call on the tracer's sample grid times its marshal and write for its
 // span; any other call reads no clock here. The CPU a fan-out spends
 // issuing calls is charged by the fan-out, once around its issue loop.
-func (c *Client) send(call *Call, m wire.Message, body []byte) {
-	traced := c.tracer != nil && c.tracer.Sampled(call.id)
+func (c *Client) send(call *Call, m wire.Message, f *SharedFrame) *Call {
 	c.wmu.Lock()
+	if !c.register(call) {
+		c.wmu.Unlock()
+		return call
+	}
+	var body []byte
+	if f != nil {
+		body = f.body()
+	}
+	traced := c.tracer != nil && c.tracer.Sampled(call.id)
 	var start time.Time
 	if traced {
 		start = time.Now()
@@ -619,6 +624,7 @@ func (c *Client) send(call *Call, m wire.Message, body []byte) {
 	if err != nil {
 		c.fail(disconnected(err))
 	}
+	return call
 }
 
 // Close tears down the connection; pending calls fail.

@@ -43,7 +43,10 @@ func TestHandoffClientRunsNoReadLoop(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			base, goBase := pumps(), runtime.NumGoroutine()
+			// An earlier test's pumps exit once their connections have
+			// closed, which may be after it returned: count from none.
+			waitFor(t, "earlier tests' pumps to exit", func() bool { return pumps() == 0 })
+			goBase := runtime.NumGoroutine()
 			var clis []*Client
 			for i := 0; i < clients; i++ {
 				cli, err := Dial(context.Background(), tc.dialer, srv.Addr().String(), DialOptions{Meter: &transport.Meter{}})
@@ -57,18 +60,17 @@ func TestHandoffClientRunsNoReadLoop(t *testing.T) {
 				}
 			}
 			want := clients * (1 + tc.clientPumps)
-			waitFor(t, "the pumps", func() bool { return pumps()-base == want })
+			waitFor(t, "the pumps", func() bool { return pumps() == want })
 			if tc.clientPumps == 0 {
 				// One pump per connection, on the server.
 				if added := runtime.NumGoroutine() - goBase; added > clients {
 					t.Errorf("%d clients and their connections added %d goroutines, want at most %d", clients, added, clients)
 				}
 			}
-			// The next case counts from a base without these pumps.
 			for _, cli := range clis {
 				cli.Close()
 			}
-			waitFor(t, "the pumps to exit", func() bool { return pumps() <= base })
+			waitFor(t, "the pumps to exit", func() bool { return pumps() == 0 })
 		})
 	}
 }

@@ -64,7 +64,7 @@ func TestInlineServerRunsNoServingGoroutine(t *testing.T) {
 				}
 				defer cli.Close()
 				call := cli.Go(context.Background(), &wire.Heartbeat{SentUnixMicros: 7})
-				if inline := call.done.Load(); tc.serverPumps == 0 && !inline {
+				if inline := call.completed(); tc.serverPumps == 0 && !inline {
 					t.Error("an inline call was still pending when Go returned")
 				}
 				if _, err := call.Wait(context.Background()); err != nil {

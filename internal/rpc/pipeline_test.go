@@ -55,7 +55,7 @@ func TestGoWaitRemoteError(t *testing.T) {
 func TestWaitOnCompletedCall(t *testing.T) {
 	_, _, cli := testSetup(t, &echoHandler{})
 	call := cli.Go(context.Background(), &wire.Heartbeat{SentUnixMicros: 9})
-	waitFor(t, "the call to complete", call.done.Load)
+	waitFor(t, "the call to complete", call.completed)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	resp, err := call.Wait(ctx)
@@ -74,8 +74,9 @@ func TestWaitOnCompletedCallAllocatesNothing(t *testing.T) {
 	const runs = 100
 	reply := &wire.HeartbeatAck{}
 	calls := make([]*Call, runs+1) // AllocsPerRun adds one warm-up run
+	cli := &Client{}
 	for i := range calls {
-		calls[i] = new(Call)
+		calls[i] = &Call{client: cli}
 		calls[i].finish(reply, nil)
 	}
 	ctx := context.Background()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,79 +17,68 @@ import (
 // of the last control-plane contact. It implements the child side of epoch
 // fencing: calls carrying an epoch below the highest seen are rejected with
 // CodeStaleEpoch, so a deposed primary can never read metrics from or push
-// rules to a stage the new leader already controls.
+// rules to a stage the new leader already controls. Every word is atomic: a
+// call at the current epoch, the steady state, is admitted with one load.
 type fence struct {
 	// watched is set once at construction, before the stage serves, when
 	// something reads contact() — a Virtual stage's parent watchdog.
 	// Without a watcher the per-request clock read is skipped.
 	watched bool
 
-	mu          sync.Mutex
-	epoch       uint64
-	fenced      uint64
-	lastContact time.Time
+	epoch       atomic.Uint64
+	fenced      atomic.Uint64
+	lastContact atomic.Int64 // since contactBase, so that it stays monotonic
 }
+
+// contactBase anchors fence contact times on the monotonic clock.
+var contactBase = time.Now()
 
 // check admits or rejects a call carrying the sender's leadership epoch.
 // Higher epochs are adopted; lower ones are fenced.
 func (f *fence) check(who string, senderEpoch uint64) *wire.ErrorReply {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if senderEpoch < f.epoch {
-		f.fenced++
-		return &wire.ErrorReply{
-			Code:  wire.CodeStaleEpoch,
-			Text:  fmt.Sprintf("%s: sender epoch %d deposed, current epoch is %d", who, senderEpoch, f.epoch),
-			Epoch: f.epoch,
+	for cur := f.epoch.Load(); senderEpoch != cur; cur = f.epoch.Load() {
+		if senderEpoch < cur {
+			f.fenced.Add(1)
+			return &wire.ErrorReply{
+				Code:  wire.CodeStaleEpoch,
+				Text:  fmt.Sprintf("%s: sender epoch %d deposed, current epoch is %d", who, senderEpoch, cur),
+				Epoch: cur,
+			}
+		}
+		if f.epoch.CompareAndSwap(cur, senderEpoch) {
+			break
 		}
 	}
-	if senderEpoch > f.epoch {
-		f.epoch = senderEpoch
-	}
-	if f.watched {
-		f.lastContact = time.Now()
-	}
+	f.touch()
 	return nil
 }
 
-// touch records control-plane contact that carries no epoch (heartbeats).
+// touch records control-plane contact; heartbeats, which carry no epoch,
+// call it directly.
 func (f *fence) touch() {
-	if !f.watched {
-		return
+	if f.watched {
+		f.lastContact.Store(int64(time.Since(contactBase)))
 	}
-	f.mu.Lock()
-	f.lastContact = time.Now()
-	f.mu.Unlock()
 }
 
 // adopt raises the fencing floor to epoch (never lowers it).
 func (f *fence) adopt(epoch uint64) {
-	f.mu.Lock()
-	if epoch > f.epoch {
-		f.epoch = epoch
+	for cur := f.epoch.Load(); epoch > cur; cur = f.epoch.Load() {
+		if f.epoch.CompareAndSwap(cur, epoch) {
+			return
+		}
 	}
-	f.mu.Unlock()
 }
 
 // current returns the highest epoch seen.
-func (f *fence) current() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.epoch
-}
+func (f *fence) current() uint64 { return f.epoch.Load() }
 
 // fencedCalls returns how many calls were rejected as stale.
-func (f *fence) fencedCalls() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.fenced
-}
+func (f *fence) fencedCalls() uint64 { return f.fenced.Load() }
 
 // contact returns the time of the last control-plane contact.
 func (f *fence) contact() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lastContact
+	return contactBase.Add(time.Duration(f.lastContact.Load()))
 }
 
 // RegisterOptions tunes the retry behaviour of RegisterAny.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -498,5 +499,57 @@ func TestInlineStageServing(t *testing.T) {
 			want := 2 * (tc.stagePumps + tc.controllerPumps)
 			waitFor(t, "the pumps", func() bool { return pumps() == want })
 		})
+	}
+}
+
+// TestFenceAdoptedEpochFencesOlder: an epoch the stage adopts outside a call
+// (a registration ack) raises the floor as a call's would. Calls below it
+// are fenced, each counted once, also when many race; calls at it pass with
+// no count; a lower adoption leaves it; a higher call raises it.
+func TestFenceAdoptedEpochFencesOlder(t *testing.T) {
+	n := fastNet()
+	v, err := StartVirtual(Config{ID: 1, Network: n.Host("s")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	v.fence.adopt(5)
+	v.fence.adopt(3)
+	cli := dialStage(t, n, v.Info().Addr)
+	ctx := context.Background()
+	_, err = cli.Call(ctx, &wire.Collect{Cycle: 1, Epoch: 4})
+	var er *wire.ErrorReply
+	if !errors.As(err, &er) || er.Code != wire.CodeStaleEpoch || er.Epoch != 5 {
+		t.Fatalf("collect at epoch 4 after adopting 5 = %v, want CodeStaleEpoch carrying epoch 5", err)
+	}
+	if v.Epoch() != 5 || v.FencedCalls() != 1 {
+		t.Fatalf("epoch %d fenced %d, want 5 and 1", v.Epoch(), v.FencedCalls())
+	}
+
+	const goroutines, calls = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if v.fence.check(v.who, 4) == nil {
+					t.Error("a call at epoch 4 passed a fence at 5")
+				}
+				if er := v.fence.check(v.who, 5); er != nil {
+					t.Errorf("a call at the current epoch was fenced: %v", er.Text)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if want := uint64(1 + goroutines*calls); v.FencedCalls() != want {
+		t.Fatalf("fenced %d calls, want %d", v.FencedCalls(), want)
+	}
+	if _, err := cli.Call(ctx, &wire.Enforce{Cycle: 2, Epoch: 7}); err != nil {
+		t.Fatalf("enforce at epoch 7: %v", err)
+	}
+	if v.Epoch() != 7 || v.fence.check(v.who, 5) == nil {
+		t.Fatalf("after a call at epoch 7 the stage is at epoch %d and admits 5", v.Epoch())
 	}
 }

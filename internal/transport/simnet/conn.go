@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/transport"
@@ -35,6 +36,7 @@ import (
 // became readable, or whoever closed either side — runs the callback itself,
 // unless another goroutine's call of it is running: that one takes the event
 // in its next round, so at most one call runs and no writer waits for it.
+// An idle one takes no lock for a write at all (see locked).
 type stream struct {
 	net    *Net
 	txHost *Host // the writing host (processor charged)
@@ -59,8 +61,28 @@ type stream struct {
 	draining bool
 	ended    bool
 
+	// state says whether a write may bypass mu; see locked.
+	state atomic.Uint32
+
 	ready chan struct{} // 1-buffered wakeup for the reader
 }
+
+// The hand-off states of a stream. A stream is locked, and goes through mu as
+// described above, unless it hands its reads off, has nothing buffered, both
+// sides open and no write deadline: then it is idle, and a writer claims the
+// callback with a CAS (idle → claimed), hands it its own bytes, uncopied,
+// and releases it with another (claimed → idle). A writer, closer or
+// deadline that meets a claimed stream publishes its event under mu and
+// marks the stream (claimed → marked): the claiming writer's release then
+// fails, and it drains under mu as a locked stream's drainer does. A drained
+// stream that is still eligible is idle again. Only mu's holder leaves locked
+// or marked.
+const (
+	locked uint32 = iota
+	idle
+	claimed
+	marked
+)
 
 // maxIdleBuf bounds the buffer a drained stream keeps for its next write:
 // the occasional giant frame is dropped rather than pinned by an idle
@@ -95,6 +117,15 @@ func (s *stream) signal() {
 		wake(s.ready)
 		return
 	}
+	for st := s.state.Load(); st != locked; st = s.state.Load() {
+		if st == idle && s.state.CompareAndSwap(idle, locked) {
+			break // no call runs: deliver it here
+		}
+		if st == marked || st == claimed && s.state.CompareAndSwap(claimed, marked) {
+			s.mu.Unlock() // the claiming writer delivers it
+			return
+		}
+	}
 	if s.draining || s.ended {
 		s.mu.Unlock()
 		return
@@ -127,6 +158,9 @@ func (s *stream) drain() {
 		default:
 			s.rewind()
 			s.draining = false
+			if len(s.buf) == 0 && s.wdeadline.IsZero() {
+				s.state.Store(idle) // nothing buffered, and open, or the end would be due
+			}
 			s.mu.Unlock()
 			return
 		}
@@ -199,8 +233,19 @@ func (s *stream) deliver(n int) {
 // write appends a copy of p (callers reuse their frame buffers immediately)
 // and makes it readable at its computed arrival time. It never blocks on
 // buffer capacity; backpressure in the control plane comes from the
-// request/response protocol above, not the pipe.
+// request/response protocol above, not the pipe. An idle hand-off stream
+// takes p straight to its callback instead.
 func (s *stream) write(p []byte) (int, error) {
+	if s.state.CompareAndSwap(idle, claimed) {
+		s.handoff(p, nil)
+		if !s.state.CompareAndSwap(claimed, idle) {
+			s.mu.Lock() // marked: deliver what came meanwhile
+			s.state.Store(locked)
+			s.draining = true
+			s.drain()
+		}
+		return len(p), nil
+	}
 	var now time.Time
 	if s.net.timed {
 		now = time.Now()
@@ -311,12 +356,13 @@ func (s *stream) setReadDeadline(t time.Time) {
 	}
 }
 
-// setWriteDeadline records the writer's deadline. Writes never block, so
-// there is nothing to wake: write compares the clock when one is set.
+// setWriteDeadline records the writer's deadline. Writes never block: write
+// compares the clock when one is set. The signal takes an idle stream out of
+// the lock-free path while a deadline is set, so that every write sees it.
 func (s *stream) setWriteDeadline(t time.Time) {
 	s.mu.Lock()
 	s.wdeadline = t
-	s.mu.Unlock()
+	s.signal()
 }
 
 // delivery is one scheduled arrival: at due, n more bytes of s are readable.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,11 +130,13 @@ func TestHandoffConcurrentWritersInOrder(t *testing.T) {
 // TestHandoffWriteDuringCallKeepsBytes: a write that arrives while the
 // callback runs appends and returns without waiting for it, and does not
 // move the bytes the running call holds — even when reclaiming the handed
-// over prefix would have made room for it in place.
+// over prefix would have made room for it in place. A write deadline keeps
+// the stream on its locked path, whose buffer the first call then reads.
 func TestHandoffWriteDuringCallKeepsBytes(t *testing.T) {
 	c, s := pair(t, New(fastCfg()))
 	r := &recorder{}
 	handOff(t, c, r)
+	s.SetWriteDeadline(time.Now().Add(time.Hour))
 	// A first frame grows the buffer to ~1 KB; handed over, it rewinds.
 	s.Write(make([]byte, 1000))
 	first, second := bytes.Repeat([]byte{'a'}, 600), bytes.Repeat([]byte{'b'}, 600)
@@ -267,5 +270,185 @@ func TestHandoffDeclinedOnTimedNet(t *testing.T) {
 	}
 	if data, ends := r.result(); len(data) > 0 || len(ends) > 0 {
 		t.Fatal("a declined callback was called")
+	}
+}
+
+// handoffState returns the hand-off state of the stream c reads.
+func handoffState(c net.Conn) uint32 { return c.(*conn).rd.state.Load() }
+
+// TestHandoffFastPathRacers: a writer that finds the stream idle hands its
+// own bytes to the callback without taking the lock. A second writer and a
+// closer that arrive while that call runs neither wait for it nor overlap
+// it: their bytes and the end reach the callback afterwards, from the first
+// writer, the bytes in the order written and the end once, after them.
+func TestHandoffFastPathRacers(t *testing.T) {
+	c, s := pair(t, New(fastCfg()))
+	r := &recorder{}
+	handOff(t, c, r)
+	if st := handoffState(c); st != idle {
+		t.Fatalf("a stream just handed off is in state %d, want idle", st)
+	}
+	const records = 50
+	var raced atomic.Bool
+	r.onBytes = func(b []byte) {
+		if b[0] != 'A' || raced.Swap(true) {
+			return
+		}
+		if st := handoffState(c); st != claimed {
+			t.Errorf("the first write's call runs in state %d, want claimed", st)
+		}
+		within := func(what string, fn func()) {
+			done := make(chan struct{})
+			go func() { defer close(done); fn() }()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Errorf("%s waited for the running callback", what)
+			}
+		}
+		within("a second writer", func() {
+			for i := 0; i < records; i++ {
+				if _, err := s.Write([]byte{'B', byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		})
+		within("a closer", func() { s.Close() })
+		if st := handoffState(c); st != marked {
+			t.Errorf("after a racing write and close the stream is in state %d, want marked", st)
+		}
+		if data, ends := r.result(); len(data) > 0 || len(ends) > 0 {
+			t.Errorf("the callback was called again while its first call ran: %d bytes, %d ends", len(data), len(ends))
+		}
+	}
+	if _, err := s.Write([]byte{'A', 0}); err != nil {
+		t.Fatal(err)
+	}
+	if !raced.Load() {
+		t.Fatal("the first write did not reach the callback inside its own call")
+	}
+	want := []byte{'A', 0}
+	for i := 0; i < records; i++ {
+		want = append(want, 'B', byte(i))
+	}
+	if data, _ := r.result(); !bytes.Equal(data, want) {
+		t.Fatalf("the callback was handed %v, want %v", data, want)
+	}
+	r.check(t, io.EOF)
+	if st := handoffState(c); st != locked {
+		t.Fatalf("an ended stream is in state %d, want locked", st)
+	}
+}
+
+// TestHandoffCloseInsideFastPathCall: a close from inside a lock-free call
+// of the callback, of either end, ends the stream once, after the bytes,
+// before the write that made the call returns.
+func TestHandoffCloseInsideFastPathCall(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		local bool // close the reading end, not the writing one
+		want  error
+	}{
+		{"reader", true, net.ErrClosed},
+		{"writer", false, io.EOF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, s := pair(t, New(fastCfg()))
+			r := &recorder{}
+			r.onBytes = func([]byte) {
+				if st := handoffState(c); st != claimed {
+					t.Errorf("the call runs in state %d, want claimed", st)
+				}
+				if tc.local {
+					c.Close()
+				} else {
+					s.Close()
+				}
+			}
+			handOff(t, c, r)
+			if _, err := s.Write([]byte("xy")); err != nil {
+				t.Fatal(err)
+			}
+			data, ends := r.result()
+			if string(data) != "xy" || len(ends) != 1 {
+				t.Fatalf("when the write returned the callback had %q and %d ends, want \"xy\" and 1", data, len(ends))
+			}
+			c.Close()
+			s.Close()
+			r.check(t, tc.want)
+		})
+	}
+}
+
+// TestHandoffWriteDeadlineTakesLockedPath: a write deadline takes the stream
+// off the lock-free path, so that a write past it fails with
+// os.ErrDeadlineExceeded and a write before it still goes through; clearing
+// it makes the stream idle again.
+func TestHandoffWriteDeadlineTakesLockedPath(t *testing.T) {
+	c, s := pair(t, New(fastCfg()))
+	r := &recorder{}
+	var states []uint32
+	r.onBytes = func([]byte) { states = append(states, handoffState(c)) }
+	handOff(t, c, r)
+
+	s.SetWriteDeadline(time.Now().Add(-time.Second))
+	if st := handoffState(c); st != locked {
+		t.Fatalf("with a write deadline set the stream is in state %d, want locked", st)
+	}
+	if _, err := s.Write([]byte("late")); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("a write past the deadline = %v, want os.ErrDeadlineExceeded", err)
+	}
+	s.SetWriteDeadline(time.Now().Add(time.Hour))
+	if _, err := s.Write([]byte("a")); err != nil {
+		t.Fatalf("a write before the deadline = %v", err)
+	}
+	s.SetWriteDeadline(time.Time{})
+	if st := handoffState(c); st != idle {
+		t.Fatalf("with the deadline cleared the stream is in state %d, want idle", st)
+	}
+	if _, err := s.Write([]byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := r.result(); string(data) != "ab" {
+		t.Fatalf("the callback was handed %q, want \"ab\"", data)
+	}
+	if len(states) != 2 || states[0] != locked || states[1] != claimed {
+		t.Fatalf("the calls ran in states %v, want [locked claimed]", states)
+	}
+}
+
+// TestHandoffWriteAfterEndFails: once either end has closed, a write takes
+// the locked path and fails as on any stream: with net.ErrClosed on the end
+// that closed, with io.ErrClosedPipe towards the end that did.
+func TestHandoffWriteAfterEndFails(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		local bool // the reading end closes, not the writing one
+		want  error
+	}{
+		{"writer closed", false, net.ErrClosed},
+		{"reader closed", true, io.ErrClosedPipe},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, s := pair(t, New(fastCfg()))
+			r := &recorder{}
+			handOff(t, c, r)
+			s.Write([]byte("x"))
+			if tc.local {
+				c.Close()
+			} else {
+				s.Close()
+			}
+			if st := handoffState(c); st != locked {
+				t.Fatalf("after the close the stream is in state %d, want locked", st)
+			}
+			if _, err := s.Write([]byte("y")); !errors.Is(err, tc.want) {
+				t.Fatalf("a write after the close = %v, want %v", err, tc.want)
+			}
+			if data, _ := r.result(); string(data) != "x" {
+				t.Fatalf("the callback was handed %q, want \"x\"", data)
+			}
+		})
 	}
 }
