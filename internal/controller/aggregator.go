@@ -93,9 +93,6 @@ func (c AggregatorConfig) withDefaults() AggregatorConfig {
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 10 * time.Second
 	}
-	if c.MaxFailures <= 0 {
-		c.MaxFailures = DefaultMaxFailures
-	}
 	return c
 }
 
@@ -171,7 +168,7 @@ func (a *Aggregator) NumStages() int { return a.members.size() }
 
 // Stages returns the managed stages' identities.
 func (a *Aggregator) Stages() []stage.Info {
-	children := a.members.snapshot(nil)
+	children := a.members.snapshot()
 	out := make([]stage.Info, len(children))
 	for i, c := range children {
 		out[i] = c.info
@@ -276,9 +273,6 @@ func (a *Aggregator) collect(m *wire.Collect) (wire.Message, error) {
 	// slab-backed reports are dead here.
 	a.arena.Begin()
 	children, quarantined := a.prepareCycle(ctx)
-	if len(quarantined) > 0 {
-		a.faults.DegradedCycle()
-	}
 	// The inbound request is re-broadcast verbatim. All fan-out completes
 	// before this handler returns, which keeps the server's request
 	// recycling sound.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/dsrhaslab/sdscale/internal/cyclemem"
+	"github.com/dsrhaslab/sdscale/internal/rpc"
 	"github.com/dsrhaslab/sdscale/internal/stage"
 	"github.com/dsrhaslab/sdscale/internal/wire"
 )
@@ -92,6 +93,7 @@ func TestBreakerLockFreeReads(t *testing.T) {
 	kids := make([]*child, 4)
 	for i := range kids {
 		kids[i] = &child{info: stage.Info{ID: uint64(i + 1)}}
+		kids[i].cli.Store(&rpc.Client{}) // split reads its Err
 		m.add(kids[i])
 	}
 	var s cycleScratch

@@ -154,6 +154,14 @@ type child struct {
 func (c *child) filterChanged(rules []wire.Rule, a *cyclemem.Arena, subset *cyclemem.Slab[wire.Rule]) []wire.Rule {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(rules) == 1 && (len(c.lastRules) == 0 || len(c.lastRules) == 1 && c.lastRules[0].StageID == rules[0].StageID) {
+		// A stage child's batch and cache: one rule each, so no search.
+		if len(c.lastRules) == 1 && c.lastRules[0] == rules[0] {
+			return nil
+		}
+		c.lastRules = append(c.lastRules[:0], rules[0])
+		return rules
+	}
 	n := 0
 	for _, r := range rules {
 		if i, ok := c.findRule(r.StageID); !ok || c.lastRules[i] != r {
@@ -349,21 +357,26 @@ func (c *child) notePush(rd *wire.ReportDelta, now time.Time) bool {
 	return true
 }
 
-// incrementalState claims the child's dirty flag for the cycle being
-// prepared and reports whether the incremental collect set must include it:
-// a forced collect is pending (claimed too), no report was ever cached, or
-// the cache is older than floor (the heartbeat-floor check that makes a
-// silent child distinguishable from an unchanged one — a live pushing child
-// refreshes its cache at the stage-side floor, which is tighter). A push
-// arriving after the claim re-dirties the child for the next cycle.
-func (c *child) incrementalState(now time.Time, floor time.Duration) (wasDirty, collect bool) {
+// visit is an incremental cycle's one look at the child, under one lock. It
+// claims the dirty flag and reports whether the collect must include the
+// child: its connection is dead (it can push nothing), a forced collect is
+// pending (claimed too), no report was ever cached, or the cache is older
+// than floor (the heartbeat-floor check that makes a silent child
+// distinguishable from an unchanged one — a live pushing child refreshes its
+// cache at the stage-side floor, which is tighter). With copyRows set, a
+// child that is not collected has its cached rows appended to dst, as
+// appendCachedReports would. A push arriving after the visit re-dirties the
+// child for the next cycle.
+func (c *child) visit(dst []wire.StageReport, now time.Time, floor, staleAfter time.Duration, dead, copyRows bool) (_ []wire.StageReport, wasDirty, collect bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	wasDirty = c.dirty
-	c.dirty = false
-	collect = c.forceCollect || c.lastReport == nil || now.Sub(c.lastReportAt) >= floor
+	wasDirty, c.dirty = c.dirty, false
+	collect = dead || c.forceCollect || c.lastReport == nil || now.Sub(c.lastReportAt) >= floor
 	c.forceCollect = false
-	return wasDirty, collect
+	if copyRows && !collect {
+		dst, _, _ = c.cachedRows(dst, now, staleAfter)
+	}
+	return dst, wasDirty, collect
 }
 
 // staleReport returns the cached report and its age. ok is true only if a
@@ -374,10 +387,15 @@ func (c *child) incrementalState(now time.Time, floor time.Duration) (wasDirty, 
 func (c *child) staleReport(now time.Time, staleAfter time.Duration) (m wire.Message, age time.Duration, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.freshReport(now, staleAfter)
+}
+
+// freshReport is staleReport with the child's lock held.
+func (c *child) freshReport(now time.Time, staleAfter time.Duration) (wire.Message, time.Duration, bool) {
 	if c.lastReport == nil {
 		return nil, 0, false
 	}
-	age = now.Sub(c.lastReportAt)
+	age := now.Sub(c.lastReportAt)
 	if age >= staleAfter {
 		return nil, age, false
 	}
@@ -394,18 +412,16 @@ func (c *child) staleReport(now time.Time, staleAfter time.Duration) (m wire.Mes
 func (c *child) appendCachedReports(dst []wire.StageReport, now time.Time, staleAfter time.Duration) ([]wire.StageReport, time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.lastReport == nil {
-		return dst, 0, false
+	return c.cachedRows(dst, now, staleAfter)
+}
+
+// cachedRows is appendCachedReports with the child's lock already held.
+func (c *child) cachedRows(dst []wire.StageReport, now time.Time, staleAfter time.Duration) ([]wire.StageReport, time.Duration, bool) {
+	m, age, ok := c.freshReport(now, staleAfter)
+	if r, rows := m.(*wire.CollectReply); ok && rows {
+		return append(dst, r.Reports...), age, true
 	}
-	age := now.Sub(c.lastReportAt)
-	if age >= staleAfter {
-		return dst, age, false
-	}
-	r, ok := c.lastReport.(*wire.CollectReply)
-	if !ok {
-		return dst, age, false
-	}
-	return append(dst, r.Reports...), age, true
+	return dst, age, false
 }
 
 // seedRules primes the delta-enforcement cache with rules a predecessor
@@ -504,23 +520,33 @@ func (k *stageCore) recordCall(ctx context.Context, c *child, err error) {
 // across cycles, so the steady state rebuilds no membership slices at all.
 // It belongs to the single goroutine running that controller's cycles.
 type cycleScratch struct {
-	members     []*child
 	active      []*child
 	quarantined []*child
-	collect     []*child
+	// dead lists, in member order, the active children whose connection has
+	// died: a subsequence of active.
+	dead []*child
+	// collect lists an incremental gather's collect targets, and slots where
+	// each one's row goes in the report set.
+	collect []*child
+	slots   []int
 }
 
-// split re-snapshots the membership into the scratch slices and partitions
-// it by breaker state.
+// split partitions the membership by breaker state into the scratch slices,
+// and lists the active children whose connection has died, in one pass under
+// the member lock.
 func (s *cycleScratch) split(m *memberSet) (active, quarantined []*child) {
-	s.members = m.snapshot(s.members)
-	s.active, s.quarantined = s.active[:0], s.quarantined[:0]
-	for _, c := range s.members {
+	s.active, s.quarantined, s.dead = s.active[:0], s.quarantined[:0], s.dead[:0]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, c := range m.order {
 		if c.isQuarantined() {
 			s.quarantined = append(s.quarantined, c)
-		} else {
-			s.active = append(s.active, c)
+			continue
 		}
+		if c.client().Err() != nil {
+			s.dead = append(s.dead, c)
+		}
+		s.active = append(s.active, c)
 	}
 	return s.active, s.quarantined
 }
@@ -532,9 +558,10 @@ func (s *cycleScratch) split(m *memberSet) (active, quarantined []*child) {
 // the only retry clock. An answered probe readmits the child and a failed
 // one backs the schedule off. A failed redial of an active child is judged
 // by the cycle: the child's calls fail at once with rpc.ErrDisconnected and
-// count against its breaker. sweep returns the children whose quarantine
-// outlived EvictAfter; the caller owns their removal.
-func (k *stageCore) sweep(ctx context.Context, active, quarantined []*child) (evictable []*child) {
+// count against its breaker. dead lists the active children to redial. sweep
+// returns the children whose quarantine outlived EvictAfter; the caller owns
+// their removal.
+func (k *stageCore) sweep(ctx context.Context, quarantined, dead []*child) (evictable []*child) {
 	bc := k.breaker
 	now := time.Now()
 	var due []*child
@@ -546,11 +573,7 @@ func (k *stageCore) sweep(ctx context.Context, active, quarantined []*child) (ev
 		}
 	}
 	probes := len(due)
-	for _, c := range active {
-		if c.client().Err() != nil {
-			due = append(due, c)
-		}
-	}
+	due = append(due, dead...)
 	if len(due) == 0 {
 		return evictable
 	}
@@ -659,19 +682,11 @@ func (m *memberSet) remove(id uint64) *child {
 	return c
 }
 
-// snapshot returns the current children in buf's backing array, reused
-// when its capacity allows (a nil buf yields a fresh slice) — the
-// cycle-preparation path snapshots every cycle, and in the steady state the
-// membership hasn't changed since the last one. The children are shared.
-func (m *memberSet) snapshot(buf []*child) []*child {
+// snapshot returns a copy of the current children; the children are shared.
+func (m *memberSet) snapshot() []*child {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if cap(buf) < len(m.order) {
-		buf = make([]*child, len(m.order))
-	}
-	buf = buf[:len(m.order)]
-	copy(buf, m.order)
-	return buf
+	return slices.Clone(m.order)
 }
 
 // each calls fn for every child under the member lock, copying nothing per

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -114,8 +114,8 @@ func (k *stageCore) Pipeline() *telemetry.PipelineStats { return k.pipe }
 // simulations; the Global adds its own tables on top.
 func (k *stageCore) MemoryFootprint() uint64 {
 	var total uint64
-	for _, c := range k.members.snapshot(nil) {
-		total += footprintPerChild + uint64(len(c.info.Addr)) + uint64(c.numStages())*footprintPerStage
+	for _, c := range k.members.snapshot() {
+		total += footprintPerChild + uint64(len(c.info.Addr)) + uint64(len(c.stageList()))*footprintPerStage
 	}
 	return total
 }
@@ -194,7 +194,7 @@ func (k *stageCore) reRegister(ctx context.Context, c *child, addr string) error
 
 // stageEntries lists the managed children in wire form (StageList replies).
 func (k *stageCore) stageEntries() []wire.StageEntry {
-	children := k.members.snapshot(nil)
+	children := k.members.snapshot()
 	out := make([]wire.StageEntry, len(children))
 	for i, c := range children {
 		out[i] = wire.StageEntry{ID: c.info.ID, JobID: c.info.JobID, Weight: c.info.Weight, Addr: c.info.Addr}
@@ -257,8 +257,8 @@ func (k *stageCore) offCycle(gauge *telemetry.Gauge) fanOutOpts {
 // ratio is the per-cycle marshal fan-in. onDone follows fanOutCalls' contract.
 func (k *stageCore) fanOutBroadcast(ctx context.Context, o fanOutOpts, children []*child,
 	f *rpc.SharedFrame, onDone func(i int, resp wire.Message, err error)) {
-	k.fanOutCalls(ctx, o, children, func(ctx context.Context, i int) (*rpc.Call, bool) {
-		return children[i].client().GoShared(ctx, f), false
+	k.fanOutCalls(ctx, o, children, func(ctx context.Context, i, _ int) (*rpc.Call, bool, int) {
+		return children[i].client().GoShared(ctx, f), false, 0
 	}, onDone)
 	f.Release()
 	k.pipe.AddSharedSends(uint64(len(children)))
@@ -266,12 +266,14 @@ func (k *stageCore) fanOutBroadcast(ctx context.Context, o fanOutOpts, children 
 }
 
 // prepareCycle runs the pre-cycle sweep (redials, half-open probes), evicts
-// the children whose quarantine outlived EvictAfter, and returns the
+// the children whose quarantine outlived EvictAfter, counts the cycle as
+// degraded if any child is still quarantined, and returns the
 // active/quarantined split the cycle's scatter phases work from: the cycle
-// scratch, valid until the next prepareCycle.
+// scratch, valid until the next prepareCycle. The scratch's dead list is the
+// active children whose connection is still dead after the sweep.
 func (k *stageCore) prepareCycle(ctx context.Context) (active, quarantined []*child) {
 	active, quarantined = k.scratch.split(k.members)
-	for _, c := range k.sweep(ctx, active, quarantined) {
+	for _, c := range k.sweep(ctx, quarantined, k.scratch.dead) {
 		if k.members.remove(c.info.ID) != nil {
 			c.retire()
 			if k.walEvict != nil {
@@ -281,10 +283,13 @@ func (k *stageCore) prepareCycle(ctx context.Context) (active, quarantined []*ch
 			k.logf("%s: evicted child %d after %v in quarantine", k.who, c.info.ID, k.breaker.EvictAfter)
 		}
 	}
-	if len(quarantined) == 0 {
-		return active, quarantined
+	if len(quarantined) > 0 || len(k.scratch.dead) > 0 {
+		active, quarantined = k.scratch.split(k.members) // after readmissions, evictions and redials
 	}
-	return k.scratch.split(k.members)
+	if len(quarantined) > 0 {
+		k.faults.DegradedCycle()
+	}
+	return active, quarantined
 }
 
 // setPhase stamps the tracer's cycle context, which every child-call span
@@ -365,13 +370,14 @@ func runLoop(ctx context.Context, interval time.Duration, cycle func(context.Con
 //
 // On the incremental path stages push report deltas as their rates move, so
 // the per-child cache already holds a current report for every live, quiet
-// child. The dirty set is claimed, the collect shrinks to the edge cases —
-// never reported, forced after re-registration or readmission, cache past
-// the heartbeat floor, a dead connection — and the set is assembled
-// from the cache: pushed deltas, the collects just made, and
-// untouched-but-fresh reports all read back alike. With mayIdle set, a cycle
-// with nothing dirty, nothing to collect and nobody quarantined sends and
-// assembles nothing and reports idle.
+// child. One visit per active child claims its dirty flag, decides whether
+// to collect it — never reported, forced after re-registration or
+// readmission, cache past the heartbeat floor, a dead connection — and
+// copies out the cached row of a child it does not collect. A collected
+// child's row is read from the cache after the fan-out, into the slot its
+// visit left, so the set comes out in member order whichever way each row
+// arrived. With mayIdle set, a cycle with nothing dirty, nothing to collect
+// and nobody quarantined sends nothing and reports idle.
 //
 // A child whose connection died and could not be redialed (see sweep) can
 // push nothing. Collecting it every cycle is what lets its consecutive
@@ -381,23 +387,43 @@ func runLoop(ctx context.Context, interval time.Duration, cycle func(context.Con
 // The returned rows live in the cycle arena.
 func (k *stageCore) gatherReports(ctx context.Context, m wire.Collect, active, quarantined []*child,
 	mayIdle bool) (reports []wire.StageReport, idle bool) {
-	// One clock read stamps the whole collect: a report looks at most one
-	// phase older than it is (see DESIGN.md §10).
+	// One clock read stamps the whole collect and ages every cached row: a
+	// report looks at most one phase older than it is (see DESIGN.md §10).
 	now := time.Now()
+	staleAfter := k.breaker.StaleAfter
+	reports = k.cyc.reports.Take(&k.arena, len(active))[:0]
 	targets := active
 	if k.incremental {
-		dirty := 0
-		targets = k.scratch.collect[:0]
-		for _, c := range active {
-			wasDirty, collect := c.incrementalState(now, k.floor)
-			if wasDirty {
+		targets, k.scratch.slots = k.scratch.collect[:0], k.scratch.slots[:0]
+		dead, dirty := k.scratch.dead, 0
+		// A cycle that may still idle copies no rows until it cannot.
+		copyRows := !mayIdle || len(quarantined) > 0
+		for i, c := range active {
+			isDead := len(dead) > 0 && dead[0] == c
+			if isDead {
+				dead = dead[1:]
+			}
+			var wasDirty, collect bool
+			if reports, wasDirty, collect = c.visit(reports, now, k.floor, staleAfter, isDead, copyRows); wasDirty {
 				dirty++
 			}
-			if collect || c.client().Err() != nil {
+			if !copyRows && (wasDirty || collect) {
+				copyRows = true
+				for _, prev := range active[:i] { // none of them dirty or collected
+					reports, _, _ = prev.appendCachedReports(reports, now, staleAfter)
+				}
+				if !collect {
+					reports, _, _ = c.appendCachedReports(reports, now, staleAfter)
+				}
+			}
+			if collect {
 				targets = append(targets, c)
+				k.scratch.slots = append(k.scratch.slots, len(reports))
+				reports = append(reports, wire.StageReport{})
 			}
 		}
 		k.scratch.collect = targets
+		k.busy(now)
 		k.pipe.RecordDirty(dirty)
 		k.pipe.AddSuppressedCollects(uint64(len(active) - len(targets)))
 		if mayIdle && dirty == 0 && len(targets) == 0 && len(quarantined) == 0 {
@@ -418,10 +444,17 @@ func (k *stageCore) gatherReports(ctx context.Context, m wire.Collect, active, q
 	}
 
 	start := time.Now()
-	reports = k.cyc.reports.Take(&k.arena, len(active))[:0]
 	if k.incremental {
-		for _, c := range active {
-			reports, _, _ = c.appendCachedReports(reports, start, k.breaker.StaleAfter)
+		for i, c := range targets {
+			s := k.scratch.slots[i]
+			if row, _, _ := c.appendCachedReports(reports[s:s:s+1], now, staleAfter); len(row) != 1 {
+				// No fresh row, or several: assemble every child's cache anew.
+				reports = reports[:0]
+				for _, a := range active {
+					reports, _, _ = a.appendCachedReports(reports, now, staleAfter)
+				}
+				break
+			}
 		}
 	} else {
 		for _, r := range replies {
@@ -491,9 +524,9 @@ func (k *stageCore) sendable(cycle uint64, c *child, batch []wire.Rule, delta bo
 
 // enforceStageRules is the enforce half of the stage-facing cycle: each
 // active child is sent the run of rules addressed to it in the
-// StageID-sorted rules, subject to sendable (incremental mode implies
-// delta). A child with no rule — it had no report this cycle — is sent
-// nothing. The request messages are index-disjoint arena slots, safe from
+// StageID-sorted rules (found by each issuer's stageRun cursor), subject to
+// sendable (incremental mode implies delta). A child with no rule — it had
+// no report this cycle — is sent nothing. The request messages are index-disjoint arena slots, safe from
 // blocking mode's concurrent issue. onDone, which may be nil, sees every
 // outcome. In incremental mode a child whose batch the diff emptied is
 // counted as a suppressed enforce, by fanOutCalls once per issuer range.
@@ -507,19 +540,19 @@ func (k *stageCore) enforceStageRules(ctx context.Context, cycle, epoch uint64, 
 	rules []wire.Rule, onDone func(i int, resp wire.Message, err error)) {
 	enfBuf := k.cyc.enfBuf.Take(&k.arena, len(children))
 	k.fanOutCalls(ctx, k.cycleFan(&k.pipe.EnforceInFlight), children,
-		func(ctx context.Context, i int) (*rpc.Call, bool) {
+		func(ctx context.Context, i, at int) (*rpc.Call, bool, int) {
 			c := children[i]
-			batch := stageRun(rules, c.info.ID)
+			batch, at := stageRun(rules, c.info.ID, at)
 			if len(batch) == 0 {
-				return nil, false
+				return nil, false, at
 			}
 			// A stage's batch is its one rule, so it never comes out mixed:
 			// this may run on blocking mode's scatter workers, off the arena.
 			if batch = k.sendable(cycle, c, batch, k.delta, nil); len(batch) == 0 {
-				return nil, k.incremental
+				return nil, k.incremental, at
 			}
 			enfBuf[i] = wire.Enforce{Cycle: cycle, Rules: batch, Epoch: epoch}
-			return c.client().Go(ctx, &enfBuf[i]), false
+			return c.client().Go(ctx, &enfBuf[i]), false, at
 		},
 		func(i int, resp wire.Message, err error) {
 			if err != nil {
@@ -532,14 +565,21 @@ func (k *stageCore) enforceStageRules(ctx context.Context, cycle, epoch uint64, 
 }
 
 // stageRun returns the contiguous run of rules addressed to stageID in a
-// StageID-sorted slice, in the slice's order.
-func stageRun(rules []wire.Rule, stageID uint64) []wire.Rule {
-	lo := sort.Search(len(rules), func(i int) bool { return rules[i].StageID >= stageID })
-	hi := lo
+// StageID-sorted slice, in the slice's order, and the run's end, which is
+// where the cursor at should stand for the next child. While an issuer's
+// children come in StageID order, at is already where the run starts, so
+// nothing is searched; anywhere else — the first child of a range, a child
+// out of order, a rule of a stage that is not a child between two runs — it
+// falls back to a binary search.
+func stageRun(rules []wire.Rule, stageID uint64, at int) (run []wire.Rule, next int) {
+	if (at > 0 && rules[at-1].StageID >= stageID) || (at < len(rules) && rules[at].StageID < stageID) {
+		at, _ = slices.BinarySearchFunc(rules, stageID, stageOrder)
+	}
+	hi := at
 	for hi < len(rules) && rules[hi].StageID == stageID {
 		hi++
 	}
-	return rules[lo:hi:hi]
+	return rules[at:hi:hi], hi
 }
 
 // sumApplied returns an onDone that adds every EnforceAck's applied-rule

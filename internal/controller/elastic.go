@@ -30,13 +30,6 @@ func (c *child) setStageList(stages []stage.Info) {
 	c.mu.Unlock()
 }
 
-// numStages returns the size of the child's stage list.
-func (c *child) numStages() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.stages)
-}
-
 // RemoveStage releases a stage from this aggregator's managed set, closing
 // the connection. It reports whether the stage was managed here. The
 // caller (the cluster's re-homing machinery) is responsible for the stage

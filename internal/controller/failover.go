@@ -577,7 +577,7 @@ func (g *Global) syncOnce(ctx context.Context, cli *rpc.Client, f *rpc.SharedFra
 // leadership epoch, cycle counter, lease duration, the full membership with
 // per-child last-enforced rules, and the job-weight table.
 func (g *Global) buildStateSync() *wire.StateSync {
-	children := g.members.snapshot(nil)
+	children := g.members.snapshot()
 	members := make([]wire.MemberState, 0, len(children))
 	for _, c := range children {
 		m := c.memberState()

@@ -80,15 +80,18 @@ func (o *fanOutOpts) takeCalls(n int) []*rpc.Call {
 // to the breaker and error accounting, and then hands it to onDone, which may
 // be nil. issue starts child i's call under ctx (Go or GoShared on its client:
 // issuing never blocks, the deadline applies to the wait) and returns the
-// handle; a nil handle skips the child, and suppressed marks a skip that is
-// an enforce the caller suppressed, which the pipeline stats count: each
-// pipelined issuer adds its range's count once. In blocking mode issue and onDone run concurrently from up to par scatter
-// workers. In pipelined mode up to GOMAXPROCS issuers each take a contiguous
-// range of children: an issuer issues its range, then waits for, accounts
-// and hands to onDone the calls it issued, in child order within its range,
-// while the other issuers do the same with theirs. Callers must keep both safe under concurrency
-// (index-disjoint writes or their own locking). Once ctx is cancelled no
-// further calls are issued; those already issued are still harvested.
+// handle and a cursor, next, that the same issuer passes back as at with its
+// range's next child (each issuer starts at zero). A nil handle skips the
+// child, and suppressed marks a skip that is an enforce the caller
+// suppressed, which the pipeline stats count: each pipelined issuer adds its
+// range's count once. In blocking mode issue and onDone run concurrently from
+// up to par scatter workers. In pipelined mode up to GOMAXPROCS issuers each
+// take a contiguous range of children: an issuer issues its range, then
+// waits for, accounts and hands to onDone the calls it issued, in child order
+// within its range, while the other issuers do the same with theirs. Callers
+// must keep both safe under concurrency (index-disjoint writes or their own
+// locking). Once ctx is cancelled no further calls are issued; those already
+// issued are still harvested.
 //
 // The role's CPU meter is charged with the time spent issuing — encoding
 // and writing the requests, and on an untimed simnet the stages' handling,
@@ -96,7 +99,7 @@ func (o *fanOutOpts) takeCalls(n int) []*rpc.Call {
 // or around each issue in blocking mode; the rpc client reads no clock for
 // it.
 func (k *stageCore) fanOutCalls(ctx context.Context, o fanOutOpts, children []*child,
-	issue func(ctx context.Context, i int) (call *rpc.Call, suppressed bool),
+	issue func(ctx context.Context, i, at int) (call *rpc.Call, suppressed bool, next int),
 	onDone func(i int, resp wire.Message, err error)) {
 	n := len(children)
 	if n == 0 {
@@ -105,7 +108,7 @@ func (k *stageCore) fanOutCalls(ctx context.Context, o fanOutOpts, children []*c
 	if o.mode == FanOutBlocking {
 		rpc.Scatter(ctx, n, o.par, func(i int) {
 			start := time.Now()
-			call, supp := issue(ctx, i)
+			call, supp, _ := issue(ctx, i, 0)
 			k.busy(start)
 			if call == nil {
 				if supp {
@@ -138,13 +141,13 @@ func (k *stageCore) fanOutCalls(ctx context.Context, o fanOutOpts, children []*c
 	calls := o.takeCalls(n)
 	cyclemem.ParallelFor(n, parallelIssueMin, func(lo, hi int) {
 		start := time.Now()
-		issued, supp := 0, 0
+		issued, supp, at := 0, 0, 0
 		for i := lo; i < hi; i++ {
 			if ctx.Err() != nil {
 				break // cancelled mid-fan-out: stop issuing, harvest what was
 			}
 			var s bool
-			if calls[i], s = issue(ctx, i); calls[i] != nil {
+			if calls[i], s, at = issue(ctx, i, at); calls[i] != nil {
 				issued++
 			} else if s {
 				supp++

@@ -168,9 +168,6 @@ func (c GlobalConfig) withDefaults() GlobalConfig {
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 10 * time.Second
 	}
-	if c.MaxFailures <= 0 {
-		c.MaxFailures = DefaultMaxFailures
-	}
 	if c.SyncInterval <= 0 {
 		c.SyncInterval = DefaultSyncInterval
 	}
@@ -401,7 +398,7 @@ func (g *Global) NumStages() (n int) {
 		if c.role == wire.RoleStage {
 			n++
 		} else {
-			n += c.numStages()
+			n += len(c.stageList())
 		}
 	})
 	return n
@@ -645,23 +642,14 @@ func (g *Global) noteCallError(c *child, err error) {
 // them once they recover, so a flapping child never stalls the cycle and
 // never needs manual re-registration.
 func (g *Global) RunCycle(ctx context.Context) (telemetry.Breakdown, error) {
-	g.mu.Lock()
-	if g.deposed {
-		epoch := g.epoch
-		g.mu.Unlock()
-		return telemetry.Breakdown{}, fmt.Errorf("%w (was leading at epoch %d)", ErrDeposed, epoch)
+	last, probeEpoch, _, err := g.leading()
+	if err != nil {
+		return telemetry.Breakdown{}, err
 	}
-	if g.cfg.Standby && !g.promoted {
-		epoch := g.epoch
-		g.mu.Unlock()
-		return telemetry.Breakdown{}, fmt.Errorf("%w (passive mirror at epoch %d)", ErrStandby, epoch)
-	}
-	probeCycle, probeEpoch := g.cycle+1, g.epoch
-	g.mu.Unlock()
 	// Half-open probe RPCs run before the phases and are attributed to the
 	// cycle they gate: quarantined children receive no in-phase traffic, so
 	// PhaseProbe is the only phase their calls ever carry.
-	g.setPhase(trace.PhaseProbe, probeCycle, probeEpoch)
+	g.setPhase(trace.PhaseProbe, last+1, probeEpoch)
 	active, quarantined := g.prepareCycle(ctx)
 	if len(active)+len(quarantined) == 0 {
 		return telemetry.Breakdown{}, ErrNoChildren
@@ -670,9 +658,6 @@ func (g *Global) RunCycle(ctx context.Context) (telemetry.Breakdown, error) {
 	g.cycle++
 	cycle, epoch, mode := g.cycle, g.epoch, g.mode
 	g.mu.Unlock()
-	if len(quarantined) > 0 {
-		g.faults.DegradedCycle()
-	}
 	// The phases run inside a fresh arena generation: every slab draw reuses
 	// last cycle's capacity, and last cycle's rule table is invalidated. A
 	// failed cycle is traced but not recorded.
@@ -680,7 +665,6 @@ func (g *Global) RunCycle(ctx context.Context) (telemetry.Breakdown, error) {
 	allocsBefore := telemetry.AllocsNow()
 	g.arena.Begin()
 	var b telemetry.Breakdown
-	var err error
 	if mode == wire.RoleAggregator {
 		b, err = g.runHierarchicalCycle(ctx, cycle, epoch, active, quarantined)
 	} else {
@@ -702,6 +686,20 @@ func (g *Global) RunCycle(ctx context.Context) (telemetry.Breakdown, error) {
 		g.faults.RecordControlGap(time.Since(gapStart))
 	}
 	return b, nil
+}
+
+// leading returns the cycle count, epoch and mode, or why this controller may
+// not drive its children: a newer leader deposed it, or it is a passive
+// standby.
+func (g *Global) leading() (cycle, epoch uint64, mode wire.Role, err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.deposed {
+		err = fmt.Errorf("%w (was leading at epoch %d)", ErrDeposed, g.epoch)
+	} else if g.cfg.Standby && !g.promoted {
+		err = fmt.Errorf("%w (passive mirror at epoch %d)", ErrStandby, g.epoch)
+	}
+	return g.cycle, g.epoch, g.mode, err
 }
 
 // runFlatCycle: gather the stages' reports, compute, enforce one rule per
@@ -827,19 +825,19 @@ func (g *Global) runHierarchicalCycle(ctx context.Context, cycle, epoch uint64, 
 	g.busy(start)
 	enf, dlg := g.cyc.enfBuf.Take(&g.arena, len(children)), g.cyc.dlgBuf.Take(&g.arena, len(children))
 	g.fanOutCalls(ctx, g.cycleFan(&g.pipe.EnforceInFlight), children,
-		func(ctx context.Context, i int) (*rpc.Call, bool) {
+		func(ctx context.Context, i, _ int) (*rpc.Call, bool, int) {
 			if g.cfg.Delegated {
 				if len(budgets[i]) == 0 {
-					return nil, false
+					return nil, false, 0
 				}
 				dlg[i] = wire.Delegate{Cycle: cycle, Budgets: budgets[i], Epoch: epoch}
-				return children[i].client().Go(ctx, &dlg[i]), false
+				return children[i].client().Go(ctx, &dlg[i]), false, 0
 			}
 			if len(batches[i]) == 0 {
-				return nil, false
+				return nil, false, 0
 			}
 			enf[i] = wire.Enforce{Cycle: cycle, Rules: batches[i], Epoch: epoch}
-			return children[i].client().Go(ctx, &enf[i]), false
+			return children[i].client().Go(ctx, &enf[i]), false, 0
 		},
 		func(i int, _ wire.Message, err error) {
 			if err != nil {

@@ -91,16 +91,19 @@ func TestChildPushSeqOrdering(t *testing.T) {
 	if !c.notePush(rd(1, true, 50), now) {
 		t.Fatal("Full baseline push rejected after restart")
 	}
-	wasDirty, collect := c.incrementalState(now, time.Hour)
+	rows, wasDirty, collect := c.visit(nil, now, time.Hour, time.Hour, false, true)
 	if !wasDirty {
 		t.Fatal("accepted pushes did not mark the child dirty")
 	}
 	if collect {
 		t.Fatal("fresh pushed cache scheduled a collect")
 	}
+	if len(rows) != 1 || rows[0].Demand[0] != 50 {
+		t.Fatalf("visit copied out %+v, want the Full baseline's row", rows)
+	}
 	// The claim is one-shot: a second look without new pushes is clean.
-	if wasDirty, _ = c.incrementalState(now, time.Hour); wasDirty {
-		t.Fatal("dirty flag not claimed by incrementalState")
+	if _, wasDirty, _ = c.visit(nil, now, time.Hour, time.Hour, false, true); wasDirty {
+		t.Fatal("dirty flag not claimed by visit")
 	}
 }
 

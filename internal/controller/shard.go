@@ -73,7 +73,7 @@ func (g *Global) ChildSnapshot(id uint64) (stage.Info, []wire.Rule, bool) {
 // ones included — the enumeration a rebalance walks to find misplaced
 // children. The order is unspecified.
 func (g *Global) ChildIDs() []uint64 {
-	children := g.members.snapshot(nil)
+	children := g.members.snapshot()
 	ids := make([]uint64, len(children))
 	for i, c := range children {
 		ids[i] = c.info.ID
@@ -111,24 +111,15 @@ func (g *Global) AdoptStage(ctx context.Context, info stage.Info, rules []wire.R
 // deployment-wide QoS decision — a job cap, a pause — in one round without
 // waiting for N independent control cycles to converge.
 func (g *Global) EnforceUniform(ctx context.Context, jobID uint64, action wire.RuleAction, limit wire.Rates) (int, error) {
-	g.mu.Lock()
-	if g.deposed {
-		epoch := g.epoch
-		g.mu.Unlock()
-		return 0, fmt.Errorf("%w (was leading at epoch %d)", ErrDeposed, epoch)
+	cycle, epoch, mode, err := g.leading()
+	if err != nil {
+		return 0, err
 	}
-	if g.cfg.Standby && !g.promoted {
-		epoch := g.epoch
-		g.mu.Unlock()
-		return 0, fmt.Errorf("%w (passive mirror at epoch %d)", ErrStandby, epoch)
-	}
-	cycle, epoch, mode := g.cycle, g.epoch, g.mode
-	g.mu.Unlock()
 	if mode == wire.RoleAggregator {
 		return 0, fmt.Errorf("controller: uniform enforce requires a flat controller (children are aggregators)")
 	}
 
-	active := slices.DeleteFunc(g.members.snapshot(nil), (*child).isQuarantined)
+	active := slices.DeleteFunc(g.members.snapshot(), (*child).isQuarantined)
 	// This runs beside the cycle, so it fans out through offCycle and, under
 	// its rule, counts an ack by its type alone: a stage applies the rule
 	// exactly when it serves the job, which the registration already says.

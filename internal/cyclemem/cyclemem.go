@@ -16,7 +16,9 @@
 package cyclemem
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,7 +32,6 @@ import (
 // snapshots feed telemetry).
 type Arena struct {
 	gen    atomic.Uint64
-	takes  atomic.Uint64
 	reuses atomic.Uint64
 	grows  atomic.Uint64
 }
@@ -53,14 +54,11 @@ type Stats struct {
 	Takes, Reuses, Grows uint64
 }
 
-// Stats snapshots the arena counters.
+// Stats snapshots the arena counters. Every take is a reuse or a grow.
 func (a *Arena) Stats() Stats {
-	return Stats{
-		Generation: a.gen.Load(),
-		Takes:      a.takes.Load(),
-		Reuses:     a.reuses.Load(),
-		Grows:      a.grows.Load(),
-	}
+	s := Stats{Generation: a.gen.Load(), Reuses: a.reuses.Load(), Grows: a.grows.Load()}
+	s.Takes = s.Reuses + s.Grows
+	return s
 }
 
 // Slab is a growable buffer of T tied to an arena's generation. The first
@@ -82,20 +80,30 @@ func (s *Slab[T]) Take(a *Arena, n int) []T {
 		s.gen = g
 		s.buf = s.buf[:0]
 	}
-	a.takes.Add(1)
-	start := len(s.buf)
-	need := start + n
-	if need <= cap(s.buf) {
-		s.buf = s.buf[:need]
-		clear(s.buf[start:need])
+	region, reused := extend(&s.buf, n)
+	if reused {
 		a.reuses.Add(1)
 	} else {
-		grown := make([]T, need, max(need, 2*cap(s.buf)))
-		copy(grown, s.buf[:start])
-		s.buf = grown
 		a.grows.Add(1)
 	}
-	return s.buf[start:need:need]
+	return region
+}
+
+// extend grows *buf by n zeroed entries and returns them, capacity-clamped.
+// It reports whether the retained capacity sufficed; otherwise the buffer
+// doubles (at least), copying what it held.
+func extend[T any](buf *[]T, n int) (region []T, reused bool) {
+	start := len(*buf)
+	need := start + n
+	if reused = need <= cap(*buf); reused {
+		*buf = (*buf)[:need]
+		clear((*buf)[start:need])
+	} else {
+		grown := make([]T, need, max(need, 2*cap(*buf)))
+		copy(grown, *buf)
+		*buf = grown
+	}
+	return (*buf)[start:need:need], reused
 }
 
 // RuleTable is the per-cycle rule index: a flat, eventually StageID-sorted
@@ -124,31 +132,24 @@ func (t *RuleTable) Reset(a *Arena) {
 // index-aligned writes — the parallel compute kernel's workers each fill a
 // disjoint range of one Slot. Must not be called after Seal.
 func (t *RuleTable) Slot(n int) []wire.Rule {
-	start := len(t.rules)
-	need := start + n
-	if need <= cap(t.rules) {
-		t.rules = t.rules[:need]
-		clear(t.rules[start:need])
-	} else {
-		grown := make([]wire.Rule, need, max(need, 2*cap(t.rules)))
-		copy(grown, t.rules[:start])
-		t.rules = grown
-	}
-	return t.rules[start:need:need]
+	region, _ := extend(&t.rules, n)
+	return region
 }
 
 // Seal sorts the table by (StageID, JobID), stably, making it ready for
 // Lookup. Stability means entries with equal keys keep insertion order, so
 // Lookup's last-match-wins reproduces exactly the overwrite semantics of
-// the map it replaced.
+// the map it replaced. A table already in order, as one emitted from reports
+// in member order is, is only checked: a stable sort would leave it as it is.
 func (t *RuleTable) Seal() {
-	sort.SliceStable(t.rules, func(a, b int) bool {
-		if t.rules[a].StageID != t.rules[b].StageID {
-			return t.rules[a].StageID < t.rules[b].StageID
-		}
-		return t.rules[a].JobID < t.rules[b].JobID
-	})
+	if !slices.IsSortedFunc(t.rules, ruleOrder) {
+		slices.SortStableFunc(t.rules, ruleOrder)
+	}
 	t.sealed = true
+}
+
+func ruleOrder(a, b wire.Rule) int {
+	return cmp.Or(cmp.Compare(a.StageID, b.StageID), cmp.Compare(a.JobID, b.JobID))
 }
 
 // Lookup returns the rule addressed to stageID. It misses when the table
@@ -175,13 +176,14 @@ func (t *RuleTable) Len() int { return len(t.rules) }
 func (t *RuleTable) Rules() []wire.Rule { return t.rules }
 
 // ParallelFor runs fn over [0,n) split into contiguous disjoint ranges
-// across up to GOMAXPROCS workers and returns how many workers ran.
-// minPerWorker bounds the split so tiny inputs stay serial — below
-// 2×minPerWorker, or on a single-CPU process, fn runs inline on the caller.
-// fn must confine itself to index-disjoint writes; under that contract the
-// result is byte-for-byte identical to the serial run regardless of worker
-// count, which is what lets the compute kernel shard PSFA rule emission
-// without perturbing the reproduction.
+// across up to GOMAXPROCS workers and returns how many workers ran. The
+// calling goroutine is the last worker: it runs the last range itself and
+// then waits for the others. minPerWorker bounds the split so tiny inputs
+// stay serial — below 2×minPerWorker, or on a single-CPU process, fn runs
+// inline on the caller. fn must confine itself to index-disjoint writes;
+// under that contract the result is byte-for-byte identical to the serial
+// run regardless of worker count, which is what lets the compute kernel
+// shard PSFA rule emission without perturbing the reproduction.
 func ParallelFor(n, minPerWorker int, fn func(start, end int)) int {
 	if n <= 0 {
 		return 0
@@ -198,16 +200,17 @@ func ParallelFor(n, minPerWorker int, fn func(start, end int)) int {
 	}
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	used := 0
-	for start := 0; start < n; start += chunk {
-		end := min(start+chunk, n)
-		used++
+	for start := 0; ; start += chunk {
+		if start+chunk >= n {
+			fn(start, n)
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fn(start, end)
+			fn(start, start+chunk)
 		}()
 	}
 	wg.Wait()
-	return used
+	return (n + chunk - 1) / chunk
 }

@@ -2,6 +2,7 @@ package cyclemem
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -113,6 +114,51 @@ func TestRuleTableLastWriteWins(t *testing.T) {
 	r, ok := tab.Lookup(5)
 	if !ok || r.Limit[0] != 2 {
 		t.Fatalf("Lookup(5) = %+v, %v; want the later entry (map overwrite semantics)", r, ok)
+	}
+}
+
+// TestRuleTableSealOutOfOrderDuplicates: a table emitted out of StageID
+// order with duplicate StageIDs seals into the stable (StageID, JobID)
+// order — equal keys keep their insertion order — and Lookup answers the
+// last entry written for a stage. A table already in order seals unchanged.
+func TestRuleTableSealOutOfOrderDuplicates(t *testing.T) {
+	var a Arena
+	var tab RuleTable
+	a.Begin()
+	tab.Reset(&a)
+	// Limit records the write order.
+	for i, k := range [][2]uint64{{9, 1}, {4, 2}, {9, 1}, {4, 1}, {7, 1}, {4, 2}, {9, 1}, {1, 3}} {
+		tab.rules = append(tab.rules, wire.Rule{StageID: k[0], JobID: k[1], Limit: wire.Rates{float64(i)}})
+	}
+	tab.Seal()
+	want := [][3]uint64{{1, 3, 7}, {4, 1, 3}, {4, 2, 1}, {4, 2, 5}, {7, 1, 4}, {9, 1, 0}, {9, 1, 2}, {9, 1, 6}}
+	for i, r := range tab.Rules() {
+		if got := [3]uint64{r.StageID, r.JobID, uint64(r.Limit[0])}; got != want[i] {
+			t.Fatalf("sealed entry %d is (stage, job, write) %v, want %v", i, got, want[i])
+		}
+	}
+	for id, write := range map[uint64]float64{1: 7, 4: 5, 7: 4, 9: 6} {
+		if r, ok := tab.Lookup(id); !ok || r.Limit[0] != write {
+			t.Fatalf("Lookup(%d) = %+v, %v; want write %v, the stage's last", id, r, ok, write)
+		}
+	}
+	sorted := slices.Clone(tab.Rules())
+	tab.Seal()
+	if !slices.Equal(tab.Rules(), sorted) {
+		t.Fatal("sealing a sorted table reordered it")
+	}
+
+	// Past the sizes an insertion sort handles: equal keys still keep their
+	// write order.
+	tab.Reset(&a)
+	for i := range 200 {
+		tab.rules = append(tab.rules, wire.Rule{StageID: uint64(i * 7 % 5), JobID: 1, Limit: wire.Rates{float64(i)}})
+	}
+	tab.Seal()
+	for i, r := range tab.Rules()[1:] {
+		if prev := tab.Rules()[i]; prev.StageID == r.StageID && prev.Limit[0] > r.Limit[0] {
+			t.Fatalf("stage %d's writes %v and %v sealed out of write order", r.StageID, prev.Limit[0], r.Limit[0])
+		}
 	}
 }
 
