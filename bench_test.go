@@ -46,8 +46,8 @@ func scaled(n int) int {
 }
 
 // buildBench constructs a deployment for benchmarking. Paper benchmarks use
-// the blocking fan-out mode, reproducing the prototype's bounded dispatch
-// pool; BenchmarkFlatCycle compares it against the pipelined mode.
+// the blocking fan-out mode, reproducing the prototype's bound of FanOut
+// calls in flight; BenchmarkFlatCycle compares it against the pipelined mode.
 func buildBench(b *testing.B, cfg cluster.Config) *cluster.Cluster {
 	b.Helper()
 	if cfg.Net == (simnet.Config{}) {
@@ -300,8 +300,9 @@ func BenchmarkAblationProcModel(b *testing.B) {
 }
 
 // BenchmarkFlatCycle measures the flat control cycle's dispatch cost at
-// fixed fleet sizes, comparing the pipelined async fan-out against the
-// prototype's bounded blocking pool. The network is raw (no modeled delays
+// fixed fleet sizes, comparing the pipelined fan-out (up to GOMAXPROCS
+// issuers, unbounded window) against the prototype's bounded pool (FanOut
+// issuers, one call in flight each). The network is raw (no modeled delays
 // or processing costs, no connection limit), so ns/op and allocs/op isolate
 // the RPC dispatch path itself: frame encoding, call bookkeeping, and
 // goroutine scheduling. Run with -benchmem; BENCH_cycle.json records the

@@ -22,7 +22,7 @@
 // nodes) and checks the control plane degrades and recovers instead of
 // stalling; failover crashes the primary controller mid-run and checks a
 // warm standby promotes, re-homes every stage, and fences the old primary;
-// pipeline compares the prototype's bounded blocking fan-out against this
+// pipeline compares the prototype's bounded fan-out against this
 // implementation's pipelined async dispatch on otherwise identical flat
 // deployments; tracebreak decomposes cycle time (marshal vs. dispatch vs.
 // wait, controller and stage side) from per-call spans at 1k/5k/10k nodes

@@ -106,7 +106,8 @@ type Config struct {
 	// FanOutMode selects every controller's collect/enforce dispatch
 	// strategy. The zero value pipelines requests over the child
 	// connections; controller.FanOutBlocking restores the paper prototype's
-	// bounded blocking pool (the paper-reproduction presets set it).
+	// bounded pool, FanOut calls in flight (the paper-reproduction presets
+	// set it).
 	FanOutMode controller.FanOutMode
 	// ForwardRaw disables metric pre-aggregation at aggregators
 	// (hierarchical only); see controller.AggregatorConfig.ForwardRaw.

@@ -75,6 +75,50 @@ func TestShardedDuplicateRegisterAfterMove(t *testing.T) {
 	}
 }
 
+// TestShardedMoveFailedAdoptionGivesChildBack checks a handoff whose
+// destination cannot dial the child. The source lets the child go before
+// the destination adopts it, so the failed adoption must give the child
+// back, with a source epoch its fence admits: the move reports the error,
+// the source owns the child again, and its cycles still reach it without a
+// deposition.
+func TestShardedMoveFailedAdoptionGivesChildBack(t *testing.T) {
+	c, err := Build(Config{Topology: Flat, Stages: 20, Jobs: 4, Shards: 2, Net: fastNet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+
+	const childID = 1
+	src, _ := c.Router.Route(childID)
+	dst := 1 - src
+	before := c.Globals[src].NumChildren()
+	c.Net.Host(ShardHost(dst)).SetPartitioned(true)
+	err = c.Router.Move(ctx, childID, dst)
+	c.Net.Host(ShardHost(dst)).SetPartitioned(false)
+	if err == nil {
+		t.Fatal("move to a shard that cannot dial the child succeeded")
+	}
+
+	if s, _ := c.Router.Route(childID); s != src {
+		t.Fatalf("Route(%d) = shard %d after the failed move, want the source %d", childID, s, src)
+	}
+	if got := c.Globals[src].NumChildren(); got != before {
+		t.Fatalf("source has %d children after the failed move, want %d", got, before)
+	}
+	if se, de := c.Globals[src].Epoch(), c.Globals[dst].Epoch(); se < de {
+		t.Fatalf("source epoch %d below the destination's %d: the child's fence may refuse it", se, de)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.RunControlCycle(ctx); err != nil {
+			t.Fatalf("cycle after the failed move: %v", err)
+		}
+	}
+	if c.Globals[src].Deposed() {
+		t.Fatal("source deposed after taking the child back")
+	}
+}
+
 // TestShardedRebalanceRaceWithCycles stress-tests concurrent handoffs
 // against quiesced incremental cycles under -race: moves ping-pong children
 // off placement while the router runs whole-deployment cycles, then a final

@@ -31,8 +31,8 @@ type AggregatorConfig struct {
 	// stages. Zero selects DefaultFanOut.
 	FanOut int
 	// FanOutMode selects the collect/enforce dispatch strategy; the zero
-	// value pipelines requests over the stage connections. See
-	// GlobalConfig.FanOutMode.
+	// value pipelines requests over the stage connections, FanOutBlocking
+	// keeps at most FanOut in flight. See GlobalConfig.FanOutMode.
 	FanOutMode FanOutMode
 	// CallTimeout bounds each stage RPC. Zero selects 10 seconds.
 	CallTimeout time.Duration

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 
@@ -249,7 +250,7 @@ func emitRules(cyc *cycleMem, arena *cyclemem.Arena, pipe *telemetry.PipelineSta
 	workers := 0
 	if len(reports) > 0 {
 		if parallel {
-			workers = cyclemem.ParallelFor(len(reports), parallelComputeMin, emit)
+			workers = cyclemem.ParallelFor(len(reports), runtime.GOMAXPROCS(0), parallelComputeMin, emit)
 		} else {
 			emit(0, len(reports))
 			workers = 1

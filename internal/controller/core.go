@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -23,7 +24,8 @@ type stageOpts struct {
 	// who prefixes operational logs: "controller", "aggregator 7".
 	who     string
 	network transport.Network
-	// fanMode, par and callTimeout shape every fan-out (see fanOutOpts).
+	// fanMode, par and callTimeout shape every fan-out (see offCycle); par
+	// also bounds the probes and the exchange, which go through rpc.Scatter.
 	fanMode     FanOutMode
 	par         int
 	callTimeout time.Duration
@@ -74,7 +76,7 @@ type stageCore struct {
 // init wires the core in place (it holds locks and atomics, so it is never
 // copied) and resolves the mode axes once. Incremental requires the
 // pipelined fan-out: FanOutBlocking keeps the paper-faithful full cycle —
-// the reproduction presets measure the bounded blocking pool, and layering
+// the reproduction presets measure the bounded pool, and layering
 // incremental skips on top of it would measure neither design. Incremental
 // implies delta enforcement: recomputing over a mostly-unchanged cache
 // yields mostly-unchanged rules, and re-sending those would undo the
@@ -246,7 +248,11 @@ func (k *stageCore) cycleFan(gauge *telemetry.Gauge) fanOutOpts {
 // type overwrites the one an off-cycle harvest is holding. The reply's type
 // is all it may look at.
 func (k *stageCore) offCycle(gauge *telemetry.Gauge) fanOutOpts {
-	return fanOutOpts{mode: k.fanMode, par: k.par, timeout: k.callTimeout, gauge: gauge}
+	o := fanOutOpts{issuers: runtime.GOMAXPROCS(0), timeout: k.callTimeout, gauge: gauge}
+	if k.fanMode == FanOutBlocking {
+		o.issuers, o.window = k.par, 1
+	}
+	return o
 }
 
 // fanOutBroadcast dispatches one identical request to every child as a
@@ -363,7 +369,7 @@ func runLoop(ctx context.Context, interval time.Duration, cycle func(context.Con
 // On the full path every active child is sent m as one marshal-once shared
 // frame and the set is assembled from the replies that arrived this cycle: a
 // child that did not answer contributes nothing, and so gets no rule. Reply
-// slots are index-disjoint, so blocking mode's concurrent harvest keeps a
+// slots are index-disjoint, so the issuers' concurrent harvests keep a
 // deterministic report order; they alias the per-connection reuse caches,
 // which is safe exactly until the connection's next CollectReply — next
 // cycle, after compute has consumed them.
@@ -526,10 +532,11 @@ func (k *stageCore) sendable(cycle uint64, c *child, batch []wire.Rule, delta bo
 // active child is sent the run of rules addressed to it in the
 // StageID-sorted rules (found by each issuer's stageRun cursor), subject to
 // sendable (incremental mode implies delta). A child with no rule — it had
-// no report this cycle — is sent nothing. The request messages are index-disjoint arena slots, safe from
-// blocking mode's concurrent issue. onDone, which may be nil, sees every
-// outcome. In incremental mode a child whose batch the diff emptied is
-// counted as a suppressed enforce, by fanOutCalls once per issuer range.
+// no report this cycle — is sent nothing. The request messages are
+// index-disjoint arena slots, safe from concurrent issuers. onDone, which
+// may be nil, sees every outcome. In incremental mode a child whose batch
+// the diff emptied is counted as a suppressed enforce, by fanOutCalls once
+// per issuer range.
 //
 // sendable commits a batch to the child's rule cache when it takes the diff,
 // before the call is issued. A call that then fails — the caller's own
@@ -547,7 +554,7 @@ func (k *stageCore) enforceStageRules(ctx context.Context, cycle, epoch uint64, 
 				return nil, false, at
 			}
 			// A stage's batch is its one rule, so it never comes out mixed:
-			// this may run on blocking mode's scatter workers, off the arena.
+			// this runs on concurrent issuers, off the arena.
 			if batch = k.sendable(cycle, c, batch, k.delta, nil); len(batch) == 0 {
 				return nil, k.incremental, at
 			}
@@ -583,7 +590,7 @@ func stageRun(rules []wire.Rule, stageID uint64, at int) (run []wire.Rule, next 
 }
 
 // sumApplied returns an onDone that adds every EnforceAck's applied-rule
-// count to total (atomically: blocking mode harvests concurrently).
+// count to total (atomically: issuers harvest concurrently).
 func sumApplied(total *atomic.Uint32) func(i int, resp wire.Message, err error) {
 	return func(_ int, resp wire.Message, _ error) {
 		if ack, ok := resp.(*wire.EnforceAck); ok {

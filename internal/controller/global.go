@@ -45,9 +45,9 @@ type GlobalConfig struct {
 	FanOut int
 	// FanOutMode selects the collect/enforce dispatch strategy: the zero
 	// value, FanOutPipelined, streams all child requests back-to-back over
-	// the per-child connections and harvests responses as they arrive;
-	// FanOutBlocking restores the paper prototype's bounded blocking pool
-	// (one parked goroutine per call, FanOut wide), which the
+	// the per-child connections from up to GOMAXPROCS issuers and then
+	// harvests the responses; FanOutBlocking restores the paper prototype's
+	// bounded pool (FanOut issuers with one call in flight each), which the
 	// paper-reproduction presets select explicitly.
 	FanOutMode FanOutMode
 	// CallTimeout bounds each child RPC. Zero selects 10 seconds.

@@ -17,7 +17,6 @@ package cyclemem
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -175,42 +174,36 @@ func (t *RuleTable) Len() int { return len(t.rules) }
 // Begin). After Seal it is sorted by StageID.
 func (t *RuleTable) Rules() []wire.Rule { return t.rules }
 
-// ParallelFor runs fn over [0,n) split into contiguous disjoint ranges
-// across up to GOMAXPROCS workers and returns how many workers ran. The
-// calling goroutine is the last worker: it runs the last range itself and
-// then waits for the others. minPerWorker bounds the split so tiny inputs
-// stay serial — below 2×minPerWorker, or on a single-CPU process, fn runs
+// ParallelFor runs fn over [0,n) split into contiguous disjoint ranges of
+// near-equal size across up to workers workers and returns how many workers
+// ran. The calling goroutine is the last worker: it runs the last range
+// itself and then waits for the others. minPerWorker bounds the split so tiny
+// inputs stay serial — below 2×minPerWorker, or with one worker, fn runs
 // inline on the caller. fn must confine itself to index-disjoint writes;
 // under that contract the result is byte-for-byte identical to the serial
 // run regardless of worker count, which is what lets the compute kernel
 // shard PSFA rule emission without perturbing the reproduction.
-func ParallelFor(n, minPerWorker int, fn func(start, end int)) int {
+func ParallelFor(n, workers, minPerWorker int, fn func(start, end int)) int {
 	if n <= 0 {
 		return 0
 	}
-	workers := runtime.GOMAXPROCS(0)
 	if minPerWorker > 0 {
-		if w := n / minPerWorker; w < workers {
-			workers = w
-		}
+		workers = min(workers, n/minPerWorker)
 	}
 	if workers <= 1 {
 		fn(0, n)
 		return 1
 	}
-	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for start := 0; ; start += chunk {
-		if start+chunk >= n {
-			fn(start, n)
-			break
-		}
-		wg.Add(1)
+	wg.Add(workers - 1)
+	for w := 0; w < workers-1; w++ {
+		start, end := w*n/workers, (w+1)*n/workers
 		go func() {
 			defer wg.Done()
-			fn(start, start+chunk)
+			fn(start, end)
 		}()
 	}
+	fn((workers-1)*n/workers, n)
 	wg.Wait()
-	return (n + chunk - 1) / chunk
+	return workers
 }

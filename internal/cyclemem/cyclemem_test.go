@@ -208,7 +208,7 @@ func TestRuleTableSlot(t *testing.T) {
 func TestParallelForCoversRangeDisjointly(t *testing.T) {
 	const n = 10_000
 	marks := make([]int32, n)
-	workers := ParallelFor(n, 8, func(start, end int) {
+	workers := ParallelFor(n, runtime.GOMAXPROCS(0), 8, func(start, end int) {
 		for i := start; i < end; i++ {
 			atomic.AddInt32(&marks[i], 1)
 		}
@@ -231,7 +231,7 @@ func TestParallelForMultiWorker(t *testing.T) {
 
 	const n = 4096
 	out := make([]uint64, n)
-	workers := ParallelFor(n, 8, func(start, end int) {
+	workers := ParallelFor(n, runtime.GOMAXPROCS(0), 8, func(start, end int) {
 		for i := start; i < end; i++ {
 			out[i] = uint64(i) * 3
 		}
@@ -247,14 +247,14 @@ func TestParallelForMultiWorker(t *testing.T) {
 }
 
 func TestParallelForSmallInputStaysSerial(t *testing.T) {
-	if w := ParallelFor(10, 100, func(start, end int) {
+	if w := ParallelFor(10, 4, 100, func(start, end int) {
 		if start != 0 || end != 10 {
 			t.Fatalf("serial range = [%d,%d)", start, end)
 		}
 	}); w != 1 {
 		t.Fatalf("workers = %d, want 1 for sub-threshold input", w)
 	}
-	if w := ParallelFor(0, 1, func(int, int) { t.Fatal("fn called for n=0") }); w != 0 {
+	if w := ParallelFor(0, 4, 1, func(int, int) { t.Fatal("fn called for n=0") }); w != 0 {
 		t.Fatalf("workers = %d, want 0 for empty input", w)
 	}
 }

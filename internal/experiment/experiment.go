@@ -136,9 +136,10 @@ func (o Options) runOne(ctx context.Context, name string, topo cluster.Topology,
 		Aggregators: aggs,
 		Net:         *o.Net,
 		// Paper fidelity: the prototype under study dispatches through a
-		// bounded blocking pool (its gRPC thread pool), which is what makes
-		// cycle latency grow linearly with child count. The pipelined mode
-		// is the fix, measured separately by the pipeline experiment.
+		// bounded pool (its gRPC thread pool), at most FanOut calls in
+		// flight. That bound is what runs a global's aggregators in waves
+		// once there are more of them than FanOut (Fig. 5). The pipelined
+		// mode lifts it, measured separately by the pipeline experiment.
 		FanOutMode: controller.FanOutBlocking,
 	})
 	if err != nil {

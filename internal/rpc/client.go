@@ -209,27 +209,40 @@ func (call *Call) finish(m wire.Message, err error) {
 // arrives. Nothing is sent for an abandoned call. The handle must not be
 // used after Wait returns.
 func (call *Call) Wait(ctx context.Context) (wire.Message, error) {
+	return call.WaitDeadline(ctx, nil)
+}
+
+// WaitDeadline is Wait that also gives up when expired delivers, abandoning
+// the call with context.DeadlineExceeded as a context deadline would. A
+// caller with one call outstanding at a time re-arms one timer per call in
+// its place, where Wait would need a context per call. A nil expired never
+// delivers.
+func (call *Call) WaitDeadline(ctx context.Context, expired <-chan time.Time) (wire.Message, error) {
 	if call.completed() {
 		return call.release()
 	}
 	w := waiterPool.Get().(*waiter)
 	call.waiter.Store(w)
 	for !call.completed() {
+		var err error
 		select {
 		case <-w.wake:
-			// This call's wake, or a stale one: re-check done.
+			continue // this call's wake, or a stale one: re-check done
 		case <-ctx.Done():
-			if call.client.deregister(call) {
-				// We took the call out of the in-flight table, so no
-				// completer has it or ever will: the handle is ours.
-				waiterPool.Put(w)
-				return nil, call.abandon(ctx.Err())
-			}
-			// Completion raced with the cancellation and won. Its
-			// completer sets done and then wakes w.
-			for !call.completed() {
-				<-w.wake
-			}
+			err = ctx.Err()
+		case <-expired:
+			err = context.DeadlineExceeded
+		}
+		if call.client.deregister(call) {
+			// We took the call out of the in-flight table, so no completer
+			// has it or ever will: the handle is ours.
+			waiterPool.Put(w)
+			return nil, call.abandon(err)
+		}
+		// Completion raced with the cancellation and won. Its completer
+		// sets done and then wakes w.
+		for !call.completed() {
+			<-w.wake
 		}
 	}
 	waiterPool.Put(w)
@@ -646,11 +659,9 @@ func (c *Client) Close() error {
 
 // Scatter invokes fn for indexes [0, n) using at most par concurrent
 // workers, in roughly increasing index order, and stops issuing new indexes
-// once ctx is cancelled (indexes already handed to a worker still run). It
-// is the blocking fan-out primitive of the collect and enforce phases: par
-// models the bounded handler pool of the paper's controller (gRPC server
-// threads), which is what makes per-child work accumulate linearly with the
-// number of children.
+// once ctx is cancelled (indexes already handed to a worker still run). The
+// controllers' probes, peer exchange and state sync fan out through it; the
+// collect and enforce phases have their own issue loop.
 func Scatter(ctx context.Context, n, par int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -25,10 +25,11 @@
 //     sweep does);
 //   - an asynchronous call API (Client.Go returning a recycled *Call handle)
 //     that pipelines many requests back-to-back over one connection — the
-//     fast path of the control cycle's collect and enforce fan-out;
+//     path of the control cycle's collect and enforce fan-out, and
+//     Call.WaitDeadline, which gives up on a re-armable timer in place of
+//     a context per call;
 //   - a scatter-gather helper with bounded parallelism and cooperative
-//     cancellation, the blocking fan-out primitive kept for paper-fidelity
-//     reproduction of the prototype's bounded thread pool.
+//     cancellation, for the probes, the peer exchange and state sync.
 package rpc
 
 import (

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -239,14 +240,16 @@ func (r *Router) EnforceUniform(ctx context.Context, jobID uint64, action wire.R
 	return total, err
 }
 
-// Move hands childID off to shard dst: the destination leader raises its
-// epoch above the source's (persisted first, like a promotion), adopts the
-// child with the rules the source last enforced, and only then does the
-// source forget it. The child's next contact with the destination adopts
-// the raised epoch as its fencing floor, so anything the source still has
-// in flight — a straggling Enforce, a queued Collect — is rejected as
-// stale. A push the child emits mid-move lands on whichever side still
-// knows it; after the source's RemoveChild, only the destination does.
+// Move hands childID off to shard dst. The source forgets the child first,
+// closing its connection, so a source cycle that still holds the child
+// fails that call locally instead of reaching a child whose fence has moved
+// on. The destination leader then raises its epoch above the source's
+// (persisted first, like a promotion) and adopts the child with the rules the
+// source last enforced. The child's next contact with the destination adopts
+// the raised epoch as its fencing floor, so anything the source still had on
+// the wire — a straggling Enforce, a queued Collect — is rejected as stale,
+// and the rejection reaches nobody. A push the child emits mid-move lands on
+// whichever side knows it at that moment, or on neither.
 func (r *Router) Move(ctx context.Context, childID uint64, dst int) error {
 	r.moveMu.Lock()
 	defer r.moveMu.Unlock()
@@ -263,18 +266,40 @@ func (r *Router) moveLocked(ctx context.Context, st *routerState, childID uint64
 	if srcIdx == dst {
 		return nil
 	}
-	info, rules, ok := src.ChildSnapshot(childID)
+	ok, err := r.handoff(ctx, src, st.shards[dst].Leader(), childID)
 	if !ok {
 		return fmt.Errorf("shard: move child %d: shard %d does not own it", childID, srcIdx)
 	}
-	dstLeader := st.shards[dst].Leader()
-	dstLeader.RaiseEpoch(src.Epoch() + 1)
-	if err := dstLeader.AdoptStage(ctx, info, rules); err != nil {
+	if err != nil {
 		return fmt.Errorf("shard: move child %d to shard %d: %w", childID, dst, err)
 	}
-	src.RemoveChild(childID)
-	r.moves.Add(1)
 	return nil
+}
+
+// handoff moves childID from src to dst as Move describes, and reports
+// whether src owned it. An adoption that fails gives the child back to src,
+// with src's epoch raised to at least dst's so that its fence passes src
+// whatever dst sent it; the give-back runs even if ctx is cancelled. Only a
+// child that neither side can dial is left unowned, and it comes back by
+// registering again.
+func (r *Router) handoff(ctx context.Context, src, dst *controller.Global, childID uint64) (bool, error) {
+	info, rules, ok := src.ChildSnapshot(childID)
+	if !ok {
+		return false, nil
+	}
+	src.RemoveChild(childID)
+	dst.RaiseEpoch(src.Epoch() + 1)
+	err := dst.AdoptStage(ctx, info, rules)
+	if _, _, adopted := dst.ChildSnapshot(childID); adopted {
+		// Adopted, here or by a registration that reached dst first.
+		r.moves.Add(1)
+		return true, nil
+	}
+	src.RaiseEpoch(dst.Epoch())
+	if berr := src.AdoptStage(context.WithoutCancel(ctx), info, rules); berr != nil {
+		return true, errors.Join(err, fmt.Errorf("give back: %w", berr))
+	}
+	return true, err
 }
 
 // Rebalance walks every shard's membership and moves each child whose
@@ -325,17 +350,13 @@ func (r *Router) Drain(ctx context.Context, src *Group) (int, error) {
 	moved := 0
 	for _, id := range g.ChildIDs() {
 		dst := st.place(id)
-		info, rules, ok := g.ChildSnapshot(id)
+		ok, err := r.handoff(ctx, g, st.shards[dst].Leader(), id)
 		if !ok {
 			continue // re-homed away concurrently
 		}
-		dstLeader := st.shards[dst].Leader()
-		dstLeader.RaiseEpoch(g.Epoch() + 1)
-		if err := dstLeader.AdoptStage(ctx, info, rules); err != nil {
+		if err != nil {
 			return moved, fmt.Errorf("shard: drain child %d to shard %d: %w", id, dst, err)
 		}
-		g.RemoveChild(id)
-		r.moves.Add(1)
 		moved++
 		if ctx.Err() != nil {
 			return moved, ctx.Err()

@@ -13,9 +13,6 @@ type Gauge struct {
 	peak atomic.Int64
 }
 
-// Enter increments the gauge, updating the peak.
-func (g *Gauge) Enter() { g.Add(1) }
-
 // Add moves the gauge by n, updating the peak: one atomic add for a batch
 // of calls entering (n > 0) or leaving (n < 0) at once.
 func (g *Gauge) Add(n int64) {
@@ -27,9 +24,6 @@ func (g *Gauge) Add(n int64) {
 		}
 	}
 }
-
-// Exit decrements the gauge.
-func (g *Gauge) Exit() { g.cur.Add(-1) }
 
 // Current returns the instantaneous value.
 func (g *Gauge) Current() int64 { return g.cur.Load() }

@@ -206,16 +206,13 @@ func wake(ready chan struct{}) {
 }
 
 // arrival computes when data written now becomes readable: sender
-// processing, per-connection bandwidth serialization, propagation, and
+// processing, after the stream's previous send, then propagation and
 // receiver processing. Callers hold mu.
 func (s *stream) arrival(n int, now time.Time) time.Time {
 	cfg := &s.net.cfg
 	start := s.txHost.proc.schedule(now, n, cfg)
 	if s.lastSendEnd.After(start) {
 		start = s.lastSendEnd
-	}
-	if cfg.Bandwidth > 0 {
-		start = start.Add(time.Duration(float64(n) / cfg.Bandwidth * float64(time.Second)))
 	}
 	s.lastSendEnd = start
 	arrive := start.Add(cfg.PropDelay + s.net.jitter())

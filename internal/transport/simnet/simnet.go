@@ -10,7 +10,7 @@
 //     the paper measured on Frontera nodes, §IV-A), so the flat design's
 //     scalability cliff is reproduced by construction;
 //   - a latency model: one-way propagation delay, optional jitter, and
-//     per-connection serialization bandwidth.
+//     per-message and per-byte processing costs at each endpoint host.
 //
 // Connections are goroutine-free: a connection is two mutex-guarded byte
 // buffers, and latency is applied by stamping every write with an arrival
@@ -67,9 +67,6 @@ type Config struct {
 	PropDelay time.Duration
 	// Jitter adds a uniformly random extra delay in [0, Jitter) per chunk.
 	Jitter time.Duration
-	// Bandwidth is the per-connection serialization rate in bytes/second.
-	// Zero disables bandwidth modeling.
-	Bandwidth float64
 	// ProcTime is the fixed per-message processing cost charged to each
 	// endpoint host's processor (a virtual-time queue, so messages at one
 	// host serialize while distinct hosts proceed in parallel). This is
@@ -125,7 +122,7 @@ func New(cfg Config) *Net {
 	cfg = cfg.withDefaults()
 	return &Net{
 		cfg:   cfg,
-		timed: cfg.PropDelay > 0 || cfg.Jitter > 0 || cfg.Bandwidth > 0 || cfg.ProcTime > 0 || cfg.ProcPerByte > 0,
+		timed: cfg.PropDelay > 0 || cfg.Jitter > 0 || cfg.ProcTime > 0 || cfg.ProcPerByte > 0,
 		sched: newScheduler(),
 		hosts: make(map[string]*Host),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),

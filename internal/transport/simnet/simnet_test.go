@@ -332,25 +332,6 @@ func TestProcPerByteChargesLargeMessages(t *testing.T) {
 	}
 }
 
-func TestBandwidthSerialization(t *testing.T) {
-	// 1 MB at 10 MB/s should take >= 100ms to arrive.
-	n := New(Config{PropDelay: -1, Bandwidth: 10e6})
-	c, s := pair(t, n)
-
-	go func() {
-		buf := make([]byte, 1<<20)
-		c.Write(buf)
-	}()
-
-	start := time.Now()
-	if _, err := io.ReadFull(s, make([]byte, 1<<20)); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if got := time.Since(start); got < 90*time.Millisecond {
-		t.Errorf("1MB at 10MB/s arrived in %v, want >= ~100ms", got)
-	}
-}
-
 func TestConnLimit(t *testing.T) {
 	n := New(fastCfg())
 	srv := n.Host("server")

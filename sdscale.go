@@ -130,11 +130,11 @@ type (
 
 // Fan-out dispatch modes.
 const (
-	// FanOutPipelined streams every child request back-to-back and
-	// harvests responses as they arrive — the default.
+	// FanOutPipelined streams every child request back-to-back from up to
+	// GOMAXPROCS issuers and then harvests the responses — the default.
 	FanOutPipelined = controller.FanOutPipelined
-	// FanOutBlocking reproduces the paper prototype's bounded blocking
-	// pool (one parked goroutine per in-flight call, FanOut wide).
+	// FanOutBlocking reproduces the paper prototype's bounded pool: FanOut
+	// issuers with one call in flight each.
 	FanOutBlocking = controller.FanOutBlocking
 )
 
